@@ -3,7 +3,6 @@ package livecluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -111,8 +110,11 @@ type Config struct {
 	Workload *workload.Workload
 	// Algorithm selects the planner (default RT-SADS).
 	Algorithm experiment.Algorithm
-	// Scale slows virtual time down relative to wall time; at the default
-	// 20, OS jitter of ~100µs wall is only ~5µs virtual.
+	// Scale slows virtual time down relative to wall time. Go timers on
+	// Linux fire on a ≈1 ms grid — a sleep ends uniformly 0–1.1 ms late
+	// (rtbench's loadgen.lateness_p99_us) — so at the default 20 one timer
+	// grain is ≈55 µs virtual. Workers sleep to absolute targets, so a job
+	// pays that grain once; it does not accumulate along the ready queue.
 	Scale float64
 	// Policy allocates phase quanta (default: the paper's adaptive
 	// criterion).
@@ -405,6 +407,20 @@ type runState struct {
 	planner      core.Planner
 	plannerStale bool
 
+	// Per-iteration scratch, reused so a phase of one or two tasks does not
+	// pay for half a dozen fresh slices: the active-worker list and its
+	// loads, the job lists indexed by worker (Backend.Deliver is done with a
+	// list when it returns), the delivered tasks, the SlackGuard shadows.
+	active    []int
+	loads     []time.Duration
+	jobs      [][]Job
+	scheduled []*task.Task
+	shadow    []task.Task
+	guarded   []*task.Task
+	orig      map[task.ID]*task.Task
+	overdue   []bool      // checkStragglers: workers with an overdue job
+	timer     *time.Timer // wait's timer, stopped and drained between waits
+
 	// Overload control (host-only). adm gates every batch admission (nil
 	// admits everything). degrading is the planner's degraded-mode
 	// controller when Config.Degrade is set; lastDeg/lastRec/lastDP are its
@@ -491,6 +507,8 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		alive:    make([]bool, w.Params.Workers),
 		strikes:  make([]int, w.Params.Workers),
 		freeAt:   make([]simtime.Instant, w.Params.Workers),
+		jobs:     make([][]Job, w.Params.Workers),
+		overdue:  make([]bool, w.Params.Workers),
 		batch:    task.NewBatch(),
 		pending:  seed,
 	}
@@ -723,25 +741,35 @@ func (r *runState) loop() error {
 
 		// Plan against the surviving machine: slot s of the search maps to
 		// working processor active[s].
-		loads := make([]time.Duration, len(active))
-		for s, k := range active {
-			loads[s] = simtime.NonNeg(r.freeAt[k].Sub(now))
+		loads := r.loads[:0]
+		for _, k := range active {
+			loads = append(loads, simtime.NonNeg(r.freeAt[k].Sub(now)))
 		}
+		r.loads = loads
 		// With a slack guard, plan against shadow copies whose deadlines are
 		// shrunk by the band; everything downstream (delivery, workers,
 		// accounting) keeps the originals and their true deadlines.
 		planBatch := r.batch.Tasks()
 		var orig map[task.ID]*task.Task
 		if g := r.c.cfg.SlackGuard; g > 0 {
-			orig = make(map[task.ID]*task.Task, len(planBatch))
-			shadow := make([]task.Task, len(planBatch))
-			guarded := make([]*task.Task, len(planBatch))
+			if r.orig == nil {
+				r.orig = make(map[task.ID]*task.Task, len(planBatch))
+			}
+			clear(r.orig)
+			orig = r.orig
+			// Sized up front: guarded points into shadow, which must not move.
+			if cap(r.shadow) < len(planBatch) {
+				r.shadow = make([]task.Task, len(planBatch))
+			}
+			shadow := r.shadow[:len(planBatch)]
+			guarded := r.guarded[:0]
 			for i, t := range planBatch {
 				orig[t.ID] = t
 				shadow[i] = *t
 				shadow[i].Deadline = t.Deadline.Add(-g)
-				guarded[i] = &shadow[i]
+				guarded = append(guarded, &shadow[i])
 			}
+			r.guarded = guarded
 			planBatch = guarded
 		}
 		r.pc.Reset()
@@ -802,8 +830,11 @@ func (r *runState) loop() error {
 		})
 
 		deliverAt := r.clock.Now()
-		perWorker := make(map[int][]Job)
-		scheduled := make([]*task.Task, 0, len(out.Schedule))
+		perWorker := r.jobs
+		for k := range perWorker {
+			perWorker[k] = perWorker[k][:0]
+		}
+		scheduled := r.scheduled[:0]
 		r.mu.Lock()
 		for _, a := range out.Schedule {
 			t := a.Task
@@ -811,8 +842,7 @@ func (r *runState) loop() error {
 				t = orig[t.ID] // map the guard-band shadow back to the real task
 			}
 			k := active[a.Proc]
-			start := deliverAt.Max(r.freeAt[k])
-			due := start.Add(t.Proc + a.Comm)
+			due := serve(r.freeAt[k], deliverAt, t.Proc+a.Comm)
 			r.freeAt[k] = due
 			r.inflight[t.ID] = &flight{t: t, worker: k, due: due}
 			perWorker[k] = append(perWorker[k], Job{
@@ -830,9 +860,13 @@ func (r *runState) loop() error {
 		}
 		r.o.Inflight(len(r.inflight))
 		r.mu.Unlock()
+		r.scheduled = scheduled
 		retryAt := simtime.Never
 		var deferred map[task.ID]bool
 		for k, jobs := range perWorker {
+			if len(jobs) == 0 {
+				continue
+			}
 			err := r.backend.Deliver(k, jobs)
 			if err == nil {
 				continue
@@ -857,8 +891,6 @@ func (r *runState) loop() error {
 				delete(r.inflight, id)
 				deferred[id] = true
 			}
-			// Roll the worker's backlog model back to what was actually
-			// enqueued.
 			// Roll the worker's backlog model back to what was actually
 			// enqueued — but never below the backend's own estimate of when a
 			// slot frees. Flooring at "now" would advertise a full worker as
@@ -1075,18 +1107,19 @@ func (r *runState) handleFailure(f Failure) {
 // the machine.
 func (r *runState) checkStragglers(now simtime.Instant) {
 	grace := r.live.StragglerGrace
-	var overdue []int
+	overdue := r.overdue
+	clear(overdue)
 	r.mu.Lock()
-	seen := make(map[int]bool)
 	for _, fl := range r.inflight {
-		if r.alive[fl.worker] && !seen[fl.worker] && now.After(fl.due.Add(grace)) {
-			seen[fl.worker] = true
-			overdue = append(overdue, fl.worker)
+		if r.alive[fl.worker] && now.After(fl.due.Add(grace)) {
+			overdue[fl.worker] = true
 		}
 	}
 	r.mu.Unlock()
-	sort.Ints(overdue)
-	for _, k := range overdue {
+	for k, late := range overdue {
+		if !late {
+			continue
+		}
 		r.o.StragglerReclaim(k, now)
 		r.strikes[k]++
 		r.handleFailure(Failure{
@@ -1148,8 +1181,13 @@ func (r *runState) wait(until simtime.Instant) {
 	if r.c.cfg.External {
 		feedC = r.c.feedTick
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer := r.timer
+	if timer == nil {
+		timer = time.NewTimer(d)
+		r.timer = timer
+	} else {
+		timer.Reset(d)
+	}
 	select {
 	case <-timer.C:
 	case f := <-r.failCh:
@@ -1157,6 +1195,15 @@ func (r *runState) wait(until simtime.Instant) {
 	case <-r.doneTick:
 	case <-feedC:
 	case <-stopC:
+	}
+	// Leave the timer stopped with an empty channel, ready for the next
+	// Reset: the host waits about twice per task, and a fresh timer each
+	// time was a third of the loop's allocation.
+	if !timer.Stop() {
+		select {
+		case <-timer.C:
+		default:
+		}
 	}
 }
 
@@ -1206,14 +1253,16 @@ func (r *runState) publishSummary(now simtime.Instant) {
 	r.c.sumMu.Unlock()
 }
 
-// activeWorkers returns the surviving processor IDs, ascending.
+// activeWorkers returns the surviving processor IDs, ascending. The slice
+// is scratch, valid until the next call.
 func (r *runState) activeWorkers() []int {
-	out := make([]int, 0, len(r.alive))
+	out := r.active[:0]
 	for k, a := range r.alive {
 		if a {
 			out = append(out, k)
 		}
 	}
+	r.active = out
 	return out
 }
 
@@ -1410,6 +1459,7 @@ func (b *ChannelBackend) Deliver(proc int, jobs []Job) error {
 			time.Sleep(f.Delay)
 		}
 		b.tracker.add(proc, j)
+		j.Ready = b.clock.Now() // after any injected delay: when it really queued
 		b.jobs[proc] <- j
 	}
 	return nil

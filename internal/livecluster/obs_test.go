@@ -128,6 +128,12 @@ func TestObsReconcilesCleanRun(t *testing.T) {
 	if snap[obs.MetricWorkersAlive] != 2 {
 		t.Errorf("workers alive = %d, want 2", snap[obs.MetricWorkersAlive])
 	}
+	// Wake-up overshoot is observed at most once per executed job, and a
+	// real timer never wakes exactly on target every time.
+	executed := int64(res.Hits + res.ScheduledMissed)
+	if n := o.Registry().Histogram(obs.MetricWorkerOvershoot).Count(); n == 0 || n > executed {
+		t.Errorf("worker overshoot histogram holds %d samples for %d executed jobs", n, executed)
+	}
 }
 
 // TestObsTCPHeartbeats runs the TCP backend with observability on and

@@ -212,7 +212,11 @@ func ServeWorkerContext(ctx context.Context, lis net.Listener, opt ServeOptions)
 		}
 		switch {
 		case msg.Deliver != nil:
+			// The wire does not carry a usable stamp (the host's clock reads
+			// the send, not the arrival): the jobs enter the ready queue now.
+			ready := clock.Now()
 			for _, j := range msg.Deliver.Jobs {
+				j.Ready = ready
 				jobs <- j
 			}
 		case msg.Heartbeat:

@@ -55,6 +55,7 @@ func TestServeEndpoints(t *testing.T) {
 		MetricWorkersAlive + " 2",
 		`rtsads_worker_up{worker="2"} 0`,
 		"# TYPE " + MetricResponseTime + " histogram",
+		"# TYPE " + MetricWorkerOvershoot + " histogram",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)

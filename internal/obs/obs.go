@@ -78,6 +78,12 @@ const (
 	MetricResponseTime    = "rtsads_response_time_seconds"
 	MetricWorkerUpPattern = "rtsads_worker_up{worker=%q}"
 
+	// Worker wake-up overshoot: how far past its completion target a live
+	// worker observed the clock (virtual time, like every histogram here;
+	// × Scale for wall). Workers sleep to absolute targets, so this is the
+	// per-job jitter that remains — one timer grain at most on a healthy box.
+	MetricWorkerOvershoot = "rtsads_worker_overshoot_seconds"
+
 	// SLO-plane metrics: deadline-slack distributions at the two ends of a
 	// task's life (admission: d_l − t_c when the gate accepts; completion:
 	// deadline − finish, clamped at zero for misses since the histogram is
@@ -171,7 +177,7 @@ type Observer struct {
 	degradedMode, batchSizeMax, guaranteeRatio             *Gauge
 	frontierPeak                                           *Gauge
 	phaseDur, quantumSize, responseTime                    *Histogram
-	slackAdmission, slackCompletion                        *Histogram
+	slackAdmission, slackCompletion, workerOvershoot       *Histogram
 
 	mu         sync.Mutex
 	alive      []bool
@@ -247,6 +253,7 @@ func New(journalCap int) *Observer {
 		responseTime:    reg.Histogram(MetricResponseTime),
 		slackAdmission:  reg.Histogram(MetricSlackAdmission),
 		slackCompletion: reg.Histogram(MetricSlackCompletion),
+		workerOvershoot: reg.Histogram(MetricWorkerOvershoot),
 		shedReason:      make(map[string]*Counter),
 	}
 	return o
@@ -714,6 +721,15 @@ func (o *Observer) WorkerExecuted(worker int, d time.Duration) {
 	}
 	o.mu.Unlock()
 	c.Inc()
+}
+
+// WorkerOvershoot records how far past its completion target a worker woke
+// up (callers pass positive durations only).
+func (o *Observer) WorkerOvershoot(d time.Duration) {
+	if o == nil {
+		return
+	}
+	o.workerOvershoot.Observe(d)
 }
 
 // Inflight publishes the host's current delivered-but-unfinished count.

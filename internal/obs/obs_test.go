@@ -31,6 +31,7 @@ func TestNilObserverSafe(t *testing.T) {
 	o.HeartbeatRecv(0, 1)
 	o.Redial(0, true, 1)
 	o.WorkerExecuted(0, time.Millisecond)
+	o.WorkerOvershoot(time.Millisecond)
 	o.Inflight(1)
 	o.RunEnd(2, "done")
 	if o.Registry() != nil || o.Journal() != nil || o.TraceSink() != nil {
@@ -228,4 +229,16 @@ func (s *syncBuilder) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
+}
+
+// The worker calls WorkerOvershoot once per executed job: it must stay off
+// the allocator.
+func TestWorkerOvershootDoesNotAllocate(t *testing.T) {
+	o := New(0)
+	if n := testing.AllocsPerRun(100, func() { o.WorkerOvershoot(300 * time.Microsecond) }); n != 0 {
+		t.Errorf("WorkerOvershoot allocates %v times per call", n)
+	}
+	if h := o.Registry().Histogram(MetricWorkerOvershoot); h.Count() != 101 || h.Sum() != 101*300*time.Microsecond {
+		t.Errorf("overshoot histogram: count %d sum %v", h.Count(), h.Sum())
+	}
 }
