@@ -234,6 +234,24 @@ func (c *Controller) Admit(t *task.Task, now simtime.Instant, queue []*task.Task
 	return Decision{Reason: QueueFull}
 }
 
+// Enter runs one arriving task through the gate into the batch — the
+// sequence every host shares: a rejected task, and the victim an admission
+// evicts, go to reject (the victim first, so the batch never exceeds its
+// cap). It reports whether t entered the batch.
+func (c *Controller) Enter(t *task.Task, now simtime.Instant, b *task.Batch, reject func(*task.Task, Reason)) bool {
+	d := c.Admit(t, now, b.Tasks())
+	if !d.Admit {
+		reject(t, d.Reason)
+		return false
+	}
+	if d.Victim != nil {
+		b.RemoveScheduled([]*task.Task{d.Victim})
+		reject(d.Victim, QueueFull)
+	}
+	b.Add(t)
+	return true
+}
+
 // oldest returns the queued task with the earliest arrival (ties broken by
 // lowest ID), or nil for an empty queue.
 func oldest(queue []*task.Task) *task.Task {

@@ -21,25 +21,19 @@ import (
 	"rtsads/internal/workload"
 )
 
-// Algorithm names a scheduler under test.
-type Algorithm string
+// Algorithm names a scheduler under test: the policy registry's name type,
+// aliased here so the evaluation's callers keep their spelling.
+type Algorithm = policy.Algorithm
 
-// The schedulers the experiments compare.
+// The schedulers the experiments compare. Oracle is not part of
+// Algorithms(); experiments opt in.
 const (
-	RTSADS    Algorithm = "RT-SADS"
-	DCOLS     Algorithm = "D-COLS"
-	EDFGreedy Algorithm = "EDF-greedy"
-	Myopic    Algorithm = "myopic"
-	// Oracle is a near-zero-overhead greedy scheduler (1ns per decision,
-	// no per-phase cost): an optimistic reference showing how much of the
-	// gap to perfect compliance is scheduling overhead rather than
-	// capacity. It is not part of Algorithms(); experiments opt in.
-	Oracle Algorithm = "oracle"
-	// DCOLSLeastLoaded is D-COLS with the paper-mentioned heuristic
-	// processor order (least-loaded instead of round-robin) — an ablation
-	// showing the sequence representation's limits are structural, not an
-	// artefact of round-robin.
-	DCOLSLeastLoaded Algorithm = "D-COLS-LL"
+	RTSADS           = policy.RTSADS
+	DCOLS            = policy.DCOLS
+	EDFGreedy        = policy.EDFGreedy
+	Myopic           = policy.Myopic
+	Oracle           = policy.Oracle
+	DCOLSLeastLoaded = policy.DCOLSLeastLoaded
 )
 
 // Algorithms returns the full comparison set in display order.

@@ -191,21 +191,3 @@ func tcpLoopback(t testing.TB) (client, server *wire.Conn) {
 	t.Cleanup(func() { cc.Close(); sc.Close() })
 	return wire.NewConn(cc), wire.NewConn(sc)
 }
-
-// TestLocalizeIntoMatchesLocalize pins the zero-alloc localization against
-// the allocating original for tasks with and without shard affinity.
-func TestLocalizeIntoMatchesLocalize(t *testing.T) {
-	w := sectionWorkload(t, 8)
-	tp := Topology{Shards: 4, WorkersPerShard: 2}
-	for _, tk := range w.Tasks[:32] {
-		for shard := 0; shard < tp.Shards; shard++ {
-			want := Localize(tk, tp, shard)
-			var got task.Task
-			LocalizeInto(&got, tk, tp, shard)
-			if !reflect.DeepEqual(*want, got) {
-				t.Fatalf("task %d shard %d: LocalizeInto diverged from Localize\nwant %+v\ngot  %+v",
-					tk.ID, shard, *want, got)
-			}
-		}
-	}
-}

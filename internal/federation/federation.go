@@ -24,8 +24,8 @@
 // executes, so a migrated task either provably meets its deadline on the
 // new shard or is counted honestly.
 //
-// Two drivers share this routing core: Federation (router.go) runs live
-// shards — real livecluster instances on one shared virtual clock — and
+// Two drivers share one routing core (core.go): Federation (router.go) runs
+// live shards — real livecluster instances on one shared virtual clock — and
 // Simulate (sim.go) runs the bit-for-bit reproducible analytic model the
 // acceptance tests and benchmarks use.
 package federation
@@ -159,6 +159,20 @@ func (tp Topology) Validate() error {
 	return nil
 }
 
+// validateFor checks the topology against the workload it must carry.
+func (tp Topology) validateFor(w *workload.Workload) error {
+	if w == nil {
+		return fmt.Errorf("federation: Workload is required")
+	}
+	if err := tp.Validate(); err != nil {
+		return err
+	}
+	if got, want := w.Params.Workers, tp.TotalWorkers(); got != want {
+		return fmt.Errorf("federation: workload has %d workers but topology needs %d", got, want)
+	}
+	return nil
+}
+
 // TotalWorkers returns the pool size across all shards.
 func (tp Topology) TotalWorkers() int { return tp.Shards * tp.WorkersPerShard }
 
@@ -281,20 +295,12 @@ func (p Placement) prefers(a, b ShardView) bool {
 	return a.Submitted < b.Submitted
 }
 
-// Localize copies a task into a shard's local frame: the affinity set is
-// remapped from global worker IDs to the shard's local worker IDs (empty
-// when the shard holds no replica, so every local placement pays the
-// remote cost C). ID, deadline and costs are untouched, so accounting and
-// migration still speak about the same task.
-func Localize(t *task.Task, tp Topology, shard int) *task.Task {
-	lt := new(task.Task)
-	LocalizeInto(lt, t, tp, shard)
-	return lt
-}
-
-// LocalizeInto is Localize writing into caller-provided storage — the
-// allocation-free form the batched submit path uses with arena-backed task
-// slots.
+// LocalizeInto copies a task into a shard's local frame, in caller-provided
+// storage (the routing core's arena): the affinity set is remapped from
+// global worker IDs to the shard's local worker IDs (empty when the shard
+// holds no replica, so every local placement pays the remote cost C). ID,
+// deadline and costs are untouched, so accounting and migration still speak
+// about the same task.
 func LocalizeInto(dst *task.Task, t *task.Task, tp Topology, shard int) {
 	*dst = *t
 	dst.Affinity = t.Affinity.Rebase(shard*tp.WorkersPerShard, tp.WorkersPerShard)

@@ -321,7 +321,8 @@ func TestLocalizeAndShardWorkload(t *testing.T) {
 		}
 	}
 	tt := w.Tasks[0]
-	lt := Localize(tt, tp, 1)
+	lt := new(task.Task)
+	LocalizeInto(lt, tt, tp, 1)
 	if lt.ID != tt.ID || lt.Deadline != tt.Deadline || lt.Proc != tt.Proc {
 		t.Error("localize changed task identity")
 	}

@@ -8,11 +8,11 @@ import (
 
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
-	"rtsads/internal/experiment"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
+	"rtsads/internal/policy"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 	"rtsads/internal/workload"
@@ -35,7 +35,7 @@ type Config struct {
 	// Degrade and the Parallel/StealDepth/FrontierCap/DupCap search knobs
 	// configure every shard identically; see livecluster.Config. Faults is
 	// a global plan split by worker range across the shards.
-	Algorithm    experiment.Algorithm
+	Algorithm    policy.Algorithm
 	Scale        float64
 	Faults       *faultinject.Plan
 	Liveness     livecluster.Liveness
@@ -231,49 +231,27 @@ type Federation struct {
 	handles []shardHandle
 
 	// mu serialises routing decisions (first placements and migrations)
-	// so the Submitted tie-break and the tried sets stay consistent. Lock
-	// order: mu before any cluster lock; clusters never call back into the
-	// router while holding their own locks.
-	mu        sync.Mutex
-	submitted []int
-	perShard  []int
-	// bounces counts each shard's accepted bounces (rejects the router
-	// re-placed) — the router-side ground truth a dead remote shard's
-	// synthesized books use in place of its stale last counter snapshot.
-	bounces   []int
-	tried     map[task.ID]map[int]bool
-	orig      map[task.ID]*task.Task
-	routedN   int
-	migratedN int
-	bouncedN  int
-	rejectedN int
+	// so the core's Submitted tie-break and tried sets stay consistent; it
+	// guards rt and everything below. Lock order: mu before any cluster
+	// lock; clusters never call back into the router while holding their
+	// own locks.
+	mu sync.Mutex
+	// rt is the routing core the simulation shares (core.go); Federation is
+	// its live driver.
+	rt routeCore
 	// salvagedIDs marks tasks the router already re-placed off a dead
 	// shard, so the two salvage paths (session-loss recovery and a failed
 	// stray submit) can never both place the same task.
-	salvagedIDs  map[task.ID]bool
-	salvagedN    int
-	salvageLostN int
-	rejoinsN     int
-
-	// stage and viewBuf are the batched pump's reusable scratch: one
-	// staging slice per destination shard and one view snapshot, refilled
-	// per routing batch under mu.
-	stage   [][]*task.Task
-	viewBuf []ShardView
+	salvagedIDs map[task.ID]bool
+	rejoinsN    int
 }
 
 // New validates the configuration and builds the federation: per-shard
 // observers, the router's own registry, and the split fault plans. The
 // shard clusters themselves are created by Run, on a shared clock.
 func New(cfg Config) (*Federation, error) {
-	if cfg.Workload == nil {
-		return nil, fmt.Errorf("federation: Workload is required")
-	}
-	if err := cfg.Topology.Validate(); err != nil {
+	if err := cfg.Topology.validateFor(cfg.Workload); err != nil {
 		return nil, err
-	}
-	if got, want := cfg.Workload.Params.Workers, cfg.Topology.TotalWorkers(); got != want {
-		return nil, fmt.Errorf("federation: workload has %d workers but topology needs %d", got, want)
 	}
 	switch cfg.Placement {
 	case AffinityFirst, LeastCE, Hashed:
@@ -311,17 +289,10 @@ func New(cfg Config) (*Federation, error) {
 		tp:          cfg.Topology,
 		faults:      faults,
 		reg:         obs.NewRegistry(),
-		submitted:   make([]int, cfg.Topology.Shards),
-		perShard:    make([]int, cfg.Topology.Shards),
-		bounces:     make([]int, cfg.Topology.Shards),
-		tried:       make(map[task.ID]map[int]bool),
-		orig:        make(map[task.ID]*task.Task, len(cfg.Workload.Tasks)),
 		salvagedIDs: make(map[task.ID]bool),
 		journal:     obs.NewJournal(cfg.JournalCap),
 	}
-	for _, t := range cfg.Workload.Tasks {
-		f.orig[t.ID] = t
-	}
+	f.rt.reset(f, cfg.Topology, cfg.Placement, cfg.Migrate, cfg.Workload.Cost.Remote, cfg.Workload.Tasks)
 	f.routed = f.reg.Counter(MetricRouted)
 	f.migrated = f.reg.Counter(MetricMigrated)
 	f.bounced = f.reg.Counter(MetricBounced)
@@ -364,7 +335,6 @@ func (f *Federation) Run() (*Result, error) {
 	f.clock = clock
 
 	handles := make([]shardHandle, f.tp.Shards)
-	f.stage = make([][]*task.Task, f.tp.Shards)
 	failed := make(chan int, f.tp.Shards)
 	if len(f.cfg.ShardAddrs) > 0 {
 		for i, addr := range f.cfg.ShardAddrs {
@@ -467,20 +437,10 @@ func (f *Federation) Run() (*Result, error) {
 	}
 
 	f.mu.Lock()
-	res := &Result{
-		Topology:       f.tp,
-		Placement:      f.cfg.Placement,
-		Shards:         results,
-		Routed:         f.routedN,
-		Migrated:       f.migratedN,
-		Bounced:        f.bouncedN,
-		Rejected:       f.rejectedN,
-		Salvaged:       f.salvagedN,
-		SalvageLost:    f.salvageLostN,
-		Rejoins:        f.rejoinsN,
-		PerShardRouted: append([]int(nil), f.perShard...),
-	}
+	res := f.rt.result()
+	res.Rejoins = f.rejoinsN
 	f.mu.Unlock()
+	res.Shards = results
 	return res, nil
 }
 
@@ -525,48 +485,51 @@ func (f *Federation) settled() int64 {
 	return sum
 }
 
-// routeBatch places a batch of due arrivals: one view snapshot, one
-// placement pass (Submitted updated incrementally so the tie-break sees
-// earlier placements in the same batch), one grouped SubmitBatch per
-// destination shard. When every shard is dead a task still goes to shard
-// 0, whose host loop will bounce it (declined — nowhere to go) and count
-// it lost, keeping the books honest.
+// routeBatch places a batch of due arrivals: one locked pass through the
+// routing core (one view snapshot, one placement per task), then one grouped
+// SubmitBatch per destination shard.
 func (f *Federation) routeBatch(ts []*task.Task, now simtime.Instant) {
 	f.mu.Lock()
-	views := f.snapshotViewsLocked(now)
-	for _, t := range ts {
-		f.fillTaskViews(views, t)
-		s := f.cfg.Placement.Pick(t, views, nil)
-		if s < 0 {
-			s = 0
-		}
-		f.routedN++
-		f.perShard[s]++
-		f.submitted[s]++
-		views[s].Submitted++
-		f.routed.Inc()
-		f.routedBy[s].Inc()
-		f.note(obs.Entry{Type: "route", Task: int(t.ID), Worker: s,
-			Detail: fmt.Sprintf("policy=%s", f.cfg.Placement)}, now)
-		f.stage[s] = append(f.stage[s], Localize(t, f.tp, s))
-	}
+	f.rt.place(ts, now)
+	f.publishLocked()
 	f.mu.Unlock()
 	// Submit outside mu: a remote shard's write can block on the network,
-	// and reject callbacks re-enter the router lock. Submit cannot fail on
-	// a live shard here (shards seal only after the pump and settle
-	// complete); a batch a dead remote shard could not take is charged to
-	// that shard and then salvaged like its outstanding tasks, so every
-	// task still reconciles — rescued on a sibling or explicitly lost.
-	for s := range f.stage {
-		if len(f.stage[s]) > 0 {
-			if err := f.handles[s].SubmitBatch(f.stage[s]); err != nil {
-				if rs, ok := f.handles[s].(*remoteShard); ok {
-					rs.chargeLost(len(f.stage[s]))
-					f.salvageBatch(rs, f.stage[s], now)
-				}
-			}
-			f.stage[s] = f.stage[s][:0]
+	// and reject callbacks re-enter the router lock. Only the pump stages,
+	// so the stage needs no lock. Submit cannot fail on a live shard here
+	// (shards seal only after the pump and settle complete); a batch a dead
+	// remote shard could not take is charged to that shard and then salvaged
+	// like its outstanding tasks, so every task still reconciles — rescued
+	// on a sibling or explicitly lost.
+	for s, staged := range f.rt.stage {
+		if len(staged) == 0 {
+			continue
 		}
+		if err := f.handles[s].SubmitBatch(staged); err != nil {
+			if rs, ok := f.handles[s].(*remoteShard); ok {
+				rs.chargeLost(len(staged))
+				f.salvageBatch(rs, staged, now)
+			}
+		}
+		f.rt.stage[s] = staged[:0]
+	}
+}
+
+// publishLocked mirrors the core's ledgers into the router's registry, so
+// the exposition can never disagree with the Result. Caller holds f.mu.
+func (f *Federation) publishLocked() {
+	set := func(c *obs.Counter, n int) {
+		if d := int64(n) - c.Value(); d != 0 {
+			c.Add(d)
+		}
+	}
+	set(f.routed, f.rt.res.Routed)
+	set(f.migrated, f.rt.res.Migrated)
+	set(f.bounced, f.rt.res.Bounced)
+	set(f.rejected, f.rt.res.Rejected)
+	set(f.salvaged, f.rt.res.Salvaged)
+	set(f.salvageLost, f.rt.res.SalvageLost)
+	for i, c := range f.routedBy {
+		set(c, f.rt.perShard[i])
 	}
 }
 
@@ -576,7 +539,7 @@ func (f *Federation) routeBatch(ts []*task.Task, now simtime.Instant) {
 func (f *Federation) acceptedBounces(i int) int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return int64(f.bounces[i])
+	return int64(f.rt.bounces[i])
 }
 
 // onReject is each shard's bounce callback: re-offer a rejected task to
@@ -588,82 +551,39 @@ func (f *Federation) acceptedBounces(i int) int64 {
 func (f *Federation) onReject(from int, id task.ID, reason admission.Reason, now simtime.Instant) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.bouncedN++
-	f.bounced.Inc()
-	return f.migrateLocked(from, id, string(reason), now)
+	ok := f.rt.bounce(from, id, string(reason), now)
+	f.publishLocked()
+	return ok
 }
 
-// migrateLocked re-offers one task to the best feasible sibling of shard
-// from. Caller holds f.mu and has already counted the bounce. Returns true
-// when a sibling accepted the task.
-func (f *Federation) migrateLocked(from int, id task.ID, reason string, now simtime.Instant) bool {
-	decline := func() bool {
-		f.rejectedN++
-		f.rejected.Inc()
-		f.note(obs.Entry{Type: "route-reject", Task: int(id), Worker: -1,
-			Detail: string(reason)}, now)
-		return false
-	}
-	if !f.cfg.Migrate {
-		return decline()
-	}
-	g := f.orig[id]
-	if g == nil {
-		// A task the router never placed (not ours to migrate).
-		return decline()
-	}
-	tried := f.tried[id]
-	if tried == nil {
-		tried = make(map[int]bool, f.tp.Shards)
-		f.tried[id] = tried
-	}
-	tried[from] = true
-	views := f.viewsLocked(g, now)
-	s := f.cfg.Placement.Pick(g, views, func(i int) bool {
-		return i != from && !tried[i] && views[i].Feasible(g, now)
-	})
-	if s < 0 {
-		return decline()
-	}
-	if err := f.handles[s].SubmitBatch([]*task.Task{Localize(g, f.tp, s)}); err != nil {
-		return decline()
-	}
-	tried[s] = true
-	f.submitted[s]++
-	f.bounces[from]++
-	f.migratedN++
-	f.migrated.Inc()
-	if rs, ok := f.handles[from].(*remoteShard); ok {
+// load reads shard i's latest load summary — up to one phase stale — and
+// its placement eligibility. Caller holds f.mu.
+func (f *Federation) load(i int, _ simtime.Instant) (livecluster.Summary, bool) {
+	return f.handles[i].LoadSummary(), f.handles[i].Placeable()
+}
+
+// handoff submits a re-placed task while the caller holds f.mu.
+func (f *Federation) handoff(s int, batch []*task.Task, _ simtime.Instant) error {
+	return f.handles[s].SubmitBatch(batch)
+}
+
+// notePlaced, noteMigrated and noteDeclined record the router's own lifecycle spans in
+// its journal.
+func (f *Federation) notePlaced(t *task.Task, s int, now simtime.Instant) {
+	f.note(obs.Entry{Type: "route", Task: int(t.ID), Worker: s, Detail: f.rt.routeDetail}, now)
+}
+
+func (f *Federation) noteMigrated(m migration, now simtime.Instant) {
+	if rs, ok := f.handles[m.from].(*remoteShard); ok {
 		// The sibling owns the task now; the dead-shard salvage ledger
 		// must not offer it again.
-		rs.forget(id)
+		rs.forget(m.task.ID)
 	}
-	// The migrate span re-states the §4.3 verdict the sibling passed:
-	// RQs + se_lk against the slack left at this instant.
-	f.note(obs.Entry{Type: "migrate", Task: int(id), Worker: s,
-		Detail: fmt.Sprintf("from shard %d, reason %s: RQs=%s comm=%s slack=%s",
-			from, reason, views[s].RQs, views[s].Comm, g.Deadline.Sub(now))}, now)
-	return true
+	f.note(obs.Entry{Type: "migrate", Task: int(m.task.ID), Worker: m.to, Detail: m.detail(now)}, now)
 }
 
-// salvageLocked re-routes one task off dead shard s through the same §4.3
-// migration gate a live bounce takes: it is charged as a bounce from s,
-// and either a feasible sibling accepts it (a salvage — counted as a
-// migration, so Reconcile's bounce identities hold unchanged) or no
-// sibling can make its deadline and it is explicitly rejected (salvage
-// lost — the shard's books then charge it lost). Caller holds f.mu.
-func (f *Federation) salvageLocked(s *remoteShard, id task.ID, reason string, now simtime.Instant) bool {
-	f.bouncedN++
-	f.bounced.Inc()
-	if f.migrateLocked(s.id, id, reason, now) {
-		f.salvagedN++
-		f.salvaged.Inc()
-		f.salvagedIDs[id] = true
-		return true
-	}
-	f.salvageLostN++
-	f.salvageLost.Inc()
-	return false
+func (f *Federation) noteDeclined(id task.ID, _ int, reason string, now simtime.Instant) {
+	f.note(obs.Entry{Type: "route-reject", Task: int(id), Worker: -1, Detail: reason}, now)
 }
 
 // recoverShard is the session-loss entry point: it walks the dead
@@ -686,10 +606,13 @@ func (f *Federation) recoverShard(s *remoteShard) {
 			if !s.stillOutstanding(id) || f.salvagedIDs[id] {
 				continue
 			}
-			f.salvageLocked(s, id, "shard-death", now)
+			if f.rt.salvage(s.id, id, "shard-death", now) {
+				f.salvagedIDs[id] = true
+			}
 		}
+		f.publishLocked()
 	}
-	s.fold(int64(f.bounces[s.id]))
+	s.fold(int64(f.rt.bounces[s.id]))
 }
 
 // salvageBatch handles a first placement that failed because the shard
@@ -704,9 +627,13 @@ func (f *Federation) salvageBatch(rs *remoteShard, ts []*task.Task, now simtime.
 		if f.salvagedIDs[t.ID] {
 			continue
 		}
-		ok := f.salvageLocked(rs, t.ID, "submit-failed", now)
+		ok := f.rt.salvage(rs.id, t.ID, "submit-failed", now)
+		if ok {
+			f.salvagedIDs[t.ID] = true
+		}
 		rs.foldStray(ok)
 	}
+	f.publishLocked()
 }
 
 // noteRejoin records a completed rejoin handshake.
@@ -768,52 +695,4 @@ func (f *Federation) ShardCounters(i int) map[string]int64 {
 		return f.obsShards[i].Registry().Snapshot()
 	}
 	return handles[i].Counters()
-}
-
-// snapshotViewsLocked fills the reusable view buffer with every shard's
-// task-independent fields: load summary projection plus the running
-// Submitted tie-break count. Caller holds f.mu; the returned slice is
-// valid until the next call.
-func (f *Federation) snapshotViewsLocked(now simtime.Instant) []ShardView {
-	if cap(f.viewBuf) < f.tp.Shards {
-		f.viewBuf = make([]ShardView, f.tp.Shards)
-	}
-	views := f.viewBuf[:f.tp.Shards]
-	for i := range views {
-		sum := f.handles[i].LoadSummary()
-		rqs := time.Duration(1) << 56 // no alive worker: beyond any deadline
-		if sum.MinFree != simtime.Never {
-			rqs = simtime.NonNeg(sum.MinFree.Sub(now))
-		}
-		views[i] = ShardView{
-			Alive:       sum.Alive,
-			Sealed:      sum.Sealed,
-			Quarantined: !f.handles[i].Placeable(),
-			RQs:         rqs,
-			QueuedWork:  sum.QueuedWork,
-			Submitted:   f.submitted[i],
-		}
-	}
-	return views
-}
-
-// fillTaskViews projects one task onto an existing snapshot.
-func (f *Federation) fillTaskViews(views []ShardView, t *task.Task) {
-	for i := range views {
-		ov := f.tp.Overlap(t, i)
-		views[i].Overlap = ov
-		if ov == 0 {
-			views[i].Comm = f.cfg.Workload.Cost.Remote
-		} else {
-			views[i].Comm = 0
-		}
-	}
-}
-
-// viewsLocked projects every shard's load summary onto one task. Caller
-// holds f.mu.
-func (f *Federation) viewsLocked(t *task.Task, now simtime.Instant) []ShardView {
-	views := f.snapshotViewsLocked(now)
-	f.fillTaskViews(views, t)
-	return views
 }

@@ -9,11 +9,11 @@ import (
 
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
-	"rtsads/internal/experiment"
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
+	"rtsads/internal/policy"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 	"rtsads/internal/workload"
@@ -216,7 +216,7 @@ func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shar
 	}
 	cl, err := livecluster.New(livecluster.Config{
 		Workload:     ShardWorkload(w, tp, hello.Shard),
-		Algorithm:    experiment.Algorithm(hello.Algorithm),
+		Algorithm:    policy.Algorithm(hello.Algorithm),
 		Scale:        hello.Scale,
 		Clock:        clock,
 		External:     true,

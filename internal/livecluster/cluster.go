@@ -8,8 +8,8 @@ import (
 
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
-	"rtsads/internal/experiment"
 	"rtsads/internal/faultinject"
+	"rtsads/internal/machine"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/policy"
@@ -109,7 +109,7 @@ type Config struct {
 	// Workload to execute. Required.
 	Workload *workload.Workload
 	// Algorithm selects the planner (default RT-SADS).
-	Algorithm experiment.Algorithm
+	Algorithm policy.Algorithm
 	// Scale slows virtual time down relative to wall time. Go timers on
 	// Linux fire on a ≈1 ms grid — a sleep ends uniformly 0–1.1 ms late
 	// (rtbench's loadgen.lateness_p99_us) — so at the default 20 one timer
@@ -216,6 +216,23 @@ type Summary struct {
 	// Sealed reports that the feed has been closed; the shard accepts no
 	// further submissions.
 	Sealed bool
+}
+
+// WorkerLoad summarises the worker half of a Summary at now from the
+// instants the ready queues drain: Workers, Alive, QueuedWork and MinFree.
+// A nil alive marks every worker alive.
+func WorkerLoad(freeAt []simtime.Instant, alive []bool, now simtime.Instant) Summary {
+	s := Summary{Workers: len(freeAt), MinFree: simtime.Never}
+	for k, f := range freeAt {
+		if alive != nil && !alive[k] {
+			continue
+		}
+		s.Alive++
+		f = f.Max(now)
+		s.QueuedWork += f.Sub(now)
+		s.MinFree = s.MinFree.Min(f)
+	}
+	return s
 }
 
 // Cluster drives a live run: one host (the caller's goroutine) plus worker
@@ -330,7 +347,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("livecluster: Workload is required")
 	}
 	if cfg.Algorithm == "" {
-		cfg.Algorithm = experiment.RTSADS
+		cfg.Algorithm = policy.RTSADS
 	}
 	if cfg.Scale == 0 {
 		cfg.Scale = 20
@@ -779,17 +796,8 @@ func (r *runState) loop() error {
 			return fmt.Errorf("livecluster: phase %d: %w", r.res.Phases, err)
 		}
 		r.mu.Lock()
-		r.res.Phases++
-		r.res.SchedulingTime += out.Used
-		r.res.VerticesGenerated += out.Stats.Generated
-		r.res.Backtracks += out.Stats.Backtracks
-		if out.Stats.DeadEnd {
-			r.res.DeadEnds++
-		}
-		if out.Stats.Expired {
-			r.res.QuantaExpired++
-		}
-		var modeFlip, nowDegraded, phaseDegraded bool
+		stats := machine.BookPhase(r.res, &out)
+		var modeFlip, nowDegraded bool
 		if r.degrading != nil {
 			// Mirror the controller's cumulative counts as deltas so rebuilds
 			// (which replace the controller) keep the run totals monotonic.
@@ -797,7 +805,7 @@ func (r *runState) loop() error {
 			r.res.Degradations += dgs - r.lastDeg
 			r.res.Recoveries += recs - r.lastRec
 			r.res.DegradedPhases += dps - r.lastDP
-			phaseDegraded = dps > r.lastDP
+			stats.Degraded = dps > r.lastDP
 			r.lastDeg, r.lastRec, r.lastDP = dgs, recs, dps
 			nowDegraded = r.degrading.Degraded()
 			modeFlip = nowDegraded != r.wasDegraded
@@ -812,22 +820,7 @@ func (r *runState) loop() error {
 			}
 			r.o.DegradeMode(nowDegraded, phase, reason, r.clock.Now())
 		}
-		r.o.PhaseEnd(phase, r.clock.Now(), obs.PhaseStats{
-			Quantum:          out.Quantum,
-			Used:             out.Used,
-			Generated:        out.Stats.Generated,
-			Backtracks:       out.Stats.Backtracks,
-			DeadEnd:          out.Stats.DeadEnd,
-			Expired:          out.Stats.Expired,
-			Degraded:         phaseDegraded,
-			Expanded:         out.Stats.Expanded,
-			Duplicates:       out.Stats.Duplicates,
-			Steals:           out.Stats.Steals,
-			FramesSpawned:    out.Stats.FramesSpawned,
-			FramesSettled:    out.Stats.FramesSettled,
-			FrontierPeak:     out.Stats.FrontierPeak,
-			IncumbentUpdates: out.Stats.IncumbentUpdates,
-		})
+		r.o.PhaseEnd(phase, r.clock.Now(), stats)
 
 		deliverAt := r.clock.Now()
 		perWorker := r.jobs
@@ -941,22 +934,13 @@ func (r *runState) admit(t *task.Task, now simtime.Instant, arrival bool) {
 		r.shed(t, admission.ShuttingDown, now)
 		return
 	}
-	d := r.adm.Admit(t, now, r.batch.Tasks())
-	if !d.Admit {
-		r.reject(t, d.Reason, now)
-		return
-	}
-	if d.Victim != nil {
-		r.batch.RemoveScheduled([]*task.Task{d.Victim})
-		r.reject(d.Victim, admission.QueueFull, now)
-	}
-	if arrival {
+	reject := func(t *task.Task, reason admission.Reason) { r.reject(t, reason, now) }
+	if r.adm.Enter(t, now, r.batch, reject) && arrival {
 		r.mu.Lock()
 		r.res.Admitted++
 		r.mu.Unlock()
 		r.o.Admitted(t.ID, t.Deadline.Sub(now), now)
 	}
-	r.batch.Add(t)
 }
 
 // reject routes one non-admitted task: offered to the federation router
@@ -1003,17 +987,7 @@ func (r *runState) lose(t *task.Task, now simtime.Instant) {
 // journal. Host goroutine only.
 func (r *runState) shed(t *task.Task, reason admission.Reason, now simtime.Instant) {
 	r.mu.Lock()
-	r.res.Shed++
-	switch reason {
-	case admission.Hopeless:
-		r.res.ShedHopeless++
-	case admission.QueueFull:
-		r.res.ShedQueueFull++
-	case admission.ShuttingDown:
-		r.res.ShedShutdown++
-	case admission.Infeasible:
-		r.res.ShedInfeasible++
-	}
+	r.res.CountShed(reason)
 	r.record(metrics.Completion{Task: t.ID, Proc: -1})
 	r.mu.Unlock()
 	r.o.Shed(t.ID, string(reason), now)
@@ -1232,16 +1206,7 @@ func (r *runState) publishSummary(now simtime.Instant) {
 	if !r.c.cfg.External {
 		return
 	}
-	s := Summary{Workers: len(r.alive), MinFree: simtime.Never}
-	for k, a := range r.alive {
-		if !a {
-			continue
-		}
-		s.Alive++
-		f := r.freeAt[k].Max(now)
-		s.QueuedWork += f.Sub(now)
-		s.MinFree = s.MinFree.Min(f)
-	}
+	s := WorkerLoad(r.freeAt, r.alive, now)
 	s.Backlog = r.batch.Len()
 	s.Inflight = r.inflightCount()
 	r.c.feedMu.Lock()
@@ -1322,7 +1287,7 @@ func (c *Cluster) makePlanner(pc *phaseClock, active []int) (core.Planner, *core
 	return p, dg, nil
 }
 
-func buildPlanner(a experiment.Algorithm, scfg core.SearchConfig) (core.Planner, error) {
+func buildPlanner(a policy.Algorithm, scfg core.SearchConfig) (core.Planner, error) {
 	p, err := policy.Default().New(string(a), policy.Options{Search: scfg})
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: %w", err)

@@ -96,194 +96,37 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Run simulates the full lifetime of the given tasks: arrivals feed the
-// host's batch, the host runs scheduling phases, and workers execute
-// delivered schedules back to back. It returns the run's metrics.
+// host's batch, the host runs scheduling phases back to back, and workers
+// execute delivered schedules. It returns the run's metrics. Run is the thin
+// driver of Host.Step: absorb arrivals, step, advance the clock.
 func (m *Machine) Run(tasks []*task.Task) (*metrics.RunResult, error) {
 	pending := append([]*task.Task(nil), tasks...)
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
 
-	res := &metrics.RunResult{
-		Algorithm:  m.cfg.Planner.Name(),
-		Workers:    m.cfg.Workers,
-		Total:      len(tasks),
-		WorkerBusy: make([]time.Duration, m.cfg.Workers),
-	}
-
-	m.cfg.Obs.SetWorkers(m.cfg.Workers)
-	// failed marks each injected crash once it manifests, so
-	// res.WorkerFailures counts dead workers (not lost tasks) — the same
-	// contract the live cluster keeps.
-	failed := make(map[int]bool, len(m.cfg.FailAt))
-	markFailed := func(k int, at simtime.Instant) {
-		if failed[k] {
-			return
-		}
-		failed[k] = true
-		res.WorkerFailures++
-		m.cfg.Obs.WorkerDown(k, true, "machine: injected crash", at)
-	}
-	batch := task.NewBatch()
-	freeAt := make([]simtime.Instant, m.cfg.Workers)
+	var h Host
+	h.Reset(m.cfg)
+	h.Res.Total = len(tasks)
 	now := simtime.Instant(0)
-	next := 0 // index into pending
-
-	for {
+	for next := 0; ; {
 		// Absorb every arrival at or before the current time.
-		for next < len(pending) && !pending[next].Arrival.After(now) {
-			m.cfg.Trace.Add(trace.Event{At: pending[next].Arrival, Kind: trace.Arrival, Task: pending[next].ID, Proc: -1})
-			m.cfg.Obs.Arrival(pending[next].ID, pending[next].Arrival, pending[next].Deadline)
-			batch.Add(pending[next])
-			next++
+		for ; next < len(pending) && !pending[next].Arrival.After(now); next++ {
+			t := pending[next]
+			m.cfg.Trace.Add(trace.Event{At: t.Arrival, Kind: trace.Arrival, Task: t.ID, Proc: -1})
+			m.cfg.Obs.Arrival(t.ID, t.Arrival, t.Deadline)
+			h.Batch.Add(t)
 		}
-		// Purge tasks whose deadlines have already been missed (§4.1).
-		for _, t := range batch.PurgeMissed(now) {
-			res.Purged++
-			m.cfg.Trace.Add(trace.Event{At: now, Kind: trace.Purge, Task: t.ID, Proc: -1})
-			m.cfg.Obs.Purge(t.ID, now)
-			m.record(res, metrics.Completion{Task: t.ID, Proc: -1})
-		}
-		if batch.Len() == 0 {
-			if next >= len(pending) {
-				break // all tasks accounted for; workers just drain
-			}
-			now = pending[next].Arrival
-			continue
-		}
-		if res.Phases >= m.cfg.MaxPhases {
-			return nil, fmt.Errorf("machine: exceeded %d phases at %s with %d tasks in the batch",
-				m.cfg.MaxPhases, now, batch.Len())
-		}
-
-		loads := make([]time.Duration, m.cfg.Workers)
-		for k, f := range freeAt {
-			loads[k] = simtime.NonNeg(f.Sub(now))
-			if failAt, dead := m.cfg.FailAt[k]; dead && !now.Before(failAt) {
-				// A crashed worker never frees: every assignment to it is
-				// infeasible, so the planners route around it. (The
-				// feasibility tests also guard against saturated loads
-				// wrapping; freeAt may already be Never here.)
-				loads[k] = unreachableLoad
-				markFailed(k, failAt)
-			}
-		}
-		m.cfg.Trace.Add(trace.Event{At: now, Kind: trace.PhaseStart, Phase: res.Phases, Proc: -1})
-		m.cfg.Obs.PhaseStart(res.Phases, batch.Len(), now)
-		out, err := m.cfg.Planner.PlanPhase(core.PhaseInput{Now: now, Batch: batch.Tasks(), Loads: loads})
+		wake, err := h.Step(now)
 		if err != nil {
-			return nil, fmt.Errorf("machine: phase %d: %w", res.Phases, err)
-		}
-		m.cfg.Trace.Add(trace.Event{At: now.Add(out.Used), Kind: trace.PhaseEnd, Phase: res.Phases, Proc: -1, Dur: out.Used})
-		m.cfg.Obs.PhaseEnd(res.Phases, now.Add(out.Used), obs.PhaseStats{
-			Quantum:          out.Quantum,
-			Used:             out.Used,
-			Generated:        out.Stats.Generated,
-			Backtracks:       out.Stats.Backtracks,
-			DeadEnd:          out.Stats.DeadEnd,
-			Expired:          out.Stats.Expired,
-			Expanded:         out.Stats.Expanded,
-			Duplicates:       out.Stats.Duplicates,
-			Steals:           out.Stats.Steals,
-			FramesSpawned:    out.Stats.FramesSpawned,
-			FramesSettled:    out.Stats.FramesSettled,
-			FrontierPeak:     out.Stats.FrontierPeak,
-			IncumbentUpdates: out.Stats.IncumbentUpdates,
-		})
-
-		res.Phases++
-		res.SchedulingTime += out.Used
-		res.VerticesGenerated += out.Stats.Generated
-		res.Backtracks += out.Stats.Backtracks
-		if out.Stats.DeadEnd {
-			res.DeadEnds++
-		}
-		if out.Stats.Expired {
-			res.QuantaExpired++
-		}
-
-		deliver := now.Add(simtime.MaxDur(out.Used, m.cfg.MinAdvance))
-		if m.cfg.CombinedHost && freeAt[0] != simtime.Never {
-			// Worker 0 spent the phase scheduling instead of executing:
-			// push its backlog back by the scheduling time.
-			freeAt[0] = freeAt[0].Max(now).Add(out.Used)
-		}
-
-		// Deliver S_j to the worker ready queues; tasks run back to back,
-		// non-preemptively, in delivery order.
-		scheduled := make([]*task.Task, 0, len(out.Schedule))
-		for _, a := range out.Schedule {
-			start := deliver.Max(freeAt[a.Proc])
-			actual := a.Task.ActualProc() + a.Comm
-			finish := start.Add(actual)
-			if failAt, dead := m.cfg.FailAt[a.Proc]; dead && finish.After(failAt) {
-				// The worker crashes before this task completes: the task
-				// is lost, and the worker never frees again.
-				freeAt[a.Proc] = simtime.Never
-				res.LostToFailure++
-				markFailed(a.Proc, failAt)
-				m.cfg.Obs.Lost(a.Task.ID, a.Proc, failAt)
-				scheduled = append(scheduled, a.Task)
-				m.record(res, metrics.Completion{Task: a.Task.ID, Proc: a.Proc, Start: start})
-				continue
-			}
-			if m.cfg.NoReclaim {
-				// The slot is reserved for the full worst case.
-				freeAt[a.Proc] = start.Add(a.Task.Proc + a.Comm)
-			} else {
-				freeAt[a.Proc] = finish
-			}
-			res.WorkerBusy[a.Proc] += actual
-			res.Response.Add(finish.Sub(a.Task.Arrival))
-			if finish.After(res.Makespan) {
-				res.Makespan = finish
-			}
-			hit := !finish.After(a.Task.Deadline)
-			if hit {
-				res.Hits++
-			} else {
-				// §4.3's theorem says this cannot happen; count it rather
-				// than assume, so a planner bug surfaces in every result.
-				res.ScheduledMissed++
-			}
-			scheduled = append(scheduled, a.Task)
-			m.cfg.Trace.Add(trace.Event{At: deliver, Kind: trace.Deliver, Phase: res.Phases - 1, Task: a.Task.ID, Proc: a.Proc})
-			m.cfg.Trace.Add(trace.Event{At: start, Kind: trace.Exec, Task: a.Task.ID, Proc: a.Proc, Dur: finish.Sub(start), Hit: hit})
-			m.cfg.Obs.Deliver(res.Phases-1, a.Task.ID, a.Proc, a.Comm, deliver)
-			m.cfg.Obs.Exec(a.Task.ID, a.Proc, start, finish, hit,
-				finish.Sub(a.Task.Arrival), a.Task.Deadline.Sub(finish))
-			m.record(res, metrics.Completion{
-				Task: a.Task.ID, Proc: a.Proc, Start: start, Finish: finish,
-				Hit: hit, Executed: true,
-			})
-		}
-		batch.RemoveScheduled(scheduled)
-
-		if len(out.Schedule) > 0 {
-			now = deliver
-			continue
-		}
-		// The phase scheduled nothing: every batch task is currently
-		// infeasible. Feasibility can only change at the next worker
-		// completion, the next arrival, or a task's purge point — skip the
-		// host's idle spinning to the earliest such event.
-		event := simtime.Never
-		for _, f := range freeAt {
-			if f.After(deliver) {
-				event = event.Min(f)
-			}
+			return nil, fmt.Errorf("machine: %w", err)
 		}
 		if next < len(pending) {
-			event = event.Min(pending[next].Arrival)
+			// An arrival wakes an idle host early; one that lands inside a
+			// running phase waits for that phase to deliver.
+			wake = wake.Min(pending[next].Arrival.Max(h.BusyUntil()))
 		}
-		for _, t := range batch.Tasks() {
-			event = event.Min(t.Deadline.Add(-t.Proc + 1))
+		if wake == simtime.Never {
+			return h.Res, nil // all tasks accounted for; workers just drain
 		}
-		now = deliver.Max(event)
-	}
-	return res, nil
-}
-
-func (m *Machine) record(res *metrics.RunResult, c metrics.Completion) {
-	if m.cfg.RecordCompletions {
-		res.Completions = append(res.Completions, c)
+		now = wake
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"rtsads/internal/admission"
 	"rtsads/internal/histogram"
 	"rtsads/internal/simtime"
 	"rtsads/internal/stats"
@@ -151,6 +152,22 @@ func (r *RunResult) IdleWorkers() int {
 		}
 	}
 	return idle
+}
+
+// CountShed books one task rejected or evicted by admission control under
+// its reason, keeping the per-reason breakdown summing to Shed.
+func (r *RunResult) CountShed(reason admission.Reason) {
+	r.Shed++
+	switch reason {
+	case admission.Hopeless:
+		r.ShedHopeless++
+	case admission.QueueFull:
+		r.ShedQueueFull++
+	case admission.ShuttingDown:
+		r.ShedShutdown++
+	case admission.Infeasible:
+		r.ShedInfeasible++
+	}
 }
 
 // String renders a one-line summary.

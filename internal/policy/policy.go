@@ -208,23 +208,45 @@ func listFactory(name string, p Prioritizer) Factory {
 	}
 }
 
+// Algorithm names a registered policy: the type every configuration that
+// selects a scheduler carries (livecluster, federation, the experiments).
+type Algorithm string
+
+// The paper's zoo, by registry name.
+const (
+	RTSADS    Algorithm = "RT-SADS"
+	DCOLS     Algorithm = "D-COLS"
+	EDFGreedy Algorithm = "EDF-greedy"
+	Myopic    Algorithm = "myopic"
+	// Oracle is a near-zero-overhead greedy scheduler (1ns per decision,
+	// no per-phase cost): an optimistic reference showing how much of the
+	// gap to perfect compliance is scheduling overhead rather than
+	// capacity.
+	Oracle Algorithm = "oracle"
+	// DCOLSLeastLoaded is D-COLS with the paper-mentioned heuristic
+	// processor order (least-loaded instead of round-robin) — an ablation
+	// showing the sequence representation's limits are structural, not an
+	// artefact of round-robin.
+	DCOLSLeastLoaded Algorithm = "D-COLS-LL"
+)
+
 // builtins returns the default policy set in display order.
 func builtins() []Spec {
 	return []Spec{
 		{
-			Name:        "RT-SADS",
+			Name:        string(RTSADS),
 			Description: "the paper's assignment-oriented quantum-bounded DFS (§4)",
 			New:         func(o Options) (core.Planner, error) { return core.NewRTSADS(o.Search) },
 			Predicate:   utilizationFor,
 		},
 		{
-			Name:        "D-COLS",
+			Name:        string(DCOLS),
 			Description: "sequence-oriented search baseline, same quantum formula (§5.2)",
 			New:         func(o Options) (core.Planner, error) { return core.NewDCOLS(o.Search) },
 			Predicate:   utilizationFor,
 		},
 		{
-			Name:        "D-COLS-LL",
+			Name:        string(DCOLSLeastLoaded),
 			Description: "D-COLS with least-loaded processor order instead of round-robin",
 			New: func(o Options) (core.Planner, error) {
 				rep := represent.NewSequence(o.Search.Workers)
@@ -232,18 +254,18 @@ func builtins() []Spec {
 				if o.Search.SumCost {
 					rep.Cost = search.SumCost{}
 				}
-				return core.NewSearchPlanner(o.Search, rep, "D-COLS-LL")
+				return core.NewSearchPlanner(o.Search, rep, string(DCOLSLeastLoaded))
 			},
 			Predicate: utilizationFor,
 		},
 		{
-			Name:        "EDF-greedy",
+			Name:        string(EDFGreedy),
 			Description: "list scheduling in earliest-deadline order, no backtracking",
 			New:         func(o Options) (core.Planner, error) { return core.NewEDFGreedy(o.Search) },
 			Predicate:   utilizationFor,
 		},
 		{
-			Name:        "myopic",
+			Name:        string(Myopic),
 			Description: "windowed heuristic H = d + w·est over the 7 most urgent tasks",
 			New:         func(o Options) (core.Planner, error) { return core.NewMyopic(o.Search, 7, 1) },
 			Predicate:   utilizationFor,
@@ -273,7 +295,7 @@ func builtins() []Spec {
 			Predicate:   utilizationFor,
 		},
 		{
-			Name:        "oracle",
+			Name:        string(Oracle),
 			Description: "EDF-greedy at near-zero scheduling overhead (optimistic reference)",
 			New: func(o Options) (core.Planner, error) {
 				cfg := o.Search
