@@ -90,10 +90,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	scale := fs.Float64("scale", 20, "virtual-to-wall time scale (bigger = slower, less jitter)")
 	sf := fs.Float64("sf", 1, "laxity (slack factor)")
 	repl := fs.Float64("replication", 0.3, "sub-database replication rate")
-	parallel := fs.Int("parallel", 0, "run each phase's search on up to N work-stealing workers (0 = sequential)")
-	stealDepth := fs.Int("steal-depth", 0, "work-stealing: tree levels cut into stealable frames (0 = default)")
-	frontierCap := fs.Int("frontier-cap", 0, "work-stealing: max published frames per engine before degrading to depth-first (0 = default)")
-	dupCap := fs.Int("dup-cap", 0, "work-stealing: per-frame duplicate-table capacity; -1 disables duplicate detection (0 = default)")
 	listen := fs.String("listen", "", "worker role: address to listen on")
 	serve := fs.Bool("serve", false, "worker role: keep serving host sessions instead of exiting after one")
 	connect := fs.String("connect", "", "host role: comma-separated worker addresses")
@@ -298,23 +294,19 @@ func run(args []string, out io.Writer) (retErr error) {
 				return fmt.Errorf("-trace and -progress attach to a single cluster; with -shards %s use -journal/-task-trace (federation-merged) or -debug-addr for the live per-shard view", *shardsFlag)
 			}
 			return runFederation(out, federation.Config{
-				Workload:    w,
-				Topology:    tp,
-				Placement:   pl,
-				Migrate:     *migrate,
-				Algorithm:   experiment.Algorithm(*algo),
-				Scale:       *scale,
-				Faults:      plan,
-				Liveness:    live,
-				Admission:   admCfg,
-				Degrade:     degrade,
-				Parallel:    *parallel,
-				StealDepth:  *stealDepth,
-				FrontierCap: *frontierCap,
-				DupCap:      *dupCap,
-				BatchCap:    *batchCap,
-				ShardAddrs:  shardAddrs,
-				Recovery:    federation.Recovery{Rejoin: *rejoin, MaxRejoins: *rejoinMax},
+				Workload:   w,
+				Topology:   tp,
+				Placement:  pl,
+				Migrate:    *migrate,
+				Algorithm:  experiment.Algorithm(*algo),
+				Scale:      *scale,
+				Faults:     plan,
+				Liveness:   live,
+				Admission:  admCfg,
+				Degrade:    degrade,
+				BatchCap:   *batchCap,
+				ShardAddrs: shardAddrs,
+				Recovery:   federation.Recovery{Rejoin: *rejoin, MaxRejoins: *rejoinMax},
 			}, *debugAddr, *journalOut, *taskTraceOut)
 		}
 
@@ -328,18 +320,14 @@ func run(args []string, out io.Writer) (retErr error) {
 			}
 		}
 		cfg := livecluster.Config{
-			Workload:    w,
-			Algorithm:   experiment.Algorithm(*algo),
-			Scale:       *scale,
-			Faults:      plan,
-			Obs:         observer,
-			Liveness:    live,
-			Admission:   admCfg,
-			Degrade:     degrade,
-			Parallel:    *parallel,
-			StealDepth:  *stealDepth,
-			FrontierCap: *frontierCap,
-			DupCap:      *dupCap,
+			Workload:  w,
+			Algorithm: experiment.Algorithm(*algo),
+			Scale:     *scale,
+			Faults:    plan,
+			Obs:       observer,
+			Liveness:  live,
+			Admission: admCfg,
+			Degrade:   degrade,
 		}
 		if *role == "host" {
 			cfg.Backend = func(clock *livecluster.Clock, inj *faultinject.Injector) (livecluster.Backend, error) {

@@ -44,10 +44,6 @@ func run(args []string, out io.Writer) error {
 	runs := fs.Int("runs", 10, "independent runs per data point (the paper uses 10)")
 	seed := fs.Uint64("seed", 1, "base seed; run i uses seed+i")
 	vertexCost := fs.Duration("vertexcost", time.Microsecond, "scheduling time charged per search vertex")
-	parallel := fs.Int("parallel", 0, "run each phase's search on up to N work-stealing workers (0 = sequential)")
-	stealDepth := fs.Int("steal-depth", 0, "tree levels cut into stealable frames when -parallel is set (0 = default)")
-	frontierCap := fs.Int("frontier-cap", 0, "per-engine bound on published stealable frames (0 = default)")
-	dupCap := fs.Int("dup-cap", 0, "per-frame duplicate-state table capacity; -1 disables duplicate detection (0 = default)")
 	csvDir := fs.String("csv", "", "directory to write per-figure CSV series into (optional)")
 	specPath := fs.String("spec", "", "run a custom JSON experiment spec instead of a built-in experiment")
 	chromeOut := fs.String("chrometrace", "", "run one traced RT-SADS run (P=10, defaults) and write Chrome trace-event JSON to this file")
@@ -122,10 +118,6 @@ func run(args []string, out io.Writer) error {
 	rc.Runs = *runs
 	rc.BaseSeed = *seed
 	rc.VertexCost = *vertexCost
-	rc.Parallel = *parallel
-	rc.StealDepth = *stealDepth
-	rc.FrontierCap = *frontierCap
-	rc.DupCap = *dupCap
 	if err := rc.Validate(); err != nil {
 		return err
 	}

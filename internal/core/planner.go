@@ -39,11 +39,8 @@ type PhaseResult struct {
 	// phaseEnd + EndOffset <= deadline, so delivery at or before phaseEnd
 	// guarantees the deadline (§4.3's theorem).
 	Schedule []search.Assignment
-	// Stats carries the search counters for the phase — both the
-	// deterministic counters the experiments reconcile on and the
-	// timing-dependent introspection fields (steals, frames, frontier peak,
-	// incumbent updates) the callers forward into obs.PhaseStats for the
-	// /metrics search families.
+	// Stats carries the search counters for the phase: the experiments
+	// reconcile on them and the callers forward them into obs.PhaseStats.
 	Stats search.Stats
 }
 
@@ -95,11 +92,6 @@ type SearchConfig struct {
 	// SumCost swaps the §4.4 load-balancing cost CE = max_k ce_k for the
 	// total-completion alternative Σ_k ce_k — a design-choice ablation.
 	SumCost bool
-	// Parallel, when positive, runs each phase's search on up to that many
-	// work-stealing workers (search.RunParallel); the signature-ordered
-	// settle merge is deterministic, so the planner contract is preserved.
-	// Zero keeps the sequential engine.
-	Parallel int
 	// IncumbentCE, when positive, is an initial incumbent cost bound fed
 	// to every phase's search (search.Problem.BoundCE): vertices whose CE
 	// matches or exceeds it are pruned. The caller asserts the bound comes
@@ -107,15 +99,6 @@ type SearchConfig struct {
 	// per phase with exactly that contract; a static value here is chiefly
 	// an ablation/testing knob. Zero disables it.
 	IncumbentCE time.Duration
-	// StealDepth, FrontierCap and DupCap tune the work-stealing driver
-	// when Parallel is positive: the number of tree levels cut into
-	// stealable frames, the per-engine bound on published frames, and the
-	// per-frame duplicate-table capacity (negative disables duplicate
-	// detection). Zero selects each knob's default; all are ignored by the
-	// sequential engine. See search.ParallelOptions.
-	StealDepth  int
-	FrontierCap int
-	DupCap      int
 }
 
 // Priority is the batch ordering heuristic.
@@ -157,15 +140,6 @@ func (c SearchConfig) Validate() error {
 	}
 	if c.Policy == nil {
 		return fmt.Errorf("core: Policy is nil")
-	}
-	if c.Parallel < 0 {
-		return fmt.Errorf("core: Parallel %d must be non-negative", c.Parallel)
-	}
-	if c.StealDepth < 0 {
-		return fmt.Errorf("core: StealDepth %d must be non-negative", c.StealDepth)
-	}
-	if c.FrontierCap < 0 {
-		return fmt.Errorf("core: FrontierCap %d must be non-negative", c.FrontierCap)
 	}
 	if c.IncumbentCE < 0 {
 		return fmt.Errorf("core: IncumbentCE %v must be non-negative", c.IncumbentCE)
@@ -269,18 +243,7 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	// only guaranteed to start by in.Now + quantum. Shift the search's
 	// phase-end reference by the phase cost.
 	p.Now = in.Now.Add(s.cfg.PhaseCost)
-	var res *search.Result
-	var err error
-	if s.cfg.Parallel > 0 {
-		res, err = search.RunParallel(p, s.rep, search.ParallelOptions{
-			Degree:      s.cfg.Parallel,
-			StealDepth:  s.cfg.StealDepth,
-			FrontierCap: s.cfg.FrontierCap,
-			DupCap:      s.cfg.DupCap,
-		})
-	} else {
-		res, err = search.Run(p, s.rep)
-	}
+	res, err := search.Run(p, s.rep)
 	if err != nil {
 		return PhaseResult{}, fmt.Errorf("core: %s search: %w", s.name, err)
 	}
@@ -292,13 +255,8 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		Schedule: res.Schedule(),
 		Stats:    stats,
 	}
-	if s.cfg.Parallel == 0 {
-		// Sequential results are exclusively ours: recycle the result and its
-		// best path now that the schedule has been copied out. Parallel
-		// results stay with the GC — the work-stealing driver's frame
-		// timelines may hold extra references into the best path.
-		res.Release()
-	}
+	// The schedule has been copied out: recycle the result and its best path.
+	res.Release()
 	return out, nil
 }
 

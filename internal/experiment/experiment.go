@@ -69,15 +69,6 @@ type RunConfig struct {
 	// CombinedHost runs the scheduler on worker 0 instead of a dedicated
 	// host processor (the E14 architecture ablation).
 	CombinedHost bool
-	// Parallel, when positive, runs each phase's search on up to that many
-	// work-stealing workers (core.SearchConfig.Parallel).
-	Parallel int
-	// StealDepth, FrontierCap and DupCap tune the work-stealing driver
-	// when Parallel is positive; zero selects each default
-	// (core.SearchConfig / search.ParallelOptions).
-	StealDepth  int
-	FrontierCap int
-	DupCap      int
 }
 
 // DefaultRunConfig returns the paper's methodology: 10 runs, adaptive
@@ -114,15 +105,11 @@ func (c RunConfig) policy() core.QuantumPolicy {
 func NewPlanner(algo Algorithm, w *workload.Workload, rc RunConfig) (core.Planner, error) {
 	cost := w.Cost
 	scfg := core.SearchConfig{
-		Workers:     w.Params.Workers,
-		Comm:        func(t *task.Task, proc int) time.Duration { return cost.Cost(t.Affinity, proc) },
-		VertexCost:  rc.VertexCost,
-		PhaseCost:   rc.PhaseCost,
-		Policy:      rc.policy(),
-		Parallel:    rc.Parallel,
-		StealDepth:  rc.StealDepth,
-		FrontierCap: rc.FrontierCap,
-		DupCap:      rc.DupCap,
+		Workers:    w.Params.Workers,
+		Comm:       func(t *task.Task, proc int) time.Duration { return cost.Cost(t.Affinity, proc) },
+		VertexCost: rc.VertexCost,
+		PhaseCost:  rc.PhaseCost,
+		Policy:     rc.policy(),
 	}
 	if rc.Tune != nil {
 		rc.Tune(&scfg)

@@ -640,33 +640,3 @@ func TestHeuristicsStudy(t *testing.T) {
 		t.Error("heuristics table malformed")
 	}
 }
-
-func TestRunOnceParallelDeterministic(t *testing.T) {
-	// The parallel search engine must keep RunOnce a deterministic
-	// function of the seed, at any degree — the planner contract the
-	// ordered branch merge exists to preserve.
-	p := workload.DefaultParams(4)
-	p.NumTransactions = 200
-	rc := DefaultRunConfig()
-	rc.Parallel = 4
-	a, err := RunOnce(RTSADS, p, 7, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOnce(RTSADS, p, 7, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Hits != b.Hits || a.Phases != b.Phases || a.SchedulingTime != b.SchedulingTime || a.Makespan != b.Makespan {
-		t.Errorf("identical seeds differ under parallel search: %s vs %s", a, b)
-	}
-	rc2 := rc
-	rc2.Parallel = 2
-	c, err := RunOnce(RTSADS, p, 7, rc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Hits != c.Hits || a.Phases != c.Phases {
-		t.Errorf("degree changed the outcome: %s vs %s", a, c)
-	}
-}

@@ -1,13 +1,19 @@
 package federation
 
 import (
+	"encoding/json"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"rtsads/internal/admission"
+	"rtsads/internal/core"
+	"rtsads/internal/federation/wire"
+	"rtsads/internal/livecluster"
 	"rtsads/internal/obs"
+	"rtsads/internal/policy"
 	"rtsads/internal/workload"
 )
 
@@ -345,4 +351,93 @@ func TestFederationLiveTCPShardFlap(t *testing.T) {
 	}
 	t.Logf("flap run: rejoins=%d quarantines=%d salvaged=%d migrated=%d",
 		res.Rejoins, snap[MetricQuarantines], res.Salvaged, res.Migrated)
+}
+
+// TestShardConfigSameOverWire: one federation.Config must configure a shard
+// identically whether the shard runs in process or behind a wire session —
+// every field but the shard's identity (workload slice, clock, hooks), with
+// the whole Degrade hysteresis included.
+func TestShardConfigSameOverWire(t *testing.T) {
+	p := workload.DefaultParams(4)
+	p.NumTransactions = 8
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	f, err := New(Config{
+		Workload:     w,
+		Topology:     Topology{Shards: 2, WorkersPerShard: 2},
+		Algorithm:    policy.DCOLS,
+		Scale:        200,
+		Liveness:     livecluster.Liveness{HeartbeatEvery: 20 * time.Millisecond, Timeout: 150 * time.Millisecond},
+		Admission:    admission.Config{Policy: admission.Reject, QueueCap: 8},
+		Backpressure: 16,
+		SlackGuard:   25 * time.Microsecond,
+		Degrade:      &core.DegradeConfig{After: 4, Recover: 7, SlackFraction: 0.25},
+	})
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	clock, err := livecluster.NewClock(f.cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.clock = clock
+
+	local := f.shardConfig(1, clock)
+	local.Workload, local.Clock, local.OnReject, local.Obs, local.Faults = nil, nil, nil, nil, nil
+
+	rs := &remoteShard{id: 1, f: f, live: livenessDefaults(f.cfg.Liveness)}
+	payload, err := json.Marshal(rs.hello(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello wire.Hello
+	if err := json.Unmarshal(payload, &hello); err != nil {
+		t.Fatal(err)
+	}
+	if remote := helloShardConfig(hello); !reflect.DeepEqual(remote, local) {
+		t.Fatalf("wire shard config differs from in-process:\nwire:  %+v (Degrade %+v)\nlocal: %+v (Degrade %+v)",
+			remote, remote.Degrade, local, local.Degrade)
+	}
+}
+
+// TestServeShardIgnoresRetiredHelloKeys: a router from before the
+// work-stealing search knobs were removed still sends them; the shard must
+// ignore the unknown keys and open the session.
+func TestServeShardIgnoresRetiredHelloKeys(t *testing.T) {
+	farm := newShardFarm(t, 1)
+	nc, err := net.Dial("tcp", farm.addrs[0])
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	conn := wire.NewConn(nc)
+	if err := conn.WriteHandshake(); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	if err := conn.ReadHandshake(); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	p := workload.DefaultParams(2)
+	p.NumTransactions = 8
+	payload, err := json.Marshal(wire.Hello{
+		Params: p, Shards: 1, WorkersPerShard: 2,
+		Algorithm: string(policy.RTSADS), Scale: 200, StartUnixNano: time.Now().UnixNano(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append([]byte(`{"parallel":4,"steal_depth":2,"frontier_cap":64,"dup_cap":-1,`), payload[1:]...)
+	if err := conn.WriteFrame(wire.TypeHello, payload); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	typ, body, err := conn.ReadFrame()
+	if err != nil {
+		t.Fatalf("first frame: %v", err)
+	}
+	if typ != wire.TypeSummary {
+		t.Fatalf("shard answered the legacy hello with frame type %d (%s), want a summary", typ, body)
+	}
 }

@@ -155,6 +155,40 @@ func (f *Federation) dialShard(i int, addr string) (*remoteShard, error) {
 	return s, nil
 }
 
+// hello builds the session hello: the run's configuration as every shard
+// must see it, this session's shard index, and the rejoin watermark.
+func (s *remoteShard) hello(rejoin bool) wire.Hello {
+	f := s.f
+	s.mu.Lock()
+	epoch := s.epoch
+	resumeSeq := s.ckptSeq
+	s.mu.Unlock()
+	hello := wire.Hello{
+		Params:          f.cfg.Workload.Params,
+		Shards:          f.tp.Shards,
+		WorkersPerShard: f.tp.WorkersPerShard,
+		Shard:           s.id,
+		Algorithm:       string(f.cfg.Algorithm),
+		Scale:           f.cfg.Scale,
+		StartUnixNano:   f.clock.Start().UnixNano(),
+		HeartbeatNano:   s.live.HeartbeatEvery.Nanoseconds(),
+		TimeoutNano:     s.live.Timeout.Nanoseconds(),
+		Admission:       f.cfg.Admission,
+		Backpressure:    f.cfg.Backpressure,
+		SlackGuardNano:  f.cfg.SlackGuard.Nanoseconds(),
+		JournalCap:      f.cfg.JournalCap,
+		Rejoin:          rejoin,
+		Epoch:           epoch,
+		ResumeSeq:       resumeSeq,
+	}
+	if d := f.cfg.Degrade; d != nil {
+		hello.DegradeAfter = d.After
+		hello.DegradeRecover = d.Recover
+		hello.DegradeSlackFraction = d.SlackFraction
+	}
+	return hello
+}
+
 // connect dials the shard's address, completes the handshake and hello,
 // waits for the shard's first load summary, and starts the session's read
 // and heartbeat loops. The initial dial retries on the same capped
@@ -200,37 +234,7 @@ func (s *remoteShard) connect(rejoin bool) error {
 		return fmt.Errorf("handshake: %w", err)
 	}
 
-	f := s.f
-	s.mu.Lock()
-	epoch := s.epoch
-	resumeSeq := s.ckptSeq
-	s.mu.Unlock()
-	hello := wire.Hello{
-		Params:          f.cfg.Workload.Params,
-		Shards:          f.tp.Shards,
-		WorkersPerShard: f.tp.WorkersPerShard,
-		Shard:           s.id,
-		Algorithm:       string(f.cfg.Algorithm),
-		Scale:           f.cfg.Scale,
-		StartUnixNano:   f.clock.Start().UnixNano(),
-		HeartbeatNano:   s.live.HeartbeatEvery.Nanoseconds(),
-		TimeoutNano:     s.live.Timeout.Nanoseconds(),
-		Admission:       f.cfg.Admission,
-		Backpressure:    f.cfg.Backpressure,
-		SlackGuardNano:  f.cfg.SlackGuard.Nanoseconds(),
-		Parallel:        f.cfg.Parallel,
-		StealDepth:      f.cfg.StealDepth,
-		FrontierCap:     f.cfg.FrontierCap,
-		DupCap:          f.cfg.DupCap,
-		JournalCap:      f.cfg.JournalCap,
-		Rejoin:          rejoin,
-		Epoch:           epoch,
-		ResumeSeq:       resumeSeq,
-	}
-	if f.cfg.Degrade != nil {
-		hello.DegradeAfter = f.cfg.Degrade.After
-	}
-	payload, err := json.Marshal(hello)
+	payload, err := json.Marshal(s.hello(rejoin))
 	if err != nil {
 		conn.Close()
 		return err

@@ -31,10 +31,9 @@ type Config struct {
 	// tasks; without it every shard rejection is shed locally.
 	Migrate bool
 
-	// Algorithm, Scale, Liveness, Admission, Backpressure, SlackGuard,
-	// Degrade and the Parallel/StealDepth/FrontierCap/DupCap search knobs
-	// configure every shard identically; see livecluster.Config. Faults is
-	// a global plan split by worker range across the shards.
+	// Algorithm, Scale, Liveness, Admission, Backpressure, SlackGuard and
+	// Degrade configure every shard identically; see livecluster.Config.
+	// Faults is a global plan split by worker range across the shards.
 	Algorithm    policy.Algorithm
 	Scale        float64
 	Faults       *faultinject.Plan
@@ -43,10 +42,6 @@ type Config struct {
 	Backpressure int
 	SlackGuard   time.Duration
 	Degrade      *core.DegradeConfig
-	Parallel     int
-	StealDepth   int
-	FrontierCap  int
-	DupCap       int
 
 	// JournalCap bounds each shard's journal (see obs.NewJournal).
 	JournalCap int
@@ -352,28 +347,7 @@ func (f *Federation) Run() (*Result, error) {
 	} else {
 		f.shards = make([]*livecluster.Cluster, f.tp.Shards)
 		for i := range handles {
-			i := i
-			cl, err := livecluster.New(livecluster.Config{
-				Workload:  ShardWorkload(f.cfg.Workload, f.tp, i),
-				Algorithm: f.cfg.Algorithm,
-				Scale:     f.cfg.Scale,
-				Clock:     clock,
-				External:  true,
-				OnReject: func(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
-					return f.onReject(i, t.ID, reason, now)
-				},
-				Obs:          f.obsShards[i],
-				Faults:       f.faults[i],
-				Liveness:     f.cfg.Liveness,
-				Admission:    f.cfg.Admission,
-				Backpressure: f.cfg.Backpressure,
-				SlackGuard:   f.cfg.SlackGuard,
-				Degrade:      f.cfg.Degrade,
-				Parallel:     f.cfg.Parallel,
-				StealDepth:   f.cfg.StealDepth,
-				FrontierCap:  f.cfg.FrontierCap,
-				DupCap:       f.cfg.DupCap,
-			})
+			cl, err := livecluster.New(f.shardConfig(i, clock))
 			if err != nil {
 				return nil, fmt.Errorf("federation: shard %d: %w", i, err)
 			}
@@ -442,6 +416,30 @@ func (f *Federation) Run() (*Result, error) {
 	f.mu.Unlock()
 	res.Shards = results
 	return res, nil
+}
+
+// shardConfig is in-process shard i's cluster configuration. A wire shard
+// builds its own from the session hello (helloShardConfig); the two must
+// agree on everything but the shard's identity, or one federation.Config
+// behaves differently by transport.
+func (f *Federation) shardConfig(i int, clock *livecluster.Clock) livecluster.Config {
+	return livecluster.Config{
+		Workload:  ShardWorkload(f.cfg.Workload, f.tp, i),
+		Algorithm: f.cfg.Algorithm,
+		Scale:     f.cfg.Scale,
+		Clock:     clock,
+		External:  true,
+		OnReject: func(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
+			return f.onReject(i, t.ID, reason, now)
+		},
+		Obs:          f.obsShards[i],
+		Faults:       f.faults[i],
+		Liveness:     f.cfg.Liveness,
+		Admission:    f.cfg.Admission,
+		Backpressure: f.cfg.Backpressure,
+		SlackGuard:   f.cfg.SlackGuard,
+		Degrade:      f.cfg.Degrade,
+	}
 }
 
 // pump replays the workload's arrival sequence: it sleeps until the next

@@ -187,14 +187,7 @@ func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shar
 	if err != nil {
 		return nil, nil, err
 	}
-	hb := time.Duration(hello.HeartbeatNano)
-	if hb <= 0 {
-		hb = 100 * time.Millisecond
-	}
-	timeout := time.Duration(hello.TimeoutNano)
-	if timeout <= 0 {
-		timeout = 5 * hb
-	}
+	cfg := helloShardConfig(hello)
 	o := opt.Obs
 	if o == nil {
 		o = obs.New(hello.JournalCap)
@@ -202,7 +195,7 @@ func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shar
 	srv := &shardServer{
 		conn:       conn,
 		o:          o,
-		timeout:    timeout,
+		timeout:    cfg.Liveness.Timeout,
 		verdicts:   make(map[int32]chan bool),
 		ckptCounts: make(map[string]int64),
 	}
@@ -210,28 +203,11 @@ func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shar
 	// its bucket count — the consistency sendCheckpoint's salvage
 	// accounting depends on.
 	o.OnSettle(srv.noteSettled)
-	var degrade *core.DegradeConfig
-	if hello.DegradeAfter > 0 {
-		degrade = &core.DegradeConfig{After: hello.DegradeAfter}
-	}
-	cl, err := livecluster.New(livecluster.Config{
-		Workload:     ShardWorkload(w, tp, hello.Shard),
-		Algorithm:    policy.Algorithm(hello.Algorithm),
-		Scale:        hello.Scale,
-		Clock:        clock,
-		External:     true,
-		OnReject:     srv.onReject,
-		Obs:          o,
-		Liveness:     livecluster.Liveness{HeartbeatEvery: hb, Timeout: timeout},
-		Admission:    hello.Admission,
-		Backpressure: hello.Backpressure,
-		SlackGuard:   time.Duration(hello.SlackGuardNano),
-		Degrade:      degrade,
-		Parallel:     hello.Parallel,
-		StealDepth:   hello.StealDepth,
-		FrontierCap:  hello.FrontierCap,
-		DupCap:       hello.DupCap,
-	})
+	cfg.Workload = ShardWorkload(w, tp, hello.Shard)
+	cfg.Clock = clock
+	cfg.OnReject = srv.onReject
+	cfg.Obs = o
+	cl, err := livecluster.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -242,6 +218,38 @@ func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shar
 		runErrc <- runOutcome{res: res, err: err}
 	}()
 	return srv, runErrc, nil
+}
+
+// helloShardConfig is the cluster configuration a hello carries — what
+// Federation.shardConfig builds in-process — minus the session's identity
+// (workload slice, clock, observer, reject hook), which startShard adds.
+func helloShardConfig(hello wire.Hello) livecluster.Config {
+	hb := time.Duration(hello.HeartbeatNano)
+	if hb <= 0 {
+		hb = 100 * time.Millisecond
+	}
+	timeout := time.Duration(hello.TimeoutNano)
+	if timeout <= 0 {
+		timeout = 5 * hb
+	}
+	var degrade *core.DegradeConfig
+	if hello.DegradeAfter > 0 {
+		degrade = &core.DegradeConfig{
+			After:         hello.DegradeAfter,
+			Recover:       hello.DegradeRecover,
+			SlackFraction: hello.DegradeSlackFraction,
+		}
+	}
+	return livecluster.Config{
+		Algorithm:    policy.Algorithm(hello.Algorithm),
+		Scale:        hello.Scale,
+		External:     true,
+		Liveness:     livecluster.Liveness{HeartbeatEvery: hb, Timeout: timeout},
+		Admission:    hello.Admission,
+		Backpressure: hello.Backpressure,
+		SlackGuard:   time.Duration(hello.SlackGuardNano),
+		Degrade:      degrade,
+	}
 }
 
 // send writes one frame under the session's write lock and deadline.

@@ -31,12 +31,12 @@ type Hello struct {
 	Admission      admission.Config `json:"admission,omitempty"`
 	Backpressure   int              `json:"backpressure,omitempty"`
 	SlackGuardNano int64            `json:"slack_guard_nano,omitempty"`
-	DegradeAfter   int              `json:"degrade_after,omitempty"`
-	Parallel       int              `json:"parallel,omitempty"`
-	StealDepth     int              `json:"steal_depth,omitempty"`
-	FrontierCap    int              `json:"frontier_cap,omitempty"`
-	DupCap         int              `json:"dup_cap,omitempty"`
 	JournalCap     int              `json:"journal_cap,omitempty"`
+	// Degrade* carry core.DegradeConfig; DegradeAfter zero means no
+	// degraded-mode controller.
+	DegradeAfter         int     `json:"degrade_after,omitempty"`
+	DegradeRecover       int     `json:"degrade_recover,omitempty"`
+	DegradeSlackFraction float64 `json:"degrade_slack_fraction,omitempty"`
 
 	// Rejoin marks this hello as a re-handshake after a session loss: the
 	// router has already salvaged the dead session's outstanding tasks and

@@ -135,16 +135,6 @@ type Config struct {
 	// registry totals reconcile with the final metrics. Optional; nil
 	// disables observability at the cost of a pointer check per event.
 	Obs *obs.Observer
-	// Parallel, when positive, runs each phase's search on up to that many
-	// work-stealing workers (search.RunParallel). The wall-clock quantum
-	// budget is shared across the stolen frames.
-	Parallel int
-	// StealDepth, FrontierCap and DupCap tune the work-stealing driver
-	// when Parallel is positive; zero selects each default and DupCap < 0
-	// disables duplicate detection. See core.SearchConfig.
-	StealDepth  int
-	FrontierCap int
-	DupCap      int
 	// Admission applies overload control at the host's front door: the
 	// §4.3 feasibility test at enqueue time (hopeless tasks rejected with
 	// a typed reason) and a bounded ready queue with policy-driven
@@ -1264,11 +1254,7 @@ func (c *Cluster) makePlanner(pc *phaseClock, active []int) (core.Planner, *core
 		// Wall-clock quantum budget: the host's real scheduling speed,
 		// converted to virtual time; the host resets the origin before
 		// each phase.
-		Clock:       pc.Elapsed,
-		Parallel:    c.cfg.Parallel,
-		StealDepth:  c.cfg.StealDepth,
-		FrontierCap: c.cfg.FrontierCap,
-		DupCap:      c.cfg.DupCap,
+		Clock: pc.Elapsed,
 	}
 	if c.cfg.Degrade == nil {
 		p, err := buildPlanner(c.cfg.Algorithm, scfg)

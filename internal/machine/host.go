@@ -235,18 +235,12 @@ func BookPhase(res *metrics.RunResult, out *core.PhaseResult) obs.PhaseStats {
 		res.QuantaExpired++
 	}
 	return obs.PhaseStats{
-		Quantum:          out.Quantum,
-		Used:             out.Used,
-		Generated:        out.Stats.Generated,
-		Backtracks:       out.Stats.Backtracks,
-		DeadEnd:          out.Stats.DeadEnd,
-		Expired:          out.Stats.Expired,
-		Expanded:         out.Stats.Expanded,
-		Duplicates:       out.Stats.Duplicates,
-		Steals:           out.Stats.Steals,
-		FramesSpawned:    out.Stats.FramesSpawned,
-		FramesSettled:    out.Stats.FramesSettled,
-		FrontierPeak:     out.Stats.FrontierPeak,
-		IncumbentUpdates: out.Stats.IncumbentUpdates,
+		Quantum:    out.Quantum,
+		Used:       out.Used,
+		Generated:  out.Stats.Generated,
+		Backtracks: out.Stats.Backtracks,
+		DeadEnd:    out.Stats.DeadEnd,
+		Expired:    out.Stats.Expired,
+		Expanded:   out.Stats.Expanded,
 	}
 }

@@ -96,18 +96,8 @@ const (
 	MetricGuaranteeRatio  = "rtsads_slo_guarantee_ratio_ppm"
 	MetricDegradedPhases  = "rtsads_degraded_phases_total"
 
-	// Search-introspection metrics: the work-stealing driver's behaviour
-	// summed across phases. Expanded/duplicates mirror search.Stats;
-	// steals/frames/incumbent updates are timing-dependent (they vary run
-	// to run without affecting results) and frontier peak is the high-water
-	// mark of pending subtree frames across the run.
-	MetricSearchExpanded         = "rtsads_search_expanded_total"
-	MetricSearchDuplicates       = "rtsads_search_duplicates_total"
-	MetricSearchSteals           = "rtsads_search_steals_total"
-	MetricSearchFramesSpawned    = "rtsads_search_frames_spawned_total"
-	MetricSearchFramesSettled    = "rtsads_search_frames_settled_total"
-	MetricSearchFrontierPeak     = "rtsads_search_frontier_peak"
-	MetricSearchIncumbentUpdates = "rtsads_search_incumbent_updates_total"
+	// Vertices expanded (search.Stats.Expanded) summed across phases.
+	MetricSearchExpanded = "rtsads_search_expanded_total"
 
 	// Policy-tournament metrics: one labelled gauge family per reported
 	// axis, published by policy.Report.Mirror so a -debug-addr scrape sees
@@ -135,17 +125,9 @@ type PhaseStats struct {
 	// transition phase correctly).
 	Degraded bool
 
-	// Work-stealing introspection (search.Stats pass-through; zero on
-	// sequential planners). Steals through IncumbentUpdates are
-	// timing-dependent: they describe how the parallel driver behaved, not
-	// what it computed, so they sit outside the determinism contract.
-	Expanded         int // vertices expanded (successor generation ran)
-	Duplicates       int // duplicate subtrees pruned by state signature
-	Steals           int // frames stolen between workers
-	FramesSpawned    int // subtree frames pushed for parallel execution
-	FramesSettled    int // frames merged back in signature order
-	FrontierPeak     int // high-water mark of pending frames
-	IncumbentUpdates int // shared terminal-bound improvements (CAS wins)
+	// Expanded is search.Stats.Expanded: vertices whose successors were
+	// generated.
+	Expanded int
 }
 
 // WorkerHealth is one worker's liveness as the host sees it.
@@ -171,11 +153,9 @@ type Observer struct {
 	heartbeatsSent, heartbeatsRecv, redials, redialsFailed *Counter
 	admitted, shed, bounced, overloads                     *Counter
 	degradations, recoveries, degradedPhases               *Counter
-	searchExpanded, searchDuplicates, searchSteals         *Counter
-	framesSpawned, framesSettled, incumbentUpdates         *Counter
+	searchExpanded                                         *Counter
 	workersAlive, workersTotal, inflight, batchSize        *Gauge
 	degradedMode, batchSizeMax, guaranteeRatio             *Gauge
-	frontierPeak                                           *Gauge
 	phaseDur, quantumSize, responseTime                    *Histogram
 	slackAdmission, slackCompletion, workerOvershoot       *Histogram
 
@@ -232,13 +212,7 @@ func New(journalCap int) *Observer {
 		degradations:   reg.Counter(MetricDegradations),
 		recoveries:     reg.Counter(MetricRecoveries),
 		degradedPhases: reg.Counter(MetricDegradedPhases),
-
-		searchExpanded:   reg.Counter(MetricSearchExpanded),
-		searchDuplicates: reg.Counter(MetricSearchDuplicates),
-		searchSteals:     reg.Counter(MetricSearchSteals),
-		framesSpawned:    reg.Counter(MetricSearchFramesSpawned),
-		framesSettled:    reg.Counter(MetricSearchFramesSettled),
-		incumbentUpdates: reg.Counter(MetricSearchIncumbentUpdates),
+		searchExpanded: reg.Counter(MetricSearchExpanded),
 
 		workersAlive:    reg.Gauge(MetricWorkersAlive),
 		workersTotal:    reg.Gauge(MetricWorkersTotal),
@@ -247,7 +221,6 @@ func New(journalCap int) *Observer {
 		degradedMode:    reg.Gauge(MetricDegradedMode),
 		batchSizeMax:    reg.Gauge(MetricBatchSizeMax),
 		guaranteeRatio:  reg.Gauge(MetricGuaranteeRatio),
-		frontierPeak:    reg.Gauge(MetricSearchFrontierPeak),
 		phaseDur:        reg.Histogram(MetricPhaseDuration),
 		quantumSize:     reg.Histogram(MetricQuantumSize),
 		responseTime:    reg.Histogram(MetricResponseTime),
@@ -408,12 +381,6 @@ func (o *Observer) PhaseEnd(phase int, at simtime.Instant, s PhaseStats) {
 	o.phaseDur.Observe(s.Used)
 	o.quantumSize.Observe(s.Quantum)
 	o.searchExpanded.Add(int64(s.Expanded))
-	o.searchDuplicates.Add(int64(s.Duplicates))
-	o.searchSteals.Add(int64(s.Steals))
-	o.framesSpawned.Add(int64(s.FramesSpawned))
-	o.framesSettled.Add(int64(s.FramesSettled))
-	o.incumbentUpdates.Add(int64(s.IncumbentUpdates))
-	o.frontierPeak.SetMax(int64(s.FrontierPeak))
 	if s.Degraded {
 		o.degradedPhases.Inc()
 	}

@@ -50,8 +50,7 @@ func TestObserverCountsAndJournal(t *testing.T) {
 	o.Arrival(1, 10, 30)
 	o.PhaseStart(0, 1, 10)
 	o.PhaseEnd(0, 15, PhaseStats{Quantum: 5, Used: 4, Generated: 7, Backtracks: 2, DeadEnd: true, Expired: true,
-		Degraded: true, Expanded: 6, Duplicates: 3, Steals: 2, FramesSpawned: 4, FramesSettled: 4,
-		FrontierPeak: 3, IncumbentUpdates: 1})
+		Degraded: true, Expanded: 6})
 	o.Deliver(0, 1, 1, 2, 15)
 	o.Exec(1, 1, 15, 20, true, 10, 10)
 	o.Exec(2, 0, 15, 30, false, 25, -5)
@@ -67,34 +66,28 @@ func TestObserverCountsAndJournal(t *testing.T) {
 
 	snap := o.Registry().Snapshot()
 	want := map[string]int64{
-		MetricPhases:                 1,
-		MetricVertices:               7,
-		MetricBacktracks:             2,
-		MetricDeadEnds:               1,
-		MetricQuantaExpired:          1,
-		MetricArrivals:               1,
-		MetricDeliveries:             1,
-		MetricHits:                   1,
-		MetricMissed:                 1,
-		MetricPurged:                 1,
-		MetricLost:                   1,
-		MetricRerouted:               1,
-		MetricWorkerFailures:         1,
-		MetricDisruptions:            1,
-		MetricStragglers:             1,
-		MetricHeartbeatsRecv:         1,
-		MetricRedials:                1,
-		MetricRedialFailures:         1,
-		MetricWorkersAlive:           1,
-		MetricWorkersTotal:           2,
-		MetricSearchExpanded:         6,
-		MetricSearchDuplicates:       3,
-		MetricSearchSteals:           2,
-		MetricSearchFramesSpawned:    4,
-		MetricSearchFramesSettled:    4,
-		MetricSearchFrontierPeak:     3,
-		MetricSearchIncumbentUpdates: 1,
-		MetricDegradedPhases:         1,
+		MetricPhases:         1,
+		MetricVertices:       7,
+		MetricBacktracks:     2,
+		MetricDeadEnds:       1,
+		MetricQuantaExpired:  1,
+		MetricArrivals:       1,
+		MetricDeliveries:     1,
+		MetricHits:           1,
+		MetricMissed:         1,
+		MetricPurged:         1,
+		MetricLost:           1,
+		MetricRerouted:       1,
+		MetricWorkerFailures: 1,
+		MetricDisruptions:    1,
+		MetricStragglers:     1,
+		MetricHeartbeatsRecv: 1,
+		MetricRedials:        1,
+		MetricRedialFailures: 1,
+		MetricWorkersAlive:   1,
+		MetricWorkersTotal:   2,
+		MetricSearchExpanded: 6,
+		MetricDegradedPhases: 1,
 		// 1 hit over 4 terminals (hit, miss, purge, lost) = 250000 ppm.
 		MetricGuaranteeRatio: 250_000,
 	}

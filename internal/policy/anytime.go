@@ -124,7 +124,6 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 	// reproduces NonNeg(load − quantum), the frame above, exactly
 	// (clamps compose: max(0, max(0, l−c) − b) == max(0, l−c−b)).
 	dfsBudget := budget - aUsed
-	var res *search.Result
 	var stats search.Stats
 	var dfsSched []search.Assignment
 	var dfsCE time.Duration
@@ -155,17 +154,7 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 			MaxDepth:      a.cfg.MaxDepth,
 			BoundCE:       bound,
 		}
-		var err error
-		if a.cfg.Parallel > 0 {
-			res, err = search.RunParallel(p, a.rep, search.ParallelOptions{
-				Degree:      a.cfg.Parallel,
-				StealDepth:  a.cfg.StealDepth,
-				FrontierCap: a.cfg.FrontierCap,
-				DupCap:      a.cfg.DupCap,
-			})
-		} else {
-			res, err = search.Run(p, a.rep)
-		}
+		res, err := search.Run(p, a.rep)
 		if err != nil {
 			return core.PhaseResult{}, fmt.Errorf("policy: RT-SADS+GA search: %w", err)
 		}
@@ -174,9 +163,7 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 		if res.Best != nil {
 			dfsCE = res.Best.CE
 		}
-		if a.cfg.Parallel == 0 {
-			res.Release()
-		}
+		res.Release()
 	}
 
 	// Stage B: the DFS's leftover (leaf or dead-end before expiry) goes

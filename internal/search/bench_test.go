@@ -6,8 +6,6 @@ package search_test
 // regresses >20% against the committed baseline. See ARCHITECTURE.md §8.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -24,9 +22,7 @@ func benchProblem(b *testing.B, vertexCost time.Duration) *search.Problem {
 // diveProblem is the full-dive fixture: a 170-transaction batch at the
 // feasibility cliff, where the first feasible schedule exists but costs
 // ~1.6k backtracks to find. The search completes well inside the quantum
-// (tree-bound, not budget-bound), so sequential and parallel do comparable
-// total work and the parallel driver's duplicate pruning is a real
-// reduction, not just better budget coverage.
+// (tree-bound, not budget-bound).
 func diveProblem(b *testing.B) *search.Problem {
 	return fig5Problem(b, 10, 170, 6, time.Nanosecond)
 }
@@ -94,36 +90,6 @@ func BenchmarkSearchCore(b *testing.B) {
 		}
 	})
 
-	b.Run("deep-backtrack-parallel", func(b *testing.B) {
-		// The same exhaustive tree under the work-stealing driver,
-		// parameterized over worker counts so the baseline tracks scaling:
-		// frames cut at the top StealDepth levels partition the ~87k-vertex
-		// walk across the deques, so ns/op vs deep-backtrack is the
-		// work-stealing scaling factor (≈1 at workers=1 and on a single-CPU
-		// host, approaching the worker count on enough cores).
-		for _, degree := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("workers=%d", degree), func(b *testing.B) {
-				p := benchProblem(b, time.Nanosecond)
-				p.Tasks = nil
-				rep := &fertileChain{length: 64, branch: 4, deadEnd: 8}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := search.RunParallel(p, rep, search.ParallelOptions{Degree: degree})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Stats.DeadEnd {
-						b.Fatal("fixture did not exhaust")
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(degree), "goroutines")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			})
-		}
-	})
-
 	b.Run("best-first", func(b *testing.B) {
 		// Global cost ordering: every expansion churns the candidate heap,
 		// and every pop is a cross-branch jump that rebuilds PathState.
@@ -145,8 +111,7 @@ func BenchmarkSearchCore(b *testing.B) {
 		// depth 141 — but only after ~1.6k backtracks and ~212k generated
 		// vertices, most of them re-probes of already-seen states. This is
 		// the tree-bound regime (the quantum survives; contrast
-		// run-expiring), where duplicate-free search genuinely reduces
-		// total work rather than just covering more ground per budget.
+		// run-expiring).
 		p := diveProblem(b)
 		rep := represent.NewAssignment()
 		var tasks int
@@ -165,56 +130,11 @@ func BenchmarkSearchCore(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(tasks)/b.Elapsed().Seconds(), "tasks/s")
 	})
-
-	b.Run("full-dive-parallel", func(b *testing.B) {
-		// The same cliff-edge dive under the work-stealing driver,
-		// parameterized over worker counts — the fixture where the old
-		// static root-branch driver went backwards (19.9ms parallel vs
-		// 6.7ms sequential on the old baseline). Duplicate detection
-		// prunes the re-probed subtrees (~18x fewer generated vertices on
-		// this fixture), the incumbent bound stops every worker the moment
-		// the winning leaf's signature is published, and stealing spreads
-		// the frames across real cores — so ns/op beats sequential
-		// full-dive even on one core, and the CI bench gate enforces the
-		// ordering at GOMAXPROCS>=4. The schedule must be at least as deep
-		// as sequential (dedup never loses depth; here it is identical).
-		for _, degree := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("workers=%d", degree), func(b *testing.B) {
-				p := diveProblem(b)
-				rep := represent.NewAssignment()
-				seq, err := search.Run(diveProblem(b), rep)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var tasks int
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := search.RunParallel(p, rep, search.ParallelOptions{Degree: degree})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Best.Depth < seq.Best.Depth {
-						b.Fatalf("parallel depth %d < sequential %d", res.Best.Depth, seq.Best.Depth)
-					}
-					tasks += res.Best.Depth
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(tasks)/b.Elapsed().Seconds(), "tasks/s")
-				b.ReportMetric(float64(degree), "goroutines")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			})
-		}
-	})
 }
 
 // fertileChain is a synthetic representation: every vertex has `branch`
 // successors until depth deadEnd, where all branches go barren — maximal
-// backtracking with no schedule semantics in the way. Every vertex gets a
-// path-unique Cursor (a hash chain over the branch indices), so no two
-// states are canonical duplicates and the work-stealing driver's duplicate
-// detection cannot collapse the tree: the fixture measures traversal, not
-// pruning.
+// backtracking with no schedule semantics in the way.
 type fertileChain struct {
 	length  int
 	branch  int
@@ -238,8 +158,6 @@ func (c *fertileChain) Expand(p *search.Problem, v *search.Vertex, _ *search.Pat
 		sv.IsAssignment = true
 		sv.Depth = v.Depth + 1
 		sv.CE = v.CE + time.Duration(i)
-		id := (uint64(v.Cursor)*0x9E3779B97F4A7C15 + uint64(i+1)) * 0xBF58476D1CE4E5B9
-		sv.Cursor = int(id >> 1) // path-unique, non-negative
 		succs = append(succs, sv)
 	}
 	return succs, c.branch

@@ -1,15 +1,12 @@
 package search_test
 
 // Differential tests pinning the delta-vertex engine against reference
-// semantics:
-//
-//   - delta vs. full-copy: a test-local representation that carries a full
-//     per-vertex loads slice (the pre-refactor layout) and recomputes CE by
-//     an O(P) rescan must drive the engine through the identical traversal —
-//     same schedule, same stats — as the delta representation.
-//   - sequential vs. parallel: for searches that complete within the
-//     quantum, RunParallel must return the same schedule as Run, for any
-//     degree.
+// semantics: a test-local representation that carries its full per-vertex
+// state (the pre-refactor layout — a loads slice, and for the
+// sequence-oriented space the used-task set) and recomputes CE by an O(P)
+// rescan must drive the engine through the identical traversal — same
+// schedule, same stats — as the delta representation reading the engine's
+// incrementally maintained PathState.
 
 import (
 	"reflect"
@@ -140,118 +137,140 @@ func flatten(s []search.Assignment) []schedKey {
 	return out
 }
 
+// fullCopySequence is the same reference for the sequence-oriented space
+// (represent.NewSequence: round-robin processor, breadth cap = workers):
+// every vertex carries its own loads and used-task set, so Expand never
+// reads the engine's PathState — a wrong Used bitset or load after a
+// backtrack rebuild shows up as a diverging traversal.
+type fullCopySequence struct {
+	loads map[*search.Vertex][]time.Duration
+	used  map[*search.Vertex][]bool
+}
+
+func newFullCopySequence() *fullCopySequence {
+	return &fullCopySequence{
+		loads: make(map[*search.Vertex][]time.Duration),
+		used:  make(map[*search.Vertex][]bool),
+	}
+}
+
+func (f *fullCopySequence) Name() string { return "sequence-full-copy" }
+
+func (f *fullCopySequence) Root(p *search.Problem) *search.Vertex {
+	loads := search.RootLoads(p, nil)
+	v := &search.Vertex{CE: search.MaxCost{}.FromLoads(loads)}
+	f.loads[v] = loads
+	f.used[v] = make([]bool, len(p.Tasks))
+	return v
+}
+
+func (f *fullCopySequence) IsLeaf(p *search.Problem, v *search.Vertex) bool {
+	return v.Depth >= len(p.Tasks)
+}
+
+func (f *fullCopySequence) Expand(p *search.Problem, v *search.Vertex, _ *search.PathState) ([]*search.Vertex, int) {
+	loads, used := f.loads[v], f.used[v]
+	proc := v.Cursor % p.Workers
+	generated := 0
+	var succs []*search.Vertex
+	for i, t := range p.Tasks {
+		if used[i] {
+			continue
+		}
+		generated++
+		comm := p.Comm(t, proc)
+		end, ok := p.Feasible(t, loads[proc], comm)
+		if !ok {
+			continue
+		}
+		nl := append([]time.Duration(nil), loads...)
+		nl[proc] = end
+		nu := append([]bool(nil), used...)
+		nu[i] = true
+		sv := &search.Vertex{
+			Parent:       v,
+			Assign:       search.Assignment{Task: t, TaskIndex: i, Proc: proc, Comm: comm, EndOffset: end},
+			IsAssignment: true,
+			Depth:        v.Depth + 1,
+			Cursor:       v.Cursor + 1,
+			CE:           search.MaxCost{}.FromLoads(nl),
+		}
+		f.loads[sv], f.used[sv] = nl, nu
+		succs = append(succs, sv)
+		if len(succs) >= p.Workers {
+			break
+		}
+	}
+	return succs, generated
+}
+
 func TestDeltaMatchesFullCopyReference(t *testing.T) {
+	type refCase struct {
+		name          string
+		workers, txns int
+		seed          uint64
+		vc            time.Duration
+		sequence      bool
+	}
+	var cases []refCase
 	for _, workers := range []int{4, 10} {
 		for _, vc := range []time.Duration{time.Microsecond, time.Nanosecond} {
 			for seed := uint64(1); seed <= 5; seed++ {
-				p1 := fig5Problem(t, workers, 80, seed, vc)
-				p2 := fig5Problem(t, workers, 80, seed, vc)
-				delta, err := search.Run(p1, represent.NewAssignment())
-				if err != nil {
-					t.Fatal(err)
-				}
-				full, err := search.Run(p2, newFullCopy())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(flatten(delta.Schedule()), flatten(full.Schedule())) {
-					t.Fatalf("P=%d vc=%v seed=%d: delta and full-copy schedules differ:\n%v\nvs\n%v",
-						workers, vc, seed, flatten(delta.Schedule()), flatten(full.Schedule()))
-				}
-				ds, fs := delta.Stats, full.Stats
-				ds.Consumed, fs.Consumed = 0, 0 // equal iff all counters equal; compare those directly
-				if ds != fs {
-					t.Fatalf("P=%d vc=%v seed=%d: stats differ: %+v vs %+v", workers, vc, seed, ds, fs)
-				}
-				if delta.Stats.Consumed != full.Stats.Consumed {
-					t.Fatalf("P=%d vc=%v seed=%d: consumed differ: %v vs %v",
-						workers, vc, seed, delta.Stats.Consumed, full.Stats.Consumed)
-				}
-				// The delta engine must reproduce the loads the full-copy
-				// vertices carried.
-				if got, want := delta.Loads(p1), search.PathLoads(p2, full.Best); !reflect.DeepEqual(got, want) {
-					t.Fatalf("P=%d vc=%v seed=%d: best loads differ: %v vs %v", workers, vc, seed, got, want)
-				}
+				cases = append(cases, refCase{"batch", workers, 80, seed, vc, false})
 			}
 		}
 	}
-}
+	// The cliff-edge dive (BenchmarkSearchCore/full-dive): tree-bound, the
+	// first feasible schedule sits behind >1000 backtracks.
+	cases = append(cases, refCase{"dive", 10, 170, 6, time.Nanosecond, false})
+	// 1µs/vertex over a 120-task batch blows the 500µs quantum mid-tree.
+	for seed := uint64(1); seed <= 10; seed++ {
+		cases = append(cases, refCase{"expiring", 10, 120, seed, time.Microsecond, false})
+	}
+	cases = append(cases, refCase{"sequence", 4, 40, 3, time.Nanosecond, true})
 
-func TestSequentialMatchesParallel(t *testing.T) {
-	for _, workers := range []int{4, 10} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			mk := func() *search.Problem {
-				// 1ns per vertex: the search completes well inside the
-				// quantum, the regime where RunParallel guarantees the
-				// sequential schedule.
-				return fig5Problem(t, workers, 60, seed, time.Nanosecond)
+	expired := 0
+	for _, c := range cases {
+		var deltaRep, fullRep search.Representation = represent.NewAssignment(), newFullCopy()
+		if c.sequence {
+			deltaRep, fullRep = represent.NewSequence(c.workers), newFullCopySequence()
+		}
+		p1 := fig5Problem(t, c.workers, c.txns, c.seed, c.vc)
+		p2 := fig5Problem(t, c.workers, c.txns, c.seed, c.vc)
+		delta, err := search.Run(p1, deltaRep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := search.Run(p2, fullRep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(flatten(delta.Schedule()), flatten(full.Schedule())) {
+			t.Fatalf("%+v: delta and full-copy schedules differ:\n%v\nvs\n%v",
+				c, flatten(delta.Schedule()), flatten(full.Schedule()))
+		}
+		// Stats is comparable and includes Consumed: equal iff every
+		// counter and flag is.
+		if delta.Stats != full.Stats {
+			t.Fatalf("%+v: stats differ: %+v vs %+v", c, delta.Stats, full.Stats)
+		}
+		// The delta engine must reproduce the loads the full-copy
+		// vertices carried.
+		if got, want := delta.Loads(p1), search.PathLoads(p2, full.Best); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: best loads differ: %v vs %v", c, got, want)
+		}
+		switch c.name {
+		case "dive":
+			if !delta.Stats.Leaf || delta.Stats.Backtracks <= 1000 {
+				t.Fatalf("dive fixture must complete after >1000 backtracks: %+v", delta.Stats)
 			}
-			seq, err := search.Run(mk(), represent.NewAssignment())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.Stats.Expired {
-				t.Fatalf("P=%d seed=%d: fixture expired; equivalence not applicable", workers, seed)
-			}
-			want := flatten(seq.Schedule())
-			for _, degree := range []int{1, 2, 3, 8} {
-				par, err := search.RunParallel(mk(), represent.NewAssignment(), search.ParallelOptions{Degree: degree})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := flatten(par.Schedule()); !reflect.DeepEqual(got, want) {
-					t.Fatalf("P=%d seed=%d degree=%d: parallel schedule differs from sequential:\n%v\nvs\n%v",
-						workers, seed, degree, got, want)
-				}
-				if par.Best.Depth != seq.Best.Depth || par.Stats.Leaf != seq.Stats.Leaf {
-					t.Fatalf("P=%d seed=%d degree=%d: depth/leaf diverge: depth %d vs %d, leaf %v vs %v",
-						workers, seed, degree, par.Best.Depth, seq.Best.Depth, par.Stats.Leaf, seq.Stats.Leaf)
-				}
+		case "expiring":
+			if delta.Stats.Expired {
+				expired++
 			}
 		}
 	}
-}
-
-func TestParallelDeterministicAcrossRepeats(t *testing.T) {
-	// Same input, repeated runs, any degree: identical schedule — the
-	// planner determinism contract. Run under -race this also exercises
-	// the branch workers' synchronization.
-	for _, degree := range []int{2, 4, 0} { // 0 = GOMAXPROCS
-		var want []schedKey
-		for rep := 0; rep < 5; rep++ {
-			p := fig5Problem(t, 10, 120, 7, time.Microsecond)
-			res, err := search.RunParallel(p, represent.NewAssignment(), search.ParallelOptions{Degree: degree})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := flatten(res.Schedule())
-			if rep == 0 {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("degree=%d repeat %d: schedule changed across runs", degree, rep)
-			}
-		}
-	}
-}
-
-func TestParallelSequenceRepresentation(t *testing.T) {
-	// The sequence-oriented representation must work under the parallel
-	// driver too (engine-maintained Used bitset per branch state).
-	p := fig5Problem(t, 4, 40, 3, time.Nanosecond)
-	seq, err := search.Run(fig5Problem(t, 4, 40, 3, time.Nanosecond), represent.NewSequence(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats.Expired {
-		t.Skip("fixture expired; equivalence not applicable")
-	}
-	par, err := search.RunParallel(p, represent.NewSequence(4), search.ParallelOptions{Degree: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flatten(par.Schedule()), flatten(seq.Schedule())) {
-		t.Fatalf("sequence representation: parallel schedule differs from sequential")
+	if expired == 0 {
+		t.Fatal("no expiring fixture expired; the quantum-truncation path is not exercised")
 	}
 }

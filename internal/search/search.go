@@ -142,8 +142,7 @@ type Problem struct {
 	// BaseLoad is Load_k(j-1): each worker's outstanding execution time at
 	// Now, including the task it is currently running.
 	BaseLoad []time.Duration
-	// Comm returns c_lk for a task on a worker. It must be safe for
-	// concurrent calls when the problem is given to RunParallel.
+	// Comm returns c_lk for a task on a worker.
 	Comm func(t *task.Task, proc int) time.Duration
 	// VertexCost is the scheduling time charged for generating (allocating
 	// and evaluating) one vertex, including vertices that fail the
@@ -152,8 +151,7 @@ type Problem struct {
 	VertexCost time.Duration
 	// Clock, when non-nil, reports wall-clock time elapsed since the phase
 	// started; it overrides the virtual VertexCost accounting for live
-	// (non-simulated) deployments. It must be safe for concurrent calls
-	// when the problem is given to RunParallel.
+	// (non-simulated) deployments.
 	Clock func() time.Duration
 	// Strategy selects how the candidate list is ordered. The zero value
 	// is DFS, the paper's strategy.
@@ -178,14 +176,13 @@ type Problem struct {
 	BoundCE time.Duration
 
 	// phaseEnd caches Now.Add(Quantum), the term every feasibility test
-	// adds; Run and RunParallel compute it once before any engine starts,
-	// so the concurrent readers see an immutable field.
+	// adds; Run computes it once before the engine starts.
 	phaseEnd    simtime.Instant
 	phaseEndSet bool
 }
 
-// prepare caches the problem's derived terms. Run and RunParallel call it
-// once before searching; it must not be called concurrently with PhaseEnd.
+// prepare caches the problem's derived terms. Run calls it once before
+// searching.
 func (p *Problem) prepare() {
 	p.phaseEnd = p.Now.Add(p.Quantum)
 	p.phaseEndSet = true
@@ -438,8 +435,9 @@ func (st *PathState) MoveTo(p *Problem, from, to *Vertex) {
 
 // Representation defines the topology of the task space G: how the root
 // looks and how a vertex expands into feasible successors. Implementations
-// must be stateless (or read-only) so RunParallel can call Expand from
-// multiple goroutines.
+// must be stateless (or read-only): one value serves every phase of a run,
+// and the engine revisits vertices in backtrack order, so Expand may depend
+// only on its arguments.
 type Representation interface {
 	// Name identifies the representation in results and logs.
 	Name() string
@@ -462,10 +460,6 @@ type Stats struct {
 	Generated  int // vertices generated and evaluated
 	Expanded   int // vertices whose successors were generated
 	Backtracks int // expansions that did not extend the previous vertex
-	// Duplicates counts expansions skipped because the vertex's canonical
-	// state signature had already been visited (work-stealing driver with
-	// duplicate detection enabled; always 0 for the sequential engine).
-	Duplicates int
 	// BoundPruned counts generated vertices discarded by the incumbent
 	// cost bound (Problem.BoundCE); always 0 when no bound is set. Pruned
 	// vertices are still charged as generated — the bound saves the
@@ -481,18 +475,6 @@ type Stats struct {
 	// Consumed is the scheduling time actually used, <= Quantum (virtual
 	// mode) — the paper's "scheduling cost" metric.
 	Consumed time.Duration
-
-	// Work-stealing introspection (always 0 for the sequential engine).
-	// These describe how the parallel driver behaved, not what it computed:
-	// they depend on goroutine timing and vary run to run, so they are
-	// deliberately OUTSIDE the determinism contract — differential tests
-	// must not compare them. Counting happens off the expand hot path
-	// (steal loop, frame registration and settling under the run mutex).
-	Steals           int // frames stolen between workers
-	FramesSpawned    int // subtree frames pushed for parallel execution
-	FramesSettled    int // frames merged back in signature order
-	FrontierPeak     int // high-water mark of pending (unsettled) frames
-	IncumbentUpdates int // shared terminal-bound improvements (CAS wins)
 }
 
 // Result is the outcome of a search: the best feasible (partial) schedule
@@ -510,14 +492,10 @@ type Result struct {
 var resultPool = sync.Pool{New: func() any { return new(Result) }}
 
 // Release recycles the result and every vertex on its best path. Call it
-// only for results of the sequential Run, after the schedule has been
-// extracted; the result and its vertices must not be touched afterwards.
-// Without Release the best path's vertices — the one chain the engine can
-// never recycle itself, because the caller still reads it — leak from the
-// vertex pool one path per phase.
-//
-// Results of RunParallel must NOT be released: the work-stealing driver's
-// frame timelines can retain additional references into the best path.
+// after the schedule has been extracted; the result and its vertices must
+// not be touched afterwards. Without Release the best path's vertices — the
+// one chain the engine can never recycle itself, because the caller still
+// reads it — leak from the vertex pool one path per phase.
 func (r *Result) Release() {
 	for v := r.Best; v != nil; {
 		parent := v.Parent
@@ -631,9 +609,7 @@ func (rs *runScratch) release() {
 	runScratchPool.Put(rs)
 }
 
-// engine is one sequential quantum-bounded search over a subtree. The
-// work-stealing parallel driver runs one engine per frame; Run runs one
-// over the whole space.
+// engine is one sequential quantum-bounded search over the task space.
 type engine struct {
 	p      *Problem
 	rep    Representation
@@ -641,27 +617,9 @@ type engine struct {
 	budget *budget
 	// cl, when non-nil, is a caller-provided (pooled) candidate list; run
 	// otherwise builds one for the problem's strategy.
-	cl   candidateList
-	stop func() bool // optional cooperative cancellation
-	// ws, when non-nil, hooks the engine into the work-stealing driver:
-	// duplicate rejection, sibling spawning, event recording, and the
-	// dynamic budget cap (see parallel.go). Nil for the sequential Run.
-	ws *wsFrameCtx
+	cl candidateList
 
-	res     *Result
-	stopped bool // the stop hook ended the search
-}
-
-// expired reports whether the engine's budget is out. Under the
-// work-stealing driver (virtual mode) the ceiling is dynamic: the quantum
-// minus the settled reference consumption, which starts at the full
-// quantum and only tightens as strictly-earlier frames settle — always at
-// least this frame's true share, so speculation never under-explores.
-func (e *engine) expired() bool {
-	if e.ws != nil && e.p.Clock == nil {
-		return e.budget.virtual >= e.ws.capNow()
-	}
-	return e.budget.expired()
+	res *Result
 }
 
 // run searches the subtree rooted at start. st must already be positioned
@@ -673,10 +631,6 @@ func (e *engine) run(start *Vertex) {
 	cl := e.cl
 	if cl == nil {
 		cl = newCandidateList(e.p.Strategy)
-	}
-	if e.ws != nil {
-		// The frame's start is its initial best: charge-0 improvement.
-		e.ws.record(evImprove, 0, start, e.res.Stats)
 	}
 	defer func() {
 		// Recycle abandoned candidates: they were never expanded, so
@@ -692,88 +646,45 @@ func (e *engine) run(start *Vertex) {
 	}()
 
 	for {
-		if e.ws != nil {
-			// Events are stamped with loop-top charges: the quantity the
-			// sequential engine's expiry check gates on. A leaf is produced
-			// by the iteration that WALKED onto it (the previous one), so
-			// both the previous and current loop-top charges are tracked.
-			e.ws.prevTop = e.ws.lastTop
-			e.ws.lastTop = e.budget.virtual
-		}
 		if e.rep.IsLeaf(e.p, cv) {
 			e.res.Stats.Leaf = true
-			if e.ws != nil {
-				e.ws.record(evLeaf, e.ws.prevTop, cv, e.res.Stats)
-				e.ws.record(evEnd, e.ws.prevTop, nil, e.res.Stats)
-			}
 			return
 		}
 		if e.p.MaxDepth > 0 && cv.Depth >= e.p.MaxDepth {
 			e.res.Stats.DepthLimited = true
-			if e.ws != nil {
-				e.ws.record(evEnd, e.ws.prevTop, nil, e.res.Stats)
-			}
 			return
 		}
-		if e.expired() {
-			// Under the work-stealing driver this ends speculation at the
-			// dynamic cap; the settle pass decides where the reference
-			// search's quantum actually died. No end event — a frame
-			// without one is, by definition, budget-bounded — but the
-			// counters are checkpointed so a truncated frame's statistics
-			// stay exact up to the last fully-counted iteration.
+		if e.budget.expired() {
 			e.res.Stats.Expired = true
-			if e.ws != nil {
-				e.ws.record(evExpire, e.ws.prevTop, nil, e.res.Stats)
-			}
-			return
-		}
-		if e.stop != nil && e.stop() {
-			e.stopped = true
 			return
 		}
 
-		var succs []*Vertex
-		barren := true
-		if e.ws != nil && e.ws.dup != nil && e.ws.dup.visit(stateKey(cv, e.st)) {
-			// Re-expansion of a known state: prune it as if barren, free of
-			// charge — the first visit already paid for (and explored) it.
-			e.res.Stats.Duplicates++
-		} else {
-			var generated int
-			succs, generated = e.rep.Expand(e.p, cv, e.st)
-			e.res.Stats.Expanded++
-			e.res.Stats.Generated += generated
-			e.budget.charge(generated)
-			if e.p.BoundCE > 0 && len(succs) > 0 {
-				// Incumbent bound: a successor whose CE already matches or
-				// exceeds the complete incumbent's cost can never improve on
-				// it (CE is monotone along a path), so its whole subtree is
-				// dead. Filtering preserves order, so the surviving DFS is a
-				// subsequence of the unpruned traversal.
-				kept := succs[:0]
-				for _, s := range succs {
-					if s.CE >= e.p.BoundCE {
-						e.res.Stats.BoundPruned++
-						FreeVertex(s)
-						continue
-					}
-					kept = append(kept, s)
+		succs, generated := e.rep.Expand(e.p, cv, e.st)
+		e.res.Stats.Expanded++
+		e.res.Stats.Generated += generated
+		e.budget.charge(generated)
+		if e.p.BoundCE > 0 && len(succs) > 0 {
+			// Incumbent bound: a successor whose CE already matches or
+			// exceeds the complete incumbent's cost can never improve on
+			// it (CE is monotone along a path), so its whole subtree is
+			// dead. Filtering preserves order, so the surviving DFS is a
+			// subsequence of the unpruned traversal.
+			kept := succs[:0]
+			for _, s := range succs {
+				if s.CE >= e.p.BoundCE {
+					e.res.Stats.BoundPruned++
+					FreeVertex(s)
+					continue
 				}
-				succs = kept
+				kept = append(kept, s)
 			}
-			barren = len(succs) == 0
+			succs = kept
 		}
+		barren := len(succs) == 0
 
 		if barren && cl.len() == 0 {
 			e.res.Stats.DeadEnd = true
-			if e.ws != nil {
-				e.ws.record(evEnd, e.ws.lastTop, nil, e.res.Stats)
-			}
 			return
-		}
-		if e.ws != nil && !barren {
-			succs = e.ws.maybeSpawn(succs)
 		}
 		cl.push(succs)
 		PutSuccs(succs) // push copied the pointers; recycle the slice
@@ -781,45 +692,28 @@ func (e *engine) run(start *Vertex) {
 		next, ok := cl.pop()
 		if !ok {
 			e.res.Stats.DeadEnd = true
-			if e.ws != nil {
-				e.ws.record(evEnd, e.ws.lastTop, nil, e.res.Stats)
-			}
 			return
 		}
 		if next.Parent != cv {
 			e.res.Stats.Backtracks++
-			if e.ws != nil {
-				// First backtrack ends spawning for good: everything at or
-				// above the spine has been visited, so a later spawn would
-				// be out of signature order.
-				e.ws.spawning = false
-			}
 			if e.p.MaxBacktracks > 0 && e.res.Stats.Backtracks > e.p.MaxBacktracks {
 				e.res.Stats.BacktrackLimited = true
 				FreeVertex(next) // popped but never walked
-				if e.ws != nil {
-					e.ws.record(evEnd, e.ws.lastTop, nil, e.res.Stats)
-				}
 				return
 			}
 		}
 		e.st.MoveTo(e.p, cv, next)
 		if barren && cv != e.res.Best && cv != start {
 			// cv produced nothing and the path moved off it: no child, CL
-			// entry, best pointer — or, under the driver, recorded event:
-			// an event-recorded vertex is the best of the iteration that
-			// walked it, and Best cannot have moved since — can still
-			// reference it, so recycle it now rather than leaving the whole
-			// exhausted frontier to the GC.
+			// entry or best pointer can still reference it, so recycle it
+			// now rather than leaving the whole exhausted frontier to the
+			// GC.
 			FreeVertex(cv)
 		}
 		cv = next
 
 		if better(cv, e.res.Best) {
 			e.res.Best = cv
-			if e.ws != nil {
-				e.ws.record(evImprove, e.ws.lastTop, cv, e.res.Stats)
-			}
 		}
 	}
 }
@@ -923,13 +817,6 @@ type budget struct {
 	p       *Problem
 	virtual time.Duration
 }
-
-func newBudget(p *Problem) *budget { return &budget{p: p} }
-
-// fork returns an independent budget that has already consumed everything
-// this one has — the seed for a parallel branch engine, which must behave
-// as if it alone continued the sequential search.
-func (b *budget) fork() *budget { return &budget{p: b.p, virtual: b.virtual} }
 
 func (b *budget) charge(vertices int) {
 	b.virtual += time.Duration(vertices) * b.p.VertexCost

@@ -4,14 +4,8 @@
 # sub-benchmark. The committed BENCH_search.json at the repo root is the
 # baseline the CI bench-regression job compares against (scripts/benchcmp).
 #
-# GOMAXPROCS is pinned (default 4) so the parallel sub-benchmarks measure a
-# fixed scheduling width: the committed baseline and every CI run record the
-# same gomaxprocs metric, and the bench gate's parallel-beats-sequential
-# ordering compares like with like across runners.
-#
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=2s COUNT=3 scripts/bench.sh   # longer / repeated runs
-#   GOMAXPROCS=8 scripts/bench.sh           # wider parallel matrix point
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,7 +13,7 @@ OUT="${1:-BENCH_search.json}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
-GOMAXPROCS="${GOMAXPROCS:-4}" go test -run '^$' -bench BenchmarkSearchCore -benchmem \
+go test -run '^$' -bench BenchmarkSearchCore -benchmem \
     -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-1}" \
     ./internal/search/ | tee "$TMP"
 

@@ -9,12 +9,6 @@
 // zero rule — a zero cost baseline means any non-zero value fails outright
 // (the expand path is allocation-free by construction).
 //
-// -order gates an absolute ordering inside the NEW results: "A<B" requires
-// benchmark A's ns_per_op to beat B's. When A records a gomaxprocs metric
-// (the parallel suite does), the ordering is only meaningful on a multi-core
-// run, so gomaxprocs < 4 fails the gate outright rather than passing
-// vacuously on a starved runner.
-//
 // -cap gates absolute ceilings on the NEW results' gate benchmark,
 // independent of the baseline: "allocs_per_op<=269" fails when the gate
 // benchmark's allocs/op exceeds 269 on this run, however the baseline
@@ -27,7 +21,6 @@
 //	go run ./scripts/benchcmp base.json new.json
 //	go run ./scripts/benchcmp -gate 'shards=4' -metrics tasks_per_s -threshold 0.30 base.json new.json
 //	go run ./scripts/benchcmp -gate 'shards=4/batch=all' -metrics tasks_per_s -cap 'allocs_per_op<=269' base.json new.json
-//	go run ./scripts/benchcmp -order 'full-dive-parallel/workers=4<full-dive' base.json new.json
 package main
 
 import (
@@ -73,7 +66,6 @@ func main() {
 	gate := flag.String("gate", "expand-only", "benchmark whose regression fails the comparison")
 	metrics := flag.String("metrics", "ns_per_op,allocs_per_op", "comma-separated metrics to gate on")
 	threshold := flag.Float64("threshold", 0.20, "relative regression that fails (0.20 = 20% worse)")
-	order := flag.String("order", "", `absolute ordering gate on the new results: "A<B" fails unless A's ns_per_op beats B's (and A ran at gomaxprocs >= 4 when it records that metric)`)
 	caps := flag.String("cap", "", `comma-separated absolute ceilings on the gate benchmark's NEW results: "allocs_per_op<=269" fails when the metric exceeds the bound`)
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -151,9 +143,6 @@ func main() {
 	if *caps != "" && !checkCaps(*gate, cm, *caps) {
 		failed = true
 	}
-	if *order != "" && !checkOrder(cur, *order) {
-		failed = true
-	}
 	if failed {
 		os.Exit(1)
 	}
@@ -193,39 +182,4 @@ func checkCaps(gate string, cm map[string]float64, caps string) bool {
 		}
 	}
 	return ok
-}
-
-// checkOrder enforces an "A<B" ordering gate on the new results: A must
-// beat B on ns_per_op. A gate that could not run at real parallelism is a
-// failure, not a skip — if A records a gomaxprocs metric below 4 the
-// comparison is vacuous (a single-CPU runner can't demonstrate multi-core
-// scaling) and CI must surface that instead of going green.
-func checkOrder(cur *File, order string) bool {
-	a, b, ok := strings.Cut(order, "<")
-	a, b = strings.TrimSpace(a), strings.TrimSpace(b)
-	if !ok || a == "" || b == "" {
-		fmt.Fprintf(os.Stderr, "benchcmp: -order %q must have the form A<B\n", order)
-		os.Exit(2)
-	}
-	am, ok := cur.Benchmarks[a]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchcmp: new results have no %q benchmark for -order\n", a)
-		os.Exit(2)
-	}
-	bm, ok := cur.Benchmarks[b]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchcmp: new results have no %q benchmark for -order\n", b)
-		os.Exit(2)
-	}
-	if gmp, has := am["gomaxprocs"]; has && gmp < 4 {
-		fmt.Printf("FAIL order %s: %s ran at gomaxprocs=%.0f (need >= 4 for the ordering to be meaningful)\n", order, a, gmp)
-		return false
-	}
-	an, bn := am["ns_per_op"], bm["ns_per_op"]
-	if !(an > 0 && bn > 0 && an < bn) {
-		fmt.Printf("FAIL order %s: %.1f ns/op !< %.1f ns/op\n", order, an, bn)
-		return false
-	}
-	fmt.Printf("ok   order %s: %.1f ns/op < %.1f ns/op (%.2fx)\n", order, an, bn, bn/an)
-	return true
 }
