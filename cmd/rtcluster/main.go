@@ -100,7 +100,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	rejoinMax := fs.Int("rejoin-max", 0, "federation: max rejoins per shard before it is closed for good (0 = default)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /journal, expvar and pprof on this address while the run is live (e.g. :8077 or :0)")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of the live run (chrome://tracing, Perfetto)")
-	traceLimit := fs.Int("trace-limit", 0, "maximum trace events to keep (0 = unlimited)")
 	progress := fs.Duration("progress", 0, "report run progress to stderr at this wall-clock interval (0 = off)")
 	journalOut := fs.String("journal", "", "write the structured event journal as JSON Lines to this file (federation-merged when -shards > 1)")
 	taskTraceOut := fs.String("task-trace", "", "write a task-per-track Chrome trace of task lifecycles to this file (single cluster or federation-merged)")
@@ -310,14 +309,12 @@ func run(args []string, out io.Writer) (retErr error) {
 			}, *debugAddr, *journalOut, *taskTraceOut)
 		}
 
-		// Observability: one observer feeds the registry, the journal, the
-		// trace sink, the debug endpoint and the progress reporter.
+		// Observability: one observer feeds the registry and the journal;
+		// the debug endpoint, the progress reporter and every -trace,
+		// -journal and -task-trace export read from those two.
 		var observer *obs.Observer
 		if *debugAddr != "" || *traceOut != "" || *journalOut != "" || *taskTraceOut != "" || *progress > 0 {
 			observer = obs.New(0)
-			if *traceOut != "" {
-				observer.EnableTrace(*traceLimit)
-			}
 		}
 		cfg := livecluster.Config{
 			Workload:  w,
@@ -429,12 +426,12 @@ func runFederation(out io.Writer, cfg federation.Config, debugAddr, journalOut, 
 	}
 	fmt.Fprintf(out, "topology: %s, placement %s, migration %s\n", cfg.Topology, cfg.Placement, migration)
 	if debugAddr != "" {
-		srv, err := federation.Serve(debugAddr, f)
+		srv, err := obs.ServeHandler(debugAddr, f.Handler(), f.Registry())
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(out, "debug endpoint: %s (/metrics with per-shard labels, /healthz, /slo, /trace/task, /journal)\n", srv.URL())
+		fmt.Fprintf(out, "debug endpoint: %s (/metrics with per-shard labels, /healthz, /slo, /trace/task, /journal, /debug/pprof)\n", srv.URL())
 	}
 	// Flush the merged journal and task-flow trace on every exit path, like
 	// the single-cluster flight recorder.
@@ -473,22 +470,19 @@ func runFederation(out io.Writer, cfg federation.Config, debugAddr, journalOut, 
 	return res.Reconcile()
 }
 
-// writeTrace exports the observer's trace sink as Chrome trace-event JSON.
+// writeTrace exports the observer's journal as the worker-track Chrome
+// trace.
 func writeTrace(path string, observer *obs.Observer, out io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", path, err)
 	}
 	defer f.Close()
-	log := observer.TraceSink().Snapshot()
-	if err := log.WriteChromeTrace(f); err != nil {
+	entries, evicted := observer.Journal().Export()
+	if err := obs.WriteChromeTrace(f, entries, evicted); err != nil {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
-	note := ""
-	if d := log.Dropped(); d > 0 {
-		note = fmt.Sprintf(" (%d events dropped at the limit)", d)
-	}
-	fmt.Fprintf(out, "wrote %s (%d events)%s — open in chrome://tracing or Perfetto\n", path, log.Len(), note)
+	fmt.Fprintf(out, "wrote %s (%d journal entries, %d evicted) — open in chrome://tracing or Perfetto\n", path, len(entries), evicted)
 	return nil
 }
 

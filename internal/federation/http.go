@@ -3,14 +3,13 @@ package federation
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
-	"time"
 
 	"rtsads/internal/obs"
 )
 
-// Handler returns the federation's debug endpoints:
+// Handler returns the federation's debug endpoints (obs.ServeHandler serves
+// them with /debug/pprof and /debug/vars mounted beside):
 //
 //	/metrics — one merged Prometheus exposition: the router's
 //	    rtsads_fed_* counters plus every shard's rtsads_* families, each
@@ -82,49 +81,4 @@ func (f *Federation) Handler() http.Handler {
 		obs.WriteEntriesJSONL(w, entries, evicted)
 	})
 	return mux
-}
-
-// Server serves a Federation's Handler in the background until Close.
-type Server struct {
-	lis net.Listener
-	srv *http.Server
-}
-
-// Serve starts the federation debug endpoint on addr (host:port; port 0
-// picks a free port).
-func Serve(addr string, f *Federation) (*Server, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("federation: listen %s: %w", addr, err)
-	}
-	s := &Server{
-		lis: lis,
-		srv: &http.Server{Handler: f.Handler(), ReadHeaderTimeout: 5 * time.Second},
-	}
-	go s.srv.Serve(lis)
-	return s, nil
-}
-
-// Addr returns the bound address (resolving ":0" to the actual port).
-func (s *Server) Addr() string {
-	if s == nil {
-		return ""
-	}
-	return s.lis.Addr().String()
-}
-
-// URL returns the endpoint's base URL.
-func (s *Server) URL() string {
-	if s == nil {
-		return ""
-	}
-	return "http://" + s.Addr()
-}
-
-// Close stops the server immediately.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
 }

@@ -9,7 +9,6 @@ import (
 	"rtsads/internal/faultinject"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
-	"rtsads/internal/trace"
 	"rtsads/internal/workload"
 )
 
@@ -40,14 +39,13 @@ func assertObsReconciles(t *testing.T, o *obs.Observer, res *metrics.RunResult) 
 // TestObsReconcilesChannelFailover runs the issue's acceptance scenario on
 // the channel backend — a worker killed mid-run — and checks the observer's
 // registry totals reconcile exactly with the final RunResult, the journal
-// holds the fault story, and the trace sink exports the run.
+// holds the fault story, and the worker-track view of it shows the run.
 func TestObsReconcilesChannelFailover(t *testing.T) {
 	w, err := workload.Generate(faultParams(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New(0)
-	sink := o.EnableTrace(0)
 	c, err := New(Config{
 		Workload:          w,
 		Scale:             50,
@@ -85,22 +83,19 @@ func TestObsReconcilesChannelFailover(t *testing.T) {
 		t.Errorf("journal missing fault story: down=%v reroute-after-down=%v", sawDown, sawReroute)
 	}
 
-	// The trace sink carries the same run: host phases, executions, the
-	// worker-down instant, reroutes.
-	log := sink.Snapshot()
-	if got := len(log.Filter(trace.PhaseEnd)); got != res.Phases {
-		t.Errorf("trace has %d phase-end events, RunResult says %d phases", got, res.Phases)
-	}
-	if len(log.Filter(trace.Exec)) == 0 || len(log.Filter(trace.WorkerDown)) == 0 ||
-		len(log.Filter(trace.Reroute)) == 0 {
-		t.Error("trace sink missing exec/worker-down/reroute events")
-	}
+	// The Chrome view renders the same run from that journal: one span per
+	// host phase, executions, the worker-down instant, reroutes.
 	var b strings.Builder
-	if err := log.WriteChromeTrace(&b); err != nil {
+	if err := o.Journal().WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "worker 0 down") {
-		t.Error("chrome trace of the live run has no worker-down instant")
+	if got := strings.Count(b.String(), `{"name":"phase `); got != res.Phases {
+		t.Errorf("chrome trace has %d phase spans, RunResult says %d phases", got, res.Phases)
+	}
+	for _, want := range []string{`{"name":"task `, `{"name":"worker 0 down"`, `{"name":"reroute task `} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("chrome trace of the live run has no %s event", want)
+		}
 	}
 }
 

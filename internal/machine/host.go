@@ -9,7 +9,6 @@ import (
 	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
-	"rtsads/internal/trace"
 )
 
 // Host is the virtual-time host processor of one scheduler domain and the
@@ -110,7 +109,6 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	// Purge tasks whose deadlines have already been missed (§4.1).
 	for _, t := range h.Batch.PurgeMissed(now) {
 		res.Purged++
-		cfg.Trace.Add(trace.Event{At: now, Kind: trace.Purge, Task: t.ID, Proc: -1})
 		cfg.Obs.Purge(t.ID, now)
 		h.record(metrics.Completion{Task: t.ID, Proc: -1})
 	}
@@ -134,13 +132,11 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 		}
 	}
 	phase := res.Phases
-	cfg.Trace.Add(trace.Event{At: now, Kind: trace.PhaseStart, Phase: phase, Proc: -1})
 	cfg.Obs.PhaseStart(phase, h.Batch.Len(), now)
 	out, err := cfg.Planner.PlanPhase(core.PhaseInput{Now: now, Batch: h.Batch.Tasks(), Loads: h.loads})
 	if err != nil {
 		return 0, fmt.Errorf("phase %d: %w", phase, err)
 	}
-	cfg.Trace.Add(trace.Event{At: now.Add(out.Used), Kind: trace.PhaseEnd, Phase: phase, Proc: -1, Dur: out.Used})
 	cfg.Obs.PhaseEnd(phase, now.Add(out.Used), BookPhase(res, &out))
 
 	deliver := now.Add(simtime.MaxDur(out.Used, cfg.MinAdvance))
@@ -188,8 +184,6 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 			// than assume, so a planner bug surfaces in every result.
 			res.ScheduledMissed++
 		}
-		cfg.Trace.Add(trace.Event{At: deliver, Kind: trace.Deliver, Phase: phase, Task: a.Task.ID, Proc: a.Proc})
-		cfg.Trace.Add(trace.Event{At: start, Kind: trace.Exec, Task: a.Task.ID, Proc: a.Proc, Dur: finish.Sub(start), Hit: hit})
 		cfg.Obs.Deliver(phase, a.Task.ID, a.Proc, a.Comm, deliver)
 		cfg.Obs.Exec(a.Task.ID, a.Proc, start, finish, hit,
 			finish.Sub(a.Task.Arrival), a.Task.Deadline.Sub(finish))

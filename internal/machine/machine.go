@@ -21,7 +21,6 @@ import (
 	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
-	"rtsads/internal/trace"
 )
 
 // Config configures a machine.
@@ -40,11 +39,9 @@ type Config struct {
 	RecordCompletions bool
 	// MaxPhases aborts pathological runs. Defaults to 10 million.
 	MaxPhases int
-	// Trace, when non-nil, records the run's timeline (phases,
-	// deliveries, executions, purges).
-	Trace *trace.Log
-	// Obs, when non-nil, mirrors the live cluster's observability hooks
-	// on the deterministic machine — the same named metrics and journal
+	// Obs, when non-nil, records the run's timeline (arrivals, phases,
+	// deliveries, executions, purges, injected crashes) through the live
+	// cluster's observability hooks — the same named metrics and journal
 	// entries, for simulator/live parity. Virtual timestamps are exact;
 	// wall timestamps are the (meaningless) recording times.
 	Obs *obs.Observer
@@ -111,7 +108,6 @@ func (m *Machine) Run(tasks []*task.Task) (*metrics.RunResult, error) {
 		// Absorb every arrival at or before the current time.
 		for ; next < len(pending) && !pending[next].Arrival.After(now); next++ {
 			t := pending[next]
-			m.cfg.Trace.Add(trace.Event{At: t.Arrival, Kind: trace.Arrival, Task: t.ID, Proc: -1})
 			m.cfg.Obs.Arrival(t.ID, t.Arrival, t.Deadline)
 			h.Batch.Add(t)
 		}

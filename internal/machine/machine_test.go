@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -8,9 +9,9 @@ import (
 	"rtsads/internal/affinity"
 	"rtsads/internal/core"
 	"rtsads/internal/metrics"
+	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
-	"rtsads/internal/trace"
 	"rtsads/internal/workload"
 )
 
@@ -317,8 +318,8 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := trace.NewLog(0)
-	m, err := New(Config{Workers: 2, Planner: plannerFor(t, 2, core.NewRTSADS), Trace: log})
+	o := obs.New(0)
+	m, err := New(Config{Workers: 2, Planner: plannerFor(t, 2, core.NewRTSADS), Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,29 +327,87 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(log.Filter(trace.Arrival)); got != res.Total {
-		t.Errorf("traced %d arrivals, want %d", got, res.Total)
+	entries, evicted := o.Journal().Export()
+	if evicted != 0 {
+		t.Fatalf("journal evicted %d entries of a 50-transaction run", evicted)
 	}
-	if got := len(log.Filter(trace.Exec)); got != res.Hits+res.ScheduledMissed {
-		t.Errorf("traced %d execs, want %d", got, res.Hits+res.ScheduledMissed)
+	n := map[string]int{}
+	for _, e := range entries {
+		n[e.Type]++
 	}
-	if got := len(log.Filter(trace.Purge)); got != res.Purged {
-		t.Errorf("traced %d purges, want %d", got, res.Purged)
-	}
-	if got := len(log.Filter(trace.PhaseStart)); got != res.Phases {
-		t.Errorf("traced %d phase starts, want %d", got, res.Phases)
-	}
-	// Deliveries match executions one to one.
-	if d, e := len(log.Filter(trace.Deliver)), len(log.Filter(trace.Exec)); d != e {
-		t.Errorf("%d deliveries vs %d executions", d, e)
+	for typ, want := range map[string]int{
+		"arrival":     res.Total,
+		"exec":        res.Hits + res.ScheduledMissed,
+		"purge":       res.Purged,
+		"phase-start": res.Phases,
+		"deliver":     n["exec"], // deliveries match executions one to one
+	} {
+		if n[typ] != want {
+			t.Errorf("journaled %d %s entries, want %d", n[typ], typ, want)
+		}
 	}
 	// The Gantt renders without error and mentions both workers.
 	var b strings.Builder
-	if err := log.Gantt(&b, 2, 60); err != nil {
+	if err := obs.Gantt(&b, entries, 2, 60); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "worker  1") {
 		t.Errorf("gantt missing workers:\n%s", b.String())
+	}
+}
+
+// TestCrashShowsOnTheWorkersTrack: an injected crash must be visible in the
+// rendered timeline — the lost tasks and the worker-down instant on the
+// crashed worker's own track, at the crash instant.
+func TestCrashShowsOnTheWorkersTrack(t *testing.T) {
+	p := workload.DefaultParams(3)
+	p.NumTransactions = 150
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(0)
+	m, err := New(Config{
+		Workers: 3,
+		Planner: plannerFor(t, 3, core.NewRTSADS),
+		FailAt:  map[int]simtime.Instant{1: simtime.Instant(2 * ms)},
+		Obs:     o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(w.Tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LostToFailure == 0 {
+		t.Fatal("the crash lost no task: the scenario does not exercise the lost instant")
+	}
+	var b strings.Builder
+	if err := o.Journal().WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal([]byte(b.String()), &events); err != nil {
+		t.Fatalf("chrome view is not valid JSON: %v", err)
+	}
+	var lost, down int
+	for _, e := range events {
+		name, _ := e["name"].(string)
+		switch {
+		case strings.HasPrefix(name, "lost task "):
+			lost++
+		case name == "worker 1 down":
+			down++
+		default:
+			continue
+		}
+		if e["ph"] != "i" || e["tid"] != 1.0 || e["ts"] != 2000.0 {
+			t.Errorf("%q = %v, want an instant on worker 1's track at the 2ms crash", name, e)
+		}
+	}
+	if lost != res.LostToFailure || down != 1 {
+		t.Errorf("chrome view shows %d lost and %d worker-down instants, want %d and 1", lost, down, res.LostToFailure)
 	}
 }
 

@@ -5,36 +5,18 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"rtsads/internal/simtime"
 )
 
-// This file is the task-flow Chrome-trace exporter: where the journal
-// bridge renders the run machine-centric (one track per worker plus the
-// host), this renders it task-centric — one track per task flow, showing
-// each task's queued time, lifecycle decisions (admission, routing,
+// This file is the task-track Chrome view of the journal: where
+// WriteChromeTrace renders the run machine-centric (one track per worker
+// plus the host), this renders it task-centric — one track per task flow,
+// showing each task's queued time, lifecycle decisions (admission, routing,
 // migration, reroutes) and execution as one horizontal story. Load the
 // output in chrome://tracing or Perfetto.
 
-// flowEvent is one Chrome trace-event entry (the JSON array flavour),
-// mirroring the trace package's private encoder for task-track layout.
-type flowEvent struct {
-	Name     string            `json:"name"`
-	Phase    string            `json:"ph"`
-	TimeUS   float64           `json:"ts"`
-	DurUS    float64           `json:"dur,omitempty"`
-	PID      int               `json:"pid"`
-	TID      int               `json:"tid"`
-	Args     map[string]string `json:"args,omitempty"`
-	Category string            `json:"cat,omitempty"`
-}
-
 const flowPID = 2 // distinct from the machine-centric trace's pid 1
-
-func flowUS(t simtime.Instant) float64 {
-	return float64(t) / float64(time.Microsecond)
-}
 
 // WriteTaskFlowTrace exports lifecycle entries (one journal or a
 // federation merge) as Chrome trace-event JSON with one track per task:
@@ -50,17 +32,14 @@ func WriteTaskFlowTrace(w io.Writer, entries []Entry) error {
 	}
 	sort.Ints(ids)
 
-	events := make([]flowEvent, 0, len(entries)+len(ids))
+	events := make([]chromeEvent, 0, len(entries)+len(ids))
 	for _, id := range ids {
 		tt := traces[id]
 		name := fmt.Sprintf("task %d", id)
 		if tt.Terminal != "" {
 			name += " · " + tt.Terminal
 		}
-		events = append(events, flowEvent{
-			Name: "thread_name", Phase: "M", PID: flowPID, TID: id,
-			Args: map[string]string{"name": name},
-		})
+		events = append(events, threadName(flowPID, id, name))
 
 		var arrivalAt simtime.Instant
 		haveArrival := false
@@ -96,17 +75,10 @@ func WriteTaskFlowTrace(w io.Writer, entries []Entry) error {
 				events = append(events, flowInstant(e, fmt.Sprintf("deliver -> worker %d", e.Worker), "lifecycle",
 					map[string]string{"comm": e.Dur.String()}))
 			case "exec":
-				verdict := "hit"
-				if !e.Hit {
-					verdict = "miss"
-				}
-				events = append(events, flowEvent{
-					Name: fmt.Sprintf("exec on worker %d", e.Worker), Phase: "X",
-					Category: "execution",
-					TimeUS:   flowUS(e.Virtual),
-					DurUS:    float64(e.Dur) / float64(time.Microsecond),
-					PID:      flowPID, TID: id,
-					Args: map[string]string{"deadline": verdict, "slack": e.Slack.String()},
+				events = append(events, chromeEvent{
+					Name: fmt.Sprintf("exec on worker %d", e.Worker), Phase: "X", Category: "execution",
+					TimeUS: us(e.Virtual), DurUS: us(e.Dur), PID: flowPID, TID: id,
+					Args: map[string]string{"deadline": verdict(e.Hit), "slack": e.Slack.String()},
 				})
 			}
 		}
@@ -118,11 +90,9 @@ func WriteTaskFlowTrace(w io.Writer, entries []Entry) error {
 				end = exec.Virtual
 			}
 			if end.After(arrivalAt) {
-				events = append(events, flowEvent{
+				events = append(events, chromeEvent{
 					Name: "queued", Phase: "X", Category: "queue",
-					TimeUS: flowUS(arrivalAt),
-					DurUS:  float64(end.Sub(arrivalAt)) / float64(time.Microsecond),
-					PID:    flowPID, TID: id,
+					TimeUS: us(arrivalAt), DurUS: us(end.Sub(arrivalAt)), PID: flowPID, TID: id,
 				})
 			}
 		}
@@ -130,13 +100,8 @@ func WriteTaskFlowTrace(w io.Writer, entries []Entry) error {
 	return json.NewEncoder(w).Encode(events)
 }
 
-func flowInstant(e *Entry, name, cat string, args map[string]string) flowEvent {
-	return flowEvent{
-		Name: name, Phase: "i", Category: cat,
-		TimeUS: flowUS(e.Virtual),
-		PID:    flowPID, TID: e.Task,
-		Args: args,
-	}
+func flowInstant(e *Entry, name, cat string, args map[string]string) chromeEvent {
+	return instant(e, flowPID, e.Task, name, cat, args)
 }
 
 // WriteTaskFlowTrace renders this journal's lifecycle as a task-per-track

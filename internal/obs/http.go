@@ -15,7 +15,7 @@ import (
 
 // expvarReg is the registry the process-wide expvar view reads from;
 // publishing into expvar is once-per-process (expvar.Publish panics on
-// duplicates), so Serve swaps the pointer instead of re-publishing.
+// duplicates), so ServeHandler swaps the pointer instead of re-publishing.
 var (
 	expvarReg  atomic.Pointer[Registry]
 	expvarOnce sync.Once
@@ -27,10 +27,11 @@ func publishExpvar() {
 	}))
 }
 
-// Server is the HTTP debug endpoint: /metrics (Prometheus text
-// exposition), /healthz (per-worker liveness as JSON), /journal (the event
-// journal as JSON Lines), /debug/vars (expvar) and /debug/pprof. It binds
-// eagerly so ":0" works, and serves in the background until Close.
+// Server is the HTTP debug endpoint: a run's own routes (one cluster's are
+// /metrics as Prometheus text exposition, /healthz as per-worker liveness
+// JSON, /journal as JSON Lines, /slo and /trace/task) plus /debug/vars
+// (expvar) and /debug/pprof. It binds eagerly so ":0" works, and serves in
+// the background until Close.
 type Server struct {
 	lis net.Listener
 	srv *http.Server
@@ -39,13 +40,41 @@ type Server struct {
 // Serve starts the debug endpoint on addr (host:port; port 0 picks a free
 // port) over the observer's registry, journal and health view.
 func Serve(addr string, o *Observer) (*Server, error) {
+	return ServeHandler(addr, o.handler(), o.Registry())
+}
+
+// ServeHandler starts a debug endpoint on addr serving h — one cluster's
+// routes or a federation's — with the process-wide ones mounted beside it:
+// /debug/pprof/* and /debug/vars, the latter publishing reg. Every debug
+// server goes through here, so every topology can be profiled the same way.
+func ServeHandler(addr string, h http.Handler, reg *Registry) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	expvarReg.Store(o.Registry())
+	expvarReg.Store(reg)
 	expvarOnce.Do(publishExpvar)
 
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+
+	s := &Server{
+		lis: lis,
+		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
+	}
+	go s.srv.Serve(lis)
+	return s, nil
+}
+
+// handler builds one cluster's routes over the observer's registry, journal
+// and health view.
+func (o *Observer) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -82,19 +111,7 @@ func Serve(addr string, o *Observer) (*Server, error) {
 	mux.HandleFunc("/trace/task", func(w http.ResponseWriter, r *http.Request) {
 		ServeTaskTrace(w, r, func() ([]Entry, int64) { return o.Journal().Export() })
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	s := &Server{
-		lis: lis,
-		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-	}
-	go s.srv.Serve(lis)
-	return s, nil
+	return mux
 }
 
 // ServeTaskTrace answers /trace/task?id=N over any journal source — one

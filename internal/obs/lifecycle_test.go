@@ -219,40 +219,32 @@ func TestWriteTaskFlowTraceFederation(t *testing.T) {
 
 func TestBridgeFederationKindsAndDropAccounting(t *testing.T) {
 	merged := mergedFed()
-	events, dropped := TraceEvents(merged)
-	// phase-end ×2 map; the rest are lifecycle kinds. Nothing here is
-	// untraceable.
-	if dropped != 0 {
-		t.Errorf("dropped %d entries from an all-traceable journal", dropped)
+	// phase-end ×2 are spans; the rest are lifecycle instants. Nothing here
+	// is untracked, so the view carries no truncation metadata.
+	view := chromeView(t, merged, 0)
+	if labels := named(view, "process_labels"); len(labels) != 0 {
+		t.Errorf("an all-traceable journal reported truncation: %v", labels)
 	}
-	byKind := map[string]int{}
-	for _, e := range events {
-		byKind[e.Kind.String()]++
-	}
-	for kind, n := range map[string]int{"route": 2, "migrate": 1, "bounce": 1, "admit": 3, "exec": 2} {
-		if byKind[kind] != n {
-			t.Errorf("bridge produced %d %s events, want %d", byKind[kind], kind, n)
+	for name, n := range map[string]int{"route task": 2, "migrate task": 1, "bounce task": 1, "admit task": 3, "task ": 2} {
+		if got := len(named(view, name)); got != n {
+			t.Errorf("chrome view has %d %q events, want %d", got, name, n)
 		}
 	}
 
-	// A journal mixing traceable and untraceable types reports the exact
-	// drop count, and WriteChromeTrace surfaces it as metadata.
+	// A journal mixing tracked and untracked types reports the exact
+	// count through the Journal method too.
 	j := NewJournal(0)
 	for _, e := range merged {
 		j.Record(e)
 	}
 	j.Record(Entry{Type: "run-start", Worker: -1})
 	j.Record(Entry{Type: "overload", Worker: 0})
-	_, dropped = TraceEvents(j.Snapshot())
-	if dropped != 2 {
-		t.Errorf("dropped = %d, want 2", dropped)
-	}
 	var b strings.Builder
 	if err := j.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "2 journal entries without a trace track omitted") {
-		t.Errorf("chrome export does not report the drop count:\n%s", b.String())
+		t.Errorf("chrome export does not report the untracked count:\n%s", b.String())
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package obs is the live cluster's observability layer: a lock-cheap
 // metrics registry (counters, gauges, duration histograms with Prometheus
 // text exposition), a bounded structured event journal with wall-clock and
-// virtual timestamps, a bridge rendering journals through the trace
-// package's Chrome/Perfetto exporter, and an HTTP debug endpoint serving
-// /metrics, /healthz, expvar and pprof.
+// virtual timestamps, the views rendered from that journal (JSONL, two
+// Chrome/Perfetto traces, a Gantt chart, per-task lifecycles), and an HTTP
+// debug endpoint serving /metrics, /healthz, expvar and pprof.
 //
 // The paper's evaluation (§5) measures scheduling cost, quantum sizing and
 // deadline compliance as the system runs; this package makes the same
@@ -20,12 +20,10 @@ package obs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
-	"rtsads/internal/trace"
 )
 
 // Metric names exposed by the registry. The *_total counters ending in
@@ -136,13 +134,12 @@ type WorkerHealth struct {
 	Alive  bool `json:"alive"`
 }
 
-// Observer fans one stream of run events out to the registry, the journal,
-// and (when enabled) a concurrency-safe trace sink. Construct with New;
-// a nil Observer ignores everything.
+// Observer fans one stream of run events out to the registry (counts) and
+// the journal (the one event record every trace view renders from).
+// Construct with New; a nil Observer ignores everything.
 type Observer struct {
 	reg     *Registry
 	journal *Journal
-	sink    *trace.SafeLog
 
 	wall func() time.Time
 
@@ -173,12 +170,11 @@ type Observer struct {
 	// property the federation's checkpoint accounting leans on.
 	settle func(task.ID, string)
 
-	lastVirtual atomic.Int64 // most recent event's virtual time
+	lastVirtual Gauge // the latest virtual time any event carried
 }
 
 // New returns an observer over a fresh registry and a journal of the given
-// capacity (<= 0 selects DefaultJournalCap). Tracing is off until
-// EnableTrace.
+// capacity (<= 0 selects DefaultJournalCap).
 func New(journalCap int) *Observer {
 	reg := NewRegistry()
 	o := &Observer{
@@ -232,16 +228,6 @@ func New(journalCap int) *Observer {
 	return o
 }
 
-// EnableTrace attaches a concurrency-safe trace sink keeping at most limit
-// events (0 = unlimited) and returns it. Call before the run starts.
-func (o *Observer) EnableTrace(limit int) *trace.SafeLog {
-	if o == nil {
-		return nil
-	}
-	o.sink = trace.NewSafeLog(limit)
-	return o.sink
-}
-
 // OnSettle registers fn to run once per terminal task verdict with the
 // verdict's metric name (MetricHits, MetricMissed, MetricPurged,
 // MetricLost or MetricShed). fn must be safe to call from scheduler
@@ -271,40 +257,24 @@ func (o *Observer) Journal() *Journal {
 	return o.journal
 }
 
-// TraceSink returns the trace sink enabled with EnableTrace, or nil.
-func (o *Observer) TraceSink() *trace.SafeLog {
-	if o == nil {
-		return nil
-	}
-	return o.sink
-}
-
 // LastVirtual returns the virtual timestamp of the most recent event — the
 // progress reporter's notion of "now".
 func (o *Observer) LastVirtual() simtime.Instant {
 	if o == nil {
 		return 0
 	}
-	return simtime.Instant(o.lastVirtual.Load())
+	return simtime.Instant(o.lastVirtual.Value())
 }
 
-// note journals an entry and mirrors it into the trace sink when its type
-// is a trace kind.
+// note stamps an entry and journals it. The host loop, the completion
+// collector and the transport goroutines all call it, so lastVirtual is a
+// compare-and-swap maximum: a goroutine carrying an older instant must never
+// overwrite a newer one, or the progress reporter's "now" runs backwards.
 func (o *Observer) note(at simtime.Instant, e Entry) {
-	if v := int64(at); v > o.lastVirtual.Load() {
-		o.lastVirtual.Store(v)
-	}
+	o.lastVirtual.SetMax(int64(at))
 	e.Wall = o.wall()
 	e.Virtual = at
 	o.journal.Record(e)
-	if o.sink != nil {
-		if k := trace.KindFromString(e.Type); k != 0 {
-			o.sink.Add(trace.Event{
-				At: at, Kind: k, Phase: e.Phase, Task: task.ID(e.Task),
-				Proc: e.Worker, Dur: e.Dur, Hit: e.Hit, Detail: e.Detail,
-			})
-		}
-	}
 }
 
 // SetWorkers declares the machine size at run start: every worker starts
@@ -650,7 +620,7 @@ func (o *Observer) HeartbeatSent(worker int) {
 }
 
 // HeartbeatRecv records a heartbeat received from a worker — the positive
-// liveness evidence, journaled and traced.
+// liveness evidence, journaled.
 func (o *Observer) HeartbeatRecv(worker int, at simtime.Instant) {
 	if o == nil {
 		return

@@ -1,13 +1,13 @@
 package obs
 
 import (
-	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"rtsads/internal/trace"
+	"rtsads/internal/simtime"
 )
 
 func TestNilObserverSafe(t *testing.T) {
@@ -34,7 +34,7 @@ func TestNilObserverSafe(t *testing.T) {
 	o.WorkerOvershoot(time.Millisecond)
 	o.Inflight(1)
 	o.RunEnd(2, "done")
-	if o.Registry() != nil || o.Journal() != nil || o.TraceSink() != nil {
+	if o.Registry() != nil || o.Journal() != nil {
 		t.Error("nil observer exposes components")
 	}
 	if s := o.SLOSummary(); s != (SLOSummary{}) {
@@ -45,7 +45,6 @@ func TestNilObserverSafe(t *testing.T) {
 
 func TestObserverCountsAndJournal(t *testing.T) {
 	o := New(0)
-	sink := o.EnableTrace(0)
 	o.SetWorkers(2)
 	o.Arrival(1, 10, 30)
 	o.PhaseStart(0, 1, 10)
@@ -105,18 +104,18 @@ func TestObserverCountsAndJournal(t *testing.T) {
 		t.Errorf("LastVirtual = %d, want 27", got)
 	}
 
-	// The trace sink saw every traceable event, including the new kinds.
-	log := sink.Snapshot()
-	for kind, n := range map[trace.Kind]int{
-		trace.Exec: 2, trace.Heartbeat: 1, trace.WorkerDown: 2, trace.Reroute: 1,
-	} {
-		if got := len(log.Filter(kind)); got != n {
-			t.Errorf("trace sink has %d %v events, want %d", got, kind, n)
+	// The worker-track view of the journal shows every traceable event,
+	// including the live kinds.
+	entries, evicted := o.Journal().Export()
+	view := chromeView(t, entries, evicted)
+	for name, n := range map[string]int{"task ": 2, "heartbeat": 1, "worker 1 down": 2, "reroute task 4": 1} {
+		if got := len(named(view, name)); got != n {
+			t.Errorf("chrome view has %d %q events, want %d", got, name, n)
 		}
 	}
-	down := log.Filter(trace.WorkerDown)
-	if !strings.Contains(down[1].Detail, "fatal") {
-		t.Errorf("fatal worker-down detail = %q", down[1].Detail)
+	down := named(view, "worker 1 down")
+	if reason, _ := down[1]["args"].(map[string]any)["reason"].(string); !strings.Contains(reason, "fatal") {
+		t.Errorf("fatal worker-down reason = %q", reason)
 	}
 }
 
@@ -129,62 +128,27 @@ func TestBridgeJournalToChromeTrace(t *testing.T) {
 	o.HeartbeatRecv(1, 6)
 	o.WorkerDown(1, true, "killed", 7)
 	o.Reroute(2, 1, 8)
-	o.Lost(3, 1, 9)               // federation kind: carried since the bridge learned it
+	o.Lost(3, 1, 9)
 	o.Route(4, 1, "policy=x", 2)  // federation kind
 	o.Migrate(4, 0, "verdict", 3) // federation kind
-	o.Overloaded(0, 2, 5, 9)      // still no trace track: must be counted, not silently dropped
+	o.Overloaded(0, 2, 5, 9)      // no trace track
 
-	events, droppedN := TraceEvents(o.Journal().Snapshot())
-	kinds := map[trace.Kind]int{}
-	for _, e := range events {
-		kinds[e.Kind]++
-	}
-	for k, n := range map[trace.Kind]int{
-		trace.PhaseStart: 1, trace.PhaseEnd: 1, trace.Exec: 1,
-		trace.Heartbeat: 1, trace.WorkerDown: 1, trace.Reroute: 1,
-		trace.Lost: 1, trace.Route: 1, trace.Migrate: 1,
+	entries, evicted := o.Journal().Export()
+	view := chromeView(t, entries, evicted)
+	for name, n := range map[string]int{
+		"phase 0": 1, "task 1": 1, "heartbeat": 1, "worker 1 down": 1, "reroute task 2": 1,
+		"lost task 3": 1, "route task 4 -> shard 1": 1, "migrate task 4 -> shard 0": 1,
 	} {
-		if kinds[k] != n {
-			t.Errorf("bridge produced %d %v events, want %d", kinds[k], k, n)
+		if got := len(named(view, name)); got != n {
+			t.Errorf("chrome view has %d %q events, want %d", got, name, n)
 		}
 	}
-	// run-start (from SetWorkers) and overload have no trace kind.
-	if droppedN != 2 {
-		t.Errorf("bridge dropped %d entries, want 2 (run-start, overload)", droppedN)
-	}
-
-	var b strings.Builder
-	if err := o.Journal().WriteChromeTrace(&b); err != nil {
-		t.Fatal(err)
-	}
-	var chrome []map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &chrome); err != nil {
-		t.Fatalf("bridge output is not valid trace JSON: %v", err)
-	}
-	var sawReroute, sawDown, sawHeartbeat, sawLost, sawRoute, sawDropMeta bool
-	for _, e := range chrome {
-		name, _ := e["name"].(string)
-		switch {
-		case strings.HasPrefix(name, "reroute"):
-			sawReroute = true
-		case strings.Contains(name, "down"):
-			sawDown = true
-		case name == "heartbeat":
-			sawHeartbeat = true
-		case strings.HasPrefix(name, "lost"):
-			sawLost = true
-		case strings.HasPrefix(name, "route"):
-			sawRoute = true
-		case name == "process_labels":
-			sawDropMeta = true
-		}
-	}
-	if !sawReroute || !sawDown || !sawHeartbeat || !sawLost || !sawRoute {
-		t.Errorf("chrome trace missing live-run events (reroute=%v down=%v heartbeat=%v lost=%v route=%v):\n%s",
-			sawReroute, sawDown, sawHeartbeat, sawLost, sawRoute, b.String())
-	}
-	if !sawDropMeta || !strings.Contains(b.String(), "without a trace track") {
-		t.Errorf("chrome trace does not report the dropped-entry count:\n%s", b.String())
+	// run-start (from SetWorkers) and overload have no track: they must be
+	// counted in the trace's metadata, not silently dropped.
+	labels := named(view, "process_labels")
+	if len(labels) != 1 || !strings.HasPrefix(labels[0]["args"].(map[string]any)["labels"].(string),
+		"2 journal entries without a trace track omitted") {
+		t.Errorf("chrome view does not report 2 untracked entries (run-start, overload): %v", labels)
 	}
 }
 
@@ -233,5 +197,39 @@ func TestWorkerOvershootDoesNotAllocate(t *testing.T) {
 	}
 	if h := o.Registry().Histogram(MetricWorkerOvershoot); h.Count() != 101 || h.Sum() != 101*300*time.Microsecond {
 		t.Errorf("overshoot histogram: count %d sum %v", h.Count(), h.Sum())
+	}
+}
+
+// LastVirtual is the progress reporter's "now": the host loop, the
+// completion collector and the transport goroutines all advance it, and a
+// slower goroutine carrying an older instant must never overwrite a newer
+// one. Seven goroutines climb 1..top in step while an eighth notes the
+// maximum once, mid-climb: a climber caught between reading the old value
+// and writing its own would bury the maximum for the rest of the run.
+func TestLastVirtualIsMaxUnderConcurrentNotes(t *testing.T) {
+	const climbers, top = 7, 400
+	for rep := 0; rep < 200; rep++ {
+		o := New(16)
+		var wg sync.WaitGroup
+		for g := 0; g <= climbers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if g == climbers {
+					for o.LastVirtual() < top/2 {
+						runtime.Gosched()
+					}
+					o.note(top+1, Entry{Type: "heartbeat", Worker: g})
+					return
+				}
+				for v := 1; v <= top; v++ {
+					o.note(simtime.Instant(v), Entry{Type: "heartbeat", Worker: g})
+				}
+			}()
+		}
+		wg.Wait()
+		if got := o.LastVirtual(); got != top+1 {
+			t.Fatalf("repetition %d: LastVirtual = %d, want the maximum %d", rep, got, top+1)
+		}
 	}
 }
