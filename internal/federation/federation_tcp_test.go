@@ -2,8 +2,10 @@ package federation
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"rtsads/internal/livecluster"
 	"rtsads/internal/obs"
 	"rtsads/internal/policy"
+	"rtsads/internal/task"
 	"rtsads/internal/workload"
 )
 
@@ -439,5 +442,175 @@ func TestServeShardIgnoresRetiredHelloKeys(t *testing.T) {
 	}
 	if typ != wire.TypeSummary {
 		t.Fatalf("shard answered the legacy hello with frame type %d (%s), want a summary", typ, body)
+	}
+}
+
+// TestRemoteViewTracksShard drives one wire session by hand and demands the
+// router's view of the shard move with the shard's host loop, not with the
+// JSON summary ticker: while tasks flow the handle's LoadSummary changes
+// many times inside a window shorter than one summary interval, once the
+// shard is idle it equals the cluster's last published view field for
+// field, and it still does after the session has closed. The journal of
+// the run is larger than one Journal frame may carry and must arrive whole.
+func TestRemoteViewTracksShard(t *testing.T) {
+	p := workload.DefaultParams(2)
+	p.NumTransactions = 600
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	opened := make(chan *shardServer, 1)
+	served := make(chan error, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer nc.Close()
+		srv, runErrc, err := openShard(nc, ServeShardOptions{})
+		if err != nil {
+			served <- err
+			return
+		}
+		opened <- srv
+		served <- srv.serve(runErrc)
+	}()
+
+	// A 30 s timeout puts 6 s between JSON summaries: after the one that
+	// answers the hello, none can land while this test watches the view.
+	live := livecluster.Liveness{HeartbeatEvery: time.Second, Timeout: 30 * time.Second}
+	summaryEvery := live.Timeout / 5
+	f, err := New(Config{
+		Workload:   w,
+		Topology:   Topology{Shards: 1, WorkersPerShard: 2},
+		Scale:      5,
+		Liveness:   live,
+		ShardAddrs: []string{ln.Addr().String()},
+		JournalCap: 1 << 15,
+	})
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	if f.clock, err = livecluster.NewClock(f.cfg.Scale); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := f.dialShard(0, f.cfg.ShardAddrs[0])
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	f.mu.Lock()
+	f.handles = []shardHandle{rs}
+	f.mu.Unlock()
+	var srv *shardServer
+	select {
+	case srv = <-opened:
+	case err := <-served:
+		t.Fatalf("shard session: %v", err)
+	}
+
+	// Feed the workload's tasks two at a time with deadlines a virtual
+	// second out, so every one is planned, delivered and executed.
+	start := time.Now()
+	seen := map[livecluster.Summary]bool{rs.LoadSummary(): true}
+	for i := 0; i < len(w.Tasks); i += 2 {
+		now := f.clock.Now()
+		batch := make([]*task.Task, 0, 2)
+		for _, t0 := range w.Tasks[i:min(i+2, len(w.Tasks))] {
+			c := *t0
+			c.Arrival, c.Deadline = now, now.Add(time.Second)
+			batch = append(batch, &c)
+		}
+		if err := rs.SubmitBatch(batch); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+		seen[rs.LoadSummary()] = true
+	}
+	flow := time.Since(start)
+	if flow >= summaryEvery {
+		t.Skipf("feeding took %v, longer than the %v between summaries: the box stalled", flow, summaryEvery)
+	}
+	if len(seen) < 20 {
+		t.Errorf("router saw %d distinct views of the shard in %v with no JSON summary due for %v; want the view to follow the host loop",
+			len(seen), flow, summaryEvery)
+	}
+
+	// Quiesce, then compare against the cluster itself. An idle host still
+	// republishes on its safety tick (MinFree follows the clock), so read
+	// the cluster on both sides of the handle and retry across a tick.
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		before := srv.cl.LoadSummary()
+		got := rs.LoadSummary()
+		after := srv.cl.LoadSummary()
+		if before == after && got == before && got.Backlog == 0 && got.Inflight == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router view never met the idle shard's:\nrouter: %+v\nshard:  %+v", got, after)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	if quiet := time.Since(start); quiet >= summaryEvery {
+		t.Logf("note: quiescing took %v, a JSON summary may have helped the final comparison", quiet)
+	}
+
+	rs.Seal()
+	res, err := rs.Wait()
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("shard session: %v", err)
+	}
+	if res.Total != len(w.Tasks) || res.Hits+res.ScheduledMissed+res.Purged != res.Total {
+		t.Errorf("shard books: %s", res)
+	}
+	if got, want := rs.LoadSummary(), srv.cl.LoadSummary(); got != want {
+		t.Errorf("view after the session closed:\nrouter: %+v\nshard:  %+v", got, want)
+	}
+	want, wantEvicted := srv.o.Journal().Export()
+	got, evicted := rs.Journal()
+	if len(want) <= journalChunk {
+		t.Fatalf("journal has %d entries; the test needs more than one %d-entry frame", len(want), journalChunk)
+	}
+	if len(got) != len(want) || evicted != wantEvicted {
+		t.Fatalf("journal arrived with %d entries (%d evicted), shard recorded %d (%d evicted)",
+			len(got), evicted, len(want), wantEvicted)
+	}
+	for i := range want {
+		if got[i].Type != want[i].Type || got[i].Task != want[i].Task || got[i].Virtual != want[i].Virtual {
+			t.Fatalf("journal entry %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	t.Logf("%d distinct views in %v of flow; %d journal entries in %d frames; %s",
+		len(seen), flow, len(got), (len(got)+journalChunk-1)/journalChunk, res)
+}
+
+// TestServeShardRefusesPreviousVersion: a router speaking the previous
+// grammar (version 2: no Load frame, one monolithic journal) is turned away
+// at the preamble, before any hello.
+func TestServeShardRefusesPreviousVersion(t *testing.T) {
+	const previous = wire.Version - 1
+	a, b := net.Pipe()
+	defer a.Close()
+	served := make(chan error, 1)
+	go func() { served <- ServeShard(b, ServeShardOptions{HelloTimeout: 5 * time.Second}) }()
+	a.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := a.Write(append([]byte(wire.Magic), previous)); err != nil {
+		t.Fatalf("write preamble: %v", err)
+	}
+	err := <-served
+	if want := fmt.Sprintf("peer speaks version %d", previous); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ServeShard answered a version-%d preamble with %v; want a version refusal", previous, err)
+	}
+	if _, err := a.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("shard kept talking to a version-%d peer", previous)
 	}
 }

@@ -276,6 +276,7 @@ func (s *remoteShard) connect(rejoin bool) error {
 	s.counters = sum.Counters
 	s.ckpt = nil
 	s.ckptSeq = 0
+	s.journal, s.evicted = nil, 0 // chunks append per session
 	s.lastHeard = time.Now()
 	sealed := s.sealed
 	if rejoin {
@@ -393,11 +394,23 @@ func (s *remoteShard) sessionLost(sess *session, err error) {
 // recover handles one session death: mark the shard down, salvage the
 // session's outstanding tasks through the migration gate, fold its books,
 // then rejoin (with backoff) or give up.
+//
+// A session that breaks after its Result was stored is not a death: the
+// shard's run is over and its books are final, so the handle ends as on Bye
+// — with whatever part of the journal arrived — instead of folding the
+// ledger on top of the real result. The read loop stores a Result only
+// while the session is current, under the same lock, so a Result either
+// precedes this decision or is dropped.
 func (s *remoteShard) recover(sess *session, err error) {
 	s.mu.Lock()
 	if s.sess != sess {
 		s.mu.Unlock()
 		return // a stale report about an already-replaced session
+	}
+	if s.res != nil {
+		s.mu.Unlock()
+		s.finish(sess)
+		return
 	}
 	s.sess = nil
 	s.deadErr = err
@@ -485,6 +498,18 @@ func (s *remoteShard) readLoop(sess *session) {
 				s.sessionLost(sess, err)
 				return
 			}
+		case wire.TypeLoad:
+			// The shard's host loop published a changed load view: decode it
+			// in place, so placement reads a view one phase stale.
+			s.mu.Lock()
+			if s.sess == sess {
+				err = wire.DecodeLoad(body, &s.summary)
+			}
+			s.mu.Unlock()
+			if err != nil {
+				s.sessionLost(sess, fmt.Errorf("federation: shard %d load: %w", s.id, err))
+				return
+			}
 		case wire.TypeHeartbeat:
 			// Liveness only; the deadline reset above is the point.
 		case wire.TypeReject:
@@ -509,7 +534,9 @@ func (s *remoteShard) readLoop(sess *session) {
 				return
 			}
 			s.mu.Lock()
-			s.res = &res
+			if s.sess == sess {
+				s.res = &res
+			}
 			s.mu.Unlock()
 		case wire.TypeJournal:
 			var j wire.JournalExport
@@ -517,8 +544,16 @@ func (s *remoteShard) readLoop(sess *session) {
 				s.sessionLost(sess, fmt.Errorf("federation: shard %d journal: %w", s.id, err))
 				return
 			}
+			// The journal arrives in bounded chunks; every chunk repeats the
+			// eviction count. The first chunk is kept as decoded, so a
+			// journal that fits one frame is never copied.
 			s.mu.Lock()
-			s.journal, s.evicted = j.Entries, j.Evicted
+			if s.journal == nil {
+				s.journal = j.Entries
+			} else {
+				s.journal = append(s.journal, j.Entries...)
+			}
+			s.evicted = j.Evicted
 			s.mu.Unlock()
 		case wire.TypeError:
 			s.sessionLost(sess, fmt.Errorf("federation: shard %d reported: %s", s.id, body))
@@ -667,6 +702,8 @@ func (s *remoteShard) foldStray(salvaged bool) {
 	}
 }
 
+// LoadSummary is the shard's load view as of its last Load frame (or JSON
+// summary): one host phase stale, like an in-process shard's.
 func (s *remoteShard) LoadSummary() livecluster.Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()

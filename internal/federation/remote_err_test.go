@@ -10,6 +10,8 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
+	"rtsads/internal/metrics"
+	"rtsads/internal/obs"
 	"rtsads/internal/task"
 	"rtsads/internal/workload"
 )
@@ -90,13 +92,24 @@ func waitForSubmit(c *wire.Conn) ([]task.ID, error) {
 	}
 }
 
+// writeJSON sends v as one JSON frame.
+func writeJSON(c *wire.Conn, typ byte, v any) error {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return c.WriteFrame(typ, payload)
+}
+
 // TestFederationLiveTCPSessionDeathPaths drives every way a shard session
 // can die from the frame stream — a shard-reported error frame, undecodable
-// journal and result payloads, an unknown frame type, and a connection cut
-// in the middle of a reject/verdict exchange. Each death must leave the
-// remote handle carrying a descriptive error while the run itself survives:
-// the dead shard's tasks are salvaged or charged lost and every Reconcile
-// identity still holds.
+// journal and result payloads, an unknown frame type, a connection cut in
+// the middle of a reject/verdict exchange, and a connection cut after the
+// result. Each death must leave the remote handle carrying a descriptive
+// error while the run itself survives: the dead shard's tasks are salvaged
+// or charged lost and every Reconcile identity still holds. The cut after
+// the result is the exception: the result is terminal, so the handle ends
+// cleanly on the shard's own books.
 func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 	cases := []struct {
 		name string
@@ -105,6 +118,9 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 		// empty when the exact failure point is timing-dependent.
 		script  func(c *wire.Conn) error
 		wantErr string
+		// terminal marks a session that breaks after its result landed: no
+		// death, no session error.
+		terminal bool
 	}{
 		{
 			name: "error-frame",
@@ -169,6 +185,58 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 			},
 			wantErr: "",
 		},
+		{
+			// An honest shard that hits every task it is fed and reports so
+			// (summary counters for the settle loop, checkpoints for the
+			// ledger), answers the seal with its result — and loses the
+			// connection before journal and Bye, as a late read deadline or a
+			// reset from the closed socket does. Folding the ledger on top of
+			// that result would count every task twice.
+			name: "result-then-close",
+			script: func(c *wire.Conn) error {
+				var seq uint64
+				var n int64
+				for {
+					c.SetReadDeadline(time.Now().Add(10 * time.Second))
+					typ, body, err := c.ReadFrame()
+					if err != nil {
+						return err
+					}
+					switch typ {
+					case wire.TypeSubmit:
+						ts, err := wire.DecodeSubmit(body, func() *task.Task { return new(task.Task) })
+						if err != nil {
+							return err
+						}
+						ids := make([]int32, len(ts))
+						for i, t := range ts {
+							ids[i] = int32(t.ID)
+						}
+						n += int64(len(ts))
+						seq++
+						counters := map[string]int64{obs.MetricHits: n}
+						if err := writeJSON(c, wire.TypeSummary, wire.Summary{
+							Load: livecluster.Summary{Workers: 2, Alive: 2}, Counters: counters,
+						}); err != nil {
+							return err
+						}
+						if err := writeJSON(c, wire.TypeCheckpoint, wire.Checkpoint{
+							Seq: seq, Settled: ids, Counters: counters,
+						}); err != nil {
+							return err
+						}
+					case wire.TypeSeal:
+						if err := writeJSON(c, wire.TypeResult, metrics.RunResult{
+							Workers: 2, Total: int(n), Hits: int(n),
+						}); err != nil {
+							return err
+						}
+						return c.Close()
+					}
+				}
+			},
+			terminal: true,
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -209,6 +277,15 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 				t.Fatalf("shard 1 handle is %T, want *remoteShard", f.handles[1])
 			}
 			sessErr := rs.Err()
+			if tc.terminal {
+				if sessErr != nil {
+					t.Errorf("session that ended after its result reports a death: %v", sessErr)
+				}
+				if got := res.Shards[1]; got.Total == 0 || got.Hits != got.Total {
+					t.Errorf("shard 1 books are not the result it sent: total=%d hits=%d", got.Total, got.Hits)
+				}
+				return
+			}
 			if sessErr == nil {
 				t.Fatalf("shard 1 session survived %s; want a session death error", tc.name)
 			}

@@ -29,9 +29,16 @@ type ServeShardOptions struct {
 	Obs *obs.Observer
 }
 
+// journalChunk bounds the entries in one Journal frame, so no single
+// marshal, write or read of the end-of-session journal can outlast the
+// liveness timeout, and every chunk that lands feeds the router's read
+// deadline.
+const journalChunk = 2048
+
 // shardServer is one shard session: the cluster, its observer, and the
-// framed connection back to the router. Writers (summary ticker, reject
-// callbacks, final results) serialize on wmu; one goroutine reads.
+// framed connection back to the router. Writers (summary ticker, load
+// pusher, reject callbacks, final results) serialize on wmu; one goroutine
+// reads.
 type shardServer struct {
 	conn    *wire.Conn
 	cl      *livecluster.Cluster
@@ -39,6 +46,10 @@ type shardServer struct {
 	timeout time.Duration
 
 	wmu sync.Mutex
+
+	// arena backs the tasks decoded from Submit frames; the cluster holds
+	// them until they settle, so slots live for the session. Read loop only.
+	arena taskArena
 
 	vmu      sync.Mutex
 	verdicts map[int32]chan bool
@@ -69,6 +80,17 @@ type runOutcome struct {
 // listener; ServeShard owns (and closes) conn.
 func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 	defer nc.Close()
+	srv, runErrc, err := openShard(nc, opt)
+	if err != nil {
+		return err
+	}
+	return srv.serve(runErrc)
+}
+
+// openShard takes a fresh connection through handshake and hello, starts
+// the cluster the hello describes and answers with the first summary — the
+// router blocks on it before going async.
+func openShard(nc net.Conn, opt ServeShardOptions) (*shardServer, <-chan runOutcome, error) {
 	helloTimeout := opt.HelloTimeout
 	if helloTimeout <= 0 {
 		helloTimeout = 30 * time.Second
@@ -78,44 +100,52 @@ func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 	conn.SetReadDeadline(deadline)
 	conn.SetWriteDeadline(deadline)
 	if err := conn.ReadHandshake(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if err := conn.WriteHandshake(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	typ, body, err := conn.ReadFrame()
 	if err != nil {
-		return fmt.Errorf("federation: read hello: %w", err)
+		return nil, nil, fmt.Errorf("federation: read hello: %w", err)
 	}
 	if typ != wire.TypeHello {
-		return fmt.Errorf("federation: expected hello, got frame type %d", typ)
+		return nil, nil, fmt.Errorf("federation: expected hello, got frame type %d", typ)
 	}
 	var hello wire.Hello
 	if err := json.Unmarshal(body, &hello); err != nil {
-		return refuse(conn, fmt.Errorf("federation: decode hello: %w", err))
+		return nil, nil, refuse(conn, fmt.Errorf("federation: decode hello: %w", err))
 	}
 
 	srv, runErrc, err := startShard(conn, hello, opt)
 	if err != nil {
-		return refuse(conn, err)
+		return nil, nil, refuse(conn, err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	conn.SetWriteDeadline(time.Time{})
-
-	// The router blocks on the first summary before going async.
 	if err := srv.sendSummary(); err != nil {
-		return err
+		return nil, nil, err
 	}
+	return srv, runErrc, nil
+}
 
+// serve runs an opened session to its end: the summary ticker, the load
+// pusher and the read loop until the cluster's run returns, then the
+// closing frames.
+func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 	stopTick := make(chan struct{})
 	var tickWG sync.WaitGroup
-	tickWG.Add(1)
+	tickWG.Add(2)
 	go func() {
 		defer tickWG.Done()
-		srv.summaryLoop(stopTick)
+		s.summaryLoop(stopTick)
+	}()
+	go func() {
+		defer tickWG.Done()
+		s.loadLoop(stopTick)
 	}()
 	readErrc := make(chan error, 1)
-	go srv.readLoop(readErrc)
+	go s.readLoop(readErrc)
 
 	var sessionErr error
 	var out runOutcome
@@ -128,8 +158,8 @@ func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 		// worker jobs drain — so a serving loop's listener frees up for the
 		// router's rejoin dial instead of blocking behind a useless drain.
 		sessionErr = err
-		srv.cl.Seal()
-		srv.cl.Stop(0)
+		s.cl.Seal()
+		s.cl.Stop(0)
 		out = <-runErrc
 	case out = <-runErrc:
 	}
@@ -139,26 +169,32 @@ func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 		return sessionErr
 	}
 	if out.err != nil {
-		srv.send(wire.TypeError, []byte(out.err.Error()))
+		s.send(wire.TypeError, []byte(out.err.Error()))
 		return out.err
 	}
 
 	// Ship the closing state: final counters, a final checkpoint covering
 	// every verdict, the result, the journal, then a clean goodbye.
-	if err := srv.sendSummary(); err != nil {
+	if err := s.sendSummary(); err != nil {
 		return err
 	}
-	if err := srv.sendCheckpoint(); err != nil {
+	if err := s.sendCheckpoint(); err != nil {
 		return err
 	}
-	if err := srv.sendJSON(wire.TypeResult, out.res); err != nil {
+	if err := s.sendJSON(wire.TypeResult, out.res); err != nil {
 		return err
 	}
-	entries, evicted := srv.o.Journal().Export()
-	if err := srv.sendJSON(wire.TypeJournal, wire.JournalExport{Entries: entries, Evicted: evicted}); err != nil {
-		return err
+	entries, evicted := s.o.Journal().Export()
+	for {
+		n := min(len(entries), journalChunk)
+		if err := s.sendJSON(wire.TypeJournal, wire.JournalExport{Entries: entries[:n], Evicted: evicted}); err != nil {
+			return err
+		}
+		if entries = entries[n:]; len(entries) == 0 {
+			break
+		}
 	}
-	return srv.send(wire.TypeBye, nil)
+	return s.send(wire.TypeBye, nil)
 }
 
 // refuse reports a setup error to the router before failing the session.
@@ -340,6 +376,27 @@ func (s *shardServer) summaryLoop(stop <-chan struct{}) {
 	}
 }
 
+// loadLoop pushes the cluster's load view to the router as a binary Load
+// frame whenever the host loop published a changed one, so the router's
+// view of this shard is one phase stale — what it is in process — instead
+// of one summary interval stale. The cluster's tick coalesces: a slow
+// socket costs skipped intermediate views, never a blocked host loop. The
+// frame is encoded into one reused buffer.
+func (s *shardServer) loadLoop(stop <-chan struct{}) {
+	var buf []byte
+	for {
+		select {
+		case <-stop:
+			return
+		case <-s.cl.LoadChanged():
+		}
+		buf = wire.EncodeLoad(buf[:0], s.cl.LoadSummary())
+		if s.send(wire.TypeLoad, buf) != nil {
+			return
+		}
+	}
+}
+
 // onReject is the cluster's bounce callback: it round-trips one Reject
 // frame to the router and blocks the host loop on the verdict, exactly
 // like an in-process OnReject call. Silence past the liveness timeout is
@@ -372,6 +429,7 @@ func (s *shardServer) onReject(t *task.Task, reason admission.Reason, now simtim
 // idle deadline is the liveness timeout; the router's heartbeats keep it
 // from firing between submissions.
 func (s *shardServer) readLoop(errc chan<- error) {
+	alloc := s.arena.alloc
 	for {
 		s.conn.SetReadDeadline(time.Now().Add(s.timeout))
 		typ, body, err := s.conn.ReadFrame()
@@ -381,7 +439,7 @@ func (s *shardServer) readLoop(errc chan<- error) {
 		}
 		switch typ {
 		case wire.TypeSubmit:
-			ts, err := wire.DecodeSubmit(body, func() *task.Task { return new(task.Task) })
+			ts, err := wire.DecodeSubmit(body, alloc)
 			if err != nil {
 				errc <- err
 				return

@@ -51,9 +51,10 @@ type Hello struct {
 }
 
 // Summary is the shard's periodic state report: the load snapshot the
-// router's placement reads, plus the registry counters the router's
-// settle loop and a mid-run reconciliation read. It doubles as the
-// shard→router heartbeat.
+// router's placement reads (refreshed between summaries by Load frames,
+// one per changed host-loop publication), plus the registry counters the
+// router's settle loop and a mid-run reconciliation read. It doubles as
+// the shard→router heartbeat.
 type Summary struct {
 	Load livecluster.Summary `json:"load"`
 	// Counters is the shard registry snapshot (the rtsads_* families).
@@ -83,7 +84,9 @@ type Checkpoint struct {
 	Sealed bool `json:"sealed,omitempty"`
 }
 
-// JournalExport ships the shard's lifecycle journal at seal time.
+// JournalExport ships the shard's lifecycle journal at seal time, as one
+// or more consecutive Journal frames of bounded size: the router appends
+// each frame's Entries in order, and every frame repeats Evicted.
 type JournalExport struct {
 	Entries []obs.Entry `json:"entries"`
 	Evicted int64       `json:"evicted"`

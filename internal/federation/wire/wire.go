@@ -6,9 +6,10 @@
 //
 //	[4-byte big-endian payload length][1-byte type][payload]
 //
-// Task batches — the hot path — use a fixed-width binary codec (48 bytes
-// per task, no reflection); everything that crosses the wire once per run
-// (hello, summaries, results, journals) is JSON inside its frame.
+// Task batches and load views — the hot path — use fixed-width binary
+// codecs (48 bytes per task, 33 per load view, no reflection); everything
+// that crosses the wire once per run or per heartbeat (hello, summaries,
+// checkpoints, results, journals) is JSON inside its frame.
 //
 // Versioning rules: the preamble's version byte names the frame grammar.
 // A peer MUST reject a version it does not speak — there is no
@@ -28,20 +29,22 @@ import (
 	"time"
 
 	"rtsads/internal/affinity"
+	"rtsads/internal/livecluster"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 )
 
 // Magic opens every session; Version names the frame grammar.
 // Version history: 1 = initial shard protocol; 2 adds the Checkpoint
-// frame and the Hello rejoin fields (Rejoin/Epoch/ResumeSeq).
+// frame and the Hello rejoin fields (Rejoin/Epoch/ResumeSeq); 3 adds the
+// Load frame and lets a journal span several Journal frames.
 const (
 	Magic   = "RTFW"
-	Version = 2
+	Version = 3
 )
 
 // Frame types. Submit/Verdict/Seal/Heartbeat flow router→shard;
-// Reject/Summary/Checkpoint/Result/Journal/Heartbeat flow shard→router;
+// Reject/Summary/Load/Checkpoint/Result/Journal/Heartbeat flow shard→router;
 // Bye and Error may flow either way.
 const (
 	TypeHello      byte = 1  // router→shard: JSON Hello
@@ -51,19 +54,24 @@ const (
 	TypeSummary    byte = 5  // shard→router: JSON Summary (doubles as heartbeat)
 	TypeSeal       byte = 6  // router→shard: close the shard's feed
 	TypeResult     byte = 7  // shard→router: JSON final RunResult
-	TypeJournal    byte = 8  // shard→router: JSON journal entries
+	TypeJournal    byte = 8  // shard→router: JSON journal entries, one chunk per frame
 	TypeHeartbeat  byte = 9  // either: liveness only
 	TypeBye        byte = 10 // either: clean close
 	TypeError      byte = 11 // either: fatal error string, then close
 	TypeCheckpoint byte = 12 // shard→router: JSON Checkpoint (v2+)
+	TypeLoad       byte = 13 // shard→router: binary load view (v3+)
 )
 
 // MaxFrame bounds a frame payload; a peer announcing more is corrupt or
 // hostile and the connection is dropped.
 const MaxFrame = 64 << 20
 
-// TaskRecordSize is the fixed wire width of one task.
-const TaskRecordSize = 48
+// TaskRecordSize is the fixed wire width of one task; LoadSize that of one
+// load view.
+const (
+	TaskRecordSize = 48
+	LoadSize       = 33
+)
 
 // Conn frames one net.Conn. Reads and writes are independently buffered;
 // neither direction is safe for concurrent use — callers serialize each
@@ -200,19 +208,55 @@ func DecodeSubmit(payload []byte, alloc func() *task.Task) ([]*task.Task, error)
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("wire: submit payload too short (%d bytes)", len(payload))
 	}
-	n := int(binary.BigEndian.Uint32(payload[:4]))
+	n := binary.BigEndian.Uint32(payload[:4])
 	body := payload[4:]
-	if len(body) != n*TaskRecordSize {
+	// Compared in 64 bits, so a hostile count can neither wrap the product
+	// nor size the slice below beyond what the payload really carries.
+	if uint64(len(body)) != uint64(n)*TaskRecordSize {
 		return nil, fmt.Errorf("wire: submit carries %d bytes for %d tasks (want %d)",
-			len(body), n, n*TaskRecordSize)
+			len(body), n, uint64(n)*TaskRecordSize)
 	}
 	ts := make([]*task.Task, n)
-	for i := 0; i < n; i++ {
+	for i := range ts {
 		t := alloc()
 		DecodeTask(body[i*TaskRecordSize:], t)
 		ts[i] = t
 	}
 	return ts, nil
+}
+
+// EncodeLoad appends s's fixed-width load view to dst: Workers, Alive,
+// Backlog and Inflight as int32, QueuedWork and MinFree as int64, Sealed as
+// one byte. The shard pushes one per changed host-loop publication into a
+// reused buffer, so the steady state allocates nothing.
+func EncodeLoad(dst []byte, s livecluster.Summary) []byte {
+	var b [LoadSize]byte
+	binary.BigEndian.PutUint32(b[0:4], uint32(s.Workers))
+	binary.BigEndian.PutUint32(b[4:8], uint32(s.Alive))
+	binary.BigEndian.PutUint32(b[8:12], uint32(s.Backlog))
+	binary.BigEndian.PutUint32(b[12:16], uint32(s.Inflight))
+	binary.BigEndian.PutUint64(b[16:24], uint64(s.QueuedWork))
+	binary.BigEndian.PutUint64(b[24:32], uint64(s.MinFree))
+	if s.Sealed {
+		b[32] = 1
+	}
+	return append(dst, b[:]...)
+}
+
+// DecodeLoad overwrites s with an EncodeLoad payload; s is untouched on
+// error.
+func DecodeLoad(payload []byte, s *livecluster.Summary) error {
+	if len(payload) != LoadSize {
+		return fmt.Errorf("wire: load payload is %d bytes, want %d", len(payload), LoadSize)
+	}
+	s.Workers = int(int32(binary.BigEndian.Uint32(payload[0:4])))
+	s.Alive = int(int32(binary.BigEndian.Uint32(payload[4:8])))
+	s.Backlog = int(int32(binary.BigEndian.Uint32(payload[8:12])))
+	s.Inflight = int(int32(binary.BigEndian.Uint32(payload[12:16])))
+	s.QueuedWork = time.Duration(binary.BigEndian.Uint64(payload[16:24]))
+	s.MinFree = simtime.Instant(binary.BigEndian.Uint64(payload[24:32]))
+	s.Sealed = payload[32] != 0
+	return nil
 }
 
 // Reject is the shard→router payload for one admission rejection: the

@@ -35,13 +35,19 @@ func TestHandshake(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsWrongVersion: there is no negotiation — the previous
+// grammar (no Load frame, one monolithic Journal frame) is refused as
+// firmly as an unknown future one.
 func TestHandshakeRejectsWrongVersion(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go func() { a.Write([]byte(Magic + "\x7f")) }()
-	if err := NewConn(b).ReadHandshake(); err == nil {
-		t.Fatal("handshake accepted an unknown version")
+	for _, v := range []byte{Version - 1, 0x7f} {
+		a, b := net.Pipe()
+		go func() { a.Write(append([]byte(Magic), v)) }()
+		err := NewConn(b).ReadHandshake()
+		a.Close()
+		b.Close()
+		if err == nil {
+			t.Fatalf("handshake accepted version %d, this side speaks %d", v, Version)
+		}
 	}
 }
 

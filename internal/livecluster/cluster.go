@@ -244,9 +244,12 @@ type Cluster struct {
 	sealed   bool
 	feedTick chan struct{}
 
-	// sumMu guards summary, the load snapshot handed out by LoadSummary.
-	sumMu   sync.Mutex
-	summary Summary
+	// sumMu guards summary, the load snapshot handed out by LoadSummary;
+	// loadTick is raised (buffered 1, coalescing) each time the host loop
+	// publishes a snapshot that differs from the previous one.
+	sumMu    sync.Mutex
+	summary  Summary
+	loadTick chan struct{}
 }
 
 // Submit feeds tasks to an externally-fed cluster (Config.External). Safe
@@ -297,12 +300,23 @@ func (c *Cluster) Seal() {
 // LoadSummary returns the cluster's most recent load snapshot. The host
 // loop republishes it once per scheduling iteration, so it trails the true
 // state by at most one phase — good enough for placement, while the target
-// shard's own admission gate and planner remain the hard guarantee.
+// shard's own admission gate and planner remain the hard guarantee. That
+// bound holds on both federation transports: a wire session forwards every
+// changed snapshot as a Load frame (see LoadChanged). Before wire version 3
+// a remote router saw only the periodic JSON summary, one summary interval
+// (Timeout/5) stale.
 func (c *Cluster) LoadSummary() Summary {
 	c.sumMu.Lock()
 	defer c.sumMu.Unlock()
 	return c.summary
 }
+
+// LoadChanged is signalled after the host loop publishes a load snapshot
+// that differs from the previous one. The signal coalesces: one pending
+// tick stands for any number of publications, so a receiver reads
+// LoadSummary for the current view. At most one goroutine should receive;
+// with none, the host loop pays one failed non-blocking send per change.
+func (c *Cluster) LoadChanged() <-chan struct{} { return c.loadTick }
 
 // Stop asks a running cluster to shut down gracefully: the host stops
 // admitting work (pending and future arrivals are shed with the
@@ -366,7 +380,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.OnReject != nil && !cfg.External {
 		return nil, fmt.Errorf("livecluster: OnReject requires External mode")
 	}
-	c := &Cluster{cfg: cfg, stop: make(chan struct{}), feedTick: make(chan struct{}, 1)}
+	c := &Cluster{
+		cfg:      cfg,
+		stop:     make(chan struct{}),
+		feedTick: make(chan struct{}, 1),
+		loadTick: make(chan struct{}, 1),
+	}
 	if cfg.External {
 		// Routers may read the summary before Run publishes the first live
 		// one: start with an idle, fully-alive shard.
@@ -1191,7 +1210,8 @@ func (r *runState) feedDone() bool {
 }
 
 // publishSummary refreshes the load snapshot a federation router reads via
-// LoadSummary. Host goroutine only; no-op outside external mode.
+// LoadSummary and raises LoadChanged when it moved. Host goroutine only;
+// never blocks; no-op outside external mode.
 func (r *runState) publishSummary(now simtime.Instant) {
 	if !r.c.cfg.External {
 		return
@@ -1204,8 +1224,15 @@ func (r *runState) publishSummary(now simtime.Instant) {
 	s.Sealed = r.c.sealed
 	r.c.feedMu.Unlock()
 	r.c.sumMu.Lock()
+	changed := s != r.c.summary
 	r.c.summary = s
 	r.c.sumMu.Unlock()
+	if changed {
+		select {
+		case r.c.loadTick <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // activeWorkers returns the surviving processor IDs, ascending. The slice

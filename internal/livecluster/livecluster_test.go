@@ -342,3 +342,63 @@ func TestTCPDeliverOutOfRange(t *testing.T) {
 	}
 	<-serveErr
 }
+
+// TestLoadChangedCoalesces: an externally-fed cluster raises LoadChanged
+// when its published load view moves, and the host loop never waits for a
+// receiver — with none (an in-process shard) a whole run's publications
+// collapse into the one buffered tick, and the view it announces is the
+// final one.
+func TestLoadChangedCoalesces(t *testing.T) {
+	w, err := workload.Generate(liveParams(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock, err := NewClock(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(Config{Workload: w, Clock: clock, Scale: 5, External: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-cl.LoadChanged():
+		t.Fatal("tick pending before the host loop published anything")
+	default:
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Run()
+		done <- err
+	}()
+	for _, t0 := range w.Tasks {
+		c := *t0
+		c.Arrival = clock.Now()
+		c.Deadline = c.Arrival.Add(time.Second)
+		if err := cl.Submit(&c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Seal()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not finish with nobody receiving LoadChanged")
+	}
+	select {
+	case <-cl.LoadChanged():
+	default:
+		t.Fatal("no tick pending after a run that published changing views")
+	}
+	select {
+	case <-cl.LoadChanged():
+		t.Fatal("more than one tick buffered")
+	default:
+	}
+	if s := cl.LoadSummary(); !s.Sealed || s.Backlog != 0 || s.Inflight != 0 {
+		t.Fatalf("final view %+v, want sealed and drained", s)
+	}
+}
