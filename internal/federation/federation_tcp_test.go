@@ -357,51 +357,84 @@ func TestFederationLiveTCPShardFlap(t *testing.T) {
 }
 
 // TestShardConfigSameOverWire: one federation.Config must configure a shard
-// identically whether the shard runs in process or behind a wire session —
-// every field but the shard's identity (workload slice, clock, hooks), with
-// the whole Degrade hysteresis included.
+// identically whether the shard runs in process or behind a wire session. It
+// walks livecluster.Config and Liveness by reflection: every field is either
+// named below as one a session hello has no business carrying, or must be set
+// by shardConfig and arrive unchanged through the Hello — so a field added to
+// either struct fails here until it is carried.
 func TestShardConfigSameOverWire(t *testing.T) {
+	// identity is what makes a shard this shard; startShard adds it on the far
+	// side. unreached are the fields no federation.Config sets. dialOnly bound
+	// dialling a TCP worker, which a shard's in-process backend never does.
+	identity := map[string]bool{"Workload": true, "Clock": true, "OnReject": true, "Obs": true, "Faults": true}
+	unreached := map[string]bool{"Policy": true, "Backend": true, "RecordCompletions": true}
+	dialOnly := map[string]bool{"HelloTimeout": true, "RedialBackoff": true}
+
 	p := workload.DefaultParams(4)
 	p.NumTransactions = 8
 	w, err := workload.Generate(p)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	f, err := New(Config{
-		Workload:     w,
-		Topology:     Topology{Shards: 2, WorkersPerShard: 2},
-		Algorithm:    policy.DCOLS,
-		Scale:        200,
-		Liveness:     livecluster.Liveness{HeartbeatEvery: 20 * time.Millisecond, Timeout: 150 * time.Millisecond},
-		Admission:    admission.Config{Policy: admission.Reject, QueueCap: 8},
-		Backpressure: 16,
-		SlackGuard:   25 * time.Microsecond,
-		Degrade:      &core.DegradeConfig{After: 4, Recover: 7, SlackFraction: 0.25},
-	})
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	clock, err := livecluster.NewClock(f.cfg.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.clock = clock
+	for name, degrade := range map[string]*core.DegradeConfig{
+		"tuned":    {After: 4, Recover: 7, SlackFraction: 0.25},
+		"defaults": {}, // controller on, default streak: not "no controller"
+	} {
+		t.Run("degrade-"+name, func(t *testing.T) {
+			f, err := New(Config{
+				Workload:  w,
+				Topology:  Topology{Shards: 2, WorkersPerShard: 2},
+				Algorithm: policy.DCOLS,
+				Scale:     200,
+				Liveness: livecluster.Liveness{
+					HeartbeatEvery: 20 * time.Millisecond, Timeout: 150 * time.Millisecond, HelloTimeout: time.Second,
+					Redials: 5, RedialBackoff: 30 * time.Millisecond,
+					StragglerGrace: 90 * time.Millisecond, StragglerStrikes: 4,
+				},
+				Admission:    admission.Config{Policy: admission.Reject, QueueCap: 8},
+				Backpressure: 16,
+				SlackGuard:   25 * time.Microsecond,
+				Degrade:      degrade,
+			})
+			if err != nil {
+				t.Fatalf("new: %v", err)
+			}
+			if f.clock, err = livecluster.NewClock(f.cfg.Scale); err != nil {
+				t.Fatal(err)
+			}
+			rs := &remoteShard{id: 1, f: f, live: f.cfg.Liveness.WithDefaults()}
+			payload, err := json.Marshal(rs.hello(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hello wire.Hello
+			if err := json.Unmarshal(payload, &hello); err != nil {
+				t.Fatal(err)
+			}
+			local, remote := f.shardConfig(1, f.clock), helloShardConfig(hello)
 
-	local := f.shardConfig(1, clock)
-	local.Workload, local.Clock, local.OnReject, local.Obs, local.Faults = nil, nil, nil, nil, nil
-
-	rs := &remoteShard{id: 1, f: f, live: livenessDefaults(f.cfg.Liveness)}
-	payload, err := json.Marshal(rs.hello(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hello wire.Hello
-	if err := json.Unmarshal(payload, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if remote := helloShardConfig(hello); !reflect.DeepEqual(remote, local) {
-		t.Fatalf("wire shard config differs from in-process:\nwire:  %+v (Degrade %+v)\nlocal: %+v (Degrade %+v)",
-			remote, remote.Degrade, local, local.Degrade)
+			sameFields := func(what string, local, remote reflect.Value, skip map[string]bool) {
+				for i := 0; i < local.NumField(); i++ {
+					field, l, r := local.Type().Field(i).Name, local.Field(i), remote.Field(i)
+					switch {
+					case skip[field]:
+					case l.IsZero():
+						t.Errorf("%s.%s: shardConfig leaves it unset and it is not listed as exempt", what, field)
+					case !reflect.DeepEqual(l.Interface(), r.Interface()):
+						t.Errorf("%s.%s: in process %+v, over the wire %+v", what, field, l, r)
+					}
+				}
+			}
+			skip := map[string]bool{"Liveness": true} // walked field by field below
+			for field := range identity {
+				skip[field] = true
+			}
+			for field := range unreached { // exempt only while shardConfig really leaves it unset
+				skip[field] = reflect.ValueOf(local).FieldByName(field).IsZero()
+			}
+			sameFields("Config", reflect.ValueOf(local), reflect.ValueOf(remote), skip)
+			sameFields("Liveness", reflect.ValueOf(local.Liveness), reflect.ValueOf(remote.Liveness), dialOnly)
+		})
 	}
 }
 
@@ -594,8 +627,8 @@ func TestRemoteViewTracksShard(t *testing.T) {
 }
 
 // TestServeShardRefusesPreviousVersion: a router speaking the previous
-// grammar (version 2: no Load frame, one monolithic journal) is turned away
-// at the preamble, before any hello.
+// grammar (version 3: no worker tier, flat degrade keys) is turned away at
+// the preamble, before any hello.
 func TestServeShardRefusesPreviousVersion(t *testing.T) {
 	const previous = wire.Version - 1
 	a, b := net.Pipe()

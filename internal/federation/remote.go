@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,22 +24,12 @@ import (
 // directly instead of leaving it to the session's recovery pass.
 var errShardDown = errors.New("shard is down")
 
-// session is one wire connection to the shard process. A remoteShard may
-// run several sessions over its lifetime (kill → rejoin); each carries its
-// own stop channel so the read and heartbeat loops of a dead session never
-// outlive it, and once ensures exactly one death report per session.
-type session struct {
-	conn  *wire.Conn
-	epoch int
-	stop  chan struct{}
-	once  sync.Once
-}
-
 // remoteShard drives one out-of-process scheduler shard over the wire
-// protocol, across one or more sessions. The router writes
-// Submit/Verdict/Seal/Heartbeat frames (wmu serialises writers); one read
+// protocol, across one or more sessions (kill → rejoin). The router writes
+// Submit/Verdict/Seal frames and the session its heartbeats; one read
 // goroutine per session consumes everything the shard sends and keeps the
-// latest load summary, counter snapshot and checkpoint state.
+// latest load summary, counter snapshot and checkpoint state. A session
+// dies once: the first Close of its wire.Session owns the death report.
 //
 // Lifecycle: Up (session live) → Suspect (frames stale: quarantined from
 // placement, reversible) → Down (session lost: outstanding tasks are
@@ -64,17 +53,12 @@ type remoteShard struct {
 	live livecluster.Liveness
 	rec  Recovery
 
-	// wmu serialises frame writes across sessions; wbuf is the reusable
-	// Submit payload.
-	wmu  sync.Mutex
-	wbuf []byte
-
 	// submitted counts tasks the router handed this shard (first
 	// placements and migrations, every session) — the dead-shard Total.
 	submitted atomic.Int64
 
 	mu        sync.Mutex
-	sess      *session
+	sess      *wire.Session
 	epoch     int
 	summary   livecluster.Summary
 	counters  map[string]int64 // session summary counters (display, Admitted)
@@ -109,27 +93,6 @@ type remoteShard struct {
 	doneOnce   sync.Once
 }
 
-// livenessDefaults resolves the router's liveness knobs the same way the
-// worker tier does (livecluster keeps withDefaults unexported).
-func livenessDefaults(l livecluster.Liveness) livecluster.Liveness {
-	if l.HeartbeatEvery <= 0 {
-		l.HeartbeatEvery = 100 * time.Millisecond
-	}
-	if l.Timeout <= 0 {
-		l.Timeout = 5 * l.HeartbeatEvery
-	}
-	if l.HelloTimeout <= 0 {
-		l.HelloTimeout = 30 * time.Second
-	}
-	if l.Redials == 0 {
-		l.Redials = 2
-	}
-	if l.RedialBackoff <= 0 {
-		l.RedialBackoff = 50 * time.Millisecond
-	}
-	return l
-}
-
 // StripScheme removes an optional tcp:// prefix from a shard address.
 func StripScheme(addr string) string {
 	return strings.TrimPrefix(addr, "tcp://")
@@ -137,7 +100,7 @@ func StripScheme(addr string) string {
 
 // dialShard builds shard i's handle and establishes its first session.
 func (f *Federation) dialShard(i int, addr string) (*remoteShard, error) {
-	live := livenessDefaults(f.cfg.Liveness)
+	live := f.cfg.Liveness.WithDefaults()
 	s := &remoteShard{
 		id:          i,
 		f:           f,
@@ -163,7 +126,7 @@ func (s *remoteShard) hello(rejoin bool) wire.Hello {
 	epoch := s.epoch
 	resumeSeq := s.ckptSeq
 	s.mu.Unlock()
-	hello := wire.Hello{
+	return wire.Hello{
 		Params:          f.cfg.Workload.Params,
 		Shards:          f.tp.Shards,
 		WorkersPerShard: f.tp.WorkersPerShard,
@@ -173,103 +136,67 @@ func (s *remoteShard) hello(rejoin bool) wire.Hello {
 		StartUnixNano:   f.clock.Start().UnixNano(),
 		HeartbeatNano:   s.live.HeartbeatEvery.Nanoseconds(),
 		TimeoutNano:     s.live.Timeout.Nanoseconds(),
+		Redials:         s.live.Redials,
 		Admission:       f.cfg.Admission,
 		Backpressure:    f.cfg.Backpressure,
 		SlackGuardNano:  f.cfg.SlackGuard.Nanoseconds(),
 		JournalCap:      f.cfg.JournalCap,
+		Degrade:         f.cfg.Degrade,
 		Rejoin:          rejoin,
 		Epoch:           epoch,
 		ResumeSeq:       resumeSeq,
+
+		StragglerGraceNano: s.live.StragglerGrace.Nanoseconds(),
+		StragglerStrikes:   s.live.StragglerStrikes,
 	}
-	if d := f.cfg.Degrade; d != nil {
-		hello.DegradeAfter = d.After
-		hello.DegradeRecover = d.Recover
-		hello.DegradeSlackFraction = d.SlackFraction
-	}
-	return hello
 }
 
-// connect dials the shard's address, completes the handshake and hello,
-// waits for the shard's first load summary, and starts the session's read
-// and heartbeat loops. The initial dial retries on the same capped
+// connect opens a session to the shard's address (dial, preamble, hello),
+// waits for the shard's first load summary, and starts the session's
+// heartbeats and read loop. The first contact retries on the same capped
 // jittered backoff schedule as the worker redial path (a shard process may
 // still be binding its listener); rejoin dials retry in rejoinLoop, so a
 // rejoin connect tries exactly once.
 func (s *remoteShard) connect(rejoin bool) error {
-	target := StripScheme(s.addr)
-	var nc net.Conn
+	var sess *wire.Session
 	var err error
-	if rejoin {
-		nc, err = net.DialTimeout("tcp", target, s.live.HelloTimeout)
-		if err != nil {
-			return fmt.Errorf("dial: %w", err)
-		}
-	} else {
-		bo := livecluster.NewBackoff(livecluster.RedialJitterSeed+uint64(s.id),
-			s.live.RedialBackoff, s.rec.RedialCap)
-		for attempt := 0; ; attempt++ {
-			nc, err = net.DialTimeout("tcp", target, s.live.HelloTimeout)
-			if err == nil {
-				break
-			}
-			if s.live.Redials < 0 || attempt >= s.live.Redials {
-				return fmt.Errorf("dial: %w", err)
-			}
-			if !s.pause(bo.Next()) {
-				return fmt.Errorf("dial: sealed while retrying: %w", err)
-			}
-		}
-	}
-
-	conn := wire.NewConn(nc)
-	deadline := time.Now().Add(s.live.HelloTimeout)
-	conn.SetWriteDeadline(deadline)
-	conn.SetReadDeadline(deadline)
-	if err := conn.WriteHandshake(); err != nil {
-		conn.Close()
-		return fmt.Errorf("handshake: %w", err)
-	}
-	if err := conn.ReadHandshake(); err != nil {
-		conn.Close()
-		return fmt.Errorf("handshake: %w", err)
-	}
-
-	payload, err := json.Marshal(s.hello(rejoin))
-	if err != nil {
-		conn.Close()
+	dial := func() error {
+		sess, err = wire.Dial(StripScheme(s.addr), s.live.HelloTimeout, s.hello(rejoin))
 		return err
 	}
-	if err := conn.WriteFrame(wire.TypeHello, payload); err != nil {
-		conn.Close()
-		return fmt.Errorf("hello: %w", err)
+	if dial() != nil && !rejoin {
+		s.backoff(s.live.RedialBackoff).Retry(s.live.Redials, s.pause, dial)
+	}
+	if err != nil {
+		return err
 	}
 
 	// The shard answers the hello with its first summary (or an error
 	// frame if the hello was unusable) before the session goes async.
-	typ, body, err := conn.ReadFrame()
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("first summary: %w", err)
-	}
 	var sum wire.Summary
-	switch typ {
-	case wire.TypeSummary:
-		if err := json.Unmarshal(body, &sum); err != nil {
-			conn.Close()
-			return fmt.Errorf("summary: %w", err)
-		}
-	case wire.TypeError:
-		conn.Close()
-		return fmt.Errorf("shard refused: %s", body)
+	typ, body, err := sess.Recv()
+	switch {
+	case err != nil:
+		err = fmt.Errorf("first summary: %w", err)
+	case typ == wire.TypeError:
+		err = fmt.Errorf("shard refused: %s", body)
+	case typ != wire.TypeSummary:
+		err = fmt.Errorf("expected first summary, got frame type %d", typ)
 	default:
-		conn.Close()
-		return fmt.Errorf("expected first summary, got frame type %d", typ)
+		if err = json.Unmarshal(body, &sum); err != nil {
+			err = fmt.Errorf("summary: %w", err)
+		}
 	}
-	conn.SetWriteDeadline(time.Time{})
+	if err != nil {
+		sess.Close()
+		return err
+	}
+	// The heartbeats keep the router→shard direction warm so the shard's
+	// idle read bound doesn't fire between submissions.
+	sess.Start(s.live.HeartbeatEvery, s.live.Timeout, nil)
 
 	s.mu.Lock()
 	s.epoch++
-	sess := &session{conn: conn, epoch: s.epoch, stop: make(chan struct{})}
 	s.sess = sess
 	s.deadErr = nil
 	s.summary = sum.Load
@@ -299,7 +226,6 @@ func (s *remoteShard) connect(rejoin bool) error {
 	s.mu.Unlock()
 
 	go s.readLoop(sess)
-	go s.heartbeatLoop(sess)
 	if rejoin {
 		s.f.noteRejoin(s.id)
 	}
@@ -307,14 +233,15 @@ func (s *remoteShard) connect(rejoin bool) error {
 		// The router sealed while this rejoin was in flight: seal the new
 		// session immediately so the shard drains (nothing was placed) and
 		// ends with a clean Bye instead of idling forever.
-		s.wmu.Lock()
-		werr := sess.conn.WriteFrame(wire.TypeSeal, nil)
-		s.wmu.Unlock()
-		if werr != nil {
-			s.sessionLost(sess, fmt.Errorf("federation: shard %d seal: %w", s.id, werr))
-		}
+		s.seal(sess)
 	}
 	return nil
+}
+
+// backoff is this shard's redial schedule from base: capped, with the
+// per-shard jitter stream.
+func (s *remoteShard) backoff(base time.Duration) *livecluster.Backoff {
+	return livecluster.NewBackoff(livecluster.RedialJitterSeed+uint64(s.id), base, s.rec.RedialCap)
 }
 
 // pause sleeps for d, or returns false early when Seal cancels the
@@ -331,7 +258,7 @@ func (s *remoteShard) pause(d time.Duration) bool {
 }
 
 // heard refreshes the suspect-detection watermark for a live session.
-func (s *remoteShard) heard(sess *session) {
+func (s *remoteShard) heard(sess *wire.Session) {
 	s.mu.Lock()
 	if s.sess == sess {
 		s.lastHeard = time.Now()
@@ -339,7 +266,7 @@ func (s *remoteShard) heard(sess *session) {
 	s.mu.Unlock()
 }
 
-func (s *remoteShard) applySummary(sess *session, body []byte) error {
+func (s *remoteShard) applySummary(sess *wire.Session, body []byte) error {
 	var sum wire.Summary
 	if err := json.Unmarshal(body, &sum); err != nil {
 		return fmt.Errorf("summary: %w", err)
@@ -358,7 +285,7 @@ func (s *remoteShard) applySummary(sess *session, body []byte) error {
 // applyCheckpoint replays one durable-progress frame into the outstanding
 // ledger: settled IDs leave the salvageable set, and the settle-derived
 // counter snapshot becomes the session's accounting truth.
-func (s *remoteShard) applyCheckpoint(sess *session, body []byte) error {
+func (s *remoteShard) applyCheckpoint(sess *wire.Session, body []byte) error {
 	var ck wire.Checkpoint
 	if err := json.Unmarshal(body, &ck); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -383,12 +310,10 @@ func (s *remoteShard) applyCheckpoint(sess *session, body []byte) error {
 // salvage pass submitting to this shard), and recovery itself needs f.mu
 // to salvage — running it inline could deadlock two dying shards against
 // each other.
-func (s *remoteShard) sessionLost(sess *session, err error) {
-	sess.once.Do(func() {
-		sess.conn.Close()
-		close(sess.stop)
+func (s *remoteShard) sessionLost(sess *wire.Session, err error) {
+	if sess.Close() {
 		go s.recover(sess, err)
-	})
+	}
 }
 
 // recover handles one session death: mark the shard down, salvage the
@@ -401,7 +326,7 @@ func (s *remoteShard) sessionLost(sess *session, err error) {
 // ledger on top of the real result. The read loop stores a Result only
 // while the session is current, under the same lock, so a Result either
 // precedes this decision or is dropped.
-func (s *remoteShard) recover(sess *session, err error) {
+func (s *remoteShard) recover(sess *wire.Session, err error) {
 	s.mu.Lock()
 	if s.sess != sess {
 		s.mu.Unlock()
@@ -435,18 +360,10 @@ func (s *remoteShard) recover(sess *session, err error) {
 // until a session comes up, the attempt budget runs out, or Seal cancels
 // the wait.
 func (s *remoteShard) rejoinLoop() {
-	bo := livecluster.NewBackoff(livecluster.RedialJitterSeed+uint64(s.id),
-		s.rec.RedialBackoff, s.rec.RedialCap)
-	for attempt := 0; attempt < s.rec.RedialAttempts; attempt++ {
-		if !s.pause(bo.Next()) {
-			s.shutdown()
-			return
-		}
-		if err := s.connect(true); err == nil {
-			return
-		}
+	rejoin := func() error { return s.connect(true) }
+	if s.backoff(s.rec.RedialBackoff).Retry(s.rec.RedialAttempts, s.pause, rejoin) != nil {
+		s.shutdown()
 	}
-	s.shutdown()
 }
 
 // shutdown closes the handle permanently: Wait returns the folded books.
@@ -459,11 +376,8 @@ func (s *remoteShard) shutdown() {
 }
 
 // finish records a clean end of session (result and journal received).
-func (s *remoteShard) finish(sess *session) {
-	sess.once.Do(func() {
-		sess.conn.Close()
-		close(sess.stop)
-	})
+func (s *remoteShard) finish(sess *wire.Session) {
+	sess.Close()
 	s.mu.Lock()
 	if s.sess == sess {
 		s.sess = nil
@@ -478,10 +392,9 @@ func (s *remoteShard) finish(sess *session) {
 // readLoop consumes every frame one session sends. Rejects are answered
 // synchronously with a Verdict so the shard's host loop sees the same
 // blocking bounce semantics as an in-process OnReject callback.
-func (s *remoteShard) readLoop(sess *session) {
+func (s *remoteShard) readLoop(sess *wire.Session) {
 	for {
-		sess.conn.SetReadDeadline(time.Now().Add(s.live.Timeout))
-		typ, body, err := sess.conn.ReadFrame()
+		typ, body, err := sess.Recv()
 		if err != nil {
 			s.sessionLost(sess, fmt.Errorf("federation: shard %d connection lost: %w", s.id, err))
 			return
@@ -511,7 +424,7 @@ func (s *remoteShard) readLoop(sess *session) {
 				return
 			}
 		case wire.TypeHeartbeat:
-			// Liveness only; the deadline reset above is the point.
+			// Liveness only; the read bound starting over is the point.
 		case wire.TypeReject:
 			rej, err := wire.DecodeReject(body)
 			if err != nil {
@@ -519,10 +432,9 @@ func (s *remoteShard) readLoop(sess *session) {
 				return
 			}
 			ok := s.f.onReject(s.id, task.ID(rej.ID), admission.Reason(rej.Reason), simtime.Instant(rej.NowNano))
-			s.wmu.Lock()
-			s.wbuf = wire.EncodeVerdict(s.wbuf[:0], wire.Verdict{ID: rej.ID, Accepted: ok})
-			err = sess.conn.WriteFrame(wire.TypeVerdict, s.wbuf)
-			s.wmu.Unlock()
+			err = sess.SendWith(wire.TypeVerdict, func(dst []byte) []byte {
+				return wire.EncodeVerdict(dst, wire.Verdict{ID: rej.ID, Accepted: ok})
+			})
 			if err != nil {
 				s.sessionLost(sess, fmt.Errorf("federation: shard %d verdict write: %w", s.id, err))
 				return
@@ -568,29 +480,9 @@ func (s *remoteShard) readLoop(sess *session) {
 	}
 }
 
-// heartbeatLoop keeps the router→shard direction warm so the shard's idle
-// read deadline doesn't fire between submissions.
-func (s *remoteShard) heartbeatLoop(sess *session) {
-	ticker := time.NewTicker(s.live.HeartbeatEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sess.stop:
-			return
-		case <-ticker.C:
-		}
-		s.wmu.Lock()
-		err := sess.conn.WriteFrame(wire.TypeHeartbeat, nil)
-		s.wmu.Unlock()
-		if err != nil {
-			s.sessionLost(sess, fmt.Errorf("federation: shard %d heartbeat: %w", s.id, err))
-			return
-		}
-	}
-}
-
-// SubmitBatch encodes the batch into the reusable write buffer and sends
-// one Submit frame. Only a successful write charges the shard's Total: the
+// SubmitBatch encodes the batch into the session's reusable write buffer
+// and sends one Submit frame, waiting at most the liveness timeout for the
+// socket to take it. Only a successful write charges the shard's Total: the
 // migration path treats a failed submit as a declined migration (the task
 // stays with its current owner), and routeBatch charges and salvages
 // failed first placements itself. The batch's IDs enter the outstanding
@@ -609,10 +501,7 @@ func (s *remoteShard) SubmitBatch(ts []*task.Task) error {
 	}
 	s.mu.Unlock()
 
-	s.wmu.Lock()
-	s.wbuf = wire.AppendSubmit(s.wbuf[:0], ts)
-	err := sess.conn.WriteFrame(wire.TypeSubmit, s.wbuf)
-	s.wmu.Unlock()
+	err := sess.SendWith(wire.TypeSubmit, func(dst []byte) []byte { return wire.AppendSubmit(dst, ts) })
 	if err != nil {
 		s.mu.Lock()
 		for _, t := range ts {
@@ -772,10 +661,12 @@ func (s *remoteShard) Seal() {
 		// closes done; if recovery already gave up, done is closed already.
 		return
 	}
-	s.wmu.Lock()
-	err := sess.conn.WriteFrame(wire.TypeSeal, nil)
-	s.wmu.Unlock()
-	if err != nil {
+	s.seal(sess)
+}
+
+// seal closes the shard's feed on one session.
+func (s *remoteShard) seal(sess *wire.Session) {
+	if err := sess.Send(wire.TypeSeal, nil); err != nil {
 		s.sessionLost(sess, fmt.Errorf("federation: shard %d seal: %w", s.id, err))
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rtsads/internal/admission"
-	"rtsads/internal/core"
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
@@ -35,17 +34,15 @@ type ServeShardOptions struct {
 // deadline.
 const journalChunk = 2048
 
-// shardServer is one shard session: the cluster, its observer, and the
-// framed connection back to the router. Writers (summary ticker, load
-// pusher, reject callbacks, final results) serialize on wmu; one goroutine
+// shardServer is one shard session: the cluster, its observer, and the wire
+// session back to the router. Writers (summary ticker, load pusher, reject
+// callbacks, final results) serialize inside the session; one goroutine
 // reads.
 type shardServer struct {
-	conn    *wire.Conn
+	sess    *wire.Session
 	cl      *livecluster.Cluster
 	o       *obs.Observer
 	timeout time.Duration
-
-	wmu sync.Mutex
 
 	// arena backs the tasks decoded from Submit frames; the cluster holds
 	// them until they settle, so slots live for the session. Read loop only.
@@ -91,38 +88,20 @@ func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 // the cluster the hello describes and answers with the first summary — the
 // router blocks on it before going async.
 func openShard(nc net.Conn, opt ServeShardOptions) (*shardServer, <-chan runOutcome, error) {
-	helloTimeout := opt.HelloTimeout
-	if helloTimeout <= 0 {
-		helloTimeout = 30 * time.Second
-	}
-	conn := wire.NewConn(nc)
-	deadline := time.Now().Add(helloTimeout)
-	conn.SetReadDeadline(deadline)
-	conn.SetWriteDeadline(deadline)
-	if err := conn.ReadHandshake(); err != nil {
-		return nil, nil, err
-	}
-	if err := conn.WriteHandshake(); err != nil {
-		return nil, nil, err
-	}
-	typ, body, err := conn.ReadFrame()
+	sess, body, err := wire.Accept(nc, livecluster.Liveness{HelloTimeout: opt.HelloTimeout}.WithDefaults().HelloTimeout)
 	if err != nil {
-		return nil, nil, fmt.Errorf("federation: read hello: %w", err)
-	}
-	if typ != wire.TypeHello {
-		return nil, nil, fmt.Errorf("federation: expected hello, got frame type %d", typ)
+		return nil, nil, fmt.Errorf("federation: %w", err)
 	}
 	var hello wire.Hello
 	if err := json.Unmarshal(body, &hello); err != nil {
-		return nil, nil, refuse(conn, fmt.Errorf("federation: decode hello: %w", err))
+		return nil, nil, refuse(sess, fmt.Errorf("federation: decode hello: %w", err))
 	}
-
-	srv, runErrc, err := startShard(conn, hello, opt)
+	srv, runErrc, err := startShard(sess, hello, opt)
 	if err != nil {
-		return nil, nil, refuse(conn, err)
+		return nil, nil, refuse(sess, err)
 	}
-	conn.SetReadDeadline(time.Time{})
-	conn.SetWriteDeadline(time.Time{})
+	// The shard sends no Heartbeat frames: its summaries double as them.
+	sess.Start(0, srv.timeout, nil)
 	if err := srv.sendSummary(); err != nil {
 		return nil, nil, err
 	}
@@ -169,7 +148,7 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 		return sessionErr
 	}
 	if out.err != nil {
-		s.send(wire.TypeError, []byte(out.err.Error()))
+		s.sess.Send(wire.TypeError, []byte(out.err.Error()))
 		return out.err
 	}
 
@@ -181,30 +160,30 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 	if err := s.sendCheckpoint(); err != nil {
 		return err
 	}
-	if err := s.sendJSON(wire.TypeResult, out.res); err != nil {
+	if err := s.sess.SendJSON(wire.TypeResult, out.res); err != nil {
 		return err
 	}
 	entries, evicted := s.o.Journal().Export()
 	for {
 		n := min(len(entries), journalChunk)
-		if err := s.sendJSON(wire.TypeJournal, wire.JournalExport{Entries: entries[:n], Evicted: evicted}); err != nil {
+		if err := s.sess.SendJSON(wire.TypeJournal, wire.JournalExport{Entries: entries[:n], Evicted: evicted}); err != nil {
 			return err
 		}
 		if entries = entries[n:]; len(entries) == 0 {
 			break
 		}
 	}
-	return s.send(wire.TypeBye, nil)
+	return s.sess.Send(wire.TypeBye, nil)
 }
 
 // refuse reports a setup error to the router before failing the session.
-func refuse(conn *wire.Conn, err error) error {
-	conn.WriteFrame(wire.TypeError, []byte(err.Error()))
+func refuse(sess *wire.Session, err error) error {
+	sess.Send(wire.TypeError, []byte(err.Error()))
 	return err
 }
 
 // startShard builds the cluster a hello describes and starts its run.
-func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shardServer, <-chan runOutcome, error) {
+func startShard(sess *wire.Session, hello wire.Hello, opt ServeShardOptions) (*shardServer, <-chan runOutcome, error) {
 	tp := Topology{Shards: hello.Shards, WorkersPerShard: hello.WorkersPerShard}
 	if err := tp.Validate(); err != nil {
 		return nil, nil, err
@@ -229,9 +208,9 @@ func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shar
 		o = obs.New(hello.JournalCap)
 	}
 	srv := &shardServer{
-		conn:       conn,
+		sess:       sess,
 		o:          o,
-		timeout:    cfg.Liveness.Timeout,
+		timeout:    cfg.Liveness.WithDefaults().Timeout,
 		verdicts:   make(map[int32]chan bool),
 		ckptCounts: make(map[string]int64),
 	}
@@ -260,56 +239,26 @@ func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shar
 // Federation.shardConfig builds in-process — minus the session's identity
 // (workload slice, clock, observer, reject hook), which startShard adds.
 func helloShardConfig(hello wire.Hello) livecluster.Config {
-	hb := time.Duration(hello.HeartbeatNano)
-	if hb <= 0 {
-		hb = 100 * time.Millisecond
-	}
-	timeout := time.Duration(hello.TimeoutNano)
-	if timeout <= 0 {
-		timeout = 5 * hb
-	}
-	var degrade *core.DegradeConfig
-	if hello.DegradeAfter > 0 {
-		degrade = &core.DegradeConfig{
-			After:         hello.DegradeAfter,
-			Recover:       hello.DegradeRecover,
-			SlackFraction: hello.DegradeSlackFraction,
-		}
-	}
 	return livecluster.Config{
-		Algorithm:    policy.Algorithm(hello.Algorithm),
-		Scale:        hello.Scale,
-		External:     true,
-		Liveness:     livecluster.Liveness{HeartbeatEvery: hb, Timeout: timeout},
+		Algorithm: policy.Algorithm(hello.Algorithm),
+		Scale:     hello.Scale,
+		External:  true,
+		Liveness: livecluster.Liveness{
+			HeartbeatEvery:   time.Duration(hello.HeartbeatNano),
+			Timeout:          time.Duration(hello.TimeoutNano),
+			Redials:          hello.Redials,
+			StragglerGrace:   time.Duration(hello.StragglerGraceNano),
+			StragglerStrikes: hello.StragglerStrikes,
+		},
 		Admission:    hello.Admission,
 		Backpressure: hello.Backpressure,
 		SlackGuard:   time.Duration(hello.SlackGuardNano),
-		Degrade:      degrade,
+		Degrade:      hello.Degrade,
 	}
-}
-
-// send writes one frame under the session's write lock and deadline.
-func (s *shardServer) send(typ byte, payload []byte) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	d := s.timeout
-	if d < 5*time.Second {
-		d = 5 * time.Second
-	}
-	s.conn.SetWriteDeadline(time.Now().Add(d))
-	return s.conn.WriteFrame(typ, payload)
-}
-
-func (s *shardServer) sendJSON(typ byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return s.send(typ, payload)
 }
 
 func (s *shardServer) sendSummary() error {
-	return s.sendJSON(wire.TypeSummary, wire.Summary{
+	return s.sess.SendJSON(wire.TypeSummary, wire.Summary{
 		Load:     s.cl.LoadSummary(),
 		Counters: s.o.Registry().Snapshot(),
 	})
@@ -344,7 +293,7 @@ func (s *shardServer) sendCheckpoint() error {
 	s.ckptSeq++
 	seq := s.ckptSeq
 	s.smu.Unlock()
-	return s.sendJSON(wire.TypeCheckpoint, wire.Checkpoint{
+	return s.sess.SendJSON(wire.TypeCheckpoint, wire.Checkpoint{
 		Seq:      seq,
 		Settled:  ids,
 		Counters: counters,
@@ -355,11 +304,7 @@ func (s *shardServer) sendCheckpoint() error {
 // summaryLoop republishes the load summary and counters at the heartbeat
 // cadence; each summary doubles as the shard→router heartbeat.
 func (s *shardServer) summaryLoop(stop <-chan struct{}) {
-	hb := s.timeout / 5
-	if hb <= 0 {
-		hb = 100 * time.Millisecond
-	}
-	ticker := time.NewTicker(hb)
+	ticker := time.NewTicker(s.timeout / 5)
 	defer ticker.Stop()
 	for {
 		select {
@@ -381,17 +326,16 @@ func (s *shardServer) summaryLoop(stop <-chan struct{}) {
 // view of this shard is one phase stale — what it is in process — instead
 // of one summary interval stale. The cluster's tick coalesces: a slow
 // socket costs skipped intermediate views, never a blocked host loop. The
-// frame is encoded into one reused buffer.
+// frame is encoded into the session's reused buffer.
 func (s *shardServer) loadLoop(stop <-chan struct{}) {
-	var buf []byte
+	encode := func(dst []byte) []byte { return wire.EncodeLoad(dst, s.cl.LoadSummary()) }
 	for {
 		select {
 		case <-stop:
 			return
 		case <-s.cl.LoadChanged():
 		}
-		buf = wire.EncodeLoad(buf[:0], s.cl.LoadSummary())
-		if s.send(wire.TypeLoad, buf) != nil {
+		if s.sess.SendWith(wire.TypeLoad, encode) != nil {
 			return
 		}
 	}
@@ -413,8 +357,8 @@ func (s *shardServer) onReject(t *task.Task, reason admission.Reason, now simtim
 		delete(s.verdicts, id)
 		s.vmu.Unlock()
 	}()
-	payload := wire.EncodeReject(nil, wire.Reject{ID: id, Reason: string(reason), NowNano: int64(now)})
-	if err := s.send(wire.TypeReject, payload); err != nil {
+	rej := wire.Reject{ID: id, Reason: string(reason), NowNano: int64(now)}
+	if s.sess.SendWith(wire.TypeReject, func(dst []byte) []byte { return wire.EncodeReject(dst, rej) }) != nil {
 		return false
 	}
 	select {
@@ -426,13 +370,12 @@ func (s *shardServer) onReject(t *task.Task, reason admission.Reason, now simtim
 }
 
 // readLoop consumes the router's frames until the connection breaks. The
-// idle deadline is the liveness timeout; the router's heartbeats keep it
-// from firing between submissions.
+// idle bound is the liveness timeout; the router's heartbeats keep it from
+// firing between submissions.
 func (s *shardServer) readLoop(errc chan<- error) {
 	alloc := s.arena.alloc
 	for {
-		s.conn.SetReadDeadline(time.Now().Add(s.timeout))
-		typ, body, err := s.conn.ReadFrame()
+		typ, body, err := s.sess.Recv()
 		if err != nil {
 			errc <- fmt.Errorf("federation: router connection lost: %w", err)
 			return

@@ -2,7 +2,7 @@ package wire
 
 import (
 	"rtsads/internal/admission"
-	"rtsads/internal/livecluster"
+	"rtsads/internal/core"
 	"rtsads/internal/obs"
 	"rtsads/internal/workload"
 )
@@ -10,8 +10,8 @@ import (
 // Hello configures a remote shard session. The shard regenerates the
 // workload deterministically from Params and projects its own slice with
 // the topology fields — the database never crosses the wire, exactly like
-// the worker-level protocol's hello. Topology is carried as plain ints so
-// the wire package stays independent of the federation package.
+// a worker's hello. Topology is carried as plain ints so the wire package
+// stays independent of the federation package.
 type Hello struct {
 	Params workload.Params `json:"params"`
 
@@ -24,19 +24,21 @@ type Hello struct {
 	StartUnixNano int64   `json:"start_unix_nano"` // shared clock epoch
 
 	// HeartbeatNano and TimeoutNano carry the router's liveness settings
-	// so both sides agree; zero selects defaults.
-	HeartbeatNano int64 `json:"heartbeat_nano,omitempty"`
-	TimeoutNano   int64 `json:"timeout_nano,omitempty"`
+	// so both ends of the session agree; with Redials and the Straggler
+	// pair they are also the shard cluster's own. Zero selects defaults.
+	HeartbeatNano      int64 `json:"heartbeat_nano,omitempty"`
+	TimeoutNano        int64 `json:"timeout_nano,omitempty"`
+	Redials            int   `json:"redials,omitempty"`
+	StragglerGraceNano int64 `json:"straggler_grace_nano,omitempty"`
+	StragglerStrikes   int   `json:"straggler_strikes,omitempty"`
 
 	Admission      admission.Config `json:"admission,omitempty"`
 	Backpressure   int              `json:"backpressure,omitempty"`
 	SlackGuardNano int64            `json:"slack_guard_nano,omitempty"`
 	JournalCap     int              `json:"journal_cap,omitempty"`
-	// Degrade* carry core.DegradeConfig; DegradeAfter zero means no
-	// degraded-mode controller.
-	DegradeAfter         int     `json:"degrade_after,omitempty"`
-	DegradeRecover       int     `json:"degrade_recover,omitempty"`
-	DegradeSlackFraction float64 `json:"degrade_slack_fraction,omitempty"`
+	// Degrade is the degraded-mode controller's configuration; nil means no
+	// controller, a zero value a controller on its defaults.
+	Degrade *core.DegradeConfig `json:"degrade,omitempty"`
 
 	// Rejoin marks this hello as a re-handshake after a session loss: the
 	// router has already salvaged the dead session's outstanding tasks and
@@ -56,7 +58,7 @@ type Hello struct {
 // router's settle loop and a mid-run reconciliation read. It doubles as
 // the shard→router heartbeat.
 type Summary struct {
-	Load livecluster.Summary `json:"load"`
+	Load Load `json:"load"`
 	// Counters is the shard registry snapshot (the rtsads_* families).
 	Counters map[string]int64 `json:"counters,omitempty"`
 }

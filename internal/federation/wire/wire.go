@@ -1,15 +1,18 @@
-// Package wire is the federation's shard transport: a versioned,
-// length-prefixed binary protocol that lets scheduler shards run as
-// separate processes behind the router. A session starts with a fixed
-// preamble (magic + version) so incompatible peers fail fast, then
-// exchanges typed frames:
+// Package wire is the repo's one transport, RTFW: a versioned,
+// length-prefixed binary protocol spoken on both tiers — router↔shard
+// (scheduler shards as separate processes behind the federation router) and
+// host↔worker (livecluster's TCP backend). A session (session.go) starts
+// with a fixed preamble (magic + version) so incompatible peers fail fast,
+// then a JSON hello, then typed frames:
 //
 //	[4-byte big-endian payload length][1-byte type][payload]
 //
-// Task batches and load views — the hot path — use fixed-width binary
-// codecs (48 bytes per task, 33 per load view, no reflection); everything
-// that crosses the wire once per run or per heartbeat (hello, summaries,
-// checkpoints, results, journals) is JSON inside its frame.
+// Task batches, load views, job deliveries and completions — the hot path —
+// use fixed-width binary codecs (48 bytes per task, 33 per load view, no
+// reflection; the Jobs and Done records sit beside their types in
+// livecluster); everything that crosses the wire once per run or per
+// heartbeat (hellos, summaries, checkpoints, results, journals) is JSON
+// inside its frame.
 //
 // Versioning rules: the preamble's version byte names the frame grammar.
 // A peer MUST reject a version it does not speak — there is no
@@ -26,10 +29,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"rtsads/internal/affinity"
-	"rtsads/internal/livecluster"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 )
@@ -37,17 +40,20 @@ import (
 // Magic opens every session; Version names the frame grammar.
 // Version history: 1 = initial shard protocol; 2 adds the Checkpoint
 // frame and the Hello rejoin fields (Rejoin/Epoch/ResumeSeq); 3 adds the
-// Load frame and lets a journal span several Journal frames.
+// Load frame and lets a journal span several Journal frames; 4 adds the
+// worker tier (a worker's hello, the Jobs and Done frames) and carries the
+// whole shard configuration in the shard Hello.
 const (
 	Magic   = "RTFW"
-	Version = 3
+	Version = 4
 )
 
-// Frame types. Submit/Verdict/Seal/Heartbeat flow router→shard;
-// Reject/Summary/Load/Checkpoint/Result/Journal/Heartbeat flow shard→router;
-// Bye and Error may flow either way.
+// Frame types. Submit/Verdict/Seal flow router→shard;
+// Reject/Summary/Load/Checkpoint/Result/Journal flow shard→router; Jobs
+// flows host→worker and Done worker→host; Heartbeat, Bye and Error may flow
+// either way on either tier.
 const (
-	TypeHello      byte = 1  // router→shard: JSON Hello
+	TypeHello      byte = 1  // dialler→acceptor: JSON hello (shard Hello, or a worker's)
 	TypeSubmit     byte = 2  // router→shard: binary task batch
 	TypeReject     byte = 3  // shard→router: admission rejected a task
 	TypeVerdict    byte = 4  // router→shard: migration verdict for a reject
@@ -60,11 +66,17 @@ const (
 	TypeError      byte = 11 // either: fatal error string, then close
 	TypeCheckpoint byte = 12 // shard→router: JSON Checkpoint (v2+)
 	TypeLoad       byte = 13 // shard→router: binary load view (v3+)
+	TypeJobs       byte = 14 // host→worker: binary job records (v4+)
+	TypeDone       byte = 15 // worker→host: one binary completion record (v4+)
 )
 
 // MaxFrame bounds a frame payload; a peer announcing more is corrupt or
-// hostile and the connection is dropped.
-const MaxFrame = 64 << 20
+// hostile and the connection is dropped. readChunk is the size of a Conn's
+// read and write buffers.
+const (
+	MaxFrame  = 64 << 20
+	readChunk = 64 << 10
+)
 
 // TaskRecordSize is the fixed wire width of one task; LoadSize that of one
 // load view.
@@ -74,9 +86,8 @@ const (
 )
 
 // Conn frames one net.Conn. Reads and writes are independently buffered;
-// neither direction is safe for concurrent use — callers serialize each
-// side (the federation's remote handle and shard server each guard writes
-// with a mutex and read from a single goroutine).
+// neither direction is safe for concurrent use — a Session serializes
+// writes with a mutex and is read from a single goroutine.
 type Conn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -91,7 +102,7 @@ type Conn struct {
 
 // NewConn wraps a connection. It performs no I/O.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{c: c, br: bufio.NewReaderSize(c, 64<<10), bw: bufio.NewWriterSize(c, 64<<10)}
+	return &Conn{c: c, br: bufio.NewReaderSize(c, readChunk), bw: bufio.NewWriterSize(c, readChunk)}
 }
 
 // SetDeadline bounds the next read and write.
@@ -154,13 +165,18 @@ func (c *Conn) ReadFrame() (byte, []byte, error) {
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame payload %d exceeds max %d", n, MaxFrame)
 	}
-	if cap(c.buf) < int(n) {
-		c.buf = make([]byte, n)
+	// The scratch buffer grows with the payload bytes that arrive, a read
+	// buffer at a time, never with the length a header merely claims.
+	buf := c.buf[:0]
+	for len(buf) < int(n) {
+		at := len(buf)
+		buf = slices.Grow(buf, min(int(n)-at, readChunk))
+		buf = buf[:min(int(n), cap(buf))]
+		if _, err := io.ReadFull(c.br, buf[at:]); err != nil {
+			return 0, nil, fmt.Errorf("wire: read payload: %w", err)
+		}
 	}
-	buf := c.buf[:n]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return 0, nil, fmt.Errorf("wire: read payload: %w", err)
-	}
+	c.buf = buf
 	return c.rhdr[4], buf, nil
 }
 
@@ -225,11 +241,37 @@ func DecodeSubmit(payload []byte, alloc func() *task.Task) ([]*task.Task, error)
 	return ts, nil
 }
 
+// Load is a point-in-time load snapshot of one cluster (livecluster calls it
+// Summary), exported so a federation router can place tasks by each shard's
+// state: it is the live analogue of the paper's Min_Load term — the
+// earliest instant any worker frees up (RQs) plus how much planned work is
+// queued ahead of a newcomer.
+type Load struct {
+	// Workers is the shard's configured worker count; Alive is how many
+	// still survive.
+	Workers int
+	Alive   int
+	// Backlog counts tasks admitted but not yet delivered (the ready batch
+	// plus submissions not yet absorbed by the host loop).
+	Backlog int
+	// Inflight counts tasks delivered to workers and not yet completed.
+	Inflight int
+	// QueuedWork is the planned work queued across alive workers:
+	// Σ max(0, freeAt − now). Dividing by Alive estimates the shard's RQs.
+	QueuedWork time.Duration
+	// MinFree is the earliest virtual instant an alive worker frees up
+	// (clamped to now when idle), or simtime.Never when no worker is alive.
+	MinFree simtime.Instant
+	// Sealed reports that the feed has been closed; the shard accepts no
+	// further submissions.
+	Sealed bool
+}
+
 // EncodeLoad appends s's fixed-width load view to dst: Workers, Alive,
 // Backlog and Inflight as int32, QueuedWork and MinFree as int64, Sealed as
 // one byte. The shard pushes one per changed host-loop publication into a
 // reused buffer, so the steady state allocates nothing.
-func EncodeLoad(dst []byte, s livecluster.Summary) []byte {
+func EncodeLoad(dst []byte, s Load) []byte {
 	var b [LoadSize]byte
 	binary.BigEndian.PutUint32(b[0:4], uint32(s.Workers))
 	binary.BigEndian.PutUint32(b[4:8], uint32(s.Alive))
@@ -245,7 +287,7 @@ func EncodeLoad(dst []byte, s livecluster.Summary) []byte {
 
 // DecodeLoad overwrites s with an EncodeLoad payload; s is untouched on
 // error.
-func DecodeLoad(payload []byte, s *livecluster.Summary) error {
+func DecodeLoad(payload []byte, s *Load) error {
 	if len(payload) != LoadSize {
 		return fmt.Errorf("wire: load payload is %d bytes, want %d", len(payload), LoadSize)
 	}

@@ -67,7 +67,7 @@ func newLoadTracker(workers, perWorker int, grace time.Duration) *loadTracker {
 		return nil
 	}
 	if grace <= 0 {
-		grace = Liveness{}.withDefaults().StragglerGrace
+		grace = Liveness{}.WithDefaults().StragglerGrace
 	}
 	return &loadTracker{
 		cap:    perWorker,

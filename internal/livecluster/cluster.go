@@ -9,6 +9,7 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
 	"rtsads/internal/faultinject"
+	"rtsads/internal/federation/wire"
 	"rtsads/internal/machine"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
@@ -19,8 +20,8 @@ import (
 )
 
 // Backend delivers jobs to workers and surfaces their completions. The
-// in-process backend uses channels; the TCP backend (tcp.go) uses gob
-// streams over the network.
+// in-process backend uses channels; the TCP backend (tcp.go) uses RTFW
+// sessions (federation/wire) over the network.
 //
 // Transport-level problems (a dead connection, a crashed worker) must not
 // surface as Deliver errors: they are reported asynchronously on Failures,
@@ -54,14 +55,16 @@ type Failure struct {
 
 // Liveness bounds the failure detectors. Zero values select the defaults.
 type Liveness struct {
-	// HeartbeatEvery is the wall-clock interval between heartbeat
-	// envelopes on a TCP session, in both directions (default 100ms).
+	// HeartbeatEvery is the wall-clock interval between heartbeat frames
+	// on a TCP session, in both directions (default 100ms).
 	HeartbeatEvery time.Duration
 	// Timeout is the wall-clock silence after which a TCP peer is
-	// presumed dead (default 5 x HeartbeatEvery).
+	// presumed dead, and the longest a single write to it may block
+	// (default 5 x HeartbeatEvery).
 	Timeout time.Duration
-	// HelloTimeout bounds how long a serving worker waits for the hello
-	// after accepting a connection (default 30s).
+	// HelloTimeout bounds how long a serving worker or shard waits for the
+	// preamble and hello after accepting a connection, and a router for a
+	// shard to answer its own (default 30s).
 	HelloTimeout time.Duration
 	// Redials is how many reconnection attempts the host makes when a
 	// worker connection breaks mid-run; negative disables reconnection
@@ -79,7 +82,8 @@ type Liveness struct {
 	StragglerStrikes int
 }
 
-func (l Liveness) withDefaults() Liveness {
+// WithDefaults resolves zero values to the documented defaults.
+func (l Liveness) WithDefaults() Liveness {
 	if l.HeartbeatEvery <= 0 {
 		l.HeartbeatEvery = 100 * time.Millisecond
 	}
@@ -183,30 +187,9 @@ type Config struct {
 	OnReject func(t *task.Task, reason admission.Reason, now simtime.Instant) bool
 }
 
-// Summary is a point-in-time load snapshot of one cluster, exported so a
-// federation router can place tasks by each shard's state: it is the live
-// analogue of the paper's Min_Load term — the earliest instant any worker
-// frees up (RQs) plus how much planned work is queued ahead of a newcomer.
-type Summary struct {
-	// Workers is the shard's configured worker count; Alive is how many
-	// still survive.
-	Workers int
-	Alive   int
-	// Backlog counts tasks admitted but not yet delivered (the ready batch
-	// plus submissions not yet absorbed by the host loop).
-	Backlog int
-	// Inflight counts tasks delivered to workers and not yet completed.
-	Inflight int
-	// QueuedWork is the planned work queued across alive workers:
-	// Σ max(0, freeAt − now). Dividing by Alive estimates the shard's RQs.
-	QueuedWork time.Duration
-	// MinFree is the earliest virtual instant an alive worker frees up
-	// (clamped to now when idle), or simtime.Never when no worker is alive.
-	MinFree simtime.Instant
-	// Sealed reports that the feed has been closed; the shard accepts no
-	// further submissions.
-	Sealed bool
-}
+// Summary is a point-in-time load snapshot of one cluster. The type lives
+// beside its wire codec so the transport does not import this package.
+type Summary = wire.Load
 
 // WorkerLoad summarises the worker half of a Summary at now from the
 // instants the ready queues drain: Workers, Alive, QueuedWork and MinFree.
@@ -362,7 +345,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = core.NewAdaptive()
 	}
-	cfg.Liveness = cfg.Liveness.withDefaults()
+	cfg.Liveness = cfg.Liveness.WithDefaults()
 	if err := cfg.Admission.Validate(); err != nil {
 		return nil, fmt.Errorf("livecluster: %w", err)
 	}
@@ -1387,7 +1370,7 @@ func NewBoundedChannelBackend(clock *Clock, w *workload.Workload, queueCap int, 
 // carries the same event stream (heartbeat instants in the journal, trace
 // and counters) as a TCP run, and stops when the worker is killed.
 func (b *ChannelBackend) heartbeats(i int, o *obs.Observer, quit <-chan struct{}) {
-	ticker := time.NewTicker(Liveness{}.withDefaults().HeartbeatEvery)
+	ticker := time.NewTicker(Liveness{}.WithDefaults().HeartbeatEvery)
 	defer ticker.Stop()
 	for {
 		select {

@@ -331,7 +331,7 @@ func TestClusterStopMidRun(t *testing.T) {
 func TestRedialJitterBackoff(t *testing.T) {
 	var delays []time.Duration
 	b := &TCPBackend{
-		live:  Liveness{Redials: 3, RedialBackoff: 80 * time.Millisecond}.withDefaults(),
+		live:  Liveness{Redials: 3, RedialBackoff: 80 * time.Millisecond}.WithDefaults(),
 		conns: []*workerConn{{addr: "127.0.0.1:1"}}, // nothing listens: every dial fails fast
 	}
 	b.sleep = func(d time.Duration) bool {

@@ -2,6 +2,8 @@ package livecluster
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -9,51 +11,114 @@ import (
 	"sync/atomic"
 	"time"
 
-	"encoding/gob"
-
 	"rtsads/internal/faultinject"
+	"rtsads/internal/federation/wire"
 	"rtsads/internal/obs"
 	"rtsads/internal/rng"
 	"rtsads/internal/simtime"
 	"rtsads/internal/workload"
 )
 
-// envelope is the single wire message type exchanged between the host and
-// TCP workers, gob-encoded. Exactly one field is set per message.
-type envelope struct {
-	Hello     *helloMsg
-	Deliver   *deliverMsg
-	Done      *Done
-	Heartbeat bool
-	Bye       bool
-}
-
-// helloMsg opens a host→worker session. The worker regenerates the
-// workload deterministically from the parameters instead of shipping the
-// database over the wire — each node loads its own partition, as on a real
-// distributed-memory machine.
-type helloMsg struct {
-	Params        workload.Params
-	WorkerID      int
-	Scale         float64
-	StartUnixNano int64 // the host clock's wall epoch (shared time base)
+// workerHello opens a host→worker session (the JSON payload of its Hello
+// frame). The worker regenerates the workload deterministically from the
+// parameters instead of shipping the database over the wire — each node
+// loads its own partition, as on a real distributed-memory machine.
+type workerHello struct {
+	Params        workload.Params `json:"params"`
+	WorkerID      int             `json:"worker"`
+	Scale         float64         `json:"scale"`
+	StartUnixNano int64           `json:"start_unix_nano"` // the host clock's wall epoch (shared time base)
 	// HeartbeatNano and TimeoutNano carry the host's liveness settings so
 	// both sides agree: each side sends a heartbeat every HeartbeatNano and
 	// treats TimeoutNano of silence as a dead peer. Zero selects defaults.
-	HeartbeatNano int64
-	TimeoutNano   int64
+	HeartbeatNano int64 `json:"heartbeat_nano,omitempty"`
+	TimeoutNano   int64 `json:"timeout_nano,omitempty"`
 }
 
-// deliverMsg appends jobs to the worker's ready queue.
-type deliverMsg struct {
-	Jobs []Job
+// Fixed wire widths of one Job in a Jobs frame and of the record that opens
+// a Done frame (the rest of that frame is the Err string).
+const (
+	jobRecordSize  = 32
+	doneRecordSize = 29
+)
+
+// appendJobs appends the Jobs frame payload: one fixed-width record per job.
+// Ready does not cross the wire — the host's clock reads the send, not the
+// arrival, so the worker stamps it (decodeJobs).
+func appendJobs(dst []byte, jobs []Job) []byte {
+	for i := range jobs {
+		j := &jobs[i]
+		dst = binary.BigEndian.AppendUint32(dst, uint32(j.Task))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(j.Txn))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(j.Proc))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(j.Comm))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(j.Deadline))
+	}
+	return dst
+}
+
+// decodeJobs decodes a Jobs payload; every job enters the ready queue at
+// ready.
+func decodeJobs(payload []byte, ready simtime.Instant) ([]Job, error) {
+	if len(payload)%jobRecordSize != 0 {
+		return nil, fmt.Errorf("livecluster: jobs payload of %d bytes is not a whole number of %d-byte records",
+			len(payload), jobRecordSize)
+	}
+	jobs := make([]Job, len(payload)/jobRecordSize)
+	for i := range jobs {
+		rec := payload[i*jobRecordSize:]
+		jobs[i] = Job{
+			Task:     int32(binary.BigEndian.Uint32(rec[0:4])),
+			Txn:      int32(binary.BigEndian.Uint32(rec[4:8])),
+			Proc:     time.Duration(binary.BigEndian.Uint64(rec[8:16])),
+			Comm:     time.Duration(binary.BigEndian.Uint64(rec[16:24])),
+			Deadline: simtime.Instant(binary.BigEndian.Uint64(rec[24:32])),
+			Ready:    ready,
+		}
+	}
+	return jobs, nil
+}
+
+// appendDone appends the Done frame payload: a fixed-width record (Worker
+// and Matches as int32, Hit and Expired as bits of one byte), then Err.
+func appendDone(dst []byte, d Done) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(d.Task))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(d.Worker))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(d.Start))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(d.Finish))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(d.Matches))
+	var flags byte
+	if d.Hit {
+		flags |= 1
+	}
+	if d.Expired {
+		flags |= 2
+	}
+	return append(append(dst, flags), d.Err...)
+}
+
+// decodeDone decodes a Done payload.
+func decodeDone(payload []byte) (Done, error) {
+	if len(payload) < doneRecordSize {
+		return Done{}, fmt.Errorf("livecluster: done payload too short (%d bytes)", len(payload))
+	}
+	return Done{
+		Task:    int32(binary.BigEndian.Uint32(payload[0:4])),
+		Worker:  int(int32(binary.BigEndian.Uint32(payload[4:8]))),
+		Start:   simtime.Instant(binary.BigEndian.Uint64(payload[8:16])),
+		Finish:  simtime.Instant(binary.BigEndian.Uint64(payload[16:24])),
+		Matches: int(int32(binary.BigEndian.Uint32(payload[24:28]))),
+		Hit:     payload[28]&1 != 0,
+		Expired: payload[28]&2 != 0,
+		Err:     string(payload[doneRecordSize:]),
+	}, nil
 }
 
 // ServeOptions tunes ServeWorkerContext.
 type ServeOptions struct {
 	// HelloTimeout bounds how long an accepted connection may take to send
-	// its hello before the worker gives up on it (default 30s). It also
-	// rejects connections that never identify themselves.
+	// its preamble and hello before the worker gives up on it (default 30s).
+	// It also rejects connections that never identify themselves.
 	HelloTimeout time.Duration
 }
 
@@ -68,35 +133,16 @@ func ServeWorker(lis net.Listener) error {
 
 // ServeWorkerContext is ServeWorker with bounded waits: cancelling ctx
 // closes the listener (and any live session connection) so an orphaned
-// worker process exits instead of blocking in Accept or Decode forever, and
+// worker process exits instead of blocking in Accept or a read forever, and
 // a connection that never sends its hello is dropped after
 // opt.HelloTimeout. Silence from the host longer than the session's
-// liveness timeout (agreed in the hello) also ends the session.
+// liveness timeout (agreed in the hello) also ends the session, and every
+// write is bounded by it so a stalled host cannot park the session.
 func ServeWorkerContext(ctx context.Context, lis net.Listener, opt ServeOptions) error {
-	helloTimeout := opt.HelloTimeout
-	if helloTimeout <= 0 {
-		helloTimeout = 30 * time.Second
-	}
-
-	// The watcher makes Accept and the session reads interruptible: on ctx
-	// cancellation it closes the listener and the session's connection.
-	var connMu sync.Mutex
-	var liveConn net.Conn
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			lis.Close()
-			connMu.Lock()
-			if liveConn != nil {
-				liveConn.Close()
-			}
-			connMu.Unlock()
-		case <-watchDone:
-		}
-	}()
-
+	// Cancelling ctx closes the listener, then the session's connection, so
+	// neither Accept nor a session read outlives it.
+	stopAccept := context.AfterFunc(ctx, func() { lis.Close() })
+	defer stopAccept()
 	conn, err := lis.Accept()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -104,37 +150,22 @@ func ServeWorkerContext(ctx context.Context, lis net.Listener, opt ServeOptions)
 		}
 		return fmt.Errorf("livecluster: accept: %w", err)
 	}
-	connMu.Lock()
-	liveConn = conn
-	connMu.Unlock()
 	defer conn.Close()
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
+	stopSession := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stopSession()
 
 	// A connection that never says hello (or says it malformed) must not
 	// park the worker forever.
-	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	var hello envelope
-	if err := dec.Decode(&hello); err != nil {
+	sess, body, err := wire.Accept(conn, Liveness{HelloTimeout: opt.HelloTimeout}.WithDefaults().HelloTimeout)
+	if err != nil {
 		return fmt.Errorf("livecluster: read hello: %w", err)
 	}
-	if hello.Hello == nil {
-		return errors.New("livecluster: first message was not a hello")
+	defer sess.Close()
+	var h workerHello
+	if err := json.Unmarshal(body, &h); err != nil {
+		return fmt.Errorf("livecluster: decode hello: %w", err)
 	}
-	h := hello.Hello
-	heartbeat := time.Duration(h.HeartbeatNano)
-	if heartbeat <= 0 {
-		heartbeat = 100 * time.Millisecond
-	}
-	idle := time.Duration(h.TimeoutNano)
-	if idle <= 0 {
-		idle = 5 * heartbeat
-	}
+	live := Liveness{HeartbeatEvery: time.Duration(h.HeartbeatNano), Timeout: time.Duration(h.TimeoutNano)}.WithDefaults()
 	w, err := workload.Generate(h.Params)
 	if err != nil {
 		return fmt.Errorf("livecluster: regenerate workload: %w", err)
@@ -143,14 +174,10 @@ func ServeWorkerContext(ctx context.Context, lis net.Listener, opt ServeOptions)
 	if err != nil {
 		return err
 	}
-
-	// Every write is bounded so a stalled host cannot park the session.
-	send := func(e envelope) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(idle))
-		return enc.Encode(e)
-	}
+	// Heartbeats tell the host this worker is alive even when its queue is
+	// busy for a long stretch; they keep flowing through the final drain so
+	// the host's read bound does not fire while we finish up.
+	sess.Start(live.HeartbeatEvery, live.Timeout, nil)
 
 	worker := NewWorker(h.WorkerID, clock, w)
 	jobs := make(chan Job, len(w.Tasks))
@@ -167,75 +194,48 @@ func ServeWorkerContext(ctx context.Context, lis net.Listener, opt ServeOptions)
 	go func() {
 		defer wg.Done()
 		for d := range done {
-			d := d
-			if err := send(envelope{Done: &d}); err != nil && writeErr == nil {
+			err := sess.SendWith(wire.TypeDone, func(dst []byte) []byte { return appendDone(dst, d) })
+			if err != nil && writeErr == nil {
 				writeErr = err
 			}
 		}
 	}()
 
-	// Heartbeats tell the host this worker is alive even when its queue is
-	// busy for a long stretch; they keep flowing through the final drain so
-	// the host's read deadline does not fire while we finish up.
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		ticker := time.NewTicker(heartbeat)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-ticker.C:
-				if err := send(envelope{Heartbeat: true}); err != nil {
-					return
-				}
-			}
-		}
-	}()
-
 	var readErr error
+read:
 	for {
 		// A host silent for longer than the agreed timeout is presumed
 		// dead; the session ends so an orphaned worker does not leak.
-		conn.SetReadDeadline(time.Now().Add(idle))
-		var msg envelope
-		if err := dec.Decode(&msg); err != nil {
-			if ctx.Err() != nil {
-				readErr = ctx.Err()
-			} else {
+		typ, body, err := sess.Recv()
+		if err != nil {
+			if readErr = ctx.Err(); readErr == nil {
 				readErr = fmt.Errorf("livecluster: read: %w", err)
 			}
 			break
 		}
-		switch {
-		case msg.Deliver != nil:
-			// The wire does not carry a usable stamp (the host's clock reads
-			// the send, not the arrival): the jobs enter the ready queue now.
-			ready := clock.Now()
-			for _, j := range msg.Deliver.Jobs {
-				j.Ready = ready
+		switch typ {
+		case wire.TypeJobs:
+			batch, err := decodeJobs(body, clock.Now())
+			if err != nil {
+				readErr = err
+				break read
+			}
+			for _, j := range batch {
 				jobs <- j
 			}
-		case msg.Heartbeat:
-			// Liveness only; the deadline reset above is the point.
-		case msg.Bye:
-			readErr = nil
-			goto drain
+		case wire.TypeHeartbeat:
+			// Liveness only; the read bound starting over is the point.
+		case wire.TypeBye:
+			break read
 		default:
-			readErr = errors.New("livecluster: unexpected message")
-			goto drain
+			readErr = fmt.Errorf("livecluster: unexpected frame type %d", typ)
+			break read
 		}
 	}
-drain:
 	close(jobs)
 	wg.Wait()
 	// Acknowledge completion so the host can close cleanly.
-	ackErr := send(envelope{Bye: true})
-	close(hbStop)
-	hbWG.Wait()
+	ackErr := sess.Send(wire.TypeBye, nil)
 	switch {
 	case readErr != nil:
 		return readErr
@@ -247,84 +247,19 @@ drain:
 	return nil
 }
 
-// errConnDown marks sends attempted while a worker's connection is being
-// re-established or is gone for good.
-var errConnDown = errors.New("livecluster: connection down")
-
-// workerConn is the host's handle on one remote worker. The connection
-// behind it can be swapped by a successful redial.
+// workerConn is the host's handle on one remote worker: its address and the
+// current session, which a successful redial swaps and giving the worker up
+// for good clears.
 type workerConn struct {
 	addr string
-
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dead bool // set when the worker is given up on for good
+	sess atomic.Pointer[wire.Session]
 }
 
-// send encodes one envelope with a bounded write. On error the connection
-// is closed so the reader notices and the supervisor takes over.
-func (wc *workerConn) send(e envelope, timeout time.Duration) error {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	if wc.conn == nil {
-		return errConnDown
+// close tears the current session down (the reader notices).
+func (wc *workerConn) close() {
+	if s := wc.sess.Load(); s != nil {
+		s.Close()
 	}
-	wc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := wc.enc.Encode(e); err != nil {
-		wc.conn.Close()
-		return err
-	}
-	return nil
-}
-
-// session snapshots the current connection and starts a fresh gob stream
-// reader for it.
-func (wc *workerConn) session() (net.Conn, *gob.Decoder) {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	if wc.conn == nil {
-		return nil, nil
-	}
-	return wc.conn, gob.NewDecoder(wc.conn)
-}
-
-// swap installs a freshly-dialled connection (with its encoder) in place of
-// the old one.
-func (wc *workerConn) swap(conn net.Conn, enc *gob.Encoder) {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	if wc.conn != nil {
-		wc.conn.Close()
-	}
-	wc.conn = conn
-	wc.enc = enc
-}
-
-// closeConn tears the current connection down (the reader notices).
-func (wc *workerConn) closeConn() {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	if wc.conn != nil {
-		wc.conn.Close()
-	}
-}
-
-// markDead closes the connection and refuses future sends.
-func (wc *workerConn) markDead() {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	if wc.conn != nil {
-		wc.conn.Close()
-		wc.conn = nil
-	}
-	wc.dead = true
-}
-
-func (wc *workerConn) isDead() bool {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	return wc.dead
 }
 
 // TCPOptions configures the TCP backend beyond its worker addresses.
@@ -344,17 +279,18 @@ type TCPOptions struct {
 }
 
 // TCPBackend connects the host to one remote worker process per working
-// processor. Each connection carries heartbeats in both directions and
-// enforces read/write deadlines, so a dead worker is detected within the
-// liveness timeout instead of blocking the run forever; broken connections
-// are redialled with bounded backoff, and workers that cannot be reached
-// again are reported as fatally failed so the cluster re-routes their work.
+// processor, each over one RTFW session (wire.Session) at a time: heartbeats
+// in both directions and bounded reads and writes detect a dead worker
+// within the liveness timeout instead of blocking the run forever; broken
+// sessions are redialled with bounded backoff, and workers that cannot be
+// reached again are reported as fatally failed so the cluster re-routes
+// their work.
 type TCPBackend struct {
 	clock    *Clock
 	live     Liveness
 	inj      *faultinject.Injector
 	o        *obs.Observer
-	hello    helloMsg
+	hello    workerHello
 	conns    []*workerConn
 	done     chan Done
 	failures chan Failure
@@ -375,13 +311,13 @@ func NewTCPBackend(clock *Clock, w *workload.Workload, addrs []string, opts TCPO
 	if len(addrs) != w.Params.Workers {
 		return nil, fmt.Errorf("livecluster: %d worker addresses for %d workers", len(addrs), w.Params.Workers)
 	}
-	live := opts.Liveness.withDefaults()
+	live := opts.Liveness.WithDefaults()
 	b := &TCPBackend{
 		clock: clock,
 		live:  live,
 		inj:   opts.Inject,
 		o:     opts.Obs,
-		hello: helloMsg{
+		hello: workerHello{
 			Params:        w.Params,
 			Scale:         clock.Scale(),
 			StartUnixNano: clock.Start().UnixNano(),
@@ -414,7 +350,6 @@ func NewTCPBackend(clock *Clock, w *workload.Workload, addrs []string, opts TCPO
 	for i := range b.conns {
 		b.wg.Add(1)
 		go b.supervise(i)
-		go b.heartbeats(i)
 		if killAt, ok := b.inj.KillAt(i); ok {
 			go b.killer(i, killAt)
 		}
@@ -422,22 +357,27 @@ func NewTCPBackend(clock *Clock, w *workload.Workload, addrs []string, opts TCPO
 	return b, nil
 }
 
-// dial establishes (or re-establishes) worker i's connection and performs
-// the hello handshake.
+// dial establishes (or re-establishes) worker i's session. Its heartbeats
+// keep the worker's idle detector quiet while the host is alive, except
+// while the link is stalled by fault injection (that is the point of a
+// stall).
 func (b *TCPBackend) dial(i int, wc *workerConn) error {
-	conn, err := net.DialTimeout("tcp", wc.addr, b.live.Timeout)
-	if err != nil {
-		return fmt.Errorf("livecluster: dial worker %d at %s: %w", i, wc.addr, err)
-	}
-	enc := gob.NewEncoder(conn)
 	hello := b.hello
 	hello.WorkerID = i
-	conn.SetWriteDeadline(time.Now().Add(b.live.Timeout))
-	if err := enc.Encode(envelope{Hello: &hello}); err != nil {
-		conn.Close()
-		return fmt.Errorf("livecluster: hello to worker %d: %w", i, err)
+	s, err := wire.Dial(wc.addr, b.live.Timeout, hello)
+	if err != nil {
+		return fmt.Errorf("livecluster: worker %d at %s: %w", i, wc.addr, err)
 	}
-	wc.swap(conn, enc)
+	s.Start(b.live.HeartbeatEvery, b.live.Timeout, func() bool {
+		if _, stalled := b.inj.StallUntil(i); stalled {
+			return false
+		}
+		b.o.HeartbeatSent(i)
+		return true
+	})
+	if old := wc.sess.Swap(s); old != nil {
+		old.Close()
+	}
 	return nil
 }
 
@@ -466,7 +406,10 @@ func (b *TCPBackend) supervise(i int) {
 			return // shutdown raced the redial; not a worker failure
 		}
 		b.o.Redial(i, false, b.clock.Now())
-		wc.markDead()
+		// Given up on for good: Close skips a worker with no session.
+		if s := wc.sess.Swap(nil); s != nil {
+			s.Close()
+		}
 		b.tracker.reset(i)
 		b.failures <- Failure{Worker: i, At: b.clock.Now(), Fatal: true,
 			Err: fmt.Sprintf("livecluster: worker %d lost: %v", i, err)}
@@ -479,23 +422,23 @@ func (b *TCPBackend) supervise(i int) {
 // for longer than the liveness timeout (it should heartbeat far more often)
 // is treated as dead.
 func (b *TCPBackend) readSession(i int) error {
-	conn, dec := b.conns[i].session()
-	if conn == nil {
-		return errConnDown
-	}
+	s := b.conns[i].sess.Load()
 	for {
-		conn.SetReadDeadline(time.Now().Add(b.live.Timeout))
-		var msg envelope
-		if err := dec.Decode(&msg); err != nil {
+		typ, body, err := s.Recv()
+		if err != nil {
 			return fmt.Errorf("livecluster: read from worker %d: %w", i, err)
 		}
-		switch {
-		case msg.Done != nil:
-			b.tracker.complete(msg.Done.Task)
-			b.done <- *msg.Done
-		case msg.Heartbeat:
+		switch typ {
+		case wire.TypeDone:
+			d, err := decodeDone(body)
+			if err != nil {
+				return err
+			}
+			b.tracker.complete(d.Task)
+			b.done <- d
+		case wire.TypeHeartbeat:
 			b.o.HeartbeatRecv(i, b.clock.Now())
-		case msg.Bye:
+		case wire.TypeBye:
 			return nil
 		}
 	}
@@ -505,25 +448,17 @@ func (b *TCPBackend) readSession(i int) error {
 // exponential backoff, up to the configured attempt budget. Workers under
 // an injected kill are never redialled — the fault plan wants them dead.
 func (b *TCPBackend) redial(i int) bool {
-	if b.live.Redials < 0 || b.inj.Killed(i) {
+	if b.inj.Killed(i) {
 		return false
 	}
 	// Per-worker deterministic jitter: when one network event severs many
 	// connections at once, the workers must not all redial on the same
 	// doubling schedule and hammer the fabric in lockstep.
 	bo := NewBackoff(RedialJitterSeed+uint64(i), b.live.RedialBackoff, 0)
-	for attempt := 0; attempt < b.live.Redials; attempt++ {
-		if !b.sleep(bo.Next()) {
-			return false
-		}
-		if b.closing.Load() || b.inj.Killed(i) {
-			return false
-		}
-		if err := b.dial(i, b.conns[i]); err == nil {
-			return true
-		}
+	sleep := func(d time.Duration) bool {
+		return b.sleep(d) && !b.closing.Load() && !b.inj.Killed(i)
 	}
-	return false
+	return bo.Retry(b.live.Redials, sleep, func() error { return b.dial(i, b.conns[i]) }) == nil
 }
 
 // RedialJitterSeed decorrelates redial jitter streams from the workload's
@@ -536,8 +471,8 @@ const RedialJitterSeed uint64 = 0x9e3779b97f4a7c15
 // stream is deterministic per seed, so when one network event severs many
 // connections at once the peers spread over the window instead of
 // hammering the fabric in lockstep — and tests can pin the exact delays.
-// Both the worker redial path and the federation's shard dial/rejoin
-// loops share this schedule.
+// The worker redial path and the federation's shard dial and rejoin loops
+// all run it through Retry.
 type Backoff struct {
 	src  *rng.Source
 	next time.Duration
@@ -577,26 +512,21 @@ func jitterBackoff(src *rng.Source, d time.Duration) time.Duration {
 	return half + time.Duration(src.Float64()*float64(half))
 }
 
-// heartbeats keeps worker i's connection warm so its idle-timeout detector
-// only fires when the host is really gone. Suppressed while the link is
-// stalled by fault injection (that is the point of a stall).
-func (b *TCPBackend) heartbeats(i int) {
-	ticker := time.NewTicker(b.live.HeartbeatEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-ticker.C:
-			if _, stalled := b.inj.StallUntil(i); stalled {
-				continue
-			}
-			// Send errors close the conn; the supervisor handles recovery.
-			if b.conns[i].send(envelope{Heartbeat: true}, b.live.Timeout) == nil {
-				b.o.HeartbeatSent(i)
-			}
+// errNoAttempt is Retry's failure when no attempt was made.
+var errNoAttempt = errors.New("livecluster: retry cancelled before its first attempt")
+
+// Retry is the one redial loop: it sleeps out up to attempts backoff delays
+// (a negative budget allows none), calling try after each, until try
+// succeeds. sleep reports false when the wait was cancelled, which ends the
+// loop. Retry returns nil on success and the last failure otherwise.
+func (b *Backoff) Retry(attempts int, sleep func(time.Duration) bool, try func() error) error {
+	err := errNoAttempt
+	for i := 0; i < attempts && sleep(b.Next()); i++ {
+		if err = try(); err == nil {
+			return nil
 		}
 	}
+	return err
 }
 
 // killer enforces an injected worker crash: at the kill time the connection
@@ -607,7 +537,7 @@ func (b *TCPBackend) killer(i int, at simtime.Instant) {
 	defer timer.Stop()
 	select {
 	case <-timer.C:
-		b.conns[i].closeConn()
+		b.conns[i].close()
 	case <-b.stop:
 	}
 }
@@ -651,8 +581,8 @@ func (b *TCPBackend) Deliver(proc int, jobs []Job) error {
 			over = &Overloaded{Worker: proc, Accepted: room, RetryAfter: b.tracker.retryAfter(proc)}
 		}
 	}
-	if len(jobs) > 0 {
-		b.conns[proc].send(envelope{Deliver: &deliverMsg{Jobs: jobs}}, b.live.Timeout)
+	if s := b.conns[proc].sess.Load(); s != nil && len(jobs) > 0 {
+		s.SendWith(wire.TypeJobs, func(dst []byte) []byte { return appendJobs(dst, jobs) })
 	}
 	if over != nil {
 		return over
@@ -674,24 +604,24 @@ func (b *TCPBackend) Close() error {
 	close(b.stop)
 	var firstErr error
 	for i, wc := range b.conns {
-		if wc.isDead() {
+		s := wc.sess.Load()
+		if s == nil {
 			continue
 		}
-		if err := wc.send(envelope{Bye: true}, b.live.Timeout); err != nil && firstErr == nil {
+		if err := s.Send(wire.TypeBye, nil); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("livecluster: bye to worker %d: %w", i, err)
 		}
 	}
 	b.wg.Wait()
-	for _, wc := range b.conns {
-		wc.closeConn()
-	}
+	b.abort()
 	close(b.done)
 	return firstErr
 }
 
-// abort tears down partially-dialled connections during construction.
+// abort tears down every session: the partially-dialled set when
+// construction fails, all of them at Close.
 func (b *TCPBackend) abort() {
 	for _, wc := range b.conns {
-		wc.closeConn()
+		wc.close()
 	}
 }

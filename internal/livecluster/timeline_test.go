@@ -1,8 +1,6 @@
 package livecluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -293,30 +291,14 @@ func timelinesAgree(t *testing.T, noise float64, faults string) error {
 	return late
 }
 
-// TestJobReadyGobFallback decodes a Job the way a worker hears from a host
-// that predates the Ready stamp: the field stays zero, and the worker then
-// starts the job's timeline at the instant it picks the job up.
+// TestJobReadyGobFallback hands a worker a Job with no Ready stamp — what a
+// backend that does not stamp one delivers: the worker then starts the job's
+// timeline at the instant it picks the job up. (The name is historical: the
+// gob transport produced such jobs from hosts that predated the field.)
 func TestJobReadyGobFallback(t *testing.T) {
-	type oldJob struct { // Job before the Ready field
-		Task     int32
-		Txn      int32
-		Proc     time.Duration
-		Comm     time.Duration
-		Deadline simtime.Instant
-	}
 	clock, _ := gridClock(t)
 	w, jobs, done := timelineWorker(t, clock, 1)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(oldJob{Txn: w.Tasks[0].Payload, Proc: 2 * time.Millisecond, Deadline: simtime.Never}); err != nil {
-		t.Fatal(err)
-	}
-	var j Job
-	if err := gob.NewDecoder(&buf).Decode(&j); err != nil {
-		t.Fatal(err)
-	}
-	if j.Ready != 0 || j.Proc != 2*time.Millisecond || j.Deadline != simtime.Never {
-		t.Fatalf("decoded %+v", j)
-	}
+	j := Job{Txn: w.Tasks[0].Payload, Proc: 2 * time.Millisecond, Deadline: simtime.Never}
 	time.Sleep(3 * time.Millisecond) // a zero Ready must not read as "ready since the epoch"
 	before := clock.Now()
 	jobs <- j

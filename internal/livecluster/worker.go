@@ -100,7 +100,7 @@ type Job struct {
 	Deadline simtime.Instant // absolute deadline
 	// Ready is the instant the job entered the worker's ready queue, stamped
 	// by the backend (after any transit delay) on the worker's clock. Zero —
-	// a host that predates the field — means "when the worker picks it up".
+	// a backend that stamps nothing — means "when the worker picks it up".
 	Ready simtime.Instant
 }
 

@@ -1,26 +1,24 @@
-// Package queue provides the small container types shared by the event
-// engine, the worker ready queues and the schedulers' candidate lists: a
-// generic binary min-heap and a growable FIFO ring buffer.
-package queue
+package search
 
-// Heap is a binary min-heap ordered by the less function supplied at
-// construction. It is not safe for concurrent use.
-type Heap[T any] struct {
+// minHeap is a binary min-heap ordered by the less function supplied at
+// construction — the best-first candidate list's container. It is not safe
+// for concurrent use.
+type minHeap[T any] struct {
 	items []T
 	less  func(a, b T) bool
 }
 
-// NewHeap returns an empty heap ordered by less.
-func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{less: less}
+// newHeap returns an empty heap ordered by less.
+func newHeap[T any](less func(a, b T) bool) *minHeap[T] {
+	return &minHeap[T]{less: less}
 }
 
 // Len returns the number of items in the heap.
-func (h *Heap[T]) Len() int { return len(h.items) }
+func (h *minHeap[T]) Len() int { return len(h.items) }
 
 // Grow reserves capacity for n additional items, so a burst of Push calls
 // (a search expansion, an event fan-out) reallocates at most once.
-func (h *Heap[T]) Grow(n int) {
+func (h *minHeap[T]) Grow(n int) {
 	if n <= 0 || cap(h.items)-len(h.items) >= n {
 		return
 	}
@@ -30,24 +28,14 @@ func (h *Heap[T]) Grow(n int) {
 }
 
 // Push adds v to the heap.
-func (h *Heap[T]) Push(v T) {
+func (h *minHeap[T]) Push(v T) {
 	h.items = append(h.items, v)
 	h.up(len(h.items) - 1)
 }
 
-// Peek returns the minimum element without removing it. The second result
-// is false when the heap is empty.
-func (h *Heap[T]) Peek() (T, bool) {
-	if len(h.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return h.items[0], true
-}
-
 // Pop removes and returns the minimum element. The second result is false
 // when the heap is empty.
-func (h *Heap[T]) Pop() (T, bool) {
+func (h *minHeap[T]) Pop() (T, bool) {
 	if len(h.items) == 0 {
 		var zero T
 		return zero, false
@@ -64,16 +52,7 @@ func (h *Heap[T]) Pop() (T, bool) {
 	return top, true
 }
 
-// Reset empties the heap while keeping its backing storage.
-func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero
-	}
-	h.items = h.items[:0]
-}
-
-func (h *Heap[T]) up(i int) {
+func (h *minHeap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(h.items[i], h.items[parent]) {
@@ -84,7 +63,7 @@ func (h *Heap[T]) up(i int) {
 	}
 }
 
-func (h *Heap[T]) down(i int) {
+func (h *minHeap[T]) down(i int) {
 	n := len(h.items)
 	for {
 		left := 2*i + 1

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"rtsads/internal/queue"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 )
@@ -763,7 +762,7 @@ func (s *stackCL) len() int { return len(s.items) }
 // bestFirstCL orders the whole candidate list globally by cost, preferring
 // smaller CE, then greater depth, then insertion order (for determinism).
 type bestFirstCL struct {
-	heap *queue.Heap[rankedVertex]
+	heap *minHeap[rankedVertex]
 	seq  int
 }
 
@@ -773,7 +772,7 @@ type rankedVertex struct {
 }
 
 func newBestFirstCL() *bestFirstCL {
-	return &bestFirstCL{heap: queue.NewHeap(func(a, b rankedVertex) bool {
+	return &bestFirstCL{heap: newHeap(func(a, b rankedVertex) bool {
 		if a.v.CE != b.v.CE {
 			return a.v.CE < b.v.CE
 		}
