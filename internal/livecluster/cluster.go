@@ -114,11 +114,13 @@ type Config struct {
 	Workload *workload.Workload
 	// Algorithm selects the planner (default RT-SADS).
 	Algorithm policy.Algorithm
-	// Scale slows virtual time down relative to wall time. Go timers on
-	// Linux fire on a ≈1 ms grid — a sleep ends uniformly 0–1.1 ms late
-	// (rtbench's loadgen.lateness_p99_us) — so at the default 20 one timer
-	// grain is ≈55 µs virtual. Workers sleep to absolute targets, so a job
-	// pays that grain once; it does not accumulate along the ready queue.
+	// Scale slows virtual time down relative to wall time. Every wait of the
+	// live path ends a wake-up latency late — on Linux, where the alarm is a
+	// kernel timer, ≈50 µs wall at the median and ≈150 µs at p90 on a 2-core
+	// VM (≈2.5 and ≈8 µs virtual at the default 20); on runtime timers up to
+	// 1.1 ms, the whole milliseconds Go's netpoller sleeps in. Workers sleep
+	// to absolute targets, so a job pays that once; it does not accumulate
+	// along the ready queue.
 	Scale float64
 	// Policy allocates phase quanta (default: the paper's adaptive
 	// criterion).
@@ -318,13 +320,18 @@ func (c *Cluster) Stop(grace time.Duration) {
 	})
 }
 
-// phaseClock gives each scheduling phase a fresh wall-clock budget origin.
+// phaseClock is the wall-clock budget of the phase in progress, read in
+// virtual time from the instant the phase is planned against.
 type phaseClock struct {
 	clock  *Clock
 	origin simtime.Instant
 }
 
-func (p *phaseClock) Reset() { p.origin = p.clock.Now() }
+// StartAt opens a phase at now, the PhaseInput.Now the planner tests
+// feasibility against: whatever the host spends between reading now and
+// calling the planner is spent from the quantum, so the phase ends by
+// now + Qs as planned.
+func (p *phaseClock) StartAt(now simtime.Instant) { p.origin = now }
 
 func (p *phaseClock) Elapsed() time.Duration { return p.clock.Now().Sub(p.origin) }
 
@@ -427,8 +434,8 @@ type runState struct {
 	shadow    []task.Task
 	guarded   []*task.Task
 	orig      map[task.ID]*task.Task
-	overdue   []bool      // checkStragglers: workers with an overdue job
-	timer     *time.Timer // wait's timer, stopped and drained between waits
+	overdue   []bool // checkStragglers: workers with an overdue job
+	alarm     *alarm // wait's timer, closed when Run returns
 
 	// Overload control (host-only). adm gates every batch admission (nil
 	// admits everything). degrading is the planner's degraded-mode
@@ -520,7 +527,9 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		overdue:  make([]bool, w.Params.Workers),
 		batch:    task.NewBatch(),
 		pending:  seed,
+		alarm:    newTickingAlarm(newKernelTimer()),
 	}
+	defer r.alarm.close()
 	for k := range r.alive {
 		r.alive[k] = true
 	}
@@ -749,7 +758,11 @@ func (r *runState) loop() error {
 		}
 
 		// Plan against the surviving machine: slot s of the search maps to
-		// working processor active[s].
+		// working processor active[s]. The phase starts here, not where the
+		// iteration did: absorbing a burst is hundreds of journal writes, and
+		// a plan tested against an instant that far back is delivered that
+		// much later than it was proven feasible for.
+		now = r.clock.Now()
 		loads := r.loads[:0]
 		for _, k := range active {
 			loads = append(loads, simtime.NonNeg(r.freeAt[k].Sub(now)))
@@ -781,7 +794,7 @@ func (r *runState) loop() error {
 			r.guarded = guarded
 			planBatch = guarded
 		}
-		r.pc.Reset()
+		r.pc.StartAt(now)
 		r.o.PhaseStart(r.res.Phases, r.batch.Len(), now)
 		out, err := r.planner.PlanPhase(core.PhaseInput{Now: now, Batch: planBatch, Loads: loads})
 		if err != nil {
@@ -1147,29 +1160,14 @@ func (r *runState) wait(until simtime.Instant) {
 	if r.c.cfg.External {
 		feedC = r.c.feedTick
 	}
-	timer := r.timer
-	if timer == nil {
-		timer = time.NewTimer(d)
-		r.timer = timer
-	} else {
-		timer.Reset(d)
-	}
+	r.alarm.arm(d)
 	select {
-	case <-timer.C:
+	case <-r.alarm.tick:
 	case f := <-r.failCh:
 		r.handleFailure(f)
 	case <-r.doneTick:
 	case <-feedC:
 	case <-stopC:
-	}
-	// Leave the timer stopped with an empty channel, ready for the next
-	// Reset: the host waits about twice per task, and a fresh timer each
-	// time was a third of the loop's allocation.
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
 	}
 }
 
@@ -1262,8 +1260,7 @@ func (c *Cluster) makePlanner(pc *phaseClock, active []int) (core.Planner, *core
 		},
 		Policy: c.cfg.Policy,
 		// Wall-clock quantum budget: the host's real scheduling speed,
-		// converted to virtual time; the host resets the origin before
-		// each phase.
+		// converted to virtual time, counted from each phase's Now.
 		Clock: pc.Elapsed,
 	}
 	if c.cfg.Degrade == nil {

@@ -1,13 +1,19 @@
 package livecluster
 
 import (
+	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rtsads/internal/core"
 	"rtsads/internal/db"
 	"rtsads/internal/experiment"
 	"rtsads/internal/faultinject"
+	"rtsads/internal/obs"
+	"rtsads/internal/policy"
 	"rtsads/internal/simtime"
 	"rtsads/internal/workload"
 )
@@ -160,9 +166,14 @@ func TestClusterRunInProcess(t *testing.T) {
 	if res.Hits == 0 {
 		t.Error("live cluster completed nothing by deadline")
 	}
-	// Wall-clock jitter can cause occasional misses of scheduled tasks at
-	// high load, but at scale 50 they must stay rare.
-	if float64(res.ScheduledMissed) > 0.1*float64(res.Total) {
+	// §4.3 on real timers: a schedule with less slack than its worker's
+	// wake-up latency misses. Measured 2026-10-03 on the 2-core box: 100
+	// runs without -race, 0 of 60 tasks in every one; 120 runs with -race, 0
+	// of 60 in 113, 1 in three, 2 in one, 3 in three (a build on runtime
+	// timers also drew a 3 in 60 -race runs: these are stalls of the box,
+	// not timer grain). 3 of 60 is the smallest budget every run passed.
+	t.Logf("scheduled misses: %d of %d", res.ScheduledMissed, res.Total)
+	if float64(res.ScheduledMissed) > 0.05*float64(res.Total) {
 		t.Errorf("too many scheduled misses under jitter: %d of %d", res.ScheduledMissed, res.Total)
 	}
 	if res.Phases == 0 || res.SchedulingTime <= 0 {
@@ -296,22 +307,93 @@ func TestChannelBackendDeliverRange(t *testing.T) {
 	}
 }
 
-func TestWallBudget(t *testing.T) {
-	clock, err := NewClock(2)
+// originProbe is EDF-greedy reporting, at each PlanPhase entry, how far the
+// run's clock is from where the phase's own clock says it is.
+type originProbe struct {
+	core.Planner
+	elapsed func() time.Duration // SearchConfig.Clock: the phase's spent quantum
+	probe   *originProbeLog
+}
+
+type originProbeLog struct {
+	clock *Clock
+	batch int           // the largest batch seen
+	skew  time.Duration // clock.Now() − (in.Now + elapsed()) on that phase
+}
+
+func (p *originProbe) PlanPhase(in core.PhaseInput) (core.PhaseResult, error) {
+	if l := p.probe; len(in.Batch) > l.batch {
+		l.batch = len(in.Batch)
+		l.skew = l.clock.Now().Sub(in.Now.Add(p.elapsed()))
+	}
+	return p.Planner.PlanPhase(in)
+}
+
+// The policy registry is process-wide, so the probe is registered once and
+// pointed at the running test's log.
+var (
+	originProbeOnce sync.Once
+	originProbeTo   atomic.Pointer[originProbeLog]
+)
+
+const originProbeAlgorithm = "test-origin-probe"
+
+// TestPhaseBudgetStartsAtNow: the quantum is spent from the instant the plan
+// is tested against. A burst of 250 arrivals costs the host ≈200 µs of
+// journal writes between reading now and calling the planner; when the phase
+// clock started only after them, in.Now + Clock() trailed the real clock by
+// exactly that absorb time and every burst phase ended that far past
+// Now + Qs. Two reads of one clock agree within a few microseconds.
+func TestPhaseBudgetStartsAtNow(t *testing.T) {
+	originProbeOnce.Do(func() {
+		err := policy.Default().Register(policy.Spec{
+			Name:        originProbeAlgorithm,
+			Description: "EDF-greedy behind a phase-clock probe (tests only)",
+			New: func(o policy.Options) (core.Planner, error) {
+				inner, err := core.NewEDFGreedy(o.Search)
+				if err != nil {
+					return nil, err
+				}
+				return &originProbe{Planner: inner, elapsed: o.Search.Clock, probe: originProbeTo.Load()}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	const burst, tolerance = 250, 25 * time.Microsecond
+	p := liveParams(4)
+	p.NumTransactions = burst
+	w, err := workload.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := clock.WallBudget()
-	a := budget()
-	time.Sleep(5 * time.Millisecond)
-	b := budget()
-	if b <= a {
-		t.Error("wall budget did not advance")
+	for _, tk := range w.Tasks {
+		// One burst, after the workers have started; every deadline finite so
+		// the backlog is purged rather than waited on.
+		tk.Arrival, tk.Deadline = simtime.Instant(5*time.Millisecond), simtime.Instant(50*time.Millisecond)
 	}
-	// Scale 2: 5ms wall is ~2.5ms virtual; allow slop.
-	if d := b - a; d < time.Millisecond || d > 20*time.Millisecond {
-		t.Errorf("budget elapsed %v, want ~2.5ms", d)
-	}
+	onQuietBox(t, func() error {
+		clock, err := NewClock(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &originProbeLog{clock: clock}
+		originProbeTo.Store(log)
+		c, err := New(Config{Workload: w, Clock: clock, Algorithm: originProbeAlgorithm, Obs: obs.New(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runWithDeadline(t, c)
+		if log.batch != burst {
+			return fmt.Errorf("largest batch planned was %d tasks, want the whole burst of %d", log.batch, burst)
+		}
+		if log.skew < -tolerance || log.skew > tolerance {
+			return fmt.Errorf("at PlanPhase entry after absorbing %d tasks the clock read %v past in.Now + Clock(), want within %v",
+				burst, log.skew, tolerance)
+		}
+		return nil
+	})
 }
 
 func TestTCPDeliverOutOfRange(t *testing.T) {

@@ -12,6 +12,7 @@ package livecluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rtsads/internal/db"
@@ -26,9 +27,35 @@ import (
 type Clock struct {
 	start time.Time
 	scale float64
-	// sleep stands in for time.Sleep in tests that need a known timer grid
+	// sleep stands in for the alarm in tests that need a known timer grid
 	// (nil outside tests).
 	sleep func(time.Duration)
+}
+
+// sleepers holds the idle alarms of SleepUntil. A sleep takes one and puts it
+// back, so the process keeps as many as ever slept at once — the workers and
+// a router's pump — and a run neither opens nor leaks a descriptor per sleep.
+var sleepers struct {
+	sync.Mutex
+	idle []*alarm
+}
+
+func takeSleeper() *alarm {
+	sleepers.Lock()
+	defer sleepers.Unlock()
+	n := len(sleepers.idle)
+	if n == 0 {
+		return &alarm{kt: newKernelTimer()}
+	}
+	a := sleepers.idle[n-1]
+	sleepers.idle = sleepers.idle[:n-1]
+	return a
+}
+
+func putSleeper(a *alarm) {
+	sleepers.Lock()
+	sleepers.idle = append(sleepers.idle, a)
+	sleepers.Unlock()
 }
 
 // NewClock starts a clock at the current wall time.
@@ -58,16 +85,23 @@ func (c *Clock) Now() simtime.Instant {
 }
 
 // SleepUntil blocks until virtual time v has been reached. The target is
-// absolute: however late the caller arrives, the sleep ends at v plus at
-// most one timer grain (on Linux, Go timers fire on a ≈1 ms grid).
+// absolute: however late the caller arrives, the sleep ends at v plus the
+// wake-up latency of an alarm — tens of wall microseconds on Linux, where it
+// is a kernel timer; up to a millisecond where it is a runtime timer, whose
+// grain is the whole milliseconds Go's netpoller hands the OS.
 func (c *Clock) SleepUntil(v simtime.Instant) {
-	sleep := time.Sleep
 	if c.sleep != nil {
-		sleep = c.sleep
+		if d := c.WallUntil(v); d > 0 {
+			c.sleep(d)
+		}
+		return
 	}
+	a := takeSleeper()
+	// Read the clock only now: opening an alarm is three system calls.
 	if d := c.WallUntil(v); d > 0 {
-		sleep(d)
+		a.sleep(d)
 	}
+	putSleeper(a)
 }
 
 // WallUntil returns the wall-clock duration from now until virtual time v
@@ -79,15 +113,6 @@ func (c *Clock) WallUntil(v simtime.Instant) time.Duration {
 	}
 	wall := c.start.Add(time.Duration(float64(v) * c.scale))
 	return time.Until(wall)
-}
-
-// WallBudget returns a function reporting virtual time elapsed since the
-// call — the hook the search engine uses as a wall-clock quantum budget.
-func (c *Clock) WallBudget() func() time.Duration {
-	begin := time.Now()
-	return func() time.Duration {
-		return time.Duration(float64(time.Since(begin)) / c.scale)
-	}
 }
 
 // Job is one unit of work delivered to a worker: execute the transaction,
@@ -181,10 +206,10 @@ func (wk *Worker) Run(jobs <-chan Job, done chan<- Done) {
 // The worker follows the timeline the host plans on (serve): each job's
 // completion target is max(ready, previous target) + p + c, the worker
 // sleeps to that absolute instant, and the target — not the wake-up, which
-// lands up to a timer grain late — is what the next job queues behind. A
-// late wake-up therefore costs its own job at most one grain; carried
-// forward as the parent of the next start it would delay every job behind
-// it (half a grain per job on average, 20 % of a 2.5 ms job).
+// lands a wake-up latency late (see Clock.SleepUntil) — is what the next job
+// queues behind. A late wake-up therefore costs its own job that latency
+// once; carried forward as the parent of the next start it would delay every
+// job behind it and add up along the queue.
 func (wk *Worker) RunUntil(jobs <-chan Job, done chan<- Done, quit <-chan struct{}) {
 	var freeAt simtime.Instant // the previous job's target
 	for {

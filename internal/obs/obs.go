@@ -79,7 +79,9 @@ const (
 	// Worker wake-up overshoot: how far past its completion target a live
 	// worker observed the clock (virtual time, like every histogram here;
 	// × Scale for wall). Workers sleep to absolute targets, so this is the
-	// per-job jitter that remains — one timer grain at most on a healthy box.
+	// per-job jitter that remains: the wake-up latency of one sleep — tens of
+	// wall microseconds on a kernel timer (Linux), up to 1.1 ms on Go's
+	// runtime timers, which sleep in whole milliseconds.
 	MetricWorkerOvershoot = "rtsads_worker_overshoot_seconds"
 
 	// SLO-plane metrics: deadline-slack distributions at the two ends of a
