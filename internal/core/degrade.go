@@ -52,10 +52,10 @@ func (c DegradeConfig) Validate() error {
 // deadline-safe feasibility test — degradation trades schedule quality
 // (load balance, hit count under contention), never correctness.
 //
-// Degrading keeps core observation-free: it emits nothing, it only counts.
-// The host polls Degraded and the counters after each phase and mirrors
-// transitions into its own journal and metrics. Like every Planner it is
-// driven by a single goroutine; it is not safe for concurrent use.
+// Degrading keeps core observation-free: it emits nothing. Each phase's
+// result carries a DegradeStep, which the host books into its metrics and
+// journal. Like every Planner it is driven by a single goroutine; it is not
+// safe for concurrent use.
 type Degrading struct {
 	primary  Planner
 	fallback Planner
@@ -65,10 +65,16 @@ type Degrading struct {
 	degraded    bool
 	badStreak   int
 	cleanStreak int
+}
 
-	degradations   int
-	recoveries     int
-	degradedPhases int
+// DegradeStep is what a degraded-mode controller did in one phase. The mode
+// switched when Fallback and Degraded differ: into degraded mode when
+// Degraded is set, out of it otherwise.
+type DegradeStep struct {
+	// Fallback marks a phase planned by the fallback planner.
+	Fallback bool
+	// Degraded is the mode after the phase: the fallback plans the next one.
+	Degraded bool
 }
 
 // NewDegrading wraps primary with a fallback under the given controller
@@ -91,19 +97,10 @@ func NewDegrading(primary, fallback Planner, cfg DegradeConfig) (*Degrading, err
 // Name implements Planner.
 func (d *Degrading) Name() string { return d.name }
 
-// Degraded reports whether the controller is currently planning with the
-// fallback. Poll it before and after PlanPhase to observe transitions.
-func (d *Degrading) Degraded() bool { return d.degraded }
-
-// Counts returns the lifetime transition counters: times the controller
-// entered degraded mode, times it recovered, and phases planned by the
-// fallback.
-func (d *Degrading) Counts() (degradations, recoveries, degradedPhases int) {
-	return d.degradations, d.recoveries, d.degradedPhases
-}
-
 // PlanPhase implements Planner: delegate to the active planner, then judge
-// the phase and advance the state machine.
+// the phase and advance the state machine. The result's Degrade is this
+// controller's step, overwriting any a nested rung reported: a ladder
+// reports transitions out of its primary.
 func (d *Degrading) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	active := d.primary
 	if d.degraded {
@@ -113,9 +110,7 @@ func (d *Degrading) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	if err != nil {
 		return res, err
 	}
-	if d.degraded {
-		d.degradedPhases++
-	}
+	res.Degrade.Fallback = d.degraded
 	bad := d.bad(in, res)
 	switch {
 	case d.degraded && bad:
@@ -124,19 +119,18 @@ func (d *Degrading) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		d.cleanStreak++
 		if d.cleanStreak >= d.cfg.Recover {
 			d.degraded = false
-			d.recoveries++
 			d.badStreak, d.cleanStreak = 0, 0
 		}
 	case bad:
 		d.badStreak++
 		if d.badStreak >= d.cfg.After {
 			d.degraded = true
-			d.degradations++
 			d.badStreak, d.cleanStreak = 0, 0
 		}
 	default:
 		d.badStreak = 0
 	}
+	res.Degrade.Degraded = d.degraded
 	return res, nil
 }
 

@@ -43,11 +43,30 @@ func mustDegrading(t *testing.T, p, f Planner, cfg DegradeConfig) *Degrading {
 	return d
 }
 
-func plan(t *testing.T, d *Degrading, in PhaseInput) {
+// plan runs one phase and returns the controller's step.
+func plan(t *testing.T, d *Degrading, in PhaseInput) DegradeStep {
 	t.Helper()
-	if _, err := d.PlanPhase(in); err != nil {
+	res, err := d.PlanPhase(in)
+	if err != nil {
 		t.Fatalf("PlanPhase: %v", err)
 	}
+	return res.Degrade
+}
+
+// tally counts steps the way the host books them.
+type tally struct{ degradations, recoveries, degradedPhases int }
+
+func (c *tally) add(s DegradeStep) DegradeStep {
+	if s.Fallback {
+		c.degradedPhases++
+	}
+	switch {
+	case s.Degraded && !s.Fallback:
+		c.degradations++
+	case s.Fallback && !s.Degraded:
+		c.recoveries++
+	}
+	return s
 }
 
 func TestDegradingValidation(t *testing.T) {
@@ -74,56 +93,52 @@ func TestDegradeAndRecover(t *testing.T) {
 	p := &scriptPlanner{name: "p", results: []PhaseResult{expired()}}
 	f := &scriptPlanner{name: "f", results: []PhaseResult{clean()}}
 	d := mustDegrading(t, p, f, DegradeConfig{After: 3, Recover: 2})
+	var c tally
 
 	for i := 0; i < 2; i++ {
-		plan(t, d, degIn())
-		if d.Degraded() {
+		if c.add(plan(t, d, degIn())).Degraded {
 			t.Fatalf("degraded after %d bad phases (After=3)", i+1)
 		}
 	}
 	// A clean phase resets the streak.
 	p.results = []PhaseResult{clean()}
-	plan(t, d, degIn())
+	c.add(plan(t, d, degIn()))
 	p.results = []PhaseResult{expired()}
 	for i := 0; i < 2; i++ {
-		plan(t, d, degIn())
-		if d.Degraded() {
+		if c.add(plan(t, d, degIn())).Degraded {
 			t.Fatalf("streak did not reset: degraded after clean + %d bad", i+1)
 		}
 	}
-	plan(t, d, degIn()) // third consecutive bad
-	if !d.Degraded() {
-		t.Fatal("not degraded after 3 consecutive bad phases")
+	// Third consecutive bad.
+	if s := c.add(plan(t, d, degIn())); !s.Degraded || s.Fallback {
+		t.Fatalf("third consecutive bad phase stepped %+v, want a switch into degraded mode", s)
 	}
-	if deg, rec, _ := d.Counts(); deg != 1 || rec != 0 {
-		t.Fatalf("counts after degrade: %d/%d, want 1/0", deg, rec)
+	if c.degradations != 1 || c.recoveries != 0 {
+		t.Fatalf("counts after degrade: %d/%d, want 1/0", c.degradations, c.recoveries)
 	}
 
 	// Fallback plans the next phases; two clean ones recover.
 	fBefore := f.calls
-	plan(t, d, degIn())
-	if f.calls != fBefore+1 {
+	s := c.add(plan(t, d, degIn()))
+	if f.calls != fBefore+1 || !s.Fallback {
 		t.Fatal("fallback did not plan while degraded")
 	}
-	if !d.Degraded() {
+	if !s.Degraded {
 		t.Fatal("recovered after a single clean phase (Recover=2)")
 	}
-	plan(t, d, degIn())
-	if d.Degraded() {
-		t.Fatal("not recovered after 2 clean fallback phases")
+	if s := c.add(plan(t, d, degIn())); s.Degraded || !s.Fallback {
+		t.Fatalf("second clean fallback phase stepped %+v, want a recovery", s)
 	}
-	deg, rec, degPhases := d.Counts()
-	if deg != 1 || rec != 1 {
-		t.Fatalf("counts after recover: %d/%d, want 1/1", deg, rec)
+	if c.degradations != 1 || c.recoveries != 1 {
+		t.Fatalf("counts after recover: %d/%d, want 1/1", c.degradations, c.recoveries)
 	}
-	if degPhases != 2 {
-		t.Fatalf("degraded phases = %d, want 2", degPhases)
+	if c.degradedPhases != 2 {
+		t.Fatalf("degraded phases = %d, want 2", c.degradedPhases)
 	}
 	// Back on the primary.
 	pBefore := p.calls
 	p.results = []PhaseResult{clean()}
-	plan(t, d, degIn())
-	if p.calls != pBefore+1 {
+	if s := plan(t, d, degIn()); p.calls != pBefore+1 || s.Fallback {
 		t.Fatal("primary did not resume after recovery")
 	}
 }
@@ -135,20 +150,17 @@ func TestRecoveryHysteresis(t *testing.T) {
 	f := &scriptPlanner{name: "f", results: []PhaseResult{clean()}}
 	d := mustDegrading(t, p, f, DegradeConfig{After: 1, Recover: 2})
 
-	plan(t, d, degIn())
-	if !d.Degraded() {
+	if !plan(t, d, degIn()).Degraded {
 		t.Fatal("not degraded with After=1")
 	}
 	plan(t, d, degIn()) // clean 1
 	f.results = []PhaseResult{expired()}
 	plan(t, d, degIn()) // bad: resets streak
 	f.results = []PhaseResult{clean()}
-	plan(t, d, degIn()) // clean 1 again
-	if !d.Degraded() {
+	if !plan(t, d, degIn()).Degraded { // clean 1 again
 		t.Fatal("recovered despite interrupted clean streak")
 	}
-	plan(t, d, degIn()) // clean 2
-	if d.Degraded() {
+	if plan(t, d, degIn()).Degraded { // clean 2
 		t.Fatal("not recovered after 2 consecutive clean phases")
 	}
 }
@@ -163,24 +175,21 @@ func TestSlackFractionCriterion(t *testing.T) {
 
 	// Min_Slack = 100µs: Used 60µs > 50µs → bad.
 	batch := []*task.Task{{ID: 1, Proc: time.Millisecond, Deadline: simtime.Instant(int64(time.Millisecond + 100*time.Microsecond))}}
-	plan(t, d, PhaseInput{Now: 0, Batch: batch})
-	if !d.Degraded() {
+	if !plan(t, d, PhaseInput{Now: 0, Batch: batch}).Degraded {
 		t.Fatal("latency over the slack fraction did not degrade")
 	}
 
 	// Same Used with plentiful slack is fine.
 	d2 := mustDegrading(t, p, f, DegradeConfig{After: 1, SlackFraction: 0.5})
 	roomy := []*task.Task{{ID: 1, Proc: time.Millisecond, Deadline: simtime.Instant(int64(time.Second))}}
-	plan(t, d2, PhaseInput{Now: 0, Batch: roomy})
-	if d2.Degraded() {
+	if plan(t, d2, PhaseInput{Now: 0, Batch: roomy}).Degraded {
 		t.Fatal("degraded despite latency within the slack fraction")
 	}
 
 	// Zero min-slack (or empty batch) must not divide the world into bad
 	// phases: the criterion is skipped.
 	d3 := mustDegrading(t, p, f, DegradeConfig{After: 1, SlackFraction: 0.5})
-	plan(t, d3, PhaseInput{Now: 0})
-	if d3.Degraded() {
+	if plan(t, d3, PhaseInput{Now: 0}).Degraded {
 		t.Fatal("empty batch judged bad by the latency criterion")
 	}
 }
@@ -194,7 +203,7 @@ func TestDegradingErrorPassthrough(t *testing.T) {
 	if _, err := d.PlanPhase(degIn()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if d.Degraded() {
+	if d.degraded || d.badStreak != 0 {
 		t.Fatal("error advanced the state machine")
 	}
 }
@@ -236,8 +245,7 @@ func TestDegradingWithRealPlanners(t *testing.T) {
 		return PhaseInput{Now: 0, Batch: append([]*task.Task(nil), batch...), Loads: loads}
 	}
 	plan(t, d, in())
-	plan(t, d, in())
-	if !d.Degraded() {
+	if !plan(t, d, in()).Degraded {
 		t.Fatal("starved search planner did not degrade")
 	}
 	res, err := d.PlanPhase(in())

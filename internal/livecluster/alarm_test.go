@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rtsads/internal/simtime"
 	"rtsads/internal/workload"
 )
 
@@ -161,10 +162,10 @@ func TestWaitToleratesStaleTick(t *testing.T) {
 	}
 	for name, mk := range alarmKinds() {
 		r := &runState{
-			c:        &Cluster{stop: make(chan struct{})},
-			clock:    clock,
-			doneTick: make(chan struct{}, 1),
-			alarm:    newTickingAlarm(mk()),
+			c:       &Cluster{stop: make(chan struct{})},
+			clock:   clock,
+			retryAt: simtime.Never,
+			alarm:   newTickingAlarm(mk()),
 		}
 		until := clock.Now().Add(40 * time.Millisecond)
 		go func() {

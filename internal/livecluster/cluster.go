@@ -3,6 +3,8 @@ package livecluster
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/policy"
+	"rtsads/internal/search"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 	"rtsads/internal/workload"
@@ -159,8 +162,8 @@ type Config struct {
 	// TCPOptions.QueueCap) — the host handles *Overloaded from any
 	// backend either way.
 	Backpressure int
-	// SlackGuard is a deadline guard band for live planning: the host
-	// presents tasks to the planner with deadlines shrunk by this much
+	// SlackGuard is a deadline guard band for live planning: the planner
+	// (core.NewSlackGuard) sees the batch with deadlines shrunk by this much
 	// virtual time, so every accepted schedule carries at least that much
 	// slack. Workers and accounting still judge against the true deadlines,
 	// so the band absorbs wall-clock jitter (late dequeues, timer
@@ -173,7 +176,7 @@ type Config struct {
 	Clock *Clock
 	// External switches the cluster into externally-fed mode for use as a
 	// federation shard: the workload's task list no longer seeds the run —
-	// tasks arrive via Submit, Total counts absorbed submissions, and the
+	// tasks arrive via SubmitBatch, Total counts absorbed submissions, and the
 	// run ends once Seal has been called and the backlog has drained. The
 	// workload still supplies the worker count, placement and cost model
 	// (and sizes the in-process backend's ready queues, so keep its task
@@ -184,7 +187,7 @@ type Config struct {
 	// shed: returning true takes ownership (the cluster counts the task
 	// Bounced and forgets it), false declines (the cluster sheds it locally
 	// as usual). Called from the host goroutine with no cluster locks held;
-	// the callback must not call Submit on this same cluster. Tasks turned
+	// the callback must not call SubmitBatch on this same cluster. Tasks turned
 	// away because the cluster is shutting down are never offered.
 	OnReject func(t *task.Task, reason admission.Reason, now simtime.Instant) bool
 }
@@ -237,28 +240,22 @@ type Cluster struct {
 	loadTick chan struct{}
 }
 
-// Submit feeds tasks to an externally-fed cluster (Config.External). Safe
-// to call from any goroutine while Run is in progress; submissions are
-// absorbed by the host loop in order. It fails once Seal has been called
-// (including the implicit seal when Run returns), so a caller can tell a
-// rejected handoff from a silently dropped one.
-func (c *Cluster) Submit(ts ...*task.Task) error {
-	return c.SubmitBatch(ts)
-}
-
-// SubmitBatch feeds a batch of tasks to an externally-fed cluster in one
-// locked append — the amortized form of Submit the federation's batched
-// admission pipeline uses. Order within the batch is preserved, and the
-// host loop is woken once per batch rather than once per task. The caller
-// keeps ownership of the slice; only the task pointers are retained.
+// SubmitBatch feeds a batch of tasks to an externally-fed cluster
+// (Config.External) in one locked append. Safe to call from any goroutine
+// while Run is in progress; submissions are absorbed by the host loop in
+// order, and the loop is woken once per batch rather than once per task. It
+// fails once Seal has been called (including the implicit seal when Run
+// returns), so a caller can tell a rejected handoff from a silently dropped
+// one. The caller keeps ownership of the slice; only the task pointers are
+// retained.
 func (c *Cluster) SubmitBatch(ts []*task.Task) error {
 	if !c.cfg.External {
-		return fmt.Errorf("livecluster: Submit requires Config.External")
+		return fmt.Errorf("livecluster: SubmitBatch requires Config.External")
 	}
 	c.feedMu.Lock()
 	if c.sealed {
 		c.feedMu.Unlock()
-		return fmt.Errorf("livecluster: Submit after Seal")
+		return fmt.Errorf("livecluster: SubmitBatch after Seal")
 	}
 	c.feed = append(c.feed, ts...)
 	c.feedMu.Unlock()
@@ -269,7 +266,7 @@ func (c *Cluster) SubmitBatch(ts []*task.Task) error {
 	return nil
 }
 
-// Seal closes the external feed: no further Submit succeeds, and Run ends
+// Seal closes the external feed: no further SubmitBatch succeeds, and Run ends
 // once the already-submitted backlog has drained. Idempotent; safe from
 // any goroutine.
 func (c *Cluster) Seal() {
@@ -393,81 +390,60 @@ type flight struct {
 	due    simtime.Instant // planned completion on the worker's queue
 }
 
-// runState is the mutable state of one Run. The host goroutine owns the
-// scheduling fields (batch, freeAt, alive, planner); mu guards the fields
-// shared with the completion collector (res, inflight).
+// runState is the state of one Run, all of it owned by the host goroutine:
+// the phase kernel (host, whose Res and Batch are the run's books and
+// batch) and what only a live machine has beside it — flights, completions
+// and failures streaming in, arrivals still to come, a shutdown.
 type runState struct {
 	c       *Cluster
 	clock   *Clock
 	backend Backend
 	live    Liveness
 	pc      *phaseClock
+	o       *obs.Observer
 
-	o *obs.Observer
-
-	mu       sync.Mutex
-	res      *metrics.RunResult
+	host     machine.Host
+	res      *metrics.RunResult // host.Res
 	inflight map[task.ID]*flight
+	doneCh   <-chan Done
+	failCh   <-chan Failure
 
-	doneTick  chan struct{}
-	failCh    <-chan Failure
-	collectWG sync.WaitGroup
+	alive   []bool
+	strikes []int
+	pending []*task.Task
+	next    int
 
-	// Host-only scheduling state.
-	alive        []bool
-	strikes      []int
-	freeAt       []simtime.Instant
-	batch        *task.Batch
-	pending      []*task.Task
-	next         int
-	planner      core.Planner
-	plannerStale bool
-
-	// Per-iteration scratch, reused so a phase of one or two tasks does not
-	// pay for half a dozen fresh slices: the active-worker list and its
-	// loads, the job lists indexed by worker (Backend.Deliver is done with a
-	// list when it returns), the delivered tasks, the SlackGuard shadows.
-	active    []int
-	loads     []time.Duration
+	// Per-phase scratch of Deliver, reused so a phase of one or two tasks
+	// does not pay for fresh slices: the job lists indexed by worker
+	// (Backend.Deliver is done with a list when it returns) and the
+	// delivered tasks. retryAt is the earliest overload retry a Deliver
+	// asked for since the last wait.
 	jobs      [][]Job
-	scheduled []*task.Task
-	shadow    []task.Task
-	guarded   []*task.Task
-	orig      map[task.ID]*task.Task
+	delivered []*task.Task
+	retryAt   simtime.Instant
 	overdue   []bool // checkStragglers: workers with an overdue job
 	alarm     *alarm // wait's timer, closed when Run returns
 
-	// Overload control (host-only). adm gates every batch admission (nil
-	// admits everything). degrading is the planner's degraded-mode
-	// controller when Config.Degrade is set; lastDeg/lastRec/lastDP are its
-	// counts already mirrored into res, so rebuilds (which discard the
-	// controller) keep the run totals cumulative. wasDegraded is the last
-	// observed mode, for emitting transition events.
-	adm         *admission.Controller
-	degrading   *core.Degrading
-	wasDegraded bool
-	lastDeg     int
-	lastRec     int
-	lastDP      int
+	// adm gates every batch admission (nil admits everything).
+	adm *admission.Controller
 
-	// Graceful shutdown (host-only): set when c.stop is first observed.
+	// Graceful shutdown: set when c.stop is first observed.
 	stopping     bool
 	stopDeadline time.Time
 }
 
 // Run executes the workload to completion and returns the run's metrics.
-// The host loop mirrors the deterministic machine: form batches, purge
-// missed tasks, run a scheduling phase under a wall-clock quantum budget,
-// and deliver the schedule — except that time is real and workers really
-// execute transactions.
+// The host is the deterministic machine's (machine.Host.Step: purge, plan a
+// phase under a wall-clock quantum budget, book it, deliver it) — except
+// that time is real and workers really execute transactions.
 //
 // Unlike the deterministic machine, the live host also survives worker
 // failure: when a worker is detected dead (or a connection cannot be
-// re-established), the host marks the processor failed, reclaims its
-// delivered-but-unfinished jobs, and feeds them back into the next
-// scheduling phase against the shrunken machine. Re-routed tasks pass the
-// same feasibility test as everything else, so they either provably meet
-// their deadlines on a surviving worker or are counted honestly as lost.
+// re-established), the host removes the processor from the machine,
+// reclaims its delivered-but-unfinished jobs, and feeds them back into the
+// next scheduling phase. Re-routed tasks pass the same feasibility test as
+// everything else, so they either provably meet their deadlines on a
+// surviving worker or are counted honestly as lost.
 func (c *Cluster) Run() (*metrics.RunResult, error) {
 	w := c.cfg.Workload
 	clock := c.cfg.Clock
@@ -482,25 +458,11 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	backend, err := c.makeBackend(clock, inj)
+	pc := &phaseClock{clock: clock}
+	planner, err := c.makePlanner(pc)
 	if err != nil {
 		return nil, err
 	}
-
-	// Externally-fed shards start empty: Total counts absorbed submissions
-	// rather than the workload's task list.
-	var seed []*task.Task
-	if !c.cfg.External {
-		seed = append([]*task.Task(nil), w.Tasks...)
-	}
-	res := &metrics.RunResult{
-		Algorithm:  "", // set below once the planner is built
-		Workers:    w.Params.Workers,
-		Total:      len(seed),
-		WorkerBusy: make([]time.Duration, w.Params.Workers),
-	}
-
 	var adm *admission.Controller
 	if c.cfg.Admission.Enabled() {
 		if adm, err = admission.New(c.cfg.Admission); err != nil {
@@ -513,31 +475,43 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		o:        c.cfg.Obs,
 		adm:      adm,
 		clock:    clock,
-		backend:  backend,
 		live:     c.cfg.Liveness,
-		pc:       &phaseClock{clock: clock},
-		res:      res,
+		pc:       pc,
 		inflight: make(map[task.ID]*flight),
-		doneTick: make(chan struct{}, 1),
-		failCh:   backend.Failures(),
 		alive:    make([]bool, w.Params.Workers),
 		strikes:  make([]int, w.Params.Workers),
-		freeAt:   make([]simtime.Instant, w.Params.Workers),
 		jobs:     make([][]Job, w.Params.Workers),
 		overdue:  make([]bool, w.Params.Workers),
-		batch:    task.NewBatch(),
-		pending:  seed,
-		alarm:    newTickingAlarm(newKernelTimer()),
+		retryAt:  simtime.Never,
 	}
-	defer r.alarm.close()
 	for k := range r.alive {
 		r.alive[k] = true
 	}
-	r.o.SetWorkers(w.Params.Workers)
-	task.SortEDF(r.pending) // stable starting order; arrival absorb below re-checks times
+	r.host.Reset(machine.Config{
+		Workers: w.Params.Workers,
+		Planner: planner,
+		// A serving shard plans for as long as it runs.
+		MaxPhases:         math.MaxInt,
+		RecordCompletions: c.cfg.RecordCompletions,
+		Obs:               c.cfg.Obs,
+	})
+	r.host.Seams = r
+	r.res = r.host.Res
+	r.res.Algorithm += "/live"
+	// Externally-fed shards start empty: Total counts absorbed submissions
+	// rather than the workload's task list.
+	if !c.cfg.External {
+		r.pending = append([]*task.Task(nil), w.Tasks...)
+		task.SortEDF(r.pending) // stable starting order; arrival absorb below re-checks times
+		r.res.Total = len(r.pending)
+	}
 
-	r.collectWG.Add(1)
-	go r.collect()
+	if r.backend, err = c.makeBackend(clock, inj); err != nil {
+		return nil, err
+	}
+	r.doneCh, r.failCh = r.backend.Done(), r.backend.Failures()
+	r.alarm = newTickingAlarm(newKernelTimer())
+	defer r.alarm.close()
 
 	hostErr := r.loop()
 
@@ -547,29 +521,31 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		// feed left over) as shutdown sheds so the books balance.
 		c.Seal()
 		for _, t := range r.takeFeed() {
-			r.mu.Lock()
-			res.Total++
-			r.mu.Unlock()
+			r.res.Total++
 			r.shed(t, admission.ShuttingDown, clock.Now())
 		}
 	}
 
-	closeErr := backend.Close() // closing drains worker queues, then Done closes
-	r.collectWG.Wait()
+	// Closing drains the worker queues, then closes Done; the host books
+	// what completes meanwhile.
+	closed := make(chan error, 1)
+	go func() { closed <- r.backend.Close() }()
+	for d := range r.doneCh {
+		r.complete(d)
+	}
+	closeErr := <-closed
 
 	// Reconcile: any job still registered after the backend drained never
 	// completed and was never reclaimed — count it lost rather than let the
 	// books quietly not balance.
-	r.mu.Lock()
 	for id, fl := range r.inflight {
 		delete(r.inflight, id)
-		res.LostToFailure++
+		r.res.LostToFailure++
 		r.o.Lost(fl.t.ID, fl.worker, clock.Now())
 		r.record(metrics.Completion{Task: fl.t.ID, Proc: fl.worker})
 	}
 	r.o.Inflight(len(r.inflight))
-	r.mu.Unlock()
-	r.o.RunEnd(clock.Now(), res.String())
+	r.o.RunEnd(clock.Now(), r.res.String())
 
 	if hostErr != nil {
 		return nil, hostErr
@@ -577,80 +553,25 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 	if closeErr != nil {
 		return nil, fmt.Errorf("livecluster: close backend: %w", closeErr)
 	}
-	return res, nil
+	return r.res, nil
 }
 
-// collect consumes the backend's completion stream. The host re-verifies
-// each completion against the task's authoritative deadline; the worker's
-// Hit flag is advisory. Completions for tasks no longer in flight (already
-// reclaimed from a worker declared failed) are dropped so every task is
-// counted exactly once.
-func (r *runState) collect() {
-	defer r.collectWG.Done()
-	for d := range r.backend.Done() {
-		r.mu.Lock()
-		fl, ok := r.inflight[task.ID(d.Task)]
-		if !ok {
-			r.mu.Unlock()
-			continue
-		}
-		delete(r.inflight, task.ID(d.Task))
-		if d.Expired {
-			// The worker shed the job at its queue head: the deadline was
-			// already unreachable, so it missed without execution — the same
-			// purge condition the host applies to its batch, enforced one
-			// tier down.
-			r.res.Purged++
-			r.o.Purge(fl.t.ID, d.Start)
-			r.o.Inflight(len(r.inflight))
-			r.record(metrics.Completion{Task: fl.t.ID, Proc: -1})
-			r.mu.Unlock()
-			select {
-			case r.doneTick <- struct{}{}:
-			default:
-			}
-			continue
-		}
-		hit := d.Err == "" && !d.Finish.After(fl.t.Deadline)
-		if hit {
-			r.res.Hits++
-		} else {
-			r.res.ScheduledMissed++
-		}
-		if d.Finish.After(r.res.Makespan) {
-			r.res.Makespan = d.Finish
-		}
-		if d.Worker >= 0 && d.Worker < len(r.res.WorkerBusy) {
-			r.res.WorkerBusy[d.Worker] += d.Finish.Sub(d.Start)
-		}
-		r.res.Response.Add(d.Finish.Sub(fl.t.Arrival))
-		r.o.Exec(fl.t.ID, d.Worker, d.Start, d.Finish, hit,
-			d.Finish.Sub(fl.t.Arrival), fl.t.Deadline.Sub(d.Finish))
-		r.o.Inflight(len(r.inflight))
-		r.record(metrics.Completion{
-			Task: fl.t.ID, Proc: d.Worker, Start: d.Start, Finish: d.Finish,
-			Hit: hit, Executed: true,
-		})
-		r.mu.Unlock()
-		select {
-		case r.doneTick <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// record appends a completion record when enabled. Callers hold mu.
-func (r *runState) record(c metrics.Completion) {
-	if !r.c.cfg.RecordCompletions {
-		return
-	}
-	r.res.Completions = append(r.res.Completions, c)
-}
-
-// loop is the host's scheduling loop.
+// loop is the live driver of the phase kernel. Each iteration books what
+// the workers and the failure detectors reported, absorbs arrivals and the
+// external feed, reclaims from stragglers, publishes the load view, and
+// steps the host; it sleeps only when the host has nothing to do before a
+// later instant.
 func (r *runState) loop() error {
 	for {
-		// Absorb any failure notifications before scheduling.
+	drainDone:
+		for {
+			select {
+			case d := <-r.doneCh:
+				r.complete(d)
+			default:
+				break drainDone
+			}
+		}
 	drainFailures:
 		for {
 			select {
@@ -673,283 +594,224 @@ func (r *runState) loop() error {
 		}
 		if r.c.cfg.External {
 			for _, t := range r.takeFeed() {
-				r.mu.Lock()
 				r.res.Total++
-				r.mu.Unlock()
 				r.o.Arrival(t.ID, now, t.Deadline)
 				r.admit(t, now, true)
 			}
 		}
-		if purged := r.batch.PurgeMissed(now); len(purged) > 0 {
-			r.mu.Lock()
-			r.res.Purged += len(purged)
-			for _, t := range purged {
-				r.o.Purge(t.ID, now)
-				r.record(metrics.Completion{Task: t.ID, Proc: -1})
-			}
-			r.mu.Unlock()
-		}
 		r.checkStragglers(now)
 		r.publishSummary(now)
-
-		if r.batch.Len() == 0 {
-			if r.c.cfg.External {
-				if r.feedDone() && r.inflightCount() == 0 {
-					return nil // sealed, absorbed, delivered and accounted for
-				}
-			} else if r.next >= len(r.pending) && r.inflightCount() == 0 {
-				return nil // all work delivered and accounted for
-			}
-			r.wait(r.nextEvent(now))
-			continue
-		}
-
-		active := r.activeWorkers()
-		if len(active) == 0 {
-			if r.c.cfg.External {
-				// Every local worker is gone, but a sibling shard may still
-				// serve the backlog: offer each task to the router; what it
-				// declines is honestly lost. The loop keeps running so later
-				// submissions bounce the same way, and the run still ends on
-				// seal-and-drain.
-				for _, t := range r.batch.PurgeMissed(simtime.Never) {
-					if !r.bounce(t, admission.ShardDown, now) {
-						r.lose(t, now)
-					}
-				}
-				r.wait(r.nextEvent(now))
-				continue
-			}
-			// Every worker is gone: the remaining work is honestly
-			// unservable.
-			lost := append(r.batch.PurgeMissed(simtime.Never), r.pending[r.next:]...)
-			r.next = len(r.pending)
-			r.mu.Lock()
-			r.res.LostToFailure += len(lost)
-			for _, t := range lost {
-				r.o.Lost(t.ID, -1, now)
-				r.record(metrics.Completion{Task: t.ID, Proc: -1})
-			}
-			r.mu.Unlock()
+		if r.host.Batch.Len() > 0 && !slices.Contains(r.alive, true) && r.strand(now) {
 			return nil
 		}
-		if r.planner == nil || r.plannerStale {
-			p, dg, err := r.c.makePlanner(r.pc, active)
-			if err != nil {
-				return err
-			}
-			r.planner = p
-			r.degrading = dg
-			r.plannerStale = false
-			r.lastDeg, r.lastRec, r.lastDP = 0, 0, 0
-			r.mu.Lock()
-			r.res.Algorithm = p.Name() + "/live"
-			if r.wasDegraded {
-				// The old controller died with the old machine; the fresh one
-				// starts healthy, so the mode change is a recovery.
-				r.res.Recoveries++
-			}
-			phase := r.res.Phases
-			r.mu.Unlock()
-			if r.wasDegraded {
-				r.wasDegraded = false
-				r.o.DegradeMode(false, phase, "planner rebuilt", now)
-			}
-		}
 
-		// Plan against the surviving machine: slot s of the search maps to
-		// working processor active[s]. The phase starts here, not where the
-		// iteration did: absorbing a burst is hundreds of journal writes, and
-		// a plan tested against an instant that far back is delivered that
-		// much later than it was proven feasible for.
+		// The phase starts here, not where the iteration did: absorbing a
+		// burst is hundreds of journal writes, and a plan tested against an
+		// instant that far back is delivered that much later than it was
+		// proven feasible for.
 		now = r.clock.Now()
-		loads := r.loads[:0]
-		for _, k := range active {
-			loads = append(loads, simtime.NonNeg(r.freeAt[k].Sub(now)))
-		}
-		r.loads = loads
-		// With a slack guard, plan against shadow copies whose deadlines are
-		// shrunk by the band; everything downstream (delivery, workers,
-		// accounting) keeps the originals and their true deadlines.
-		planBatch := r.batch.Tasks()
-		var orig map[task.ID]*task.Task
-		if g := r.c.cfg.SlackGuard; g > 0 {
-			if r.orig == nil {
-				r.orig = make(map[task.ID]*task.Task, len(planBatch))
-			}
-			clear(r.orig)
-			orig = r.orig
-			// Sized up front: guarded points into shadow, which must not move.
-			if cap(r.shadow) < len(planBatch) {
-				r.shadow = make([]task.Task, len(planBatch))
-			}
-			shadow := r.shadow[:len(planBatch)]
-			guarded := r.guarded[:0]
-			for i, t := range planBatch {
-				orig[t.ID] = t
-				shadow[i] = *t
-				shadow[i].Deadline = t.Deadline.Add(-g)
-				guarded = append(guarded, &shadow[i])
-			}
-			r.guarded = guarded
-			planBatch = guarded
-		}
 		r.pc.StartAt(now)
-		r.o.PhaseStart(r.res.Phases, r.batch.Len(), now)
-		out, err := r.planner.PlanPhase(core.PhaseInput{Now: now, Batch: planBatch, Loads: loads})
+		wake, err := r.host.Step(now)
 		if err != nil {
-			return fmt.Errorf("livecluster: phase %d: %w", r.res.Phases, err)
+			return fmt.Errorf("livecluster: %w", err)
 		}
-		r.mu.Lock()
-		stats := machine.BookPhase(r.res, &out)
-		var modeFlip, nowDegraded bool
-		if r.degrading != nil {
-			// Mirror the controller's cumulative counts as deltas so rebuilds
-			// (which replace the controller) keep the run totals monotonic.
-			dgs, recs, dps := r.degrading.Counts()
-			r.res.Degradations += dgs - r.lastDeg
-			r.res.Recoveries += recs - r.lastRec
-			r.res.DegradedPhases += dps - r.lastDP
-			stats.Degraded = dps > r.lastDP
-			r.lastDeg, r.lastRec, r.lastDP = dgs, recs, dps
-			nowDegraded = r.degrading.Degraded()
-			modeFlip = nowDegraded != r.wasDegraded
-			r.wasDegraded = nowDegraded
+		if r.host.Batch.Len() == 0 && r.drained() {
+			return nil // every task delivered and accounted for
 		}
-		phase := r.res.Phases - 1
-		r.mu.Unlock()
-		if modeFlip {
-			reason := "quantum-expired streak"
-			if !nowDegraded {
-				reason = "clean-phase streak"
-			}
-			r.o.DegradeMode(nowDegraded, phase, reason, r.clock.Now())
-		}
-		r.o.PhaseEnd(phase, r.clock.Now(), stats)
-
-		deliverAt := r.clock.Now()
-		perWorker := r.jobs
-		for k := range perWorker {
-			perWorker[k] = perWorker[k][:0]
-		}
-		scheduled := r.scheduled[:0]
-		r.mu.Lock()
-		for _, a := range out.Schedule {
-			t := a.Task
-			if orig != nil {
-				t = orig[t.ID] // map the guard-band shadow back to the real task
-			}
-			k := active[a.Proc]
-			due := serve(r.freeAt[k], deliverAt, t.Proc+a.Comm)
-			r.freeAt[k] = due
-			r.inflight[t.ID] = &flight{t: t, worker: k, due: due}
-			perWorker[k] = append(perWorker[k], Job{
-				Task: int32(t.ID),
-				Txn:  t.Payload,
-				// Workers occupy the task's actual processing time;
-				// the host planned with the worst case, so early
-				// finishes are reclaimed by the next queued job.
-				Proc:     t.ActualProc(),
-				Comm:     a.Comm,
-				Deadline: t.Deadline,
-			})
-			r.o.Deliver(phase, t.ID, k, a.Comm, deliverAt)
-			scheduled = append(scheduled, t)
-		}
-		r.o.Inflight(len(r.inflight))
-		r.mu.Unlock()
-		r.scheduled = scheduled
-		retryAt := simtime.Never
-		var deferred map[task.ID]bool
-		for k, jobs := range perWorker {
-			if len(jobs) == 0 {
-				continue
-			}
-			err := r.backend.Deliver(k, jobs)
-			if err == nil {
-				continue
-			}
-			var ov *Overloaded
-			if !errors.As(err, &ov) {
-				return fmt.Errorf("livecluster: deliver to worker %d: %w", k, err)
-			}
-			// Backpressure: the worker's bounded queue filled mid-delivery.
-			// The rejected suffix returns to the batch (it was never
-			// enqueued) and is re-planned after roughly RetryAfter, instead
-			// of buffering unboundedly on the transport.
-			rejected := jobs[ov.Accepted:]
-			if deferred == nil {
-				deferred = make(map[task.ID]bool, len(rejected))
-			}
-			at := r.clock.Now()
-			r.mu.Lock()
-			r.res.Overloads += len(rejected)
-			for _, j := range rejected {
-				id := task.ID(j.Task)
-				delete(r.inflight, id)
-				deferred[id] = true
-			}
-			// Roll the worker's backlog model back to what was actually
-			// enqueued — but never below the backend's own estimate of when a
-			// slot frees. Flooring at "now" would advertise a full worker as
-			// instantly available, and the host would re-plan and re-defer in
-			// a tight loop, starving the workers of CPU (a completion wakes
-			// the host early via doneTick, so an over-estimate costs nothing).
-			free := at.Add(ov.RetryAfter)
-			for _, fl := range r.inflight {
-				if fl.worker == k && fl.due.After(free) {
-					free = fl.due
-				}
-			}
-			r.freeAt[k] = free
-			r.o.Inflight(len(r.inflight))
-			r.mu.Unlock()
-			r.o.Overloaded(k, len(rejected), ov.RetryAfter, at)
-			retryAt = retryAt.Min(at.Add(ov.RetryAfter))
-		}
-		if len(deferred) > 0 {
-			kept := scheduled[:0]
-			for _, t := range scheduled {
-				if !deferred[t.ID] {
-					kept = append(kept, t)
-				}
-			}
-			scheduled = kept
-		}
-		r.batch.RemoveScheduled(scheduled)
-
-		if len(out.Schedule) == 0 || len(deferred) > 0 {
-			// Nothing currently feasible, or a worker pushed back: wait for
-			// the earliest event that can change the picture (a completion,
-			// an arrival, a failure, the nearest purge point, or the
-			// overload retry time) instead of spinning on re-plans. A
-			// completion wakes the host early via doneTick, so capacity
-			// freed before retryAt is not wasted.
-			r.wait(r.nextEvent(now).Min(retryAt))
+		if wake.After(r.host.BusyUntil()) {
+			r.wait(wake)
 		}
 	}
 }
 
+// PhaseEnd is the live driver's half of the kernel's first seam: a phase
+// ends when the clock says it did, read once it is booked.
+func (r *runState) PhaseEnd(simtime.Instant, time.Duration) simtime.Instant {
+	return r.clock.Now()
+}
+
+// Deliver is the live driver's half of the kernel's second seam: each
+// assignment becomes a flight due at serve(freeAt, at, p + c) — the
+// timeline the worker executes by — and a Job for Backend.Deliver.
+func (r *runState) Deliver(phase int, at simtime.Instant, schedule []search.Assignment) ([]*task.Task, error) {
+	perWorker := r.jobs
+	for k := range perWorker {
+		perWorker[k] = perWorker[k][:0]
+	}
+	freeAt := r.host.FreeAt
+	delivered := r.delivered[:0]
+	for _, a := range schedule {
+		t, k := a.Task, a.Proc
+		due := serve(freeAt[k], at, t.Proc+a.Comm)
+		freeAt[k] = due
+		r.inflight[t.ID] = &flight{t: t, worker: k, due: due}
+		perWorker[k] = append(perWorker[k], Job{
+			Task: int32(t.ID),
+			Txn:  t.Payload,
+			// Workers occupy the task's actual processing time; the host
+			// planned with the worst case, so early finishes are reclaimed
+			// by the next queued job.
+			Proc:     t.ActualProc(),
+			Comm:     a.Comm,
+			Deadline: t.Deadline,
+		})
+		r.o.Deliver(phase, t.ID, k, a.Comm, at)
+		delivered = append(delivered, t)
+	}
+	r.o.Inflight(len(r.inflight))
+	var deferred map[task.ID]bool
+	for k, jobs := range perWorker {
+		if len(jobs) == 0 {
+			continue
+		}
+		err := r.backend.Deliver(k, jobs)
+		if err == nil {
+			continue
+		}
+		var ov *Overloaded
+		if !errors.As(err, &ov) {
+			return nil, fmt.Errorf("deliver to worker %d: %w", k, err)
+		}
+		// Backpressure: the worker's bounded queue filled mid-delivery. The
+		// rejected suffix stays in the batch (it was never enqueued) and is
+		// re-planned after roughly RetryAfter, instead of buffering
+		// unboundedly on the transport.
+		rejected := jobs[ov.Accepted:]
+		if deferred == nil {
+			deferred = make(map[task.ID]bool, len(rejected))
+		}
+		now := r.clock.Now()
+		r.res.Overloads += len(rejected)
+		for _, j := range rejected {
+			delete(r.inflight, task.ID(j.Task))
+			deferred[task.ID(j.Task)] = true
+		}
+		// Roll the worker's backlog model back to what was actually
+		// enqueued — but never below the backend's own estimate of when a
+		// slot frees. Flooring at "now" would advertise a full worker as
+		// instantly available, and the host would re-plan and re-defer in a
+		// tight loop, starving the workers of CPU (a completion wakes the
+		// host early, so an over-estimate costs nothing).
+		free := now.Add(ov.RetryAfter)
+		for _, fl := range r.inflight {
+			if fl.worker == k && fl.due.After(free) {
+				free = fl.due
+			}
+		}
+		freeAt[k] = free
+		r.o.Inflight(len(r.inflight))
+		r.o.Overloaded(k, len(rejected), ov.RetryAfter, now)
+		r.retryAt = r.retryAt.Min(now.Add(ov.RetryAfter))
+	}
+	if deferred != nil {
+		delivered = slices.DeleteFunc(delivered, func(t *task.Task) bool { return deferred[t.ID] })
+	}
+	r.delivered = delivered
+	return delivered, nil
+}
+
+// complete books one completion. The host re-verifies it against the
+// task's authoritative deadline; the worker's Hit flag is advisory.
+// Completions for tasks no longer in flight (already reclaimed from a worker
+// declared failed) are dropped so every task is counted exactly once.
+func (r *runState) complete(d Done) {
+	fl, ok := r.inflight[task.ID(d.Task)]
+	if !ok {
+		return
+	}
+	delete(r.inflight, task.ID(d.Task))
+	if d.Expired {
+		// The worker shed the job at its queue head: the deadline was
+		// already unreachable, so it missed without execution — the same
+		// purge condition the host applies to its batch, enforced one tier
+		// down.
+		r.res.Purged++
+		r.o.Purge(fl.t.ID, d.Start)
+		r.o.Inflight(len(r.inflight))
+		r.record(metrics.Completion{Task: fl.t.ID, Proc: -1})
+		return
+	}
+	hit := d.Err == "" && !d.Finish.After(fl.t.Deadline)
+	if hit {
+		r.res.Hits++
+	} else {
+		r.res.ScheduledMissed++
+	}
+	if d.Finish.After(r.res.Makespan) {
+		r.res.Makespan = d.Finish
+	}
+	if d.Worker >= 0 && d.Worker < len(r.res.WorkerBusy) {
+		r.res.WorkerBusy[d.Worker] += d.Finish.Sub(d.Start)
+	}
+	r.res.Response.Add(d.Finish.Sub(fl.t.Arrival))
+	r.o.Exec(fl.t.ID, d.Worker, d.Start, d.Finish, hit,
+		d.Finish.Sub(fl.t.Arrival), fl.t.Deadline.Sub(d.Finish))
+	r.o.Inflight(len(r.inflight))
+	r.record(metrics.Completion{
+		Task: fl.t.ID, Proc: d.Worker, Start: d.Start, Finish: d.Finish,
+		Hit: hit, Executed: true,
+	})
+}
+
+// record appends a completion record when enabled.
+func (r *runState) record(c metrics.Completion) {
+	if r.c.cfg.RecordCompletions {
+		r.res.Completions = append(r.res.Completions, c)
+	}
+}
+
+// drained reports that every task the run will see is delivered and
+// accounted for: no arrival is still to come — for a shard, the feed is
+// sealed and absorbed — and nothing is in flight.
+func (r *runState) drained() bool {
+	if len(r.inflight) > 0 {
+		return false
+	}
+	if r.c.cfg.External {
+		return r.feedDone()
+	}
+	return r.next >= len(r.pending)
+}
+
+// strand settles the batch when no local worker survives, and reports
+// whether the run is over. A shard offers each task to its router and loses
+// what the router declines; it keeps running so later submissions bounce the
+// same way, and still ends on seal-and-drain. A standalone cluster loses the
+// batch and every arrival still to come.
+func (r *runState) strand(now simtime.Instant) bool {
+	stranded := r.host.Batch.PurgeMissed(simtime.Never)
+	if r.c.cfg.External {
+		for _, t := range stranded {
+			if !r.bounce(t, admission.ShardDown, now) {
+				r.lose(t, now)
+			}
+		}
+		return false
+	}
+	for _, t := range append(stranded, r.pending[r.next:]...) {
+		r.lose(t, now)
+	}
+	r.next = len(r.pending)
+	return true
+}
+
 // admit runs one task through the admission gate and into the batch.
 // arrival is true for first-time arrivals (counted in res.Admitted) and
-// false for reclaimed tasks being re-fed after a failure. Host goroutine
-// only.
+// false for reclaimed tasks being re-fed after a failure.
 func (r *runState) admit(t *task.Task, now simtime.Instant, arrival bool) {
 	if r.stopping {
 		r.shed(t, admission.ShuttingDown, now)
 		return
 	}
 	reject := func(t *task.Task, reason admission.Reason) { r.reject(t, reason, now) }
-	if r.adm.Enter(t, now, r.batch, reject) && arrival {
-		r.mu.Lock()
+	if r.adm.Enter(t, now, r.host.Batch, reject) && arrival {
 		r.res.Admitted++
-		r.mu.Unlock()
 		r.o.Admitted(t.ID, t.Deadline.Sub(now), now)
 	}
 }
 
 // reject routes one non-admitted task: offered to the federation router
-// first when one is attached, shed locally otherwise. Host goroutine only.
+// first when one is attached, shed locally otherwise.
 func (r *runState) reject(t *task.Task, reason admission.Reason, now simtime.Instant) {
 	if r.bounce(t, reason, now) {
 		return
@@ -960,7 +822,7 @@ func (r *runState) reject(t *task.Task, reason admission.Reason, now simtime.Ins
 // bounce offers one locally-unservable task to the federation router via
 // Config.OnReject. True means the router took ownership: the task is
 // counted Bounced — a terminal bucket for this domain — and forgotten
-// here. Host goroutine only; the callback runs with no cluster locks held.
+// here.
 func (r *runState) bounce(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
 	cb := r.c.cfg.OnReject
 	if cb == nil || reason == admission.ShuttingDown {
@@ -969,32 +831,26 @@ func (r *runState) bounce(t *task.Task, reason admission.Reason, now simtime.Ins
 	if !cb(t, reason, now) {
 		return false
 	}
-	r.mu.Lock()
 	r.res.Bounced++
 	r.record(metrics.Completion{Task: t.ID, Proc: -1})
-	r.mu.Unlock()
 	r.o.Bounce(t.ID, string(reason), now)
 	return true
 }
 
-// lose accounts one task dropped because no local worker survives and the
-// router declined it. Host goroutine only.
+// lose accounts one task dropped because no local worker survives (and the
+// router, if any, declined it).
 func (r *runState) lose(t *task.Task, now simtime.Instant) {
-	r.mu.Lock()
 	r.res.LostToFailure++
 	r.o.Lost(t.ID, -1, now)
 	r.record(metrics.Completion{Task: t.ID, Proc: -1})
-	r.mu.Unlock()
 }
 
 // shed accounts one task rejected or evicted by admission control: a
 // terminal outcome, mirrored into the result, the registry and the
-// journal. Host goroutine only.
+// journal.
 func (r *runState) shed(t *task.Task, reason admission.Reason, now simtime.Instant) {
-	r.mu.Lock()
 	r.res.CountShed(reason)
 	r.record(metrics.Completion{Task: t.ID, Proc: -1})
-	r.mu.Unlock()
 	r.o.Shed(t.ID, string(reason), now)
 }
 
@@ -1002,8 +858,7 @@ func (r *runState) shed(t *task.Task, reason admission.Reason, now simtime.Insta
 // admission — every task that has not yet entered the batch is shed — and
 // starts the drain-grace clock; once the grace expires it sheds the
 // remaining backlog and reports true, ending the loop. Jobs already
-// delivered to workers still drain through backend.Close. Host goroutine
-// only.
+// delivered to workers still drain through backend.Close.
 func (r *runState) checkStop(now simtime.Instant) bool {
 	if !r.stopping {
 		select {
@@ -1019,7 +874,7 @@ func (r *runState) checkStop(now simtime.Instant) bool {
 		}
 	}
 	if time.Now().After(r.stopDeadline) {
-		for _, t := range r.batch.PurgeMissed(simtime.Never) {
+		for _, t := range r.host.Batch.PurgeMissed(simtime.Never) {
 			r.shed(t, admission.ShuttingDown, now)
 		}
 		return true
@@ -1027,26 +882,24 @@ func (r *runState) checkStop(now simtime.Instant) bool {
 	return false
 }
 
-// handleFailure marks the worker (fatally failed workers leave the machine),
-// reclaims its delivered-but-unfinished jobs, and feeds the ones that can
-// still meet their deadlines back into the batch. Host goroutine only.
+// handleFailure marks the worker (a fatally failed worker leaves the
+// machine), reclaims its delivered-but-unfinished jobs, and feeds the ones
+// that can still meet their deadlines back into the batch.
 func (r *runState) handleFailure(f Failure) {
-	if f.Worker < 0 || f.Worker >= len(r.alive) {
+	k := f.Worker
+	if k < 0 || k >= len(r.alive) {
 		return
 	}
 	now := r.clock.Now()
-	var reclaimed []*task.Task
-	r.mu.Lock()
-	if f.Fatal && r.alive[f.Worker] {
-		r.alive[f.Worker] = false
-		r.res.WorkerFailures++
-		r.o.WorkerDown(f.Worker, true, f.Err, f.At)
-		r.plannerStale = true
+	if f.Fatal && r.alive[k] {
+		r.alive[k] = false
+		r.host.Fail(k, f.At, f.Err)
 	} else if !f.Fatal {
-		r.o.WorkerDown(f.Worker, false, f.Err, f.At)
+		r.o.WorkerDown(k, false, f.Err, f.At)
 	}
+	var reclaimed []*task.Task
 	for id, fl := range r.inflight {
-		if fl.worker != f.Worker {
+		if fl.worker != k {
 			continue
 		}
 		delete(r.inflight, id)
@@ -1062,7 +915,6 @@ func (r *runState) handleFailure(f Failure) {
 		}
 	}
 	r.o.Inflight(len(r.inflight))
-	r.mu.Unlock()
 	// Map iteration order is random; keep the re-fed batch deterministic.
 	// Reclaimed tasks pass back through the admission gate: the queue cap
 	// still binds, and a task that became hopeless while in flight is shed
@@ -1072,10 +924,10 @@ func (r *runState) handleFailure(f Failure) {
 	for _, t := range reclaimed {
 		r.admit(t, now, false)
 	}
-	if r.alive[f.Worker] {
+	if r.alive[k] {
 		// The worker survived (reconnected or merely straggling) but its
 		// queue state is unknown; the host's backlog model restarts empty.
-		r.freeAt[f.Worker] = now
+		r.host.FreeAt[k] = now
 	}
 }
 
@@ -1088,13 +940,11 @@ func (r *runState) checkStragglers(now simtime.Instant) {
 	grace := r.live.StragglerGrace
 	overdue := r.overdue
 	clear(overdue)
-	r.mu.Lock()
 	for _, fl := range r.inflight {
 		if r.alive[fl.worker] && now.After(fl.due.Add(grace)) {
 			overdue[fl.worker] = true
 		}
 	}
-	r.mu.Unlock()
 	for k, late := range overdue {
 		if !late {
 			continue
@@ -1110,35 +960,20 @@ func (r *runState) checkStragglers(now simtime.Instant) {
 	}
 }
 
-// nextEvent returns the earliest virtual time at which the host's view can
-// change: an arrival, a purge point, a worker freeing up, or a straggler
-// deadline.
-func (r *runState) nextEvent(now simtime.Instant) simtime.Instant {
-	event := simtime.Never
-	if r.next < len(r.pending) {
-		event = event.Min(r.pending[r.next].Arrival)
-	}
-	for _, t := range r.batch.Tasks() {
-		event = event.Min(t.Deadline.Add(-t.Proc + 1))
-	}
-	for k, f := range r.freeAt {
-		if r.alive[k] && f.After(now) {
-			event = event.Min(f)
-		}
-	}
-	r.mu.Lock()
-	for _, fl := range r.inflight {
-		event = event.Min(fl.due.Add(r.live.StragglerGrace + 1))
-	}
-	r.mu.Unlock()
-	return event
-}
-
-// wait sleeps until the virtual event time, a completion, a failure, or a
-// Stop request — whichever comes first. Failures are handled before
-// returning. While draining for shutdown the sleep is clamped to the drain
-// deadline so the grace is honoured.
+// wait sleeps until until — the host's own next instant — or the earliest
+// live event before it: an arrival, a straggler deadline, an overload
+// retry; or until a completion, a failure, a submission or a Stop request
+// comes in. Completions and failures are booked before returning. While
+// draining for shutdown the sleep is clamped to the drain deadline so the
+// grace is honoured.
 func (r *runState) wait(until simtime.Instant) {
+	if r.next < len(r.pending) {
+		until = until.Min(r.pending[r.next].Arrival)
+	}
+	for _, fl := range r.inflight {
+		until = until.Min(fl.due.Add(r.live.StragglerGrace + 1))
+	}
+	until, r.retryAt = until.Min(r.retryAt), simtime.Never
 	if until == simtime.Never {
 		// Nothing scheduled to happen: poll at a coarse safety tick so an
 		// unforeseen state change cannot strand the host.
@@ -1165,7 +1000,8 @@ func (r *runState) wait(until simtime.Instant) {
 	case <-r.alarm.tick:
 	case f := <-r.failCh:
 		r.handleFailure(f)
-	case <-r.doneTick:
+	case d := <-r.doneCh:
+		r.complete(d)
 	case <-feedC:
 	case <-stopC:
 	}
@@ -1197,9 +1033,9 @@ func (r *runState) publishSummary(now simtime.Instant) {
 	if !r.c.cfg.External {
 		return
 	}
-	s := WorkerLoad(r.freeAt, r.alive, now)
-	s.Backlog = r.batch.Len()
-	s.Inflight = r.inflightCount()
+	s := WorkerLoad(r.host.FreeAt, r.alive, now)
+	s.Backlog = r.host.Batch.Len()
+	s.Inflight = len(r.inflight)
 	r.c.feedMu.Lock()
 	s.Backlog += len(r.c.feed)
 	s.Sealed = r.c.sealed
@@ -1216,25 +1052,6 @@ func (r *runState) publishSummary(now simtime.Instant) {
 	}
 }
 
-// activeWorkers returns the surviving processor IDs, ascending. The slice
-// is scratch, valid until the next call.
-func (r *runState) activeWorkers() []int {
-	out := r.active[:0]
-	for k, a := range r.alive {
-		if a {
-			out = append(out, k)
-		}
-	}
-	r.active = out
-	return out
-}
-
-func (r *runState) inflightCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.inflight)
-}
-
 func (c *Cluster) makeBackend(clock *Clock, inj *faultinject.Injector) (Backend, error) {
 	if c.cfg.Backend != nil {
 		return c.cfg.Backend(clock, inj)
@@ -1242,50 +1059,36 @@ func (c *Cluster) makeBackend(clock *Clock, inj *faultinject.Injector) (Backend,
 	return NewBoundedChannelBackend(clock, c.cfg.Workload, c.cfg.Backpressure, inj, c.cfg.Obs), nil
 }
 
-// makePlanner builds the planner over the surviving machine: search slot s
-// is working processor active[s], so after a failure the same feasibility
-// test (t_c + RQs(j) + se_lk <= d_l) re-routes tasks across the survivors
-// with their true communication costs. With Config.Degrade set, the
-// planner is wrapped in a degraded-mode controller whose fallback is
-// EDF-greedy over the same machine; the second return value is that
-// controller (nil when degrade is disabled) so the host can poll its mode.
-func (c *Cluster) makePlanner(pc *phaseClock, active []int) (core.Planner, *core.Degrading, error) {
-	w := c.cfg.Workload
-	cost := w.Cost
-	procs := append([]int(nil), active...)
-	scfg := core.SearchConfig{
-		Workers: len(procs),
-		Comm: func(t *task.Task, slot int) time.Duration {
-			return cost.Cost(t.Affinity, procs[slot])
+// makePlanner builds the run's one planner, over every worker: search slot
+// k is working processor k. A worker that dies stays in the machine with
+// the load of a crashed one (machine.Host.Fail), so the same feasibility
+// test (t_c + RQs(j) + se_lk <= d_l) re-routes its tasks across the
+// survivors with their true communication costs. With Config.Degrade set,
+// the planner is a degraded-mode controller whose fallback is EDF-greedy;
+// with Config.SlackGuard set, it plans against guard-banded deadlines.
+func (c *Cluster) makePlanner(pc *phaseClock) (core.Planner, error) {
+	cost := c.cfg.Workload.Cost
+	opts := policy.Options{Search: core.SearchConfig{
+		Workers: c.cfg.Workload.Params.Workers,
+		Comm: func(t *task.Task, k int) time.Duration {
+			return cost.Cost(t.Affinity, k)
 		},
 		Policy: c.cfg.Policy,
 		// Wall-clock quantum budget: the host's real scheduling speed,
 		// converted to virtual time, counted from each phase's Now.
 		Clock: pc.Elapsed,
-	}
-	if c.cfg.Degrade == nil {
-		p, err := buildPlanner(c.cfg.Algorithm, scfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, nil, nil
-	}
+	}}
 	// The degradation pair is one rung of the registry's general ladder:
 	// the configured policy falling back to EDF-greedy under hysteresis.
-	p, dg, err := policy.Default().Ladder(policy.Options{Search: scfg}, *c.cfg.Degrade,
-		string(c.cfg.Algorithm), "EDF-greedy")
-	if err != nil {
-		return nil, nil, fmt.Errorf("livecluster: %w", err)
+	rungs, dcfg := []string{string(c.cfg.Algorithm)}, core.DegradeConfig{}
+	if c.cfg.Degrade != nil {
+		rungs, dcfg = append(rungs, "EDF-greedy"), *c.cfg.Degrade
 	}
-	return p, dg, nil
-}
-
-func buildPlanner(a policy.Algorithm, scfg core.SearchConfig) (core.Planner, error) {
-	p, err := policy.Default().New(string(a), policy.Options{Search: scfg})
+	p, err := policy.Default().Ladder(opts, dcfg, rungs...)
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: %w", err)
 	}
-	return p, nil
+	return core.NewSlackGuard(p, c.cfg.SlackGuard), nil
 }
 
 // ChannelBackend runs one goroutine per worker, connected by channels — the
@@ -1296,51 +1099,29 @@ type ChannelBackend struct {
 	clock    *Clock
 	inj      *faultinject.Injector
 	jobs     []chan Job
-	done     chan Done
+	done     *completions
 	failures chan Failure
 	stop     chan struct{}
 	wg       sync.WaitGroup
-
-	// Backpressure (optional): tracker bounds each worker's outstanding
-	// queue; workers complete into rawDone and a forwarder drains the
-	// tracker before re-publishing on done.
+	// tracker bounds each worker's outstanding queue (nil: unbounded); the
+	// completion stream drains it.
 	tracker *loadTracker
-	rawDone chan Done
-	fwdWG   sync.WaitGroup
 }
 
-// NewChannelBackend spawns the workers for the workload with unbounded
-// worker queues. inj and o may be nil.
-func NewChannelBackend(clock *Clock, w *workload.Workload, inj *faultinject.Injector, o *obs.Observer) *ChannelBackend {
-	return NewBoundedChannelBackend(clock, w, 0, inj, o)
-}
-
-// NewBoundedChannelBackend is NewChannelBackend with backpressure: when
+// NewBoundedChannelBackend spawns the workers for the workload. When
 // queueCap > 0, each worker accepts at most that many outstanding jobs and
-// Deliver returns *Overloaded beyond it.
+// Deliver returns *Overloaded beyond it; 0 leaves the queues unbounded. inj
+// and o may be nil.
 func NewBoundedChannelBackend(clock *Clock, w *workload.Workload, queueCap int, inj *faultinject.Injector, o *obs.Observer) *ChannelBackend {
 	b := &ChannelBackend{
 		clock:    clock,
 		inj:      inj,
 		jobs:     make([]chan Job, w.Params.Workers),
-		done:     make(chan Done, w.Params.Workers),
 		failures: make(chan Failure, w.Params.Workers),
 		stop:     make(chan struct{}),
 		tracker:  newLoadTracker(w.Params.Workers, queueCap, 0),
 	}
-	sink := b.done
-	if b.tracker != nil {
-		b.rawDone = make(chan Done, w.Params.Workers)
-		sink = b.rawDone
-		b.fwdWG.Add(1)
-		go func() {
-			defer b.fwdWG.Done()
-			for d := range b.rawDone {
-				b.tracker.complete(d.Task)
-				b.done <- d
-			}
-		}()
-	}
+	b.done = newCompletions(w.Params.Workers, b.tracker.complete)
 	for i := range b.jobs {
 		b.jobs[i] = make(chan Job, len(w.Tasks)) // ready queue capacity
 		var quit chan struct{}
@@ -1352,7 +1133,7 @@ func NewBoundedChannelBackend(clock *Clock, w *workload.Workload, queueCap int, 
 		b.wg.Add(1)
 		go func(ch <-chan Job, quit <-chan struct{}) {
 			defer b.wg.Done()
-			wk.RunUntil(ch, sink, quit)
+			wk.RunUntil(ch, b.done.in, quit)
 		}(b.jobs[i], quit)
 		if o != nil {
 			go b.heartbeats(i, o, quit)
@@ -1424,24 +1205,19 @@ func (b *ChannelBackend) Deliver(proc int, jobs []Job) error {
 }
 
 // Done implements Backend.
-func (b *ChannelBackend) Done() <-chan Done { return b.done }
+func (b *ChannelBackend) Done() <-chan Done { return b.done.out }
 
 // Failures implements Backend.
 func (b *ChannelBackend) Failures() <-chan Failure { return b.failures }
 
 // Close implements Backend: close the ready queues, wait for workers to
-// drain them, then close the completion stream (via the backpressure
-// forwarder when one is running).
+// drain them, then close the completion stream once the host has read it.
 func (b *ChannelBackend) Close() error {
 	close(b.stop)
 	for _, ch := range b.jobs {
 		close(ch)
 	}
 	b.wg.Wait()
-	if b.tracker != nil {
-		close(b.rawDone)
-		b.fwdWG.Wait()
-	}
-	close(b.done)
+	b.done.close()
 	return nil
 }

@@ -2,11 +2,14 @@ package livecluster
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"rtsads/internal/core"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/metrics"
+	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 	"rtsads/internal/workload"
@@ -324,4 +327,95 @@ func TestClusterFailoverTCP(t *testing.T) {
 			t.Fatal("a worker did not exit after the run")
 		}
 	}
+}
+
+// TestDeadWorkerIsPadded: a fatally failed worker stays in the planner's
+// machine with the load of a crashed one, so no schedule uses it again —
+// no deliver entry after its worker-down names it — and what it held is
+// booked once, as re-routed or lost.
+func TestDeadWorkerIsPadded(t *testing.T) {
+	w, err := workload.Generate(faultParams(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(0)
+	c, err := New(Config{
+		Workload:          w,
+		Scale:             50,
+		Faults:            mustPlan(t, "kill=0@500us"),
+		RecordCompletions: true,
+		Obs:               o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runWithDeadline(t, c)
+	if res.WorkerFailures != 1 || res.Rerouted+res.LostToFailure == 0 {
+		t.Fatalf("scenario did not exercise failover: %s", res)
+	}
+	down, reroutes, lost := false, 0, 0
+	for _, e := range o.Journal().Snapshot() {
+		switch e.Type {
+		case "worker-down":
+			down = down || e.Worker == 0 && strings.HasPrefix(e.Detail, "fatal")
+		case "deliver":
+			if down && e.Worker == 0 {
+				t.Errorf("task %d delivered to worker 0 after it died", e.Task)
+			}
+		case "reroute":
+			reroutes++
+		case "lost":
+			lost++
+		}
+	}
+	if !down {
+		t.Fatal("journal has no fatal worker-down for worker 0")
+	}
+	if reroutes != res.Rerouted || lost != res.LostToFailure {
+		t.Errorf("journal has %d reroutes and %d losses, books %d and %d", reroutes, lost, res.Rerouted, res.LostToFailure)
+	}
+	assertFaultAccounting(t, res)
+	assertHitsVerified(t, w, res)
+}
+
+// TestDegradeSurvivesWorkerLoss: the run degrades at once and never
+// recovers (the controller needs 2^20 clean phases), then loses a worker.
+// The controller outlives the loss, so the books show its transitions and
+// nothing else: no recovery, and no "planner rebuilt" mode change.
+func TestDegradeSurvivesWorkerLoss(t *testing.T) {
+	w, err := workload.Generate(faultParams(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(0)
+	c, err := New(Config{
+		Workload: w,
+		Scale:    50,
+		Policy:   core.Fixed{D: time.Microsecond},
+		Degrade:  &core.DegradeConfig{After: 1, Recover: 1 << 20, SlackFraction: 1e-9},
+		Faults:   mustPlan(t, "kill=0@500us"),
+		Obs:      o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runWithDeadline(t, c)
+	if res.WorkerFailures != 1 || res.Degradations == 0 {
+		t.Fatalf("scenario did not degrade and then lose a worker: %s", res)
+	}
+	degrades, recovers := 0, 0
+	for _, e := range o.Journal().Snapshot() {
+		switch e.Type {
+		case "degrade":
+			degrades++
+		case "recover":
+			recovers++
+			t.Errorf("recovery journaled at phase %d: %q", e.Phase, e.Detail)
+		}
+	}
+	if res.Degradations != 1 || res.Recoveries != 0 || degrades != 1 || recovers != 0 {
+		t.Errorf("books %d degradations / %d recoveries, journal %d / %d; the controller made 1 / 0",
+			res.Degradations, res.Recoveries, degrades, recovers)
+	}
+	assertFaultAccounting(t, res)
 }

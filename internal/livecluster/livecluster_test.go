@@ -12,9 +12,12 @@ import (
 	"rtsads/internal/db"
 	"rtsads/internal/experiment"
 	"rtsads/internal/faultinject"
+	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/policy"
+	"rtsads/internal/search"
 	"rtsads/internal/simtime"
+	"rtsads/internal/task"
 	"rtsads/internal/workload"
 )
 
@@ -295,7 +298,7 @@ func TestChannelBackendDeliverRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewChannelBackend(clock, w, nil, nil)
+	b := NewBoundedChannelBackend(clock, w, 0, nil, nil)
 	if err := b.Deliver(5, nil); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
@@ -457,7 +460,7 @@ func TestLoadChangedCoalesces(t *testing.T) {
 		c := *t0
 		c.Arrival = clock.Now()
 		c.Deadline = c.Arrival.Add(time.Second)
-		if err := cl.Submit(&c); err != nil {
+		if err := cl.SubmitBatch([]*task.Task{&c}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -482,5 +485,117 @@ func TestLoadChangedCoalesces(t *testing.T) {
 	}
 	if s := cl.LoadSummary(); !s.Sealed || s.Backlog != 0 || s.Inflight != 0 {
 		t.Fatalf("final view %+v, want sealed and drained", s)
+	}
+}
+
+// stallOnce is EDF-greedy behind a host that stalls through its first
+// phase: the quantum runs out before the first expansion, so that phase
+// schedules nothing without having proved anything.
+type stallOnce struct {
+	core.Planner
+	stalled bool
+}
+
+func (p *stallOnce) PlanPhase(in core.PhaseInput) (core.PhaseResult, error) {
+	if !p.stalled {
+		p.stalled = true
+		return core.PhaseResult{Quantum: 50 * time.Microsecond, Used: 50 * time.Microsecond,
+			Stats: search.Stats{Expired: true}}, nil
+	}
+	return p.Planner.PlanPhase(in)
+}
+
+var stallOnceRegister sync.Once
+
+// TestExpiredEmptyPhaseReplans: an empty phase whose quantum expired is no
+// proof that the batch is infeasible. The host used to sleep to the nearest
+// purge point after it — with idle workers and a one-hour deadline, an hour.
+func TestExpiredEmptyPhaseReplans(t *testing.T) {
+	const algo = "test-stall-once"
+	stallOnceRegister.Do(func() {
+		err := policy.Default().Register(policy.Spec{
+			Name:        algo,
+			Description: "EDF-greedy whose first phase stalls (tests only)",
+			New: func(o policy.Options) (core.Planner, error) {
+				inner, err := core.NewEDFGreedy(o.Search)
+				return &stallOnce{Planner: inner}, err
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	p := liveParams(1)
+	p.NumTransactions = 1
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Tasks[0].Arrival, w.Tasks[0].Deadline = 0, simtime.Instant(time.Hour)
+	c, err := New(Config{Workload: w, Scale: 1, Algorithm: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	var res *metrics.RunResult
+	go func() {
+		var err error
+		res, err = c.Run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		c.Stop(0)
+		<-done
+		t.Fatal("host idled after an expired empty phase instead of planning again")
+	}
+	if res.Hits != 1 || res.Phases != 2 {
+		t.Errorf("want the task planned by the second phase and hit, got %s", res)
+	}
+}
+
+// TestCompletionsNeverBlockReporters: with nobody reading, every reporter
+// still hands over all its completions — a worker never waits on a host
+// busy planning. The reader then gets each one once, in each reporter's
+// order, each settled on the way in, and close returns after the last.
+func TestCompletionsNeverBlockReporters(t *testing.T) {
+	const reporters, each = 4, 500
+	var settled atomic.Int64
+	c := newCompletions(reporters, func(int32) { settled.Add(1) })
+	var wg sync.WaitGroup
+	for r := 0; r < reporters; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c.in <- Done{Task: int32(i), Worker: r}
+			}
+		}()
+	}
+	wg.Wait() // hangs if a reporter blocks on the unread stream
+	closed := make(chan struct{})
+	go func() {
+		c.close()
+		close(closed)
+	}()
+	next := make([]int32, reporters)
+	for d := range c.out {
+		if d.Task != next[d.Worker] {
+			t.Fatalf("reporter %d: got completion %d, want %d", d.Worker, d.Task, next[d.Worker])
+		}
+		next[d.Worker]++
+	}
+	<-closed
+	for r, n := range next {
+		if n != each {
+			t.Errorf("reporter %d: read %d of %d completions", r, n, each)
+		}
+	}
+	if got := settled.Load(); got != reporters*each {
+		t.Errorf("settled %d completions, want %d", got, reporters*each)
 	}
 }

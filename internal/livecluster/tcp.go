@@ -292,7 +292,7 @@ type TCPBackend struct {
 	o        *obs.Observer
 	hello    workerHello
 	conns    []*workerConn
-	done     chan Done
+	done     *completions
 	failures chan Failure
 	stop     chan struct{}
 	closing  atomic.Bool
@@ -324,7 +324,6 @@ func NewTCPBackend(clock *Clock, w *workload.Workload, addrs []string, opts TCPO
 			HeartbeatNano: live.HeartbeatEvery.Nanoseconds(),
 			TimeoutNano:   live.Timeout.Nanoseconds(),
 		},
-		done:     make(chan Done, len(addrs)),
 		failures: make(chan Failure, 4*len(addrs)+4),
 		stop:     make(chan struct{}),
 		tracker:  newLoadTracker(len(addrs), opts.QueueCap, live.StragglerGrace),
@@ -347,6 +346,7 @@ func NewTCPBackend(clock *Clock, w *workload.Workload, addrs []string, opts TCPO
 		}
 		b.conns = append(b.conns, wc)
 	}
+	b.done = newCompletions(len(addrs), b.tracker.complete)
 	for i := range b.conns {
 		b.wg.Add(1)
 		go b.supervise(i)
@@ -434,8 +434,7 @@ func (b *TCPBackend) readSession(i int) error {
 			if err != nil {
 				return err
 			}
-			b.tracker.complete(d.Task)
-			b.done <- d
+			b.done.in <- d
 		case wire.TypeHeartbeat:
 			b.o.HeartbeatRecv(i, b.clock.Now())
 		case wire.TypeBye:
@@ -591,7 +590,7 @@ func (b *TCPBackend) Deliver(proc int, jobs []Job) error {
 }
 
 // Done implements Backend.
-func (b *TCPBackend) Done() <-chan Done { return b.done }
+func (b *TCPBackend) Done() <-chan Done { return b.done.out }
 
 // Failures implements Backend.
 func (b *TCPBackend) Failures() <-chan Failure { return b.failures }
@@ -614,7 +613,7 @@ func (b *TCPBackend) Close() error {
 	}
 	b.wg.Wait()
 	b.abort()
-	close(b.done)
+	b.done.close()
 	return firstErr
 }
 

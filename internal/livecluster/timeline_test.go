@@ -248,7 +248,7 @@ func timelinesAgree(t *testing.T, noise float64, faults string) error {
 		cfg.Faults = mustPlan(t, faults)
 	}
 	cfg.Backend = func(clock *Clock, inj *faultinject.Injector) (Backend, error) {
-		tap.Backend, tap.clock = NewChannelBackend(clock, w, inj, o), clock
+		tap.Backend, tap.clock = NewBoundedChannelBackend(clock, w, 0, inj, o), clock
 		return tap, nil
 	}
 	c, err := New(cfg)

@@ -133,7 +133,7 @@ type Job struct {
 // that becomes ready at ready on a processor whose queue drains at freeAt
 // starts at the later of the two and occupies the processor for cost; serve
 // returns the instant it is due to finish. The host plans with it
-// (runState.loop) and the worker executes by it (RunUntil), so the two
+// (runState.Deliver) and the worker executes by it (RunUntil), so the two
 // timelines cannot drift apart.
 func serve(freeAt, ready simtime.Instant, cost time.Duration) simtime.Instant {
 	return ready.Max(freeAt).Add(cost)
@@ -153,6 +153,60 @@ type Done struct {
 	Expired bool
 	Matches int // tuples the transaction located
 	Err     string
+}
+
+// completions is a backend's completion stream: its goroutines report on
+// in, the host reads out. Nothing bounds the queue between the two, so no
+// worker waits on a host that is busy planning a phase — the host books
+// completions between phases — and the stream costs no buffer sized by the
+// run.
+type completions struct {
+	in, out chan Done
+	wg      sync.WaitGroup
+}
+
+// newCompletions starts a stream for n reporting goroutines; settle runs on
+// each completion as it enters. A slot per reporter on either side lets
+// completions that land together pass without waiting on the relay.
+func newCompletions(n int, settle func(task int32)) *completions {
+	c := &completions{in: make(chan Done, n), out: make(chan Done, n)}
+	c.wg.Add(1)
+	go c.relay(settle)
+	return c
+}
+
+func (c *completions) relay(settle func(int32)) {
+	defer c.wg.Done()
+	var queue []Done
+	next := 0
+	for in := c.in; in != nil || next < len(queue); {
+		var out chan<- Done
+		var head Done
+		if next < len(queue) {
+			out, head = c.out, queue[next]
+		}
+		select {
+		case d, ok := <-in:
+			if !ok {
+				in = nil
+				continue
+			}
+			settle(d.Task)
+			queue = append(queue, d)
+		case out <- head:
+			if next++; next == len(queue) {
+				queue, next = queue[:0], 0
+			}
+		}
+	}
+	close(c.out)
+}
+
+// close ends the stream once the host has read every completion reported
+// so far. The reporting goroutines must have stopped.
+func (c *completions) close() {
+	close(c.in)
+	c.wg.Wait()
 }
 
 // Worker is one working processor: it owns replicas of some sub-databases

@@ -2,21 +2,24 @@ package machine
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"rtsads/internal/core"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
+	"rtsads/internal/search"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 )
 
-// Host is the virtual-time host processor of one scheduler domain and the
-// one scheduling step every virtual-time driver shares: Machine.Run drives a
-// Host over a fixed arrival list, federation.Simulate drives one per shard
-// behind an admission gate. The driver owns arrivals (Batch.Add, Res.Total
-// and whatever gate sits in front); Step owns everything from the purge to
-// the delivery. The zero value is ready for Reset.
+// Host is the host processor of one scheduler domain and the one scheduling
+// step every driver shares: Machine.Run drives a Host over a fixed arrival
+// list, federation.Simulate drives one per shard behind an admission gate,
+// and livecluster drives one on a wall clock with real workers behind it.
+// The driver owns arrivals (Batch.Add, Res.Total and whatever gate sits in
+// front); Step owns everything from the purge to the delivery. The zero
+// value is ready for Reset.
 type Host struct {
 	cfg Config
 
@@ -25,15 +28,32 @@ type Host struct {
 	Res    *metrics.RunResult
 	Batch  *task.Batch
 	FreeAt []simtime.Instant
+	// Seams, when set, are a live driver's: see Seams. Virtual drivers leave
+	// it nil.
+	Seams Seams
 
 	busyUntil simtime.Instant // the previous phase's delivery instant
-	// failed marks each injected crash once it manifests, so
-	// Res.WorkerFailures counts dead workers (not lost tasks) — the same
-	// contract the live cluster keeps.
+	// failed marks each crash once it manifests, so Res.WorkerFailures
+	// counts dead workers (not lost tasks) — the same contract the live
+	// cluster keeps.
 	failed map[int]bool
 	// loads and scheduled are per-step scratch, kept across steps and runs.
 	loads     []time.Duration
 	scheduled []*task.Task
+}
+
+// Seams are the two places a driver's world differs from the virtual one,
+// each a method the driver's code supplies. Without them a Host is a
+// virtual-time host: a phase ends Used after it began, delivers no sooner
+// than MinAdvance after it, and its schedule executes analytically.
+type Seams interface {
+	// PhaseEnd returns the instant the phase begun at now ended, having
+	// spent used of scheduling time; it is called after the phase is booked.
+	PhaseEnd(now simtime.Instant, used time.Duration) simtime.Instant
+	// Deliver hands S_j to the workers at the delivery instant and returns
+	// the tasks that left the batch; the rest stay in it and are planned
+	// again.
+	Deliver(phase int, at simtime.Instant, schedule []search.Assignment) ([]*task.Task, error)
 }
 
 // Reset readies the host for a new run under cfg with fresh books, keeping
@@ -76,7 +96,24 @@ func (h *Host) Restart(now simtime.Instant) {
 	h.busyUntil = now
 }
 
-func (h *Host) markFailed(k int, at simtime.Instant) {
+// Fail removes worker k from the machine at at, the way a FailAt crash
+// does: from then on it never frees, so every assignment to it is
+// infeasible and the planner routes around it. The driver settles what the
+// worker still held; reason is journaled with the worker-down entry.
+func (h *Host) Fail(k int, at simtime.Instant, reason string) {
+	if _, dead := h.cfg.FailAt[k]; !dead {
+		failAt := maps.Clone(h.cfg.FailAt) // the caller's map stays untouched
+		if failAt == nil {
+			failAt = make(map[int]simtime.Instant, 1)
+		}
+		failAt[k] = at
+		h.cfg.FailAt = failAt
+	}
+	h.FreeAt[k] = simtime.Never
+	h.markFailed(k, at, reason)
+}
+
+func (h *Host) markFailed(k int, at simtime.Instant, reason string) {
 	if h.failed[k] {
 		return
 	}
@@ -85,8 +122,10 @@ func (h *Host) markFailed(k int, at simtime.Instant) {
 	}
 	h.failed[k] = true
 	h.Res.WorkerFailures++
-	h.cfg.Obs.WorkerDown(k, true, "machine: injected crash", at)
+	h.cfg.Obs.WorkerDown(k, true, reason, at)
 }
+
+const injectedCrash = "machine: injected crash"
 
 func (h *Host) record(c metrics.Completion) {
 	if h.cfg.RecordCompletions {
@@ -95,12 +134,13 @@ func (h *Host) record(c metrics.Completion) {
 }
 
 // Step runs one scheduling iteration at now — purge, plan one phase, book
-// it, deliver the schedule analytically — and returns the next instant the
-// host has work of its own: the delivery instant after a phase that
-// scheduled something, the earliest worker completion or purge point after
-// one that did not, Never when the batch is empty. The host runs phases back
-// to back (§4), never two at once: called before the previous phase's
-// delivery instant, Step does nothing and returns that instant.
+// it, deliver the schedule — and returns the next instant the host has work
+// of its own: the delivery instant after a phase that delivered all it
+// scheduled or that ran out of quantum before proving anything, the earliest
+// worker completion or purge point after any other, Never when the batch is
+// empty. The host runs phases back to back
+// (§4), never two at once: called before the previous phase's delivery
+// instant, Step does nothing and returns that instant.
 func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	if now.Before(h.busyUntil) {
 		return h.busyUntil, nil
@@ -127,8 +167,8 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 			// infeasible, so the planners route around it. (The
 			// feasibility tests also guard against saturated loads
 			// wrapping; FreeAt may already be Never here.)
-			h.loads[k] = unreachableLoad
-			h.markFailed(k, failAt)
+			h.loads[k] = search.Unreachable
+			h.markFailed(k, failAt, injectedCrash)
 		}
 	}
 	phase := res.Phases
@@ -137,9 +177,21 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	if err != nil {
 		return 0, fmt.Errorf("phase %d: %w", phase, err)
 	}
-	cfg.Obs.PhaseEnd(phase, now.Add(out.Used), BookPhase(res, &out))
+	stats := bookPhase(res, &out)
+	end := now.Add(out.Used)
+	if h.Seams != nil {
+		end = h.Seams.PhaseEnd(now, out.Used)
+	}
+	if dg := out.Degrade; dg.Fallback != dg.Degraded {
+		reason := "quantum-expired streak"
+		if !dg.Degraded {
+			reason = "clean-phase streak"
+		}
+		cfg.Obs.DegradeMode(dg.Degraded, phase, reason, end)
+	}
+	cfg.Obs.PhaseEnd(phase, end, stats)
 
-	deliver := now.Add(simtime.MaxDur(out.Used, cfg.MinAdvance))
+	deliver := end.Max(now.Add(cfg.MinAdvance))
 	h.busyUntil = deliver
 	if cfg.CombinedHost && h.FreeAt[0] != simtime.Never {
 		// Worker 0 spent the phase scheduling instead of executing:
@@ -147,10 +199,47 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 		h.FreeAt[0] = h.FreeAt[0].Max(now).Add(out.Used)
 	}
 
-	// Deliver S_j to the worker ready queues; tasks run back to back,
-	// non-preemptively, in delivery order.
+	// Deliver S_j to the worker ready queues.
+	var delivered []*task.Task
+	if h.Seams == nil {
+		delivered = h.execute(phase, deliver, out.Schedule)
+	} else if delivered, err = h.Seams.Deliver(phase, deliver, out.Schedule); err != nil {
+		return 0, err
+	}
+	h.Batch.RemoveScheduled(delivered)
+
+	if n := len(out.Schedule); n > 0 && len(delivered) == n {
+		return deliver, nil
+	}
+	if len(out.Schedule) == 0 && out.Stats.Expired && !out.Stats.DeadEnd {
+		// The quantum ran out before the search proved anything about the
+		// batch (a stalled host can spend a whole quantum before its first
+		// expansion): plan again at once.
+		return deliver, nil
+	}
+	// Every task still in the batch is currently infeasible (or a full worker
+	// queue refused it). That can only change at the next worker completion,
+	// the next arrival (the driver's to add), or a task's purge point — skip
+	// the host's idle spinning to the earliest such event.
+	event := simtime.Never
+	for _, f := range h.FreeAt {
+		if f.After(deliver) {
+			event = event.Min(f)
+		}
+	}
+	for _, t := range h.Batch.Tasks() {
+		event = event.Min(t.Deadline.Add(-t.Proc + 1))
+	}
+	return deliver.Max(event), nil
+}
+
+// execute runs S_j analytically from its delivery instant: tasks run back to
+// back, non-preemptively, in delivery order. It returns the delivered tasks
+// (every one: the virtual workers refuse nothing).
+func (h *Host) execute(phase int, deliver simtime.Instant, schedule []search.Assignment) []*task.Task {
+	cfg, res := &h.cfg, h.Res
 	scheduled := h.scheduled[:0]
-	for _, a := range out.Schedule {
+	for _, a := range schedule {
 		start := deliver.Max(h.FreeAt[a.Proc])
 		actual := a.Task.ActualProc() + a.Comm
 		finish := start.Add(actual)
@@ -160,7 +249,7 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 			// is lost, and the worker never frees again.
 			h.FreeAt[a.Proc] = simtime.Never
 			res.LostToFailure++
-			h.markFailed(a.Proc, failAt)
+			h.markFailed(a.Proc, failAt, injectedCrash)
 			cfg.Obs.Lost(a.Task.ID, a.Proc, failAt)
 			h.record(metrics.Completion{Task: a.Task.ID, Proc: a.Proc, Start: start})
 			continue
@@ -192,32 +281,14 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 			Hit: hit, Executed: true,
 		})
 	}
-	h.Batch.RemoveScheduled(scheduled)
 	h.scheduled = scheduled[:0]
-
-	if len(out.Schedule) > 0 {
-		return deliver, nil
-	}
-	// The phase scheduled nothing: every batch task is currently
-	// infeasible. Feasibility can only change at the next worker
-	// completion, the next arrival (the driver's to add), or a task's purge
-	// point — skip the host's idle spinning to the earliest such event.
-	event := simtime.Never
-	for _, f := range h.FreeAt {
-		if f.After(deliver) {
-			event = event.Min(f)
-		}
-	}
-	for _, t := range h.Batch.Tasks() {
-		event = event.Min(t.Deadline.Add(-t.Proc + 1))
-	}
-	return deliver.Max(event), nil
+	return scheduled
 }
 
-// BookPhase folds one phase's outcome into the run's books and returns the
-// observer's record of it — shared by every host loop (the live one calls it
-// under its result mutex and adds its degraded-mode flag).
-func BookPhase(res *metrics.RunResult, out *core.PhaseResult) obs.PhaseStats {
+// bookPhase folds one phase's outcome — its search counters and its
+// degraded-mode step — into the run's books and returns the observer's
+// record of it.
+func bookPhase(res *metrics.RunResult, out *core.PhaseResult) obs.PhaseStats {
 	res.Phases++
 	res.SchedulingTime += out.Used
 	res.VerticesGenerated += out.Stats.Generated
@@ -228,6 +299,16 @@ func BookPhase(res *metrics.RunResult, out *core.PhaseResult) obs.PhaseStats {
 	if out.Stats.Expired {
 		res.QuantaExpired++
 	}
+	dg := out.Degrade
+	if dg.Fallback {
+		res.DegradedPhases++
+	}
+	switch {
+	case dg.Degraded && !dg.Fallback:
+		res.Degradations++
+	case dg.Fallback && !dg.Degraded:
+		res.Recoveries++
+	}
 	return obs.PhaseStats{
 		Quantum:    out.Quantum,
 		Used:       out.Used,
@@ -235,6 +316,7 @@ func BookPhase(res *metrics.RunResult, out *core.PhaseResult) obs.PhaseStats {
 		Backtracks: out.Stats.Backtracks,
 		DeadEnd:    out.Stats.DeadEnd,
 		Expired:    out.Stats.Expired,
+		Degraded:   dg.Fallback,
 		Expanded:   out.Stats.Expanded,
 	}
 }

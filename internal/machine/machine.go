@@ -66,10 +66,6 @@ type Config struct {
 	CombinedHost bool
 }
 
-// unreachableLoad marks a worker no schedule can ever use: far beyond any
-// deadline, but small enough that adding task durations cannot overflow.
-const unreachableLoad = time.Duration(1) << 56 // ~2.3 years
-
 // Machine executes workloads under a planner.
 type Machine struct {
 	cfg Config

@@ -268,8 +268,8 @@ func (o *Observer) LastVirtual() simtime.Instant {
 	return simtime.Instant(o.lastVirtual.Value())
 }
 
-// note stamps an entry and journals it. The host loop, the completion
-// collector and the transport goroutines all call it, so lastVirtual is a
+// note stamps an entry and journals it. The host loop, the router and the
+// transport goroutines all call it, so lastVirtual is a
 // compare-and-swap maximum: a goroutine carrying an older instant must never
 // overwrite a newer one, or the progress reporter's "now" runs backwards.
 func (o *Observer) note(at simtime.Instant, e Entry) {

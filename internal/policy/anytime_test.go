@@ -310,3 +310,45 @@ func TestGAMonotoneIncumbent(t *testing.T) {
 		t.Fatal("no incumbent after 10 rounds")
 	}
 }
+
+// TestAnytimeSearchesPastDeadWorker: with a dead worker padded to
+// search.Unreachable (what machine.Host gives a crashed one), a complete GA
+// incumbent must still bound the DFS by the survivors' cost. Counted into
+// CE, the dead load made every vertex cost the same and the bound pruned the
+// search at its root, so RT-SADS+GA planned as the GA alone.
+func TestAnytimeSearchesPastDeadWorker(t *testing.T) {
+	p, err := NewAnytime(anytimeSearchConfig(4), GAConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := []time.Duration{0, 0, 0, search.Unreachable}
+	// A hopeless task leaves the first phase short of the batch, which arms
+	// the GA for the second.
+	arm := []*task.Task{
+		{ID: 1, Proc: time.Millisecond, Deadline: simtime.Instant(time.Millisecond)},
+		{ID: 2, Proc: time.Millisecond, Deadline: simtime.Instant(time.Second)},
+	}
+	if _, err := p.PlanPhase(core.PhaseInput{Batch: arm, Loads: loads}); err != nil {
+		t.Fatal(err)
+	}
+	var batch []*task.Task
+	for i := 0; i < 6; i++ {
+		batch = append(batch, &task.Task{ID: task.ID(10 + i), Payload: int32(i),
+			Proc: time.Duration(200+50*i) * time.Microsecond, Deadline: simtime.Instant(time.Second)})
+	}
+	res, err := p.PlanPhase(core.PhaseInput{Now: simtime.Instant(2 * time.Millisecond), Batch: batch, Loads: loads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Schedule) != len(batch) {
+		t.Fatalf("scheduled %d of %d roomy tasks", len(res.Schedule), len(batch))
+	}
+	if res.Stats.Expanded <= 1 {
+		t.Errorf("the DFS expanded %d vertex under the GA's bound: pruned at the root (%+v)", res.Stats.Expanded, res.Stats)
+	}
+	for _, a := range res.Schedule {
+		if a.Proc == 3 {
+			t.Errorf("task %d scheduled on the dead worker", a.Task.ID)
+		}
+	}
+}

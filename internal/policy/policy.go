@@ -146,30 +146,27 @@ func (r *Registry) Describe(w io.Writer) error {
 // Ladder chains the named policies into a degradation ladder: names[0] is
 // the primary, and each subsequent name is the hysteretic fallback of the
 // one before it (rung i falls back to rung i+1 under cfg, recursively).
-// core.Degrading is the two-policy special case. The returned controller is
-// the TOP rung — its counters report transitions out of the primary — and
-// is nil when only one name is given.
-func (r *Registry) Ladder(opts Options, cfg core.DegradeConfig, names ...string) (core.Planner, *core.Degrading, error) {
+// core.Degrading is the two-policy special case; a single name returns the
+// bare planner. The phase results report the TOP rung's steps —
+// transitions out of the primary.
+func (r *Registry) Ladder(opts Options, cfg core.DegradeConfig, names ...string) (core.Planner, error) {
 	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("policy: ladder needs at least one policy")
+		return nil, fmt.Errorf("policy: ladder needs at least one policy")
 	}
 	planner, err := r.New(names[len(names)-1], opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var top *core.Degrading
 	for i := len(names) - 2; i >= 0; i-- {
 		primary, err := r.New(names[i], opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		top, err = core.NewDegrading(primary, planner, cfg)
-		if err != nil {
-			return nil, nil, err
+		if planner, err = core.NewDegrading(primary, planner, cfg); err != nil {
+			return nil, err
 		}
-		planner = top
 	}
-	return planner, top, nil
+	return planner, nil
 }
 
 // defaultRegistry builds the built-in policy set exactly once.

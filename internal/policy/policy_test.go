@@ -79,21 +79,21 @@ func TestDescribeCoversRegistry(t *testing.T) {
 
 func TestLadder(t *testing.T) {
 	opts := testOptions(2)
-	planner, ctl, err := Default().Ladder(opts, core.DegradeConfig{}, "RT-SADS", "EDF-greedy", "myopic")
+	planner, err := Default().Ladder(opts, core.DegradeConfig{}, "RT-SADS", "EDF-greedy", "myopic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planner == nil || ctl == nil {
-		t.Fatal("three-rung ladder returned a nil planner or controller")
+	if _, ok := planner.(*core.Degrading); !ok {
+		t.Fatalf("three-rung ladder returned %T, want a degrade controller on top", planner)
 	}
-	planner, ctl, err = Default().Ladder(opts, core.DegradeConfig{}, "EDF-greedy")
+	planner, err = Default().Ladder(opts, core.DegradeConfig{}, "EDF-greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planner == nil || ctl != nil {
+	if _, ok := planner.(*core.Degrading); planner == nil || ok {
 		t.Fatal("single-rung ladder should return the bare planner and no controller")
 	}
-	if _, _, err := Default().Ladder(opts, core.DegradeConfig{}, "RT-SADS", "bogus"); err == nil {
+	if _, err := Default().Ladder(opts, core.DegradeConfig{}, "RT-SADS", "bogus"); err == nil {
 		t.Fatal("ladder accepted an unknown rung")
 	}
 }

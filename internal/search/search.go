@@ -319,6 +319,17 @@ type CostModel interface {
 	Extend(parentCE, oldLoad, newLoad time.Duration) time.Duration
 }
 
+// Unreachable is the load of a worker no schedule can use — a dead one: far
+// beyond any deadline, yet small enough that adding task durations cannot
+// overflow. The cost models leave such a worker (or one that never frees)
+// out of CE: counted in, it makes every vertex's CE the same constant, and an
+// incumbent bound (Problem.BoundCE) then prunes the whole search at the root.
+const Unreachable = time.Duration(1) << 56 // ~2.3 years
+
+// saturated reports a load of an unusable worker, discounted by a phase or
+// not.
+func saturated(l time.Duration) bool { return l >= Unreachable/2 }
+
 // MaxCost is the paper's §4.4 load-balancing cost CE = max_k ce_k. Because
 // loads are monotone along a path, the child's max is simply
 // max(parent.CE, newLoad) — O(1) instead of an O(P) rescan.
@@ -328,7 +339,7 @@ type MaxCost struct{}
 func (MaxCost) FromLoads(loads []time.Duration) time.Duration {
 	var m time.Duration
 	for _, l := range loads {
-		if l > m {
+		if l > m && !saturated(l) {
 			m = l
 		}
 	}
@@ -351,7 +362,9 @@ type SumCost struct{}
 func (SumCost) FromLoads(loads []time.Duration) time.Duration {
 	var sum time.Duration
 	for _, l := range loads {
-		sum += l
+		if !saturated(l) {
+			sum += l
+		}
 	}
 	return sum
 }

@@ -396,3 +396,17 @@ func TestFeasibleSaturatedLoadNeverWraps(t *testing.T) {
 		}
 	}
 }
+
+// TestCostSkipsDeadWorkers: a dead worker's load, discounted by a phase or
+// never freeing, is not part of CE — under either cost model.
+func TestCostSkipsDeadWorkers(t *testing.T) {
+	for _, dead := range []time.Duration{Unreachable, Unreachable - time.Millisecond, math.MaxInt64} {
+		loads := []time.Duration{3 * time.Millisecond, dead, 5 * time.Millisecond}
+		if got := (MaxCost{}).FromLoads(loads); got != 5*time.Millisecond {
+			t.Errorf("MaxCost with dead load %d = %v, want 5ms", dead, got)
+		}
+		if got := (SumCost{}).FromLoads(loads); got != 8*time.Millisecond {
+			t.Errorf("SumCost with dead load %d = %v, want 8ms", dead, got)
+		}
+	}
+}
