@@ -9,6 +9,7 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/db"
 	"rtsads/internal/federation"
+	"rtsads/internal/federation/wire"
 	"rtsads/internal/obs"
 	"rtsads/internal/rng"
 	"rtsads/internal/workload"
@@ -185,27 +186,26 @@ func (s FedTCPScenario) check(res *federation.Result, f *federation.Federation, 
 		add("routed %d of %d tasks", res.Routed, s.Tasks)
 	}
 
-	// Surviving shards' wire counters mirror their results exactly (the
-	// final summary frame lands before the result frame). The killed
-	// shard's books are synthesized router-side, so its last summary may
+	// Surviving shards' wire counts mirror their results exactly (the
+	// final Progress frame lands before the result frame). The killed
+	// shard's books are synthesized router-side, so its last frame may
 	// honestly trail — it is exempt.
 	for i, sr := range res.Shards {
 		if i == s.KillShard {
 			continue
 		}
-		snap := f.ShardCounters(i)
-		for name, want := range map[string]int{
-			obs.MetricHits:     sr.Hits,
-			obs.MetricPurged:   sr.Purged,
-			obs.MetricMissed:   sr.ScheduledMissed,
-			obs.MetricLost:     sr.LostToFailure,
-			obs.MetricShed:     sr.Shed,
-			obs.MetricAdmitted: sr.Admitted,
-			obs.MetricBounced:  sr.Bounced,
-		} {
-			if got := snap[name]; got != int64(want) {
-				add("shard %d wire counters %s = %d, run result says %d", i, name, got, want)
-			}
+		got := f.ShardCounters(i)
+		want := wire.Counts{
+			wire.CountHits:     int64(sr.Hits),
+			wire.CountMissed:   int64(sr.ScheduledMissed),
+			wire.CountPurged:   int64(sr.Purged),
+			wire.CountLost:     int64(sr.LostToFailure),
+			wire.CountShed:     int64(sr.Shed),
+			wire.CountAdmitted: int64(sr.Admitted),
+			wire.CountBounced:  int64(sr.Bounced),
+		}
+		if got != want {
+			add("shard %d wire counts %v, run result says %v", i, got, want)
 		}
 	}
 

@@ -114,7 +114,6 @@ func (s *scriptedShard) LoadSummary() livecluster.Summary {
 }
 
 func (s *scriptedShard) Placeable() bool                   { return true }
-func (s *scriptedShard) Counters() map[string]int64        { return nil }
 func (s *scriptedShard) SettledTasks() int64               { return 0 }
 func (s *scriptedShard) Seal()                             {}
 func (s *scriptedShard) Wait() (*metrics.RunResult, error) { return nil, nil }

@@ -17,8 +17,10 @@ import (
 //	    reconcile against the federation counters from one scrape. TYPE
 //	    headers are emitted for the router's metrics and shard 0's; later
 //	    shards' lazily-created families scrape as untyped, which the text
-//	    format permits.
-//	/healthz — JSON worker liveness per shard, plus an overall status.
+//	    format permits. A remote shard shows its last Progress frame: the
+//	    seven counts and the worker gauges.
+//	/healthz — JSON worker liveness per shard (a remote shard's from its
+//	    load view), plus an overall status.
 //	/slo — per-shard SLO summaries plus the federation rollup (counters
 //	    summed, guarantee ratio recomputed, slack quantiles merged
 //	    conservatively).
@@ -31,7 +33,11 @@ func (f *Federation) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		f.reg.WritePrometheus(w)
 		for i, o := range f.obsShards {
-			o.Registry().WritePrometheusLabeled(w, fmt.Sprintf("shard=%q", fmt.Sprint(i)), i == 0)
+			reg := o.Registry()
+			if rs, ok := f.handle(i).(*remoteShard); ok {
+				reg = progressRegistry(rs)
+			}
+			reg.WritePrometheusLabeled(w, fmt.Sprintf("shard=%q", fmt.Sprint(i)), i == 0)
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -46,17 +52,21 @@ func (f *Federation) Handler() http.Handler {
 			Shards []shardHealth `json:"shards"`
 		}{Status: "ok"}
 		for i, o := range f.obsShards {
-			workers := o.Health()
-			alive := 0
-			for _, h := range workers {
-				if h.Alive {
-					alive++
+			h := shardHealth{Shard: i, Workers: o.Health()}
+			for _, wh := range h.Workers {
+				if wh.Alive {
+					h.Alive++
 				}
 			}
-			if alive < len(workers) {
+			h.Total = len(h.Workers)
+			if rs, ok := f.handle(i).(*remoteShard); ok {
+				load := rs.LoadSummary()
+				h.Alive, h.Total = load.Alive, load.Workers
+			}
+			if h.Alive < h.Total {
 				out.Status = "degraded"
 			}
-			out.Shards = append(out.Shards, shardHealth{Shard: i, Alive: alive, Total: len(workers), Workers: workers})
+			out.Shards = append(out.Shards, h)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(out)
@@ -81,4 +91,17 @@ func (f *Federation) Handler() http.Handler {
 		obs.WriteEntriesJSONL(w, entries, evicted)
 	})
 	return mux
+}
+
+// progressRegistry renders a remote shard's last Progress frame as a
+// registry: the counts under their shard registry names, and its workers.
+func progressRegistry(rs *remoteShard) *obs.Registry {
+	reg := obs.NewRegistry()
+	for k, n := range rs.Counters() {
+		reg.Counter(countMetric[k]).Add(n)
+	}
+	load := rs.LoadSummary()
+	reg.Gauge(obs.MetricWorkersAlive).Set(int64(load.Alive))
+	reg.Gauge(obs.MetricWorkersTotal).Set(int64(load.Workers))
+	return reg
 }

@@ -28,8 +28,8 @@ var errShardDown = errors.New("shard is down")
 // protocol, across one or more sessions (kill → rejoin). The router writes
 // Submit/Verdict/Seal frames and the session its heartbeats; one read
 // goroutine per session consumes everything the shard sends and keeps the
-// latest load summary, counter snapshot and checkpoint state. A session
-// dies once: the first Close of its wire.Session owns the death report.
+// latest Progress frame's load view, counts and sequence. A session dies
+// once: the first Close of its wire.Session owns the death report.
 //
 // Lifecycle: Up (session live) → Suspect (frames stale: quarantined from
 // placement, reversible) → Down (session lost: outstanding tasks are
@@ -40,11 +40,11 @@ var errShardDown = errors.New("shard is down")
 // Wait synthesizes its result from the folded books.
 //
 // Accounting: submitted counts every task charged to this shard across
-// all sessions. Per session, submitted = checkpoint-settled + outstanding
-// + migrated-away; at death the outstanding set is split by salvage into
+// all sessions. Per session, submitted = settled + outstanding +
+// migrated-away; at death the outstanding set is split by salvage into
 // migrated-away (books cancel: Total+1 and Bounced+1) and residual
-// (charged lost). The checkpoint counters are settle-derived on the shard
-// side, exactly consistent with the settled-ID stream, so the fold is
+// (charged lost). The Progress verdict counts are settle-derived on the
+// shard side, exactly consistent with the settled-ID stream, so the fold is
 // ledger-exact and Reconcile holds across kill → salvage → rejoin.
 type remoteShard struct {
 	id   int
@@ -57,25 +57,26 @@ type remoteShard struct {
 	// placements and migrations, every session) — the dead-shard Total.
 	submitted atomic.Int64
 
-	mu        sync.Mutex
-	sess      *wire.Session
-	epoch     int
-	summary   livecluster.Summary
-	counters  map[string]int64 // session summary counters (display, Admitted)
-	ckpt      map[string]int64 // session checkpoint verdict counters (accounting)
-	ckptSeq   uint64
+	mu    sync.Mutex
+	sess  *wire.Session
+	epoch int
+	// prog is the live session's last Progress frame: the load view
+	// placement reads, the counts the settle loop and the books read, and
+	// the sequence a rejoin hello carries as its watermark.
+	prog      wire.Progress
 	lastHeard time.Time
 	// outstanding is the submitted-minus-verdict ledger for the live
 	// session: IDs enter before their Submit frame can reach the shard and
-	// leave via checkpointed settlement or accepted migration — what
-	// remains at a session death is exactly the salvageable set.
+	// leave when a Progress frame reports them settled or a migration moves
+	// them away — what remains at a session death is exactly the
+	// salvageable set.
 	outstanding map[task.ID]struct{}
 
-	// Folded books of dead sessions (and post-death stray charges):
-	prev          map[string]int64 // terminal buckets, incl. salvage residuals under MetricLost
+	// Folded books of dead sessions (and post-death stray charges): prev
+	// holds every count but bounces, which the router's ledger keeps.
+	prev          wire.Counts
 	prevTotalSum  int
 	bouncesFolded int64
-	admittedPrev  int64
 
 	res            *metrics.RunResult
 	journal        []obs.Entry
@@ -108,7 +109,6 @@ func (f *Federation) dialShard(i int, addr string) (*remoteShard, error) {
 		live:        live,
 		rec:         f.cfg.Recovery.withDefaults(live),
 		outstanding: make(map[task.ID]struct{}),
-		prev:        make(map[string]int64),
 		stopRejoin:  make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -124,7 +124,7 @@ func (s *remoteShard) hello(rejoin bool) wire.Hello {
 	f := s.f
 	s.mu.Lock()
 	epoch := s.epoch
-	resumeSeq := s.ckptSeq
+	resumeSeq := s.prog.Seq
 	s.mu.Unlock()
 	return wire.Hello{
 		Params:          f.cfg.Workload.Params,
@@ -152,7 +152,7 @@ func (s *remoteShard) hello(rejoin bool) wire.Hello {
 }
 
 // connect opens a session to the shard's address (dial, preamble, hello),
-// waits for the shard's first load summary, and starts the session's
+// waits for the shard's first Progress frame, and starts the session's
 // heartbeats and read loop. The first contact retries on the same capped
 // jittered backoff schedule as the worker redial path (a shard process may
 // still be binding its listener); rejoin dials retry in rejoinLoop, so a
@@ -171,21 +171,19 @@ func (s *remoteShard) connect(rejoin bool) error {
 		return err
 	}
 
-	// The shard answers the hello with its first summary (or an error
+	// The shard answers the hello with its first Progress frame (or an error
 	// frame if the hello was unusable) before the session goes async.
-	var sum wire.Summary
+	var first wire.Progress
 	typ, body, err := sess.Recv()
 	switch {
 	case err != nil:
-		err = fmt.Errorf("first summary: %w", err)
+		err = fmt.Errorf("first progress: %w", err)
 	case typ == wire.TypeError:
 		err = fmt.Errorf("shard refused: %s", body)
-	case typ != wire.TypeSummary:
-		err = fmt.Errorf("expected first summary, got frame type %d", typ)
+	case typ != wire.TypeProgress:
+		err = fmt.Errorf("expected first progress, got frame type %d", typ)
 	default:
-		if err = json.Unmarshal(body, &sum); err != nil {
-			err = fmt.Errorf("summary: %w", err)
-		}
+		err = wire.DecodeProgress(body, &first)
 	}
 	if err != nil {
 		sess.Close()
@@ -199,10 +197,7 @@ func (s *remoteShard) connect(rejoin bool) error {
 	s.epoch++
 	s.sess = sess
 	s.deadErr = nil
-	s.summary = sum.Load
-	s.counters = sum.Counters
-	s.ckpt = nil
-	s.ckptSeq = 0
+	s.prog = first
 	s.journal, s.evicted = nil, 0 // chunks append per session
 	s.lastHeard = time.Now()
 	sealed := s.sealed
@@ -266,45 +261,6 @@ func (s *remoteShard) heard(sess *wire.Session) {
 	s.mu.Unlock()
 }
 
-func (s *remoteShard) applySummary(sess *wire.Session, body []byte) error {
-	var sum wire.Summary
-	if err := json.Unmarshal(body, &sum); err != nil {
-		return fmt.Errorf("summary: %w", err)
-	}
-	s.mu.Lock()
-	if s.sess == sess {
-		s.summary = sum.Load
-		if sum.Counters != nil {
-			s.counters = sum.Counters
-		}
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// applyCheckpoint replays one durable-progress frame into the outstanding
-// ledger: settled IDs leave the salvageable set, and the settle-derived
-// counter snapshot becomes the session's accounting truth.
-func (s *remoteShard) applyCheckpoint(sess *wire.Session, body []byte) error {
-	var ck wire.Checkpoint
-	if err := json.Unmarshal(body, &ck); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sess != sess || ck.Seq <= s.ckptSeq {
-		return nil // stale session or duplicate sequence
-	}
-	s.ckptSeq = ck.Seq
-	for _, id := range ck.Settled {
-		delete(s.outstanding, task.ID(id))
-	}
-	if ck.Counters != nil {
-		s.ckpt = ck.Counters
-	}
-	return nil
-}
-
 // sessionLost reports a broken session exactly once and kicks recovery off
 // asynchronously. Asynchronously matters: the caller may hold f.mu (a
 // salvage pass submitting to this shard), and recovery itself needs f.mu
@@ -339,7 +295,7 @@ func (s *remoteShard) recover(sess *wire.Session, err error) {
 	}
 	s.sess = nil
 	s.deadErr = err
-	s.summary.Alive = 0
+	s.prog.Load.Alive = 0
 	s.deaths = append(s.deaths, time.Now())
 	rejoins := s.rejoins
 	s.mu.Unlock()
@@ -369,8 +325,8 @@ func (s *remoteShard) rejoinLoop() {
 // shutdown closes the handle permanently: Wait returns the folded books.
 func (s *remoteShard) shutdown() {
 	s.mu.Lock()
-	s.summary.Alive = 0
-	s.summary.Sealed = true
+	s.prog.Load.Alive = 0
+	s.prog.Load.Sealed = true
 	s.mu.Unlock()
 	s.doneOnce.Do(func() { close(s.done) })
 }
@@ -383,7 +339,7 @@ func (s *remoteShard) finish(sess *wire.Session) {
 		s.sess = nil
 	}
 	s.sealed = true
-	s.summary.Sealed = true
+	s.prog.Load.Sealed = true
 	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stopRejoin) })
 	s.doneOnce.Do(func() { close(s.done) })
@@ -401,26 +357,20 @@ func (s *remoteShard) readLoop(sess *wire.Session) {
 		}
 		s.heard(sess)
 		switch typ {
-		case wire.TypeSummary:
-			if err := s.applySummary(sess, body); err != nil {
-				s.sessionLost(sess, err)
-				return
-			}
-		case wire.TypeCheckpoint:
-			if err := s.applyCheckpoint(sess, body); err != nil {
-				s.sessionLost(sess, err)
-				return
-			}
-		case wire.TypeLoad:
-			// The shard's host loop published a changed load view: decode it
-			// in place, so placement reads a view one phase stale.
+		case wire.TypeProgress:
+			// Decoded in place while the session is current; the settled IDs
+			// leave the salvageable set. A frame that fails to decode leaves
+			// prog as it was, and the session dies.
 			s.mu.Lock()
 			if s.sess == sess {
-				err = wire.DecodeLoad(body, &s.summary)
+				err = wire.DecodeProgress(body, &s.prog)
+				for _, id := range s.prog.Settled {
+					delete(s.outstanding, task.ID(id))
+				}
 			}
 			s.mu.Unlock()
 			if err != nil {
-				s.sessionLost(sess, fmt.Errorf("federation: shard %d load: %w", s.id, err))
+				s.sessionLost(sess, fmt.Errorf("federation: shard %d progress: %w", s.id, err))
 				return
 			}
 		case wire.TypeHeartbeat:
@@ -471,6 +421,7 @@ func (s *remoteShard) readLoop(sess *wire.Session) {
 			s.sessionLost(sess, fmt.Errorf("federation: shard %d reported: %s", s.id, body))
 			return
 		case wire.TypeBye:
+			sess.CloseWrite() // stop heartbeating: the shard reads until we close
 			s.finish(sess)
 			return
 		default:
@@ -486,8 +437,8 @@ func (s *remoteShard) readLoop(sess *wire.Session) {
 // migration path treats a failed submit as a declined migration (the task
 // stays with its current owner), and routeBatch charges and salvages
 // failed first placements itself. The batch's IDs enter the outstanding
-// ledger before the frame can reach the shard — a checkpoint settling one
-// of them arrives strictly after the write, so it never races ahead of its
+// ledger before the frame can reach the shard — a Progress frame settling
+// one of them arrives strictly after the write, so it never races ahead of its
 // own ledger entry — and leave it again if the write fails.
 func (s *remoteShard) SubmitBatch(ts []*task.Task) error {
 	s.mu.Lock()
@@ -554,27 +505,41 @@ func (s *remoteShard) stillOutstanding(id task.ID) bool {
 // fold closes a dead session's books. bouncesNow is the router's
 // cumulative accepted-bounce count for this shard, read under f.mu (the
 // caller holds it), so the salvage pass that just ran is included. The
-// session contributed: checkpoint-settled tasks (by bucket), residual
-// outstanding tasks (charged lost — they provably could not make their
-// deadline anywhere), and migrated-away tasks (bounces since the last
-// fold). Their sum is exactly the tasks submitted during the session, so
-// prevTotalSum stays ledger-exact.
+// session contributed: settled tasks (by verdict), residual outstanding
+// tasks (charged lost — they provably could not make their deadline
+// anywhere), and migrated-away tasks (bounces since the last fold). Their
+// sum is exactly the tasks submitted during the session, so prevTotalSum
+// stays ledger-exact.
 func (s *remoteShard) fold(bouncesNow int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	residual := int64(len(s.outstanding))
-	settled := settledFromCounters(s.ckpt)
-	for k, v := range s.ckpt {
-		s.prev[k] += v
-	}
-	s.prev[obs.MetricLost] += residual
-	bounces := bouncesNow - s.bouncesFolded
+	s.prevTotalSum += int(s.prog.Counts.Settled() + residual + bouncesNow - s.bouncesFolded)
 	s.bouncesFolded = bouncesNow
-	s.prevTotalSum += int(settled + residual + bounces)
-	s.admittedPrev += s.counters[obs.MetricAdmitted]
-	s.ckpt = nil
-	s.counters = nil
+	s.prev = s.merged()
+	s.prev[wire.CountLost] += residual
+	s.prog.Counts = wire.Counts{}
 	s.outstanding = make(map[task.ID]struct{})
+}
+
+// merged adds the live session's counts, bounces excepted, to the folded
+// books. Caller holds s.mu.
+func (s *remoteShard) merged() wire.Counts {
+	m := s.prev
+	for k := range wire.CountBounced {
+		m[k] += s.prog.Counts[k]
+	}
+	return m
+}
+
+// addCounts adds c's verdicts and admissions to r's books.
+func addCounts(r *metrics.RunResult, c wire.Counts) {
+	r.Hits += int(c[wire.CountHits])
+	r.ScheduledMissed += int(c[wire.CountMissed])
+	r.Purged += int(c[wire.CountPurged])
+	r.LostToFailure += int(c[wire.CountLost])
+	r.Shed += int(c[wire.CountShed])
+	r.Admitted += int(c[wire.CountAdmitted])
 }
 
 // foldStray folds one post-death first placement straight into the closed
@@ -587,24 +552,23 @@ func (s *remoteShard) foldStray(salvaged bool) {
 	if salvaged {
 		s.bouncesFolded++
 	} else {
-		s.prev[obs.MetricLost]++
+		s.prev[wire.CountLost]++
 	}
 }
 
-// LoadSummary is the shard's load view as of its last Load frame (or JSON
-// summary): one host phase stale, like an in-process shard's.
+// LoadSummary is the shard's load view as of its last Progress frame: one
+// host phase stale, like an in-process shard's.
 func (s *remoteShard) LoadSummary() livecluster.Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.summary
+	return s.prog.Load
 }
 
-// Counters returns the latest snapshot. The map is replaced wholesale by
-// each summary, never mutated in place, so handing it out is safe.
-func (s *remoteShard) Counters() map[string]int64 {
+// Counters returns the live session's counts as of its last Progress frame.
+func (s *remoteShard) Counters() wire.Counts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counters
+	return s.prog.Counts
 }
 
 // Placeable reports whether the router may place new work here: a live,
@@ -632,21 +596,19 @@ func (s *remoteShard) Placeable() bool {
 
 // SettledTasks counts this shard's tasks whose fate is decided, across
 // sessions. With no live session every task charged here has a decided
-// fate — checkpointed, salvaged away (excluded via the router's bounce
-// ledger) or lost — so the count is submitted minus accepted bounces,
-// exact even mid-recovery. With a session up, the folded books (which
-// carry dead sessions' residuals under MetricLost) add to the live
-// session's counter snapshot.
+// fate — settled, salvaged away (excluded via the router's bounce ledger)
+// or lost — so the count is submitted minus accepted bounces, exact even
+// mid-recovery. With a session up, the folded books (which carry dead
+// sessions' residuals under CountLost) add to the live session's counts.
 func (s *remoteShard) SettledTasks() int64 {
 	s.mu.Lock()
 	down := s.sess == nil && s.res == nil
-	prevSettled := settledFromCounters(s.prev)
-	counters := s.counters
+	settled := s.merged().Settled()
 	s.mu.Unlock()
 	if down {
 		return s.submitted.Load() - s.f.acceptedBounces(s.id)
 	}
-	return prevSettled + settledFromCounters(counters)
+	return settled
 }
 
 // Seal closes the shard's feed and cancels any redial/rejoin in flight.
@@ -688,44 +650,26 @@ func (s *remoteShard) Wait() (*metrics.RunResult, error) {
 	if s.res != nil {
 		out := *s.res
 		out.Total += s.prevTotalSum
-		out.Hits += int(s.prev[obs.MetricHits])
-		out.Purged += int(s.prev[obs.MetricPurged])
-		out.ScheduledMissed += int(s.prev[obs.MetricMissed])
-		out.Shed += int(s.prev[obs.MetricShed])
-		out.LostToFailure += int(s.prev[obs.MetricLost])
 		out.Bounced += int(s.bouncesFolded)
-		out.Admitted += int(s.admittedPrev)
+		addCounts(&out, s.prev)
 		return &out, nil
 	}
+	// The remainder — tasks in no other bucket, worker-level losses and
+	// salvage residuals included — is lost with the shard. Counts and the
+	// submit count race only while frames are in flight; clamping keeps the
+	// synthesized books sane.
 	total := int(s.submitted.Load())
-	merged := make(map[string]int64, len(s.prev)+len(s.ckpt))
-	for k, v := range s.prev {
-		merged[k] += v
-	}
-	for k, v := range s.ckpt {
-		merged[k] += v
-	}
+	m := s.merged()
+	m[wire.CountLost] = 0
+	decided := int(m.Settled()) + bounces
 	res := &metrics.RunResult{
-		Algorithm:       string(s.f.cfg.Algorithm),
-		Workers:         s.f.tp.WorkersPerShard,
-		Total:           total,
-		Hits:            int(merged[obs.MetricHits]),
-		Purged:          int(merged[obs.MetricPurged]),
-		ScheduledMissed: int(merged[obs.MetricMissed]),
-		Shed:            int(merged[obs.MetricShed]),
-		Bounced:         bounces,
-		Admitted:        int(s.admittedPrev),
+		Algorithm:     string(s.f.cfg.Algorithm),
+		Workers:       s.f.tp.WorkersPerShard,
+		Total:         max(total, decided),
+		LostToFailure: max(0, total-decided),
+		Bounced:       bounces,
 	}
-	// The remainder — tasks in no bucket — died with the shard; worker-
-	// level lost tasks and salvage residuals land here too, mirroring how
-	// a single-session death was synthesized before rejoin existed.
-	res.LostToFailure = total - res.Hits - res.Purged - res.ScheduledMissed - res.Shed - res.Bounced
-	if res.LostToFailure < 0 {
-		// Counter snapshots and the submit count race only while frames
-		// are in flight; clamping keeps the synthesized books sane.
-		res.LostToFailure = 0
-		res.Total = res.Hits + res.Purged + res.ScheduledMissed + res.Shed + res.Bounced
-	}
+	addCounts(res, m)
 	return res, nil
 }
 

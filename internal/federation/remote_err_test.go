@@ -13,13 +13,12 @@ import (
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
-	"rtsads/internal/obs"
 	"rtsads/internal/task"
 	"rtsads/internal/workload"
 )
 
 // fakeShard is a listener that speaks just enough of the wire protocol to
-// pass the handshake, hello and first-summary exchange, then hands the live
+// pass the handshake, hello and first-Progress exchange, then hands the live
 // connection to script — the test's chance to misbehave in a precisely
 // scripted way. After script returns, the remaining router frames are
 // drained so nothing blocks while the session winds down.
@@ -57,11 +56,8 @@ func fakeShardOn(t *testing.T, wrap func(net.Conn) net.Conn, script func(c *wire
 		if err != nil || typ != wire.TypeHello {
 			return
 		}
-		sum, err := json.Marshal(wire.Summary{Load: livecluster.Summary{Workers: 2, Alive: 2}})
-		if err != nil {
-			return
-		}
-		if err := c.WriteFrame(wire.TypeSummary, sum); err != nil {
+		first := wire.AppendProgress(nil, &wire.Progress{Load: livecluster.Summary{Workers: 2, Alive: 2}, Seq: 1})
+		if err := c.WriteFrame(wire.TypeProgress, first); err != nil {
 			return
 		}
 		if err := script(c); err != nil {
@@ -78,20 +74,25 @@ func fakeShardOn(t *testing.T, wrap func(net.Conn) net.Conn, script func(c *wire
 }
 
 // honestShard is a scripted shard that hits every task it is fed and reports
-// so — summary counters for the settle loop, checkpoints for the ledger — and
-// answers the seal with its result. Heartbeats keep the router's read bound
-// quiet in between. It returns after the result is written; journal and Bye
-// are the caller's to send or withhold.
+// so — one Progress frame per batch, its counts for the settle loop and its
+// IDs for the ledger — and answers the seal with its result. Heartbeats keep
+// the router's read bound quiet in between. It returns after the result is
+// written; journal and Bye are the caller's to send or withhold.
 func honestShard(c *wire.Conn) error {
 	var wmu sync.Mutex // the heartbeat goroutine writes too
-	send := func(typ byte, v any) error {
+	send := func(typ byte, payload []byte) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		return writeJSON(c, typ, v)
+		return c.WriteFrame(typ, payload)
 	}
-	stop := make(chan struct{})
-	defer close(stop)
+	// The caller writes the closing frames, so the heartbeats stop first.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(stop)
+		<-stopped
+	}()
 	go func() {
+		defer close(stopped)
 		for {
 			select {
 			case <-stop:
@@ -103,8 +104,8 @@ func honestShard(c *wire.Conn) error {
 			wmu.Unlock()
 		}
 	}()
-	var seq uint64
-	var n int64
+	// Frame 1 answered the hello (fakeShardOn).
+	p := wire.Progress{Load: livecluster.Summary{Workers: 2, Alive: 2}, Seq: 1}
 	for {
 		c.SetReadDeadline(time.Now().Add(10 * time.Second))
 		typ, body, err := c.ReadFrame()
@@ -117,25 +118,22 @@ func honestShard(c *wire.Conn) error {
 			if err != nil {
 				return err
 			}
-			ids := make([]int32, len(ts))
-			for i, t := range ts {
-				ids[i] = int32(t.ID)
+			p.Settled = p.Settled[:0]
+			for _, t := range ts {
+				p.Settled = append(p.Settled, int32(t.ID))
 			}
-			n += int64(len(ts))
-			seq++
-			counters := map[string]int64{obs.MetricHits: n}
-			if err := send(wire.TypeSummary, wire.Summary{
-				Load: livecluster.Summary{Workers: 2, Alive: 2}, Counters: counters,
-			}); err != nil {
-				return err
-			}
-			if err := send(wire.TypeCheckpoint, wire.Checkpoint{
-				Seq: seq, Settled: ids, Counters: counters,
-			}); err != nil {
+			p.Seq++
+			p.Counts[wire.CountHits] += int64(len(ts))
+			if err := send(wire.TypeProgress, wire.AppendProgress(nil, &p)); err != nil {
 				return err
 			}
 		case wire.TypeSeal:
-			return send(wire.TypeResult, metrics.RunResult{Workers: 2, Total: int(n), Hits: int(n)})
+			n := int(p.Counts[wire.CountHits])
+			res, err := json.Marshal(metrics.RunResult{Workers: 2, Total: n, Hits: n})
+			if err != nil {
+				return err
+			}
+			return send(wire.TypeResult, res)
 		}
 	}
 }
@@ -262,7 +260,7 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 		},
 		{
 			// An honest shard that hits every task it is fed and reports so
-			// (summary counters for the settle loop, checkpoints for the
+			// (Progress counts for the settle loop, Progress IDs for the
 			// ledger), answers the seal with its result — and loses the
 			// connection before journal and Bye, as a late read deadline or a
 			// reset from the closed socket does. Folding the ledger on top of
@@ -337,7 +335,7 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 	}
 }
 
-// neverReads: a shard that passes the handshake and keeps sending summaries
+// neverReads: a shard that passes the handshake and keeps sending heartbeats
 // — so the router's read bound never fires — but stops reading. Once the
 // socket buffers fill, a router write can make no progress; it must fail
 // within the liveness timeout and the shard's outstanding tasks be salvaged,
@@ -355,7 +353,7 @@ func neverReads(t *testing.T) {
 			case <-time.After(live.HeartbeatEvery):
 			}
 			c.SetWriteDeadline(time.Now().Add(10 * time.Second))
-			if err := writeJSON(c, wire.TypeSummary, wire.Summary{Load: livecluster.Summary{Workers: 2, Alive: 2}}); err != nil {
+			if err := c.WriteFrame(wire.TypeHeartbeat, nil); err != nil {
 				return err
 			}
 		}
@@ -467,9 +465,9 @@ func (c *tornConn) Write(p []byte) (int, error) {
 // TestFederationLiveTCPTornStreams runs the federation against an honest
 // shard whose byte stream is torn at every frame boundary (extra 0), inside
 // every header (2) and inside every payload (9) of a short session:
-// preamble, first summary, a summary and a checkpoint per submit, result,
-// journal, Bye — seven frames when the hashed placement submits to the shard
-// once. A cut before the first summary is whole fails the dial, and
+// preamble, first Progress, a Progress per submit, result, journal, Bye —
+// six frames when the hashed placement submits to the shard once. A cut
+// before the first Progress frame is whole fails the dial, and
 // with it the run, within the hello timeout; any later cut is a session death
 // the router must notice within the liveness timeout and absorb — every task
 // routed, the books reconciled — except that a cut after the result leaves
@@ -514,9 +512,9 @@ func TestFederationLiveTCPTornStreams(t *testing.T) {
 				}
 				start := time.Now()
 				res, err := f.Run()
-				if frames < 2 { // preamble or first summary torn
+				if frames < 2 { // preamble or first Progress torn
 					if err == nil {
-						t.Fatal("run started on a shard that never finished its first summary")
+						t.Fatal("run started on a shard that never finished its first Progress frame")
 					}
 					if took := time.Since(start); took > 5*time.Second {
 						t.Errorf("dial took %v to give up", took)

@@ -9,6 +9,7 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
 	"rtsads/internal/faultinject"
+	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
@@ -134,8 +135,6 @@ type shardHandle interface {
 	SubmitBatch(ts []*task.Task) error
 	// LoadSummary is the shard's latest load snapshot.
 	LoadSummary() livecluster.Summary
-	// Counters is the shard's latest registry snapshot (rtsads_* families).
-	Counters() map[string]int64
 	// SettledTasks counts the shard's tasks whose fate is decided. For a
 	// dead remote shard every routed task counts: they are lost, which is
 	// a settled fate.
@@ -177,7 +176,7 @@ func (s *localShard) start(i int, failed chan<- int) {
 func (s *localShard) SubmitBatch(ts []*task.Task) error { return s.cl.SubmitBatch(ts) }
 func (s *localShard) Placeable() bool                   { return true }
 func (s *localShard) LoadSummary() livecluster.Summary  { return s.cl.LoadSummary() }
-func (s *localShard) Counters() map[string]int64        { return s.o.Registry().Snapshot() }
+func (s *localShard) SettledTasks() int64               { return registryCounts(s.o.Registry()).Settled() }
 func (s *localShard) Seal()                             { s.cl.Seal() }
 func (s *localShard) Journal() ([]obs.Entry, int64)     { return s.o.Journal().Export() }
 func (s *localShard) Wait() (*metrics.RunResult, error) {
@@ -185,15 +184,24 @@ func (s *localShard) Wait() (*metrics.RunResult, error) {
 	return s.res, s.err
 }
 
-func (s *localShard) SettledTasks() int64 {
-	return settledFromCounters(s.Counters())
+// countMetric names the shard registry counter behind each wire.Counts slot.
+var countMetric = [wire.NumCounts]string{
+	wire.CountHits:     obs.MetricHits,
+	wire.CountMissed:   obs.MetricMissed,
+	wire.CountPurged:   obs.MetricPurged,
+	wire.CountLost:     obs.MetricLost,
+	wire.CountShed:     obs.MetricShed,
+	wire.CountAdmitted: obs.MetricAdmitted,
+	wire.CountBounced:  obs.MetricBounced,
 }
 
-// settledFromCounters sums the non-bounce terminal counters of one shard
-// registry snapshot.
-func settledFromCounters(snap map[string]int64) int64 {
-	return snap[obs.MetricHits] + snap[obs.MetricPurged] + snap[obs.MetricMissed] +
-		snap[obs.MetricLost] + snap[obs.MetricShed]
+// registryCounts reads the counts of a shard registry.
+func registryCounts(reg *obs.Registry) wire.Counts {
+	var c wire.Counts
+	for k, name := range countMetric {
+		c[k] = reg.Counter(name).Value()
+	}
+	return c
 }
 
 // Federation runs N live scheduler shards behind one router. Build with
@@ -586,7 +594,7 @@ func (f *Federation) noteDeclined(id task.ID, _ int, reason string, now simtime.
 
 // recoverShard is the session-loss entry point: it walks the dead
 // session's outstanding ledger (submitted minus verdicted, per the last
-// applied checkpoint) in task order, salvages every task a sibling can
+// applied Progress frame) in task order, salvages every task a sibling can
 // still finish by its deadline, then folds the session's books so the
 // shard can rejoin with a clean per-session ledger. Runs on the recovery
 // goroutine; takes f.mu.
@@ -662,17 +670,14 @@ func (f *Federation) note(e obs.Entry, at simtime.Instant) {
 // eviction count, so callers can tell a complete lifecycle view from a
 // truncated one.
 func (f *Federation) MergedEntries() ([]obs.Entry, int64) {
-	f.mu.Lock()
-	handles := f.handles
-	f.mu.Unlock()
 	sources := make(map[int][]obs.Entry, f.tp.Shards+1)
 	entries, evicted := f.journal.Export()
 	sources[obs.RouterShard] = entries
 	for i := 0; i < f.tp.Shards; i++ {
 		var se []obs.Entry
 		var sev int64
-		if handles != nil && handles[i] != nil {
-			se, sev = handles[i].Journal()
+		if h := f.handle(i); h != nil {
+			se, sev = h.Journal()
 		} else {
 			se, sev = f.obsShards[i].Journal().Export()
 		}
@@ -682,15 +687,21 @@ func (f *Federation) MergedEntries() ([]obs.Entry, int64) {
 	return obs.MergeEntries(sources), evicted
 }
 
-// ShardCounters returns shard i's latest registry snapshot — the local
-// observer's registry in process, or the last wire Summary from a remote
-// shard. Nil before Run has built the shard handles.
-func (f *Federation) ShardCounters(i int) map[string]int64 {
-	f.mu.Lock()
-	handles := f.handles
-	f.mu.Unlock()
-	if handles == nil || handles[i] == nil {
-		return f.obsShards[i].Registry().Snapshot()
+// ShardCounters returns shard i's latest counts: its registry's in process
+// (or before Run), a remote shard's live session's last Progress frame's.
+func (f *Federation) ShardCounters(i int) wire.Counts {
+	if rs, ok := f.handle(i).(*remoteShard); ok {
+		return rs.Counters()
 	}
-	return handles[i].Counters()
+	return registryCounts(f.obsShards[i].Registry())
+}
+
+// handle returns shard i's handle, or nil before Run has built them.
+func (f *Federation) handle(i int) shardHandle {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.handles == nil {
+		return nil
+	}
+	return f.handles[i]
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,7 +36,7 @@ type ServeShardOptions struct {
 const journalChunk = 2048
 
 // shardServer is one shard session: the cluster, its observer, and the wire
-// session back to the router. Writers (summary ticker, load pusher, reject
+// session back to the router. Writers (progress reports, heartbeats, reject
 // callbacks, final results) serialize inside the session; one goroutine
 // reads.
 type shardServer struct {
@@ -51,15 +52,15 @@ type shardServer struct {
 	vmu      sync.Mutex
 	verdicts map[int32]chan bool
 
-	// smu guards the checkpoint state: the settle buffer and verdict
-	// counts fed by the observer's OnSettle hook, plus the per-session
-	// checkpoint sequence. Both are updated in one critical section per
-	// settle, so a checkpoint's counter snapshot covers exactly the IDs
-	// shipped through its sequence — never more, never less.
-	smu        sync.Mutex
-	settled    []int32
-	ckptCounts map[string]int64
-	ckptSeq    uint64
+	// smu guards prog, the next Progress frame. noteSettled books an ID with
+	// its verdict, and appendProgress takes the IDs, the counts and the next
+	// Seq, each in one critical section, so every frame's counts cover
+	// exactly the IDs shipped through its Seq — never more, never less.
+	smu  sync.Mutex
+	prog wire.Progress
+	// settledTick (buffered 1, coalescing) wakes progressLoop after a settle,
+	// which need not change the load view.
+	settledTick chan struct{}
 }
 
 // runOutcome carries the cluster run's return values across a channel.
@@ -85,8 +86,9 @@ func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 }
 
 // openShard takes a fresh connection through handshake and hello, starts
-// the cluster the hello describes and answers with the first summary — the
-// router blocks on it before going async.
+// the cluster the hello describes and answers with the first Progress frame
+// — the router blocks on it before going async — then starts heartbeats, one
+// per Timeout/5, to keep the router's read bound quiet while nothing changes.
 func openShard(nc net.Conn, opt ServeShardOptions) (*shardServer, <-chan runOutcome, error) {
 	sess, body, err := wire.Accept(nc, livecluster.Liveness{HelloTimeout: opt.HelloTimeout}.WithDefaults().HelloTimeout)
 	if err != nil {
@@ -100,28 +102,22 @@ func openShard(nc net.Conn, opt ServeShardOptions) (*shardServer, <-chan runOutc
 	if err != nil {
 		return nil, nil, refuse(sess, err)
 	}
-	// The shard sends no Heartbeat frames: its summaries double as them.
-	sess.Start(0, srv.timeout, nil)
-	if err := srv.sendSummary(); err != nil {
+	if err := sess.SendWith(wire.TypeProgress, srv.appendProgress); err != nil {
 		return nil, nil, err
 	}
+	sess.Start(srv.timeout/5, srv.timeout, nil)
 	return srv, runErrc, nil
 }
 
-// serve runs an opened session to its end: the summary ticker, the load
-// pusher and the read loop until the cluster's run returns, then the
-// closing frames.
+// serve runs an opened session to its end: the progress reporter and the
+// read loop until the cluster's run returns, then the closing frames.
 func (s *shardServer) serve(runErrc <-chan runOutcome) error {
-	stopTick := make(chan struct{})
-	var tickWG sync.WaitGroup
-	tickWG.Add(2)
+	defer s.sess.Close()
+	stop := make(chan struct{})
+	reported := make(chan struct{})
 	go func() {
-		defer tickWG.Done()
-		s.summaryLoop(stopTick)
-	}()
-	go func() {
-		defer tickWG.Done()
-		s.loadLoop(stopTick)
+		defer close(reported)
+		s.progressLoop(stop)
 	}()
 	readErrc := make(chan error, 1)
 	go s.readLoop(readErrc)
@@ -142,8 +138,8 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 		out = <-runErrc
 	case out = <-runErrc:
 	}
-	close(stopTick)
-	tickWG.Wait()
+	close(stop)
+	<-reported
 	if sessionErr != nil {
 		return sessionErr
 	}
@@ -152,12 +148,9 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 		return out.err
 	}
 
-	// Ship the closing state: final counters, a final checkpoint covering
-	// every verdict, the result, the journal, then a clean goodbye.
-	if err := s.sendSummary(); err != nil {
-		return err
-	}
-	if err := s.sendCheckpoint(); err != nil {
+	// Ship the closing state: a final Progress frame covering every verdict,
+	// the result, the journal, then a clean goodbye.
+	if err := s.sess.SendWith(wire.TypeProgress, s.appendProgress); err != nil {
 		return err
 	}
 	if err := s.sess.SendJSON(wire.TypeResult, out.res); err != nil {
@@ -173,7 +166,21 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 			break
 		}
 	}
-	return s.sess.Send(wire.TypeBye, nil)
+	// Bye, a half-close, then the read loop discards router frames until the
+	// router closes its end (at most the liveness timeout): a router heartbeat
+	// in flight lands in an open socket instead of drawing a reset that
+	// discards whatever of the journal and Bye the router has not read yet.
+	if err := s.sess.Send(wire.TypeBye, nil); err != nil {
+		return err
+	}
+	if err := s.sess.CloseWrite(); err != nil {
+		return err
+	}
+	select {
+	case <-readErrc:
+	case <-time.After(s.timeout):
+	}
+	return nil
 }
 
 // refuse reports a setup error to the router before failing the session.
@@ -208,15 +215,12 @@ func startShard(sess *wire.Session, hello wire.Hello, opt ServeShardOptions) (*s
 		o = obs.New(hello.JournalCap)
 	}
 	srv := &shardServer{
-		sess:       sess,
-		o:          o,
-		timeout:    cfg.Liveness.WithDefaults().Timeout,
-		verdicts:   make(map[int32]chan bool),
-		ckptCounts: make(map[string]int64),
+		sess:        sess,
+		o:           o,
+		timeout:     cfg.Liveness.WithDefaults().Timeout,
+		verdicts:    make(map[int32]chan bool),
+		settledTick: make(chan struct{}, 1),
 	}
-	// Every terminal verdict lands in the checkpoint buffer together with
-	// its bucket count — the consistency sendCheckpoint's salvage
-	// accounting depends on.
 	o.OnSettle(srv.noteSettled)
 	cfg.Workload = ShardWorkload(w, tp, hello.Shard)
 	cfg.Clock = clock
@@ -257,85 +261,55 @@ func helloShardConfig(hello wire.Hello) livecluster.Config {
 	}
 }
 
-func (s *shardServer) sendSummary() error {
-	return s.sess.SendJSON(wire.TypeSummary, wire.Summary{
-		Load:     s.cl.LoadSummary(),
-		Counters: s.o.Registry().Snapshot(),
-	})
-}
-
 // noteSettled is the observer's OnSettle hook: the settled ID and its
-// verdict bucket are recorded in one critical section, so the cumulative
+// verdict count are recorded in one critical section, so the cumulative
 // counts always cover exactly the buffered IDs.
 func (s *shardServer) noteSettled(id task.ID, verdict string) {
+	k := slices.Index(countMetric[:], verdict)
 	s.smu.Lock()
-	s.settled = append(s.settled, int32(id))
-	s.ckptCounts[verdict]++
+	s.prog.Settled = append(s.prog.Settled, int32(id))
+	s.prog.Counts[k]++
 	s.smu.Unlock()
-}
-
-// sendCheckpoint ships the settled IDs accumulated since the previous
-// checkpoint plus the cumulative settle-derived verdict counts. Because
-// buffer and counts are maintained atomically per settle, the counts
-// charge exactly the tasks whose IDs shipped through this sequence — the
-// invariant that lets the router treat "submitted minus checkpointed
-// minus migrated-away" as exactly the salvageable outstanding set, with
-// no task double-counted or dropped across a kill.
-func (s *shardServer) sendCheckpoint() error {
-	sealed := s.cl.LoadSummary().Sealed
-	s.smu.Lock()
-	ids := s.settled
-	s.settled = nil
-	counters := make(map[string]int64, len(s.ckptCounts))
-	for k, v := range s.ckptCounts {
-		counters[k] = v
-	}
-	s.ckptSeq++
-	seq := s.ckptSeq
-	s.smu.Unlock()
-	return s.sess.SendJSON(wire.TypeCheckpoint, wire.Checkpoint{
-		Seq:      seq,
-		Settled:  ids,
-		Counters: counters,
-		Sealed:   sealed,
-	})
-}
-
-// summaryLoop republishes the load summary and counters at the heartbeat
-// cadence; each summary doubles as the shard→router heartbeat.
-func (s *shardServer) summaryLoop(stop <-chan struct{}) {
-	ticker := time.NewTicker(s.timeout / 5)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		if s.sendSummary() != nil {
-			return
-		}
-		if s.sendCheckpoint() != nil {
-			return
-		}
+	select {
+	case s.settledTick <- struct{}{}:
+	default:
 	}
 }
 
-// loadLoop pushes the cluster's load view to the router as a binary Load
-// frame whenever the host loop published a changed one, so the router's
-// view of this shard is one phase stale — what it is in process — instead
-// of one summary interval stale. The cluster's tick coalesces: a slow
-// socket costs skipped intermediate views, never a blocked host loop. The
-// frame is encoded into the session's reused buffer.
-func (s *shardServer) loadLoop(stop <-chan struct{}) {
-	encode := func(dst []byte) []byte { return wire.EncodeLoad(dst, s.cl.LoadSummary()) }
+// appendProgress is the SendWith encoder of the next Progress frame: the
+// load view, the next Seq, the counts (the registry's admitted and bounced
+// beside the verdicts) and the IDs settled since the last frame, which it
+// clears. It runs under the write lock, so frames leave in Seq order.
+func (s *shardServer) appendProgress(dst []byte) []byte {
+	load, reg := s.cl.LoadSummary(), registryCounts(s.o.Registry())
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	s.prog.Load = load
+	s.prog.Seq++
+	copy(s.prog.Counts[wire.CountAdmitted:], reg[wire.CountAdmitted:])
+	dst = wire.AppendProgress(dst, &s.prog)
+	s.prog.Settled = s.prog.Settled[:0]
+	return dst
+}
+
+// progressLoop sends a Progress frame whenever the host loop published a
+// changed load view or a task settled, so the router's view of this shard is
+// one phase stale, as in process. Both ticks coalesce: a slow socket costs
+// skipped frames, never a blocked host loop or a lost ID.
+func (s *shardServer) progressLoop(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
 			return
 		case <-s.cl.LoadChanged():
+		case <-s.settledTick:
 		}
-		if s.sess.SendWith(wire.TypeLoad, encode) != nil {
+		select { // one frame answers both ticks
+		case <-s.cl.LoadChanged():
+		case <-s.settledTick:
+		default:
+		}
+		if s.sess.SendWith(wire.TypeProgress, s.appendProgress) != nil {
 			return
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,96 +22,134 @@ import (
 	"rtsads/internal/workload"
 )
 
-// loadCases are the boundary load views the round-trip test checks and the
-// Load fuzz target is seeded with.
-var loadCases = []Load{
+// progressCases are the boundary Progress frames the round-trip test checks
+// and the Progress fuzz target is seeded with: every load view extreme, Seq
+// and counts at both ends of their ranges, and settled-ID lists from none to
+// many.
+var progressCases = []Progress{
 	{},
-	{Workers: 2, Alive: 2, MinFree: 12345},
-	{Workers: 4, Alive: 3, Backlog: 17, Inflight: 5, QueuedWork: 3 * time.Millisecond, MinFree: 987654321},
-	{Workers: 4, Alive: 0, MinFree: simtime.Never},
-	{Workers: 1, Alive: 1, Sealed: true},
-	{Workers: math.MaxInt32, Alive: math.MaxInt32, Backlog: math.MaxInt32, Inflight: math.MaxInt32,
+	{Load: Load{Workers: 2, Alive: 2, MinFree: 12345}, Seq: 1},
+	{Load: Load{Workers: 4, Alive: 3, Backlog: 17, Inflight: 5, QueuedWork: 3 * time.Millisecond, MinFree: 987654321},
+		Seq: 7, Counts: Counts{CountHits: 2, CountLost: 1, CountAdmitted: 5, CountBounced: 1}, Settled: []int32{3, 11, 42}},
+	{Load: Load{Workers: 4, Alive: 0, MinFree: simtime.Never}, Seq: 2, Counts: Counts{CountShed: 9}},
+	{Load: Load{Workers: 1, Alive: 1, Sealed: true}, Seq: 3, Settled: []int32{0}},
+	{Load: Load{Workers: math.MaxInt32, Alive: math.MaxInt32, Backlog: math.MaxInt32, Inflight: math.MaxInt32,
 		QueuedWork: math.MaxInt64, MinFree: simtime.Never, Sealed: true},
-	{Backlog: -1, QueuedWork: -time.Second, MinFree: -1},
+		Seq: math.MaxUint64, Counts: Counts{math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64},
+		Settled: []int32{math.MaxInt32, math.MinInt32, -1}},
+	{Load: Load{Backlog: -1, QueuedWork: -time.Second, MinFree: -1}, Counts: Counts{CountMissed: -1}},
 }
 
-func TestLoadCodecRoundTrip(t *testing.T) {
-	for _, want := range loadCases {
-		payload := EncodeLoad(nil, want)
-		if len(payload) != LoadSize {
-			t.Fatalf("load payload is %d bytes, want %d", len(payload), LoadSize)
+// sameProgress compares two frames, a nil and an empty ID list alike.
+func sameProgress(a, b *Progress) bool {
+	return a.Load == b.Load && a.Seq == b.Seq && a.Counts == b.Counts && slices.Equal(a.Settled, b.Settled)
+}
+
+func TestProgressCodecRoundTrip(t *testing.T) {
+	for _, want := range progressCases {
+		payload := AppendProgress(nil, &want)
+		if n := progressFixed + 4*len(want.Settled); len(payload) != n {
+			t.Fatalf("progress payload is %d bytes, want %d", len(payload), n)
 		}
 		// Decode over a dirty value: every field must be overwritten.
-		got := Load{Workers: 9, Alive: 9, Backlog: 9, Inflight: 9, QueuedWork: 9, MinFree: 9, Sealed: !want.Sealed}
-		if err := DecodeLoad(payload, &got); err != nil {
-			t.Fatalf("DecodeLoad(%+v): %v", want, err)
+		got := Progress{
+			Load: Load{Workers: 9, Alive: 9, Backlog: 9, Inflight: 9, QueuedWork: 9, MinFree: 9, Sealed: !want.Load.Sealed},
+			Seq:  want.Seq + 1, Counts: Counts{9, 9, 9, 9, 9, 9, 9}, Settled: []int32{9, 9, 9, 9, 9},
 		}
-		if got != want {
-			t.Fatalf("load round-trip: got %+v, want %+v", got, want)
+		if err := DecodeProgress(payload, &got); err != nil {
+			t.Fatalf("DecodeProgress(%+v): %v", want, err)
 		}
-	}
-}
-
-func TestDecodeLoadRejectsWrongLength(t *testing.T) {
-	payload := EncodeLoad(nil, loadCases[2])
-	for _, p := range [][]byte{nil, payload[:1], payload[:LoadSize-1], append(payload, 0)} {
-		keep := loadCases[1]
-		if err := DecodeLoad(p, &keep); err == nil {
-			t.Fatalf("DecodeLoad accepted a %d-byte payload", len(p))
-		}
-		if keep != loadCases[1] {
-			t.Fatalf("a rejected %d-byte payload modified the view: %+v", len(p), keep)
+		if !sameProgress(&got, &want) {
+			t.Fatalf("progress round-trip: got %+v, want %+v", got, want)
 		}
 	}
 }
 
-// TestLoadCodecAllocatesNothing: the shard encodes every changed view into
-// one reused buffer and the router decodes it in place, so a Load frame
-// must cost no allocation on either side.
-func TestLoadCodecAllocatesNothing(t *testing.T) {
-	buf := make([]byte, 0, LoadSize)
-	in := loadCases[2]
-	var out Load
+// TestLoadCodecRoundTrip: the load view is the first loadSize bytes of every
+// Progress payload, laid out the same whatever follows it, and each boundary
+// view round-trips through them on its own.
+func TestLoadCodecRoundTrip(t *testing.T) {
+	for _, c := range progressCases {
+		bare := AppendProgress(nil, &Progress{Load: c.Load})
+		full := AppendProgress(nil, &c)
+		if !bytes.Equal(bare[:loadSize], full[:loadSize]) {
+			t.Fatalf("load view %+v encodes as %x alone, %x beside Seq/counts/IDs", c.Load, bare[:loadSize], full[:loadSize])
+		}
+		// Decode over a dirty view: every field must be overwritten.
+		got := Progress{Load: Load{Workers: 9, Alive: 9, Backlog: 9, Inflight: 9, QueuedWork: 9, MinFree: 9, Sealed: !c.Load.Sealed}}
+		if err := DecodeProgress(bare, &got); err != nil {
+			t.Fatalf("DecodeProgress(%+v): %v", c.Load, err)
+		}
+		if got.Load != c.Load {
+			t.Fatalf("load round-trip: got %+v, want %+v", got.Load, c.Load)
+		}
+	}
+}
+
+func TestDecodeProgressRejectsMalformed(t *testing.T) {
+	payload := AppendProgress(nil, &progressCases[2])
+	hostile := slices.Clone(payload)
+	binary.BigEndian.PutUint32(hostile[progressFixed-4:], math.MaxUint32) // four billion IDs, three carried
+	sealed := slices.Clone(payload)
+	sealed[32] = 2 // would re-encode as 1
+	for _, p := range [][]byte{nil, payload[:1], payload[:progressFixed-1], payload[:len(payload)-1], append(slices.Clone(payload), 0), hostile, sealed} {
+		keep := progressCases[4]
+		if err := DecodeProgress(p, &keep); err == nil {
+			t.Fatalf("DecodeProgress accepted a %d-byte payload %x", len(p), p)
+		}
+		if !sameProgress(&keep, &progressCases[4]) {
+			t.Fatalf("a rejected %d-byte payload modified the frame: %+v", len(p), keep)
+		}
+	}
+}
+
+// TestProgressCodecAllocatesNothing: the shard encodes every frame into the
+// session's reused buffer and the router decodes each into one reused value,
+// so a Progress frame costs no allocation on either side.
+func TestProgressCodecAllocatesNothing(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	in := progressCases[2]
+	var out Progress
 	allocs := testing.AllocsPerRun(200, func() {
-		in.Backlog++
-		buf = EncodeLoad(buf[:0], in)
-		if err := DecodeLoad(buf, &out); err != nil {
+		in.Seq++
+		in.Load.Backlog++
+		buf = AppendProgress(buf[:0], &in)
+		if err := DecodeProgress(buf, &out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("load encode+decode allocates %v times per frame, want 0", allocs)
+		t.Fatalf("progress encode+decode allocates %v times per frame, want 0", allocs)
 	}
-	if out != in {
+	if !sameProgress(&out, &in) {
 		t.Fatalf("got %+v, want %+v", out, in)
 	}
 }
 
 // The fuzz targets feed the binary decoders hostile bytes. Shared
 // properties: no panic, no allocation sized by a count the payload merely
-// claims, and whatever decodes re-encodes to a payload that decodes to the
-// same value. Under plain `go test` they run their seed corpus only.
+// claims, and whatever decodes re-encodes to the payload it came from.
+// Under plain `go test` they run their seed corpus only.
 
-func FuzzDecodeLoad(f *testing.F) {
-	for _, s := range loadCases {
-		f.Add(EncodeLoad(nil, s))
+func FuzzDecodeProgress(f *testing.F) {
+	for i := range progressCases {
+		f.Add(AppendProgress(nil, &progressCases[i]))
 	}
 	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, LoadSize))
+	f.Add(bytes.Repeat([]byte{0xff}, progressFixed)) // four billion IDs claimed, none carried
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var s Load
-		if err := DecodeLoad(payload, &s); err != nil {
-			if s != (Load{}) {
-				t.Fatalf("rejected payload modified the view: %+v", s)
+		var p Progress
+		if err := DecodeProgress(payload, &p); err != nil {
+			if !sameProgress(&p, &Progress{}) {
+				t.Fatalf("rejected payload modified the frame: %+v", p)
 			}
 			return
 		}
-		var again Load
-		if err := DecodeLoad(EncodeLoad(nil, s), &again); err != nil {
-			t.Fatalf("re-encoded view does not decode: %v", err)
+		if carried := (len(payload) - progressFixed) / 4; cap(p.Settled) > carried {
+			t.Fatalf("%d-byte payload sized the ID list to %d", len(payload), cap(p.Settled))
 		}
-		if again != s {
-			t.Fatalf("decode∘encode changed the view: %+v → %+v", s, again)
+		if again := AppendProgress(nil, &p); !bytes.Equal(again, payload) {
+			t.Fatalf("encode∘decode changed the payload:\n got %x\nwant %x", again, payload)
 		}
 	})
 }
@@ -205,7 +244,7 @@ func sessionBytes() []byte {
 	frame(TypeHello, []byte(`{"shards":2,"workers_per_shard":2,"shard":1}`))
 	frame(TypeSubmit, AppendSubmit(nil, []*task.Task{{ID: 1, Proc: 7}, {ID: 2, Deadline: simtime.Never}}))
 	frame(TypeHeartbeat, nil)
-	frame(TypeLoad, EncodeLoad(nil, loadCases[2]))
+	frame(TypeProgress, AppendProgress(nil, &progressCases[2]))
 	frame(TypeBye, nil)
 	return stream.Bytes()
 }
@@ -285,14 +324,6 @@ func FuzzHelloJSON(f *testing.F) {
 		SlackGuardNano: 25000, JournalCap: 4096, Degrade: &core.DegradeConfig{},
 		Rejoin: true, Epoch: 3, ResumeSeq: 19,
 	})
-}
-
-func FuzzSummaryJSON(f *testing.F) {
-	fuzzJSON(f, Summary{}, Summary{Load: loadCases[2], Counters: map[string]int64{obs.MetricHits: 40, obs.MetricShed: 2}})
-}
-
-func FuzzCheckpointJSON(f *testing.F) {
-	fuzzJSON(f, Checkpoint{}, Checkpoint{Seq: 7, Settled: []int32{3, 11, 42}, Counters: map[string]int64{obs.MetricHits: 3}, Sealed: true})
 }
 
 func FuzzResultJSON(f *testing.F) {

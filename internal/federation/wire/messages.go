@@ -44,46 +44,12 @@ type Hello struct {
 	// router has already salvaged the dead session's outstanding tasks and
 	// folded its books, and the shard should serve a fresh session under
 	// the same shard index. Epoch counts sessions (0 = first); ResumeSeq is
-	// the last checkpoint sequence the router applied from the previous
+	// the last Progress sequence the router applied from the previous
 	// session, carried as the rejoin watermark so both sides agree on what
 	// state was already replayed into the router's ledger.
 	Rejoin    bool   `json:"rejoin,omitempty"`
 	Epoch     int    `json:"epoch,omitempty"`
 	ResumeSeq uint64 `json:"resume_seq,omitempty"`
-}
-
-// Summary is the shard's periodic state report: the load snapshot the
-// router's placement reads (refreshed between summaries by Load frames,
-// one per changed host-loop publication), plus the registry counters the
-// router's settle loop and a mid-run reconciliation read. It doubles as
-// the shard→router heartbeat.
-type Summary struct {
-	Load Load `json:"load"`
-	// Counters is the shard registry snapshot (the rtsads_* families).
-	Counters map[string]int64 `json:"counters,omitempty"`
-}
-
-// Checkpoint is the shard's periodic durable-progress snapshot: the task
-// IDs that reached a terminal verdict since the previous checkpoint, plus
-// the cumulative settle-derived verdict counts consistent with them. The
-// shard records each settled ID and its bucket count in one critical
-// section (see obs.OnSettle), so Counters charges exactly the union of
-// Settled lists shipped through Seq — the invariant the router's salvage
-// accounting leans on: at any death it can partition the shard's
-// submissions into settled (per Counters), outstanding (salvageable) and
-// migrated-away, with no task double-counted or dropped.
-type Checkpoint struct {
-	// Seq increases by one per checkpoint within a session; the router
-	// ignores stale or duplicate sequences.
-	Seq uint64 `json:"seq"`
-	// Settled lists task IDs newly verdicted since checkpoint Seq-1.
-	Settled []int32 `json:"settled,omitempty"`
-	// Counters carries the cumulative per-verdict counts (the hits,
-	// missed, purged, lost and shed rtsads_* keys) covering exactly the
-	// IDs shipped through Seq.
-	Counters map[string]int64 `json:"counters,omitempty"`
-	// Sealed reports whether the shard's feed has been closed.
-	Sealed bool `json:"sealed,omitempty"`
 }
 
 // JournalExport ships the shard's lifecycle journal at seal time, as one

@@ -12,10 +12,11 @@ import (
 // Session is one RTFW connection and the only place its mechanics live:
 // the preamble and hello exchange (Dial, Accept), deadline-bounded writes
 // serialized by a mutex (Send, SendWith, SendJSON), idle-bounded reads
-// (Recv), the heartbeat ticker (Start) and an idempotent Close. All four
-// endpoints — router and shard, host and worker — run on it, so every wait
-// on either tier is bounded by the same two knobs: the hello timeout until
-// Start, the liveness timeout after.
+// (Recv), the heartbeat ticker (Start), a half-close after the last frame
+// (CloseWrite) and an idempotent Close. All four endpoints — router and
+// shard, host and worker — run on it, so every wait on either tier is
+// bounded by the same two knobs: the hello timeout until Start, the
+// liveness timeout after.
 //
 // Any goroutine may send; one goroutine reads. A failed write closes the
 // connection so the reader notices, and the reader's error then names the
@@ -30,9 +31,10 @@ type Session struct {
 	wbuf []byte                // SendWith's reusable payload
 	werr atomic.Pointer[error] // the first failed write
 
-	closed atomic.Bool
-	done   chan struct{} // closed by Close: stops the heartbeat ticker
-	ticker sync.WaitGroup
+	closed   atomic.Bool
+	done     chan struct{} // closed by CloseWrite or Close: stops the heartbeat ticker
+	doneOnce sync.Once
+	ticker   sync.WaitGroup
 }
 
 func newSession(nc net.Conn, timeout time.Duration) *Session {
@@ -172,13 +174,26 @@ func (s *Session) Recv() (byte, []byte, error) {
 	return typ, payload, err
 }
 
+// CloseWrite ends this side's half of the session after its last frame: it
+// stops the heartbeat ticker, then half-closes the connection (or closes one
+// that cannot), so the peer reads EOF once it has read everything while this
+// side can still read what the peer sent before it saw the end.
+func (s *Session) CloseWrite() error {
+	s.doneOnce.Do(func() { close(s.done) })
+	s.ticker.Wait()
+	if hc, ok := s.conn.c.(interface{ CloseWrite() error }); ok {
+		return hc.CloseWrite()
+	}
+	return s.conn.Close()
+}
+
 // Close closes the connection and stops the ticker. It reports whether this
 // call was the first: a session dies once, and that caller owns reporting it.
 func (s *Session) Close() bool {
 	if s.closed.Swap(true) {
 		return false
 	}
-	close(s.done)
+	s.doneOnce.Do(func() { close(s.done) })
 	s.conn.Close()
 	s.ticker.Wait()
 	return true

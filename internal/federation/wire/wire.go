@@ -7,12 +7,11 @@
 //
 //	[4-byte big-endian payload length][1-byte type][payload]
 //
-// Task batches, load views, job deliveries and completions — the hot path —
-// use fixed-width binary codecs (48 bytes per task, 33 per load view, no
-// reflection; the Jobs and Done records sit beside their types in
-// livecluster); everything that crosses the wire once per run or per
-// heartbeat (hellos, summaries, checkpoints, results, journals) is JSON
-// inside its frame.
+// Task batches, shard progress reports, job deliveries and completions — the
+// hot path — use fixed-width binary codecs (48 bytes per task, 101 plus 4 per
+// settled ID per Progress frame, no reflection; the Jobs and Done records sit
+// beside their types in livecluster); only what crosses the wire once per
+// session (hellos, results, journals) is JSON inside its frame.
 //
 // Versioning rules: the preamble's version byte names the frame grammar.
 // A peer MUST reject a version it does not speak — there is no
@@ -42,32 +41,31 @@ import (
 // frame and the Hello rejoin fields (Rejoin/Epoch/ResumeSeq); 3 adds the
 // Load frame and lets a journal span several Journal frames; 4 adds the
 // worker tier (a worker's hello, the Jobs and Done frames) and carries the
-// whole shard configuration in the shard Hello.
+// whole shard configuration in the shard Hello; 5 replaces the JSON Summary,
+// the JSON Checkpoint and the Load frame with one binary Progress frame.
 const (
 	Magic   = "RTFW"
-	Version = 4
+	Version = 5
 )
 
 // Frame types. Submit/Verdict/Seal flow router→shard;
-// Reject/Summary/Load/Checkpoint/Result/Journal flow shard→router; Jobs
-// flows host→worker and Done worker→host; Heartbeat, Bye and Error may flow
-// either way on either tier.
+// Progress/Reject/Result/Journal flow shard→router; Jobs flows host→worker
+// and Done worker→host; Heartbeat, Bye and Error may flow either way on
+// either tier. Types 12 and 13 are retired.
 const (
-	TypeHello      byte = 1  // dialler→acceptor: JSON hello (shard Hello, or a worker's)
-	TypeSubmit     byte = 2  // router→shard: binary task batch
-	TypeReject     byte = 3  // shard→router: admission rejected a task
-	TypeVerdict    byte = 4  // router→shard: migration verdict for a reject
-	TypeSummary    byte = 5  // shard→router: JSON Summary (doubles as heartbeat)
-	TypeSeal       byte = 6  // router→shard: close the shard's feed
-	TypeResult     byte = 7  // shard→router: JSON final RunResult
-	TypeJournal    byte = 8  // shard→router: JSON journal entries, one chunk per frame
-	TypeHeartbeat  byte = 9  // either: liveness only
-	TypeBye        byte = 10 // either: clean close
-	TypeError      byte = 11 // either: fatal error string, then close
-	TypeCheckpoint byte = 12 // shard→router: JSON Checkpoint (v2+)
-	TypeLoad       byte = 13 // shard→router: binary load view (v3+)
-	TypeJobs       byte = 14 // host→worker: binary job records (v4+)
-	TypeDone       byte = 15 // worker→host: one binary completion record (v4+)
+	TypeHello     byte = 1  // dialler→acceptor: JSON hello (shard Hello, or a worker's)
+	TypeSubmit    byte = 2  // router→shard: binary task batch
+	TypeReject    byte = 3  // shard→router: admission rejected a task
+	TypeVerdict   byte = 4  // router→shard: migration verdict for a reject
+	TypeProgress  byte = 5  // shard→router: binary Progress report (v5+)
+	TypeSeal      byte = 6  // router→shard: close the shard's feed
+	TypeResult    byte = 7  // shard→router: JSON final RunResult
+	TypeJournal   byte = 8  // shard→router: JSON journal entries, one chunk per frame
+	TypeHeartbeat byte = 9  // either: liveness only
+	TypeBye       byte = 10 // either: clean close
+	TypeError     byte = 11 // either: fatal error string, then close
+	TypeJobs      byte = 14 // host→worker: binary job records (v4+)
+	TypeDone      byte = 15 // worker→host: one binary completion record (v4+)
 )
 
 // MaxFrame bounds a frame payload; a peer announcing more is corrupt or
@@ -78,11 +76,12 @@ const (
 	readChunk = 64 << 10
 )
 
-// TaskRecordSize is the fixed wire width of one task; LoadSize that of one
-// load view.
+// TaskRecordSize is the fixed wire width of one task; a Progress payload is
+// progressFixed bytes plus four per settled ID.
 const (
 	TaskRecordSize = 48
-	LoadSize       = 33
+	loadSize       = 33
+	progressFixed  = loadSize + 8 + 8*NumCounts + 4 // load view, Seq, counts, ID count
 )
 
 // Conn frames one net.Conn. Reads and writes are independently buffered;
@@ -267,37 +266,100 @@ type Load struct {
 	Sealed bool
 }
 
-// EncodeLoad appends s's fixed-width load view to dst: Workers, Alive,
-// Backlog and Inflight as int32, QueuedWork and MinFree as int64, Sealed as
-// one byte. The shard pushes one per changed host-loop publication into a
-// reused buffer, so the steady state allocates nothing.
-func EncodeLoad(dst []byte, s Load) []byte {
-	var b [LoadSize]byte
-	binary.BigEndian.PutUint32(b[0:4], uint32(s.Workers))
-	binary.BigEndian.PutUint32(b[4:8], uint32(s.Alive))
-	binary.BigEndian.PutUint32(b[8:12], uint32(s.Backlog))
-	binary.BigEndian.PutUint32(b[12:16], uint32(s.Inflight))
-	binary.BigEndian.PutUint64(b[16:24], uint64(s.QueuedWork))
-	binary.BigEndian.PutUint64(b[24:32], uint64(s.MinFree))
-	if s.Sealed {
-		b[32] = 1
-	}
-	return append(dst, b[:]...)
+// Positions in Counts. The first five are the terminal verdicts a shard
+// settles a task with; admitted and bounced ride along for the books.
+const (
+	CountHits = iota
+	CountMissed
+	CountPurged
+	CountLost
+	CountShed
+	CountAdmitted
+	CountBounced
+	NumCounts
+)
+
+// Counts is a shard's cumulative task counts, indexed by position (CountHits
+// … CountBounced) rather than by registry name.
+type Counts [NumCounts]int64
+
+// Settled sums the terminal verdicts: the tasks whose fate the shard decided.
+func (c Counts) Settled() int64 {
+	return c[CountHits] + c[CountMissed] + c[CountPurged] + c[CountLost] + c[CountShed]
 }
 
-// DecodeLoad overwrites s with an EncodeLoad payload; s is untouched on
-// error.
-func DecodeLoad(payload []byte, s *Load) error {
-	if len(payload) != LoadSize {
-		return fmt.Errorf("wire: load payload is %d bytes, want %d", len(payload), LoadSize)
+// Progress is the shard's one report to the router: its load view, the
+// frame's sequence number within the session, its cumulative counts, and the
+// task IDs settled since the previous frame. Every frame's terminal counts
+// cover exactly the IDs shipped through its Seq — the invariant the router's
+// salvage accounting leans on.
+type Progress struct {
+	Load    Load
+	Seq     uint64
+	Counts  Counts
+	Settled []int32
+}
+
+// AppendProgress appends p's encoding to dst: the load view (Workers, Alive,
+// Backlog and Inflight as int32, QueuedWork and MinFree as int64, Sealed as
+// one byte), Seq, the counts as int64, then the settled IDs as a uint32 count
+// and packed int32s. It allocates nothing when dst has room.
+func AppendProgress(dst []byte, p *Progress) []byte {
+	l, be := &p.Load, binary.BigEndian
+	for _, n := range [...]int{l.Workers, l.Alive, l.Backlog, l.Inflight} {
+		dst = be.AppendUint32(dst, uint32(n))
 	}
-	s.Workers = int(int32(binary.BigEndian.Uint32(payload[0:4])))
-	s.Alive = int(int32(binary.BigEndian.Uint32(payload[4:8])))
-	s.Backlog = int(int32(binary.BigEndian.Uint32(payload[8:12])))
-	s.Inflight = int(int32(binary.BigEndian.Uint32(payload[12:16])))
-	s.QueuedWork = time.Duration(binary.BigEndian.Uint64(payload[16:24]))
-	s.MinFree = simtime.Instant(binary.BigEndian.Uint64(payload[24:32]))
-	s.Sealed = payload[32] != 0
+	dst = be.AppendUint64(be.AppendUint64(dst, uint64(l.QueuedWork)), uint64(l.MinFree))
+	sealed := byte(0)
+	if l.Sealed {
+		sealed = 1
+	}
+	dst = be.AppendUint64(append(dst, sealed), p.Seq)
+	for _, n := range p.Counts {
+		dst = be.AppendUint64(dst, uint64(n))
+	}
+	dst = be.AppendUint32(dst, uint32(len(p.Settled)))
+	for _, id := range p.Settled {
+		dst = be.AppendUint32(dst, uint32(id))
+	}
+	return dst
+}
+
+// DecodeProgress overwrites p with an AppendProgress payload, reusing
+// p.Settled's storage; p is untouched on error.
+func DecodeProgress(payload []byte, p *Progress) error {
+	if len(payload) < progressFixed {
+		return fmt.Errorf("wire: progress payload too short (%d bytes)", len(payload))
+	}
+	be := binary.BigEndian
+	n := be.Uint32(payload[progressFixed-4:])
+	ids := payload[progressFixed:]
+	// Compared in 64 bits, so a hostile count can neither wrap the product
+	// nor size the slice below beyond what the payload really carries.
+	if uint64(len(ids)) != uint64(n)*4 {
+		return fmt.Errorf("wire: progress carries %d ID bytes for %d IDs", len(ids), n)
+	}
+	if sealed := payload[32]; sealed > 1 {
+		return fmt.Errorf("wire: progress sealed byte is %d", sealed)
+	}
+	i32 := func(at int) int { return int(int32(be.Uint32(payload[at:]))) }
+	p.Load = Load{
+		Workers: i32(0), Alive: i32(4), Backlog: i32(8), Inflight: i32(12),
+		QueuedWork: time.Duration(be.Uint64(payload[16:])),
+		MinFree:    simtime.Instant(be.Uint64(payload[24:])),
+		Sealed:     payload[32] == 1,
+	}
+	p.Seq = be.Uint64(payload[loadSize:])
+	for k := range p.Counts {
+		p.Counts[k] = int64(be.Uint64(payload[loadSize+8+8*k:]))
+	}
+	if cap(p.Settled) < int(n) {
+		p.Settled = make([]int32, n)
+	}
+	p.Settled = p.Settled[:n]
+	for i := range p.Settled {
+		p.Settled[i] = int32(be.Uint32(ids[4*i:]))
+	}
 	return nil
 }
 

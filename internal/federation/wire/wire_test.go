@@ -36,8 +36,8 @@ func TestHandshake(t *testing.T) {
 }
 
 // TestHandshakeRejectsWrongVersion: there is no negotiation — the previous
-// grammar (no Load frame, one monolithic Journal frame) is refused as
-// firmly as an unknown future one.
+// grammar (JSON Summary and Checkpoint frames beside the Load frame) is
+// refused as firmly as an unknown future one.
 func TestHandshakeRejectsWrongVersion(t *testing.T) {
 	for _, v := range []byte{Version - 1, 0x7f} {
 		a, b := net.Pipe()
@@ -180,26 +180,19 @@ func TestRejectVerdictRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip sends a Checkpoint frame across a framed pair and
-// demands the durable-progress payload — sequence, settled IDs, cumulative
-// verdict counters and seal bit — survive the wire exactly.
+// TestCheckpointRoundTrip sends the durable progress a shard's salvage rests
+// on — sequence, settled IDs, cumulative counts and seal bit — as a Progress
+// frame across a framed pair and demands it survive the wire exactly.
 func TestCheckpointRoundTrip(t *testing.T) {
 	a, b := pipe(t)
-	want := Checkpoint{
+	want := Progress{
+		Load:    Load{Workers: 2, Alive: 2, Sealed: true},
 		Seq:     7,
+		Counts:  Counts{CountHits: 2, CountLost: 1},
 		Settled: []int32{3, 11, 42},
-		Counters: map[string]int64{
-			"rtsads_tasks_hit_total":  2,
-			"rtsads_tasks_lost_total": 1,
-		},
-		Sealed: true,
-	}
-	payload, err := json.Marshal(want)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- a.WriteFrame(TypeCheckpoint, payload) }()
+	go func() { errCh <- a.WriteFrame(TypeProgress, AppendProgress(nil, &want)) }()
 	typ, body, err := b.ReadFrame()
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
@@ -207,15 +200,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	if typ != TypeCheckpoint {
-		t.Fatalf("frame type = %d, want %d", typ, TypeCheckpoint)
+	if typ != TypeProgress {
+		t.Fatalf("frame type = %d, want %d", typ, TypeProgress)
 	}
-	var got Checkpoint
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+	var got Progress
+	if err := DecodeProgress(body, &got); err != nil {
+		t.Fatalf("DecodeProgress: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint round-trip: got %+v, want %+v", got, want)
+	}
+	if got.Counts.Settled() != int64(len(got.Settled)) {
+		t.Fatalf("terminal counts %d do not cover the %d shipped IDs", got.Counts.Settled(), len(got.Settled))
 	}
 }
 

@@ -284,9 +284,7 @@ func (c *Cluster) Seal() {
 // state by at most one phase — good enough for placement, while the target
 // shard's own admission gate and planner remain the hard guarantee. That
 // bound holds on both federation transports: a wire session forwards every
-// changed snapshot as a Load frame (see LoadChanged). Before wire version 3
-// a remote router saw only the periodic JSON summary, one summary interval
-// (Timeout/5) stale.
+// changed snapshot in a Progress frame (see LoadChanged).
 func (c *Cluster) LoadSummary() Summary {
 	c.sumMu.Lock()
 	defer c.sumMu.Unlock()
@@ -294,10 +292,11 @@ func (c *Cluster) LoadSummary() Summary {
 }
 
 // LoadChanged is signalled after the host loop publishes a load snapshot
-// that differs from the previous one. The signal coalesces: one pending
-// tick stands for any number of publications, so a receiver reads
-// LoadSummary for the current view. At most one goroutine should receive;
-// with none, the host loop pays one failed non-blocking send per change.
+// that differs from the previous one; a wire shard's Progress reporter is
+// its one receiver. The signal coalesces: one pending tick stands for any
+// number of publications, so a receiver reads LoadSummary for the current
+// view. At most one goroutine should receive; with none, the host loop pays
+// one failed non-blocking send per change.
 func (c *Cluster) LoadChanged() <-chan struct{} { return c.loadTick }
 
 // Stop asks a running cluster to shut down gracefully: the host stops

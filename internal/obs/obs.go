@@ -169,7 +169,7 @@ type Observer struct {
 	// another domain), carrying the verdict's metric name. Because the
 	// hook sees ID and bucket together, a consumer can maintain verdict
 	// counts exactly consistent with the ID stream it buffers — the
-	// property the federation's checkpoint accounting leans on.
+	// property the federation's salvage accounting leans on.
 	settle func(task.ID, string)
 
 	lastVirtual Gauge // the latest virtual time any event carried
@@ -235,7 +235,7 @@ func New(journalCap int) *Observer {
 // MetricLost or MetricShed). fn must be safe to call from scheduler
 // goroutines and fast — it sits on the execution hot path. Call before
 // the run starts; the federation's shard server uses it to feed
-// checkpoint frames.
+// Progress frames.
 func (o *Observer) OnSettle(fn func(task.ID, string)) {
 	if o == nil {
 		return
