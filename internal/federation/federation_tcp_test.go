@@ -1,10 +1,12 @@
 package federation
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +155,121 @@ func TestFederationLiveTCPTwoShards(t *testing.T) {
 		t.Errorf("span completeness: %s", msg)
 	}
 	t.Logf("live TCP 2-shard: %s", res.Combined())
+}
+
+// TestFederationLiveTCPJournalShipsExactly serves two shards on observers
+// the test holds. Quiet, the merged journal's entries from each shard equal
+// that shard's own Export field by field but for the Shard tag. With a
+// goroutine recording into shard 1's journal all the while — so it wraps
+// its ring and ships as a moving target, several chunks long — what the
+// router holds is still one consistent cut, Seq == evicted+i+1, and exactly
+// the router's JournalCap long, whether that equals the shard's ring (every
+// shipped slot is the next one overwritten) or is smaller.
+func TestFederationLiveTCPJournalShipsExactly(t *testing.T) {
+	p := workload.DefaultParams(4)
+	p.NumTransactions = 48
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	const ring = 3 * journalChunk
+	for _, tc := range []struct {
+		name      string
+		recording bool
+		jcap      int
+	}{
+		{"quiet", false, ring},
+		{"recording", true, ring},
+		{"recording-cap-below-ring", true, 2*journalChunk + 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recording, jcap := tc.recording, tc.jcap
+			observers := []*obs.Observer{obs.New(ring), obs.New(ring)}
+			addrs := make([]string, len(observers))
+			for i, o := range observers {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ln.Close() })
+				addrs[i] = ln.Addr().String()
+				go func() {
+					if c, err := ln.Accept(); err == nil {
+						ServeShard(c, ServeShardOptions{Obs: o})
+					}
+				}()
+			}
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				for k := 0; recording; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+						observers[1].Journal().Record(obs.Entry{Type: "heartbeat", Task: k, Worker: -1})
+					}
+				}
+			}()
+			f, err := New(Config{
+				Workload:   w,
+				Topology:   Topology{Shards: 2, WorkersPerShard: 2},
+				Placement:  AffinityFirst,
+				Scale:      200,
+				ShardAddrs: addrs,
+				JournalCap: jcap,
+			})
+			if err != nil {
+				t.Fatalf("new: %v", err)
+			}
+			res, err := f.Run()
+			close(stop)
+			<-stopped
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if err := res.Reconcile(); err != nil {
+				t.Fatalf("reconcile: %v", err)
+			}
+			merged, _ := f.MergedEntries()
+			for i, o := range observers {
+				got, evicted := f.handle(i).Journal()
+				for k := range got {
+					if want := evicted + int64(k) + 1; got[k].Seq != want {
+						t.Fatalf("shard %d entry %d has seq %d, want %d: not one cut", i, k, got[k].Seq, want)
+					}
+				}
+				if recording && i == 1 {
+					if evicted == 0 || len(got) != jcap {
+						t.Errorf("recording shard shipped %d entries, %d evicted; want the newest %d", len(got), evicted, jcap)
+					}
+					continue
+				}
+				var fromShard []obs.Entry
+				for _, e := range merged {
+					if e.Shard == i {
+						fromShard = append(fromShard, e)
+					}
+				}
+				slices.SortFunc(fromShard, func(a, b obs.Entry) int { return cmp.Compare(a.Seq, b.Seq) })
+				want, wantEvicted := o.Journal().Export()
+				if len(fromShard) != len(want) || evicted != wantEvicted || len(want) == 0 {
+					t.Fatalf("shard %d: merged %d entries (%d evicted), shard exported %d (%d)", i, len(fromShard), evicted, len(want), wantEvicted)
+				}
+				for k := range want {
+					a, b := fromShard[k], want[k]
+					a.Shard = 0
+					if !a.Wall.Equal(b.Wall) {
+						t.Fatalf("shard %d entry %d wall %v, shard says %v", i, k, a.Wall, b.Wall)
+					}
+					a.Wall, b.Wall = time.Time{}, time.Time{}
+					if a != b {
+						t.Fatalf("shard %d entry %d: merged %+v, shard says %+v", i, k, a, b)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestFederationLiveTCPByeIsTerminal: with the router heartbeating every
@@ -744,8 +861,8 @@ func TestRemoteViewTracksShard(t *testing.T) {
 }
 
 // TestServeShardRefusesPreviousVersion: a router speaking the previous
-// grammar (version 4: three shard state frames, no Progress) is turned away
-// at the preamble, before any hello.
+// grammar (version 5: a JSON journal) is turned away at the preamble,
+// before any hello.
 func TestServeShardRefusesPreviousVersion(t *testing.T) {
 	const previous = wire.Version - 1
 	a, b := net.Pipe()

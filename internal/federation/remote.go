@@ -401,22 +401,16 @@ func (s *remoteShard) readLoop(sess *wire.Session) {
 			}
 			s.mu.Unlock()
 		case wire.TypeJournal:
-			var j wire.JournalExport
-			if err := json.Unmarshal(body, &j); err != nil {
+			// The journal arrives in bounded chunks: the first sizes the
+			// journal exactly, no larger than the JournalCap the hello sent,
+			// and every chunk decodes in place behind the last.
+			s.mu.Lock()
+			s.journal, s.evicted, err = wire.DecodeJournal(body, s.journal, s.evicted, s.f.cfg.JournalCap)
+			s.mu.Unlock()
+			if err != nil {
 				s.sessionLost(sess, fmt.Errorf("federation: shard %d journal: %w", s.id, err))
 				return
 			}
-			// The journal arrives in bounded chunks; every chunk repeats the
-			// eviction count. The first chunk is kept as decoded, so a
-			// journal that fits one frame is never copied.
-			s.mu.Lock()
-			if s.journal == nil {
-				s.journal = j.Entries
-			} else {
-				s.journal = append(s.journal, j.Entries...)
-			}
-			s.evicted = j.Evicted
-			s.mu.Unlock()
 		case wire.TypeError:
 			s.sessionLost(sess, fmt.Errorf("federation: shard %d reported: %s", s.id, body))
 			return

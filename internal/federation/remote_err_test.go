@@ -13,6 +13,7 @@ import (
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
+	"rtsads/internal/obs"
 	"rtsads/internal/task"
 	"rtsads/internal/workload"
 )
@@ -162,20 +163,28 @@ func waitForSubmit(c *wire.Conn) ([]task.ID, error) {
 	}
 }
 
-// writeJSON sends v as one JSON frame.
-func writeJSON(c *wire.Conn, typ byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
+// afterSubmit is a script that waits for the router's first Submit, then
+// sends one frame.
+func afterSubmit(typ byte, payload []byte) func(c *wire.Conn) error {
+	return func(c *wire.Conn) error {
+		if _, err := waitForSubmit(c); err != nil {
+			return err
+		}
+		return c.WriteFrame(typ, payload)
 	}
-	return c.WriteFrame(typ, payload)
+}
+
+// oneEntryJournal is a whole journal of total entries' first chunk,
+// carrying one of them.
+func oneEntryJournal(total int) []byte {
+	return wire.AppendJournal(nil, total, 0, []obs.Entry{{Seq: 1, Type: "exec", Task: 3, Hit: true}})
 }
 
 // TestFederationLiveTCPSessionDeathPaths drives every way a shard session
-// can die from the frame stream — a shard-reported error frame, undecodable
-// journal and result payloads, an unknown frame type, a connection cut in
-// the middle of a reject/verdict exchange, and a connection cut after the
-// result. Each death must leave the remote handle carrying a descriptive
+// can die from the frame stream — a shard-reported error frame, hostile
+// journal chunks, an undecodable result, an unknown frame type, a
+// connection cut in the middle of a reject/verdict exchange, and a
+// connection cut after the result. Each death must leave the remote handle carrying a descriptive
 // error while the run itself survives: the dead shard's tasks are salvaged
 // or charged lost and every Reconcile identity still holds. The cut after
 // the result is the exception: the result is terminal, so the handle ends
@@ -205,15 +214,27 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 			},
 			wantErr: "shard 1 reported: scheduler wedged",
 		},
+		// Hostile Journal chunks: each must end the session without a panic
+		// and without sizing anything by what the header claims.
 		{
-			name: "bad-journal",
-			script: func(c *wire.Conn) error {
-				if _, err := waitForSubmit(c); err != nil {
-					return err
-				}
-				return c.WriteFrame(wire.TypeJournal, []byte("{not json"))
-			},
-			wantErr: "shard 1 journal:",
+			name:    "bad-journal",
+			script:  afterSubmit(wire.TypeJournal, oneEntryJournal(1)[:len(oneEntryJournal(1))-1]),
+			wantErr: "shard 1 journal: wire: journal record 0: truncated",
+		},
+		{
+			name:    "journal-over-cap",
+			script:  afterSubmit(wire.TypeJournal, wire.AppendJournal(nil, obs.DefaultJournalCap+1, 0)),
+			wantErr: "shard 1 journal: wire: journal claims 65537 entries, cap is 65536",
+		},
+		{
+			name:    "journal-overrun",
+			script:  afterSubmit(wire.TypeJournal, wire.AppendJournal(nil, 1, 0, make([]obs.Entry, 2))),
+			wantErr: "shard 1 journal: wire: journal chunk carries 2 entries, 1 still owed",
+		},
+		{
+			name:    "journal-trailing-byte",
+			script:  afterSubmit(wire.TypeJournal, append(oneEntryJournal(1), 0)),
+			wantErr: "shard 1 journal: wire: journal chunk has 1 bytes after its 1 records",
 		},
 		{
 			name: "bad-result",
@@ -491,7 +512,7 @@ func TestFederationLiveTCPTornStreams(t *testing.T) {
 						if err := honestShard(c); err != nil {
 							return err
 						}
-						if err := writeJSON(c, wire.TypeJournal, wire.JournalExport{}); err != nil {
+						if err := c.WriteFrame(wire.TypeJournal, wire.AppendJournal(nil, 0, 0)); err != nil {
 							return err
 						}
 						return c.WriteFrame(wire.TypeBye, nil)

@@ -44,7 +44,9 @@ type Config struct {
 	SlackGuard   time.Duration
 	Degrade      *core.DegradeConfig
 
-	// JournalCap bounds each shard's journal (see obs.NewJournal).
+	// JournalCap bounds each shard's journal (<= 0 selects
+	// obs.DefaultJournalCap). A remote shard's end-of-session journal
+	// claiming more entries ends its session.
 	JournalCap int
 	// SettleTimeout bounds the wall-clock wait for every task to reach a
 	// terminal bucket after the last submission (default 2 minutes); on
@@ -269,6 +271,9 @@ func New(cfg Config) (*Federation, error) {
 	}
 	if cfg.SettleTimeout <= 0 {
 		cfg.SettleTimeout = 2 * time.Minute
+	}
+	if cfg.JournalCap <= 0 {
+		cfg.JournalCap = obs.DefaultJournalCap
 	}
 	if cfg.BatchCap < 0 {
 		return nil, fmt.Errorf("federation: BatchCap %d must be non-negative", cfg.BatchCap)

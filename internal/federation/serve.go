@@ -29,8 +29,8 @@ type ServeShardOptions struct {
 	Obs *obs.Observer
 }
 
-// journalChunk bounds the entries in one Journal frame, so no single
-// marshal, write or read of the end-of-session journal can outlast the
+// journalChunk bounds the entries in one Journal frame (≈150 KB encoded), so
+// no single write or read of the end-of-session journal can outlast the
 // liveness timeout, and every chunk that lands feeds the router's read
 // deadline.
 const journalChunk = 2048
@@ -44,6 +44,9 @@ type shardServer struct {
 	cl      *livecluster.Cluster
 	o       *obs.Observer
 	timeout time.Duration
+	// journalCap is the router's JournalCap: the most journal entries it
+	// accepts.
+	journalCap int
 
 	// arena backs the tasks decoded from Submit frames; the cluster holds
 	// them until they settle, so slots live for the session. Read loop only.
@@ -156,15 +159,8 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 	if err := s.sess.SendJSON(wire.TypeResult, out.res); err != nil {
 		return err
 	}
-	entries, evicted := s.o.Journal().Export()
-	for {
-		n := min(len(entries), journalChunk)
-		if err := s.sess.SendJSON(wire.TypeJournal, wire.JournalExport{Entries: entries[:n], Evicted: evicted}); err != nil {
-			return err
-		}
-		if entries = entries[n:]; len(entries) == 0 {
-			break
-		}
+	if err := s.o.Journal().Visit(s.shipJournal); err != nil {
+		return err
 	}
 	// Bye, a half-close, then the read loop discards router frames until the
 	// router closes its end (at most the liveness timeout): a router heartbeat
@@ -179,6 +175,32 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 	select {
 	case <-readErrc:
 	case <-time.After(s.timeout):
+	}
+	return nil
+}
+
+// shipJournal sends the journal ring's two runs as Journal frames of at most
+// journalChunk entries, at least one, each encoded straight into the
+// session's reused buffer. It runs under the journal's lock, so the chunks
+// are one consistent cut however much is still recording. A serving
+// process's own observer may keep more than the router accepts: then the
+// newest journalCap entries ship and the rest count as evicted.
+func (s *shardServer) shipJournal(older, newer []obs.Entry, evicted int64) error {
+	if drop := len(older) + len(newer) - s.journalCap; drop > 0 {
+		d := min(drop, len(older))
+		older, newer, evicted = older[d:], newer[drop-d:], evicted+int64(drop)
+	}
+	total := len(older) + len(newer)
+	for first := true; first || len(older)+len(newer) > 0; first = false {
+		a := older[:min(len(older), journalChunk)]
+		b := newer[:min(len(newer), journalChunk-len(a))]
+		older, newer = older[len(a):], newer[len(b):]
+		err := s.sess.SendWith(wire.TypeJournal, func(dst []byte) []byte {
+			return wire.AppendJournal(dst, total, evicted, a, b)
+		})
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -210,6 +232,9 @@ func startShard(sess *wire.Session, hello wire.Hello, opt ServeShardOptions) (*s
 		return nil, nil, err
 	}
 	cfg := helloShardConfig(hello)
+	if hello.JournalCap <= 0 {
+		hello.JournalCap = obs.DefaultJournalCap
+	}
 	o := opt.Obs
 	if o == nil {
 		o = obs.New(hello.JournalCap)
@@ -218,6 +243,7 @@ func startShard(sess *wire.Session, hello wire.Hello, opt ServeShardOptions) (*s
 		sess:        sess,
 		o:           o,
 		timeout:     cfg.Liveness.WithDefaults().Timeout,
+		journalCap:  hello.JournalCap,
 		verdicts:    make(map[int32]chan bool),
 		settledTick: make(chan struct{}, 1),
 	}

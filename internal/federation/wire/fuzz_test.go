@@ -245,6 +245,7 @@ func sessionBytes() []byte {
 	frame(TypeSubmit, AppendSubmit(nil, []*task.Task{{ID: 1, Proc: 7}, {ID: 2, Deadline: simtime.Never}}))
 	frame(TypeHeartbeat, nil)
 	frame(TypeProgress, AppendProgress(nil, &progressCases[2]))
+	frame(TypeJournal, AppendJournal(nil, 1, 0, []obs.Entry{{Seq: 1, Type: "exec", Task: 2, Hit: true}}))
 	frame(TypeBye, nil)
 	return stream.Bytes()
 }
@@ -330,9 +331,31 @@ func FuzzResultJSON(f *testing.F) {
 	fuzzJSON(f, metrics.RunResult{}, metrics.RunResult{Algorithm: "rt-sads/live", Workers: 2, Total: 48, Hits: 40, Purged: 6, Shed: 2})
 }
 
-func FuzzJournalJSON(f *testing.F) {
-	fuzzJSON(f, JournalExport{}, JournalExport{Evicted: 5, Entries: []obs.Entry{
-		{Type: "route", Task: 7, Worker: 1, Virtual: 12345, Detail: "affinity"},
-		{Type: "exec", Task: 7, Shard: 1},
-	}})
+// FuzzDecodeJournal decodes a first Journal chunk against a small cap: the
+// journal it sizes never exceeds the cap whatever the header claims, and
+// whatever decodes re-encodes to the payload it came from.
+func FuzzDecodeJournal(f *testing.F) {
+	const maxTotal = 1024
+	for _, e := range journalCases(f) {
+		e.Seq = 5
+		f.Add(AppendJournal(nil, 2, 4, []obs.Entry{e}))
+	}
+	f.Add(AppendJournal(nil, 0, 0))
+	f.Add(AppendJournal(nil, math.MaxUint32, 0)) // four billion entries claimed, none carried
+	f.Add(bytes.Repeat([]byte{0xff}, journalHeader+entryFixed))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		journal, evicted, err := DecodeJournal(payload, nil, 0, maxTotal)
+		if err != nil {
+			if journal != nil || evicted != 0 {
+				t.Fatalf("rejected payload returned a journal (len %d) or eviction count %d", len(journal), evicted)
+			}
+			return
+		}
+		if cap(journal) > maxTotal {
+			t.Fatalf("%d-byte payload sized the journal to %d entries", len(payload), cap(journal))
+		}
+		if again := AppendJournal(nil, cap(journal), evicted, journal); !bytes.Equal(again, payload) {
+			t.Fatalf("encode∘decode changed the payload:\n got %x\nwant %x", again, payload)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
-	"rtsads/internal/obs"
 	"rtsads/internal/workload"
 )
 
@@ -50,12 +49,4 @@ type Hello struct {
 	Rejoin    bool   `json:"rejoin,omitempty"`
 	Epoch     int    `json:"epoch,omitempty"`
 	ResumeSeq uint64 `json:"resume_seq,omitempty"`
-}
-
-// JournalExport ships the shard's lifecycle journal at seal time, as one
-// or more consecutive Journal frames of bounded size: the router appends
-// each frame's Entries in order, and every frame repeats Evicted.
-type JournalExport struct {
-	Entries []obs.Entry `json:"entries"`
-	Evicted int64       `json:"evicted"`
 }

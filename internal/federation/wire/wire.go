@@ -8,10 +8,11 @@
 //	[4-byte big-endian payload length][1-byte type][payload]
 //
 // Task batches, shard progress reports, job deliveries and completions — the
-// hot path — use fixed-width binary codecs (48 bytes per task, 101 plus 4 per
-// settled ID per Progress frame, no reflection; the Jobs and Done records sit
-// beside their types in livecluster); only what crosses the wire once per
-// session (hellos, results, journals) is JSON inside its frame.
+// hot path — and the end-of-session journal use binary codecs (48 bytes per
+// task, 101 plus 4 per settled ID per Progress frame, 73 plus the type and
+// detail bytes per journal entry; no reflection; the Jobs and Done records
+// sit beside their types in livecluster); only the hellos and the result,
+// one frame each per session, are JSON inside their frame.
 //
 // Versioning rules: the preamble's version byte names the frame grammar.
 // A peer MUST reject a version it does not speak — there is no
@@ -27,11 +28,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"time"
 
 	"rtsads/internal/affinity"
+	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 )
@@ -42,10 +45,11 @@ import (
 // Load frame and lets a journal span several Journal frames; 4 adds the
 // worker tier (a worker's hello, the Jobs and Done frames) and carries the
 // whole shard configuration in the shard Hello; 5 replaces the JSON Summary,
-// the JSON Checkpoint and the Load frame with one binary Progress frame.
+// the JSON Checkpoint and the Load frame with one binary Progress frame; 6
+// makes the Journal frame binary.
 const (
 	Magic   = "RTFW"
-	Version = 5
+	Version = 6
 )
 
 // Frame types. Submit/Verdict/Seal flow router→shard;
@@ -60,7 +64,7 @@ const (
 	TypeProgress  byte = 5  // shard→router: binary Progress report (v5+)
 	TypeSeal      byte = 6  // router→shard: close the shard's feed
 	TypeResult    byte = 7  // shard→router: JSON final RunResult
-	TypeJournal   byte = 8  // shard→router: JSON journal entries, one chunk per frame
+	TypeJournal   byte = 8  // shard→router: binary journal chunk (v6+), one per frame
 	TypeHeartbeat byte = 9  // either: liveness only
 	TypeBye       byte = 10 // either: clean close
 	TypeError     byte = 11 // either: fatal error string, then close
@@ -361,6 +365,139 @@ func DecodeProgress(payload []byte, p *Progress) error {
 		p.Settled[i] = int32(be.Uint32(ids[4*i:]))
 	}
 	return nil
+}
+
+// A Journal frame carries one chunk of a shard's end-of-session journal: a
+// journalHeader-byte header (Total as uint32 — the entries retained in the
+// whole journal, Evicted as int64, N as uint32 — the entries in this chunk)
+// then N records. A record is entryFixed bytes — Seq, Wall as Unix
+// nanoseconds (math.MinInt64 for the zero time) and Virtual as int64; Phase,
+// Task and Worker as int32; Dur as int64; Hit as one byte; Shard as int32;
+// Slack and Deadline as int64; the Type and Detail lengths as uint32 — then
+// the Type and Detail bytes.
+const (
+	journalHeader = 16
+	entryFixed    = 3*8 + 3*4 + 8 + 1 + 4 + 2*8 + 2*4
+	zeroWall      = math.MinInt64
+)
+
+// AppendJournal appends one Journal chunk to dst: the header, then a record
+// per entry of runs in order (the chunk's N is their total length). total
+// and evicted describe the whole journal and repeat in every chunk. It
+// allocates nothing when dst has room.
+func AppendJournal(dst []byte, total int, evicted int64, runs ...[]obs.Entry) []byte {
+	n, be := 0, binary.BigEndian
+	for _, r := range runs {
+		n += len(r)
+	}
+	dst = be.AppendUint32(be.AppendUint64(be.AppendUint32(dst, uint32(total)), uint64(evicted)), uint32(n))
+	for _, r := range runs {
+		for i := range r {
+			dst = appendEntry(dst, &r[i])
+		}
+	}
+	return dst
+}
+
+func appendEntry(dst []byte, e *obs.Entry) []byte {
+	be := binary.BigEndian
+	wall := int64(zeroWall)
+	if !e.Wall.IsZero() {
+		wall = e.Wall.UnixNano()
+	}
+	dst = be.AppendUint64(dst, uint64(e.Seq))
+	dst = be.AppendUint64(dst, uint64(wall))
+	dst = be.AppendUint64(dst, uint64(e.Virtual))
+	dst = be.AppendUint32(dst, uint32(e.Phase))
+	dst = be.AppendUint32(dst, uint32(e.Task))
+	dst = be.AppendUint32(dst, uint32(e.Worker))
+	dst = be.AppendUint64(dst, uint64(e.Dur))
+	hit := byte(0)
+	if e.Hit {
+		hit = 1
+	}
+	dst = be.AppendUint32(append(dst, hit), uint32(e.Shard))
+	dst = be.AppendUint64(dst, uint64(e.Slack))
+	dst = be.AppendUint64(dst, uint64(e.Deadline))
+	dst = be.AppendUint32(dst, uint32(len(e.Type)))
+	dst = be.AppendUint32(dst, uint32(len(e.Detail)))
+	return append(append(dst, e.Type...), e.Detail...)
+}
+
+// DecodeJournal decodes one Journal chunk into the entries behind journal's
+// last, within its capacity. The first chunk arrives with journal nil: its
+// Total must be at most maxTotal, and journal is allocated once, with
+// capacity Total. Every later chunk must repeat the first's Total and
+// Evicted. A chunk may carry no more entries than are still owed, and
+// exactly N whole records. Type is interned (obs.InternType); Detail
+// allocates only when non-empty. On error journal and evicted come back
+// unchanged.
+func DecodeJournal(payload []byte, journal []obs.Entry, evicted int64, maxTotal int) ([]obs.Entry, int64, error) {
+	if len(payload) < journalHeader {
+		return journal, evicted, fmt.Errorf("wire: journal payload too short (%d bytes)", len(payload))
+	}
+	be := binary.BigEndian
+	total, ev, n := be.Uint32(payload), int64(be.Uint64(payload[4:])), be.Uint32(payload[12:])
+	switch {
+	case journal == nil && uint64(total) > uint64(max(maxTotal, 0)):
+		return nil, evicted, fmt.Errorf("wire: journal claims %d entries, cap is %d", total, maxTotal)
+	case journal != nil && (int(total) != cap(journal) || ev != evicted):
+		return journal, evicted, fmt.Errorf("wire: journal chunk says %d entries/%d evicted, first said %d/%d",
+			total, ev, cap(journal), evicted)
+	case journal != nil && int(n) > cap(journal)-len(journal), journal == nil && n > total:
+		return journal, evicted, fmt.Errorf("wire: journal chunk carries %d entries, %d still owed", n, int(total)-len(journal))
+	}
+	out := journal
+	if out == nil {
+		out = make([]obs.Entry, 0, total)
+	}
+	at, body := len(out), payload[journalHeader:]
+	out = out[:at+int(n)]
+	for i := range out[at:] {
+		used, err := decodeEntry(body, &out[at+i])
+		if err != nil {
+			return journal, evicted, fmt.Errorf("wire: journal record %d: %w", i, err)
+		}
+		body = body[used:]
+	}
+	if len(body) != 0 {
+		return journal, evicted, fmt.Errorf("wire: journal chunk has %d bytes after its %d records", len(body), n)
+	}
+	return out, ev, nil
+}
+
+// decodeEntry overwrites e with the record at the front of b and returns its
+// length.
+func decodeEntry(b []byte, e *obs.Entry) (int, error) {
+	if len(b) < entryFixed {
+		return 0, fmt.Errorf("truncated (%d of %d fixed bytes)", len(b), entryFixed)
+	}
+	be := binary.BigEndian
+	i64 := func(at int) int64 { return int64(be.Uint64(b[at:])) }
+	i32 := func(at int) int { return int(int32(be.Uint32(b[at:]))) }
+	tlen, dlen := uint64(be.Uint32(b[entryFixed-8:])), uint64(be.Uint32(b[entryFixed-4:]))
+	if uint64(len(b)-entryFixed) < tlen+dlen {
+		return 0, fmt.Errorf("truncated (%d of %d type and detail bytes)", len(b)-entryFixed, tlen+dlen)
+	}
+	if b[44] > 1 {
+		return 0, fmt.Errorf("hit byte is %d", b[44])
+	}
+	var wall time.Time
+	if w := i64(8); w != zeroWall {
+		wall = time.Unix(0, w)
+	}
+	typ := b[entryFixed : entryFixed+tlen]
+	detail := b[entryFixed+tlen : entryFixed+tlen+dlen]
+	*e = obs.Entry{
+		Seq: i64(0), Wall: wall, Virtual: simtime.Instant(i64(16)),
+		Phase: i32(24), Task: i32(28), Worker: i32(32), Dur: time.Duration(i64(36)),
+		Hit: b[44] == 1, Shard: i32(45), Slack: time.Duration(i64(49)), Deadline: simtime.Instant(i64(57)),
+		Type: obs.InternType(typ),
+	}
+	if len(detail) > 0 {
+		e.Detail = string(detail)
+	}
+	return entryFixed + int(tlen+dlen), nil
 }
 
 // Reject is the shard→router payload for one admission rejection: the

@@ -121,17 +121,55 @@ func (j *Journal) Snapshot() []Entry {
 // (entries[i].Seq == evicted + i + 1). Reading them separately can pair a
 // snapshot with an eviction count from a later burst of writes, reporting
 // drops for entries that are still present.
-func (j *Journal) Export() ([]Entry, int64) {
+func (j *Journal) Export() (entries []Entry, evicted int64) {
 	if j == nil {
 		return nil, 0
 	}
+	j.Visit(func(older, newer []Entry, ev int64) error {
+		entries = append(append(make([]Entry, 0, len(older)+len(newer)), older...), newer...)
+		evicted = ev
+		return nil
+	})
+	return entries, evicted
+}
+
+// Visit calls fn with the retained entries in record order — the ring's two
+// contiguous runs, older then newer, either possibly empty — and the
+// eviction count, all under the journal's lock: the same consistent cut
+// Export copies (the i-th entry across both runs has Seq evicted+i+1),
+// without the copy. Records wait until fn returns, so fn must not record
+// into j, and must not keep the slices. A nil Journal visits nothing.
+func (j *Journal) Visit(fn func(older, newer []Entry, evicted int64) error) error {
+	if j == nil {
+		return fn(nil, nil, 0)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Entry, 0, j.n)
-	for i := 0; i < j.n; i++ {
-		out = append(out, j.entries[(j.start+i)%j.n])
+	return fn(j.entries[j.start:j.n], j.entries[:j.start], j.evicted)
+}
+
+// entryTypes holds one copy of every Type the repo records — this package's
+// events and the federation router's rejoin — for InternType.
+var entryTypes = func() map[string]string {
+	m := make(map[string]string)
+	for _, t := range []string{
+		"run-start", "run-end", "arrival", "admit", "phase-start", "phase-end",
+		"deliver", "exec", "purge", "lost", "reroute", "route", "migrate",
+		"route-reject", "rejoin", "shed", "bounce", "overload", "degrade",
+		"recover", "worker-down", "straggler", "heartbeat", "redial",
+	} {
+		m[t] = t
 	}
-	return out, j.evicted
+	return m
+}()
+
+// InternType returns the entry Type spelled by b: the shared copy of a type
+// the repo records, without allocating, or a fresh string for any other.
+func InternType(b []byte) string {
+	if t, ok := entryTypes[string(b)]; ok {
+		return t
+	}
+	return string(b)
 }
 
 // WriteJSONL writes the retained entries as JSON Lines, one entry per
