@@ -5,7 +5,7 @@
 //
 // All-in-one (host plus in-process worker goroutines):
 //
-//	rtcluster -workers 4 -algo RT-SADS -txns 200
+//	rtcluster -workers 4 -policy RT-SADS -txns 200
 //
 // Distributed over TCP (one worker process per working processor):
 //
@@ -57,7 +57,6 @@ import (
 
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
-	"rtsads/internal/experiment"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/federation"
 	"rtsads/internal/livecluster"
@@ -76,9 +75,8 @@ func main() {
 func run(args []string, out io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("rtcluster", flag.ContinueOnError)
 	role := fs.String("role", "inproc", "inproc (all-in-one), host, or worker")
-	algo := fs.String("algo", "RT-SADS", "scheduler: RT-SADS, D-COLS, EDF-greedy, myopic")
-	policyName := fs.String("policy", "", "scheduling policy from the registry (overrides -algo; 'list' prints the registry and exits)")
-	admitQuick := fs.Bool("admit-quick", false, "admission: run the policy's utilization quick-test on every arrival (sheds sets no schedule could serve)")
+	policyName := fs.String("policy", string(policy.RTSADS), "scheduling policy from the registry ('list' prints the registry and exits)")
+	admitQuick := fs.Bool("admit-quick", false, "admission: run the utilization quick-test on every arrival (sheds sets no schedule could serve)")
 	workers := fs.Int("workers", 4, "working processors (inproc role)")
 	shardsFlag := fs.String("shards", "1", "shard the workers into this many federated scheduler domains (inproc role; must divide -workers evenly), or a comma-separated list of shard-server addresses (tcp://host:port) to drive shards running out of process via -shard-listen")
 	shardListen := fs.String("shard-listen", "", "serve one federation shard on this address over the wire protocol (the router connects with -shards tcp://...)")
@@ -113,14 +111,12 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *policyName == "list" {
 		return policy.Default().Describe(out)
 	}
-	if *policyName != "" {
-		// Strict validation at parse time: a typo fails here with the
-		// registry listed, not mid-run inside a shard.
-		if _, ok := policy.Default().Lookup(*policyName); !ok {
-			return fmt.Errorf("unknown policy %q (run '-policy list' to see the registry)", *policyName)
-		}
-		*algo = *policyName
+	// Strict validation at parse time: a typo fails here with the registry
+	// listed, not mid-run inside a shard.
+	if _, ok := policy.Default().Lookup(*policyName); !ok {
+		return fmt.Errorf("unknown policy %q (run '-policy list' to see the registry)", *policyName)
 	}
+	algo := policy.Algorithm(*policyName)
 	// Liveness knobs are validated at parse time: a negative interval or a
 	// timeout no longer than the heartbeat would only surface as spurious
 	// peer deaths deep into a run.
@@ -257,16 +253,7 @@ func run(args []string, out io.Writer) (retErr error) {
 			}
 			// The quick-test's capacity is one scheduler domain, so each
 			// shard's gate sees only its share of the workers.
-			pred, err := policy.Default().NewPredicate(*algo, policy.Options{
-				Search: core.SearchConfig{Workers: n / shardCount},
-			})
-			if err != nil {
-				return err
-			}
-			if pred == nil {
-				return fmt.Errorf("-admit-quick: policy %q defines no admission quick-test", *algo)
-			}
-			admCfg.Predicate = pred
+			admCfg.Predicate = policy.NewUtilization(n / shardCount)
 		}
 		var degrade *core.DegradeConfig
 		if *degradeAfter > 0 {
@@ -297,7 +284,7 @@ func run(args []string, out io.Writer) (retErr error) {
 				Topology:   tp,
 				Placement:  pl,
 				Migrate:    *migrate,
-				Algorithm:  experiment.Algorithm(*algo),
+				Algorithm:  algo,
 				Scale:      *scale,
 				Faults:     plan,
 				Liveness:   live,
@@ -318,7 +305,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		}
 		cfg := livecluster.Config{
 			Workload:  w,
-			Algorithm: experiment.Algorithm(*algo),
+			Algorithm: algo,
 			Scale:     *scale,
 			Faults:    plan,
 			Obs:       observer,

@@ -31,6 +31,7 @@ import (
 	"rtsads/internal/db"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/livecluster"
+	"rtsads/internal/machine"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/rng"
@@ -190,15 +191,10 @@ func (s Scenario) check(res *metrics.RunResult, snap map[string]int64, journal [
 	var v []string
 	add := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
 
-	// Every task in exactly one terminal bucket. Bounced is the shard-mode
-	// bucket (task handed back to a federation router); it stays zero for a
-	// standalone cluster but the identity must hold either way.
-	if got := res.Hits + res.Purged + res.ScheduledMissed + res.LostToFailure + res.Shed + res.Bounced; got != res.Total {
-		add("accounting: %d hits + %d purged + %d schedMissed + %d lost + %d shed + %d bounced = %d, want total %d",
-			res.Hits, res.Purged, res.ScheduledMissed, res.LostToFailure, res.Shed, res.Bounced, got, res.Total)
-	}
-	if sum := res.ShedHopeless + res.ShedQueueFull + res.ShedShutdown + res.ShedInfeasible; sum != res.Shed {
-		add("shed reasons sum to %d, want shed total %d", sum, res.Shed)
+	// Every task in exactly one terminal bucket, shed reasons summing to
+	// the shed total.
+	if err := res.Balance(); err != nil {
+		add("accounting: %v", err)
 	}
 
 	// The conditional guarantee: no admitted-and-scheduled task misses.
@@ -206,42 +202,12 @@ func (s Scenario) check(res *metrics.RunResult, snap map[string]int64, journal [
 		add("%d scheduled tasks missed their deadlines; the admission-gated guarantee requires 0", res.ScheduledMissed)
 	}
 
-	// Registry counters mirror the result exactly.
-	mirror := map[string]int{
-		obs.MetricHits:           res.Hits,
-		obs.MetricPurged:         res.Purged,
-		obs.MetricMissed:         res.ScheduledMissed,
-		obs.MetricLost:           res.LostToFailure,
-		obs.MetricRerouted:       res.Rerouted,
-		obs.MetricShed:           res.Shed,
-		obs.MetricAdmitted:       res.Admitted,
-		obs.MetricBounced:        res.Bounced,
-		obs.MetricOverloads:      res.Overloads,
-		obs.MetricDegradations:   res.Degradations,
-		obs.MetricRecoveries:     res.Recoveries,
-		obs.MetricWorkerFailures: res.WorkerFailures,
-	}
-	for name, want := range mirror {
+	// Registry counters mirror the result exactly, the reason-labelled
+	// shed counters included.
+	for name, want := range machine.Mirror(res) {
 		if got := snap[name]; got != int64(want) {
 			add("registry %s = %d, run result says %d", name, got, want)
 		}
-	}
-	byReason := map[admission.Reason]int{
-		admission.Hopeless:     res.ShedHopeless,
-		admission.QueueFull:    res.ShedQueueFull,
-		admission.ShuttingDown: res.ShedShutdown,
-		admission.Infeasible:   res.ShedInfeasible,
-	}
-	labelSum := int64(0)
-	for reason, want := range byReason {
-		got := snap[fmt.Sprintf(obs.MetricShedPattern, string(reason))]
-		labelSum += got
-		if got != int64(want) {
-			add("registry shed{reason=%s} = %d, run result says %d", reason, got, want)
-		}
-	}
-	if labelSum != snap[obs.MetricShed] {
-		add("reason-labelled shed counters sum to %d, total counter says %d", labelSum, snap[obs.MetricShed])
 	}
 
 	// Degraded mode left in a consistent state, transitions journaled.
@@ -251,51 +217,13 @@ func (s Scenario) check(res *metrics.RunResult, snap map[string]int64, journal [
 		add("degraded-mode gauge = %d, transition counters imply %d", snap[obs.MetricDegradedMode], diff)
 	}
 	if evicted == 0 {
-		deg, rec, shedEntries := 0, 0, 0
-		execHit, execMiss, purged, lost, bounced := 0, 0, 0, 0, 0
-		for _, e := range journal {
-			switch e.Type {
-			case "degrade":
-				deg++
-			case "recover":
-				rec++
-			case "shed":
-				shedEntries++
-			case "exec":
-				if e.Hit {
-					execHit++
-				} else {
-					execMiss++
-				}
-			case "purge":
-				purged++
-			case "lost":
-				lost++
-			case "bounce":
-				bounced++
+		// The journal entries that book a count add up to the result, so
+		// the tracing plane cannot drift from the run accounting.
+		mirror := machine.Mirror(res)
+		for name, got := range machine.Journaled(journal) {
+			if got != mirror[name] {
+				add("journal books %d for %s, run result says %d", got, name, mirror[name])
 			}
-		}
-		if deg != res.Degradations || rec != res.Recoveries {
-			add("journal records %d degrade / %d recover events, counters say %d / %d",
-				deg, rec, res.Degradations, res.Recoveries)
-		}
-		if shedEntries != res.Shed {
-			add("journal records %d shed events, counters say %d", shedEntries, res.Shed)
-		}
-		// Lifecycle spans reconcile against every terminal bucket, so the
-		// tracing plane cannot drift from the run accounting.
-		if execHit != res.Hits || execMiss != res.ScheduledMissed {
-			add("journal records %d hit / %d miss exec events, counters say %d / %d",
-				execHit, execMiss, res.Hits, res.ScheduledMissed)
-		}
-		if purged != res.Purged {
-			add("journal records %d purge events, counters say %d", purged, res.Purged)
-		}
-		if lost != res.LostToFailure {
-			add("journal records %d lost events, counters say %d", lost, res.LostToFailure)
-		}
-		if bounced != res.Bounced {
-			add("journal records %d bounce events, counters say %d", bounced, res.Bounced)
 		}
 		// Span completeness: every admitted task reaches exactly one
 		// terminal span — the invariant the lifecycle exporters rely on.

@@ -8,6 +8,7 @@ import (
 	"rtsads/internal/db"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/federation"
+	"rtsads/internal/machine"
 	"rtsads/internal/obs"
 	"rtsads/internal/rng"
 	"rtsads/internal/simtime"
@@ -160,16 +161,7 @@ func (s FedScenario) check(res *federation.Result, f *federation.Federation, jou
 	// namespace.
 	for i, sr := range res.Shards {
 		snap := f.ShardObserver(i).Registry().Snapshot()
-		for name, want := range map[string]int{
-			obs.MetricHits:           sr.Hits,
-			obs.MetricPurged:         sr.Purged,
-			obs.MetricMissed:         sr.ScheduledMissed,
-			obs.MetricLost:           sr.LostToFailure,
-			obs.MetricShed:           sr.Shed,
-			obs.MetricAdmitted:       sr.Admitted,
-			obs.MetricBounced:        sr.Bounced,
-			obs.MetricWorkerFailures: sr.WorkerFailures,
-		} {
+		for name, want := range machine.Mirror(sr) {
 			if got := snap[name]; got != int64(want) {
 				add("shard %d registry %s = %d, run result says %d", i, name, got, want)
 			}

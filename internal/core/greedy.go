@@ -27,8 +27,8 @@ type greedyPlanner struct {
 }
 
 // NewList returns a list-scheduling planner under an arbitrary priority
-// order: the generalisation behind NewEDFGreedy that the policy registry's
-// RM/LST/SCT planners instantiate.
+// order: the generalisation behind NewEDFGreedy, and what a new priority
+// order registers with the policy registry.
 func NewList(cfg SearchConfig, name string, order OrderFunc) (Planner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -39,8 +39,7 @@ func BenchmarkFederationThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c := res.Combined()
-			settled += c.Hits + c.Purged + c.ScheduledMissed + c.LostToFailure + c.Shed
+			settled += res.Combined().Settled()
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(settled)/b.Elapsed().Seconds(), "tasks/s")

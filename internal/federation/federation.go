@@ -480,18 +480,22 @@ func (r *Result) Combined() *metrics.RunResult {
 //	                                    only when the router re-placed it;
 //	                                    failed bounces are shed locally)
 //	Bounced                          == Migrated + Rejected
-//	Σ shard non-bounce terminals     == Routed   (each task settles once)
-//	per shard: terminals + Bounced   == Total
+//	Σ shard.Settled()                == Routed   (each task settles once)
+//	per shard: Settled() + Bounced   == Total
+//
+// The per-shard check is Balance's first identity only: a dead wire shard's
+// books are folded from its Progress counts, which carry the shed total but
+// not its reasons.
 func (r *Result) Reconcile() error {
 	sumTotal, sumBounced, sumSettled := 0, 0, 0
 	for i, s := range r.Shards {
 		if s == nil {
 			return fmt.Errorf("federation: shard %d has no result", i)
 		}
-		settled := s.Hits + s.Purged + s.ScheduledMissed + s.LostToFailure + s.Shed
+		settled := s.Settled()
 		if settled+s.Bounced != s.Total {
-			return fmt.Errorf("federation: shard %d books do not balance: hits=%d purged=%d schedMissed=%d lost=%d shed=%d bounced=%d != total=%d",
-				i, s.Hits, s.Purged, s.ScheduledMissed, s.LostToFailure, s.Shed, s.Bounced, s.Total)
+			return fmt.Errorf("federation: shard %d books do not balance: settled=%d bounced=%d != total=%d",
+				i, settled, s.Bounced, s.Total)
 		}
 		sumTotal += s.Total
 		sumBounced += s.Bounced

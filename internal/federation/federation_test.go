@@ -9,6 +9,8 @@ import (
 
 	"rtsads/internal/admission"
 	"rtsads/internal/faultinject"
+	"rtsads/internal/machine"
+	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
@@ -29,32 +31,13 @@ func sectionWorkload(t *testing.T, workers int) *workload.Workload {
 // checkRegistryMirror asserts that a shard's registry counters equal the
 // corresponding RunResult fields — the reconciliation the federation-wide
 // invariants rest on.
-func checkRegistryMirror(t *testing.T, shard int, o *obs.Observer, res mirrorable) {
+func checkRegistryMirror(t *testing.T, shard int, o *obs.Observer, res *metrics.RunResult) {
 	t.Helper()
 	snap := o.Registry().Snapshot()
-	for name, want := range res.mirror() {
+	for name, want := range machine.Mirror(res) {
 		if got := snap[name]; got != int64(want) {
 			t.Errorf("shard %d: registry %s = %d, result says %d", shard, name, got, want)
 		}
-	}
-}
-
-type mirrorable interface{ mirror() map[string]int }
-
-type shardMirror struct {
-	hits, purged, missed, lost, shed, admitted, bounced, phases int
-}
-
-func (m shardMirror) mirror() map[string]int {
-	return map[string]int{
-		obs.MetricHits:     m.hits,
-		obs.MetricPurged:   m.purged,
-		obs.MetricMissed:   m.missed,
-		obs.MetricLost:     m.lost,
-		obs.MetricShed:     m.shed,
-		obs.MetricAdmitted: m.admitted,
-		obs.MetricBounced:  m.bounced,
-		obs.MetricPhases:   m.phases,
 	}
 }
 
@@ -108,11 +91,7 @@ func TestSimulateFourShardAcceptance(t *testing.T) {
 		t.Error("no task met its deadline; the federation scheduled nothing useful")
 	}
 	for i, s := range fed.Shards {
-		checkRegistryMirror(t, i, observers[i], shardMirror{
-			hits: s.Hits, purged: s.Purged, missed: s.ScheduledMissed,
-			lost: s.LostToFailure, shed: s.Shed, admitted: s.Admitted,
-			bounced: s.Bounced, phases: s.Phases,
-		})
+		checkRegistryMirror(t, i, observers[i], s)
 	}
 
 	// Mean per-phase scheduling latency: each shard searches a quarter of
@@ -366,11 +345,7 @@ func TestFederationLiveTwoShards(t *testing.T) {
 		t.Errorf("routed %d of %d tasks", res.Routed, len(w.Tasks))
 	}
 	for i, s := range res.Shards {
-		checkRegistryMirror(t, i, f.ShardObserver(i), shardMirror{
-			hits: s.Hits, purged: s.Purged, missed: s.ScheduledMissed,
-			lost: s.LostToFailure, shed: s.Shed, admitted: s.Admitted,
-			bounced: s.Bounced, phases: s.Phases,
-		})
+		checkRegistryMirror(t, i, f.ShardObserver(i), s)
 	}
 	// The router's own registry must mirror the Result exactly.
 	snap := f.Registry().Snapshot()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rtsads/internal/admission"
+	"rtsads/internal/machine"
 	"rtsads/internal/obs"
 	"rtsads/internal/workload"
 )
@@ -144,13 +145,13 @@ func TestDebugEndpointServesRemoteShards(t *testing.T) {
 		t.Fatal(out.err)
 	}
 	metrics := get("/metrics")
+	// A remote shard's /metrics is its last Progress frame: the counts that
+	// frame carries, checked against the books' mirror.
 	for i, r := range out.res.Shards {
-		for k, want := range map[string]int{
-			obs.MetricHits: r.Hits, obs.MetricMissed: r.ScheduledMissed, obs.MetricPurged: r.Purged,
-			obs.MetricLost: r.LostToFailure, obs.MetricShed: r.Shed, obs.MetricAdmitted: r.Admitted,
-		} {
-			if got := sample(metrics, fmt.Sprintf("%s{shard=\"%d\"}", k, i)); got != int64(want) {
-				t.Errorf("shard %d: /metrics %s = %d, result says %d", i, k, got, want)
+		mirror := machine.Mirror(r)
+		for _, k := range countMetric {
+			if got := sample(metrics, fmt.Sprintf("%s{shard=\"%d\"}", k, i)); got != int64(mirror[k]) {
+				t.Errorf("shard %d: /metrics %s = %d, result says %d", i, k, got, mirror[k])
 			}
 		}
 	}

@@ -52,9 +52,9 @@ type SimConfig struct {
 	// everything (rejection then only happens on migration-eligible
 	// hopeless/queue-full verdicts when enabled).
 	Admission admission.Config
-	// Obs, when non-nil, must hold one observer per shard; the simulation
-	// mirrors the live cluster's counter semantics into them so registry
-	// totals reconcile with the per-shard results.
+	// Obs, when non-nil, must hold one observer per shard; each shard
+	// host's books mirror into its observer exactly as a live cluster's do,
+	// so registry totals reconcile with the per-shard results.
 	Obs []*obs.Observer
 	// MaxPhases aborts pathological runs (default 10 million per shard).
 	MaxPhases int
@@ -112,7 +112,9 @@ type simShard struct {
 	host  machine.Host
 	inbox []*task.Task
 	adm   *admission.Controller
-	o     *obs.Observer
+	// bounce offers a task the gate turns away to the routing core.
+	bounce machine.BounceFunc
+	o      *obs.Observer
 	// wakeAt is the next instant this shard must run: its host's own wake
 	// instant, pulled earlier by a submission. Never while it holds nothing.
 	wakeAt simtime.Instant
@@ -191,6 +193,9 @@ func (f *simFed) reset(cfg SimConfig) error {
 			sh.o = cfg.Obs[i]
 		}
 		sh.id = i
+		sh.bounce = func(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
+			return f.rt.bounce(sh.id, t.ID, string(reason), now)
+		}
 		sh.host.Reset(machine.Config{
 			Workers:    tp.WorkersPerShard,
 			Planner:    planner,
@@ -291,7 +296,7 @@ func (f *simFed) run() (*Result, error) {
 				if sh.wakeAt.After(now) {
 					continue
 				}
-				if err := sh.step(f, now); err != nil {
+				if err := sh.step(now); err != nil {
 					return nil, err
 				}
 				stepped = true
@@ -436,8 +441,7 @@ func (sh *simShard) kill(f *simFed, now simtime.Instant) {
 // strandInbox books tasks handed to the dead shard, then strands each.
 func (sh *simShard) strandInbox(f *simFed, ts []*task.Task, now simtime.Instant) {
 	for _, t := range ts {
-		sh.host.Res.Total++
-		sh.o.Arrival(t.ID, now, t.Deadline)
+		sh.host.Arrive(t, now)
 		sh.strand(f, t, now)
 	}
 }
@@ -447,23 +451,20 @@ func (sh *simShard) strandInbox(f *simFed, ts []*task.Task, now simtime.Instant)
 // shard.
 func (sh *simShard) strand(f *simFed, t *task.Task, now simtime.Instant) {
 	if f.rt.salvage(sh.id, t.ID, "shard-death", now) {
-		sh.host.Res.Bounced++
-		sh.o.Bounce(t.ID, "shard-death", now)
-		return
+		sh.host.Bounce(t, "shard-death", now)
+	} else {
+		sh.host.Lose(t, -1, now)
 	}
-	sh.host.Res.LostToFailure++
-	sh.o.Lost(t.ID, -1, now)
 }
 
 // step runs the shard's host at the global instant: absorb the inbox
 // through the admission gate, then the shared scheduling step.
-func (sh *simShard) step(f *simFed, now simtime.Instant) error {
+func (sh *simShard) step(now simtime.Instant) error {
 	// Rejections inside the admit loop refill sibling inboxes, never this
 	// shard's own: migration excludes the rejecting shard.
 	for _, t := range sh.inbox {
-		sh.host.Res.Total++
-		sh.o.Arrival(t.ID, now, t.Deadline)
-		sh.admit(f, t, now)
+		sh.host.Arrive(t, now)
+		sh.host.Admit(t, now, sh.adm, sh.bounce)
 	}
 	sh.inbox = sh.inbox[:0]
 	wake, err := sh.host.Step(now)
@@ -472,26 +473,4 @@ func (sh *simShard) step(f *simFed, now simtime.Instant) error {
 	}
 	sh.wakeAt = wake
 	return nil
-}
-
-// admit runs one inbox task through the shard's gate into its batch.
-func (sh *simShard) admit(f *simFed, t *task.Task, now simtime.Instant) {
-	reject := func(t *task.Task, reason admission.Reason) { sh.reject(f, t, reason, now) }
-	if sh.adm.Enter(t, now, sh.host.Batch, reject) {
-		sh.host.Res.Admitted++
-		sh.o.Admitted(t.ID, t.Deadline.Sub(now), now)
-	}
-}
-
-// reject handles one admission rejection: bounced to the router when a
-// feasible sibling takes the task, shed locally otherwise — the bookkeeping
-// of livecluster's reject path.
-func (sh *simShard) reject(f *simFed, t *task.Task, reason admission.Reason, now simtime.Instant) {
-	if f.rt.bounce(sh.id, t.ID, string(reason), now) {
-		sh.host.Res.Bounced++
-		sh.o.Bounce(t.ID, string(reason), now)
-		return
-	}
-	sh.host.Res.CountShed(reason)
-	sh.o.Shed(t.ID, string(reason), now)
 }

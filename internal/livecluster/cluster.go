@@ -139,9 +139,9 @@ type Config struct {
 	// RecordCompletions retains a per-task completion record on the run
 	// result (costs memory on large workloads).
 	RecordCompletions bool
-	// Obs observes the run: every counter mirrored from RunResult is
-	// incremented at exactly the point the result field is, so the
-	// registry totals reconcile with the final metrics. Optional; nil
+	// Obs observes the run: the host's books move every counter mirrored
+	// from RunResult together with its field, so the registry totals
+	// reconcile with the final metrics (machine.Mirror). Optional; nil
 	// disables observability at the cost of a pointer check per event.
 	Obs *obs.Observer
 	// Admission applies overload control at the host's front door: the
@@ -182,11 +182,11 @@ type Config struct {
 	// (and sizes the in-process backend's ready queues, so keep its task
 	// list populated even though it is not replayed).
 	External bool
-	// OnReject, when non-nil, is offered every task the admission gate — or
-	// a total local worker loss — would otherwise shed, before it is counted
-	// shed: returning true takes ownership (the cluster counts the task
-	// Bounced and forgets it), false declines (the cluster sheds it locally
-	// as usual). Called from the host goroutine with no cluster locks held;
+	// OnReject, when non-nil, is offered every task the admission gate
+	// turns away or a total local worker loss strands: returning true takes
+	// ownership (the cluster counts the task Bounced and forgets it), false
+	// declines (the cluster sheds it, or with no worker left loses it,
+	// locally). Called from the host goroutine with no cluster locks held;
 	// the callback must not call SubmitBatch on this same cluster. Tasks turned
 	// away because the cluster is shutting down are never offered.
 	OnReject func(t *task.Task, reason admission.Reason, now simtime.Instant) bool
@@ -402,7 +402,6 @@ type runState struct {
 	o       *obs.Observer
 
 	host     machine.Host
-	res      *metrics.RunResult // host.Res
 	inflight map[task.ID]*flight
 	doneCh   <-chan Done
 	failCh   <-chan Failure
@@ -495,14 +494,11 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		Obs:               c.cfg.Obs,
 	})
 	r.host.Seams = r
-	r.res = r.host.Res
-	r.res.Algorithm += "/live"
-	// Externally-fed shards start empty: Total counts absorbed submissions
-	// rather than the workload's task list.
+	r.host.Res.Algorithm += "/live"
+	// Externally-fed shards start empty: their arrivals are submissions.
 	if !c.cfg.External {
 		r.pending = append([]*task.Task(nil), w.Tasks...)
 		task.SortEDF(r.pending) // stable starting order; arrival absorb below re-checks times
-		r.res.Total = len(r.pending)
 	}
 
 	if r.backend, err = c.makeBackend(clock, inj); err != nil {
@@ -514,16 +510,11 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 
 	hostErr := r.loop()
 
-	if c.cfg.External {
-		// Seal so late Submits error instead of vanishing, then account any
-		// submissions the loop never absorbed (a Stop can end the loop with
-		// feed left over) as shutdown sheds so the books balance.
-		c.Seal()
-		for _, t := range r.takeFeed() {
-			r.res.Total++
-			r.shed(t, admission.ShuttingDown, clock.Now())
-		}
-	}
+	// Seal so late Submits error instead of vanishing. A Stop can end the
+	// loop with feed left over: it arrives now, shed as shutting down.
+	c.Seal()
+	r.stopping = true
+	r.absorb(clock.Now())
 
 	// Closing drains the worker queues, then closes Done; the host books
 	// what completes meanwhile.
@@ -539,12 +530,10 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 	// books quietly not balance.
 	for id, fl := range r.inflight {
 		delete(r.inflight, id)
-		r.res.LostToFailure++
-		r.o.Lost(fl.t.ID, fl.worker, clock.Now())
-		r.record(metrics.Completion{Task: fl.t.ID, Proc: fl.worker})
+		r.host.Lose(fl.t, fl.worker, clock.Now())
 	}
 	r.o.Inflight(len(r.inflight))
-	r.o.RunEnd(clock.Now(), r.res.String())
+	r.o.RunEnd(clock.Now(), r.host.Res.String())
 
 	if hostErr != nil {
 		return nil, hostErr
@@ -552,7 +541,7 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 	if closeErr != nil {
 		return nil, fmt.Errorf("livecluster: close backend: %w", closeErr)
 	}
-	return r.res, nil
+	return r.host.Res, nil
 }
 
 // loop is the live driver of the phase kernel. Each iteration books what
@@ -585,19 +574,7 @@ func (r *runState) loop() error {
 		if r.checkStop(now) {
 			return nil
 		}
-		for r.next < len(r.pending) && !r.pending[r.next].Arrival.After(now) {
-			t := r.pending[r.next]
-			r.next++
-			r.o.Arrival(t.ID, t.Arrival, t.Deadline)
-			r.admit(t, now, true)
-		}
-		if r.c.cfg.External {
-			for _, t := range r.takeFeed() {
-				r.res.Total++
-				r.o.Arrival(t.ID, now, t.Deadline)
-				r.admit(t, now, true)
-			}
-		}
+		r.absorb(now)
 		r.checkStragglers(now)
 		r.publishSummary(now)
 		if r.host.Batch.Len() > 0 && !slices.Contains(r.alive, true) && r.strand(now) {
@@ -680,7 +657,6 @@ func (r *runState) Deliver(phase int, at simtime.Instant, schedule []search.Assi
 			deferred = make(map[task.ID]bool, len(rejected))
 		}
 		now := r.clock.Now()
-		r.res.Overloads += len(rejected)
 		for _, j := range rejected {
 			delete(r.inflight, task.ID(j.Task))
 			deferred[task.ID(j.Task)] = true
@@ -699,7 +675,7 @@ func (r *runState) Deliver(phase int, at simtime.Instant, schedule []search.Assi
 		}
 		freeAt[k] = free
 		r.o.Inflight(len(r.inflight))
-		r.o.Overloaded(k, len(rejected), ov.RetryAfter, now)
+		r.host.Defer(k, len(rejected), ov.RetryAfter, now)
 		r.retryAt = r.retryAt.Min(now.Add(ov.RetryAfter))
 	}
 	if deferred != nil {
@@ -719,44 +695,16 @@ func (r *runState) complete(d Done) {
 		return
 	}
 	delete(r.inflight, task.ID(d.Task))
+	r.o.Inflight(len(r.inflight))
 	if d.Expired {
 		// The worker shed the job at its queue head: the deadline was
 		// already unreachable, so it missed without execution — the same
 		// purge condition the host applies to its batch, enforced one tier
 		// down.
-		r.res.Purged++
-		r.o.Purge(fl.t.ID, d.Start)
-		r.o.Inflight(len(r.inflight))
-		r.record(metrics.Completion{Task: fl.t.ID, Proc: -1})
+		r.host.Purge(fl.t, d.Start)
 		return
 	}
-	hit := d.Err == "" && !d.Finish.After(fl.t.Deadline)
-	if hit {
-		r.res.Hits++
-	} else {
-		r.res.ScheduledMissed++
-	}
-	if d.Finish.After(r.res.Makespan) {
-		r.res.Makespan = d.Finish
-	}
-	if d.Worker >= 0 && d.Worker < len(r.res.WorkerBusy) {
-		r.res.WorkerBusy[d.Worker] += d.Finish.Sub(d.Start)
-	}
-	r.res.Response.Add(d.Finish.Sub(fl.t.Arrival))
-	r.o.Exec(fl.t.ID, d.Worker, d.Start, d.Finish, hit,
-		d.Finish.Sub(fl.t.Arrival), fl.t.Deadline.Sub(d.Finish))
-	r.o.Inflight(len(r.inflight))
-	r.record(metrics.Completion{
-		Task: fl.t.ID, Proc: d.Worker, Start: d.Start, Finish: d.Finish,
-		Hit: hit, Executed: true,
-	})
-}
-
-// record appends a completion record when enabled.
-func (r *runState) record(c metrics.Completion) {
-	if r.c.cfg.RecordCompletions {
-		r.res.Completions = append(r.res.Completions, c)
-	}
+	r.host.Exec(fl.t, d.Worker, d.Start, d.Finish, d.Err == "")
 }
 
 // drained reports that every task the run will see is delivered and
@@ -781,76 +729,51 @@ func (r *runState) strand(now simtime.Instant) bool {
 	stranded := r.host.Batch.PurgeMissed(simtime.Never)
 	if r.c.cfg.External {
 		for _, t := range stranded {
-			if !r.bounce(t, admission.ShardDown, now) {
-				r.lose(t, now)
+			if cb := r.c.cfg.OnReject; cb != nil && cb(t, admission.ShardDown, now) {
+				r.host.Bounce(t, admission.ShardDown, now)
+			} else {
+				r.host.Lose(t, -1, now)
 			}
 		}
 		return false
 	}
-	for _, t := range append(stranded, r.pending[r.next:]...) {
-		r.lose(t, now)
+	for _, t := range stranded {
+		r.host.Lose(t, -1, now)
+	}
+	for _, t := range r.pending[r.next:] {
+		r.host.Arrive(t, now)
+		r.host.Lose(t, -1, now)
 	}
 	r.next = len(r.pending)
 	return true
 }
 
-// admit runs one task through the admission gate and into the batch.
-// arrival is true for first-time arrivals (counted in res.Admitted) and
-// false for reclaimed tasks being re-fed after a failure.
-func (r *runState) admit(t *task.Task, now simtime.Instant, arrival bool) {
+// absorb books every arrival due by now — the workload's, then the
+// external feed's — and offers each to the admission gate.
+func (r *runState) absorb(now simtime.Instant) {
+	for r.next < len(r.pending) && !r.pending[r.next].Arrival.After(now) {
+		t := r.pending[r.next]
+		r.next++
+		r.arrive(t, t.Arrival, now)
+	}
+	if r.c.cfg.External {
+		for _, t := range r.takeFeed() {
+			r.arrive(t, now, now)
+		}
+	}
+}
+
+// arrive books one arrival at at and runs it through the admission gate at
+// now, or sheds it once the cluster is stopping. A task the gate turns away
+// is offered to the federation router, when one is attached, before it is
+// shed.
+func (r *runState) arrive(t *task.Task, at, now simtime.Instant) {
+	r.host.Arrive(t, at)
 	if r.stopping {
-		r.shed(t, admission.ShuttingDown, now)
+		r.host.Shed(t, admission.ShuttingDown, now)
 		return
 	}
-	reject := func(t *task.Task, reason admission.Reason) { r.reject(t, reason, now) }
-	if r.adm.Enter(t, now, r.host.Batch, reject) && arrival {
-		r.res.Admitted++
-		r.o.Admitted(t.ID, t.Deadline.Sub(now), now)
-	}
-}
-
-// reject routes one non-admitted task: offered to the federation router
-// first when one is attached, shed locally otherwise.
-func (r *runState) reject(t *task.Task, reason admission.Reason, now simtime.Instant) {
-	if r.bounce(t, reason, now) {
-		return
-	}
-	r.shed(t, reason, now)
-}
-
-// bounce offers one locally-unservable task to the federation router via
-// Config.OnReject. True means the router took ownership: the task is
-// counted Bounced — a terminal bucket for this domain — and forgotten
-// here.
-func (r *runState) bounce(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
-	cb := r.c.cfg.OnReject
-	if cb == nil || reason == admission.ShuttingDown {
-		return false
-	}
-	if !cb(t, reason, now) {
-		return false
-	}
-	r.res.Bounced++
-	r.record(metrics.Completion{Task: t.ID, Proc: -1})
-	r.o.Bounce(t.ID, string(reason), now)
-	return true
-}
-
-// lose accounts one task dropped because no local worker survives (and the
-// router, if any, declined it).
-func (r *runState) lose(t *task.Task, now simtime.Instant) {
-	r.res.LostToFailure++
-	r.o.Lost(t.ID, -1, now)
-	r.record(metrics.Completion{Task: t.ID, Proc: -1})
-}
-
-// shed accounts one task rejected or evicted by admission control: a
-// terminal outcome, mirrored into the result, the registry and the
-// journal.
-func (r *runState) shed(t *task.Task, reason admission.Reason, now simtime.Instant) {
-	r.res.CountShed(reason)
-	r.record(metrics.Completion{Task: t.ID, Proc: -1})
-	r.o.Shed(t.ID, string(reason), now)
+	r.host.Admit(t, now, r.adm, r.c.cfg.OnReject)
 }
 
 // checkStop notices a Stop request. On the first observation it stops
@@ -865,7 +788,7 @@ func (r *runState) checkStop(now simtime.Instant) bool {
 			r.stopping = true
 			r.stopDeadline = time.Now().Add(r.c.grace)
 			for _, t := range r.pending[r.next:] {
-				r.shed(t, admission.ShuttingDown, now)
+				r.arrive(t, now, now)
 			}
 			r.next = len(r.pending)
 		default:
@@ -874,7 +797,7 @@ func (r *runState) checkStop(now simtime.Instant) bool {
 	}
 	if time.Now().After(r.stopDeadline) {
 		for _, t := range r.host.Batch.PurgeMissed(simtime.Never) {
-			r.shed(t, admission.ShuttingDown, now)
+			r.host.Shed(t, admission.ShuttingDown, now)
 		}
 		return true
 	}
@@ -883,7 +806,9 @@ func (r *runState) checkStop(now simtime.Instant) bool {
 
 // handleFailure marks the worker (a fatally failed worker leaves the
 // machine), reclaims its delivered-but-unfinished jobs, and feeds the ones
-// that can still meet their deadlines back into the batch.
+// that can still meet their deadlines back into the batch. A reclaimed task
+// was admitted once, so a drain keeps scheduling it like the rest of the
+// backlog.
 func (r *runState) handleFailure(f Failure) {
 	k := f.Worker
 	if k < 0 || k >= len(r.alive) {
@@ -898,30 +823,24 @@ func (r *runState) handleFailure(f Failure) {
 	}
 	var reclaimed []*task.Task
 	for id, fl := range r.inflight {
-		if fl.worker != k {
-			continue
-		}
-		delete(r.inflight, id)
-		if fl.t.Missed(now) {
-			// Too late to restart anywhere: the failure cost this task.
-			r.res.LostToFailure++
-			r.o.Lost(fl.t.ID, fl.worker, now)
-			r.record(metrics.Completion{Task: fl.t.ID, Proc: fl.worker})
-		} else {
-			r.res.Rerouted++
-			r.o.Reroute(fl.t.ID, fl.worker, now)
+		if fl.worker == k {
+			delete(r.inflight, id)
 			reclaimed = append(reclaimed, fl.t)
 		}
 	}
 	r.o.Inflight(len(r.inflight))
 	// Map iteration order is random; keep the re-fed batch deterministic.
-	// Reclaimed tasks pass back through the admission gate: the queue cap
-	// still binds, and a task that became hopeless while in flight is shed
-	// now rather than after burning another phase's quantum. They are not
-	// re-counted as Admitted.
+	// A task too late to restart anywhere is lost to the failure. The rest
+	// pass back through the admission gate: the queue cap still binds, and a
+	// task that became hopeless while in flight is shed now rather than after
+	// burning another phase's quantum.
 	task.SortEDF(reclaimed)
 	for _, t := range reclaimed {
-		r.admit(t, now, false)
+		if t.Missed(now) {
+			r.host.Lose(t, k, now)
+		} else {
+			r.host.Reroute(t, k, now, r.adm, r.c.cfg.OnReject)
+		}
 	}
 	if r.alive[k] {
 		// The worker survived (reconnected or merely straggling) but its
@@ -1077,13 +996,14 @@ func (c *Cluster) makePlanner(pc *phaseClock) (core.Planner, error) {
 		// converted to virtual time, counted from each phase's Now.
 		Clock: pc.Elapsed,
 	}}
-	// The degradation pair is one rung of the registry's general ladder:
-	// the configured policy falling back to EDF-greedy under hysteresis.
-	rungs, dcfg := []string{string(c.cfg.Algorithm)}, core.DegradeConfig{}
-	if c.cfg.Degrade != nil {
-		rungs, dcfg = append(rungs, "EDF-greedy"), *c.cfg.Degrade
+	p, err := policy.Default().New(string(c.cfg.Algorithm), opts)
+	if err == nil && c.cfg.Degrade != nil {
+		// The configured policy falls back to EDF-greedy under hysteresis.
+		var fallback core.Planner
+		if fallback, err = core.NewEDFGreedy(opts.Search); err == nil {
+			p, err = core.NewDegrading(p, fallback, *c.cfg.Degrade)
+		}
 	}
-	p, err := policy.Default().Ladder(opts, dcfg, rungs...)
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: %w", err)
 	}

@@ -64,14 +64,8 @@ func runWithDeadline(t *testing.T, c *Cluster) *metrics.RunResult {
 // reasons break the shed total down exactly.
 func assertFaultAccounting(t *testing.T, res *metrics.RunResult) {
 	t.Helper()
-	got := res.Hits + res.ScheduledMissed + res.Purged + res.LostToFailure + res.Shed
-	if got != res.Total {
-		t.Errorf("accounting: %d hits + %d schedMissed + %d purged + %d lost + %d shed = %d, want total %d",
-			res.Hits, res.ScheduledMissed, res.Purged, res.LostToFailure, res.Shed, got, res.Total)
-	}
-	if sum := res.ShedHopeless + res.ShedQueueFull + res.ShedShutdown; sum != res.Shed {
-		t.Errorf("shed reasons: %d hopeless + %d queueFull + %d shutdown = %d, want shed total %d",
-			res.ShedHopeless, res.ShedQueueFull, res.ShedShutdown, sum, res.Shed)
+	if err := res.Balance(); err != nil {
+		t.Error(err)
 	}
 }
 

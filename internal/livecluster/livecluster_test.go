@@ -162,9 +162,8 @@ func TestClusterRunInProcess(t *testing.T) {
 	if res.Total != len(w.Tasks) {
 		t.Fatalf("total = %d, want %d", res.Total, len(w.Tasks))
 	}
-	if got := res.Hits + res.ScheduledMissed + res.Purged; got != res.Total {
-		t.Errorf("accounting: %d hits + %d schedMissed + %d purged != %d total",
-			res.Hits, res.ScheduledMissed, res.Purged, res.Total)
+	if err := res.Balance(); err != nil {
+		t.Error(err)
 	}
 	if res.Hits == 0 {
 		t.Error("live cluster completed nothing by deadline")
@@ -260,8 +259,8 @@ func TestClusterRunTCP(t *testing.T) {
 	if res.Hits == 0 {
 		t.Error("TCP cluster completed nothing")
 	}
-	if got := res.Hits + res.ScheduledMissed + res.Purged; got != res.Total {
-		t.Errorf("accounting: %d != total %d", got, res.Total)
+	if err := res.Balance(); err != nil {
+		t.Error(err)
 	}
 	for i := 0; i < workers; i++ {
 		select {

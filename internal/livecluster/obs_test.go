@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rtsads/internal/faultinject"
+	"rtsads/internal/machine"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/workload"
@@ -17,17 +18,8 @@ import (
 func assertObsReconciles(t *testing.T, o *obs.Observer, res *metrics.RunResult) {
 	t.Helper()
 	snap := o.Registry().Snapshot()
-	for name, want := range map[string]int64{
-		obs.MetricHits:           int64(res.Hits),
-		obs.MetricMissed:         int64(res.ScheduledMissed),
-		obs.MetricPurged:         int64(res.Purged),
-		obs.MetricLost:           int64(res.LostToFailure),
-		obs.MetricRerouted:       int64(res.Rerouted),
-		obs.MetricWorkerFailures: int64(res.WorkerFailures),
-		obs.MetricPhases:         int64(res.Phases),
-		obs.MetricArrivals:       int64(res.Total),
-	} {
-		if snap[name] != want {
+	for name, want := range machine.Mirror(res) {
+		if snap[name] != int64(want) {
 			t.Errorf("%s = %d, RunResult says %d", name, snap[name], want)
 		}
 	}
@@ -185,5 +177,75 @@ func TestObsTCPHeartbeats(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("a worker did not exit after the run")
 		}
+	}
+}
+
+// TestArrivalsMatchTotalOnEveryPath drives the three paths that settle tasks
+// the host loop never absorbed — a stop before the last arrival, a cluster
+// whose every worker died with arrivals still to come, a shard sealed with
+// feed it never took in — and checks each such task is booked as an arrival
+// like any other: the arrivals counter equals Total, and every shed or lost
+// entry follows an arrival entry for its task.
+func TestArrivalsMatchTotalOnEveryPath(t *testing.T) {
+	p := liveParams(2)
+	p.Arrival = workload.Poisson
+	p.MeanInterArrival = time.Millisecond
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := func(r *metrics.RunResult) int { return r.ShedShutdown }
+	cases := []struct {
+		name string
+		cfg  Config
+		// before runs between New and Run.
+		before func(*Cluster)
+		// bucket is where every task must land.
+		bucket func(*metrics.RunResult) int
+	}{
+		{"stopped before the last arrival", Config{}, func(c *Cluster) { c.Stop(0) }, shutdown},
+		{"every worker dead", Config{Faults: mustPlan(t, "kill=0@0s;kill=1@0s")}, nil,
+			func(r *metrics.RunResult) int { return r.LostToFailure }},
+		{"sealed with feed left", Config{External: true}, func(c *Cluster) {
+			if err := c.SubmitBatch(w.Tasks); err != nil {
+				t.Fatal(err)
+			}
+			c.Stop(0)
+		}, shutdown},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New(0)
+			cfg := tc.cfg
+			cfg.Workload, cfg.Scale, cfg.Obs = w, 50, o
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.before != nil {
+				tc.before(c)
+			}
+			res := runWithDeadline(t, c)
+			if res.Total != len(w.Tasks) || tc.bucket(res) != res.Total {
+				t.Errorf("want all %d tasks in one bucket: %s", len(w.Tasks), res)
+			}
+			if err := res.Balance(); err != nil {
+				t.Error(err)
+			}
+			if got := o.Registry().Snapshot()[obs.MetricArrivals]; got != int64(res.Total) {
+				t.Errorf("%s = %d, total = %d", obs.MetricArrivals, got, res.Total)
+			}
+			arrived := map[int]bool{}
+			for _, e := range o.Journal().Snapshot() {
+				switch e.Type {
+				case "arrival":
+					arrived[e.Task] = true
+				case "shed", "lost":
+					if !arrived[e.Task] {
+						t.Errorf("task %d: %s entry without an arrival", e.Task, e.Type)
+					}
+				}
+			}
+		})
 	}
 }

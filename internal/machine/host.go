@@ -7,7 +7,6 @@ import (
 
 	"rtsads/internal/core"
 	"rtsads/internal/metrics"
-	"rtsads/internal/obs"
 	"rtsads/internal/search"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
@@ -17,9 +16,11 @@ import (
 // step every driver shares: Machine.Run drives a Host over a fixed arrival
 // list, federation.Simulate drives one per shard behind an admission gate,
 // and livecluster drives one on a wall clock with real workers behind it.
-// The driver owns arrivals (Batch.Add, Res.Total and whatever gate sits in
-// front); Step owns everything from the purge to the delivery. The zero
-// value is ready for Reset.
+// The driver owns when things happen: arrivals, the gate in front, worker
+// completions and failures. Step owns everything from the purge to the
+// delivery. Host owns the books (books.go): every fact lands in Res through
+// one of its methods, whichever driver learned it. The zero value is ready
+// for Reset.
 type Host struct {
 	cfg Config
 
@@ -48,7 +49,7 @@ type Host struct {
 // than MinAdvance after it, and its schedule executes analytically.
 type Seams interface {
 	// PhaseEnd returns the instant the phase begun at now ended, having
-	// spent used of scheduling time; it is called after the phase is booked.
+	// spent used of scheduling time; the phase is booked at that instant.
 	PhaseEnd(now simtime.Instant, used time.Duration) simtime.Instant
 	// Deliver hands S_j to the workers at the delivery instant and returns
 	// the tasks that left the batch; the rest stay in it and are planned
@@ -113,25 +114,7 @@ func (h *Host) Fail(k int, at simtime.Instant, reason string) {
 	h.markFailed(k, at, reason)
 }
 
-func (h *Host) markFailed(k int, at simtime.Instant, reason string) {
-	if h.failed[k] {
-		return
-	}
-	if h.failed == nil {
-		h.failed = make(map[int]bool, len(h.cfg.FailAt))
-	}
-	h.failed[k] = true
-	h.Res.WorkerFailures++
-	h.cfg.Obs.WorkerDown(k, true, reason, at)
-}
-
 const injectedCrash = "machine: injected crash"
-
-func (h *Host) record(c metrics.Completion) {
-	if h.cfg.RecordCompletions {
-		h.Res.Completions = append(h.Res.Completions, c)
-	}
-}
 
 // Step runs one scheduling iteration at now — purge, plan one phase, book
 // it, deliver the schedule — and returns the next instant the host has work
@@ -148,9 +131,7 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	cfg, res := &h.cfg, h.Res
 	// Purge tasks whose deadlines have already been missed (§4.1).
 	for _, t := range h.Batch.PurgeMissed(now) {
-		res.Purged++
-		cfg.Obs.Purge(t.ID, now)
-		h.record(metrics.Completion{Task: t.ID, Proc: -1})
+		h.Purge(t, now)
 	}
 	if h.Batch.Len() == 0 {
 		return simtime.Never, nil
@@ -177,19 +158,11 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	if err != nil {
 		return 0, fmt.Errorf("phase %d: %w", phase, err)
 	}
-	stats := bookPhase(res, &out)
 	end := now.Add(out.Used)
 	if h.Seams != nil {
 		end = h.Seams.PhaseEnd(now, out.Used)
 	}
-	if dg := out.Degrade; dg.Fallback != dg.Degraded {
-		reason := "quantum-expired streak"
-		if !dg.Degraded {
-			reason = "clean-phase streak"
-		}
-		cfg.Obs.DegradeMode(dg.Degraded, phase, reason, end)
-	}
-	cfg.Obs.PhaseEnd(phase, end, stats)
+	h.bookPhase(phase, &out, end)
 
 	deliver := end.Max(now.Add(cfg.MinAdvance))
 	h.busyUntil = deliver
@@ -237,7 +210,7 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 // back, non-preemptively, in delivery order. It returns the delivered tasks
 // (every one: the virtual workers refuse nothing).
 func (h *Host) execute(phase int, deliver simtime.Instant, schedule []search.Assignment) []*task.Task {
-	cfg, res := &h.cfg, h.Res
+	cfg := &h.cfg
 	scheduled := h.scheduled[:0]
 	for _, a := range schedule {
 		start := deliver.Max(h.FreeAt[a.Proc])
@@ -248,10 +221,8 @@ func (h *Host) execute(phase int, deliver simtime.Instant, schedule []search.Ass
 			// The worker crashes before this task completes: the task
 			// is lost, and the worker never frees again.
 			h.FreeAt[a.Proc] = simtime.Never
-			res.LostToFailure++
 			h.markFailed(a.Proc, failAt, injectedCrash)
-			cfg.Obs.Lost(a.Task.ID, a.Proc, failAt)
-			h.record(metrics.Completion{Task: a.Task.ID, Proc: a.Proc, Start: start})
+			h.Lose(a.Task, a.Proc, failAt)
 			continue
 		}
 		if cfg.NoReclaim {
@@ -260,63 +231,9 @@ func (h *Host) execute(phase int, deliver simtime.Instant, schedule []search.Ass
 		} else {
 			h.FreeAt[a.Proc] = finish
 		}
-		res.WorkerBusy[a.Proc] += actual
-		res.Response.Add(finish.Sub(a.Task.Arrival))
-		if finish.After(res.Makespan) {
-			res.Makespan = finish
-		}
-		hit := !finish.After(a.Task.Deadline)
-		if hit {
-			res.Hits++
-		} else {
-			// §4.3's theorem says this cannot happen; count it rather
-			// than assume, so a planner bug surfaces in every result.
-			res.ScheduledMissed++
-		}
 		cfg.Obs.Deliver(phase, a.Task.ID, a.Proc, a.Comm, deliver)
-		cfg.Obs.Exec(a.Task.ID, a.Proc, start, finish, hit,
-			finish.Sub(a.Task.Arrival), a.Task.Deadline.Sub(finish))
-		h.record(metrics.Completion{
-			Task: a.Task.ID, Proc: a.Proc, Start: start, Finish: finish,
-			Hit: hit, Executed: true,
-		})
+		h.Exec(a.Task, a.Proc, start, finish, true)
 	}
 	h.scheduled = scheduled[:0]
 	return scheduled
-}
-
-// bookPhase folds one phase's outcome — its search counters and its
-// degraded-mode step — into the run's books and returns the observer's
-// record of it.
-func bookPhase(res *metrics.RunResult, out *core.PhaseResult) obs.PhaseStats {
-	res.Phases++
-	res.SchedulingTime += out.Used
-	res.VerticesGenerated += out.Stats.Generated
-	res.Backtracks += out.Stats.Backtracks
-	if out.Stats.DeadEnd {
-		res.DeadEnds++
-	}
-	if out.Stats.Expired {
-		res.QuantaExpired++
-	}
-	dg := out.Degrade
-	if dg.Fallback {
-		res.DegradedPhases++
-	}
-	switch {
-	case dg.Degraded && !dg.Fallback:
-		res.Degradations++
-	case dg.Fallback && !dg.Degraded:
-		res.Recoveries++
-	}
-	return obs.PhaseStats{
-		Quantum:    out.Quantum,
-		Used:       out.Used,
-		Generated:  out.Stats.Generated,
-		Backtracks: out.Stats.Backtracks,
-		DeadEnd:    out.Stats.DeadEnd,
-		Expired:    out.Stats.Expired,
-		Degraded:   dg.Fallback,
-		Expanded:   out.Stats.Expanded,
-	}
 }

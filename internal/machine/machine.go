@@ -98,13 +98,12 @@ func (m *Machine) Run(tasks []*task.Task) (*metrics.RunResult, error) {
 
 	var h Host
 	h.Reset(m.cfg)
-	h.Res.Total = len(tasks)
 	now := simtime.Instant(0)
 	for next := 0; ; {
 		// Absorb every arrival at or before the current time.
 		for ; next < len(pending) && !pending[next].Arrival.After(now); next++ {
 			t := pending[next]
-			m.cfg.Obs.Arrival(t.ID, t.Arrival, t.Deadline)
+			h.Arrive(t, t.Arrival)
 			h.Batch.Add(t)
 		}
 		wake, err := h.Step(now)

@@ -174,9 +174,8 @@ func TestRunAccountingInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Hits + res.ScheduledMissed + res.Purged; got != res.Total {
-		t.Errorf("accounting: hits %d + schedMissed %d + purged %d = %d, want %d",
-			res.Hits, res.ScheduledMissed, res.Purged, got, res.Total)
+	if err := res.Balance(); err != nil {
+		t.Error(err)
 	}
 	if res.ScheduledMissed != 0 {
 		t.Errorf("theorem violated: %d scheduled tasks missed", res.ScheduledMissed)
@@ -217,8 +216,8 @@ func TestTheoremAllPlanners(t *testing.T) {
 				if res.ScheduledMissed != 0 {
 					t.Errorf("seed %d: %d scheduled tasks missed their deadlines", seed, res.ScheduledMissed)
 				}
-				if got := res.Hits + res.Purged + res.ScheduledMissed; got != res.Total {
-					t.Errorf("seed %d: accounting %d != total %d", seed, got, res.Total)
+				if err := res.Balance(); err != nil {
+					t.Errorf("seed %d: %v", seed, err)
 				}
 			}
 		})
@@ -469,8 +468,8 @@ func TestFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Accounting covers the losses.
-	if got := res.Hits + res.ScheduledMissed + res.Purged + res.LostToFailure; got != res.Total {
-		t.Errorf("accounting %d != total %d", got, res.Total)
+	if err := res.Balance(); err != nil {
+		t.Error(err)
 	}
 	if res.ScheduledMissed != 0 {
 		t.Errorf("theorem violated: %d scheduled misses", res.ScheduledMissed)
@@ -566,7 +565,7 @@ func TestCombinedHostStealsWorkerZero(t *testing.T) {
 			combined.WorkerBusy[0], dedicated.WorkerBusy[0])
 	}
 	// Accounting still holds.
-	if got := combined.Hits + combined.ScheduledMissed + combined.Purged + combined.LostToFailure; got != combined.Total {
-		t.Errorf("accounting %d != total %d", got, combined.Total)
+	if err := combined.Balance(); err != nil {
+		t.Error(err)
 	}
 }

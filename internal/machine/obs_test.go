@@ -16,20 +16,8 @@ import (
 func assertObsParity(t *testing.T, o *obs.Observer, res *metrics.RunResult) {
 	t.Helper()
 	snap := o.Registry().Snapshot()
-	for name, want := range map[string]int64{
-		obs.MetricHits:           int64(res.Hits),
-		obs.MetricMissed:         int64(res.ScheduledMissed),
-		obs.MetricPurged:         int64(res.Purged),
-		obs.MetricLost:           int64(res.LostToFailure),
-		obs.MetricPhases:         int64(res.Phases),
-		obs.MetricArrivals:       int64(res.Total),
-		obs.MetricVertices:       int64(res.VerticesGenerated),
-		obs.MetricBacktracks:     int64(res.Backtracks),
-		obs.MetricDeadEnds:       int64(res.DeadEnds),
-		obs.MetricQuantaExpired:  int64(res.QuantaExpired),
-		obs.MetricWorkerFailures: int64(res.WorkerFailures),
-	} {
-		if snap[name] != want {
+	for name, want := range Mirror(res) {
+		if snap[name] != int64(want) {
 			t.Errorf("%s = %d, RunResult says %d", name, snap[name], want)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"rtsads/internal/admission"
 	"rtsads/internal/histogram"
 	"rtsads/internal/simtime"
 	"rtsads/internal/stats"
@@ -55,14 +54,13 @@ type RunResult struct {
 
 	// Admitted counts tasks that passed the arrival-time admission gate
 	// and entered the ready queue (re-admissions of reclaimed tasks are
-	// not counted twice). With admission control disabled it equals the
-	// number of arrivals absorbed.
+	// not counted twice). Behind a gate that admits everything it equals
+	// the number of arrivals absorbed; machine.Run has no gate and leaves
+	// it zero.
 	Admitted int
 	// Shed counts tasks rejected or evicted by admission control — a
-	// terminal bucket alongside Hits, Purged, ScheduledMissed and
-	// LostToFailure: Hits + Purged + ScheduledMissed + LostToFailure +
-	// Shed == Total. The Shed* fields break it down by reason and sum to
-	// Shed exactly.
+	// terminal bucket (see Balance) that the Shed* fields break down by
+	// reason.
 	Shed int
 	// ShedHopeless counts tasks rejected at enqueue because they could
 	// not meet their deadline even on an idle worker.
@@ -73,17 +71,16 @@ type RunResult struct {
 	// ShedShutdown counts tasks turned away during a graceful shutdown.
 	ShedShutdown int
 	// ShedInfeasible counts tasks rejected by the admission controller's
-	// schedulability predicate (the policy registry's utilization
+	// schedulability predicate (policy.Utilization's demand-bound
 	// quick-test): individually servable, but infeasible together with
 	// the queue they would have joined.
 	ShedInfeasible int
 	// Bounced counts tasks this scheduler domain handed back to a
 	// federation router for cross-shard migration instead of shedding or
-	// losing them locally. It is a terminal bucket for *this* domain —
-	// Hits + Purged + ScheduledMissed + LostToFailure + Shed + Bounced ==
-	// Total — while the migrated task is counted again in the sibling
-	// shard's Total, so federation-wide the non-bounce buckets still sum
-	// to the number of distinct tasks. Zero outside federated runs.
+	// losing them locally. It is a terminal bucket for *this* domain,
+	// while the migrated task is counted again in the sibling shard's
+	// Total, so federation-wide the Settled buckets still sum to the
+	// number of distinct tasks. Zero outside federated runs.
 	Bounced int
 	// Overloads counts job deliveries deferred by backend backpressure
 	// (the worker's queue cap was reached and the host was told to retry).
@@ -154,20 +151,24 @@ func (r *RunResult) IdleWorkers() int {
 	return idle
 }
 
-// CountShed books one task rejected or evicted by admission control under
-// its reason, keeping the per-reason breakdown summing to Shed.
-func (r *RunResult) CountShed(reason admission.Reason) {
-	r.Shed++
-	switch reason {
-	case admission.Hopeless:
-		r.ShedHopeless++
-	case admission.QueueFull:
-		r.ShedQueueFull++
-	case admission.ShuttingDown:
-		r.ShedShutdown++
-	case admission.Infeasible:
-		r.ShedInfeasible++
+// Settled returns the tasks this domain decided: the terminal buckets other
+// than Bounced, which hands a task on to another domain.
+func (r *RunResult) Settled() int {
+	return r.Hits + r.Purged + r.ScheduledMissed + r.LostToFailure + r.Shed
+}
+
+// Balance checks the books' identities: every task lands in exactly one
+// terminal bucket (Settled + Bounced == Total), and the Shed* reasons sum to
+// Shed.
+func (r *RunResult) Balance() error {
+	if r.Settled()+r.Bounced != r.Total {
+		return fmt.Errorf("books do not balance: hits=%d purged=%d schedMissed=%d lost=%d shed=%d bounced=%d != total=%d",
+			r.Hits, r.Purged, r.ScheduledMissed, r.LostToFailure, r.Shed, r.Bounced, r.Total)
 	}
+	if sum := r.ShedHopeless + r.ShedQueueFull + r.ShedShutdown + r.ShedInfeasible; sum != r.Shed {
+		return fmt.Errorf("shed reasons sum to %d, shed is %d", sum, r.Shed)
+	}
+	return nil
 }
 
 // String renders a one-line summary.

@@ -1,18 +1,14 @@
 // Package policy is the pluggable policy engine: a registry of named
 // scheduling policies over the phase-planner contract, in the spirit of
-// k8s-cluster-simulator's ProposedScheduler. Each registered Spec bundles a
-// planner factory with the registry's two extension points — a Prioritizer
-// (the task order a list planner commits to) and an admission-time
-// Predicate (a utilization-style schedulability quick-test) — so comparing
-// or extending policies no longer means editing core.
+// k8s-cluster-simulator's ProposedScheduler, so comparing or extending
+// policies no longer means editing core. A new priority order is one
+// registered core.NewList factory.
 //
-// The registry re-registers the paper's zoo (RT-SADS, D-COLS and its
-// least-loaded variant, EDF-greedy, myopic, the oracle reference) and adds
-// three classic priority orders as list planners (RM, LST, SCT) plus
-// RT-SADS+GA, the anytime planner of anytime.go. Ladder chains any
-// registered policies into a hysteretic degradation ladder, turning
-// core.Degrading into one rung of a general mechanism; Tournament races
-// every registered policy over a workload corpus.
+// The registry holds the paper's zoo (RT-SADS, D-COLS and its least-loaded
+// variant, EDF-greedy, myopic, the oracle reference) plus RT-SADS+GA, the
+// anytime planner of anytime.go; Tournament races every registered policy
+// over a workload corpus. Utilization is the admission-time schedulability
+// quick-test, a property of the platform rather than of any one policy.
 package policy
 
 import (
@@ -20,12 +16,9 @@ import (
 	"io"
 	"sync"
 
-	"rtsads/internal/admission"
 	"rtsads/internal/core"
 	"rtsads/internal/represent"
 	"rtsads/internal/search"
-	"rtsads/internal/simtime"
-	"rtsads/internal/task"
 )
 
 // Options carries everything a policy factory may need: the search
@@ -44,10 +37,6 @@ type Options struct {
 // Factory builds one planner instance from options.
 type Factory func(Options) (core.Planner, error)
 
-// PredicateFactory builds a policy's admission-time schedulability
-// quick-test, or returns nil when the options cannot support one.
-type PredicateFactory func(Options) admission.Predicate
-
 // Spec describes one registered policy.
 type Spec struct {
 	// Name is the registry key, matched exactly by flags and lookups.
@@ -56,9 +45,6 @@ type Spec struct {
 	Description string
 	// New builds the planner. Required.
 	New Factory
-	// Predicate, when non-nil, builds the policy's admission quick-test
-	// (wired behind the -admit-quick flag). Optional.
-	Predicate PredicateFactory
 }
 
 // Registry maps policy names to specs, preserving registration order for
@@ -118,19 +104,6 @@ func (r *Registry) New(name string, opts Options) (core.Planner, error) {
 	return s.New(opts)
 }
 
-// NewPredicate builds the named policy's admission quick-test, or nil when
-// the policy does not define one.
-func (r *Registry) NewPredicate(name string, opts Options) (admission.Predicate, error) {
-	s, ok := r.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, r.Names())
-	}
-	if s.Predicate == nil {
-		return nil, nil
-	}
-	return s.Predicate(opts), nil
-}
-
 // Describe writes one line per registered policy — the body of
 // `-policy list`.
 func (r *Registry) Describe(w io.Writer) error {
@@ -141,32 +114,6 @@ func (r *Registry) Describe(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Ladder chains the named policies into a degradation ladder: names[0] is
-// the primary, and each subsequent name is the hysteretic fallback of the
-// one before it (rung i falls back to rung i+1 under cfg, recursively).
-// core.Degrading is the two-policy special case; a single name returns the
-// bare planner. The phase results report the TOP rung's steps —
-// transitions out of the primary.
-func (r *Registry) Ladder(opts Options, cfg core.DegradeConfig, names ...string) (core.Planner, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("policy: ladder needs at least one policy")
-	}
-	planner, err := r.New(names[len(names)-1], opts)
-	if err != nil {
-		return nil, err
-	}
-	for i := len(names) - 2; i >= 0; i-- {
-		primary, err := r.New(names[i], opts)
-		if err != nil {
-			return nil, err
-		}
-		if planner, err = core.NewDegrading(primary, planner, cfg); err != nil {
-			return nil, err
-		}
-	}
-	return planner, nil
 }
 
 // defaultRegistry builds the built-in policy set exactly once.
@@ -189,20 +136,6 @@ func Default() *Registry {
 		}
 	})
 	return defaultReg
-}
-
-// utilizationFor adapts the demand-bound quick-test to a policy's worker
-// count — the PredicateFactory every built-in shares, since the test is a
-// property of the platform, not of any one priority order.
-func utilizationFor(o Options) admission.Predicate {
-	return NewUtilization(o.Search.Workers)
-}
-
-// listFactory builds a list planner under the given prioritizer.
-func listFactory(name string, p Prioritizer) Factory {
-	return func(o Options) (core.Planner, error) {
-		return core.NewList(o.Search, name, p.Order)
-	}
 }
 
 // Algorithm names a registered policy: the type every configuration that
@@ -234,13 +167,11 @@ func builtins() []Spec {
 			Name:        string(RTSADS),
 			Description: "the paper's assignment-oriented quantum-bounded DFS (§4)",
 			New:         func(o Options) (core.Planner, error) { return core.NewRTSADS(o.Search) },
-			Predicate:   utilizationFor,
 		},
 		{
 			Name:        string(DCOLS),
 			Description: "sequence-oriented search baseline, same quantum formula (§5.2)",
 			New:         func(o Options) (core.Planner, error) { return core.NewDCOLS(o.Search) },
-			Predicate:   utilizationFor,
 		},
 		{
 			Name:        string(DCOLSLeastLoaded),
@@ -253,43 +184,21 @@ func builtins() []Spec {
 				}
 				return core.NewSearchPlanner(o.Search, rep, string(DCOLSLeastLoaded))
 			},
-			Predicate: utilizationFor,
 		},
 		{
 			Name:        string(EDFGreedy),
 			Description: "list scheduling in earliest-deadline order, no backtracking",
 			New:         func(o Options) (core.Planner, error) { return core.NewEDFGreedy(o.Search) },
-			Predicate:   utilizationFor,
 		},
 		{
 			Name:        string(Myopic),
 			Description: "windowed heuristic H = d + w·est over the 7 most urgent tasks",
 			New:         func(o Options) (core.Planner, error) { return core.NewMyopic(o.Search, 7, 1) },
-			Predicate:   utilizationFor,
-		},
-		{
-			Name:        "RM",
-			Description: "list scheduling by static deadline-monotonic priority (aperiodic RM)",
-			New:         listFactory("RM", RM()),
-			Predicate:   utilizationFor,
-		},
-		{
-			Name:        "LST",
-			Description: "list scheduling by least slack time (d − now − p)",
-			New:         listFactory("LST", LST()),
-			Predicate:   utilizationFor,
-		},
-		{
-			Name:        "SCT",
-			Description: "list scheduling by shortest completion time (SJF order)",
-			New:         listFactory("SCT", SCT()),
-			Predicate:   utilizationFor,
 		},
 		{
 			Name:        "RT-SADS+GA",
 			Description: "anytime: GA incumbent seeds the DFS with its CE bound, polishes leftovers",
 			New:         func(o Options) (core.Planner, error) { return NewAnytime(o.Search, o.GA) },
-			Predicate:   utilizationFor,
 		},
 		{
 			Name:        string(Oracle),
@@ -300,45 +209,6 @@ func builtins() []Spec {
 				cfg.PhaseCost = 0
 				return core.NewEDFGreedy(cfg)
 			},
-			Predicate: utilizationFor,
 		},
 	}
-}
-
-// Prioritizer is the task-ordering extension point: a named, deterministic
-// batch order a list planner commits to. Order must sort in place and may
-// use now for dynamic priorities.
-type Prioritizer struct {
-	Name  string
-	Order core.OrderFunc
-}
-
-// EDF returns the earliest-deadline-first order (the paper's heuristic).
-func EDF() Prioritizer {
-	return Prioritizer{Name: "EDF", Order: func(_ simtime.Instant, b []*task.Task) { task.SortEDF(b) }}
-}
-
-// LST returns the least-slack-time order. Slack at the phase start is
-// d − now − p; with now common to the whole batch that orders identically
-// to the static laxity d − p, so the shared sort suffices.
-func LST() Prioritizer {
-	return Prioritizer{Name: "LST", Order: func(_ simtime.Instant, b []*task.Task) { task.SortLLF(b) }}
-}
-
-// SCT returns the shortest-completion-time order (SJF by processing time).
-func SCT() Prioritizer {
-	return Prioritizer{Name: "SCT", Order: func(_ simtime.Instant, b []*task.Task) { task.SortSCT(b) }}
-}
-
-// RM returns the rate-monotonic analogue for this aperiodic workload:
-// static priority by relative deadline (deadline-monotonic), the shorter
-// window playing the shorter period's role.
-func RM() Prioritizer {
-	return Prioritizer{Name: "RM", Order: func(_ simtime.Instant, b []*task.Task) { task.SortDM(b) }}
-}
-
-// NewListPlanner builds a list planner under an arbitrary prioritizer —
-// the one-liner the TUTORIAL's custom-policy walkthrough registers.
-func NewListPlanner(cfg core.SearchConfig, p Prioritizer) (core.Planner, error) {
-	return core.NewList(cfg, p.Name, p.Order)
 }

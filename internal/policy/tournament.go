@@ -185,9 +185,8 @@ func (r *Report) Mirror(reg *obs.Registry) {
 // reconcile checks one run's terminal-bucket accounting: every generated
 // task lands in exactly one fate, and nothing scheduled ever missed.
 func reconcile(res *metrics.RunResult) error {
-	sum := res.Hits + res.Purged + res.ScheduledMissed + res.LostToFailure + res.Shed + res.Bounced
-	if sum != res.Total {
-		return fmt.Errorf("accounting leak: hits+purged+schedMissed+lost+shed+bounced = %d, total %d", sum, res.Total)
+	if err := res.Balance(); err != nil {
+		return err
 	}
 	if res.ScheduledMissed != 0 {
 		return fmt.Errorf("%d scheduled tasks missed their deadline", res.ScheduledMissed)

@@ -268,21 +268,6 @@ func SortEDF(tasks []*Task) {
 	sortByKey(tasks, func(t *Task) int64 { return int64(t.Deadline) })
 }
 
-// SortSCT orders tasks by ascending processing time (shortest completion
-// time first), breaking ties by ID — the SJF-style order the policy
-// registry's SCT planner uses.
-func SortSCT(tasks []*Task) {
-	sortByKey(tasks, func(t *Task) int64 { return int64(t.Proc) })
-}
-
-// SortDM orders tasks by ascending relative deadline (Deadline - Arrival),
-// breaking ties by ID: deadline-monotonic priority, the static-priority
-// analogue of rate-monotonic for this aperiodic workload, where the
-// relative deadline plays the period's role.
-func SortDM(tasks []*Task) {
-	sortByKey(tasks, func(t *Task) int64 { return int64(t.Deadline.Sub(t.Arrival)) })
-}
-
 // sortKey carries one task's sort key so the comparator touches only the
 // key array — the per-phase re-sorts were dominated by the two *Task
 // dereferences inside the comparator, not by the comparisons themselves.
