@@ -308,10 +308,9 @@ func LocalizeInto(dst *task.Task, t *task.Task, tp Topology, shard int) {
 
 // ShardWorkload projects the global workload onto one shard: the worker
 // count shrinks to the shard's slice and the replica placement is remapped
-// to local worker IDs. The database, transactions, cost model and the
-// global task list are shared — the tasks are not replayed by an external
-// shard, but they size the in-process backend's ready queues, which must
-// hold whatever the router submits.
+// to local worker IDs. The database, transactions and cost model are
+// shared; the task list is not carried, since a shard's tasks are the ones
+// the router submits.
 func ShardWorkload(w *workload.Workload, tp Topology, shard int) *workload.Workload {
 	p := w.Params
 	p.Workers = tp.WorkersPerShard
@@ -326,7 +325,6 @@ func ShardWorkload(w *workload.Workload, tp Topology, shard int) *workload.Workl
 		Placement: placement,
 		Cost:      w.Cost,
 		Txns:      w.Txns,
-		Tasks:     w.Tasks,
 	}
 }
 

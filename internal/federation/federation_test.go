@@ -289,6 +289,9 @@ func TestLocalizeAndShardWorkload(t *testing.T) {
 		if sw.Params.Workers != 2 {
 			t.Fatalf("shard workload has %d workers", sw.Params.Workers)
 		}
+		if len(sw.Tasks) != 0 {
+			t.Fatalf("shard workload carries %d tasks; a shard's tasks are the router's submissions", len(sw.Tasks))
+		}
 		base := shard * tp.WorkersPerShard
 		for sub, global := range w.Placement {
 			local := sw.Placement[sub]

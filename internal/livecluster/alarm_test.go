@@ -253,14 +253,14 @@ func TestShortJobsServedBackToBack(t *testing.T) {
 	}
 	onQuietBox(t, func() (err error) {
 		clock, _ := NewClock(scale)
-		jobs := make(chan Job, n)
+		jobs := newReadyQueue()
 		done := make(chan Done, n)
 		go NewWorker(0, clock, w).Run(jobs, done)
-		defer close(jobs)
+		defer jobs.close()
 		ready := clock.Now()
 		for i := 0; i < n; i++ {
 			target := ready.Add(time.Duration(i+1) * cost)
-			jobs <- Job{Task: int32(i), Txn: w.Tasks[0].Payload, Proc: cost, Deadline: target.Add(slack), Ready: ready}
+			jobs.push(Job{Task: int32(i), Txn: w.Tasks[0].Payload, Proc: cost, Deadline: target.Add(slack), Ready: ready})
 		}
 		for i := 0; i < n; i++ {
 			d := <-done

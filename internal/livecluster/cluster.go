@@ -1010,14 +1010,14 @@ func (c *Cluster) makePlanner(pc *phaseClock) (core.Planner, error) {
 	return core.NewSlackGuard(p, c.cfg.SlackGuard), nil
 }
 
-// ChannelBackend runs one goroutine per worker, connected by channels — the
-// in-process interconnect. With an injector it simulates crashes (the
-// worker goroutine stops consuming at the kill time and a fatal Failure is
-// reported), dropped and delayed deliveries, and stalled links.
+// ChannelBackend runs one goroutine per worker, each serving its own ready
+// queue — the in-process interconnect. With an injector it simulates crashes
+// (the worker goroutine stops consuming at the kill time and a fatal Failure
+// is reported), dropped and delayed deliveries, and stalled links.
 type ChannelBackend struct {
 	clock    *Clock
 	inj      *faultinject.Injector
-	jobs     []chan Job
+	jobs     []*readyQueue
 	done     *completions
 	failures chan Failure
 	stop     chan struct{}
@@ -1035,14 +1035,14 @@ func NewBoundedChannelBackend(clock *Clock, w *workload.Workload, queueCap int, 
 	b := &ChannelBackend{
 		clock:    clock,
 		inj:      inj,
-		jobs:     make([]chan Job, w.Params.Workers),
+		jobs:     make([]*readyQueue, w.Params.Workers),
 		failures: make(chan Failure, w.Params.Workers),
 		stop:     make(chan struct{}),
 		tracker:  newLoadTracker(w.Params.Workers, queueCap, 0),
 	}
 	b.done = newCompletions(w.Params.Workers, b.tracker.complete)
 	for i := range b.jobs {
-		b.jobs[i] = make(chan Job, len(w.Tasks)) // ready queue capacity
+		b.jobs[i] = newReadyQueue()
 		var quit chan struct{}
 		if killAt, ok := inj.KillAt(i); ok {
 			quit = make(chan struct{})
@@ -1050,9 +1050,9 @@ func NewBoundedChannelBackend(clock *Clock, w *workload.Workload, queueCap int, 
 		}
 		wk := NewWorker(i, clock, w).Observe(o)
 		b.wg.Add(1)
-		go func(ch <-chan Job, quit <-chan struct{}) {
+		go func(q *readyQueue, quit <-chan struct{}) {
 			defer b.wg.Done()
-			wk.RunUntil(ch, b.done.in, quit)
+			wk.RunUntil(q, b.done.in, quit)
 		}(b.jobs[i], quit)
 		if o != nil {
 			go b.heartbeats(i, o, quit)
@@ -1118,7 +1118,7 @@ func (b *ChannelBackend) Deliver(proc int, jobs []Job) error {
 		}
 		b.tracker.add(proc, j)
 		j.Ready = b.clock.Now() // after any injected delay: when it really queued
-		b.jobs[proc] <- j
+		b.jobs[proc].push(j)
 	}
 	return nil
 }
@@ -1133,8 +1133,8 @@ func (b *ChannelBackend) Failures() <-chan Failure { return b.failures }
 // drain them, then close the completion stream once the host has read it.
 func (b *ChannelBackend) Close() error {
 	close(b.stop)
-	for _, ch := range b.jobs {
-		close(ch)
+	for _, q := range b.jobs {
+		q.close()
 	}
 	b.wg.Wait()
 	b.done.close()

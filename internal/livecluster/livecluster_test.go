@@ -96,16 +96,16 @@ func TestWorkerExecutesJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	wk := NewWorker(0, clock, w)
-	jobs := make(chan Job, 2)
+	jobs := newReadyQueue()
 	done := make(chan Done, 2)
 	go func() {
 		wk.Run(jobs, done)
 		close(done)
 	}()
 	tk := w.Tasks[0]
-	jobs <- Job{Task: int32(tk.ID), Txn: tk.Payload, Proc: tk.Proc, Deadline: simtime.Never}
-	jobs <- Job{Task: 999, Txn: -1, Proc: time.Millisecond, Deadline: simtime.Never} // invalid txn
-	close(jobs)
+	jobs.push(Job{Task: int32(tk.ID), Txn: tk.Payload, Proc: tk.Proc, Deadline: simtime.Never})
+	jobs.push(Job{Task: 999, Txn: -1, Proc: time.Millisecond, Deadline: simtime.Never}) // invalid txn
+	jobs.close()
 
 	first := <-done
 	if first.Task != int32(tk.ID) || first.Err != "" {

@@ -180,7 +180,7 @@ func ServeWorkerContext(ctx context.Context, lis net.Listener, opt ServeOptions)
 	sess.Start(live.HeartbeatEvery, live.Timeout, nil)
 
 	worker := NewWorker(h.WorkerID, clock, w)
-	jobs := make(chan Job, len(w.Tasks))
+	jobs := newReadyQueue()
 	done := make(chan Done, 1)
 
 	var wg sync.WaitGroup
@@ -221,7 +221,7 @@ read:
 				break read
 			}
 			for _, j := range batch {
-				jobs <- j
+				jobs.push(j)
 			}
 		case wire.TypeHeartbeat:
 			// Liveness only; the read bound starting over is the point.
@@ -232,7 +232,7 @@ read:
 			break read
 		}
 	}
-	close(jobs)
+	jobs.close()
 	wg.Wait()
 	// Acknowledge completion so the host can close cleanly.
 	ackErr := sess.Send(wire.TypeBye, nil)

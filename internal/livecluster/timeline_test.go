@@ -57,13 +57,13 @@ func gridClock(t *testing.T) (*Clock, *atomic.Int64) {
 }
 
 // timelineWorker starts worker 0 of a small workload on the clock.
-func timelineWorker(t *testing.T, clock *Clock, queue int) (*workload.Workload, chan<- Job, <-chan Done) {
+func timelineWorker(t *testing.T, clock *Clock, queue int) (*workload.Workload, *readyQueue, <-chan Done) {
 	t.Helper()
 	w, err := workload.Generate(liveParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make(chan Job, queue)
+	jobs := newReadyQueue()
 	done := make(chan Done, queue)
 	go func() {
 		NewWorker(0, clock, w).Run(jobs, done)
@@ -83,9 +83,9 @@ func TestWorkerTimelineDoesNotDrift(t *testing.T) {
 		w, jobs, done := timelineWorker(t, clock, n)
 		ready := clock.Now()
 		for i := 0; i < n; i++ {
-			jobs <- Job{Task: int32(i), Txn: w.Tasks[0].Payload, Proc: cost, Deadline: simtime.Never, Ready: ready}
+			jobs.push(Job{Task: int32(i), Txn: w.Tasks[0].Payload, Proc: cost, Deadline: simtime.Never, Ready: ready})
 		}
-		close(jobs)
+		jobs.close()
 
 		var last Done
 		for i := 0; i < n; i++ {
@@ -122,11 +122,11 @@ func TestWorkerTimelineIdleRestart(t *testing.T) {
 	onQuietBox(t, func() (err error) {
 		clock, woke := gridClock(t)
 		w, jobs, done := timelineWorker(t, clock, 1)
-		defer close(jobs)
+		defer jobs.close()
 		for i := 0; i < 5; i++ {
 			time.Sleep(3 * time.Millisecond) // the worker idles past its last target
 			ready := clock.Now()
-			jobs <- Job{Task: int32(i), Txn: w.Tasks[0].Payload, Proc: cost, Deadline: simtime.Never, Ready: ready}
+			jobs.push(Job{Task: int32(i), Txn: w.Tasks[0].Payload, Proc: cost, Deadline: simtime.Never, Ready: ready})
 			d := <-done
 			if d.Start.Before(ready) {
 				t.Errorf("job %d started at %v, before it was ready at %v", i, d.Start, ready)
@@ -156,14 +156,14 @@ func TestWorkerTimelineExpiry(t *testing.T) {
 		w, jobs, done := timelineWorker(t, clock, 4)
 		txn := w.Tasks[0].Payload
 		ready := clock.Now()
-		jobs <- Job{Task: 0, Txn: txn, Proc: 5 * time.Millisecond, Deadline: simtime.Never, Ready: ready}
+		jobs.push(Job{Task: 0, Txn: txn, Proc: 5 * time.Millisecond, Deadline: simtime.Never, Ready: ready})
 		// Queued behind job 0 its target is ready+10ms, past the deadline.
-		jobs <- Job{Task: 1, Txn: txn, Proc: 5 * time.Millisecond, Deadline: ready.Add(7 * time.Millisecond), Ready: ready}
+		jobs.push(Job{Task: 1, Txn: txn, Proc: 5 * time.Millisecond, Deadline: ready.Add(7 * time.Millisecond), Ready: ready})
 		// A stale stamp puts the target before the deadline, but the deadline
 		// has passed by the time the worker reaches the job.
-		jobs <- Job{Task: 2, Txn: txn, Proc: time.Millisecond, Deadline: ready.Add(4 * time.Millisecond), Ready: ready.Add(-20 * time.Millisecond)}
-		jobs <- Job{Task: 3, Txn: txn, Proc: time.Millisecond, Deadline: simtime.Never, Ready: ready}
-		close(jobs)
+		jobs.push(Job{Task: 2, Txn: txn, Proc: time.Millisecond, Deadline: ready.Add(4 * time.Millisecond), Ready: ready.Add(-20 * time.Millisecond)})
+		jobs.push(Job{Task: 3, Txn: txn, Proc: time.Millisecond, Deadline: simtime.Never, Ready: ready})
+		jobs.close()
 
 		first := <-done
 		if first.Expired || first.Finish.Before(ready.Add(5*time.Millisecond)) {
@@ -301,8 +301,8 @@ func TestJobReadyGobFallback(t *testing.T) {
 	j := Job{Txn: w.Tasks[0].Payload, Proc: 2 * time.Millisecond, Deadline: simtime.Never}
 	time.Sleep(3 * time.Millisecond) // a zero Ready must not read as "ready since the epoch"
 	before := clock.Now()
-	jobs <- j
-	close(jobs)
+	jobs.push(j)
+	jobs.close()
 	d := <-done
 	if d.Start.Before(before) || d.Finish.Before(d.Start.Add(j.Proc)) {
 		t.Errorf("job without a Ready stamp ran %v..%v, want a full %v from its pickup after %v",

@@ -209,10 +209,87 @@ func (c *completions) close() {
 	c.wg.Wait()
 }
 
+// readyQueue is a worker's ready queue RQs(j): a FIFO the backend pushes to
+// without ever blocking and the worker pops from. Its storage follows the
+// jobs outstanding at once, not the run — the slice is reused once it
+// drains, and compacted before it grows past a dead prefix — and a one-slot
+// wake channel parks the worker while the queue is empty.
+type readyQueue struct {
+	mu     sync.Mutex
+	jobs   []Job
+	next   int // index of the head in jobs
+	closed bool
+	wake   chan struct{}
+}
+
+func newReadyQueue() *readyQueue {
+	return &readyQueue{wake: make(chan struct{}, 1)}
+}
+
+// push appends j at the tail.
+func (q *readyQueue) push(j Job) {
+	q.mu.Lock()
+	if len(q.jobs) == cap(q.jobs) && q.next > len(q.jobs)/2 {
+		q.jobs = q.jobs[:copy(q.jobs, q.jobs[q.next:])]
+		q.next = 0
+	}
+	q.jobs = append(q.jobs, j)
+	q.mu.Unlock()
+	q.signal()
+}
+
+// close ends the queue: the worker drains what is queued, then pop reports
+// it finished.
+func (q *readyQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.signal()
+}
+
+func (q *readyQueue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// pop returns the head of the queue, waiting while it is empty. ok is false
+// once the queue is closed and drained, or as soon as quit closes: a
+// crashed worker abandons whatever is still queued. A nil quit never fires.
+func (q *readyQueue) pop(quit <-chan struct{}) (j Job, ok bool) {
+	for {
+		select {
+		case <-quit:
+			return Job{}, false
+		default:
+		}
+		q.mu.Lock()
+		if q.next < len(q.jobs) {
+			j = q.jobs[q.next]
+			if q.next++; q.next == len(q.jobs) {
+				q.jobs, q.next = q.jobs[:0], 0
+			}
+			q.mu.Unlock()
+			return j, true
+		}
+		closed := q.closed
+		q.mu.Unlock()
+		if closed {
+			return Job{}, false
+		}
+		select {
+		case <-quit:
+			return Job{}, false
+		case <-q.wake:
+		}
+	}
+}
+
 // Worker is one working processor: it owns replicas of some sub-databases
 // and executes delivered jobs strictly in order (a non-preemptive ready
-// queue). Start it with Run in a goroutine; close the jobs channel to shut
-// it down.
+// queue). Start it with Run in a goroutine; close its ready queue to shut it
+// down.
 type Worker struct {
 	ID    int
 	clock *Clock
@@ -246,16 +323,16 @@ func (wk *Worker) HasReplica(sub int) bool {
 	return ok
 }
 
-// Run consumes jobs until the channel closes, sending one Done per job.
-// It never closes done; the cluster owns that channel.
-func (wk *Worker) Run(jobs <-chan Job, done chan<- Done) {
+// Run consumes jobs until the queue is closed and drained, sending one Done
+// per job. It never closes done; the cluster owns that channel.
+func (wk *Worker) Run(jobs *readyQueue, done chan<- Done) {
 	wk.RunUntil(jobs, done, nil)
 }
 
 // RunUntil is Run with a crash switch: when quit closes, the worker stops
-// consuming immediately and abandons whatever is still queued — the
-// behaviour of a crashed processor. The job being executed when quit fires
-// still completes (workers are non-preemptive). A nil quit never fires.
+// consuming and abandons whatever is still queued — the behaviour of a
+// crashed processor. The job being executed when quit fires still completes
+// (workers are non-preemptive). A nil quit never fires.
 //
 // The worker follows the timeline the host plans on (serve): each job's
 // completion target is max(ready, previous target) + p + c, the worker
@@ -264,47 +341,43 @@ func (wk *Worker) Run(jobs <-chan Job, done chan<- Done) {
 // queues behind. A late wake-up therefore costs its own job that latency
 // once; carried forward as the parent of the next start it would delay every
 // job behind it and add up along the queue.
-func (wk *Worker) RunUntil(jobs <-chan Job, done chan<- Done, quit <-chan struct{}) {
+func (wk *Worker) RunUntil(jobs *readyQueue, done chan<- Done, quit <-chan struct{}) {
 	var freeAt simtime.Instant // the previous job's target
 	for {
-		select {
-		case <-quit:
+		j, ok := jobs.pop(quit)
+		if !ok {
 			return
-		case j, ok := <-jobs:
-			if !ok {
-				return
-			}
-			pickup := wk.clock.Now()
-			ready := j.Ready
-			if ready == 0 {
-				ready = pickup
-			}
-			target := serve(freeAt, ready, j.Proc+j.Comm)
-			if j.Deadline != 0 && target.Max(pickup).After(j.Deadline) {
-				// Deadline-aware shedding at the queue head: the job cannot
-				// finish in time no matter what (it arrived late — a delivery
-				// delay, or a backlog the host mis-modelled), so executing it
-				// would burn capacity that jobs behind it could still use to
-				// hit their own deadlines. Report it expired, unexecuted.
-				done <- Done{Task: j.Task, Worker: wk.ID, Start: pickup, Finish: pickup, Expired: true}
-				continue
-			}
-			res := wk.execute(j)
-			// Occupy the modelled duration: the real scan above is measured in
-			// microseconds of wall time; the model's p + c dominates.
-			wk.clock.SleepUntil(target)
-			freeAt = target
-			finish := target
-			if now := wk.clock.Now(); now.After(target) {
-				finish = now // report honestly if the sleep overshot
-				wk.o.WorkerOvershoot(now.Sub(target))
-			}
-			res.Start = pickup
-			res.Finish = finish
-			res.Hit = !finish.After(j.Deadline)
-			wk.o.WorkerExecuted(wk.ID, finish.Sub(pickup))
-			done <- res
 		}
+		pickup := wk.clock.Now()
+		ready := j.Ready
+		if ready == 0 {
+			ready = pickup
+		}
+		target := serve(freeAt, ready, j.Proc+j.Comm)
+		if j.Deadline != 0 && target.Max(pickup).After(j.Deadline) {
+			// Deadline-aware shedding at the queue head: the job cannot
+			// finish in time no matter what (it arrived late — a delivery
+			// delay, or a backlog the host mis-modelled), so executing it
+			// would burn capacity that jobs behind it could still use to
+			// hit their own deadlines. Report it expired, unexecuted.
+			done <- Done{Task: j.Task, Worker: wk.ID, Start: pickup, Finish: pickup, Expired: true}
+			continue
+		}
+		res := wk.execute(j)
+		// Occupy the modelled duration: the real scan above is measured in
+		// microseconds of wall time; the model's p + c dominates.
+		wk.clock.SleepUntil(target)
+		freeAt = target
+		finish := target
+		if now := wk.clock.Now(); now.After(target) {
+			finish = now // report honestly if the sleep overshot
+			wk.o.WorkerOvershoot(now.Sub(target))
+		}
+		res.Start = pickup
+		res.Finish = finish
+		res.Hit = !finish.After(j.Deadline)
+		wk.o.WorkerExecuted(wk.ID, finish.Sub(pickup))
+		done <- res
 	}
 }
 
