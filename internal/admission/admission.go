@@ -195,7 +195,7 @@ func (c *Controller) Config() Config { return c.cfg }
 // optimistic bound any schedule could achieve, so rejection on it never
 // turns away a schedulable task.
 func (c *Controller) HopelessAt(t *task.Task, now simtime.Instant) bool {
-	return now.Add(t.Proc + c.cfg.MinComm).After(t.Deadline)
+	return !task.Fits(now, t.Proc+c.cfg.MinComm, 0, t.Deadline)
 }
 
 // Admit decides the fate of an arriving task given the current queue

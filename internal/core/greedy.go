@@ -139,6 +139,7 @@ func (m *myopicPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 type greedyState struct {
 	cfg      SearchConfig
 	phaseEnd simtime.Instant
+	margin   time.Duration
 	quantum  time.Duration
 	loads    []time.Duration
 	consumed time.Duration
@@ -154,6 +155,7 @@ func newGreedyState(cfg SearchConfig, in PhaseInput, quantum time.Duration) *gre
 	return &greedyState{
 		cfg:      cfg,
 		phaseEnd: in.Now.Add(quantum),
+		margin:   in.Margin,
 		quantum:  quantum,
 		loads:    loads,
 		consumed: cfg.PhaseCost, // fixed per-phase overhead, off the top
@@ -168,16 +170,12 @@ func (st *greedyState) charge(n int) {
 	st.consumed += time.Duration(n) * st.cfg.VertexCost
 }
 
-// feasible applies the §4.3 test for task t on worker k and returns the
-// resulting completion offset. Saturated loads must not wrap (see
-// search.Problem.Feasible).
+// feasible applies the §4.3 test (task.Fits) for task t on worker k and
+// returns the resulting completion offset, meaningful only when ok.
 func (st *greedyState) feasible(t *task.Task, k int) (end, comm time.Duration, ok bool) {
 	comm = st.cfg.Comm(t, k)
 	end = st.loads[k] + t.Proc + comm
-	if end < st.loads[k] {
-		return st.loads[k], comm, false
-	}
-	return end, comm, !st.phaseEnd.Add(end).After(t.Deadline)
+	return end, comm, task.Fits(st.phaseEnd, end, st.margin, t.Deadline)
 }
 
 // placeEarliestCompletion assigns t to the feasible worker with the

@@ -241,6 +241,7 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		MaxBacktracks: s.cfg.MaxBacktracks,
 		MaxDepth:      s.cfg.MaxDepth,
 		BoundCE:       s.cfg.IncumbentCE,
+		Margin:        in.Margin,
 	}
 	// The feasibility test must still charge the full quantum: execution is
 	// only guaranteed to start by in.Now + quantum. Shift the search's

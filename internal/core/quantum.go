@@ -25,6 +25,11 @@ type PhaseInput struct {
 	// Loads is Load_k(j-1): each worker's outstanding execution time at
 	// Now, including the remains of the task it is currently running.
 	Loads []time.Duration
+	// Margin is the slack every scheduled task must keep past its finish
+	// (task.Fits): a live host's guard band against wall-clock jitter, zero
+	// on the virtual machine. The quantum policies see each slack shrunk by
+	// it too.
+	Margin time.Duration
 }
 
 // QuantumPolicy decides Qs(j), the scheduling time allocated to a phase.
@@ -117,8 +122,8 @@ func (f Fixed) Name() string { return fmt.Sprintf("fixed(%v)", f.D) }
 func (f Fixed) Quantum(PhaseInput) time.Duration { return f.D }
 
 // minSlack is the paper's Min_Slack: the smallest slack among the batch's
-// tasks, floored at zero (a negative slack means the task will be purged;
-// it must not drive the quantum negative).
+// tasks less the phase's margin, floored at zero (a negative slack means the
+// task will be purged; it must not drive the quantum negative).
 func minSlack(in PhaseInput) time.Duration {
 	if len(in.Batch) == 0 {
 		return 0
@@ -129,7 +134,7 @@ func minSlack(in PhaseInput) time.Duration {
 			min = s
 		}
 	}
-	return simtime.NonNeg(min)
+	return simtime.NonNeg(min - in.Margin)
 }
 
 // minLoad is the paper's Min_Load: the smallest outstanding load among the

@@ -246,7 +246,7 @@ func (v ShardView) Feasible(t *task.Task, now simtime.Instant) bool {
 	if !v.Eligible() {
 		return false
 	}
-	return !now.Add(v.RQs + t.Proc + v.Comm).After(t.Deadline)
+	return task.Fits(now, v.RQs+t.Proc+v.Comm, 0, t.Deadline)
 }
 
 // Pick returns the best shard for t under the policy, or -1 when no shard

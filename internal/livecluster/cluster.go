@@ -162,13 +162,10 @@ type Config struct {
 	// TCPOptions.QueueCap) — the host handles *Overloaded from any
 	// backend either way.
 	Backpressure int
-	// SlackGuard is a deadline guard band for live planning: the planner
-	// (core.NewSlackGuard) sees the batch with deadlines shrunk by this much
-	// virtual time, so every accepted schedule carries at least that much
-	// slack. Workers and accounting still judge against the true deadlines,
-	// so the band absorbs wall-clock jitter (late dequeues, timer
-	// overshoot) that would otherwise turn a zero-slack schedule into a
-	// deadline miss. 0 disables.
+	// SlackGuard is a deadline guard band for live planning, in virtual
+	// time: the host's planning margin (machine.Config.Margin), so every
+	// accepted schedule carries at least that much slack to absorb
+	// wall-clock jitter. 0 disables.
 	SlackGuard time.Duration
 	// Clock, when non-nil, is shared with other clusters so a federation's
 	// shards agree on virtual time; Run uses it instead of creating its
@@ -178,9 +175,7 @@ type Config struct {
 	// federation shard: the workload's task list no longer seeds the run —
 	// tasks arrive via SubmitBatch, Total counts absorbed submissions, and the
 	// run ends once Seal has been called and the backlog has drained. The
-	// workload still supplies the worker count, placement and cost model
-	// (and sizes the in-process backend's ready queues, so keep its task
-	// list populated even though it is not replayed).
+	// workload still supplies the worker count, placement and cost model.
 	External bool
 	// OnReject, when non-nil, is offered every task the admission gate
 	// turns away or a total local worker loss strands: returning true takes
@@ -492,6 +487,7 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		MaxPhases:         math.MaxInt,
 		RecordCompletions: c.cfg.RecordCompletions,
 		Obs:               c.cfg.Obs,
+		Margin:            c.cfg.SlackGuard,
 	})
 	r.host.Seams = r
 	r.host.Res.Algorithm += "/live"
@@ -685,10 +681,10 @@ func (r *runState) Deliver(phase int, at simtime.Instant, schedule []search.Assi
 	return delivered, nil
 }
 
-// complete books one completion. The host re-verifies it against the
-// task's authoritative deadline; the worker's Hit flag is advisory.
-// Completions for tasks no longer in flight (already reclaimed from a worker
-// declared failed) are dropped so every task is counted exactly once.
+// complete books one completion; the books judge it against the task's
+// authoritative deadline (machine.Host.Exec). Completions for tasks no
+// longer in flight (already reclaimed from a worker declared failed) are
+// dropped so every task is counted exactly once.
 func (r *runState) complete(d Done) {
 	fl, ok := r.inflight[task.ID(d.Task)]
 	if !ok {
@@ -982,8 +978,7 @@ func (c *Cluster) makeBackend(clock *Clock, inj *faultinject.Injector) (Backend,
 // the load of a crashed one (machine.Host.Fail), so the same feasibility
 // test (t_c + RQs(j) + se_lk <= d_l) re-routes its tasks across the
 // survivors with their true communication costs. With Config.Degrade set,
-// the planner is a degraded-mode controller whose fallback is EDF-greedy;
-// with Config.SlackGuard set, it plans against guard-banded deadlines.
+// the planner is a degraded-mode controller whose fallback is EDF-greedy.
 func (c *Cluster) makePlanner(pc *phaseClock) (core.Planner, error) {
 	cost := c.cfg.Workload.Cost
 	opts := policy.Options{Search: core.SearchConfig{
@@ -1007,7 +1002,7 @@ func (c *Cluster) makePlanner(pc *phaseClock) (core.Planner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: %w", err)
 	}
-	return core.NewSlackGuard(p, c.cfg.SlackGuard), nil
+	return p, nil
 }
 
 // ChannelBackend runs one goroutine per worker, each serving its own ready

@@ -80,7 +80,7 @@ func decodeJobs(payload []byte, ready simtime.Instant) ([]Job, error) {
 }
 
 // appendDone appends the Done frame payload: a fixed-width record (Worker
-// and Matches as int32, Hit and Expired as bits of one byte), then Err.
+// and Matches as int32, Expired as bit 2 of a flags byte), then Err.
 func appendDone(dst []byte, d Done) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(d.Task))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(d.Worker))
@@ -88,9 +88,6 @@ func appendDone(dst []byte, d Done) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(d.Finish))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(d.Matches))
 	var flags byte
-	if d.Hit {
-		flags |= 1
-	}
 	if d.Expired {
 		flags |= 2
 	}
@@ -108,7 +105,6 @@ func decodeDone(payload []byte) (Done, error) {
 		Start:   simtime.Instant(binary.BigEndian.Uint64(payload[8:16])),
 		Finish:  simtime.Instant(binary.BigEndian.Uint64(payload[16:24])),
 		Matches: int(int32(binary.BigEndian.Uint32(payload[24:28]))),
-		Hit:     payload[28]&1 != 0,
 		Expired: payload[28]&2 != 0,
 		Err:     string(payload[doneRecordSize:]),
 	}, nil

@@ -253,7 +253,7 @@ func FuzzDecodeJobs(f *testing.F) {
 
 func FuzzDecodeDone(f *testing.F) {
 	f.Add(appendDone(nil, Done{}))
-	f.Add(appendDone(nil, Done{Task: 7, Worker: 3, Start: 100, Finish: 250, Hit: true, Matches: 12}))
+	f.Add(appendDone(nil, Done{Task: 7, Worker: 3, Start: 100, Finish: 250, Matches: 12}))
 	f.Add(appendDone(nil, Done{Task: -1, Worker: -1, Start: simtime.Never, Expired: true, Matches: -1, Err: "unknown transaction 9\x00\xff"}))
 	f.Add(make([]byte, doneRecordSize-1))
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -380,7 +380,7 @@ func TestTornStreams(t *testing.T) {
 	var worker recorder
 	wc := wire.NewConn(&worker)
 	wc.WriteHandshake()
-	wc.WriteFrame(wire.TypeDone, appendDone(nil, Done{Task: 1, Start: 5, Finish: 9, Hit: true}))
+	wc.WriteFrame(wire.TypeDone, appendDone(nil, Done{Task: 1, Start: 5, Finish: 9}))
 	wc.WriteFrame(wire.TypeHeartbeat, nil)
 	wc.WriteFrame(wire.TypeDone, appendDone(nil, Done{Task: 2, Start: 9, Finish: 12, Err: "unknown transaction 9"}))
 	wc.WriteFrame(wire.TypeBye, nil)

@@ -171,7 +171,7 @@ func TestWorkerTimelineExpiry(t *testing.T) {
 		}
 		for id := int32(1); id <= 2; id++ {
 			d := <-done
-			if d.Task != id || !d.Expired || d.Hit || d.Finish != d.Start {
+			if d.Task != id || !d.Expired || d.Finish != d.Start {
 				t.Errorf("job %d should be refused at the queue head: %+v", id, d)
 			}
 		}

@@ -18,6 +18,7 @@ import (
 	"rtsads/internal/db"
 	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
+	"rtsads/internal/task"
 	"rtsads/internal/workload"
 )
 
@@ -149,7 +150,6 @@ type Done struct {
 	Worker  int
 	Start   simtime.Instant
 	Finish  simtime.Instant
-	Hit     bool
 	Expired bool
 	Matches int // tuples the transaction located
 	Err     string
@@ -354,7 +354,7 @@ func (wk *Worker) RunUntil(jobs *readyQueue, done chan<- Done, quit <-chan struc
 			ready = pickup
 		}
 		target := serve(freeAt, ready, j.Proc+j.Comm)
-		if j.Deadline != 0 && target.Max(pickup).After(j.Deadline) {
+		if j.Deadline != 0 && !task.Fits(target.Max(pickup), 0, 0, j.Deadline) {
 			// Deadline-aware shedding at the queue head: the job cannot
 			// finish in time no matter what (it arrived late — a delivery
 			// delay, or a backlog the host mis-modelled), so executing it
@@ -375,7 +375,6 @@ func (wk *Worker) RunUntil(jobs *readyQueue, done chan<- Done, quit <-chan struc
 		}
 		res.Start = pickup
 		res.Finish = finish
-		res.Hit = !finish.After(j.Deadline)
 		wk.o.WorkerExecuted(wk.ID, finish.Sub(pickup))
 		done <- res
 	}

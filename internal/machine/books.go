@@ -108,7 +108,7 @@ func (h *Host) Purge(t *task.Task, now simtime.Instant) {
 // ok and finished by its deadline, a scheduled miss otherwise.
 func (h *Host) Exec(t *task.Task, worker int, start, finish simtime.Instant, ok bool) {
 	r := h.Res
-	hit := ok && !finish.After(t.Deadline)
+	hit := ok && task.Fits(finish, 0, 0, t.Deadline)
 	if hit {
 		r.Hits++
 	} else {

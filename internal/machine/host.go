@@ -154,7 +154,7 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	}
 	phase := res.Phases
 	cfg.Obs.PhaseStart(phase, h.Batch.Len(), now)
-	out, err := cfg.Planner.PlanPhase(core.PhaseInput{Now: now, Batch: h.Batch.Tasks(), Loads: h.loads})
+	out, err := cfg.Planner.PlanPhase(core.PhaseInput{Now: now, Batch: h.Batch.Tasks(), Loads: h.loads, Margin: cfg.Margin})
 	if err != nil {
 		return 0, fmt.Errorf("phase %d: %w", phase, err)
 	}
@@ -201,7 +201,7 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 		}
 	}
 	for _, t := range h.Batch.Tasks() {
-		event = event.Min(t.Deadline.Add(-t.Proc + 1))
+		event = event.Min(t.LatestStart().Add(1))
 	}
 	return deliver.Max(event), nil
 }

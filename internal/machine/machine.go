@@ -64,6 +64,13 @@ type Config struct {
 	// slides later than the feasibility test assumed) — the ablation that
 	// quantifies the value of the paper's dedicated scheduling processor.
 	CombinedHost bool
+	// Margin is the planning guard band handed to every phase
+	// (core.PhaseInput.Margin): each scheduled task must finish this much
+	// before its deadline. The books still judge hits against the true
+	// deadline, so a live driver's margin absorbs wall-clock jitter (late
+	// dequeues, timer overshoot) that would otherwise turn a zero-slack
+	// schedule into a miss. Zero on the virtual machine.
+	Margin time.Duration
 }
 
 // Machine executes workloads under a planner.

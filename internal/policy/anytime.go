@@ -110,7 +110,7 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 	}
 	allowance := budget / time.Duration(a.ga.ShareDen)
 	ga := newGAState(a.ga, a.src, a.cfg.Workers, a.cfg.SumCost,
-		a.cfg.Comm, a.cfg.VertexCost, a.cfg.Clock, phaseEnd, a.gaLoads, in.Batch, allowance)
+		a.cfg.Comm, a.cfg.VertexCost, a.cfg.Clock, phaseEnd, in.Margin, a.gaLoads, in.Batch, allowance)
 
 	// Stage A: evolve on the budget's GA share, when armed.
 	var aUsed time.Duration
@@ -153,6 +153,7 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 			MaxBacktracks: a.cfg.MaxBacktracks,
 			MaxDepth:      a.cfg.MaxDepth,
 			BoundCE:       bound,
+			Margin:        in.Margin,
 		}
 		res, err := search.Run(p, a.rep)
 		if err != nil {

@@ -228,7 +228,7 @@ func TestGASeededSearchNeverWorse(t *testing.T) {
 			rootLoads[i] = simtime.NonNeg(l - budget)
 		}
 		ga := newGAState(GAConfig{Seed: seed}.withDefaults(), rng.New(seed+1000), workers, false,
-			comm, time.Microsecond, nil, simtime.Instant(budget), rootLoads, batch, budget/2)
+			comm, time.Microsecond, nil, simtime.Instant(budget), 0, rootLoads, batch, budget/2)
 		ga.evolve(budget / 2)
 		var bound time.Duration
 		if ga.complete() {
@@ -262,7 +262,7 @@ func TestGAPrefixAffordability(t *testing.T) {
 	comm := func(*task.Task, int) time.Duration { return 0 }
 	// allowance 118µs at 8 workers × 1µs: afford = 118/(2×8) = 7.
 	ga := newGAState(GAConfig{}.withDefaults(), rng.New(1), 8, false, comm,
-		time.Microsecond, nil, simtime.Instant(time.Hour), make([]time.Duration, 8), batch, 118*time.Microsecond)
+		time.Microsecond, nil, simtime.Instant(time.Hour), 0, make([]time.Duration, 8), batch, 118*time.Microsecond)
 	if ga.k != 7 {
 		t.Fatalf("prefix not capped by affordability: k=%d, want 7", ga.k)
 	}
@@ -297,7 +297,7 @@ func TestGAMonotoneIncumbent(t *testing.T) {
 		return 50 * time.Microsecond
 	}
 	ga := newGAState(GAConfig{}.withDefaults(), rng.New(9), 4, false, comm,
-		time.Microsecond, nil, simtime.Instant(300*time.Microsecond), make([]time.Duration, 4), batch, time.Hour)
+		time.Microsecond, nil, simtime.Instant(300*time.Microsecond), 0, make([]time.Duration, 4), batch, time.Hour)
 	prev := gaFit{}
 	for round := 0; round < 10; round++ {
 		ga.evolve(200 * time.Microsecond)

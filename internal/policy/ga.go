@@ -129,6 +129,7 @@ type gaState struct {
 	clock      func() time.Duration
 
 	phaseEnd  simtime.Instant
+	margin    time.Duration
 	rootLoads []time.Duration
 	batch     []*task.Task
 	k         int // permutation length = min(Prefix, len(batch))
@@ -152,7 +153,8 @@ type gaState struct {
 // newGAState prepares one phase's optimizer. rootLoads is each worker's
 // outstanding load at the END of the phase (max(0, load − quantum)) and
 // phaseEnd the §4.3 reference instant — the same frame the search's root
-// uses, so GA costs and vertex costs are directly comparable. allowance is
+// uses, so GA costs and vertex costs are directly comparable — and margin
+// the guard band the decoder's feasibility test keeps. allowance is
 // the stage-A budget share: in virtual mode the permutation length is
 // capped so the share affords at least minDecodes decodes — a 24-task
 // prefix at 1µs a vertex costs 192µs per decode, more than a whole default
@@ -160,7 +162,7 @@ type gaState struct {
 // the experiments' calibration.
 func newGAState(cfg GAConfig, src *rng.Source, workers int, sumCost bool,
 	comm func(t *task.Task, proc int) time.Duration, vertexCost time.Duration,
-	clock func() time.Duration, phaseEnd simtime.Instant,
+	clock func() time.Duration, phaseEnd simtime.Instant, margin time.Duration,
 	rootLoads []time.Duration, batch []*task.Task, allowance time.Duration) *gaState {
 	k := len(batch)
 	if k > cfg.Prefix {
@@ -178,7 +180,7 @@ func newGAState(cfg GAConfig, src *rng.Source, workers int, sumCost bool,
 	g := &gaState{
 		cfg: cfg, rng: src, workers: workers, sumCost: sumCost,
 		comm: comm, vertexCost: vertexCost, clock: clock,
-		phaseEnd: phaseEnd, rootLoads: rootLoads, batch: batch, k: k,
+		phaseEnd: phaseEnd, margin: margin, rootLoads: rootLoads, batch: batch, k: k,
 		scratchLoads: make([]time.Duration, workers),
 		inChild:      make([]bool, k),
 	}
@@ -201,7 +203,7 @@ func (g *gaState) initPopulation() {
 	}
 	g.pop[0] = identity
 	seedOrders := []func(*task.Task) int64{
-		func(t *task.Task) int64 { return int64(t.Deadline.Add(-t.Proc)) },   // LST
+		func(t *task.Task) int64 { return int64(t.LatestStart()) },           // LST
 		func(t *task.Task) int64 { return int64(t.Proc) },                    // SCT
 		func(t *task.Task) int64 { return int64(t.Deadline.Sub(t.Arrival)) }, // DM
 	}
@@ -263,10 +265,7 @@ func (g *gaState) decode(perm []int) gaFit {
 		for w := 0; w < g.workers; w++ {
 			comm := g.comm(t, w)
 			end := loads[w] + t.Proc + comm
-			if end < loads[w] {
-				continue // saturated load: permanently infeasible worker
-			}
-			if g.phaseEnd.Add(end).After(t.Deadline) {
+			if !task.Fits(g.phaseEnd, end, g.margin, t.Deadline) {
 				continue
 			}
 			if bestProc < 0 || end < bestEnd {

@@ -173,6 +173,10 @@ type Problem struct {
 	// incumbent a pruned branch could still have reached greater depth.
 	// Zero disables pruning.
 	BoundCE time.Duration
+	// Margin is the planning guard band every feasibility test keeps: a
+	// schedule is feasible only if each task finishes Margin before its
+	// deadline. Zero is the paper's test.
+	Margin time.Duration
 
 	// phaseEnd caches Now.Add(Quantum), the term every feasibility test
 	// adds; Run computes it once before the engine starts.
@@ -249,16 +253,13 @@ func (p *Problem) PhaseEnd() simtime.Instant {
 // extending a partial schedule whose worker-k completion offset is loadK
 // with task t on worker k: t_c + RQs(j) + se_lk <= d_l, which — since
 // t_c + RQs(j) is always the phase end — reduces to
-// PhaseEnd + loadK + p_l + c_lk <= d_l. It returns the new completion
-// offset and whether the extension is feasible. Saturated loads (a machine
-// reporting a crashed worker as permanently busy) are always infeasible —
-// the addition must not wrap.
+// PhaseEnd + loadK + p_l + c_lk + Margin <= d_l (task.Fits). It returns the
+// new completion offset, meaningful only when the extension is feasible.
+// Saturated loads (a machine reporting a crashed worker as permanently busy)
+// are always infeasible.
 func (p *Problem) Feasible(t *task.Task, loadK, comm time.Duration) (time.Duration, bool) {
 	end := loadK + t.Proc + comm
-	if end < loadK {
-		return loadK, false // overflow: the worker is unreachable
-	}
-	return end, !p.PhaseEnd().Add(end).After(t.Deadline)
+	return end, task.Fits(p.PhaseEnd(), end, p.Margin, t.Deadline)
 }
 
 // Hopeless reports that t cannot meet its deadline on any worker this
@@ -268,7 +269,7 @@ func (p *Problem) Feasible(t *task.Task, loadK, comm time.Duration) (time.Durati
 // generated candidate — not Workers — for tasks rejected without probing
 // any processor.
 func (p *Problem) Hopeless(t *task.Task) bool {
-	return p.PhaseEnd().Add(t.Proc).After(t.Deadline)
+	return !task.Fits(p.PhaseEnd(), t.Proc, p.Margin, t.Deadline)
 }
 
 // RootLoads fills dst with the root vertex's per-worker completion offsets

@@ -59,7 +59,26 @@ func (t *Task) Slack(now simtime.Instant) time.Duration {
 // executed immediately at now with zero communication cost — the paper's
 // batch purge condition p_i + t_c > d_i.
 func (t *Task) Missed(now simtime.Instant) bool {
-	return now.Add(t.Proc).After(t.Deadline)
+	return !Fits(now, t.Proc, 0, t.Deadline)
+}
+
+// LatestStart returns d_i - p_i: the last instant the task can start and
+// still finish by its deadline. Never stays Never.
+func (t *Task) LatestStart() simtime.Instant {
+	return t.Deadline.Add(-t.Proc)
+}
+
+// Fits is the paper's §4.3 inequality, the one place it is written: work
+// that starts at start and occupies se (p_l plus c_lk plus whatever queues
+// ahead of it, RQs(j)) finishes at least margin before deadline,
+// start + se + margin <= deadline. Every feasibility, hopeless, purge,
+// expiry and hit test calls it. A sum that wrapped — a negative se, such as
+// a saturated load (a crashed worker) plus a task, or se + margin past the
+// largest Duration — never fits. The margin is a non-negative planning guard
+// band: the scheduled finish must leave that much slack.
+func Fits(start simtime.Instant, se, margin time.Duration, deadline simtime.Instant) bool {
+	end := se + margin
+	return se >= 0 && end >= se && !start.Add(end).After(deadline)
 }
 
 // String renders a compact description for logs and test failures.
@@ -114,7 +133,7 @@ func (b *Batch) Tasks() []*Task { return b.tasks }
 // Add appends arriving tasks to the batch.
 func (b *Batch) Add(tasks ...*Task) {
 	for _, t := range tasks {
-		if ls := t.Deadline.Add(-t.Proc); ls.Before(b.horizon) {
+		if ls := t.LatestStart(); ls.Before(b.horizon) {
 			b.horizon = ls
 		}
 	}
@@ -137,7 +156,7 @@ func (b *Batch) PurgeMissed(now simtime.Instant) []*Task {
 		if t.Missed(now) {
 			return true
 		}
-		if ls := t.Deadline.Add(-t.Proc); ls.Before(horizon) {
+		if ls := t.LatestStart(); ls.Before(horizon) {
 			horizon = ls
 		}
 		return false
@@ -258,7 +277,7 @@ func (b *Batch) SortLLF() {
 // SortLLF orders tasks by ascending laxity (Deadline - Proc), breaking ties
 // by ID.
 func SortLLF(tasks []*Task) {
-	sortByKey(tasks, func(t *Task) int64 { return int64(t.Deadline.Add(-t.Proc)) })
+	sortByKey(tasks, func(t *Task) int64 { return int64(t.LatestStart()) })
 }
 
 // SortEDF orders tasks by ascending deadline, breaking ties by ID. It is the
