@@ -11,9 +11,10 @@
 package machine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rtsads/internal/core"
@@ -76,6 +77,11 @@ type Config struct {
 // Machine executes workloads under a planner.
 type Machine struct {
 	cfg Config
+	// h and pending are Run's scratch, kept across runs: the host with its
+	// batch and step buffers, and the arrival-ordered copy of an unordered
+	// task list.
+	h       Host
+	pending []*task.Task
 }
 
 // New validates the configuration and returns a machine.
@@ -99,11 +105,19 @@ func New(cfg Config) (*Machine, error) {
 // host's batch, the host runs scheduling phases back to back, and workers
 // execute delivered schedules. It returns the run's metrics. Run is the thin
 // driver of Host.Step: absorb arrivals, step, advance the clock.
+//
+// Run reuses the machine's scratch, so it is not safe for concurrent use on
+// one Machine; its planner is not either.
 func (m *Machine) Run(tasks []*task.Task) (*metrics.RunResult, error) {
-	pending := append([]*task.Task(nil), tasks...)
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
+	byArrival := func(a, b *task.Task) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	pending := tasks
+	if !slices.IsSortedFunc(tasks, byArrival) {
+		m.pending = append(m.pending[:0], tasks...)
+		slices.SortStableFunc(m.pending, byArrival)
+		pending = m.pending
+	}
 
-	var h Host
+	h := &m.h
 	h.Reset(m.cfg)
 	now := simtime.Instant(0)
 	for next := 0; ; {

@@ -1,7 +1,11 @@
 package machine
 
 import (
+	"cmp"
 	"encoding/json"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -567,5 +571,57 @@ func TestCombinedHostStealsWorkerZero(t *testing.T) {
 	// Accounting still holds.
 	if err := combined.Balance(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWarmRunReusesScratch: a second Run on one Machine reuses the host and
+// arrival buffers of the first and books the same run, and an unordered
+// task list runs exactly like its arrival-ordered copy.
+func TestWarmRunReusesScratch(t *testing.T) {
+	w, err := workload.Generate(workload.DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{Workers: 10, Planner: plannerFor(t, 10, core.NewRTSADS)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(tasks []*task.Task) *metrics.RunResult {
+		res, err := m.Run(tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	same := func(a, b *metrics.RunResult) bool {
+		return a.Hits == b.Hits && a.Purged == b.Purged && a.Phases == b.Phases &&
+			a.SchedulingTime == b.SchedulingTime && a.Makespan == b.Makespan &&
+			a.VerticesGenerated == b.VerticesGenerated
+	}
+	first := run(w.Tasks)
+
+	// The smallest of three warm runs: a GC inside one may empty the
+	// search's pools.
+	var least uint64 = math.MaxUint64
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		again := run(w.Tasks)
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		if !same(first, again) {
+			t.Fatalf("a warm run booked differently:\n%s\n%s", first, again)
+		}
+	}
+	if !raceEnabled && least > 8<<10 {
+		t.Errorf("a warm Run allocated %d B, want <= 8 KiB", least)
+	}
+
+	unordered := slices.Clone(w.Tasks)
+	slices.Reverse(unordered)
+	ordered := slices.Clone(unordered)
+	slices.SortStableFunc(ordered, func(a, b *task.Task) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	if a, b := run(unordered), run(ordered); !same(a, b) {
+		t.Errorf("an unordered list ran differently from its ordered copy:\n%s\n%s", a, b)
 	}
 }

@@ -9,7 +9,9 @@
 // carry only their one changed (proc, endOffset) pair, read the path's
 // loads from the engine's PathState scratch, and derive CE incrementally
 // through a search.CostModel. Vertices and successor slices come from the
-// engine's pools, so an expansion allocates nothing in steady state.
+// engine's pools, and a depth-first search hands back every vertex but its
+// best path, which Result.Release returns: a phase's whole search allocates
+// nothing in steady state.
 package represent
 
 import (

@@ -18,11 +18,15 @@
 // per-worker loads only grow along a path within a phase, the §4.4 cost
 // CE = max_k ce_k is maintained in O(1) per vertex as max(parent.CE, end)
 // instead of an O(P) rescan. Vertices and successor slices are drawn from
-// sync.Pools, so steady-state expansion allocates nothing.
+// sync.Pools. A depth-first search returns to the pool every vertex it
+// leaves that does not lead to the best schedule, and Result.Release
+// returns that path, so in steady state a whole search — not just each
+// expansion — allocates nothing.
 package search
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -60,6 +64,9 @@ type Vertex struct {
 	// structural vertices (the root, and "skip" vertices the
 	// sequence-oriented representation emits for idle levels).
 	IsAssignment bool
+	// step is the engine step at which the vertex became current (the root
+	// is step 0). It sits in IsAssignment's padding, so it costs no space.
+	step uint32
 	// Depth is the number of assignments on the path (skips excluded).
 	Depth int
 	// Cursor is representation-private: the next task index for the
@@ -73,9 +80,10 @@ type Vertex struct {
 	CE time.Duration
 }
 
-// vertexPool recycles vertices: the engine returns abandoned candidates at
-// the end of a search, and representations return breadth-pruned
-// successors. Vertices reachable from Result.Best are never recycled.
+// vertexPool recycles vertices: the engine returns every vertex it
+// backtracks out of and every abandoned candidate, and representations
+// return breadth-pruned successors. Vertices reachable from Result.Best are
+// never recycled.
 var vertexPool = sync.Pool{New: func() any { return new(Vertex) }}
 
 // NewVertex returns a zeroed vertex from the pool. Callers must set every
@@ -84,7 +92,8 @@ func NewVertex() *Vertex { return vertexPool.Get().(*Vertex) }
 
 // FreeVertex returns v to the pool. The caller must guarantee no live
 // reference remains — in-engine that holds for candidates that were never
-// expanded and for breadth-pruned successors.
+// expanded, for breadth-pruned successors, and for path vertices whose
+// subtrees are exhausted and hold no part of Result.Best.
 func FreeVertex(v *Vertex) {
 	*v = Vertex{}
 	vertexPool.Put(v)
@@ -633,6 +642,9 @@ type engine struct {
 	cl candidateList
 
 	res *Result
+	// step counts the moves so far; bestStep is the step at which Best
+	// became current. Vertex.step stamps each vertex with its own.
+	step, bestStep uint32
 }
 
 // run searches the subtree rooted at start. st must already be positioned
@@ -640,36 +652,54 @@ type engine struct {
 func (e *engine) run(start *Vertex) {
 	e.res = resultPool.Get().(*Result)
 	*e.res = Result{Best: start}
-	cv := start
+	// Root may hand back a vertex an earlier run walked: restamp it, or it
+	// would read as newer than Best and be freed.
+	start.step = 0
 	cl := e.cl
 	if cl == nil {
 		cl = newCandidateList(e.p.Strategy)
 	}
-	defer func() {
-		// Recycle abandoned candidates: they were never expanded, so
-		// nothing — including Best's path, whose vertices were all popped
-		// earlier — can still reference them.
-		for {
-			v, ok := cl.pop()
-			if !ok {
-				return
-			}
-			FreeVertex(v)
+	// Everything the walk leaves behind but Best's path is dead: the current
+	// path below its branch point from Best's path, and the candidates,
+	// which were never expanded.
+	e.freePath(e.walk(start, cl), nil)
+	for {
+		v, ok := cl.pop()
+		if !ok {
+			return
 		}
-	}()
+		FreeVertex(v)
+	}
+}
 
+// freePath recycles the current path upward from v until it reaches stop or
+// a vertex on Best's path. A path vertex is on Best's path exactly when it
+// became current no later than Best did: it was on the path when Best was,
+// since a vertex never re-enters the path once the walk has left it.
+func (e *engine) freePath(v, stop *Vertex) {
+	for v != stop && v.step > e.bestStep {
+		parent := v.Parent
+		FreeVertex(v)
+		v = parent
+	}
+}
+
+// walk runs the search loop from start and returns the current vertex at
+// the stop.
+func (e *engine) walk(start *Vertex, cl candidateList) *Vertex {
+	cv := start
 	for {
 		if e.rep.IsLeaf(e.p, cv) {
 			e.res.Stats.Leaf = true
-			return
+			return cv
 		}
 		if e.p.MaxDepth > 0 && cv.Depth >= e.p.MaxDepth {
 			e.res.Stats.DepthLimited = true
-			return
+			return cv
 		}
 		if e.budget.expired() {
 			e.res.Stats.Expired = true
-			return
+			return cv
 		}
 
 		succs, generated := e.rep.Expand(e.p, cv, e.st)
@@ -697,7 +727,7 @@ func (e *engine) run(start *Vertex) {
 
 		if barren && cl.len() == 0 {
 			e.res.Stats.DeadEnd = true
-			return
+			return cv
 		}
 		cl.push(succs)
 		PutSuccs(succs) // push copied the pointers; recycle the slice
@@ -705,28 +735,61 @@ func (e *engine) run(start *Vertex) {
 		next, ok := cl.pop()
 		if !ok {
 			e.res.Stats.DeadEnd = true
-			return
+			return cv
 		}
 		if next.Parent != cv {
 			e.res.Stats.Backtracks++
 			if e.p.MaxBacktracks > 0 && e.res.Stats.Backtracks > e.p.MaxBacktracks {
 				e.res.Stats.BacktrackLimited = true
 				FreeVertex(next) // popped but never walked
-				return
+				return cv
 			}
 		}
 		e.st.MoveTo(e.p, cv, next)
-		if barren && cv != e.res.Best && cv != start {
-			// cv produced nothing and the path moved off it: no child, CL
-			// entry or best pointer can still reference it, so recycle it
-			// now rather than leaving the whole exhausted frontier to the
-			// GC.
-			FreeVertex(cv)
+		if e.p.Strategy != BestFirst {
+			// Depth-first, next's parent is on the path and every path
+			// vertex below it has had all its children popped: the subtree
+			// is exhausted. On a descend the loop frees nothing.
+			e.freePath(cv, next.Parent)
+		} else if barren {
+			// Best-first's heap may hold children of any path vertex; only
+			// a barren one is known to have none.
+			e.freePath(cv, cv.Parent)
 		}
 		cv = next
 
+		// Saturating: a run never nears 2^32 moves, and past it freePath
+		// still spares Best's path while supersede stands down.
+		if e.step < math.MaxUint32 {
+			e.step++
+		}
+		cv.step = e.step
 		if better(cv, e.res.Best) {
-			e.res.Best = cv
+			if e.p.Strategy != BestFirst {
+				e.supersede(cv)
+			}
+			e.res.Best, e.bestStep = cv, e.step
+		}
+	}
+}
+
+// supersede frees the part of Best's path that is off the current path,
+// just before cv replaces Best. Depth-first, the walk has left those
+// vertices for good, and only Best kept them. Stamps fall toward the root on
+// both paths, so climbing whichever path is newer meets the other at their
+// common ancestor. Saturated stamps no longer order the paths; the GC then
+// takes what is left.
+func (e *engine) supersede(cv *Vertex) {
+	if e.step == math.MaxUint32 {
+		return
+	}
+	for old := e.res.Best; old != cv; {
+		if old.step > cv.step {
+			parent := old.Parent
+			FreeVertex(old)
+			old = parent
+		} else {
+			cv = cv.Parent
 		}
 	}
 }
