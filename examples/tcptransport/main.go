@@ -1,8 +1,9 @@
 // tcptransport: runs the live cluster as separate host and worker
 // endpoints connected over loopback TCP, inside one process for
-// convenience. Each "worker node" regenerates its own database partition
-// from the workload parameters — nothing but jobs and completions crosses
-// the wire — exactly as cmd/rtcluster does across real processes.
+// convenience. Each "worker node" draws its own database, replica placement
+// and transaction table from the workload parameters — nothing but jobs and
+// completions crosses the wire — exactly as cmd/rtcluster does across real
+// processes.
 //
 //	go run ./examples/tcptransport
 package main

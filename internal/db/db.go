@@ -199,13 +199,14 @@ func (d *Database) Frequency(attr int, v Value) int { return d.freq[attr][v] }
 
 // Predicate is one condition of a transaction: an attribute=value point
 // match (the paper's form), or — with Range set — an inclusive
-// attribute∈[Lo,Hi] range (an extension).
+// attribute∈[Lo,Hi] range (an extension). The values lead and the two
+// one-byte fields share the last word, so a predicate is 16 bytes.
 type Predicate struct {
-	Attr  int
 	Value Value
-	Range bool
 	Lo    Value
 	Hi    Value
+	Attr  uint8 // < NumAttrs
+	Range bool
 }
 
 // match reports whether v satisfies the predicate.
@@ -229,7 +230,7 @@ type Transaction struct {
 // if any. Transactions providing the key can be located through the index.
 func (q *Transaction) HasKey(keyAttr int) (Value, bool) {
 	for _, p := range q.Preds {
-		if p.Attr == keyAttr && !p.Range {
+		if int(p.Attr) == keyAttr && !p.Range {
 			return p.Value, true
 		}
 	}
@@ -253,14 +254,17 @@ func (d *Database) GenTransaction(id int32, r *rng.Source) Transaction {
 	return d.GenTransactionOpts(id, r, TxnOptions{})
 }
 
-// GenTransactionOpts draws one transaction with the given extensions.
+// GenTransactionOpts draws one transaction with the given extensions. Its
+// one allocation is the predicate slice: the attribute subset is the head of
+// a permutation drawn into a stack array.
 func (d *Database) GenTransactionOpts(id int32, r *rng.Source, opts TxnOptions) Transaction {
 	cfg := d.Config
 	sub := r.Intn(cfg.SubDBs)
 	n := r.IntRange(1, NumAttrs)
-	attrs := r.Choose(NumAttrs, n)
+	var perm [NumAttrs]int
+	r.PermInto(perm[:])
 	preds := make([]Predicate, n)
-	for i, a := range attrs {
+	for i, a := range perm[:n] {
 		base := cfg.domainBase(sub, a)
 		if r.Bool(opts.RangeProb) {
 			lo := base + Value(r.Intn(cfg.DomainSize))
@@ -268,11 +272,11 @@ func (d *Database) GenTransactionOpts(id int32, r *rng.Source, opts TxnOptions) 
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			preds[i] = Predicate{Attr: a, Range: true, Lo: lo, Hi: hi}
+			preds[i] = Predicate{Attr: uint8(a), Range: true, Lo: lo, Hi: hi}
 			continue
 		}
 		preds[i] = Predicate{
-			Attr:  a,
+			Attr:  uint8(a),
 			Value: base + Value(r.Intn(cfg.DomainSize)),
 		}
 	}
@@ -284,7 +288,7 @@ func (d *Database) GenTransactionOpts(id int32, r *rng.Source, opts TxnOptions) 
 // attribute domains are disjoint between sub-databases, the global index
 // frequency equals the count inside the owning partition.
 func (d *Database) indexedCount(pred Predicate) (int, bool) {
-	freq, ok := d.freq[pred.Attr]
+	freq, ok := d.freq[int(pred.Attr)]
 	if !ok {
 		return 0, false
 	}
@@ -371,7 +375,7 @@ func (d *Database) Execute(s *SubDB, q *Transaction) (ExecResult, error) {
 		return res, nil
 	}
 	p := q.Preds[predIdx]
-	idx := s.indexes[p.Attr]
+	idx := s.indexes[int(p.Attr)]
 	var candidates []int32
 	if !p.Range {
 		candidates = idx[p.Value]
@@ -394,7 +398,7 @@ func (d *Database) Execute(s *SubDB, q *Transaction) (ExecResult, error) {
 
 func (s *SubDB) matches(i int, preds []Predicate) bool {
 	for _, p := range preds {
-		if !p.match(s.Tuples[i][p.Attr]) {
+		if !p.match(s.Tuples[i][int(p.Attr)]) {
 			return false
 		}
 	}

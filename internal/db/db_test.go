@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"rtsads/internal/rng"
 )
@@ -155,7 +156,7 @@ func TestGenTransactionShape(t *testing.T) {
 		if len(q.Preds) < 1 || len(q.Preds) > NumAttrs {
 			t.Fatalf("transaction has %d predicates", len(q.Preds))
 		}
-		seenAttr := map[int]bool{}
+		seenAttr := map[uint8]bool{}
 		for _, p := range q.Preds {
 			if seenAttr[p.Attr] {
 				t.Fatalf("duplicate predicate attribute %d", p.Attr)
@@ -164,7 +165,7 @@ func TestGenTransactionShape(t *testing.T) {
 			if cfg.SubOfValue(p.Value) != q.Sub {
 				t.Fatalf("predicate value %d not in sub %d's domain", p.Value, q.Sub)
 			}
-			if cfg.AttrOfValue(p.Value) != p.Attr {
+			if cfg.AttrOfValue(p.Value) != int(p.Attr) {
 				t.Fatalf("predicate value %d not in attribute %d's domain", p.Value, p.Attr)
 			}
 		}
@@ -184,12 +185,12 @@ func TestEstimateIterations(t *testing.T) {
 	}
 	// With the key attribute: global index frequency.
 	keyVal := d.Subs[0].Tuples[0][cfg.KeyAttr]
-	qk := Transaction{Sub: 0, Preds: []Predicate{{Attr: cfg.KeyAttr, Value: keyVal}}}
+	qk := Transaction{Sub: 0, Preds: []Predicate{{Attr: uint8(cfg.KeyAttr), Value: keyVal}}}
 	if got := d.EstimateIterations(&qk); got != d.KeyFrequency(keyVal) {
 		t.Errorf("keyed estimate = %d, want %d", got, d.KeyFrequency(keyVal))
 	}
 	// Absent key value: at least one probe.
-	qa := Transaction{Sub: 0, Preds: []Predicate{{Attr: cfg.KeyAttr, Value: -99}}}
+	qa := Transaction{Sub: 0, Preds: []Predicate{{Attr: uint8(cfg.KeyAttr), Value: -99}}}
 	if got := d.EstimateIterations(&qa); got != 1 {
 		t.Errorf("absent-key estimate = %d, want 1", got)
 	}
@@ -324,7 +325,7 @@ func BenchmarkExecuteKeyed(b *testing.B) {
 		b.Fatal(err)
 	}
 	keyVal := d.Subs[0].Tuples[0][cfg.KeyAttr]
-	q := Transaction{Sub: 0, Preds: []Predicate{{Attr: cfg.KeyAttr, Value: keyVal}}}
+	q := Transaction{Sub: 0, Preds: []Predicate{{Attr: uint8(cfg.KeyAttr), Value: keyVal}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Execute(d.Subs[0], &q); err != nil {
@@ -407,7 +408,7 @@ func TestAccessPathPicksCheapestIndex(t *testing.T) {
 	kv := d.Subs[0].Tuples[0][cfg.KeyAttr]
 	sv := d.Subs[0].Tuples[0][5]
 	q := Transaction{Sub: 0, Preds: []Predicate{
-		{Attr: cfg.KeyAttr, Value: kv},
+		{Attr: uint8(cfg.KeyAttr), Value: kv},
 		{Attr: 5, Value: sv},
 	}}
 	est := d.EstimateIterations(&q)
@@ -427,7 +428,7 @@ func TestRangePredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := cfg.domainBase(0, cfg.KeyAttr)
-	full := Predicate{Attr: cfg.KeyAttr, Range: true, Lo: base, Hi: base + Value(cfg.DomainSize) - 1}
+	full := Predicate{Attr: uint8(cfg.KeyAttr), Range: true, Lo: base, Hi: base + Value(cfg.DomainSize) - 1}
 	q := Transaction{Sub: 0, Preds: []Predicate{full}}
 	// A full-domain range on the key matches every tuple of the partition.
 	res, err := d.Execute(d.Subs[0], &q)
@@ -442,7 +443,7 @@ func TestRangePredicates(t *testing.T) {
 	}
 	// A narrow range matches a subset and costs fewer iterations.
 	narrow := Transaction{Sub: 0, Preds: []Predicate{
-		{Attr: cfg.KeyAttr, Range: true, Lo: base, Hi: base + 2},
+		{Attr: uint8(cfg.KeyAttr), Range: true, Lo: base, Hi: base + 2},
 	}}
 	nres, err := d.Execute(d.Subs[0], &narrow)
 	if err != nil {
@@ -517,5 +518,31 @@ func TestGenTransactionRanges(t *testing.T) {
 	}
 	if ranges == 0 || points == 0 {
 		t.Errorf("predicate mix degenerate: %d ranges, %d points", ranges, points)
+	}
+}
+
+// TestPredicateSize pins the packed layout: three values, then the
+// attribute byte and the range flag in the last word.
+func TestPredicateSize(t *testing.T) {
+	if got := unsafe.Sizeof(Predicate{}); got != 16 {
+		t.Errorf("Predicate is %d bytes, want 16", got)
+	}
+}
+
+// TestGenTransactionAllocations: a transaction costs its predicate slice
+// and nothing else — the attribute draw needs no heap scratch.
+func TestGenTransactionAllocations(t *testing.T) {
+	d, err := Generate(testConfig(), rng.New(27))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(28)
+	var id int32
+	allocs := testing.AllocsPerRun(200, func() {
+		id++
+		_ = d.GenTransactionOpts(id, r, TxnOptions{RangeProb: 0.5})
+	})
+	if allocs != 1 {
+		t.Errorf("GenTransactionOpts made %v allocations per transaction, want 1", allocs)
 	}
 }

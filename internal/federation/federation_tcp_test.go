@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -599,6 +600,25 @@ func TestFederationLiveTCPShardFlap(t *testing.T) {
 	}
 	t.Logf("flap run: rejoins=%d quarantines=%d salvaged=%d migrated=%d",
 		res.Rejoins, snap[MetricQuarantines], res.Salvaged, res.Migrated)
+}
+
+// TestShardRefusesHelloBeforeDrawing: a hello whose workload does not fit
+// the topology is refused with nothing drawn, however many transactions it
+// claims — the checks run before the transaction table is built.
+func TestShardRefusesHelloBeforeDrawing(t *testing.T) {
+	p := workload.DefaultParams(3) // the topology below needs 4
+	p.NumTransactions = 50_000_000
+	hello := wire.Hello{Params: p, Shards: 2, WorkersPerShard: 2, Algorithm: string(policy.DCOLS), Scale: 50}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := startShard(nil, hello, ServeShardOptions{})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "workload has 3 workers but topology needs 4") {
+		t.Fatalf("mismatched hello: err = %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing the hello allocated %d bytes; want < 1 MiB", grew)
+	}
 }
 
 // TestShardConfigSameOverWire: one federation.Config must configure a shard

@@ -73,9 +73,10 @@ type runOutcome struct {
 }
 
 // ServeShard runs one scheduler shard behind the given connection: it
-// completes the wire handshake, regenerates the workload from the hello's
-// parameters (the task database never crosses the wire), projects this
-// shard's slice, and runs a live cluster fed exclusively by the router's
+// completes the wire handshake, draws the database, the replica placement
+// and the transaction table from the hello's parameters (none of them
+// crosses the wire, and the run's task list stays with the router), projects
+// this shard's slice, and runs a live cluster fed exclusively by the router's
 // Submit frames until the router seals the feed. The final result and
 // journal ship back before the session closes. The caller owns the
 // listener; ServeShard owns (and closes) conn.
@@ -211,7 +212,10 @@ func refuse(sess *wire.Session, err error) error {
 	return err
 }
 
-// startShard builds the cluster a hello describes and starts its run.
+// startShard builds the cluster a hello describes and starts its run. Every
+// check on the hello comes before the transaction table is drawn —
+// GenerateTable validates the parameters first — so a refused hello costs
+// nothing however many transactions it claims.
 func startShard(sess *wire.Session, hello wire.Hello, opt ServeShardOptions) (*shardServer, <-chan runOutcome, error) {
 	tp := Topology{Shards: hello.Shards, WorkersPerShard: hello.WorkersPerShard}
 	if err := tp.Validate(); err != nil {
@@ -220,12 +224,12 @@ func startShard(sess *wire.Session, hello wire.Hello, opt ServeShardOptions) (*s
 	if hello.Shard < 0 || hello.Shard >= tp.Shards {
 		return nil, nil, fmt.Errorf("federation: shard %d out of range [0,%d)", hello.Shard, tp.Shards)
 	}
-	w, err := workload.Generate(hello.Params)
+	if got, want := hello.Params.Workers, tp.TotalWorkers(); got != want {
+		return nil, nil, fmt.Errorf("federation: workload has %d workers but topology needs %d", got, want)
+	}
+	w, err := workload.GenerateTable(hello.Params)
 	if err != nil {
 		return nil, nil, err
-	}
-	if got, want := w.Params.Workers, tp.TotalWorkers(); got != want {
-		return nil, nil, fmt.Errorf("federation: workload has %d workers but topology needs %d", got, want)
 	}
 	clock, err := livecluster.NewClockAt(time.Unix(0, hello.StartUnixNano), hello.Scale)
 	if err != nil {
@@ -371,9 +375,11 @@ func (s *shardServer) onReject(t *task.Task, reason admission.Reason, now simtim
 
 // readLoop consumes the router's frames until the connection breaks. The
 // idle bound is the liveness timeout; the router's heartbeats keep it from
-// firing between submissions.
+// firing between submissions. Submit frames decode into one reused slice:
+// SubmitBatch copies the pointers out before the next frame.
 func (s *shardServer) readLoop(errc chan<- error) {
 	alloc := s.arena.alloc
+	var batch []*task.Task
 	for {
 		typ, body, err := s.sess.Recv()
 		if err != nil {
@@ -382,7 +388,8 @@ func (s *shardServer) readLoop(errc chan<- error) {
 		}
 		switch typ {
 		case wire.TypeSubmit:
-			ts, err := wire.DecodeSubmit(body, alloc)
+			var err error
+			batch, err = wire.AppendDecodeSubmit(batch[:0], body, alloc)
 			if err != nil {
 				errc <- err
 				return
@@ -390,7 +397,7 @@ func (s *shardServer) readLoop(errc chan<- error) {
 			// Submit-after-seal only happens when the router's seal
 			// crossed a submit in flight; the router's books already
 			// treat sealing as the end, so dropping is correct.
-			_ = s.cl.SubmitBatch(ts)
+			_ = s.cl.SubmitBatch(batch)
 		case wire.TypeVerdict:
 			v, err := wire.DecodeVerdict(body)
 			if err != nil {

@@ -164,8 +164,11 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                  // four billion tasks, no records
 	f.Add(append([]byte{0, 0, 0, 2}, make([]byte, 48)...)) // two claimed, one carried
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		// Decode behind a kept prefix, as the shard's read loop reuses its
+		// slice: the prefix must survive, accepted or not.
+		prefix := &task.Task{ID: 7}
 		allocated := 0
-		ts, err := DecodeSubmit(payload, func() *task.Task {
+		out, err := AppendDecodeSubmit([]*task.Task{prefix}, payload, func() *task.Task {
 			allocated++
 			return new(task.Task)
 		})
@@ -174,9 +177,16 @@ func FuzzDecodeSubmit(f *testing.F) {
 		if carried := len(payload) / TaskRecordSize; allocated > carried {
 			t.Fatalf("%d-byte payload made the decoder allocate %d tasks", len(payload), allocated)
 		}
+		if len(out) == 0 || out[0] != prefix {
+			t.Fatalf("decoding lost the caller's prefix")
+		}
 		if err != nil {
+			if len(out) != 1 {
+				t.Fatalf("a refused payload left %d tasks behind the prefix", len(out)-1)
+			}
 			return
 		}
+		ts := out[1:]
 		if len(ts) != allocated || 4+len(ts)*TaskRecordSize != len(payload) {
 			t.Fatalf("decoded %d tasks (%d allocated) from %d bytes", len(ts), allocated, len(payload))
 		}

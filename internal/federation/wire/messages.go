@@ -6,10 +6,11 @@ import (
 	"rtsads/internal/workload"
 )
 
-// Hello configures a remote shard session. The shard regenerates the
-// workload deterministically from Params and projects its own slice with
-// the topology fields — the database never crosses the wire, exactly like
-// a worker's hello. Topology is carried as plain ints so the wire package
+// Hello configures a remote shard session. The shard draws the database,
+// the replica placement and the transaction table deterministically from
+// Params and projects its own slice with the topology fields — none of them
+// crosses the wire, exactly like a worker's hello, and the run's task list
+// stays with the router. Topology is carried as plain ints so the wire package
 // stays independent of the federation package.
 type Hello struct {
 	Params workload.Params `json:"params"`

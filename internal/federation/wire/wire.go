@@ -221,27 +221,34 @@ func AppendSubmit(dst []byte, ts []*task.Task) []byte {
 	return dst
 }
 
-// DecodeSubmit decodes a Submit payload. alloc provides task storage (a
-// fresh allocation or an arena slot per task).
+// DecodeSubmit decodes a Submit payload into a fresh slice. alloc provides
+// task storage (a fresh allocation or an arena slot per task).
 func DecodeSubmit(payload []byte, alloc func() *task.Task) ([]*task.Task, error) {
+	return AppendDecodeSubmit(nil, payload, alloc)
+}
+
+// AppendDecodeSubmit decodes a Submit payload, appending its tasks to dst —
+// a reader that hands each batch on before the next frame reuses one slice.
+// On error dst comes back as given.
+func AppendDecodeSubmit(dst []*task.Task, payload []byte, alloc func() *task.Task) ([]*task.Task, error) {
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: submit payload too short (%d bytes)", len(payload))
+		return dst, fmt.Errorf("wire: submit payload too short (%d bytes)", len(payload))
 	}
 	n := binary.BigEndian.Uint32(payload[:4])
 	body := payload[4:]
 	// Compared in 64 bits, so a hostile count can neither wrap the product
 	// nor size the slice below beyond what the payload really carries.
 	if uint64(len(body)) != uint64(n)*TaskRecordSize {
-		return nil, fmt.Errorf("wire: submit carries %d bytes for %d tasks (want %d)",
+		return dst, fmt.Errorf("wire: submit carries %d bytes for %d tasks (want %d)",
 			len(body), n, uint64(n)*TaskRecordSize)
 	}
-	ts := make([]*task.Task, n)
-	for i := range ts {
+	dst = slices.Grow(dst, int(n))
+	for i := range int(n) {
 		t := alloc()
 		DecodeTask(body[i*TaskRecordSize:], t)
-		ts[i] = t
+		dst = append(dst, t)
 	}
-	return ts, nil
+	return dst, nil
 }
 
 // Load is a point-in-time load snapshot of one cluster (livecluster calls it

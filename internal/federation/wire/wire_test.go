@@ -153,6 +153,31 @@ func TestDecodeSubmitRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestAppendDecodeSubmitReusesSlice: a reader that truncates and re-decodes
+// into one slice allocates task storage only, never a second slice.
+func TestAppendDecodeSubmitReusesSlice(t *testing.T) {
+	first := AppendSubmit(nil, []*task.Task{{ID: 1}, {ID: 2}, {ID: 3}})
+	second := AppendSubmit(nil, []*task.Task{{ID: 4}, {ID: 5}})
+	var slots [5]task.Task
+	next := 0
+	alloc := func() *task.Task { next++; return &slots[next-1] }
+	batch, err := AppendDecodeSubmit(nil, first, alloc)
+	if err != nil || len(batch) != 3 || batch[2].ID != 3 {
+		t.Fatalf("first batch: %d tasks, %v", len(batch), err)
+	}
+	reused := &batch[0]
+	batch, err = AppendDecodeSubmit(batch[:0], second, alloc)
+	if err != nil || len(batch) != 2 || batch[0].ID != 4 || batch[1].ID != 5 {
+		t.Fatalf("second batch: %d tasks, %v", len(batch), err)
+	}
+	if &batch[0] != reused {
+		t.Error("the second batch did not reuse the first batch's slice")
+	}
+	if kept, err := AppendDecodeSubmit(batch, second[:5], alloc); err == nil || len(kept) != 2 {
+		t.Errorf("a truncated frame returned %d tasks and %v; want the 2 given back and an error", len(kept), err)
+	}
+}
+
 func TestRejectVerdictRoundTrip(t *testing.T) {
 	r := Reject{ID: 99, Reason: "queue-full", NowNano: 123456789}
 	got, err := DecodeReject(EncodeReject(nil, r))

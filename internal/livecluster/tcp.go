@@ -20,9 +20,10 @@ import (
 )
 
 // workerHello opens a host→worker session (the JSON payload of its Hello
-// frame). The worker regenerates the workload deterministically from the
-// parameters instead of shipping the database over the wire — each node
-// loads its own partition, as on a real distributed-memory machine.
+// frame). The worker draws the database, the replica placement and the
+// transaction table deterministically from the parameters instead of
+// receiving them over the wire — each node loads its own partition, as on a
+// real distributed-memory machine. The run's task list stays with the host.
 type workerHello struct {
 	Params        workload.Params `json:"params"`
 	WorkerID      int             `json:"worker"`
@@ -162,9 +163,15 @@ func ServeWorkerContext(ctx context.Context, lis net.Listener, opt ServeOptions)
 		return fmt.Errorf("livecluster: decode hello: %w", err)
 	}
 	live := Liveness{HeartbeatEvery: time.Duration(h.HeartbeatNano), Timeout: time.Duration(h.TimeoutNano)}.WithDefaults()
-	w, err := workload.Generate(h.Params)
+	// Refuse a hello that names no worker of its own run before drawing
+	// anything (GenerateTable validates the parameters first): such a
+	// worker would serve with no local replica.
+	if h.WorkerID < 0 || h.WorkerID >= h.Params.Workers {
+		return fmt.Errorf("livecluster: hello names worker %d, outside [0,%d)", h.WorkerID, h.Params.Workers)
+	}
+	w, err := workload.GenerateTable(h.Params)
 	if err != nil {
-		return fmt.Errorf("livecluster: regenerate workload: %w", err)
+		return fmt.Errorf("livecluster: build transaction table: %w", err)
 	}
 	clock, err := NewClockAt(time.Unix(0, h.StartUnixNano), h.Scale)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,32 @@ func TestServeWorkerRejectsNonHello(t *testing.T) {
 	}
 	if err := waitErr(t, errc, 5*time.Second); err == nil {
 		t.Error("non-hello first message accepted")
+	}
+}
+
+// TestServeWorkerRefusesForeignWorkerID: a hello naming a worker outside
+// its run's [0, Workers) is refused before anything is drawn — served, it
+// would hold no replica — however many transactions it claims.
+func TestServeWorkerRefusesForeignWorkerID(t *testing.T) {
+	for _, id := range []int{-1, 2} {
+		p := liveParams(2)
+		p.NumTransactions = 50_000_000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		addr, errc := serveOne(t, context.Background(), ServeOptions{HelloTimeout: time.Second})
+		sess, err := wire.Dial(addr, 5*time.Second, workerHello{Params: p, WorkerID: id, Scale: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = waitErr(t, errc, 5*time.Second)
+		sess.Close()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "outside [0,2)") {
+			t.Fatalf("worker %d: err = %v", id, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("worker %d: refusing the hello allocated %d bytes; want < 1 MiB", id, grew)
+		}
 	}
 }
 

@@ -140,12 +140,19 @@ func (s *Source) NormFloat64() float64 {
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
+	s.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a random permutation of [0, len(p)), making the
+// same draws as Perm(len(p)). p's previous contents are ignored, so a
+// caller's stack array serves as scratch.
+func (s *Source) PermInto(p []int) {
 	for i := range p {
 		j := s.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
-	return p
 }
 
 // Shuffle randomizes the order of n elements using the provided swap

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +186,24 @@ func TestPermIsPermutation(t *testing.T) {
 			seen[v] = true
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPermIntoMatchesPerm(t *testing.T) {
+	f := func(seed uint64, nRaw uint8) bool {
+		n := int(nRaw % 64)
+		a, b := New(seed), New(seed)
+		want := a.Perm(n)
+		got := make([]int, n)
+		for i := range got {
+			got[i] = -7 // stale scratch must not leak through
+		}
+		b.PermInto(got)
+		// Draw for draw: the same permutation, and both streams in step.
+		return slices.Equal(got, want) && a.Uint64() == b.Uint64()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

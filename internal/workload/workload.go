@@ -146,59 +146,42 @@ type Workload struct {
 	Placement []affinity.Set // per sub-database: the workers holding it
 	Cost      affinity.CostModel
 	Txns      []db.Transaction
-	Tasks     []*task.Task // sorted by arrival time
+	Tasks     []*task.Task // sorted by arrival time; nil from GenerateTable
 }
 
-// Generate builds a workload from p. The same parameters (including Seed)
-// always produce the identical workload.
+// GenerateTable builds the part of p's workload a working processor needs —
+// the database, the replica placement, the cost model and the transaction
+// table — and leaves Tasks nil: a federation shard or a remote worker
+// executes the transactions the host hands it and never owns the run's task
+// list. Every field it sets is identical to Generate's.
+func GenerateTable(p Params) (*Workload, error) {
+	w, _, err := generateTable(p)
+	return w, err
+}
+
+// Generate builds a workload from p: GenerateTable's table plus one task per
+// transaction. The same parameters (including Seed) always produce the
+// identical workload.
 func Generate(p Params) (*Workload, error) {
-	if err := p.Validate(); err != nil {
+	w, s, err := generateTable(p)
+	if err != nil {
 		return nil, err
 	}
-	// Independent streams per concern keep sub-experiments comparable: e.g.
-	// changing the replication rate does not reshuffle transaction content.
-	root := rng.New(p.Seed)
-	dbRNG := root.Split()
-	placeRNG := root.Split()
-	txnRNG := root.Split()
-	arriveRNG := root.Split()
-	noiseRNG := root.Split()
-
-	database, err := db.Generate(p.DB, dbRNG)
-	if err != nil {
-		return nil, fmt.Errorf("workload: generate database: %w", err)
-	}
-	placement, err := affinity.ReplicateWith(p.DB.SubDBs, p.Workers, p.Replication, p.Placement, placeRNG)
-	if err != nil {
-		return nil, fmt.Errorf("workload: place replicas: %w", err)
-	}
-
-	w := &Workload{
-		Params:    p,
-		DB:        database,
-		Placement: placement,
-		Cost:      affinity.CostModel{Remote: p.RemoteCost},
-		Txns:      make([]db.Transaction, p.NumTransactions),
-		Tasks:     make([]*task.Task, p.NumTransactions),
-	}
-
+	w.Tasks = make([]*task.Task, len(w.Txns))
 	arrival := simtime.Instant(0)
-	opts := db.TxnOptions{RangeProb: p.RangeProb}
-	for i := 0; i < p.NumTransactions; i++ {
-		q := database.GenTransactionOpts(int32(i), txnRNG, opts)
-		w.Txns[i] = q
-
-		cost := database.EstimateCost(&w.Txns[i], p.PerIter)
+	for i := range w.Txns {
+		q := &w.Txns[i]
+		cost := w.DB.EstimateCost(q, p.PerIter)
 		// §5.1: Deadline(q) = SF × 10 × Estimated_Cost(q), relative to
 		// arrival.
 		rel := time.Duration(p.SF * 10 * float64(cost))
 		if p.Arrival == Poisson && i > 0 {
-			gap := time.Duration(arriveRNG.ExpFloat64() * float64(p.MeanInterArrival))
+			gap := time.Duration(s.arrive.ExpFloat64() * float64(p.MeanInterArrival))
 			arrival = arrival.Add(gap)
 		}
 		actual := cost
 		if p.CostNoise > 0 {
-			actual = time.Duration((1 - p.CostNoise*noiseRNG.Float64()) * float64(cost))
+			actual = time.Duration((1 - p.CostNoise*s.noise.Float64()) * float64(cost))
 			if actual <= 0 {
 				actual = 1
 			}
@@ -209,11 +192,52 @@ func Generate(p Params) (*Workload, error) {
 			Proc:     cost,
 			Actual:   actual,
 			Deadline: arrival.Add(rel),
-			Affinity: placement[q.Sub],
+			Affinity: w.Placement[q.Sub],
 			Payload:  q.ID,
 		}
 	}
 	return w, nil
+}
+
+// taskStreams are the two draws only the task list needs.
+type taskStreams struct{ arrive, noise *rng.Source }
+
+// generateTable draws the table and derives the task list's streams.
+// Independent streams per concern keep sub-experiments comparable: e.g.
+// changing the replication rate does not reshuffle transaction content. A
+// Split advances only the root, so each stream is the same whichever of the
+// others has drawn first — the task loop may run after the whole table.
+func generateTable(p Params) (*Workload, taskStreams, error) {
+	if err := p.Validate(); err != nil {
+		return nil, taskStreams{}, err
+	}
+	root := rng.New(p.Seed)
+	dbRNG := root.Split()
+	placeRNG := root.Split()
+	txnRNG := root.Split()
+	arriveRNG := root.Split()
+	noiseRNG := root.Split()
+
+	database, err := db.Generate(p.DB, dbRNG)
+	if err != nil {
+		return nil, taskStreams{}, fmt.Errorf("workload: generate database: %w", err)
+	}
+	placement, err := affinity.ReplicateWith(p.DB.SubDBs, p.Workers, p.Replication, p.Placement, placeRNG)
+	if err != nil {
+		return nil, taskStreams{}, fmt.Errorf("workload: place replicas: %w", err)
+	}
+	w := &Workload{
+		Params:    p,
+		DB:        database,
+		Placement: placement,
+		Cost:      affinity.CostModel{Remote: p.RemoteCost},
+		Txns:      make([]db.Transaction, p.NumTransactions),
+	}
+	opts := db.TxnOptions{RangeProb: p.RangeProb}
+	for i := range w.Txns {
+		w.Txns[i] = database.GenTransactionOpts(int32(i), txnRNG, opts)
+	}
+	return w, taskStreams{arrive: arriveRNG, noise: noiseRNG}, nil
 }
 
 // Txn returns the transaction behind a generated task.

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -368,5 +371,86 @@ func TestLoadTasksValidation(t *testing.T) {
 				t.Errorf("invalid task set accepted: %s", tt.js)
 			}
 		})
+	}
+}
+
+// digest hashes everything Generate draws, field by field (never a memory
+// layout): the placement, every transaction's predicates and every task.
+func digest(w *Workload) string {
+	h := fnv.New64a()
+	for sub, set := range w.Placement {
+		fmt.Fprintln(h, "place", sub, uint64(set))
+	}
+	for i := range w.Txns {
+		q := &w.Txns[i]
+		fmt.Fprintln(h, "txn", q.ID, q.Sub, len(q.Preds))
+		for _, p := range q.Preds {
+			fmt.Fprintln(h, "pred", int(p.Attr), p.Value, p.Range, p.Lo, p.Hi)
+		}
+	}
+	for _, t := range w.Tasks {
+		fmt.Fprintln(h, "task", t.ID, int64(t.Arrival), int64(t.Proc), int64(t.Actual),
+			int64(t.Deadline), uint64(t.Affinity), t.Payload)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestGenerateGolden pins every draw the generator makes: a reordered or
+// added draw changes every workload, and with it rtsched's figures. The
+// default parameters draw no arrival gaps or cost noise, hence the second
+// case.
+func TestGenerateGolden(t *testing.T) {
+	extended := DefaultParams(10)
+	extended.Arrival = Poisson
+	extended.MeanInterArrival = 100 * time.Microsecond
+	extended.CostNoise = 0.3
+	extended.RangeProb = 0.5
+	for _, c := range []struct {
+		name string
+		p    Params
+		want string
+	}{
+		{"default", DefaultParams(10), "46c8161cf2ffa726"},
+		{"poisson-noise-ranges", extended, "984d836dbb8be77c"},
+	} {
+		w, err := Generate(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(w); got != c.want {
+			t.Errorf("%s: Generate digest %s, want %s: a draw moved", c.name, got, c.want)
+		}
+	}
+}
+
+// TestGenerateTableMatchesGenerate: the table a shard or worker builds is
+// Generate's, field for field, without the task list.
+func TestGenerateTableMatchesGenerate(t *testing.T) {
+	for _, rangeProb := range []float64{0, 0.5} {
+		for _, arrival := range []ArrivalKind{Bursty, Poisson} {
+			for _, noise := range []float64{0, 0.3} {
+				p := smallParams()
+				p.RangeProb = rangeProb
+				p.Arrival = arrival
+				p.MeanInterArrival = 100 * time.Microsecond
+				p.CostNoise = noise
+				name := fmt.Sprintf("range=%v/%v/noise=%v", rangeProb, arrival, noise)
+				full, err := Generate(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				table, err := GenerateTable(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if table.Tasks != nil {
+					t.Errorf("%s: GenerateTable built %d tasks", name, len(table.Tasks))
+				}
+				full.Tasks = nil
+				if !reflect.DeepEqual(table, full) {
+					t.Errorf("%s: GenerateTable differs from Generate's table", name)
+				}
+			}
+		}
 	}
 }
