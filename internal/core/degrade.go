@@ -9,8 +9,9 @@ import (
 // conservative defaults from withDefaults.
 type DegradeConfig struct {
 	// After is the number of consecutive bad phases — quantum expired
-	// without completing, or planning latency over the slack fraction —
-	// before the controller falls back to the fallback planner (default 3).
+	// before scheduling anything, or planning latency over the slack
+	// fraction — before the controller falls back to the fallback planner
+	// (default 3).
 	After int
 	// Recover is the number of consecutive clean fallback phases before
 	// the controller returns to the primary planner (default 2). The
@@ -21,7 +22,8 @@ type DegradeConfig struct {
 	// SlackFraction, when positive, also marks a phase bad when its
 	// scheduling time exceeded this fraction of the batch's minimum slack —
 	// the planner was eating the very margin it is supposed to protect.
-	// Zero disables the latency criterion; quantum expiry alone degrades.
+	// Zero disables the latency criterion; empty expired phases alone
+	// degrade.
 	SlackFraction float64
 }
 
@@ -134,11 +136,13 @@ func (d *Degrading) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	return res, nil
 }
 
-// bad judges one phase: the quantum expired before the search completed, or
-// (when the latency criterion is on) scheduling time ate more than the
-// configured fraction of the batch's minimum slack.
+// bad judges one phase: the quantum expired before the planner scheduled
+// anything — it proved nothing in its quantum — or (when the latency
+// criterion is on) scheduling time ate more than the configured fraction of
+// the batch's minimum slack. An expired phase that scheduled tasks is
+// clean: quanta sized in work cut a deep batch short by design.
 func (d *Degrading) bad(in PhaseInput, res PhaseResult) bool {
-	if res.Stats.Expired {
+	if res.Stats.Expired && len(res.Schedule) == 0 {
 		return true
 	}
 	if f := d.cfg.SlackFraction; f > 0 {

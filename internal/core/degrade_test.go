@@ -208,9 +208,24 @@ func TestDegradingErrorPassthrough(t *testing.T) {
 	}
 }
 
-// End-to-end with the real planners: a search primary under a starvation
-// quantum degrades to EDF-greedy and the fallback still only emits
-// deadline-safe assignments.
+// An expired phase that scheduled tasks is clean: a quantum sized in work
+// cuts a deep batch short by design, and the phase still delivered.
+func TestExpiredPhaseThatScheduledIsClean(t *testing.T) {
+	cut := expired()
+	cut.Schedule = []search.Assignment{{Task: &task.Task{ID: 1}}}
+	p := &scriptPlanner{name: "p", results: []PhaseResult{cut}}
+	f := &scriptPlanner{name: "f", results: []PhaseResult{clean()}}
+	d := mustDegrading(t, p, f, DegradeConfig{After: 1})
+	for i := 0; i < 5; i++ {
+		if s := plan(t, d, degIn()); s.Degraded || s.Fallback {
+			t.Fatalf("phase %d stepped %+v: an expired phase that scheduled a task judged bad", i, s)
+		}
+	}
+}
+
+// End-to-end with the real planners: a search primary whose host stalls
+// through every quantum degrades to EDF-greedy and the fallback still only
+// emits deadline-safe assignments.
 func TestDegradingWithRealPlanners(t *testing.T) {
 	comm := func(t *task.Task, proc int) time.Duration { return 0 }
 	mk := func(policy QuantumPolicy) SearchConfig {
@@ -221,8 +236,11 @@ func TestDegradingWithRealPlanners(t *testing.T) {
 			Policy:     policy,
 		}
 	}
-	// A quantum far too small to search a 12-task batch to a leaf.
-	primary, err := NewRTSADS(mk(Fixed{D: 20 * time.Microsecond}))
+	// A host whose clock reads past the quantum before the first expansion:
+	// every phase expires having scheduled nothing.
+	stalled := mk(Fixed{D: 20 * time.Microsecond})
+	stalled.Clock = func() time.Duration { return time.Hour }
+	primary, err := NewRTSADS(stalled)
 	if err != nil {
 		t.Fatal(err)
 	}

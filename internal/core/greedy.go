@@ -24,6 +24,7 @@ type greedyPlanner struct {
 	cfg   SearchConfig
 	name  string
 	order OrderFunc
+	meter HostMeter // the host's measured speed; runs only under a Clock
 }
 
 // NewList returns a list-scheduling planner under an arbitrary priority
@@ -57,10 +58,10 @@ func (g *greedyPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	if len(in.Loads) != g.cfg.Workers {
 		return PhaseResult{}, fmt.Errorf("core: phase has %d loads for %d workers", len(in.Loads), g.cfg.Workers)
 	}
-	quantum := g.cfg.Policy.Quantum(in)
+	quantum := g.cfg.quantum(in, &g.meter)
 	g.order(in.Now, in.Batch)
 
-	st := newGreedyState(g.cfg, in, quantum)
+	st := newGreedyState(g.cfg, in, quantum, &g.meter)
 	for _, t := range in.Batch {
 		if st.expired() {
 			st.stats.Expired = true
@@ -81,6 +82,7 @@ type myopicPlanner struct {
 	cfg       SearchConfig
 	window    int
 	estWeight float64
+	meter     HostMeter // the host's measured speed; runs only under a Clock
 }
 
 // NewMyopic returns the myopic baseline with the given feasibility-check
@@ -106,10 +108,10 @@ func (m *myopicPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	if len(in.Loads) != m.cfg.Workers {
 		return PhaseResult{}, fmt.Errorf("core: phase has %d loads for %d workers", len(in.Loads), m.cfg.Workers)
 	}
-	quantum := m.cfg.Policy.Quantum(in)
+	quantum := m.cfg.quantum(in, &m.meter)
 	task.SortEDF(in.Batch)
 
-	st := newGreedyState(m.cfg, in, quantum)
+	st := newGreedyState(m.cfg, in, quantum, &m.meter)
 	remaining := append([]*task.Task(nil), in.Batch...)
 	for len(remaining) > 0 {
 		if st.expired() {
@@ -145,14 +147,17 @@ type greedyState struct {
 	consumed time.Duration
 	sched    []search.Assignment
 	stats    search.Stats
+	// Under a Clock: the planner's meter and the clock when placement began.
+	meter *HostMeter
+	setup time.Duration
 }
 
-func newGreedyState(cfg SearchConfig, in PhaseInput, quantum time.Duration) *greedyState {
+func newGreedyState(cfg SearchConfig, in PhaseInput, quantum time.Duration, meter *HostMeter) *greedyState {
 	loads := make([]time.Duration, cfg.Workers)
 	for k, l := range in.Loads {
 		loads[k] = simtime.NonNeg(l - quantum)
 	}
-	return &greedyState{
+	st := &greedyState{
 		cfg:      cfg,
 		phaseEnd: in.Now.Add(quantum),
 		margin:   in.Margin,
@@ -160,9 +165,20 @@ func newGreedyState(cfg SearchConfig, in PhaseInput, quantum time.Duration) *gre
 		loads:    loads,
 		consumed: cfg.PhaseCost, // fixed per-phase overhead, off the top
 	}
+	if cfg.Clock != nil {
+		st.meter, st.setup = meter, cfg.Clock()
+	}
+	return st
 }
 
-func (st *greedyState) expired() bool { return st.consumed >= st.quantum }
+// expired reports whether the quantum is spent: by the probes charged, or
+// under a Clock by the wall clock, as the search's budget reads it.
+func (st *greedyState) expired() bool {
+	if st.cfg.Clock != nil {
+		return st.cfg.PhaseCost+st.cfg.Clock() >= st.quantum
+	}
+	return st.consumed >= st.quantum
+}
 
 // charge accounts for n feasibility evaluations against the quantum.
 func (st *greedyState) charge(n int) {
@@ -226,8 +242,14 @@ func (st *greedyState) commit(t *task.Task, proc int, end, comm time.Duration) {
 	st.sched = append(st.sched, search.Assignment{Task: t, Proc: proc, Comm: comm, EndOffset: end})
 }
 
-// result packages the phase outcome.
+// result packages the phase outcome. Under a Clock the phase has used what
+// the clock says, and the meter books it.
 func (st *greedyState) result(quantum time.Duration) PhaseResult {
+	if st.cfg.Clock != nil {
+		now := st.cfg.Clock()
+		st.consumed = st.cfg.PhaseCost + now
+		st.meter.Observe(st.setup, now-st.setup, st.stats.Generated)
+	}
 	st.stats.Consumed = minDur(st.consumed, quantum)
 	return PhaseResult{
 		Quantum:  quantum,

@@ -80,8 +80,9 @@ type SearchConfig struct {
 	// Policy allocates the quantum of each phase.
 	Policy QuantumPolicy
 	// Clock, when non-nil, switches the quantum budget to wall-clock time
-	// (live deployments). It must report time elapsed since PlanPhase
-	// began.
+	// (live deployments). It must report the virtual time elapsed since the
+	// phase's Now. The planner then also meters its own speed (HostMeter)
+	// and sizes the quantum bounds from it.
 	Clock func() time.Duration
 	// Strategy selects the search's exploration order (default: the
 	// paper's depth-first strategy).
@@ -142,11 +143,40 @@ func (c SearchConfig) Validate() error {
 	if c.PhaseCost < 0 {
 		return fmt.Errorf("core: PhaseCost %v must be non-negative", c.PhaseCost)
 	}
-	if c.Policy == nil {
-		return fmt.Errorf("core: Policy is nil")
+	if err := validatePolicy(c.Policy, c.PhaseCost); err != nil {
+		return err
 	}
 	if c.IncumbentCE < 0 {
 		return fmt.Errorf("core: IncumbentCE %v must be non-negative", c.IncumbentCE)
+	}
+	return nil
+}
+
+// quantum allocates Qs(j). A planner under a Clock hands its policy the
+// bounds it measured for its own host.
+func (c *SearchConfig) quantum(in PhaseInput, m *HostMeter) time.Duration {
+	if c.Clock != nil {
+		in.Bounds = m.Bounds()
+	}
+	return c.Policy.Quantum(in)
+}
+
+// validatePolicy refuses a quantum that could never cover the phase cost:
+// such a phase charges its whole quantum and schedules nothing.
+func validatePolicy(p QuantumPolicy, phaseCost time.Duration) error {
+	switch p := p.(type) {
+	case nil:
+		return fmt.Errorf("core: Policy is nil")
+	case Fixed:
+		if p.D <= phaseCost {
+			return fmt.Errorf("core: fixed quantum %v must exceed the phase cost %v, or every phase schedules nothing", p.D, phaseCost)
+		}
+	case Adaptive:
+		return p.Bounds.validate(phaseCost)
+	case SlackOnly:
+		return p.Bounds.validate(phaseCost)
+	case LoadOnly:
+		return p.Bounds.validate(phaseCost)
 	}
 	return nil
 }
@@ -165,6 +195,8 @@ type searchPlanner struct {
 	drained []time.Duration
 	prob    search.Problem
 	sched   []search.Assignment
+	// meter is the host's measured speed; it runs only under a Clock.
+	meter HostMeter
 }
 
 // NewRTSADS returns the paper's algorithm: assignment-oriented search with
@@ -208,7 +240,7 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	if len(in.Loads) != s.cfg.Workers {
 		return PhaseResult{}, fmt.Errorf("core: phase has %d loads for %d workers", len(in.Loads), s.cfg.Workers)
 	}
-	quantum := s.cfg.Policy.Quantum(in)
+	quantum := s.cfg.quantum(in, &s.meter)
 	// The fixed per-phase cost comes off the top of the quantum; phases
 	// too short to cover it schedule nothing.
 	budget := quantum - s.cfg.PhaseCost
@@ -250,9 +282,17 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	// only guaranteed to start by in.Now + quantum. Shift the search's
 	// phase-end reference by the phase cost.
 	p.Now = in.Now.Add(s.cfg.PhaseCost)
+	var setup time.Duration
+	if s.cfg.Clock != nil {
+		setup = s.cfg.Clock()
+	}
 	res, err := search.Run(p, s.rep)
 	if err != nil {
 		return PhaseResult{}, fmt.Errorf("core: %s search: %w", s.name, err)
+	}
+	if s.cfg.Clock != nil {
+		// Under a Clock the search's Consumed is the clock at its stop.
+		s.meter.Observe(setup, res.Stats.Consumed-setup, res.Stats.Generated)
 	}
 	stats := res.Stats
 	stats.Consumed = minDur(s.cfg.PhaseCost+res.Stats.Consumed, quantum)

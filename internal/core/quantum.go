@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rtsads/internal/simtime"
@@ -30,6 +31,10 @@ type PhaseInput struct {
 	// on the virtual machine. The quantum policies see each slack shrunk by
 	// it too.
 	Margin time.Duration
+	// Bounds, when set, are the quantum bounds the planner measured for its
+	// own host (HostMeter); the bounded policies clamp with them in place of
+	// their configured ones. Zero on the virtual machine.
+	Bounds Bounds
 }
 
 // QuantumPolicy decides Qs(j), the scheduling time allocated to a phase.
@@ -43,24 +48,117 @@ type QuantumPolicy interface {
 // Bounds clamp every policy's output: a floor keeps phases from collapsing
 // to zero work when slack runs out, and a ceiling keeps the scheduler
 // responsive to arrivals (§4.2's motivation: shorter phases account for
-// arriving tasks more frequently).
+// arriving tasks more frequently). A HostCost writes them: bounds are work
+// the host can do, converted to time at the host's speed.
 type Bounds struct {
 	Min, Max time.Duration
 }
 
-// DefaultBounds returns the calibration used by the experiments: phases
-// between 50µs (a few dozen vertex evaluations) and 500µs. The ceiling
-// matters: the paper's criterion is an upper bound ("Qs(j) <= Max[...]"),
-// and because the feasibility test conservatively charges the whole
-// quantum, letting Qs grow to the batch's full minimum slack would make
-// every admission hopeless. Half a millisecond keeps the host responsive
-// while allowing several hundred vertex evaluations per phase.
+// Work, in vertex evaluations past the per-phase setup, that the quantum
+// bounds reserve: the floor leaves a phase enough work to place a few
+// tasks, the ceiling enough for a few dozen.
+const (
+	minVertices = 25
+	maxVertices = 475
+)
+
+// HostCost is the scheduling speed of the host that plans, in nanoseconds
+// of virtual time: Phase is the fixed setup every phase pays before its
+// search starts, Vertex the cost of one vertex evaluation. The experiments
+// fix it (DefaultBounds); a live planner measures it (HostMeter). Fields are
+// floats because a live host's vertex costs a fraction of a nanosecond of
+// virtual time at a high clock scale.
+type HostCost struct {
+	Phase, Vertex float64
+}
+
+// Bounds returns the quantum bounds this host needs: the phase setup plus
+// minVertices evaluations at the floor, plus maxVertices at the ceiling,
+// each rounded up to the nanosecond.
+func (h HostCost) Bounds() Bounds {
+	return Bounds{
+		Min: time.Duration(math.Ceil(h.Phase + minVertices*h.Vertex)),
+		Max: time.Duration(math.Ceil(h.Phase + maxVertices*h.Vertex)),
+	}
+}
+
+// DefaultBounds returns the calibration used by the experiments: a host
+// whose phase setup costs 25µs and whose vertex evaluations cost 1µs, so
+// phases last between 50µs and 500µs. The ceiling matters: the paper's
+// criterion is an upper bound ("Qs(j) <= Max[...]"), and because the
+// feasibility test conservatively charges the whole quantum, letting Qs grow
+// to the batch's full minimum slack would make every admission hopeless. A
+// live host is hundreds of times faster and sizes its own (HostMeter).
 func DefaultBounds() Bounds {
-	return Bounds{Min: 50 * time.Microsecond, Max: 500 * time.Microsecond}
+	return HostCost{Phase: float64(25 * time.Microsecond), Vertex: float64(time.Microsecond)}.Bounds()
 }
 
 func (b Bounds) clamp(d time.Duration) time.Duration {
 	return simtime.ClampDur(d, b.Min, b.Max)
+}
+
+// or returns b when it is set (the planner measured its host), else def.
+func (b Bounds) or(def Bounds) Bounds {
+	if b.Max > 0 {
+		return b
+	}
+	return def
+}
+
+// validate reports whether a phase costing phaseCost still has time left
+// to search at the floor.
+func (b Bounds) validate(phaseCost time.Duration) error {
+	switch {
+	case b.Min < 0:
+		return fmt.Errorf("core: quantum floor %v must be non-negative", b.Min)
+	case b.Min > b.Max:
+		return fmt.Errorf("core: quantum floor %v above its ceiling %v", b.Min, b.Max)
+	case b.Min <= phaseCost:
+		return fmt.Errorf("core: quantum floor %v must exceed the phase cost %v, or phases at the floor schedule nothing", b.Min, phaseCost)
+	}
+	return nil
+}
+
+// hostDecay is the weight the meter keeps of its past per phase.
+const hostDecay = 0.99
+
+// HostMeter measures a live host's HostCost, phase by phase, in virtual
+// time: Phase is the decayed mean setup time (from the phase's Now to its
+// search start), Vertex the decayed total search time over the decayed
+// total vertices generated. Both are ratios of times the host actually
+// spent, so a phase the quantum cut short counts as much as one that ran to
+// a dead end. The zero value has no samples.
+type HostMeter struct {
+	setup, phases     float64
+	search, generated float64
+}
+
+// Observe books one phase: its setup time, the time its search ran, and
+// the vertices that search generated.
+func (m *HostMeter) Observe(setup, search time.Duration, generated int) {
+	m.setup = hostDecay*m.setup + float64(simtime.NonNeg(setup))
+	m.phases = hostDecay*m.phases + 1
+	m.search = hostDecay*m.search + float64(simtime.NonNeg(search))
+	m.generated = hostDecay*m.generated + float64(generated)
+}
+
+// Cost returns the measured host cost, and false until a phase has
+// generated a vertex.
+func (m *HostMeter) Cost() (HostCost, bool) {
+	if m.generated <= 0 {
+		return HostCost{}, false
+	}
+	return HostCost{Phase: m.setup / m.phases, Vertex: m.search / m.generated}, true
+}
+
+// Bounds returns the measured host's quantum bounds, or the zero Bounds —
+// unset, so each policy keeps its configured ones — before the first
+// sample.
+func (m *HostMeter) Bounds() (b Bounds) {
+	if c, ok := m.Cost(); ok {
+		b = c.Bounds()
+	}
+	return b
 }
 
 // Adaptive is the paper's self-adjusting criterion (§4.2, Figure 3):
@@ -80,7 +178,7 @@ func (a Adaptive) Name() string { return "adaptive" }
 
 // Quantum implements QuantumPolicy.
 func (a Adaptive) Quantum(in PhaseInput) time.Duration {
-	return a.Bounds.clamp(simtime.MaxDur(minSlack(in), minLoad(in)))
+	return in.Bounds.or(a.Bounds).clamp(simtime.MaxDur(minSlack(in), minLoad(in)))
 }
 
 // SlackOnly is the ablation that ignores worker load: Qs(j) = Min_Slack.
@@ -93,7 +191,7 @@ func (s SlackOnly) Name() string { return "slack-only" }
 
 // Quantum implements QuantumPolicy.
 func (s SlackOnly) Quantum(in PhaseInput) time.Duration {
-	return s.Bounds.clamp(minSlack(in))
+	return in.Bounds.or(s.Bounds).clamp(minSlack(in))
 }
 
 // LoadOnly is the ablation that ignores task slack: Qs(j) = Min_Load.
@@ -106,11 +204,12 @@ func (l LoadOnly) Name() string { return "load-only" }
 
 // Quantum implements QuantumPolicy.
 func (l LoadOnly) Quantum(in PhaseInput) time.Duration {
-	return l.Bounds.clamp(minLoad(in))
+	return in.Bounds.or(l.Bounds).clamp(minLoad(in))
 }
 
 // Fixed allocates the same quantum to every phase — the static alternative
-// the self-adjusting mechanism is evaluated against.
+// the self-adjusting mechanism is evaluated against. It ignores measured
+// bounds.
 type Fixed struct {
 	D time.Duration
 }

@@ -126,7 +126,9 @@ type Config struct {
 	// along the ready queue.
 	Scale float64
 	// Policy allocates phase quanta (default: the paper's adaptive
-	// criterion).
+	// criterion). Its bounds, if it has any, give way to the ones the
+	// planner measures for this host from its second phase on
+	// (core.HostMeter).
 	Policy core.QuantumPolicy
 	// Backend overrides the in-process channel backend (used for TCP
 	// workers). The injector is non-nil only when Faults is set. Optional.
@@ -988,7 +990,8 @@ func (c *Cluster) makePlanner(pc *phaseClock) (core.Planner, error) {
 		},
 		Policy: c.cfg.Policy,
 		// Wall-clock quantum budget: the host's real scheduling speed,
-		// converted to virtual time, counted from each phase's Now.
+		// converted to virtual time, counted from each phase's Now. The
+		// planner also sizes its quantum bounds by it.
 		Clock: pc.Elapsed,
 	}}
 	p, err := policy.Default().New(string(c.cfg.Algorithm), opts)

@@ -60,6 +60,8 @@ type anytimePlanner struct {
 	gaLoads   []time.Duration
 	prob      search.Problem
 	injectBuf []int
+	// meter is the host's measured speed; it runs only under a Clock.
+	meter core.HostMeter
 }
 
 // NewAnytime returns the RT-SADS+GA anytime planner.
@@ -86,6 +88,10 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 	if len(in.Loads) != a.cfg.Workers {
 		return core.PhaseResult{}, fmt.Errorf("policy: phase has %d loads for %d workers", len(in.Loads), a.cfg.Workers)
 	}
+	if a.cfg.Clock != nil {
+		// Under a Clock the policy clamps with the bounds this host measured.
+		in.Bounds = a.meter.Bounds()
+	}
 	quantum := a.cfg.Policy.Quantum(in)
 	budget := quantum - a.cfg.PhaseCost
 	if budget <= 0 {
@@ -111,6 +117,11 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 	allowance := budget / time.Duration(a.ga.ShareDen)
 	ga := newGAState(a.ga, a.src, a.cfg.Workers, a.cfg.SumCost,
 		a.cfg.Comm, a.cfg.VertexCost, a.cfg.Clock, phaseEnd, in.Margin, a.gaLoads, in.Batch, allowance)
+
+	var setup time.Duration
+	if a.cfg.Clock != nil {
+		setup = a.cfg.Clock()
+	}
 
 	// Stage A: evolve on the budget's GA share, when armed.
 	var aUsed time.Duration
@@ -199,6 +210,9 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 	stats.Consumed = used
 	if len(sched) == len(in.Batch) {
 		stats.Leaf = true
+	}
+	if a.cfg.Clock != nil {
+		a.meter.Observe(setup, a.cfg.Clock()-setup, stats.Generated)
 	}
 	return core.PhaseResult{
 		Quantum:  quantum,
