@@ -45,8 +45,9 @@ func NewList(cfg SearchConfig, name string, order OrderFunc) (Planner, error) {
 
 // NewEDFGreedy returns the greedy earliest-deadline-first baseline.
 func NewEDFGreedy(cfg SearchConfig) (Planner, error) {
+	order := new(task.Sorter) // the planner's own sort scratch
 	return NewList(cfg, "EDF-greedy", func(_ simtime.Instant, batch []*task.Task) {
-		task.SortEDF(batch)
+		order.EDF(batch)
 	})
 }
 
@@ -83,6 +84,9 @@ type myopicPlanner struct {
 	window    int
 	estWeight float64
 	meter     HostMeter // the host's measured speed; runs only under a Clock
+	// order and pending are per-phase scratch; PlanPhase is not reentrant.
+	order   task.Sorter
+	pending []*task.Task
 }
 
 // NewMyopic returns the myopic baseline with the given feasibility-check
@@ -109,10 +113,11 @@ func (m *myopicPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		return PhaseResult{}, fmt.Errorf("core: phase has %d loads for %d workers", len(in.Loads), m.cfg.Workers)
 	}
 	quantum := m.cfg.quantum(in, &m.meter)
-	task.SortEDF(in.Batch)
+	m.order.EDF(in.Batch)
 
 	st := newGreedyState(m.cfg, in, quantum, &m.meter)
-	remaining := append([]*task.Task(nil), in.Batch...)
+	m.pending = append(m.pending[:0], in.Batch...)
+	remaining := m.pending
 	for len(remaining) > 0 {
 		if st.expired() {
 			st.stats.Expired = true
@@ -133,6 +138,7 @@ func (m *myopicPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		st.commit(window[pick], proc, end, comm)
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
 	}
+	clear(m.pending) // the scratch does not pin tasks past the phase
 	return st.result(quantum), nil
 }
 

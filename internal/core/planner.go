@@ -188,10 +188,12 @@ type searchPlanner struct {
 	cfg  SearchConfig
 	rep  search.Representation
 	name string
-	// drained, prob and sched are per-instance scratch reused across
-	// phases; a planner serves exactly one host loop, so PlanPhase is
-	// deliberately not reentrant. search.Run does not retain the Problem past
-	// return, and a phase's Schedule is read before the next phase plans.
+	// order, drained, prob and sched are per-instance scratch reused
+	// across phases; a planner serves exactly one host loop, so PlanPhase
+	// is deliberately not reentrant. search.Run does not retain the Problem
+	// past return, and a phase's Schedule is read before the next phase
+	// plans.
+	order   task.Sorter
 	drained []time.Duration
 	prob    search.Problem
 	sched   []search.Assignment
@@ -248,9 +250,9 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		return PhaseResult{Quantum: quantum, Used: quantum}, nil
 	}
 	if s.cfg.Priority == LLF {
-		task.SortLLF(in.Batch)
+		s.order.LLF(in.Batch)
 	} else {
-		task.SortEDF(in.Batch)
+		s.order.EDF(in.Batch)
 	}
 	// Workers also drain during the phase-cost prefix; pre-discount it so
 	// the search's max(0, load - budget) equals max(0, Load_k(j-1) - Qs(j))

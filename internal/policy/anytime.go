@@ -56,6 +56,7 @@ type anytimePlanner struct {
 
 	// Per-phase scratch reused across phases; a planner serves exactly one
 	// host loop, so PlanPhase is deliberately not reentrant.
+	order     task.Sorter
 	drained   []time.Duration
 	gaLoads   []time.Duration
 	prob      search.Problem
@@ -98,9 +99,9 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 		return core.PhaseResult{Quantum: quantum, Used: quantum}, nil
 	}
 	if a.cfg.Priority == core.LLF {
-		task.SortLLF(in.Batch)
+		a.order.LLF(in.Batch)
 	} else {
-		task.SortEDF(in.Batch)
+		a.order.EDF(in.Batch)
 	}
 
 	// Both contenders work in the phase-end frame: per-worker completion

@@ -1,0 +1,275 @@
+package task
+
+import (
+	"cmp"
+	"math/rand/v2"
+	"slices"
+	"testing"
+	"time"
+
+	"rtsads/internal/simtime"
+)
+
+// refSort is the reference order: (key, ID) ascending through a comparator.
+func refSort(tasks []*Task, llf bool) {
+	slices.SortFunc(tasks, func(a, b *Task) int {
+		if c := cmp.Compare(priority(a, llf), priority(b, llf)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+}
+
+// genTasks draws n tasks with unique IDs starting at base, in ascending,
+// descending or shuffled ID order, with deadlines in [0, span) and a share
+// of Never deadlines.
+func genTasks(r *rand.Rand, n int, base ID, ids string, span int64, never float64) []*Task {
+	ts := make([]*Task, n)
+	for i := range ts {
+		d := simtime.Instant(r.Int64N(span))
+		if r.Float64() < never {
+			d = simtime.Never
+		}
+		ts[i] = &Task{ID: base + ID(i), Proc: time.Duration(r.Int64N(int64(time.Millisecond))), Deadline: d}
+	}
+	switch ids {
+	case "descending":
+		slices.Reverse(ts)
+	case "shuffled":
+		r.Shuffle(n, func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	}
+	return ts
+}
+
+// Property: sorting a sorted prefix plus an unsorted tail gives the
+// reference permutation, on the packed path (ascending tail IDs, narrow
+// keys) and on the comparator path (descending or shuffled IDs, or a key
+// span of 2^32 or more), with ties, Never deadlines, negative IDs and
+// prefixes of length 0 and 1.
+func TestSorterMatchesReference(t *testing.T) {
+	cases := []struct {
+		name  string
+		base  ID
+		ids   string
+		span  int64
+		never float64
+	}{
+		{"packed", 0, "ascending", int64(500 * time.Millisecond), 0},
+		{"equal keys", 0, "ascending", 4, 0},
+		{"equal keys descending IDs", 0, "descending", 4, 0},
+		{"descending IDs", 0, "descending", int64(time.Second), 0},
+		{"shuffled IDs", 0, "shuffled", int64(time.Second), 0},
+		{"wide keys", 0, "ascending", 1 << 40, 0},
+		{"just wide keys", 0, "ascending", 1<<32 + 1, 0},
+		{"never deadlines", 0, "ascending", int64(time.Second), 0.2},
+		{"negative IDs", -1 << 20, "ascending", int64(time.Second), 0.05},
+		{"negative shuffled IDs", -1 << 20, "shuffled", 16, 0.05},
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	var s Sorter // one warm Sorter across every case exercises scratch reuse
+	for _, c := range cases {
+		for _, llf := range []bool{false, true} {
+			for trial := 0; trial < 40; trial++ {
+				n := r.IntN(300)
+				var p int
+				switch trial % 4 {
+				case 0:
+					p = 0
+				case 1:
+					p = min(1, n)
+				default:
+					p = r.IntN(n + 1)
+				}
+				// The prefix is what an earlier sort left; the tail arrived
+				// since, in generation order.
+				tasks := genTasks(r, n, c.base, c.ids, c.span, c.never)
+				refSort(tasks[:p], llf)
+				want := slices.Clone(tasks)
+				refSort(want, llf)
+				if llf {
+					s.LLF(tasks)
+				} else {
+					s.EDF(tasks)
+				}
+				if !slices.Equal(tasks, want) {
+					t.Fatalf("%s llf=%v n=%d prefix=%d: order differs from the reference", c.name, llf, n, p)
+				}
+			}
+		}
+	}
+}
+
+// batchModel is the naive reference for Batch's removals: filters over a
+// plain slice, and the horizon as Batch documents it.
+type batchModel struct {
+	tasks   []*Task
+	horizon simtime.Instant
+}
+
+func (m *batchModel) add(ts ...*Task) {
+	for _, t := range ts {
+		m.horizon = m.horizon.Min(t.LatestStart())
+	}
+	m.tasks = append(m.tasks, ts...)
+}
+
+func (m *batchModel) purge(now simtime.Instant) (removed []*Task) {
+	if !now.After(m.horizon) {
+		return nil
+	}
+	var keep []*Task
+	m.horizon = simtime.Never
+	for _, t := range m.tasks {
+		if t.Missed(now) {
+			removed = append(removed, t)
+		} else {
+			keep = append(keep, t)
+			m.horizon = m.horizon.Min(t.LatestStart())
+		}
+	}
+	m.tasks = keep
+	return removed
+}
+
+func (m *batchModel) remove(scheduled []*Task) int {
+	ids := map[ID]bool{}
+	for _, t := range scheduled {
+		ids[t.ID] = true
+	}
+	var keep []*Task
+	for _, t := range m.tasks {
+		if !ids[t.ID] {
+			keep = append(keep, t)
+		}
+	}
+	n := len(m.tasks) - len(keep)
+	m.tasks = keep
+	return n
+}
+
+// Property: phase after phase of arrivals, a priority sort, a purge and a
+// removal, the batch matches the naive model: the remaining tasks and their
+// order, the purged tasks and their order, the removal count and the
+// horizon. Schedules come in batch order (RT-SADS), in shuffled order
+// (D-COLS's sequence order), with tasks that are not in the batch, and
+// against a batch in LLF order, where the EDF re-merge cannot help.
+func TestBatchRemovalsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 200; trial++ {
+		llf := trial%5 == 4
+		b := NewBatch()
+		m := &batchModel{horizon: simtime.Never}
+		var next ID
+		now := simtime.Instant(0)
+		for phase := 0; phase < 30; phase++ {
+			arrivals := genTasks(r, r.IntN(40), next, "ascending", int64(200*time.Millisecond), 0.02)
+			next += ID(len(arrivals))
+			for _, a := range arrivals {
+				a.Deadline = a.Deadline.Add(time.Duration(now))
+			}
+			b.Add(arrivals...)
+			m.add(arrivals...)
+			if llf {
+				b.SortLLF()
+			} else {
+				b.SortEDF()
+			}
+			refSort(m.tasks, llf)
+
+			now = now.Add(time.Duration(r.Int64N(int64(20 * time.Millisecond))))
+			got, want := b.PurgeMissed(now), m.purge(now)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d phase %d: purged %v, want %v", trial, phase, got, want)
+			}
+
+			var scheduled []*Task
+			for _, tk := range b.Tasks() {
+				if r.IntN(8) == 0 {
+					scheduled = append(scheduled, tk)
+				}
+			}
+			switch phase % 3 {
+			case 1:
+				r.Shuffle(len(scheduled), func(i, j int) { scheduled[i], scheduled[j] = scheduled[j], scheduled[i] })
+			case 2:
+				foreign := &Task{ID: -1 - ID(phase), Deadline: simtime.Instant(r.Int64N(int64(time.Second)))}
+				at := r.IntN(len(scheduled) + 1)
+				scheduled = slices.Insert(scheduled, at, foreign)
+			}
+			if gotN, wantN := b.RemoveScheduled(scheduled), m.remove(scheduled); gotN != wantN {
+				t.Fatalf("trial %d phase %d: removed %d, want %d", trial, phase, gotN, wantN)
+			}
+			if !slices.Equal(b.Tasks(), m.tasks) {
+				t.Fatalf("trial %d phase %d: batch %v, want %v", trial, phase, b.Tasks(), m.tasks)
+			}
+			if b.horizon != m.horizon {
+				t.Fatalf("trial %d phase %d: horizon %v, want %v", trial, phase, b.horizon, m.horizon)
+			}
+		}
+	}
+}
+
+// A warm Sorter sorts a 250-task tail into a sorted prefix, and a fresh
+// 1000-task burst, without allocating, on both the packed and the
+// comparator path; a warm batch purges and removes an out-of-order schedule
+// without allocating.
+func TestWarmBatchBookkeepingAllocs(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 6))
+	for _, ids := range []string{"ascending", "descending"} {
+		for _, c := range []struct{ prefix, tail int }{{690, 250}, {0, 1000}} {
+			base := genTasks(r, c.prefix+c.tail, 0, ids, int64(time.Second), 0)
+			refSort(base[:c.prefix], false)
+			tasks := make([]*Task, len(base))
+			var s Sorter
+			if allocs := testing.AllocsPerRun(20, func() {
+				copy(tasks, base)
+				s.EDF(tasks)
+			}); allocs != 0 {
+				t.Errorf("%s IDs, %d+%d: a warm Sorter allocated %v times per sort", ids, c.prefix, c.tail, allocs)
+			}
+		}
+	}
+
+	// The purge takes the earliest deadlines; the schedule, in sequence
+	// order, comes from further back, so the removal re-merges in EDF order.
+	base := genTasks(r, 690, 0, "ascending", int64(time.Second), 0)
+	refSort(base, false)
+	scheduled := []*Task{base[400], base[130], base[250], base[170], base[600], base[190]}
+	now := simtime.Instant(10 * time.Millisecond)
+	b := NewBatch()
+	var purged, removed int
+	if allocs := testing.AllocsPerRun(20, func() {
+		b.Reset()
+		b.Add(base...)
+		purged = len(b.PurgeMissed(now))
+		removed = b.RemoveScheduled(scheduled)
+	}); allocs != 0 {
+		t.Errorf("a warm batch allocated %v times per purge and removal", allocs)
+	}
+	if purged == 0 || removed != len(scheduled) {
+		t.Fatalf("purged %d and removed %d of %d scheduled; the test needs both", purged, removed, len(scheduled))
+	}
+}
+
+// BenchmarkSortEDF prices the two sorts a phase loop sees: a fresh burst of
+// 1000 arrivals, and a steady batch of 690 sorted tasks plus 6 arrivals.
+func BenchmarkSortEDF(b *testing.B) {
+	for _, c := range []struct {
+		name         string
+		prefix, tail int
+	}{{"burst=1000", 0, 1000}, {"steady=690+6", 690, 6}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := rand.New(rand.NewPCG(7, 8))
+			base := genTasks(r, c.prefix+c.tail, 0, "ascending", int64(time.Second), 0)
+			refSort(base[:c.prefix], false)
+			tasks := make([]*Task, len(base))
+			var s Sorter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(tasks, base)
+				s.EDF(tasks)
+			}
+		})
+	}
+}

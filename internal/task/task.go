@@ -7,8 +7,8 @@ package task
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"rtsads/internal/affinity"
@@ -90,13 +90,20 @@ func (t *Task) String() string {
 // one scheduling phase: Batch(j+1) is formed from Batch(j) by removing the
 // tasks scheduled in phase j and the tasks whose deadlines were missed, and
 // adding the tasks that arrived during phase j.
+//
+// Every removal keeps the remaining tasks in order, and a planner sorts the
+// batch's own backing array in place, so the next phase sees a sorted prefix
+// followed by the arrivals appended since: a Sorter pays for the arrivals
+// only, and a removal rewrites nothing before the first slot it removes.
 type Batch struct {
 	tasks []*Task
-	// removed and drop are scratch space reused across removeIf and
-	// RemoveScheduled calls, so the steady-state phase loop (purge, plan,
-	// remove scheduled) allocates nothing once warm.
+	// removed, drop, rest and sorter are scratch space reused across
+	// removals, so the steady-state phase loop (purge, plan, remove
+	// scheduled) allocates nothing once warm.
 	removed []*Task
 	drop    map[ID]struct{}
+	rest    []*Task
+	sorter  Sorter
 	// horizon is a conservative lower bound on the earliest instant any
 	// batched task can become missed: min_i(d_i - p_i) over tasks added
 	// since the last purge scan. While now <= horizon, PurgeMissed is a
@@ -127,7 +134,8 @@ func (b *Batch) Reset() {
 func (b *Batch) Len() int { return len(b.tasks) }
 
 // Tasks returns the batch's backing slice. Callers must treat it as
-// read-only; it is invalidated by the next mutating call.
+// read-only, apart from reordering it in place (a planner's priority sort);
+// it is invalidated by the next mutating call.
 func (b *Batch) Tasks() []*Task { return b.tasks }
 
 // Add appends arriving tasks to the batch.
@@ -141,26 +149,36 @@ func (b *Batch) Add(tasks ...*Task) {
 }
 
 // PurgeMissed removes and returns every task that has already missed its
-// deadline at now (p_i + t_c > d_i). The returned slice is scratch space
-// owned by the batch: it is only valid until the next PurgeMissed or
-// RemoveScheduled call.
+// deadline at now (p_i + t_c > d_i), in batch order. The returned slice is
+// scratch space owned by the batch: it is only valid until the next
+// PurgeMissed or RemoveScheduled call.
 func (b *Batch) PurgeMissed(now simtime.Instant) []*Task {
 	// A task is missed only once now passes its latest start d_i - p_i, so
 	// no scan can remove anything before the batch-wide minimum. A
 	// zero-valued Batch has horizon 0 and simply always scans.
+	removed := b.removed[:0]
 	if !now.After(b.horizon) {
-		return b.removed[:0]
+		return removed
 	}
+	// One pass recomputes the horizon over the survivors; slots before the
+	// first missed task are read, never written.
 	horizon := simtime.Never
-	removed := b.removeIf(func(t *Task) bool {
+	ts := b.tasks
+	keep := 0
+	for i, t := range ts {
 		if t.Missed(now) {
-			return true
+			removed = append(removed, t)
+			continue
 		}
-		if ls := t.LatestStart(); ls.Before(horizon) {
-			horizon = ls
+		horizon = horizon.Min(t.LatestStart())
+		if keep != i {
+			ts[keep] = t
 		}
-		return false
-	})
+		keep++
+	}
+	clear(ts[keep:]) // removed tasks are not pinned by the backing array
+	b.tasks = ts[:keep]
+	b.removed = removed
 	b.horizon = horizon
 	return removed
 }
@@ -171,32 +189,67 @@ func (b *Batch) RemoveScheduled(scheduled []*Task) int {
 	if len(scheduled) == 0 {
 		return 0
 	}
-	// Planner schedules are subsequences of the batch's order — the search
+	// RT-SADS's schedules are subsequences of the batch's order — the search
 	// assigns tasks in scheduling-priority order over the very pointers the
-	// batch holds — so a two-pointer merge removes them in one pass of
-	// pointer compares. Anything left unmatched (an out-of-order or foreign
-	// caller) falls back to matching by ID.
-	j := 0
-	n := len(b.removeIf(func(t *Task) bool {
-		if j < len(scheduled) && scheduled[j] == t {
-			j++
-			return true
-		}
-		return false
-	}))
-	if j < len(scheduled) {
-		n += b.removeByID(scheduled[j:])
+	// batch holds — so one merge of pointer compares removes them.
+	n := b.removeInOrder(scheduled)
+	if n == len(scheduled) {
+		return n
 	}
+	// D-COLS's schedule is in sequence order, not batch order: put the rest
+	// in EDF order, the batch's order under the default priority, and merge
+	// again. Anything still unmatched (another priority order, or a foreign
+	// caller) is matched by ID.
+	rest := append(b.rest[:0], scheduled[n:]...)
+	b.sorter.EDF(rest)
+	m := b.removeInOrder(rest)
+	n += m
+	if m < len(rest) {
+		n += b.removeByID(rest[m:])
+	}
+	clear(rest)
+	b.rest = rest[:0]
 	return n
 }
 
+// removeInOrder removes the longest prefix of scheduled that appears in the
+// batch in the same order, matching by pointer, and returns its length. It
+// writes nothing before the first removed slot and moves each run of kept
+// tasks with one copy; after the last match the rest moves in one copy.
+func (b *Batch) removeInOrder(scheduled []*Task) int {
+	ts := b.tasks
+	keep, next, j := 0, 0, 0 // ts[:keep] is final; ts[next:] is unexamined
+	for ; j < len(scheduled); j++ {
+		at := next
+		for at < len(ts) && ts[at] != scheduled[j] {
+			at++
+		}
+		if at == len(ts) {
+			break
+		}
+		if j == 0 {
+			keep = at
+		} else {
+			keep += copy(ts[keep:], ts[next:at])
+		}
+		next = at + 1
+	}
+	if j == 0 {
+		return 0
+	}
+	keep += copy(ts[keep:], ts[next:])
+	clear(ts[keep:])
+	b.tasks = ts[:keep]
+	return j
+}
+
 // removeByID removes the given tasks from the batch by ID match, in any
-// order — the slow path behind RemoveScheduled.
+// order — the last fallback behind RemoveScheduled.
 func (b *Batch) removeByID(scheduled []*Task) int {
 	// Small sets are cheaper to match by linear scan than through a map;
 	// large ones reuse the batch's drop set (cleared, not reallocated).
 	if len(scheduled) <= 8 {
-		removed := b.removeIf(func(t *Task) bool {
+		return b.removeIf(func(t *Task) bool {
 			for _, s := range scheduled {
 				if s.ID == t.ID {
 					return true
@@ -204,7 +257,6 @@ func (b *Batch) removeByID(scheduled []*Task) int {
 			}
 			return false
 		})
-		return len(removed)
 	}
 	if b.drop == nil {
 		b.drop = make(map[ID]struct{}, len(scheduled))
@@ -214,33 +266,25 @@ func (b *Batch) removeByID(scheduled []*Task) int {
 	for _, t := range scheduled {
 		b.drop[t.ID] = struct{}{}
 	}
-	removed := b.removeIf(func(t *Task) bool {
+	return b.removeIf(func(t *Task) bool {
 		_, ok := b.drop[t.ID]
 		return ok
 	})
-	return len(removed)
 }
 
 // removeIf removes every task matching pred, preserving the order of the
-// remainder, and returns the removed tasks in the batch's reusable scratch
-// slice (valid until the next removal).
-func (b *Batch) removeIf(pred func(*Task) bool) []*Task {
-	removed := b.removed[:0]
+// remainder, and returns the number removed.
+func (b *Batch) removeIf(pred func(*Task) bool) int {
 	keep := b.tasks[:0]
 	for _, t := range b.tasks {
-		if pred(t) {
-			removed = append(removed, t)
-		} else {
+		if !pred(t) {
 			keep = append(keep, t)
 		}
 	}
-	// Clear the tail so removed tasks are not pinned by the backing array.
-	for i := len(keep); i < len(b.tasks); i++ {
-		b.tasks[i] = nil
-	}
+	n := len(b.tasks) - len(keep)
+	clear(b.tasks[len(keep):]) // removed tasks are not pinned by the backing array
 	b.tasks = keep
-	b.removed = removed
-	return removed
+	return n
 }
 
 // MinSlack returns the smallest slack among the batch's tasks at now — the
@@ -262,7 +306,7 @@ func (b *Batch) MinSlack(now simtime.Instant) (time.Duration, bool) {
 // SortEDF orders the batch by ascending deadline (earliest deadline first),
 // breaking ties by task ID for determinism.
 func (b *Batch) SortEDF() {
-	SortEDF(b.tasks)
+	b.sorter.EDF(b.tasks)
 }
 
 // SortLLF orders the batch by ascending static laxity (deadline minus
@@ -271,82 +315,176 @@ func (b *Batch) SortEDF() {
 // dynamic laxity d - now - p orders identically, so the static key
 // suffices.
 func (b *Batch) SortLLF() {
-	SortLLF(b.tasks)
+	b.sorter.LLF(b.tasks)
 }
 
 // SortLLF orders tasks by ascending laxity (Deadline - Proc), breaking ties
-// by ID.
+// by ID. It allocates its scratch per call; a caller that sorts every phase
+// keeps a Sorter instead.
 func SortLLF(tasks []*Task) {
-	sortByKey(tasks, func(t *Task) int64 { return int64(t.LatestStart()) })
+	var s Sorter
+	s.LLF(tasks)
 }
 
-// SortEDF orders tasks by ascending deadline, breaking ties by ID. It is the
-// scheduling-priority heuristic both search representations use to decide
-// which task to consider next.
+// SortEDF orders tasks by ascending deadline, breaking ties by ID. It
+// allocates its scratch per call; a caller that sorts every phase keeps a
+// Sorter instead.
 func SortEDF(tasks []*Task) {
-	sortByKey(tasks, func(t *Task) int64 { return int64(t.Deadline) })
+	var s Sorter
+	s.EDF(tasks)
+}
+
+// Sorter orders tasks by a scheduling priority, (key, ID) ascending, and
+// keeps the scratch that needs, so a warm Sorter sorts without allocating.
+// Because (key, ID) is a total order over unique IDs, every sort yields the
+// one permutation any correct sort would. A Sorter serves one goroutine at a
+// time: each planner owns one next to its other per-phase scratch, since a
+// pool's per-P cache misses whenever a live host goroutine wakes on another
+// P. The zero value is ready to use.
+type Sorter struct {
+	packed []uint64  // keys, then (key - min)<<32 | index
+	keys   []sortKey // the comparator path
+	tail   []*Task   // the arrivals, sorted apart before the merge
 }
 
 // sortKey carries one task's sort key so the comparator touches only the
-// key array — the per-phase re-sorts were dominated by the two *Task
-// dereferences inside the comparator, not by the comparisons themselves.
+// key array, not the tasks behind the pointers.
 type sortKey struct {
 	key int64
 	id  ID
 	t   *Task
 }
 
-// keyPool recycles the key arrays; sorts can run concurrently (one live
-// host loop per shard), so the scratch cannot be a package global.
-var keyPool = sync.Pool{New: func() any { return new([]sortKey) }}
+// EDF orders tasks by ascending deadline, breaking ties by ID.
+func (s *Sorter) EDF(tasks []*Task) { s.sort(tasks, false) }
 
-// sortByKey sorts tasks by (key(t), ID) ascending through a flat key array.
-// pdqsort is allocation-free and O(n) on the already-sorted batches the
-// steady-state phase loop re-sorts (a scheduling phase removes tasks in
-// place, preserving order), and — because (key, ID) is a total order with
-// unique IDs — produces exactly one permutation, so instability cannot
-// perturb the deterministic results.
-func sortByKey(tasks []*Task, key func(*Task) int64) {
-	if len(tasks) < 2 {
+// LLF orders tasks by ascending laxity (Deadline - Proc), breaking ties by
+// ID.
+func (s *Sorter) LLF(tasks []*Task) { s.sort(tasks, true) }
+
+// priority is a task's sort key: its latest start under LLF, its deadline
+// under EDF.
+func priority(t *Task, llf bool) int64 {
+	if llf {
+		return int64(t.LatestStart())
+	}
+	return int64(t.Deadline)
+}
+
+// sort orders tasks by (priority, ID). A planner sorts its batch in place
+// and removals keep the order, so a phase's batch is a sorted prefix
+// followed by the arrivals appended since the last sort: only that tail is
+// sorted, then merged into the prefix from the back. A prefix shorter than
+// its tail (a fresh burst) is sorted along with it, which costs about the
+// same and needs no copy of the tail.
+func (s *Sorter) sort(tasks []*Task, llf bool) {
+	p := sortedPrefix(tasks, llf)
+	if p == len(tasks) {
 		return
 	}
-	// The steady-state phase loop re-sorts batches that removals left in
-	// order (removeIf preserves the remainder's order), so most calls see
-	// already-sorted input: detect that with one scan and skip the key
-	// extraction and write-back entirely. Unsorted inputs bail at the first
-	// inversion, which for fresh batches is almost immediate.
-	pk, pid := key(tasks[0]), tasks[0].ID
-	sorted := true
-	for _, t := range tasks[1:] {
-		k, id := key(t), t.ID
-		if k < pk || (k == pk && id < pid) {
-			sorted = false
-			break
-		}
-		pk, pid = k, id
-	}
-	if sorted {
+	if p < len(tasks)-p {
+		s.sortRun(tasks, llf)
 		return
 	}
-	bp := keyPool.Get().(*[]sortKey)
-	ks := *bp
-	if cap(ks) < len(tasks) {
-		ks = make([]sortKey, len(tasks))
-	}
-	ks = ks[:len(tasks)]
-	for i, t := range tasks {
-		ks[i] = sortKey{key: key(t), id: t.ID, t: t}
-	}
-	slices.SortFunc(ks, func(a, b sortKey) int {
-		if a.key != b.key {
-			return cmp.Compare(a.key, b.key)
+	tail := append(s.tail[:0], tasks[p:]...)
+	s.sortRun(tail, llf)
+	// Merge from the back: each tail task, largest first, lands after every
+	// prefix task that orders above it, so only the prefix entries that
+	// move are written.
+	i, k := p-1, len(tasks)-1
+	for j := len(tail) - 1; j >= 0; j-- {
+		t := tail[j]
+		key, id := priority(t, llf), t.ID
+		for ; i >= 0; i-- {
+			u := tasks[i]
+			if uk := priority(u, llf); uk < key || uk == key && u.ID < id {
+				break
+			}
+			tasks[k] = u
+			k--
 		}
-		return cmp.Compare(a.id, b.id)
-	})
-	for i := range ks {
-		tasks[i] = ks[i].t
-		ks[i].t = nil // don't pin tasks past the sort
+		tasks[k] = t
+		k--
 	}
-	*bp = ks[:0]
-	keyPool.Put(bp)
+	clear(tail) // the scratch does not pin tasks past the sort
+	s.tail = tail[:0]
+}
+
+// sortedPrefix returns the length of the longest prefix of tasks already in
+// (priority, ID) order.
+func sortedPrefix(tasks []*Task, llf bool) int {
+	if len(tasks) == 0 {
+		return 0
+	}
+	pk, pid := priority(tasks[0], llf), tasks[0].ID
+	for i := 1; i < len(tasks); i++ {
+		t := tasks[i]
+		k := priority(t, llf)
+		if k < pk || k == pk && t.ID < pid {
+			return i
+		}
+		pk, pid = k, t.ID
+	}
+	return len(tasks)
+}
+
+// sortRun sorts ts in place by (priority, ID). Arrivals are appended in
+// arrival order and generated IDs follow it, so a run's IDs usually ascend:
+// then an index orders ties as the ID would, and when the keys also span
+// less than 2^32 the sort runs over packed (key - min)<<32 | index words
+// with no comparator. Otherwise it compares (key, ID) pairs.
+func (s *Sorter) sortRun(ts []*Task, llf bool) {
+	packed := slices.Grow(s.packed[:0], len(ts)) // one exact allocation, not doublings
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	ascending := uint64(len(ts)) <= math.MaxUint32 // the index fits its half
+	for i, t := range ts {
+		k := priority(t, llf)
+		packed = append(packed, uint64(k))
+		lo, hi = min(lo, k), max(hi, k)
+		if i > 0 && t.ID <= ts[i-1].ID {
+			ascending = false
+		}
+	}
+	s.packed = packed
+	if !ascending || uint64(hi)-uint64(lo) >= 1<<32 {
+		keys := slices.Grow(s.keys[:0], len(ts))
+		for i, t := range ts {
+			keys = append(keys, sortKey{key: int64(packed[i]), id: t.ID, t: t})
+		}
+		slices.SortFunc(keys, func(a, b sortKey) int {
+			if a.key != b.key {
+				return cmp.Compare(a.key, b.key)
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		for i := range keys {
+			ts[i] = keys[i].t
+		}
+		clear(keys)
+		s.keys = keys[:0]
+		return
+	}
+	for i, k := range packed {
+		packed[i] = (k-uint64(lo))<<32 | uint64(i)
+	}
+	slices.Sort(packed)
+	// Apply the permutation in place, one cycle at a time: slot k takes the
+	// task from the slot its word names, and a word that names its own slot
+	// marks the slot done.
+	for j := range ts {
+		if int(uint32(packed[j])) == j {
+			continue
+		}
+		first, k := ts[j], j
+		for {
+			from := int(uint32(packed[k]))
+			packed[k] = uint64(k)
+			if from == j {
+				ts[k] = first
+				break
+			}
+			ts[k] = ts[from]
+			k = from
+		}
+	}
 }
