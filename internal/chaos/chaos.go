@@ -204,7 +204,7 @@ func (s Scenario) check(res *metrics.RunResult, snap map[string]int64, journal [
 
 	// Registry counters mirror the result exactly, the reason-labelled
 	// shed counters included.
-	for name, want := range machine.Mirror(res) {
+	for name, want := range obs.Mirror(res) {
 		if got := snap[name]; got != int64(want) {
 			add("registry %s = %d, run result says %d", name, got, want)
 		}
@@ -219,7 +219,7 @@ func (s Scenario) check(res *metrics.RunResult, snap map[string]int64, journal [
 	if evicted == 0 {
 		// The journal entries that book a count add up to the result, so
 		// the tracing plane cannot drift from the run accounting.
-		mirror := machine.Mirror(res)
+		mirror := obs.Mirror(res)
 		for name, got := range machine.Journaled(journal) {
 			if got != mirror[name] {
 				add("journal books %d for %s, run result says %d", got, name, mirror[name])

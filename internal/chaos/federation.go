@@ -8,7 +8,6 @@ import (
 	"rtsads/internal/db"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/federation"
-	"rtsads/internal/machine"
 	"rtsads/internal/obs"
 	"rtsads/internal/rng"
 	"rtsads/internal/simtime"
@@ -161,7 +160,7 @@ func (s FedScenario) check(res *federation.Result, f *federation.Federation, jou
 	// namespace.
 	for i, sr := range res.Shards {
 		snap := f.ShardObserver(i).Registry().Snapshot()
-		for name, want := range machine.Mirror(sr) {
+		for name, want := range obs.Mirror(sr) {
 			if got := snap[name]; got != int64(want) {
 				add("shard %d registry %s = %d, run result says %d", i, name, got, want)
 			}

@@ -9,7 +9,6 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/db"
 	"rtsads/internal/federation"
-	"rtsads/internal/federation/wire"
 	"rtsads/internal/obs"
 	"rtsads/internal/rng"
 	"rtsads/internal/workload"
@@ -194,17 +193,7 @@ func (s FedTCPScenario) check(res *federation.Result, f *federation.Federation, 
 		if i == s.KillShard {
 			continue
 		}
-		got := f.ShardCounters(i)
-		want := wire.Counts{
-			wire.CountHits:     int64(sr.Hits),
-			wire.CountMissed:   int64(sr.ScheduledMissed),
-			wire.CountPurged:   int64(sr.Purged),
-			wire.CountLost:     int64(sr.LostToFailure),
-			wire.CountShed:     int64(sr.Shed),
-			wire.CountAdmitted: int64(sr.Admitted),
-			wire.CountBounced:  int64(sr.Bounced),
-		}
-		if got != want {
+		if got, want := f.ShardCounters(i), sr.Counts(); got != want {
 			add("shard %d wire counts %v, run result says %v", i, got, want)
 		}
 	}

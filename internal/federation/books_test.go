@@ -127,7 +127,7 @@ func TestBooksThreeDrivers(t *testing.T) {
 				if err := b.res.Balance(); err != nil {
 					t.Errorf("domain %d: %v", i, err)
 				}
-				mirror := machine.Mirror(b.res)
+				mirror := obs.Mirror(b.res)
 				snap := b.o.Registry().Snapshot()
 				for name, want := range mirror {
 					if got := snap[name]; got != int64(want) {

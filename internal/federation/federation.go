@@ -425,10 +425,7 @@ type Result struct {
 // Total is the number of distinct tasks (migrated tasks appear in two
 // shards' Totals but in exactly one shard's non-bounce terminal bucket).
 func (r *Result) Combined() *metrics.RunResult {
-	out := &metrics.RunResult{
-		Workers: r.Topology.TotalWorkers(),
-		Total:   r.Routed,
-	}
+	out := &metrics.RunResult{Workers: r.Topology.TotalWorkers()}
 	algo := "federated"
 	for _, s := range r.Shards {
 		if s == nil {
@@ -437,35 +434,15 @@ func (r *Result) Combined() *metrics.RunResult {
 		if algo == "federated" && s.Algorithm != "" {
 			algo = s.Algorithm
 		}
-		out.Hits += s.Hits
-		out.Purged += s.Purged
-		out.ScheduledMissed += s.ScheduledMissed
-		out.LostToFailure += s.LostToFailure
-		out.WorkerFailures += s.WorkerFailures
-		out.Rerouted += s.Rerouted
-		out.Admitted += s.Admitted
-		out.Shed += s.Shed
-		out.ShedHopeless += s.ShedHopeless
-		out.ShedQueueFull += s.ShedQueueFull
-		out.ShedShutdown += s.ShedShutdown
-		out.ShedInfeasible += s.ShedInfeasible
-		out.Bounced += s.Bounced
-		out.Overloads += s.Overloads
-		out.Degradations += s.Degradations
-		out.Recoveries += s.Recoveries
-		out.DegradedPhases += s.DegradedPhases
-		out.Phases += s.Phases
+		out.AddCounts(s.Counts())
 		out.SchedulingTime += s.SchedulingTime
-		out.VerticesGenerated += s.VerticesGenerated
-		out.Backtracks += s.Backtracks
-		out.DeadEnds += s.DeadEnds
-		out.QuantaExpired += s.QuantaExpired
 		if s.Makespan.After(out.Makespan) {
 			out.Makespan = s.Makespan
 		}
 		out.WorkerBusy = append(out.WorkerBusy, s.WorkerBusy...)
 		out.Response.Merge(&s.Response)
 	}
+	out.Total = r.Routed
 	out.Algorithm = fmt.Sprintf("%s/fed×%d", algo, r.Topology.Shards)
 	return out
 }
@@ -479,25 +456,20 @@ func (r *Result) Combined() *metrics.RunResult {
 //	                                    failed bounces are shed locally)
 //	Bounced                          == Migrated + Rejected
 //	Σ shard.Settled()                == Routed   (each task settles once)
-//	per shard: Settled() + Bounced   == Total
-//
-// The per-shard check is Balance's first identity only: a dead wire shard's
-// books are folded from its Progress counts, which carry the shed total but
-// not its reasons.
+//	per shard: Balance()             (Settled() + Bounced == Total, and
+//	                                    the shed reasons sum to Shed)
 func (r *Result) Reconcile() error {
 	sumTotal, sumBounced, sumSettled := 0, 0, 0
 	for i, s := range r.Shards {
 		if s == nil {
 			return fmt.Errorf("federation: shard %d has no result", i)
 		}
-		settled := s.Settled()
-		if settled+s.Bounced != s.Total {
-			return fmt.Errorf("federation: shard %d books do not balance: settled=%d bounced=%d != total=%d",
-				i, settled, s.Bounced, s.Total)
+		if err := s.Balance(); err != nil {
+			return fmt.Errorf("federation: shard %d: %w", i, err)
 		}
 		sumTotal += s.Total
 		sumBounced += s.Bounced
-		sumSettled += settled
+		sumSettled += s.Settled()
 	}
 	if sumTotal != r.Routed+r.Migrated {
 		return fmt.Errorf("federation: Σ shard totals %d != routed %d + migrated %d", sumTotal, r.Routed, r.Migrated)

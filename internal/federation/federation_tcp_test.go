@@ -17,6 +17,7 @@ import (
 	"rtsads/internal/core"
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
+	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/policy"
 	"rtsads/internal/task"
@@ -122,19 +123,8 @@ func TestFederationLiveTCPTwoShards(t *testing.T) {
 	// Remote shard counts arrive via Progress frames; the final frame
 	// lands before the result, so the mirror must be exact.
 	for i, s := range res.Shards {
-		got := f.ShardCounters(i)
-		for k, want := range map[int]int{
-			wire.CountHits:     s.Hits,
-			wire.CountPurged:   s.Purged,
-			wire.CountMissed:   s.ScheduledMissed,
-			wire.CountLost:     s.LostToFailure,
-			wire.CountShed:     s.Shed,
-			wire.CountAdmitted: s.Admitted,
-			wire.CountBounced:  s.Bounced,
-		} {
-			if got[k] != int64(want) {
-				t.Errorf("shard %d wire count %s = %d, result says %d", i, countMetric[k], got[k], want)
-			}
+		if got, want := f.ShardCounters(i), s.Counts(); got != want {
+			t.Errorf("shard %d wire counts %v, result says %v", i, got, want)
 		}
 	}
 	// The shipped journals merge with the router's into a span-complete
@@ -335,8 +325,8 @@ func TestFederationLiveTCPByeIsTerminal(t *testing.T) {
 
 // TestProgressCoversExactlyShippedIDs: tasks settle from several goroutines
 // while Progress frames are encoded. Decoded in order, every frame's terminal
-// counts equal the IDs shipped through it and no ID ships twice — the salvage
-// invariant, frame by frame.
+// counts equal the IDs shipped through it, its shed reasons sum to its Shed,
+// and no ID ships twice — the salvage invariant, frame by frame.
 func TestProgressCoversExactlyShippedIDs(t *testing.T) {
 	p := workload.DefaultParams(2)
 	p.NumTransactions = 1
@@ -349,6 +339,10 @@ func TestProgressCoversExactlyShippedIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &shardServer{cl: cl, o: obs.New(0), settledTick: make(chan struct{}, 1)}
+	// Every position the settle hook hands over: the verdicts, a shed's by
+	// its reason.
+	verdicts := []metrics.Count{metrics.CountHits, metrics.CountMissed, metrics.CountPurged, metrics.CountLost,
+		metrics.CountShedHopeless, metrics.CountShedQueueFull, metrics.CountShedShutdown, metrics.CountShedInfeasible}
 	const settlers, each = 4, 5000
 	var wg sync.WaitGroup
 	for g := 0; g < settlers; g++ {
@@ -356,7 +350,7 @@ func TestProgressCoversExactlyShippedIDs(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				s.noteSettled(task.ID(g*each+i), countMetric[i%wire.CountAdmitted])
+				s.noteSettled(task.ID(g*each+i), verdicts[i%len(verdicts)])
 			}
 		}(g)
 	}
@@ -391,6 +385,11 @@ func TestProgressCoversExactlyShippedIDs(t *testing.T) {
 		}
 		if got := frame.Counts.Settled(); got != int64(len(shipped)) {
 			t.Fatalf("frame %d counts %d settled tasks, %d IDs shipped through it", seq, got, len(shipped))
+		}
+		c := &frame.Counts
+		if reasons := c[metrics.CountShedHopeless] + c[metrics.CountShedQueueFull] + c[metrics.CountShedShutdown] +
+			c[metrics.CountShedInfeasible]; reasons != c[metrics.CountShed] {
+			t.Fatalf("frame %d: shed reasons sum to %d, shed is %d", seq, reasons, c[metrics.CountShed])
 		}
 		if last {
 			break
@@ -449,6 +448,9 @@ func TestFederationLiveTCPShardKill(t *testing.T) {
 		t.Errorf("routed %d of %d tasks", res.Routed, len(w.Tasks))
 	}
 	dead := res.Shards[1]
+	if err := dead.Balance(); err != nil {
+		t.Errorf("killed shard's books: %v", err)
+	}
 	if dead.LostToFailure == 0 {
 		t.Logf("note: shard 1 settled everything before the kill landed (lost=0); books still balance")
 	}
@@ -502,6 +504,9 @@ func TestFederationLiveTCPShardRejoin(t *testing.T) {
 	res := out.res
 	if err := res.Reconcile(); err != nil {
 		t.Fatalf("reconcile across kill→salvage→rejoin: %v", err)
+	}
+	if err := res.Shards[1].Balance(); err != nil {
+		t.Errorf("rejoined shard's books: %v", err)
 	}
 	if res.Routed != len(w.Tasks) {
 		t.Errorf("routed %d of %d tasks", res.Routed, len(w.Tasks))
@@ -584,6 +589,9 @@ func TestFederationLiveTCPShardFlap(t *testing.T) {
 	res := out.res
 	if err := res.Reconcile(); err != nil {
 		t.Fatalf("reconcile with flapping shard: %v", err)
+	}
+	if err := res.Shards[1].Balance(); err != nil {
+		t.Errorf("flapping shard's books: %v", err)
 	}
 	if res.Rejoins < 2 {
 		t.Errorf("rejoins = %d, want at least 2 from three kills", res.Rejoins)

@@ -9,7 +9,6 @@ import (
 
 	"rtsads/internal/admission"
 	"rtsads/internal/faultinject"
-	"rtsads/internal/machine"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
@@ -34,7 +33,7 @@ func sectionWorkload(t *testing.T, workers int) *workload.Workload {
 func checkRegistryMirror(t *testing.T, shard int, o *obs.Observer, res *metrics.RunResult) {
 	t.Helper()
 	snap := o.Registry().Snapshot()
-	for name, want := range machine.Mirror(res) {
+	for name, want := range obs.Mirror(res) {
 		if got := snap[name]; got != int64(want) {
 			t.Errorf("shard %d: registry %s = %d, result says %d", shard, name, got, want)
 		}

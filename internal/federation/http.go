@@ -18,7 +18,7 @@ import (
 //	    headers are emitted for the router's metrics and shard 0's; later
 //	    shards' lazily-created families scrape as untyped, which the text
 //	    format permits. A remote shard shows its last Progress frame: the
-//	    seven counts and the worker gauges.
+//	    books' counts and the worker gauges.
 //	/healthz — JSON worker liveness per shard (a remote shard's from its
 //	    load view), plus an overall status.
 //	/slo — per-shard SLO summaries plus the federation rollup (counters
@@ -98,7 +98,7 @@ func (f *Federation) Handler() http.Handler {
 func progressRegistry(rs *remoteShard) *obs.Registry {
 	reg := obs.NewRegistry()
 	for k, n := range rs.Counters() {
-		reg.Counter(countMetric[k]).Add(n)
+		reg.Counter(obs.CountMetric[k]).Add(n)
 	}
 	load := rs.LoadSummary()
 	reg.Gauge(obs.MetricWorkersAlive).Set(int64(load.Alive))

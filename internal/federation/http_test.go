@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rtsads/internal/admission"
-	"rtsads/internal/machine"
 	"rtsads/internal/obs"
 	"rtsads/internal/workload"
 )
@@ -146,12 +145,16 @@ func TestDebugEndpointServesRemoteShards(t *testing.T) {
 	}
 	metrics := get("/metrics")
 	// A remote shard's /metrics is its last Progress frame: the counts that
-	// frame carries, checked against the books' mirror.
+	// frame carries, checked against the books' mirror. A labelled name
+	// gains the shard label ahead of its own.
 	for i, r := range out.res.Shards {
-		mirror := machine.Mirror(r)
-		for _, k := range countMetric {
-			if got := sample(metrics, fmt.Sprintf("%s{shard=\"%d\"}", k, i)); got != int64(mirror[k]) {
-				t.Errorf("shard %d: /metrics %s = %d, result says %d", i, k, got, mirror[k])
+		for k, want := range obs.Mirror(r) {
+			name := fmt.Sprintf("%s{shard=\"%d\"}", k, i)
+			if base, labels, ok := strings.Cut(k, "{"); ok {
+				name = fmt.Sprintf("%s{shard=\"%d\",%s", base, i, labels)
+			}
+			if got := sample(metrics, name); got != int64(want) {
+				t.Errorf("shard %d: /metrics %s = %d, result says %d", i, name, got, want)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -43,9 +42,10 @@ var errShardDown = errors.New("shard is down")
 // all sessions. Per session, submitted = settled + outstanding +
 // migrated-away; at death the outstanding set is split by salvage into
 // migrated-away (books cancel: Total+1 and Bounced+1) and residual
-// (charged lost). The Progress verdict counts are settle-derived on the
-// shard side, exactly consistent with the settled-ID stream, so the fold is
-// ledger-exact and Reconcile holds across kill → salvage → rejoin.
+// (charged lost). The Progress verdict counts and shed reasons are
+// settle-derived on the shard side, exactly consistent with the settled-ID
+// stream, so the fold is ledger-exact and every session's books balance
+// across kill → salvage → rejoin.
 type remoteShard struct {
 	id   int
 	f    *Federation
@@ -72,11 +72,9 @@ type remoteShard struct {
 	// salvageable set.
 	outstanding map[task.ID]struct{}
 
-	// Folded books of dead sessions (and post-death stray charges): prev
-	// holds every count but bounces, which the router's ledger keeps.
-	prev          wire.Counts
-	prevTotalSum  int
-	bouncesFolded int64
+	// prev holds the folded books of dead sessions and post-death stray
+	// charges, with Total and Bounced from the router's ledger.
+	prev metrics.Counts
 
 	res *metrics.RunResult
 	// journal holds the session's shipped journal as the wire bytes it
@@ -391,16 +389,23 @@ func (s *remoteShard) readLoop(sess *wire.Session) {
 				return
 			}
 		case wire.TypeResult:
-			var res metrics.RunResult
-			if err := json.Unmarshal(body, &res); err != nil {
+			// The result must repeat the books of the final Progress frame,
+			// which reached this session first.
+			res := s.blank()
+			err = metrics.DecodeResult(body, res)
+			s.mu.Lock()
+			if err == nil && s.sess == sess {
+				if res.Counts() != s.prog.Counts {
+					err = fmt.Errorf("books %v differ from the final progress frame's %v", res.Counts(), s.prog.Counts)
+				} else {
+					s.res = res
+				}
+			}
+			s.mu.Unlock()
+			if err != nil {
 				s.sessionLost(sess, fmt.Errorf("federation: shard %d result: %w", s.id, err))
 				return
 			}
-			s.mu.Lock()
-			if s.sess == sess {
-				s.res = &res
-			}
-			s.mu.Unlock()
 		case wire.TypeJournal:
 			// The journal arrives in bounded chunks, no more entries than the
 			// JournalCap the hello sent. Each is checked and kept as its wire
@@ -503,38 +508,28 @@ func (s *remoteShard) stillOutstanding(id task.ID) bool {
 // session contributed: settled tasks (by verdict), residual outstanding
 // tasks (charged lost — they provably could not make their deadline
 // anywhere), and migrated-away tasks (bounces since the last fold). Their
-// sum is exactly the tasks submitted during the session, so prevTotalSum
+// sum is exactly the tasks submitted during the session, so the folded Total
 // stays ledger-exact.
 func (s *remoteShard) fold(bouncesNow int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	residual := int64(len(s.outstanding))
-	s.prevTotalSum += int(s.prog.Counts.Settled() + residual + bouncesNow - s.bouncesFolded)
-	s.bouncesFolded = bouncesNow
+	c := &s.prog.Counts
+	c[metrics.CountLost] += int64(len(s.outstanding))
+	c[metrics.CountBounced] = bouncesNow - s.prev[metrics.CountBounced]
+	c[metrics.CountTotal] = c.Settled() + c[metrics.CountBounced]
 	s.prev = s.merged()
-	s.prev[wire.CountLost] += residual
-	s.prog.Counts = wire.Counts{}
+	*c = metrics.Counts{}
 	s.outstanding = make(map[task.ID]struct{})
 }
 
-// merged adds the live session's counts, bounces excepted, to the folded
-// books. Caller holds s.mu.
-func (s *remoteShard) merged() wire.Counts {
+// merged adds the live session's counts to the folded books. Caller holds
+// s.mu.
+func (s *remoteShard) merged() metrics.Counts {
 	m := s.prev
-	for k := range wire.CountBounced {
-		m[k] += s.prog.Counts[k]
+	for k, n := range s.prog.Counts {
+		m[k] += n
 	}
 	return m
-}
-
-// addCounts adds c's verdicts and admissions to r's books.
-func addCounts(r *metrics.RunResult, c wire.Counts) {
-	r.Hits += int(c[wire.CountHits])
-	r.ScheduledMissed += int(c[wire.CountMissed])
-	r.Purged += int(c[wire.CountPurged])
-	r.LostToFailure += int(c[wire.CountLost])
-	r.Shed += int(c[wire.CountShed])
-	r.Admitted += int(c[wire.CountAdmitted])
 }
 
 // foldStray folds one post-death first placement straight into the closed
@@ -543,11 +538,11 @@ func addCounts(r *metrics.RunResult, c wire.Counts) {
 func (s *remoteShard) foldStray(salvaged bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.prevTotalSum++
+	s.prev[metrics.CountTotal]++
 	if salvaged {
-		s.bouncesFolded++
+		s.prev[metrics.CountBounced]++
 	} else {
-		s.prev[wire.CountLost]++
+		s.prev[metrics.CountLost]++
 	}
 }
 
@@ -560,7 +555,7 @@ func (s *remoteShard) LoadSummary() livecluster.Summary {
 }
 
 // Counters returns the live session's counts as of its last Progress frame.
-func (s *remoteShard) Counters() wire.Counts {
+func (s *remoteShard) Counters() metrics.Counts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.prog.Counts
@@ -639,33 +634,34 @@ func (s *remoteShard) Wait() (*metrics.RunResult, error) {
 	// The router's bounce ledger is exact where a dead session's last
 	// counter snapshot may trail; read it before taking s.mu (lock order:
 	// f.mu never follows s.mu).
-	bounces := int(s.f.acceptedBounces(s.id))
+	bounces := s.f.acceptedBounces(s.id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.res != nil {
 		out := *s.res
-		out.Total += s.prevTotalSum
-		out.Bounced += int(s.bouncesFolded)
-		addCounts(&out, s.prev)
+		out.AddCounts(s.prev)
 		return &out, nil
 	}
 	// The remainder — tasks in no other bucket, worker-level losses and
 	// salvage residuals included — is lost with the shard. Counts and the
 	// submit count race only while frames are in flight; clamping keeps the
 	// synthesized books sane.
-	total := int(s.submitted.Load())
+	total := s.submitted.Load()
 	m := s.merged()
-	m[wire.CountLost] = 0
-	decided := int(m.Settled()) + bounces
-	res := &metrics.RunResult{
-		Algorithm:     string(s.f.cfg.Algorithm),
-		Workers:       s.f.tp.WorkersPerShard,
-		Total:         max(total, decided),
-		LostToFailure: max(0, total-decided),
-		Bounced:       bounces,
-	}
-	addCounts(res, m)
+	m[metrics.CountLost] = 0
+	m[metrics.CountBounced] = bounces
+	decided := m.Settled() + bounces
+	m[metrics.CountTotal] = max(total, decided)
+	m[metrics.CountLost] = max(0, total-decided)
+	res := s.blank()
+	res.AddCounts(m)
 	return res, nil
+}
+
+// blank is a result labelled as this shard's: the configured algorithm and
+// the shard's worker count, which no frame carries.
+func (s *remoteShard) blank() *metrics.RunResult {
+	return &metrics.RunResult{Algorithm: string(s.f.cfg.Algorithm), Workers: s.f.tp.WorkersPerShard}
 }
 
 // Journal returns whatever journal the shard shipped at seal time. A

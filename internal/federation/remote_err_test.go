@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -79,7 +78,11 @@ func fakeShardOn(t *testing.T, wrap func(net.Conn) net.Conn, script func(c *wire
 // IDs for the ledger — and answers the seal with its result. Heartbeats keep
 // the router's read bound quiet in between. It returns after the result is
 // written; journal and Bye are the caller's to send or withhold.
-func honestShard(c *wire.Conn) error {
+func honestShard(c *wire.Conn) error { return skewedShard(c, 0) }
+
+// skewedShard is honestShard with a result claiming books more hits than its
+// final Progress frame did.
+func skewedShard(c *wire.Conn, books int) error {
 	var wmu sync.Mutex // the heartbeat goroutine writes too
 	send := func(typ byte, payload []byte) error {
 		wmu.Lock()
@@ -124,17 +127,16 @@ func honestShard(c *wire.Conn) error {
 				p.Settled = append(p.Settled, int32(t.ID))
 			}
 			p.Seq++
-			p.Counts[wire.CountHits] += int64(len(ts))
+			p.Counts[metrics.CountTotal] += int64(len(ts))
+			p.Counts[metrics.CountHits] += int64(len(ts))
 			if err := send(wire.TypeProgress, wire.AppendProgress(nil, &p)); err != nil {
 				return err
 			}
 		case wire.TypeSeal:
-			n := int(p.Counts[wire.CountHits])
-			res, err := json.Marshal(metrics.RunResult{Workers: 2, Total: n, Hits: n})
-			if err != nil {
-				return err
-			}
-			return send(wire.TypeResult, res)
+			var res metrics.RunResult
+			res.AddCounts(p.Counts)
+			res.Hits += books
+			return send(wire.TypeResult, metrics.AppendResult(nil, &res))
 		}
 	}
 }
@@ -244,7 +246,14 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 				}
 				return c.WriteFrame(wire.TypeResult, []byte("{not json"))
 			},
-			wantErr: "shard 1 result:",
+			wantErr: "shard 1 result: metrics: result payload is 9 bytes, want 496 plus 8 per worker",
+		},
+		{
+			// A result whose books differ from the final Progress frame's is
+			// a session error: the router keeps the ledger it folds instead.
+			name:    "result-disagrees",
+			script:  func(c *wire.Conn) error { return skewedShard(c, 1) },
+			wantErr: "shard 1 result: books",
 		},
 		{
 			name: "unknown-frame",

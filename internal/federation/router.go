@@ -9,7 +9,6 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
 	"rtsads/internal/faultinject"
-	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
@@ -178,32 +177,12 @@ func (s *localShard) start(i int, failed chan<- int) {
 func (s *localShard) SubmitBatch(ts []*task.Task) error { return s.cl.SubmitBatch(ts) }
 func (s *localShard) Placeable() bool                   { return true }
 func (s *localShard) LoadSummary() livecluster.Summary  { return s.cl.LoadSummary() }
-func (s *localShard) SettledTasks() int64               { return registryCounts(s.o.Registry()).Settled() }
+func (s *localShard) SettledTasks() int64               { return s.o.Counts().Settled() }
 func (s *localShard) Seal()                             { s.cl.Seal() }
 func (s *localShard) Journal() ([]obs.Entry, int64)     { return s.o.Journal().Export() }
 func (s *localShard) Wait() (*metrics.RunResult, error) {
 	<-s.done
 	return s.res, s.err
-}
-
-// countMetric names the shard registry counter behind each wire.Counts slot.
-var countMetric = [wire.NumCounts]string{
-	wire.CountHits:     obs.MetricHits,
-	wire.CountMissed:   obs.MetricMissed,
-	wire.CountPurged:   obs.MetricPurged,
-	wire.CountLost:     obs.MetricLost,
-	wire.CountShed:     obs.MetricShed,
-	wire.CountAdmitted: obs.MetricAdmitted,
-	wire.CountBounced:  obs.MetricBounced,
-}
-
-// registryCounts reads the counts of a shard registry.
-func registryCounts(reg *obs.Registry) wire.Counts {
-	var c wire.Counts
-	for k, name := range countMetric {
-		c[k] = reg.Counter(name).Value()
-	}
-	return c
 }
 
 // Federation runs N live scheduler shards behind one router. Build with
@@ -694,11 +673,11 @@ func (f *Federation) MergedEntries() ([]obs.Entry, int64) {
 
 // ShardCounters returns shard i's latest counts: its registry's in process
 // (or before Run), a remote shard's live session's last Progress frame's.
-func (f *Federation) ShardCounters(i int) wire.Counts {
+func (f *Federation) ShardCounters(i int) metrics.Counts {
 	if rs, ok := f.handle(i).(*remoteShard); ok {
 		return rs.Counters()
 	}
-	return registryCounts(f.obsShards[i].Registry())
+	return f.obsShards[i].Counts()
 }
 
 // handle returns shard i's handle, or nil before Run has built them.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -56,9 +55,10 @@ type shardServer struct {
 	verdicts map[int32]chan bool
 
 	// smu guards prog, the next Progress frame. noteSettled books an ID with
-	// its verdict, and appendProgress takes the IDs, the counts and the next
-	// Seq, each in one critical section, so every frame's counts cover
-	// exactly the IDs shipped through its Seq — never more, never less.
+	// its verdict (and a shed's reason), and appendProgress takes the IDs,
+	// the counts and the next Seq, each in one critical section, so every
+	// frame's counts cover exactly the IDs shipped through its Seq — never
+	// more, never less — and its shed reasons sum to its Shed.
 	smu  sync.Mutex
 	prog wire.Progress
 	// settledTick (buffered 1, coalescing) wakes progressLoop after a settle,
@@ -153,11 +153,13 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 	}
 
 	// Ship the closing state: a final Progress frame covering every verdict,
-	// the result, the journal, then a clean goodbye.
+	// the result (the same books, which the router checks against that
+	// frame), the journal, then a clean goodbye.
 	if err := s.sess.SendWith(wire.TypeProgress, s.appendProgress); err != nil {
 		return err
 	}
-	if err := s.sess.SendJSON(wire.TypeResult, out.res); err != nil {
+	err := s.sess.SendWith(wire.TypeResult, func(dst []byte) []byte { return metrics.AppendResult(dst, out.res) })
+	if err != nil {
 		return err
 	}
 	if err := s.o.Journal().Visit(s.shipJournal); err != nil {
@@ -292,13 +294,12 @@ func helloShardConfig(hello wire.Hello) livecluster.Config {
 }
 
 // noteSettled is the observer's OnSettle hook: the settled ID and its
-// verdict count are recorded in one critical section, so the cumulative
+// verdict's counts are recorded in one critical section, so the cumulative
 // counts always cover exactly the buffered IDs.
-func (s *shardServer) noteSettled(id task.ID, verdict string) {
-	k := slices.Index(countMetric[:], verdict)
+func (s *shardServer) noteSettled(id task.ID, k metrics.Count) {
 	s.smu.Lock()
 	s.prog.Settled = append(s.prog.Settled, int32(id))
-	s.prog.Counts[k]++
+	s.prog.Counts.Settle(k)
 	s.smu.Unlock()
 	select {
 	case s.settledTick <- struct{}{}:
@@ -307,16 +308,16 @@ func (s *shardServer) noteSettled(id task.ID, verdict string) {
 }
 
 // appendProgress is the SendWith encoder of the next Progress frame: the
-// load view, the next Seq, the counts (the registry's admitted and bounced
-// beside the verdicts) and the IDs settled since the last frame, which it
-// clears. It runs under the write lock, so frames leave in Seq order.
+// load view, the next Seq, the counts (the observer's beside the settled
+// verdicts) and the IDs settled since the last frame, which it clears. It
+// runs under the write lock, so frames leave in Seq order.
 func (s *shardServer) appendProgress(dst []byte) []byte {
-	load, reg := s.cl.LoadSummary(), registryCounts(s.o.Registry())
+	load, counts := s.cl.LoadSummary(), s.o.Counts()
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	s.prog.Load = load
 	s.prog.Seq++
-	copy(s.prog.Counts[wire.CountAdmitted:], reg[wire.CountAdmitted:])
+	copy(s.prog.Counts[metrics.NumVerdicts:], counts[metrics.NumVerdicts:])
 	dst = wire.AppendProgress(dst, &s.prog)
 	s.prog.Settled = s.prog.Settled[:0]
 	return dst

@@ -30,14 +30,24 @@ var progressCases = []Progress{
 	{},
 	{Load: Load{Workers: 2, Alive: 2, MinFree: 12345}, Seq: 1},
 	{Load: Load{Workers: 4, Alive: 3, Backlog: 17, Inflight: 5, QueuedWork: 3 * time.Millisecond, MinFree: 987654321},
-		Seq: 7, Counts: Counts{CountHits: 2, CountLost: 1, CountAdmitted: 5, CountBounced: 1}, Settled: []int32{3, 11, 42}},
-	{Load: Load{Workers: 4, Alive: 0, MinFree: simtime.Never}, Seq: 2, Counts: Counts{CountShed: 9}},
+		Seq: 7, Counts: metrics.Counts{metrics.CountHits: 2, metrics.CountLost: 1, metrics.CountTotal: 4, metrics.CountAdmitted: 5, metrics.CountBounced: 1},
+		Settled: []int32{3, 11, 42}},
+	{Load: Load{Workers: 4, Alive: 0, MinFree: simtime.Never}, Seq: 2,
+		Counts: metrics.Counts{metrics.CountShed: 9, metrics.CountShedQueueFull: 7, metrics.CountShedHopeless: 2, metrics.CountPhases: 3}},
 	{Load: Load{Workers: 1, Alive: 1, Sealed: true}, Seq: 3, Settled: []int32{0}},
 	{Load: Load{Workers: math.MaxInt32, Alive: math.MaxInt32, Backlog: math.MaxInt32, Inflight: math.MaxInt32,
 		QueuedWork: math.MaxInt64, MinFree: simtime.Never, Sealed: true},
-		Seq: math.MaxUint64, Counts: Counts{math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64},
-		Settled: []int32{math.MaxInt32, math.MinInt32, -1}},
-	{Load: Load{Backlog: -1, QueuedWork: -time.Second, MinFree: -1}, Counts: Counts{CountMissed: -1}},
+		Seq: math.MaxUint64, Counts: maxCounts(), Settled: []int32{math.MaxInt32, math.MinInt32, -1}},
+	{Load: Load{QueuedWork: -time.Second, MinFree: -1}},
+}
+
+// maxCounts is a vector of every count at its largest.
+func maxCounts() metrics.Counts {
+	var c metrics.Counts
+	for k := range c {
+		c[k] = math.MaxInt64
+	}
+	return c
 }
 
 // sameProgress compares two frames, a nil and an empty ID list alike.
@@ -54,7 +64,7 @@ func TestProgressCodecRoundTrip(t *testing.T) {
 		// Decode over a dirty value: every field must be overwritten.
 		got := Progress{
 			Load: Load{Workers: 9, Alive: 9, Backlog: 9, Inflight: 9, QueuedWork: 9, MinFree: 9, Sealed: !want.Load.Sealed},
-			Seq:  want.Seq + 1, Counts: Counts{9, 9, 9, 9, 9, 9, 9}, Settled: []int32{9, 9, 9, 9, 9},
+			Seq:  want.Seq + 1, Counts: metrics.Counts{9, 9, 9, 9, 9, 9, 9}, Settled: []int32{9, 9, 9, 9, 9},
 		}
 		if err := DecodeProgress(payload, &got); err != nil {
 			t.Fatalf("DecodeProgress(%+v): %v", want, err)
@@ -92,7 +102,20 @@ func TestDecodeProgressRejectsMalformed(t *testing.T) {
 	binary.BigEndian.PutUint32(hostile[progressFixed-4:], math.MaxUint32) // four billion IDs, three carried
 	sealed := slices.Clone(payload)
 	sealed[32] = 2 // would re-encode as 1
-	for _, p := range [][]byte{nil, payload[:1], payload[:progressFixed-1], payload[:len(payload)-1], append(slices.Clone(payload), 0), hostile, sealed} {
+	malformed := [][]byte{nil, payload[:1], payload[:progressFixed-1], payload[:len(payload)-1], append(slices.Clone(payload), 0), hostile, sealed}
+	// A hostile shard's negative count would enter the router's books, and a
+	// negative load field the view placement divides by.
+	for i := range 4 {
+		negative := slices.Clone(payload)
+		binary.BigEndian.PutUint32(negative[4*i:], math.MaxUint32)
+		malformed = append(malformed, negative)
+	}
+	for _, k := range []metrics.Count{metrics.CountMissed, metrics.CountShedInfeasible, metrics.CountTotal, metrics.NumCounts - 1} {
+		negative := slices.Clone(payload)
+		binary.BigEndian.PutUint64(negative[loadSize+8+8*int(k):], uint64(1)<<63)
+		malformed = append(malformed, negative)
+	}
+	for _, p := range malformed {
 		keep := progressCases[4]
 		if err := DecodeProgress(p, &keep); err == nil {
 			t.Fatalf("DecodeProgress accepted a %d-byte payload %x", len(p), p)
@@ -147,6 +170,9 @@ func FuzzDecodeProgress(f *testing.F) {
 		}
 		if carried := (len(payload) - progressFixed) / 4; cap(p.Settled) > carried {
 			t.Fatalf("%d-byte payload sized the ID list to %d", len(payload), cap(p.Settled))
+		}
+		if l := p.Load; min(l.Workers, l.Alive, l.Backlog, l.Inflight, int(slices.Min(p.Counts[:]))) < 0 {
+			t.Fatalf("accepted a negative count or load field: %+v", p)
 		}
 		if again := AppendProgress(nil, &p); !bytes.Equal(again, payload) {
 			t.Fatalf("encode∘decode changed the payload:\n got %x\nwant %x", again, payload)
@@ -335,10 +361,6 @@ func FuzzHelloJSON(f *testing.F) {
 		SlackGuardNano: 25000, JournalCap: 4096, Degrade: &core.DegradeConfig{},
 		Rejoin: true, Epoch: 3, ResumeSeq: 19,
 	})
-}
-
-func FuzzResultJSON(f *testing.F) {
-	fuzzJSON(f, metrics.RunResult{}, metrics.RunResult{Algorithm: "rt-sads/live", Workers: 2, Total: 48, Hits: 40, Purged: 6, Shed: 2})
 }
 
 // FuzzDecodeJournal checks a first Journal chunk against a small cap: what it

@@ -11,7 +11,7 @@ import (
 
 // Session is one RTFW connection and the only place its mechanics live:
 // the preamble and hello exchange (Dial, Accept), deadline-bounded writes
-// serialized by a mutex (Send, SendWith, SendJSON), idle-bounded reads
+// serialized by a mutex (Send, SendWith), idle-bounded reads
 // (Recv), the heartbeat ticker (Start), a half-close after the last frame
 // (CloseWrite) and an idempotent Close. All four endpoints — router and
 // shard, host and worker — run on it, so every wait on either tier is
@@ -53,7 +53,11 @@ func Dial(addr string, timeout time.Duration, hello any) (*Session, error) {
 		nc.Close()
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
-	if err := s.SendJSON(TypeHello, hello); err != nil {
+	payload, err := json.Marshal(hello)
+	if err == nil {
+		err = s.Send(TypeHello, payload)
+	}
+	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("hello: %w", err)
 	}
@@ -138,15 +142,6 @@ func (s *Session) SendWith(typ byte, encode func(dst []byte) []byte) error {
 	defer s.wmu.Unlock()
 	s.wbuf = encode(s.wbuf[:0])
 	return s.send(typ, s.wbuf)
-}
-
-// SendJSON writes one frame carrying v as JSON.
-func (s *Session) SendJSON(typ byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return s.Send(typ, payload)
 }
 
 // send is the one bounded write. Caller holds wmu.

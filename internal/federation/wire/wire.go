@@ -8,11 +8,11 @@
 //	[4-byte big-endian payload length][1-byte type][payload]
 //
 // Task batches, shard progress reports, job deliveries and completions — the
-// hot path — and the end-of-session journal use binary codecs (48 bytes per
-// task, 101 plus 4 per settled ID per Progress frame, about 25 per journal
-// entry; no reflection; the Jobs and Done records
-// sit beside their types in livecluster); only the hellos and the result,
-// one frame each per session, are JSON inside their frame.
+// hot path — and the end-of-session result and journal use binary codecs (48
+// bytes per task, 229 plus 4 per settled ID per Progress frame, about 25 per
+// journal entry; no reflection; the Result payload is metrics.AppendResult,
+// and the Jobs and Done records sit beside their types in livecluster); only
+// the hellos, one frame each per session, are JSON inside their frame.
 //
 // Versioning rules: the preamble's version byte names the frame grammar.
 // A peer MUST reject a version it does not speak — there is no
@@ -36,6 +36,7 @@ import (
 	"unicode/utf8"
 
 	"rtsads/internal/affinity"
+	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
@@ -48,10 +49,12 @@ import (
 // worker tier (a worker's hello, the Jobs and Done frames) and carries the
 // whole shard configuration in the shard Hello; 5 replaces the JSON Summary,
 // the JSON Checkpoint and the Load frame with one binary Progress frame; 6
-// makes the Journal frame binary; 7 makes its records varint.
+// makes the Journal frame binary; 7 makes its records varint; 8 makes the
+// Result frame binary and carries the books' whole vector (metrics.Counts) in
+// Progress and Result alike.
 const (
 	Magic   = "RTFW"
-	Version = 7
+	Version = 8
 )
 
 // Frame types. Submit/Verdict/Seal flow router→shard;
@@ -65,7 +68,7 @@ const (
 	TypeVerdict   byte = 4  // router→shard: migration verdict for a reject
 	TypeProgress  byte = 5  // shard→router: binary Progress report (v5+)
 	TypeSeal      byte = 6  // router→shard: close the shard's feed
-	TypeResult    byte = 7  // shard→router: JSON final RunResult
+	TypeResult    byte = 7  // shard→router: binary final RunResult (v8+)
 	TypeJournal   byte = 8  // shard→router: binary journal chunk (varint records v7+), one per frame
 	TypeHeartbeat byte = 9  // either: liveness only
 	TypeBye       byte = 10 // either: clean close
@@ -87,7 +90,7 @@ const (
 const (
 	TaskRecordSize = 48
 	loadSize       = 33
-	progressFixed  = loadSize + 8 + 8*NumCounts + 4 // load view, Seq, counts, ID count
+	progressFixed  = loadSize + 8 + 8*int(metrics.NumCounts) + 4 // load view, Seq, counts, ID count
 )
 
 // Conn frames one net.Conn. Reads and writes are independently buffered;
@@ -279,37 +282,16 @@ type Load struct {
 	Sealed bool
 }
 
-// Positions in Counts. The first five are the terminal verdicts a shard
-// settles a task with; admitted and bounced ride along for the books.
-const (
-	CountHits = iota
-	CountMissed
-	CountPurged
-	CountLost
-	CountShed
-	CountAdmitted
-	CountBounced
-	NumCounts
-)
-
-// Counts is a shard's cumulative task counts, indexed by position (CountHits
-// … CountBounced) rather than by registry name.
-type Counts [NumCounts]int64
-
-// Settled sums the terminal verdicts: the tasks whose fate the shard decided.
-func (c Counts) Settled() int64 {
-	return c[CountHits] + c[CountMissed] + c[CountPurged] + c[CountLost] + c[CountShed]
-}
-
 // Progress is the shard's one report to the router: its load view, the
-// frame's sequence number within the session, its cumulative counts, and the
-// task IDs settled since the previous frame. Every frame's terminal counts
-// cover exactly the IDs shipped through its Seq — the invariant the router's
-// salvage accounting leans on.
+// frame's sequence number within the session, its cumulative books (every
+// count of a RunResult, by position), and the task IDs settled since the
+// previous frame. Every frame's terminal counts cover exactly the IDs shipped
+// through its Seq, and its shed reasons sum to its Shed — the invariants the
+// router's salvage accounting and a dead shard's books lean on.
 type Progress struct {
 	Load    Load
 	Seq     uint64
-	Counts  Counts
+	Counts  metrics.Counts
 	Settled []int32
 }
 
@@ -339,7 +321,8 @@ func AppendProgress(dst []byte, p *Progress) []byte {
 }
 
 // DecodeProgress overwrites p with an AppendProgress payload, reusing
-// p.Settled's storage; p is untouched on error.
+// p.Settled's storage; p is untouched on error. No count, and none of
+// Workers, Alive, Backlog or Inflight, may be negative.
 func DecodeProgress(payload []byte, p *Progress) error {
 	if len(payload) < progressFixed {
 		return fmt.Errorf("wire: progress payload too short (%d bytes)", len(payload))
@@ -356,16 +339,22 @@ func DecodeProgress(payload []byte, p *Progress) error {
 		return fmt.Errorf("wire: progress sealed byte is %d", sealed)
 	}
 	i32 := func(at int) int { return int(int32(be.Uint32(payload[at:]))) }
-	p.Load = Load{
+	load := Load{
 		Workers: i32(0), Alive: i32(4), Backlog: i32(8), Inflight: i32(12),
 		QueuedWork: time.Duration(be.Uint64(payload[16:])),
 		MinFree:    simtime.Instant(be.Uint64(payload[24:])),
 		Sealed:     payload[32] == 1,
 	}
-	p.Seq = be.Uint64(payload[loadSize:])
-	for k := range p.Counts {
-		p.Counts[k] = int64(be.Uint64(payload[loadSize+8+8*k:]))
+	if min(load.Workers, load.Alive, load.Backlog, load.Inflight) < 0 {
+		return fmt.Errorf("wire: progress load view %+v has a negative size", load)
 	}
+	var counts metrics.Counts
+	for k := range counts {
+		if counts[k] = int64(be.Uint64(payload[loadSize+8+8*k:])); counts[k] < 0 {
+			return fmt.Errorf("wire: progress count %d is %d", k, counts[k])
+		}
+	}
+	p.Load, p.Seq, p.Counts = load, be.Uint64(payload[loadSize:]), counts
 	if cap(p.Settled) < int(n) {
 		p.Settled = make([]int32, n)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rtsads/internal/affinity"
+	"rtsads/internal/metrics"
 	"rtsads/internal/rng"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
@@ -213,7 +214,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	want := Progress{
 		Load:    Load{Workers: 2, Alive: 2, Sealed: true},
 		Seq:     7,
-		Counts:  Counts{CountHits: 2, CountLost: 1},
+		Counts:  metrics.Counts{metrics.CountHits: 2, metrics.CountLost: 1},
 		Settled: []int32{3, 11, 42},
 	}
 	errCh := make(chan error, 1)

@@ -143,7 +143,7 @@ type Config struct {
 	RecordCompletions bool
 	// Obs observes the run: the host's books move every counter mirrored
 	// from RunResult together with its field, so the registry totals
-	// reconcile with the final metrics (machine.Mirror). Optional; nil
+	// reconcile with the final metrics (obs.Mirror). Optional; nil
 	// disables observability at the cost of a pointer check per event.
 	Obs *obs.Observer
 	// Admission applies overload control at the host's front door: the

@@ -8,7 +8,6 @@ import (
 
 	"rtsads/internal/faultinject"
 	"rtsads/internal/federation/wire"
-	"rtsads/internal/machine"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/workload"
@@ -19,7 +18,7 @@ import (
 func assertObsReconciles(t *testing.T, o *obs.Observer, res *metrics.RunResult) {
 	t.Helper()
 	snap := o.Registry().Snapshot()
-	for name, want := range machine.Mirror(res) {
+	for name, want := range obs.Mirror(res) {
 		if snap[name] != int64(want) {
 			t.Errorf("%s = %d, RunResult says %d", name, snap[name], want)
 		}

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"time"
 
 	"rtsads/internal/admission"
@@ -66,18 +65,23 @@ func (h *Host) enter(t *task.Task, now simtime.Instant, gate *admission.Controll
 func (h *Host) Shed(t *task.Task, reason admission.Reason, now simtime.Instant) {
 	r := h.Res
 	r.Shed++
+	k := metrics.CountShed // a reason outside the four is booked as Shed alone
 	switch reason {
 	case admission.Hopeless:
 		r.ShedHopeless++
+		k = metrics.CountShedHopeless
 	case admission.QueueFull:
 		r.ShedQueueFull++
+		k = metrics.CountShedQueueFull
 	case admission.ShuttingDown:
 		r.ShedShutdown++
+		k = metrics.CountShedShutdown
 	case admission.Infeasible:
 		r.ShedInfeasible++
+		k = metrics.CountShedInfeasible
 	}
 	h.record(metrics.Completion{Task: t.ID, Proc: -1})
-	h.cfg.Obs.Shed(t.ID, string(reason), now)
+	h.cfg.Obs.Shed(t.ID, string(reason), k, now)
 }
 
 // Bounce books t handed to a federation router, which took it: terminal for
@@ -188,38 +192,7 @@ func (h *Host) bookPhase(phase int, out *core.PhaseResult, end simtime.Instant) 
 	})
 }
 
-// Mirror maps each registry counter the books' Observer calls move to the
-// RunResult count it must equal once a run ends.
-func Mirror(r *metrics.RunResult) map[string]int {
-	shed := func(reason admission.Reason) string { return fmt.Sprintf(obs.MetricShedPattern, reason) }
-	return map[string]int{
-		obs.MetricArrivals:           r.Total,
-		obs.MetricAdmitted:           r.Admitted,
-		obs.MetricHits:               r.Hits,
-		obs.MetricMissed:             r.ScheduledMissed,
-		obs.MetricPurged:             r.Purged,
-		obs.MetricLost:               r.LostToFailure,
-		obs.MetricRerouted:           r.Rerouted,
-		obs.MetricShed:               r.Shed,
-		shed(admission.Hopeless):     r.ShedHopeless,
-		shed(admission.QueueFull):    r.ShedQueueFull,
-		shed(admission.ShuttingDown): r.ShedShutdown,
-		shed(admission.Infeasible):   r.ShedInfeasible,
-		obs.MetricBounced:            r.Bounced,
-		obs.MetricOverloads:          r.Overloads,
-		obs.MetricWorkerFailures:     r.WorkerFailures,
-		obs.MetricPhases:             r.Phases,
-		obs.MetricVertices:           r.VerticesGenerated,
-		obs.MetricBacktracks:         r.Backtracks,
-		obs.MetricDeadEnds:           r.DeadEnds,
-		obs.MetricQuantaExpired:      r.QuantaExpired,
-		obs.MetricDegradations:       r.Degradations,
-		obs.MetricRecoveries:         r.Recoveries,
-		obs.MetricDegradedPhases:     r.DegradedPhases,
-	}
-}
-
-// Journaled counts the journal entries that book a count Mirror names,
+// Journaled counts the journal entries that book a count obs.Mirror names,
 // under that name; a journal that evicted nothing agrees with Mirror on
 // every one of them.
 func Journaled(entries []obs.Entry) map[string]int {

@@ -16,7 +16,7 @@ import (
 func assertObsParity(t *testing.T, o *obs.Observer, res *metrics.RunResult) {
 	t.Helper()
 	snap := o.Registry().Snapshot()
-	for name, want := range Mirror(res) {
+	for name, want := range obs.Mirror(res) {
 		if snap[name] != int64(want) {
 			t.Errorf("%s = %d, RunResult says %d", name, snap[name], want)
 		}

@@ -1,15 +1,15 @@
-package histogram_test
+package metrics_test
 
 import (
 	"fmt"
 	"time"
 
-	"rtsads/internal/histogram"
+	"rtsads/internal/metrics"
 )
 
-// Example records a few response times and reads their quantiles.
-func Example() {
-	var h histogram.Histogram
+// ExampleHistogram records a few response times and reads their quantiles.
+func ExampleHistogram() {
+	var h metrics.Histogram
 	for _, d := range []time.Duration{
 		100 * time.Microsecond,
 		200 * time.Microsecond,

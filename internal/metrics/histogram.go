@@ -1,10 +1,6 @@
-// Package histogram provides a fixed-size log-bucketed duration histogram
-// used for response-time and lateness distributions. The zero value is an
-// empty, ready-to-use histogram; adding is allocation-free.
-package histogram
+package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
@@ -16,8 +12,11 @@ import (
 // underflow bucket for sub-microsecond values.
 const numBuckets = 34
 
-// Histogram counts durations in power-of-two buckets of microseconds:
-// bucket 0 holds (-inf, 1µs), bucket i holds [2^(i-1)µs, 2^i µs).
+// Histogram is a fixed-size log-bucketed duration histogram, used for
+// response-time distributions. It counts durations in power-of-two buckets
+// of microseconds: bucket 0 holds (-inf, 1µs), bucket i holds
+// [2^(i-1)µs, 2^i µs). The zero value is an empty, ready-to-use histogram;
+// adding is allocation-free.
 type Histogram struct {
 	counts [numBuckets]uint64
 	total  uint64
@@ -114,48 +113,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return h.max
-}
-
-// histogramJSON is the wire form of a Histogram: sparse non-zero buckets
-// plus the scalar moments, so results cross process boundaries (the
-// federation's shard wire protocol) without exposing the representation.
-type histogramJSON struct {
-	Buckets map[int]uint64 `json:"buckets,omitempty"`
-	Total   uint64         `json:"total"`
-	Sum     time.Duration  `json:"sum"`
-	Min     time.Duration  `json:"min"`
-	Max     time.Duration  `json:"max"`
-}
-
-// MarshalJSON encodes the histogram for transport; UnmarshalJSON restores
-// an identical distribution (same counts, moments and quantiles).
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	out := histogramJSON{Total: h.total, Sum: h.sum, Min: h.min, Max: h.max}
-	for i, c := range h.counts {
-		if c != 0 {
-			if out.Buckets == nil {
-				out.Buckets = make(map[int]uint64)
-			}
-			out.Buckets[i] = c
-		}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON restores a histogram encoded by MarshalJSON.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var in histogramJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*h = Histogram{total: in.Total, sum: in.Sum, min: in.Min, max: in.Max}
-	for i, c := range in.Buckets {
-		if i < 0 || i >= numBuckets {
-			return fmt.Errorf("histogram: bucket %d out of range", i)
-		}
-		h.counts[i] = c
-	}
-	return nil
 }
 
 // Merge folds other into h.

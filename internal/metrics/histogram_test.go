@@ -1,4 +1,4 @@
-package histogram
+package metrics
 
 import (
 	"sort"
@@ -10,7 +10,7 @@ import (
 
 const us = time.Microsecond
 
-func TestEmpty(t *testing.T) {
+func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("empty histogram not all-zero")
@@ -27,7 +27,7 @@ func TestEmpty(t *testing.T) {
 	}
 }
 
-func TestBucketOf(t *testing.T) {
+func TestHistogramBucketOf(t *testing.T) {
 	tests := []struct {
 		d    time.Duration
 		want int
@@ -49,7 +49,7 @@ func TestBucketOf(t *testing.T) {
 	}
 }
 
-func TestAddAndStats(t *testing.T) {
+func TestHistogramAddAndStats(t *testing.T) {
 	var h Histogram
 	for _, d := range []time.Duration{us, 3 * us, 5 * us, 7 * us} {
 		h.Add(d)
@@ -65,7 +65,7 @@ func TestAddAndStats(t *testing.T) {
 	}
 }
 
-func TestQuantileBounds(t *testing.T) {
+func TestHistogramQuantileBounds(t *testing.T) {
 	var h Histogram
 	// 100 values: 1µs..100µs.
 	for i := 1; i <= 100; i++ {
@@ -91,7 +91,7 @@ func TestQuantileBounds(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
+func TestHistogramMerge(t *testing.T) {
 	var a, b Histogram
 	a.Add(us)
 	a.Add(10 * us)
@@ -117,7 +117,7 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestRenderShape(t *testing.T) {
+func TestHistogramRenderShape(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 50; i++ {
 		h.Add(10 * us)
@@ -135,7 +135,7 @@ func TestRenderShape(t *testing.T) {
 
 // Property: Quantile is monotone in q and bounded by [some bucket edge >=
 // min, max].
-func TestQuantileMonotoneProperty(t *testing.T) {
+func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
@@ -166,7 +166,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 }
 
 // Property: Merge preserves the total count and sum (mean consistency).
-func TestMergePreservesMassProperty(t *testing.T) {
+func TestHistogramMergePreservesMassProperty(t *testing.T) {
 	f := func(a, b []uint16) bool {
 		var ha, hb Histogram
 		var sum time.Duration
@@ -194,7 +194,7 @@ func TestMergePreservesMassProperty(t *testing.T) {
 	}
 }
 
-func TestBucketUpperUnderflow(t *testing.T) {
+func TestHistogramBucketUpperUnderflow(t *testing.T) {
 	if bucketUpper(0) != us {
 		t.Errorf("bucketUpper(0) = %v", bucketUpper(0))
 	}
@@ -203,7 +203,7 @@ func TestBucketUpperUnderflow(t *testing.T) {
 	}
 }
 
-func TestStringNonEmpty(t *testing.T) {
+func TestHistogramStringNonEmpty(t *testing.T) {
 	var h Histogram
 	h.Add(3 * us)
 	if h.String() == "" || h.String() == "empty" {

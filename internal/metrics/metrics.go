@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"rtsads/internal/histogram"
 	"rtsads/internal/simtime"
 	"rtsads/internal/stats"
 	"rtsads/internal/task"
@@ -107,9 +106,106 @@ type RunResult struct {
 
 	// Response is the distribution of response times (finish - arrival)
 	// over executed tasks.
-	Response histogram.Histogram
+	Response Histogram
 
 	Completions []Completion // per-task records (optional; nil when disabled)
+}
+
+// Count is the position of one of RunResult's integer counts in Counts,
+// the books as one vector. The positions below NumVerdicts are where a task
+// settles in its domain: its terminal verdict and, for a shed, its reason.
+// The rest count arrivals, hand-offs and the scheduler's work.
+type Count int
+
+const (
+	CountHits Count = iota
+	CountMissed
+	CountPurged
+	CountLost
+	CountShed
+	CountShedHopeless
+	CountShedQueueFull
+	CountShedShutdown
+	CountShedInfeasible
+	CountTotal
+	CountAdmitted
+	CountRerouted
+	CountBounced
+	CountOverloads
+	CountWorkerFailures
+	CountPhases
+	CountVertices
+	CountBacktracks
+	CountDeadEnds
+	CountQuantaExpired
+	CountDegradations
+	CountRecoveries
+	CountDegradedPhases
+	NumCounts
+
+	NumVerdicts = CountTotal
+)
+
+// Counts is every integer count of a RunResult, indexed by Count.
+type Counts [NumCounts]int64
+
+// Settled sums the terminal verdicts, as RunResult.Settled does.
+func (c Counts) Settled() int64 {
+	return c[CountHits] + c[CountMissed] + c[CountPurged] + c[CountLost] + c[CountShed]
+}
+
+// Settle books one task settled at k, a position below NumVerdicts; a shed
+// reason counts toward Shed as well.
+func (c *Counts) Settle(k Count) {
+	c[k]++
+	if k > CountShed {
+		c[CountShed]++
+	}
+}
+
+// counts is the one layout of the books' vector: each position's field.
+func (r *RunResult) counts() [NumCounts]*int {
+	return [NumCounts]*int{
+		CountHits:           &r.Hits,
+		CountMissed:         &r.ScheduledMissed,
+		CountPurged:         &r.Purged,
+		CountLost:           &r.LostToFailure,
+		CountShed:           &r.Shed,
+		CountShedHopeless:   &r.ShedHopeless,
+		CountShedQueueFull:  &r.ShedQueueFull,
+		CountShedShutdown:   &r.ShedShutdown,
+		CountShedInfeasible: &r.ShedInfeasible,
+		CountTotal:          &r.Total,
+		CountAdmitted:       &r.Admitted,
+		CountRerouted:       &r.Rerouted,
+		CountBounced:        &r.Bounced,
+		CountOverloads:      &r.Overloads,
+		CountWorkerFailures: &r.WorkerFailures,
+		CountPhases:         &r.Phases,
+		CountVertices:       &r.VerticesGenerated,
+		CountBacktracks:     &r.Backtracks,
+		CountDeadEnds:       &r.DeadEnds,
+		CountQuantaExpired:  &r.QuantaExpired,
+		CountDegradations:   &r.Degradations,
+		CountRecoveries:     &r.Recoveries,
+		CountDegradedPhases: &r.DegradedPhases,
+	}
+}
+
+// Counts returns r's integer counts as one vector.
+func (r *RunResult) Counts() Counts {
+	var c Counts
+	for k, p := range r.counts() {
+		c[k] = int64(*p)
+	}
+	return c
+}
+
+// AddCounts adds c to r's integer counts.
+func (r *RunResult) AddCounts(c Counts) {
+	for k, p := range r.counts() {
+		*p += int(c[k])
+	}
 }
 
 // HitRatio returns the paper's deadline-compliance metric: the fraction of
@@ -220,7 +316,7 @@ type Aggregate struct {
 	Rerouted        stats.Summary
 	ScheduledMissed int // summed; must stay zero
 	// Response pools the per-run response-time distributions.
-	Response histogram.Histogram
+	Response Histogram
 	// HitRatios keeps the raw per-run hit ratios, in run order, so that
 	// algorithms evaluated on the same seeds can be compared with a paired
 	// difference-of-means test.

@@ -22,6 +22,8 @@ import (
 	"sync"
 	"time"
 
+	"rtsads/internal/admission"
+	"rtsads/internal/metrics"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
 )
@@ -108,6 +110,45 @@ const (
 	MetricPolicySchedMicrosPattern = "rtsads_policy_scheduling_micros{policy=%q}"
 )
 
+// CountMetric names the registry counter that mirrors each position of the
+// books' vector (metrics.Counts): the Observer call booking a count moves its
+// counter with it.
+var CountMetric = [metrics.NumCounts]string{
+	metrics.CountHits:           MetricHits,
+	metrics.CountMissed:         MetricMissed,
+	metrics.CountPurged:         MetricPurged,
+	metrics.CountLost:           MetricLost,
+	metrics.CountShed:           MetricShed,
+	metrics.CountShedHopeless:   fmt.Sprintf(MetricShedPattern, admission.Hopeless),
+	metrics.CountShedQueueFull:  fmt.Sprintf(MetricShedPattern, admission.QueueFull),
+	metrics.CountShedShutdown:   fmt.Sprintf(MetricShedPattern, admission.ShuttingDown),
+	metrics.CountShedInfeasible: fmt.Sprintf(MetricShedPattern, admission.Infeasible),
+	metrics.CountTotal:          MetricArrivals,
+	metrics.CountAdmitted:       MetricAdmitted,
+	metrics.CountRerouted:       MetricRerouted,
+	metrics.CountBounced:        MetricBounced,
+	metrics.CountOverloads:      MetricOverloads,
+	metrics.CountWorkerFailures: MetricWorkerFailures,
+	metrics.CountPhases:         MetricPhases,
+	metrics.CountVertices:       MetricVertices,
+	metrics.CountBacktracks:     MetricBacktracks,
+	metrics.CountDeadEnds:       MetricDeadEnds,
+	metrics.CountQuantaExpired:  MetricQuantaExpired,
+	metrics.CountDegradations:   MetricDegradations,
+	metrics.CountRecoveries:     MetricRecoveries,
+	metrics.CountDegradedPhases: MetricDegradedPhases,
+}
+
+// Mirror maps each registry counter the books' Observer calls move to the
+// RunResult count it must equal once a run ends.
+func Mirror(r *metrics.RunResult) map[string]int {
+	m := make(map[string]int, metrics.NumCounts)
+	for k, n := range r.Counts() {
+		m[CountMetric[k]] = int(n)
+	}
+	return m
+}
+
 // PhaseStats is the per-phase search behaviour the observer records — a
 // mirror of core.PhaseOutput without importing core (which must stay
 // observation-free).
@@ -146,31 +187,29 @@ type Observer struct {
 	wall func() time.Time
 
 	// Resolved metric handles: hot paths never touch the registry map.
-	phases, vertices, backtracks, deadEnds, quantaExpired  *Counter
-	arrivals, deliveries, hits, missed, purged, lost       *Counter
-	rerouted, workerFailures, disruptions, stragglers      *Counter
+	// books holds the counters that mirror a RunResult's counts, by
+	// position (CountMetric).
+	books                                                  [metrics.NumCounts]*Counter
+	deliveries, disruptions, stragglers, searchExpanded    *Counter
 	heartbeatsSent, heartbeatsRecv, redials, redialsFailed *Counter
-	admitted, shed, bounced, overloads                     *Counter
-	degradations, recoveries, degradedPhases               *Counter
-	searchExpanded                                         *Counter
 	workersAlive, workersTotal, inflight, batchSize        *Gauge
 	degradedMode, batchSizeMax, guaranteeRatio             *Gauge
 	phaseDur, quantumSize, responseTime                    *Histogram
 	slackAdmission, slackCompletion, workerOvershoot       *Histogram
 
-	mu         sync.Mutex
-	alive      []bool
-	workerUp   []*Gauge
-	jobs       []*Counter
-	shedReason map[string]*Counter
+	mu       sync.Mutex
+	alive    []bool
+	workerUp []*Gauge
+	jobs     []*Counter
 
 	// settle, when set, fires once per task reaching a terminal verdict
 	// (exec, purge, lost, shed — not bounce, which hands the task to
-	// another domain), carrying the verdict's metric name. Because the
-	// hook sees ID and bucket together, a consumer can maintain verdict
-	// counts exactly consistent with the ID stream it buffers — the
-	// property the federation's salvage accounting leans on.
-	settle func(task.ID, string)
+	// another domain), carrying the verdict's position in the books'
+	// vector (a shed's reason's). Because the hook sees ID and bucket
+	// together, a consumer can maintain verdict counts exactly consistent
+	// with the ID stream it buffers — the property the federation's salvage
+	// accounting leans on.
+	settle func(task.ID, metrics.Count)
 
 	lastVirtual Gauge // the latest virtual time any event carried
 }
@@ -184,32 +223,13 @@ func New(journalCap int) *Observer {
 		journal: NewJournal(journalCap),
 		wall:    time.Now,
 
-		phases:         reg.Counter(MetricPhases),
-		vertices:       reg.Counter(MetricVertices),
-		backtracks:     reg.Counter(MetricBacktracks),
-		deadEnds:       reg.Counter(MetricDeadEnds),
-		quantaExpired:  reg.Counter(MetricQuantaExpired),
-		arrivals:       reg.Counter(MetricArrivals),
 		deliveries:     reg.Counter(MetricDeliveries),
-		hits:           reg.Counter(MetricHits),
-		missed:         reg.Counter(MetricMissed),
-		purged:         reg.Counter(MetricPurged),
-		lost:           reg.Counter(MetricLost),
-		rerouted:       reg.Counter(MetricRerouted),
-		workerFailures: reg.Counter(MetricWorkerFailures),
 		disruptions:    reg.Counter(MetricDisruptions),
 		stragglers:     reg.Counter(MetricStragglers),
 		heartbeatsSent: reg.Counter(MetricHeartbeatsSent),
 		heartbeatsRecv: reg.Counter(MetricHeartbeatsRecv),
 		redials:        reg.Counter(MetricRedials),
 		redialsFailed:  reg.Counter(MetricRedialFailures),
-		admitted:       reg.Counter(MetricAdmitted),
-		shed:           reg.Counter(MetricShed),
-		bounced:        reg.Counter(MetricBounced),
-		overloads:      reg.Counter(MetricOverloads),
-		degradations:   reg.Counter(MetricDegradations),
-		recoveries:     reg.Counter(MetricRecoveries),
-		degradedPhases: reg.Counter(MetricDegradedPhases),
 		searchExpanded: reg.Counter(MetricSearchExpanded),
 
 		workersAlive:    reg.Gauge(MetricWorkersAlive),
@@ -225,22 +245,37 @@ func New(journalCap int) *Observer {
 		slackAdmission:  reg.Histogram(MetricSlackAdmission),
 		slackCompletion: reg.Histogram(MetricSlackCompletion),
 		workerOvershoot: reg.Histogram(MetricWorkerOvershoot),
-		shedReason:      make(map[string]*Counter),
+	}
+	for k, name := range CountMetric {
+		o.books[k] = reg.Counter(name)
 	}
 	return o
 }
 
 // OnSettle registers fn to run once per terminal task verdict with the
-// verdict's metric name (MetricHits, MetricMissed, MetricPurged,
-// MetricLost or MetricShed). fn must be safe to call from scheduler
+// verdict's position in metrics.Counts (CountHits, CountMissed, CountPurged,
+// CountLost, or for a shed the position Shed gave: its reason's, or
+// CountShed for a reason without one). fn must be safe to call from scheduler
 // goroutines and fast — it sits on the execution hot path. Call before
 // the run starts; the federation's shard server uses it to feed
 // Progress frames.
-func (o *Observer) OnSettle(fn func(task.ID, string)) {
+func (o *Observer) OnSettle(fn func(task.ID, metrics.Count)) {
 	if o == nil {
 		return
 	}
 	o.settle = fn
+}
+
+// Counts reads the counters that mirror the books, by position (zero for a
+// nil observer).
+func (o *Observer) Counts() metrics.Counts {
+	var c metrics.Counts
+	if o != nil {
+		for k, ctr := range o.books {
+			c[k] = ctr.Value()
+		}
+	}
+	return c
 }
 
 // Registry returns the observer's metric registry (nil for a nil observer).
@@ -322,7 +357,7 @@ func (o *Observer) Arrival(id task.ID, at, deadline simtime.Instant) {
 	if o == nil {
 		return
 	}
-	o.arrivals.Inc()
+	o.books[metrics.CountTotal].Inc()
 	o.note(at, Entry{Type: "arrival", Task: int(id), Worker: -1, Deadline: deadline})
 }
 
@@ -341,20 +376,20 @@ func (o *Observer) PhaseEnd(phase int, at simtime.Instant, s PhaseStats) {
 	if o == nil {
 		return
 	}
-	o.phases.Inc()
-	o.vertices.Add(int64(s.Generated))
-	o.backtracks.Add(int64(s.Backtracks))
+	o.books[metrics.CountPhases].Inc()
+	o.books[metrics.CountVertices].Add(int64(s.Generated))
+	o.books[metrics.CountBacktracks].Add(int64(s.Backtracks))
 	if s.DeadEnd {
-		o.deadEnds.Inc()
+		o.books[metrics.CountDeadEnds].Inc()
 	}
 	if s.Expired {
-		o.quantaExpired.Inc()
+		o.books[metrics.CountQuantaExpired].Inc()
 	}
 	o.phaseDur.Observe(s.Used)
 	o.quantumSize.Observe(s.Quantum)
 	o.searchExpanded.Add(int64(s.Expanded))
 	if s.Degraded {
-		o.degradedPhases.Inc()
+		o.books[metrics.CountDegradedPhases].Inc()
 	}
 	o.note(at, Entry{Type: "phase-end", Phase: phase, Worker: -1, Dur: s.Used})
 }
@@ -382,15 +417,15 @@ func (o *Observer) Exec(id task.ID, worker int, start, finish simtime.Instant, h
 	}
 	if o.settle != nil {
 		if hit {
-			o.settle(id, MetricHits)
+			o.settle(id, metrics.CountHits)
 		} else {
-			o.settle(id, MetricMissed)
+			o.settle(id, metrics.CountMissed)
 		}
 	}
 	if hit {
-		o.hits.Inc()
+		o.books[metrics.CountHits].Inc()
 	} else {
-		o.missed.Inc()
+		o.books[metrics.CountMissed].Inc()
 	}
 	o.responseTime.Observe(response)
 	if slack > 0 {
@@ -408,9 +443,9 @@ func (o *Observer) Purge(id task.ID, at simtime.Instant) {
 		return
 	}
 	if o.settle != nil {
-		o.settle(id, MetricPurged)
+		o.settle(id, metrics.CountPurged)
 	}
-	o.purged.Inc()
+	o.books[metrics.CountPurged].Inc()
 	o.note(at, Entry{Type: "purge", Task: int(id), Worker: -1})
 	o.updateGuarantee()
 }
@@ -421,9 +456,9 @@ func (o *Observer) Lost(id task.ID, worker int, at simtime.Instant) {
 		return
 	}
 	if o.settle != nil {
-		o.settle(id, MetricLost)
+		o.settle(id, metrics.CountLost)
 	}
-	o.lost.Inc()
+	o.books[metrics.CountLost].Inc()
 	o.note(at, Entry{Type: "lost", Task: int(id), Worker: worker})
 	o.updateGuarantee()
 }
@@ -434,7 +469,7 @@ func (o *Observer) Reroute(id task.ID, fromWorker int, at simtime.Instant) {
 	if o == nil {
 		return
 	}
-	o.rerouted.Inc()
+	o.books[metrics.CountRerouted].Inc()
 	o.note(at, Entry{Type: "reroute", Task: int(id), Worker: fromWorker})
 }
 
@@ -447,7 +482,7 @@ func (o *Observer) Admitted(id task.ID, slack time.Duration, at simtime.Instant)
 	if o == nil {
 		return
 	}
-	o.admitted.Inc()
+	o.books[metrics.CountAdmitted].Inc()
 	if slack > 0 {
 		o.slackAdmission.Observe(slack)
 	} else {
@@ -462,8 +497,8 @@ func (o *Observer) Admitted(id task.ID, slack time.Duration, at simtime.Instant)
 // failure). Parts-per-million keeps six digits of resolution on an integer
 // gauge.
 func (o *Observer) updateGuarantee() {
-	hits := o.hits.Value()
-	done := hits + o.missed.Value() + o.purged.Value() + o.lost.Value()
+	hits := o.books[metrics.CountHits].Value()
+	done := hits + o.books[metrics.CountMissed].Value() + o.books[metrics.CountPurged].Value() + o.books[metrics.CountLost].Value()
 	if done == 0 {
 		return
 	}
@@ -501,25 +536,21 @@ func (o *Observer) RouteReject(id task.ID, reason string, at simtime.Instant) {
 	o.note(at, Entry{Type: "route-reject", Task: int(id), Worker: -1, Detail: reason})
 }
 
-// Shed records a task rejected or evicted by admission control. The total
-// counter mirrors RunResult.Shed; the per-reason labelled counters sum to
-// it exactly.
-func (o *Observer) Shed(id task.ID, reason string, at simtime.Instant) {
+// Shed records a task rejected or evicted by admission control, with its
+// reason and the reason's position in metrics.Counts (CountShed for a reason
+// that has none, and so no labelled counter). The total counter mirrors
+// RunResult.Shed, and the per-reason labelled counters its Shed* fields.
+func (o *Observer) Shed(id task.ID, reason string, k metrics.Count, at simtime.Instant) {
 	if o == nil {
 		return
 	}
 	if o.settle != nil {
-		o.settle(id, MetricShed)
+		o.settle(id, k)
 	}
-	o.shed.Inc()
-	o.mu.Lock()
-	c, ok := o.shedReason[reason]
-	if !ok {
-		c = o.reg.Counter(fmt.Sprintf(MetricShedPattern, reason))
-		o.shedReason[reason] = c
+	o.books[metrics.CountShed].Inc()
+	if k != metrics.CountShed {
+		o.books[k].Inc()
 	}
-	o.mu.Unlock()
-	c.Inc()
 	o.note(at, Entry{Type: "shed", Task: int(id), Worker: -1, Detail: reason})
 }
 
@@ -531,7 +562,7 @@ func (o *Observer) Bounce(id task.ID, reason string, at simtime.Instant) {
 	if o == nil {
 		return
 	}
-	o.bounced.Inc()
+	o.books[metrics.CountBounced].Inc()
 	o.note(at, Entry{Type: "bounce", Task: int(id), Worker: -1, Detail: reason})
 }
 
@@ -541,7 +572,7 @@ func (o *Observer) Overloaded(worker, deferred int, retryAfter time.Duration, at
 	if o == nil {
 		return
 	}
-	o.overloads.Add(int64(deferred))
+	o.books[metrics.CountOverloads].Add(int64(deferred))
 	o.note(at, Entry{Type: "overload", Worker: worker, Dur: retryAfter,
 		Detail: fmt.Sprintf("%d deferred", deferred)})
 }
@@ -554,11 +585,11 @@ func (o *Observer) DegradeMode(degraded bool, phase int, reason string, at simti
 		return
 	}
 	if degraded {
-		o.degradations.Inc()
+		o.books[metrics.CountDegradations].Inc()
 		o.degradedMode.Set(1)
 		o.note(at, Entry{Type: "degrade", Phase: phase, Worker: -1, Detail: reason})
 	} else {
-		o.recoveries.Inc()
+		o.books[metrics.CountRecoveries].Inc()
 		o.degradedMode.Set(0)
 		o.note(at, Entry{Type: "recover", Phase: phase, Worker: -1, Detail: reason})
 	}
@@ -592,7 +623,7 @@ func (o *Observer) WorkerDown(worker int, fatal bool, reason string, at simtime.
 		if !first {
 			return
 		}
-		o.workerFailures.Inc()
+		o.books[metrics.CountWorkerFailures].Inc()
 	} else {
 		o.disruptions.Inc()
 	}

@@ -1,5 +1,7 @@
 package obs
 
+import "rtsads/internal/metrics"
+
 // The SLO plane summarizes the paper's guarantee as a live service-level
 // view: the guarantee ratio (deadline hits over post-admission terminals,
 // the running form of §5's guarantee-ratio metric), deadline-slack
@@ -66,17 +68,17 @@ func (o *Observer) SLOSummary() SLOSummary {
 	}
 	return SLOSummary{
 		GuaranteeRatioPPM: o.guaranteeRatio.Value(),
-		Arrivals:          o.arrivals.Value(),
-		Admitted:          o.admitted.Value(),
-		Hits:              o.hits.Value(),
-		Missed:            o.missed.Value(),
-		Expired:           o.purged.Value(),
-		Lost:              o.lost.Value(),
-		Shed:              o.shed.Value(),
-		Bounced:           o.bounced.Value(),
-		Overloads:         o.overloads.Value(),
-		Degradations:      o.degradations.Value(),
-		DegradedPhases:    o.degradedPhases.Value(),
+		Arrivals:          o.books[metrics.CountTotal].Value(),
+		Admitted:          o.books[metrics.CountAdmitted].Value(),
+		Hits:              o.books[metrics.CountHits].Value(),
+		Missed:            o.books[metrics.CountMissed].Value(),
+		Expired:           o.books[metrics.CountPurged].Value(),
+		Lost:              o.books[metrics.CountLost].Value(),
+		Shed:              o.books[metrics.CountShed].Value(),
+		Bounced:           o.books[metrics.CountBounced].Value(),
+		Overloads:         o.books[metrics.CountOverloads].Value(),
+		Degradations:      o.books[metrics.CountDegradations].Value(),
+		DegradedPhases:    o.books[metrics.CountDegradedPhases].Value(),
 		DegradedNow:       o.degradedMode.Value() == 1,
 		SlackAdmission:    summarize(o.slackAdmission),
 		SlackCompletion:   summarize(o.slackCompletion),
