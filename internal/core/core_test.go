@@ -8,6 +8,7 @@ import (
 	"rtsads/internal/affinity"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
+	"rtsads/internal/workload"
 )
 
 const (
@@ -413,5 +414,53 @@ func TestNewSearchPlannerCustomRep(t *testing.T) {
 	}
 	if len(res.Schedule) != 1 {
 		t.Errorf("custom planner scheduled %d tasks", len(res.Schedule))
+	}
+}
+
+// A warm search planner plans the §5.1 burst — 1 000 tasks on ten workers —
+// phase after phase without allocating, and its searcher's free list stops
+// growing: every vertex a search takes, the root and Best's path included,
+// goes back to it.
+func TestWarmSearchPlannerRecyclesEveryVertex(t *testing.T) {
+	params := workload.DefaultParams(10)
+	params.NumTransactions = 1000
+	w, err := workload.Generate(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(10)
+	cfg.Comm = func(t *task.Task, proc int) time.Duration { return w.Cost.Cost(t.Affinity, proc) }
+	cfg.PhaseCost = 25 * us
+	for name, mk := range map[string]func(SearchConfig) (Planner, error){"RT-SADS": NewRTSADS, "D-COLS": NewDCOLS} {
+		t.Run(name, func(t *testing.T) {
+			pl, err := mk(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := pl.(*searchPlanner)
+			batch := make([]*task.Task, len(w.Tasks))
+			in := PhaseInput{Batch: batch, Loads: make([]time.Duration, 10)}
+			scheduled := 0
+			phase := func() {
+				copy(batch, w.Tasks) // a fresh, unsorted burst every phase
+				res, err := sp.PlanPhase(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scheduled = len(res.Schedule)
+			}
+			phase()
+			warm := sp.searcher.FreeVertices()
+			if scheduled == 0 || warm == 0 {
+				t.Fatalf("the burst scheduled %d tasks and left %d free vertices; the test needs both", scheduled, warm)
+			}
+			allocs := testing.AllocsPerRun(1000, phase)
+			if got := sp.searcher.FreeVertices(); got != warm {
+				t.Errorf("the free list held %d vertices after one phase and %d after 1000 more", warm, got)
+			}
+			if allocs != 0 && !raceEnabled {
+				t.Errorf("a warm phase allocated %v objects", allocs)
+			}
+		})
 	}
 }

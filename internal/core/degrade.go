@@ -146,7 +146,7 @@ func (d *Degrading) bad(in PhaseInput, res PhaseResult) bool {
 		return true
 	}
 	if f := d.cfg.SlackFraction; f > 0 {
-		if ms := minSlack(in); ms > 0 && res.Used > time.Duration(f*float64(ms)) {
+		if ms := minSlack(in, 0); ms > 0 && res.Used > time.Duration(f*float64(ms)) {
 			return true
 		}
 	}

@@ -188,15 +188,16 @@ type searchPlanner struct {
 	cfg  SearchConfig
 	rep  search.Representation
 	name string
-	// order, drained, prob and sched are per-instance scratch reused
-	// across phases; a planner serves exactly one host loop, so PlanPhase
-	// is deliberately not reentrant. search.Run does not retain the Problem
-	// past return, and a phase's Schedule is read before the next phase
-	// plans.
-	order   task.Sorter
-	drained []time.Duration
-	prob    search.Problem
-	sched   []search.Assignment
+	// order, searcher, drained, prob and sched are per-instance scratch
+	// reused across phases; a planner serves exactly one host loop, so
+	// PlanPhase is deliberately not reentrant. A search does not retain the
+	// Problem past return, and a phase's Schedule is read before the next
+	// phase plans.
+	order    task.Sorter
+	searcher search.Searcher
+	drained  []time.Duration
+	prob     search.Problem
+	sched    []search.Assignment
 	// meter is the host's measured speed; it runs only under a Clock.
 	meter HostMeter
 }
@@ -288,7 +289,7 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	if s.cfg.Clock != nil {
 		setup = s.cfg.Clock()
 	}
-	res, err := search.Run(p, s.rep)
+	res, err := s.searcher.Run(p, s.rep)
 	if err != nil {
 		return PhaseResult{}, fmt.Errorf("core: %s search: %w", s.name, err)
 	}

@@ -49,7 +49,8 @@ type QuantumPolicy interface {
 // to zero work when slack runs out, and a ceiling keeps the scheduler
 // responsive to arrivals (§4.2's motivation: shorter phases account for
 // arriving tasks more frequently). A HostCost writes them: bounds are work
-// the host can do, converted to time at the host's speed.
+// the host can do, converted to time at the host's speed. The policies rely
+// on Min <= Max, which validate enforces and HostCost.Bounds guarantees.
 type Bounds struct {
 	Min, Max time.Duration
 }
@@ -176,9 +177,16 @@ func NewAdaptive() Adaptive { return Adaptive{Bounds: DefaultBounds()} }
 // Name implements QuantumPolicy.
 func (a Adaptive) Name() string { return "adaptive" }
 
-// Quantum implements QuantumPolicy.
+// Quantum implements QuantumPolicy. A Min_Load at the ceiling decides the
+// quantum alone, and the Min_Slack scan stops at max(Min_Load, Min): below
+// that every slack yields the same quantum.
 func (a Adaptive) Quantum(in PhaseInput) time.Duration {
-	return in.Bounds.or(a.Bounds).clamp(simtime.MaxDur(minSlack(in), minLoad(in)))
+	b := in.Bounds.or(a.Bounds)
+	load := minLoad(in)
+	if load >= b.Max {
+		return b.Max
+	}
+	return b.clamp(simtime.MaxDur(minSlack(in, simtime.MaxDur(load, b.Min)), load))
 }
 
 // SlackOnly is the ablation that ignores worker load: Qs(j) = Min_Slack.
@@ -191,7 +199,8 @@ func (s SlackOnly) Name() string { return "slack-only" }
 
 // Quantum implements QuantumPolicy.
 func (s SlackOnly) Quantum(in PhaseInput) time.Duration {
-	return in.Bounds.or(s.Bounds).clamp(minSlack(in))
+	b := in.Bounds.or(s.Bounds)
+	return b.clamp(minSlack(in, b.Min))
 }
 
 // LoadOnly is the ablation that ignores task slack: Qs(j) = Min_Load.
@@ -222,13 +231,21 @@ func (f Fixed) Quantum(PhaseInput) time.Duration { return f.D }
 
 // minSlack is the paper's Min_Slack: the smallest slack among the batch's
 // tasks less the phase's margin, floored at zero (a negative slack means the
-// task will be purged; it must not drive the quantum negative).
-func minSlack(in PhaseInput) time.Duration {
+// task will be purged; it must not drive the quantum negative). The scan
+// stops at the first value at or below floor, since a caller clamps every
+// such value to the same quantum: the result is exact when it is above
+// floor, and otherwise some value at or below it. A floor of zero makes it
+// exact.
+func minSlack(in PhaseInput, floor time.Duration) time.Duration {
 	if len(in.Batch) == 0 {
 		return 0
 	}
+	stop := floor + in.Margin
 	min := in.Batch[0].Slack(in.Now)
 	for _, t := range in.Batch[1:] {
+		if min <= stop {
+			break
+		}
 		if s := t.Slack(in.Now); s < min {
 			min = s
 		}

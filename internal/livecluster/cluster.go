@@ -1,6 +1,7 @@
 package livecluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -495,8 +496,11 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 	r.host.Res.Algorithm += "/live"
 	// Externally-fed shards start empty: their arrivals are submissions.
 	if !c.cfg.External {
-		r.pending = append([]*task.Task(nil), w.Tasks...)
-		task.SortEDF(r.pending) // stable starting order; arrival absorb below re-checks times
+		r.pending = w.Tasks
+		if !slices.IsSortedFunc(r.pending, byArrival) {
+			r.pending = slices.Clone(r.pending)
+			slices.SortFunc(r.pending, byArrival)
+		}
 	}
 
 	if r.backend, err = c.makeBackend(clock, inj); err != nil {
@@ -744,6 +748,18 @@ func (r *runState) strand(now simtime.Instant) bool {
 	}
 	r.next = len(r.pending)
 	return true
+}
+
+// byArrival is the order absorb takes the workload's tasks in: by arrival,
+// and tasks that arrive together by deadline, then ID.
+func byArrival(a, b *task.Task) int {
+	if c := cmp.Compare(a.Arrival, b.Arrival); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Deadline, b.Deadline); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // absorb books every arrival due by now — the workload's, then the

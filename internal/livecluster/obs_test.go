@@ -10,6 +10,7 @@ import (
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
+	"rtsads/internal/simtime"
 	"rtsads/internal/workload"
 )
 
@@ -258,5 +259,45 @@ func TestArrivalsMatchTotalOnEveryPath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPoissonArrivalsJournaledInOrder: the host takes in a Poisson list's
+// tasks as they arrive, so the journal's arrival entries, each stamped with
+// its task's arrival instant, never go back in virtual time. A list ordered
+// by deadline would hold every task behind a later arrival with an earlier
+// deadline, and book it late.
+func TestPoissonArrivalsJournaledInOrder(t *testing.T) {
+	p := liveParams(4)
+	p.NumTransactions = 200
+	p.Arrival = workload.Poisson
+	p.MeanInterArrival = 80 * time.Microsecond
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(0)
+	c, err := New(Config{Workload: w, Scale: 10, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runWithDeadline(t, c)
+	if err := res.Balance(); err != nil {
+		t.Error(err)
+	}
+	var last simtime.Instant
+	arrivals := 0
+	for _, e := range o.Journal().Snapshot() {
+		if e.Type != "arrival" {
+			continue
+		}
+		if e.Virtual < last {
+			t.Fatalf("task %d's arrival is journaled at %v, after one at %v", e.Task, e.Virtual, last)
+		}
+		last = e.Virtual
+		arrivals++
+	}
+	if arrivals != len(w.Tasks) {
+		t.Errorf("%d arrival entries for %d tasks", arrivals, len(w.Tasks))
 	}
 }

@@ -57,6 +57,7 @@ type anytimePlanner struct {
 	// Per-phase scratch reused across phases; a planner serves exactly one
 	// host loop, so PlanPhase is deliberately not reentrant.
 	order     task.Sorter
+	searcher  search.Searcher
 	drained   []time.Duration
 	gaLoads   []time.Duration
 	prob      search.Problem
@@ -167,7 +168,7 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 			BoundCE:       bound,
 			Margin:        in.Margin,
 		}
-		res, err := search.Run(p, a.rep)
+		res, err := a.searcher.Run(p, a.rep)
 		if err != nil {
 			return core.PhaseResult{}, fmt.Errorf("policy: RT-SADS+GA search: %w", err)
 		}

@@ -8,8 +8,9 @@
 // Both representations speak the engine's delta-vertex API: successors
 // carry only their one changed (proc, endOffset) pair, read the path's
 // loads from the engine's PathState scratch, and derive CE incrementally
-// through a search.CostModel. Vertices and successor slices come from the
-// engine's pools, and a depth-first search hands back every vertex but its
+// through a search.CostModel. Vertices come from the PathState they are
+// handed (the running Searcher's free list) and successor slices from the
+// engine's pool, and a depth-first search hands back every vertex but its
 // best path, which Result.Release returns: a phase's whole search allocates
 // nothing in steady state.
 package represent
@@ -96,7 +97,7 @@ func (a *Assignment) Expand(p *search.Problem, v *search.Vertex, st *search.Path
 			sortSuccessors(succs)
 			if a.Breadth > 0 && len(succs) > a.Breadth {
 				for _, pruned := range succs[a.Breadth:] {
-					search.FreeVertex(pruned)
+					st.FreeVertex(pruned)
 				}
 				succs = succs[:a.Breadth]
 			}
@@ -120,7 +121,7 @@ func appendTaskSuccessors(p *search.Problem, v *search.Vertex, st *search.PathSt
 		if !ok {
 			continue
 		}
-		sv := search.NewVertex()
+		sv := st.NewVertex()
 		sv.Parent = v
 		sv.Assign = search.Assignment{Task: t, TaskIndex: ti, Proc: k, Comm: comm, EndOffset: end}
 		sv.IsAssignment = true

@@ -90,7 +90,7 @@ func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathSt
 		if !ok {
 			continue
 		}
-		sv := search.NewVertex()
+		sv := st.NewVertex()
 		sv.Parent = v
 		sv.Assign = search.Assignment{Task: t, TaskIndex: i, Proc: proc, Comm: comm, EndOffset: end}
 		sv.IsAssignment = true
@@ -106,7 +106,7 @@ func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathSt
 		// Leave the processor idle this round, ranked after every real
 		// assignment. The skip vertex adds no assignment, so it carries no
 		// delta: the engine's Descend treats it as a no-op.
-		sv := search.NewVertex()
+		sv := st.NewVertex()
 		sv.Parent = v
 		sv.Depth = v.Depth
 		sv.Cursor = v.Cursor + 1

@@ -150,17 +150,20 @@ type fertileChain struct {
 
 func (c *fertileChain) Name() string { return "fertile-chain" }
 
-func (c *fertileChain) Root(*search.Problem) *search.Vertex { return search.NewVertex() }
+// Root is an empty schedule over the fixture's idle workers: CE 0.
+func (c *fertileChain) Root(p *search.Problem) *search.Vertex {
+	return search.NewRoot(p, search.MaxCost{})
+}
 
 func (c *fertileChain) IsLeaf(_ *search.Problem, v *search.Vertex) bool { return v.Depth >= c.length }
 
-func (c *fertileChain) Expand(p *search.Problem, v *search.Vertex, _ *search.PathState) ([]*search.Vertex, int) {
+func (c *fertileChain) Expand(p *search.Problem, v *search.Vertex, st *search.PathState) ([]*search.Vertex, int) {
 	if v.Depth >= c.deadEnd {
 		return nil, c.branch
 	}
 	succs := search.GetSuccs()
 	for i := 0; i < c.branch; i++ {
-		sv := search.NewVertex()
+		sv := st.NewVertex()
 		sv.Parent = v
 		sv.IsAssignment = true
 		sv.Depth = v.Depth + 1

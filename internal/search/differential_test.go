@@ -65,7 +65,7 @@ func (f *fullCopyAssignment) Name() string { return "assignment-full-copy" }
 
 func (f *fullCopyAssignment) Root(p *search.Problem) *search.Vertex {
 	loads := search.RootLoads(p, nil)
-	v := &search.Vertex{CE: search.MaxCost{}.FromLoads(loads)}
+	v := search.NewRoot(p, search.MaxCost{})
 	f.loads[v] = loads
 	return v
 }
@@ -74,7 +74,7 @@ func (f *fullCopyAssignment) IsLeaf(p *search.Problem, v *search.Vertex) bool {
 	return v.Cursor >= len(p.Tasks)
 }
 
-func (f *fullCopyAssignment) Expand(p *search.Problem, v *search.Vertex, _ *search.PathState) ([]*search.Vertex, int) {
+func (f *fullCopyAssignment) Expand(p *search.Problem, v *search.Vertex, st *search.PathState) ([]*search.Vertex, int) {
 	loads := f.loads[v]
 	generated := 0
 	for i := v.Cursor; i < len(p.Tasks); i++ {
@@ -93,7 +93,8 @@ func (f *fullCopyAssignment) Expand(p *search.Problem, v *search.Vertex, _ *sear
 			nl := make([]time.Duration, len(loads))
 			copy(nl, loads)
 			nl[k] = end
-			sv := &search.Vertex{
+			sv := st.NewVertex()
+			*sv = search.Vertex{
 				Parent:       v,
 				Assign:       search.Assignment{Task: t, TaskIndex: i, Proc: k, Comm: comm, EndOffset: end},
 				IsAssignment: true,
@@ -158,7 +159,7 @@ func (f *fullCopySequence) Name() string { return "sequence-full-copy" }
 
 func (f *fullCopySequence) Root(p *search.Problem) *search.Vertex {
 	loads := search.RootLoads(p, nil)
-	v := &search.Vertex{CE: search.MaxCost{}.FromLoads(loads)}
+	v := search.NewRoot(p, search.MaxCost{})
 	f.loads[v] = loads
 	f.used[v] = make([]bool, len(p.Tasks))
 	return v
@@ -168,7 +169,7 @@ func (f *fullCopySequence) IsLeaf(p *search.Problem, v *search.Vertex) bool {
 	return v.Depth >= len(p.Tasks)
 }
 
-func (f *fullCopySequence) Expand(p *search.Problem, v *search.Vertex, _ *search.PathState) ([]*search.Vertex, int) {
+func (f *fullCopySequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathState) ([]*search.Vertex, int) {
 	loads, used := f.loads[v], f.used[v]
 	proc := v.Cursor % p.Workers
 	generated := 0
@@ -187,7 +188,8 @@ func (f *fullCopySequence) Expand(p *search.Problem, v *search.Vertex, _ *search
 		nl[proc] = end
 		nu := append([]bool(nil), used...)
 		nu[i] = true
-		sv := &search.Vertex{
+		sv := st.NewVertex()
+		*sv = search.Vertex{
 			Parent:       v,
 			Assign:       search.Assignment{Task: t, TaskIndex: i, Proc: proc, Comm: comm, EndOffset: end},
 			IsAssignment: true,

@@ -176,22 +176,33 @@ func TestVertexLifetime(t *testing.T) {
 		}, &fertileChain{length: 64, branch: 3, deadEnd: 6},
 			func(s search.Stats, _ *recorder) bool { return s.DeadEnd && s.Backtracks > 0 }},
 	}
+	// Each case runs on a pooled Searcher, then on one Searcher reused by
+	// every case, whose free list hands the next birth the vertex freed
+	// last — from this run or an earlier case's.
+	var shared search.Searcher
+	runs := []func(*search.Problem, search.Representation) (*search.Result, error){search.Run, shared.Run}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p := c.problem(t)
-			rec := newRecorder(t, c.rep)
-			res, err := search.Run(p, rec)
-			if err != nil {
-				t.Fatal(err)
+			for _, run := range runs {
+				p := c.problem(t)
+				rec := newRecorder(t, c.rep)
+				res, err := run(p, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !c.exercised(res.Stats, rec) {
+					t.Fatalf("fixture missed its regime: %+v", res.Stats)
+				}
+				// Best-first keeps interior vertices until the GC takes
+				// them: its heap may hold children of any vertex it has
+				// expanded.
+				rec.check(res, p.Strategy == search.BestFirst)
+				res.Release()
 			}
-			if !c.exercised(res.Stats, rec) {
-				t.Fatalf("fixture missed its regime: %+v", res.Stats)
-			}
-			// Best-first keeps interior vertices until the GC takes them:
-			// its heap may hold children of any vertex it has expanded.
-			rec.check(res, p.Strategy == search.BestFirst)
-			res.Release()
 		})
+	}
+	if shared.FreeVertices() == 0 {
+		t.Error("the shared Searcher's free list is empty after every case released")
 	}
 }
 

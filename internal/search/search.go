@@ -17,11 +17,17 @@
 // move costs O(1); a backtrack re-derives the state in O(depth). Because
 // per-worker loads only grow along a path within a phase, the §4.4 cost
 // CE = max_k ce_k is maintained in O(1) per vertex as max(parent.CE, end)
-// instead of an O(P) rescan. Vertices and successor slices are drawn from
-// sync.Pools. A depth-first search returns to the pool every vertex it
-// leaves that does not lead to the best schedule, and Result.Release
-// returns that path, so in steady state a whole search — not just each
-// expansion — allocates nothing.
+// instead of an O(P) rescan.
+//
+// Vertices are recycled by the Searcher that runs the search: a planner
+// keeps one next to its other per-phase scratch, and every vertex born in
+// one of its runs, the root included, comes from its LIFO free list through
+// the PathState the representation is handed. A depth-first search returns
+// to that list every vertex it leaves that does not lead to the best
+// schedule, and Result.Release returns that path, so in steady state a whole
+// search — not just each expansion — allocates nothing. Run draws a pooled
+// Searcher, which Release hands back; successor slices still come from a
+// sync.Pool.
 package search
 
 import (
@@ -81,23 +87,50 @@ type Vertex struct {
 	CE time.Duration
 }
 
-// vertexPool recycles vertices: the engine returns every vertex it
-// backtracks out of and every abandoned candidate, and representations
-// return breadth-pruned successors. Vertices reachable from Result.Best are
-// never recycled.
+// vertexPool recycles the vertices born outside a search run: a
+// representation expanded by hand over a NewPathState state.
 var vertexPool = sync.Pool{New: func() any { return new(Vertex) }}
 
-// NewVertex returns a zeroed vertex from the pool. Callers must set every
-// field they need; pooled vertices carry no state over.
+// NewVertex returns a zeroed vertex from the pool, for a representation
+// driven outside a run. Callers must set every field they need; pooled
+// vertices carry no state over. Inside a run, vertices come from
+// PathState.NewVertex.
 func NewVertex() *Vertex { return vertexPool.Get().(*Vertex) }
 
 // FreeVertex returns v to the pool. The caller must guarantee no live
-// reference remains — in-engine that holds for candidates that were never
-// expanded, for breadth-pruned successors, and for path vertices whose
-// subtrees are exhausted and hold no part of Result.Best.
+// reference remains.
 func FreeVertex(v *Vertex) {
 	*v = Vertex{}
 	vertexPool.Put(v)
+}
+
+// newVertex pops a zeroed vertex off s's free list; a nil Searcher draws
+// from the pool.
+func (s *Searcher) newVertex() *Vertex {
+	if s == nil {
+		return NewVertex()
+	}
+	n := len(s.free)
+	if n == 0 {
+		return new(Vertex)
+	}
+	v := s.free[n-1]
+	s.free = s.free[:n-1]
+	return v
+}
+
+// freeVertex zeroes v and pushes it onto s's free list, where the next birth
+// takes it; a nil Searcher returns it to the pool. No live reference may
+// remain — in-engine that holds for candidates that were never expanded,
+// for breadth-pruned successors, and for path vertices whose subtrees are
+// exhausted and hold no part of Result.Best.
+func (s *Searcher) freeVertex(v *Vertex) {
+	if s == nil {
+		FreeVertex(v)
+		return
+	}
+	*v = Vertex{}
+	s.free = append(s.free, v)
 }
 
 // succPool recycles the successor slices representations hand to the
@@ -192,6 +225,9 @@ type Problem struct {
 	// adds; Run computes it once before the engine starts.
 	phaseEnd    simtime.Instant
 	phaseEndSet bool
+	// src is the Searcher running the problem, whose free list NewRoot
+	// draws from; nil outside a run.
+	src *Searcher
 }
 
 // prepare caches the problem's derived terms. Run calls it once before
@@ -301,18 +337,16 @@ func RootLoads(p *Problem, dst []time.Duration) []time.Duration {
 	return dst
 }
 
-// rootLoadsPool recycles the transient load array NewRoot materializes to
-// seed the root's cost; the array is dead as soon as FromLoads returns.
-var rootLoadsPool = sync.Pool{New: func() any { return new([]time.Duration) }}
-
 // NewRoot builds the root vertex — the empty schedule — costed by model.
+// Inside a run it comes from the running Searcher's free list and is costed
+// from its path state, which the run has positioned at the root.
 func NewRoot(p *Problem, model CostModel) *Vertex {
-	b := rootLoadsPool.Get().(*[]time.Duration)
-	loads := RootLoads(p, (*b)[:0])
-	v := NewVertex()
-	v.CE = model.FromLoads(loads)
-	*b = loads[:0]
-	rootLoadsPool.Put(b)
+	v := p.src.newVertex()
+	if p.src != nil {
+		v.CE = model.FromLoads(p.src.st.Loads)
+	} else {
+		v.CE = model.FromLoads(RootLoads(p, nil))
+	}
 	return v
 }
 
@@ -400,7 +434,17 @@ type PathState struct {
 	Used *Bitset
 
 	path []*Vertex // rebuild scratch
+	src  *Searcher // the vertex source; nil draws from the pool
 }
+
+// NewVertex returns a zeroed vertex for a successor: from the running
+// Searcher's free list, or from the pool for a state made by NewPathState.
+// Callers must set every field they need.
+func (st *PathState) NewVertex() *Vertex { return st.src.newVertex() }
+
+// FreeVertex recycles a vertex the representation made and will not hand
+// the engine, such as a breadth-pruned successor.
+func (st *PathState) FreeVertex(v *Vertex) { st.src.freeVertex(v) }
 
 // NewPathState returns a state positioned at the root of p's task space.
 func NewPathState(p *Problem) *PathState {
@@ -464,7 +508,8 @@ func (st *PathState) MoveTo(p *Problem, from, to *Vertex) {
 type Representation interface {
 	// Name identifies the representation in results and logs.
 	Name() string
-	// Root returns the root vertex (the empty schedule).
+	// Root returns the root vertex (the empty schedule), built by NewRoot
+	// so that a run's root comes from the running Searcher.
 	Root(p *Problem) *Vertex
 	// Expand generates v's feasible successors, best first, reading the
 	// path's loads and used-task set from st (it must not mutate st). It
@@ -472,7 +517,7 @@ type Representation interface {
 	// generated-and-evaluated (including infeasible ones that were
 	// discarded), which the engine charges against the quantum. The
 	// returned slice should come from GetSuccs and its vertices from
-	// NewVertex; the engine recycles both.
+	// st.NewVertex; the engine recycles both.
 	Expand(p *Problem, v *Vertex, st *PathState) (succs []*Vertex, generated int)
 	// IsLeaf reports whether v is a complete schedule.
 	IsLeaf(p *Problem, v *Vertex) bool
@@ -508,25 +553,27 @@ type Result struct {
 	// phase's schedule S_j.
 	Best  *Vertex
 	Stats Stats
+
+	src *Searcher // the Searcher whose free list Release refills
 }
 
-// resultPool recycles Result objects between Run and Release so the
-// steady-state phase loop allocates no result header per search.
-var resultPool = sync.Pool{New: func() any { return new(Result) }}
-
-// Release recycles the result and every vertex on its best path. Call it
+// Release recycles the result and every vertex on its best path into the
+// Searcher that ran it, and returns a pooled Searcher to its pool. Call it
 // after the schedule has been extracted; the result and its vertices must
 // not be touched afterwards. Without Release the best path's vertices — the
 // one chain the engine can never recycle itself, because the caller still
-// reads it — leak from the vertex pool one path per phase.
+// reads it — are left to the GC, one path per phase.
 func (r *Result) Release() {
+	src := r.src
 	for v := r.Best; v != nil; {
 		parent := v.Parent
-		FreeVertex(v)
+		src.freeVertex(v)
 		v = parent
 	}
 	*r = Result{}
-	resultPool.Put(r)
+	if src != nil && src.pooled {
+		searcherPool.Put(src)
+	}
 }
 
 // Schedule returns Best's assignments in path (root-to-leaf) order, which
@@ -577,63 +624,88 @@ func PathLoads(p *Problem, v *Vertex) []time.Duration {
 // feasible successors the head of CL belongs to another branch and the move
 // counts as a backtrack; an empty CL is a dead-end. The search stops at a
 // leaf, at a dead-end, or when the quantum expires.
+//
+// Run draws a Searcher from a pool; the result's Release hands it back.
 func Run(p *Problem, rep Representation) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p.prepare()
-	rs := runScratchPool.Get().(*runScratch)
-	e := rs.prepare(p, rep)
-	e.run(rep.Root(p))
-	e.res.Stats.Consumed = e.budget.consumed()
-	res := e.res
-	rs.release()
-	return res, nil
+	return searcherPool.Get().(*Searcher).run(p, rep), nil
 }
 
-// runScratch bundles every per-run allocation of the sequential engine —
-// path state, used-task bitset, budget, DFS candidate stack, and the engine
-// itself — into one poolable unit, so a steady-state phase loop recycles a
-// single object instead of allocating six per search.
-type runScratch struct {
+// Searcher runs searches and keeps everything a run needs between runs —
+// path state, used-task bitset, budget, DFS candidate stack, the engine, the
+// result, and a LIFO free list of vertices — so a steady-state phase loop
+// allocates nothing per search. Every vertex born in its runs comes from the
+// free list and goes back to it. A Searcher serves one goroutine at a time:
+// a planner owns one next to its other per-phase scratch, since a pool's
+// per-P cache misses whenever a live host goroutine wakes on another P. The
+// zero value is ready to use.
+type Searcher struct {
 	st   PathState
 	used Bitset
 	bud  budget
 	cl   stackCL
 	e    engine
+	res  Result
+	free []*Vertex
+	// pooled marks a Searcher Run drew from searcherPool: Release returns
+	// it there.
+	pooled bool
 }
 
-var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+var searcherPool = sync.Pool{New: func() any { return &Searcher{pooled: true} }}
+
+// FreeVertices returns the number of vertices on s's free list: what a warm
+// Searcher holds for its next run. It stops growing once every run returns
+// the vertices it took.
+func (s *Searcher) FreeVertices() int { return len(s.free) }
+
+// Run is the package Run on s's scratch. The result is s's own: it is valid
+// until s's next Run, and its Release recycles Best's path into s's free
+// list.
+func (s *Searcher) Run(p *Problem, rep Representation) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return s.run(p, rep), nil
+}
+
+// run searches a validated problem.
+func (s *Searcher) run(p *Problem, rep Representation) *Result {
+	p.prepare()
+	p.src = s
+	e := s.prepare(p, rep)
+	e.run(rep.Root(p))
+	s.res.Stats.Consumed = s.bud.consumed()
+	p.src = nil
+	s.st.Used = nil
+	s.bud = budget{}
+	s.e = engine{}
+	return &s.res
+}
 
 // prepare positions the scratch at p's root and returns the embedded engine,
-// wired to the scratch state, a pooled result, and — for depth-first
+// wired to the scratch state, the Searcher's result, and — for depth-first
 // strategies — the scratch candidate stack (best-first still builds its heap
 // per run).
-func (rs *runScratch) prepare(p *Problem, rep Representation) *engine {
-	rs.st.Loads = RootLoads(p, rs.st.Loads)
+func (s *Searcher) prepare(p *Problem, rep Representation) *engine {
+	s.st.Loads = RootLoads(p, s.st.Loads)
 	if len(p.Tasks) > 0 {
-		rs.used.resize(len(p.Tasks))
-		rs.st.Used = &rs.used
+		s.used.resize(len(p.Tasks))
+		s.st.Used = &s.used
 	} else {
-		rs.st.Used = nil
+		s.st.Used = nil
 	}
-	rs.bud = budget{p: p}
-	rs.e = engine{p: p, rep: rep, st: &rs.st, budget: &rs.bud}
+	s.st.src = s
+	s.bud = budget{p: p}
+	s.res = Result{src: s}
+	s.e = engine{p: p, rep: rep, st: &s.st, budget: &s.bud, res: &s.res}
 	if p.Strategy != BestFirst {
-		rs.cl.items = rs.cl.items[:0]
-		rs.e.cl = &rs.cl
+		s.cl.items = s.cl.items[:0]
+		s.e.cl = &s.cl
 	}
-	return &rs.e
-}
-
-// release drops the scratch's problem references and returns it to the pool.
-// The result survives: it was drawn from resultPool and is handed to the
-// caller, who recycles it via Result.Release.
-func (rs *runScratch) release() {
-	rs.st.Used = nil
-	rs.bud = budget{}
-	rs.e = engine{}
-	runScratchPool.Put(rs)
+	return &s.e
 }
 
 // engine is one sequential quantum-bounded search over the task space.
@@ -642,8 +714,8 @@ type engine struct {
 	rep    Representation
 	st     *PathState // positioned at the start vertex by the caller
 	budget *budget
-	// cl, when non-nil, is a caller-provided (pooled) candidate list; run
-	// otherwise builds one for the problem's strategy.
+	// cl, when non-nil, is the Searcher's candidate stack; run otherwise
+	// builds one for the problem's strategy.
 	cl candidateList
 
 	res *Result
@@ -655,8 +727,7 @@ type engine struct {
 // run searches the subtree rooted at start. st must already be positioned
 // at start.
 func (e *engine) run(start *Vertex) {
-	e.res = resultPool.Get().(*Result)
-	*e.res = Result{Best: start}
+	e.res.Best = start
 	// Root may hand back a vertex an earlier run walked: restamp it, or it
 	// would read as newer than Best and be freed.
 	start.step = 0
@@ -673,7 +744,7 @@ func (e *engine) run(start *Vertex) {
 		if !ok {
 			return
 		}
-		FreeVertex(v)
+		e.st.FreeVertex(v)
 	}
 }
 
@@ -684,7 +755,7 @@ func (e *engine) run(start *Vertex) {
 func (e *engine) freePath(v, stop *Vertex) {
 	for v != stop && v.step > e.bestStep {
 		parent := v.Parent
-		FreeVertex(v)
+		e.st.FreeVertex(v)
 		v = parent
 	}
 }
@@ -721,7 +792,7 @@ func (e *engine) walk(start *Vertex, cl candidateList) *Vertex {
 			for _, s := range succs {
 				if s.CE >= e.p.BoundCE {
 					e.res.Stats.BoundPruned++
-					FreeVertex(s)
+					e.st.FreeVertex(s)
 					continue
 				}
 				kept = append(kept, s)
@@ -746,7 +817,7 @@ func (e *engine) walk(start *Vertex, cl candidateList) *Vertex {
 			e.res.Stats.Backtracks++
 			if e.p.MaxBacktracks > 0 && e.res.Stats.Backtracks > e.p.MaxBacktracks {
 				e.res.Stats.BacktrackLimited = true
-				FreeVertex(next) // popped but never walked
+				e.st.FreeVertex(next) // popped but never walked
 				return cv
 			}
 		}
@@ -791,7 +862,7 @@ func (e *engine) supersede(cv *Vertex) {
 	for old := e.res.Best; old != cv; {
 		if old.step > cv.step {
 			parent := old.Parent
-			FreeVertex(old)
+			e.st.FreeVertex(old)
 			old = parent
 		} else {
 			cv = cv.Parent

@@ -41,11 +41,29 @@ func genTasks(r *rand.Rand, n int, base ID, ids string, span int64, never float6
 	return ts
 }
 
+// spanExactly makes ts's keys span exactly span under both priorities:
+// every task gets a zero Proc, so its latest start is its deadline, and a
+// deadline in [0, span], with 0 and span both present once ts has two tasks.
+func spanExactly(r *rand.Rand, ts []*Task, span int64) {
+	for _, t := range ts {
+		t.Proc, t.Deadline = 0, simtime.Instant(r.Int64N(span+1))
+	}
+	if len(ts) >= 2 {
+		i, j := r.IntN(len(ts)), r.IntN(len(ts)-1)
+		if j >= i {
+			j++
+		}
+		ts[i].Deadline, ts[j].Deadline = 0, simtime.Instant(span)
+	}
+}
+
 // Property: sorting a sorted prefix plus an unsorted tail gives the
 // reference permutation, on the packed path (ascending tail IDs, narrow
-// keys) and on the comparator path (descending or shuffled IDs, or a key
-// span of 2^32 or more), with ties, Never deadlines, negative IDs and
-// prefixes of length 0 and 1.
+// keys) — by radix for a long run, at a key span on each side of every
+// digit boundary the radix passes turn on — and on the comparator path
+// (descending or shuffled IDs, or a key span of 2^32 or more), with ties,
+// all-equal keys, Never deadlines, negative IDs and prefixes of length 0
+// and 1.
 func TestSorterMatchesReference(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -53,17 +71,27 @@ func TestSorterMatchesReference(t *testing.T) {
 		ids   string
 		span  int64
 		never float64
+		// exact, when non-negative, replaces span: the keys span exactly it.
+		exact int64
 	}{
-		{"packed", 0, "ascending", int64(500 * time.Millisecond), 0},
-		{"equal keys", 0, "ascending", 4, 0},
-		{"equal keys descending IDs", 0, "descending", 4, 0},
-		{"descending IDs", 0, "descending", int64(time.Second), 0},
-		{"shuffled IDs", 0, "shuffled", int64(time.Second), 0},
-		{"wide keys", 0, "ascending", 1 << 40, 0},
-		{"just wide keys", 0, "ascending", 1<<32 + 1, 0},
-		{"never deadlines", 0, "ascending", int64(time.Second), 0.2},
-		{"negative IDs", -1 << 20, "ascending", int64(time.Second), 0.05},
-		{"negative shuffled IDs", -1 << 20, "shuffled", 16, 0.05},
+		{"packed", 0, "ascending", int64(500 * time.Millisecond), 0, -1},
+		{"equal keys", 0, "ascending", 4, 0, -1},
+		{"equal keys descending IDs", 0, "descending", 4, 0, -1},
+		{"descending IDs", 0, "descending", int64(time.Second), 0, -1},
+		{"shuffled IDs", 0, "shuffled", int64(time.Second), 0, -1},
+		{"wide keys", 0, "ascending", 1 << 40, 0, -1},
+		{"just wide keys", 0, "ascending", 1<<32 + 1, 0, -1},
+		{"never deadlines", 0, "ascending", int64(time.Second), 0.2, -1},
+		{"negative IDs", -1 << 20, "ascending", int64(time.Second), 0.05, -1},
+		{"negative shuffled IDs", -1 << 20, "shuffled", 16, 0.05, -1},
+		{"all-equal keys", 0, "ascending", 0, 0, 0},
+		{"span 255", 0, "ascending", 0, 0, 255},
+		{"span 256", 0, "ascending", 0, 0, 256},
+		{"span 2^16-1", 0, "ascending", 0, 0, 1<<16 - 1},
+		{"span 2^16", 0, "ascending", 0, 0, 1 << 16},
+		{"span 2^24", 0, "ascending", 0, 0, 1 << 24},
+		{"span 2^32-1", 0, "ascending", 0, 0, 1<<32 - 1},
+		{"span 2^32-1 shuffled IDs", 0, "shuffled", 0, 0, 1<<32 - 1},
 	}
 	r := rand.New(rand.NewPCG(1, 2))
 	var s Sorter // one warm Sorter across every case exercises scratch reuse
@@ -82,7 +110,13 @@ func TestSorterMatchesReference(t *testing.T) {
 				}
 				// The prefix is what an earlier sort left; the tail arrived
 				// since, in generation order.
-				tasks := genTasks(r, n, c.base, c.ids, c.span, c.never)
+				var tasks []*Task
+				if c.exact >= 0 {
+					tasks = genTasks(r, n, c.base, c.ids, 1, 0)
+					spanExactly(r, tasks, c.exact)
+				} else {
+					tasks = genTasks(r, n, c.base, c.ids, c.span, c.never)
+				}
 				refSort(tasks[:p], llf)
 				want := slices.Clone(tasks)
 				refSort(want, llf)

@@ -287,22 +287,6 @@ func (b *Batch) removeIf(pred func(*Task) bool) int {
 	return n
 }
 
-// MinSlack returns the smallest slack among the batch's tasks at now — the
-// paper's Min_Slack term of the quantum criterion. The second result is
-// false when the batch is empty.
-func (b *Batch) MinSlack(now simtime.Instant) (time.Duration, bool) {
-	if len(b.tasks) == 0 {
-		return 0, false
-	}
-	min := b.tasks[0].Slack(now)
-	for _, t := range b.tasks[1:] {
-		if s := t.Slack(now); s < min {
-			min = s
-		}
-	}
-	return min, true
-}
-
 // SortEDF orders the batch by ascending deadline (earliest deadline first),
 // breaking ties by task ID for determinism.
 func (b *Batch) SortEDF() {
@@ -343,6 +327,7 @@ func SortEDF(tasks []*Task) {
 // P. The zero value is ready to use.
 type Sorter struct {
 	packed []uint64  // keys, then (key - min)<<32 | index
+	radix  []uint64  // the radix sort's second buffer
 	keys   []sortKey // the comparator path
 	tail   []*Task   // the arrivals, sorted apart before the merge
 }
@@ -432,7 +417,9 @@ func sortedPrefix(tasks []*Task, llf bool) int {
 // arrival order and generated IDs follow it, so a run's IDs usually ascend:
 // then an index orders ties as the ID would, and when the keys also span
 // less than 2^32 the sort runs over packed (key - min)<<32 | index words
-// with no comparator. Otherwise it compares (key, ID) pairs.
+// with no comparator — a radix sort over the key half once the run is long
+// enough to pay for its counting passes. Otherwise it compares (key, ID)
+// pairs.
 func (s *Sorter) sortRun(ts []*Task, llf bool) {
 	packed := slices.Grow(s.packed[:0], len(ts)) // one exact allocation, not doublings
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
@@ -467,18 +454,24 @@ func (s *Sorter) sortRun(ts []*Task, llf bool) {
 	for i, k := range packed {
 		packed[i] = (k-uint64(lo))<<32 | uint64(i)
 	}
-	slices.Sort(packed)
+	words := packed
+	if len(packed) < radixMin {
+		slices.Sort(packed)
+	} else {
+		s.radix = slices.Grow(s.radix[:0], len(packed))[:len(packed)]
+		words = radixSort(packed, s.radix, uint64(hi)-uint64(lo))
+	}
 	// Apply the permutation in place, one cycle at a time: slot k takes the
 	// task from the slot its word names, and a word that names its own slot
 	// marks the slot done.
 	for j := range ts {
-		if int(uint32(packed[j])) == j {
+		if int(uint32(words[j])) == j {
 			continue
 		}
 		first, k := ts[j], j
 		for {
-			from := int(uint32(packed[k]))
-			packed[k] = uint64(k)
+			from := int(uint32(words[k]))
+			words[k] = uint64(k)
 			if from == j {
 				ts[k] = first
 				break
@@ -487,4 +480,43 @@ func (s *Sorter) sortRun(ts []*Task, llf bool) {
 			k = from
 		}
 	}
+}
+
+// radixMin is the shortest run the radix sort takes: below it, clearing and
+// summing the byte counters costs more than comparing.
+const radixMin = 128
+
+// radixSort orders packed (key<<32 | index) words whose keys are at most
+// span, and returns the buffer that holds the result: packed or buf, which
+// must be as long. It is an LSD radix over the key half: one pass counts
+// every byte, then one stable scatter per byte the span has, skipping a
+// byte every word shares. The index halves start ascending, so equal keys
+// keep their index order and the result is the words' ascending order, as a
+// comparison sort gives.
+func radixSort(packed, buf []uint64, span uint64) []uint64 {
+	var count [4][256]uint32
+	for _, w := range packed {
+		count[0][byte(w>>32)]++
+		count[1][byte(w>>40)]++
+		count[2][byte(w>>48)]++
+		count[3][byte(w>>56)]++
+	}
+	src, dst := packed, buf
+	for d := 0; span > 0; d, span = d+1, span>>8 {
+		c, shift := &count[d], 32+8*d
+		if c[byte(src[0]>>shift)] == uint32(len(src)) {
+			continue
+		}
+		var sum uint32
+		for i := range c {
+			c[i], sum = sum, sum+c[i]
+		}
+		for _, w := range src {
+			b := byte(w >> shift)
+			dst[c[b]] = w
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }

@@ -85,26 +85,6 @@ func TestBatchAddAndLen(t *testing.T) {
 	}
 }
 
-func TestMinSlack(t *testing.T) {
-	b := NewBatch()
-	if _, ok := b.MinSlack(0); ok {
-		t.Error("MinSlack on empty batch reported ok")
-	}
-	b.Add(
-		mk(1, time.Millisecond, simtime.Instant(10*time.Millisecond)),  // slack 9ms
-		mk(2, 4*time.Millisecond, simtime.Instant(6*time.Millisecond)), // slack 2ms
-		mk(3, time.Millisecond, simtime.Instant(50*time.Millisecond)),  // slack 49ms
-	)
-	got, ok := b.MinSlack(0)
-	if !ok || got != 2*time.Millisecond {
-		t.Errorf("MinSlack = (%v,%v), want (2ms,true)", got, ok)
-	}
-	got, ok = b.MinSlack(simtime.Instant(5 * time.Millisecond))
-	if !ok || got != -3*time.Millisecond {
-		t.Errorf("MinSlack@5ms = (%v,%v), want (-3ms,true)", got, ok)
-	}
-}
-
 func TestSortEDF(t *testing.T) {
 	b := NewBatch(
 		mk(3, 0, simtime.Instant(30)),
