@@ -119,7 +119,9 @@ func (s Set) String() string {
 // C) otherwise.
 type CostModel struct {
 	// Remote is the constant communication cost C charged when a task
-	// executes on a processor that does not hold its referenced data.
+	// executes on a processor that does not hold its referenced data. It
+	// must not be negative (workload.Validate refuses one): the search
+	// relies on c_lk >= 0 to rule a task out from the least worker load.
 	Remote time.Duration
 }
 

@@ -58,7 +58,8 @@ type Planner interface {
 }
 
 // CommFunc returns c_lk, the communication cost of running a task on a
-// worker (zero when the task has affinity with it).
+// worker (zero when the task has affinity with it). It is never negative:
+// the search's hopeless test and least-load bound rely on c_lk >= 0.
 type CommFunc func(t *task.Task, proc int) time.Duration
 
 // SearchConfig parameterises the search-based planners.

@@ -16,6 +16,9 @@
 package represent
 
 import (
+	"slices"
+	"time"
+
 	"rtsads/internal/search"
 	"rtsads/internal/task"
 )
@@ -73,26 +76,35 @@ func (a *Assignment) IsLeaf(p *search.Problem, v *search.Vertex) bool {
 // returns one successor per feasible processor, ordered by the cost
 // function (smallest resulting CE, then earliest completion).
 //
-// Quantum charging: probing a task's processors generates Workers
-// candidate vertices, feasible or not. A task that is hopeless on every
-// processor regardless of load (PhaseEnd + p_l > d_l) is rejected with a
-// single comparison before any processor is probed, and charges one
-// generated vertex — not Workers.
+// Each task is tested against its room (search.Problem.Room), the largest
+// completion offset that meets its deadline. Quantum charging: probing a
+// task's processors generates Workers candidate vertices, feasible or not.
+// A task that is hopeless on every processor regardless of load (p_l
+// outside its room) is rejected with a single comparison and charges one
+// generated vertex — not Workers. A task whose p_l on the least-loaded
+// processor already overflows its room fits nowhere, since c_lk >= 0 and
+// every other load is at least as large: it is ruled out without a probe
+// but still charges Workers, the candidates the probes would have
+// generated, so the quantum, Stats and every schedule are the probes'.
 func (a *Assignment) Expand(p *search.Problem, v *search.Vertex, st *search.PathState) ([]*search.Vertex, int) {
 	generated := 0
 	model := a.cost()
+	minLoad := slices.Min(st.Loads)
 	succs := search.GetSuccs()
 	for i := v.Cursor; i < len(p.Tasks); i++ {
 		t := p.Tasks[i]
-		if p.Hopeless(t) {
+		room := p.Room(t)
+		if !task.InRoom(t.Proc, room) { // Hopeless
 			generated++
 			if !a.SkipInfeasible {
 				break
 			}
 			continue
 		}
-		succs = appendTaskSuccessors(p, v, st, t, i, model, succs)
 		generated += p.Workers
+		if minLoad <= room-t.Proc { // room-t.Proc >= 0: it cannot wrap
+			succs = appendTaskSuccessors(p, v, st, t, i, room, model, succs)
+		}
 		if len(succs) > 0 {
 			sortSuccessors(succs)
 			if a.Breadth > 0 && len(succs) > a.Breadth {
@@ -112,13 +124,14 @@ func (a *Assignment) Expand(p *search.Problem, v *search.Vertex, st *search.Path
 }
 
 // appendTaskSuccessors appends v's feasible successors that assign t
-// (batch index ti) to succs, stamping each with cursor ti+1.
+// (batch index ti, deadline room room) to succs, stamping each with cursor
+// ti+1.
 func appendTaskSuccessors(p *search.Problem, v *search.Vertex, st *search.PathState,
-	t *task.Task, ti int, model search.CostModel, succs []*search.Vertex) []*search.Vertex {
-	for k := 0; k < p.Workers; k++ {
+	t *task.Task, ti int, room time.Duration, model search.CostModel, succs []*search.Vertex) []*search.Vertex {
+	for k, load := range st.Loads {
 		comm := p.Comm(t, k)
-		end, ok := p.Feasible(t, st.Loads[k], comm)
-		if !ok {
+		end := load + t.Proc + comm
+		if !task.InRoom(end, room) {
 			continue
 		}
 		sv := st.NewVertex()
@@ -127,7 +140,7 @@ func appendTaskSuccessors(p *search.Problem, v *search.Vertex, st *search.PathSt
 		sv.IsAssignment = true
 		sv.Depth = v.Depth + 1
 		sv.Cursor = ti + 1
-		sv.CE = model.Extend(v.CE, st.Loads[k], end)
+		sv.CE = model.Extend(v.CE, load, end)
 		succs = append(succs, sv)
 	}
 	return succs

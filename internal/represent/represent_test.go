@@ -443,3 +443,29 @@ func TestHopelessTaskChargesOneVertex(t *testing.T) {
 		t.Errorf("Stats.Generated = %d, want 3", res.Stats.Generated)
 	}
 }
+
+func TestLeastLoadBoundAtTheEdge(t *testing.T) {
+	// The least-loaded worker (1, 2ms) holds the task's data, so the task
+	// fits there exactly when 2ms + p + margin <= deadline. At that edge it
+	// must be assigned; one ns past it the bound rules the task out on
+	// every worker unprobed — yet charges all three candidates, as the
+	// probes would have.
+	const margin = 25 * us
+	edge := simtime.Instant(3*ms + margin)
+	for _, c := range []struct {
+		deadline simtime.Instant
+		succs    int
+	}{{edge, 1}, {edge - 1, 0}} {
+		p := problem(3, 0, mkTask(1, ms, c.deadline, 1))
+		p.BaseLoad = []time.Duration{4 * ms, 2 * ms, 6 * ms}
+		p.Margin = margin
+		rep := NewAssignment()
+		succs, generated := expand(rep, p, rep.Root(p))
+		if len(succs) != c.succs || generated != 3 {
+			t.Fatalf("deadline %v: %d successors, %d generated; want %d, 3", c.deadline, len(succs), generated, c.succs)
+		}
+		if c.succs == 1 && (succs[0].Assign.Proc != 1 || succs[0].Assign.EndOffset != 3*ms) {
+			t.Errorf("deadline %v: assigned %+v, want worker 1 ending at 3ms", c.deadline, succs[0].Assign)
+		}
+	}
+}

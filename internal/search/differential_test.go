@@ -9,7 +9,9 @@ package search_test
 // incrementally maintained PathState.
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -53,8 +55,27 @@ func fig5Problem(tb testing.TB, workers, txns int, seed uint64, vertexCost time.
 // recomputed from the whole array. It mirrors the delta representation's
 // expansion order and quantum charging exactly, so any divergence isolates
 // the delta state reconstruction.
+//
+// Its zero-valued options are the paper's representation; the bound cases
+// set them to mirror an Assignment with SkipInfeasible off, a Breadth cap
+// or the SumCost model. ruledOut counts the tasks whose every probe failed
+// because the least-loaded worker alone overflows the task's room — the
+// probes the delta representation's least-load bound skips.
 type fullCopyAssignment struct {
 	loads map[*search.Vertex][]time.Duration
+
+	noSkip   bool
+	breadth  int
+	sum      bool
+	ruledOut int
+}
+
+// model is the reference's cost model.
+func (f *fullCopyAssignment) model() search.CostModel {
+	if f.sum {
+		return search.SumCost{}
+	}
+	return search.MaxCost{}
 }
 
 func newFullCopy() *fullCopyAssignment {
@@ -65,7 +86,7 @@ func (f *fullCopyAssignment) Name() string { return "assignment-full-copy" }
 
 func (f *fullCopyAssignment) Root(p *search.Problem) *search.Vertex {
 	loads := search.RootLoads(p, nil)
-	v := search.NewRoot(p, search.MaxCost{})
+	v := search.NewRoot(p, f.model())
 	f.loads[v] = loads
 	return v
 }
@@ -81,9 +102,15 @@ func (f *fullCopyAssignment) Expand(p *search.Problem, v *search.Vertex, st *sea
 		t := p.Tasks[i]
 		if p.Hopeless(t) {
 			generated++
+			if f.noSkip {
+				break
+			}
 			continue
 		}
 		var succs []*search.Vertex
+		if _, ok := p.Feasible(t, slices.Min(loads), 0); !ok {
+			f.ruledOut++
+		}
 		for k := 0; k < p.Workers; k++ {
 			comm := p.Comm(t, k)
 			end, ok := p.Feasible(t, loads[k], comm)
@@ -100,7 +127,7 @@ func (f *fullCopyAssignment) Expand(p *search.Problem, v *search.Vertex, st *sea
 				IsAssignment: true,
 				Depth:        v.Depth + 1,
 				Cursor:       i + 1,
-				CE:           search.MaxCost{}.FromLoads(nl),
+				CE:           f.model().FromLoads(nl),
 			}
 			f.loads[sv] = nl
 			succs = append(succs, sv)
@@ -117,7 +144,13 @@ func (f *fullCopyAssignment) Expand(p *search.Problem, v *search.Vertex, st *sea
 				}
 				return a.Assign.Proc < b.Assign.Proc
 			})
+			if f.breadth > 0 && len(succs) > f.breadth {
+				succs = succs[:f.breadth]
+			}
 			return succs, generated
+		}
+		if f.noSkip {
+			break
 		}
 	}
 	return nil, generated
@@ -274,5 +307,87 @@ func TestDeltaMatchesFullCopyReference(t *testing.T) {
 	}
 	if expired == 0 {
 		t.Fatal("no expiring fixture expired; the quantum-truncation path is not exercised")
+	}
+}
+
+// TestLeastLoadBoundMatchesFullCopyReference pins the assignment
+// representation's least-load bound — a task whose p_l on the least-loaded
+// worker already overflows its room is ruled out unprobed, yet charged
+// Workers candidates — against the full-copy reference, which probes every
+// worker. Non-zero base loads, dead (search.Unreachable) workers and a
+// margin make the bound fire; each case runs with the paper's options and
+// with SkipInfeasible off, a Breadth cap and SumCost, and must match the
+// reference's schedule, loads and every Stats field, Generated included.
+func TestLeastLoadBoundMatchesFullCopyReference(t *testing.T) {
+	const ms = time.Millisecond
+	type option struct {
+		name string
+		rep  *represent.Assignment
+		ref  fullCopyAssignment
+	}
+	options := []option{
+		{"paper", &represent.Assignment{SkipInfeasible: true}, fullCopyAssignment{}},
+		{"no-skip", &represent.Assignment{}, fullCopyAssignment{noSkip: true}},
+		{"breadth", &represent.Assignment{SkipInfeasible: true, Breadth: 2}, fullCopyAssignment{breadth: 2}},
+		{"sum", &represent.Assignment{SkipInfeasible: true, Cost: search.SumCost{}}, fullCopyAssignment{sum: true}},
+	}
+	bases := []struct {
+		name string
+		load func(k int) time.Duration
+	}{
+		{"busy", func(k int) time.Duration { return time.Duration(k+1) * 3 * ms }},
+		{"dead", func(k int) time.Duration {
+			if k%3 == 0 {
+				return search.Unreachable
+			}
+			return time.Duration(k) * 2 * ms
+		}},
+		{"all-dead", func(int) time.Duration { return search.Unreachable }},
+	}
+	ruledOut, cases := 0, 0
+	for _, base := range bases {
+		for _, margin := range []time.Duration{0, time.Microsecond, 25 * time.Microsecond} {
+			for _, o := range options {
+				for seed := uint64(1); seed <= 3; seed++ {
+					for _, vc := range []time.Duration{time.Microsecond, time.Nanosecond} {
+						problem := func() *search.Problem {
+							p := fig5Problem(t, 10, 120, seed, vc)
+							for k := range p.BaseLoad {
+								p.BaseLoad[k] = base.load(k)
+							}
+							p.Margin = margin
+							return p
+						}
+						p1, p2 := problem(), problem()
+						ref := o.ref
+						ref.loads = make(map[*search.Vertex][]time.Duration)
+						delta, err := search.Run(p1, o.rep)
+						if err != nil {
+							t.Fatal(err)
+						}
+						full, err := search.Run(p2, &ref)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("%s/margin=%v/%s/seed=%d/vc=%v", base.name, margin, o.name, seed, vc)
+						if !reflect.DeepEqual(flatten(delta.Schedule()), flatten(full.Schedule())) {
+							t.Fatalf("%s: schedules differ:\n%v\nvs\n%v", name,
+								flatten(delta.Schedule()), flatten(full.Schedule()))
+						}
+						if delta.Stats != full.Stats {
+							t.Fatalf("%s: stats differ: %+v vs %+v", name, delta.Stats, full.Stats)
+						}
+						if got, want := delta.Loads(p1), search.PathLoads(p2, full.Best); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: best loads differ: %v vs %v", name, got, want)
+						}
+						ruledOut += ref.ruledOut
+						cases++
+					}
+				}
+			}
+		}
+	}
+	if ruledOut < cases {
+		t.Fatalf("the least-load bound fired %d times over %d cases; the fixtures do not exercise it", ruledOut, cases)
 	}
 }

@@ -184,7 +184,10 @@ type Problem struct {
 	// BaseLoad is Load_k(j-1): each worker's outstanding execution time at
 	// Now, including the task it is currently running.
 	BaseLoad []time.Duration
-	// Comm returns c_lk for a task on a worker.
+	// Comm returns c_lk for a task on a worker. It must never be negative:
+	// a completion offset is then at least the worker's load plus p_l,
+	// which is what lets Hopeless and a representation's least-load bound
+	// rule a task out without probing every worker.
 	Comm func(t *task.Task, proc int) time.Duration
 	// VertexCost is the scheduling time charged for generating (allocating
 	// and evaluating) one vertex, including vertices that fail the
@@ -295,27 +298,36 @@ func (p *Problem) PhaseEnd() simtime.Instant {
 	return p.Now.Add(p.Quantum)
 }
 
+// Room returns the largest completion offset se_lk = loadK + p_l + c_lk
+// that still meets t's deadline this phase, PhaseEnd + se_lk + Margin <=
+// d_l (task.Room); negative when none does. A representation that probes
+// one task on many workers computes it once and tests each offset against
+// it with task.InRoom.
+func (p *Problem) Room(t *task.Task) time.Duration {
+	return task.Room(p.PhaseEnd(), p.Margin, t.Deadline)
+}
+
 // Feasible applies the paper's feasibility test (§4.3, Figure 4) to
 // extending a partial schedule whose worker-k completion offset is loadK
 // with task t on worker k: t_c + RQs(j) + se_lk <= d_l, which — since
 // t_c + RQs(j) is always the phase end — reduces to
-// PhaseEnd + loadK + p_l + c_lk + Margin <= d_l (task.Fits). It returns the
-// new completion offset, meaningful only when the extension is feasible.
-// Saturated loads (a machine reporting a crashed worker as permanently busy)
-// are always infeasible.
+// 0 <= loadK + p_l + c_lk <= Room(t). It returns the new completion offset,
+// meaningful only when the extension is feasible. Saturated loads (a
+// machine reporting a crashed worker as permanently busy) are always
+// infeasible.
 func (p *Problem) Feasible(t *task.Task, loadK, comm time.Duration) (time.Duration, bool) {
 	end := loadK + t.Proc + comm
-	return end, task.Fits(p.PhaseEnd(), end, p.Margin, t.Deadline)
+	return end, task.InRoom(end, p.Room(t))
 }
 
 // Hopeless reports that t cannot meet its deadline on any worker this
-// phase, even an idle one with affinity: the finish bound is at least
-// PhaseEnd + p_l regardless of placement, so a single comparison stands in
-// for P per-processor probes. Representations use it to charge one
-// generated candidate — not Workers — for tasks rejected without probing
-// any processor.
+// phase, even an idle one with affinity: every completion offset is at
+// least p_l, since loads and c_lk are never negative, so p_l outside
+// Room(t) stands in for P per-processor probes. Representations use it to
+// charge one generated candidate — not Workers — for tasks rejected
+// without probing any processor.
 func (p *Problem) Hopeless(t *task.Task) bool {
-	return !task.Fits(p.PhaseEnd(), t.Proc, p.Margin, t.Deadline)
+	return !task.InRoom(t.Proc, p.Room(t))
 }
 
 // RootLoads fills dst with the root vertex's per-worker completion offsets
@@ -525,7 +537,10 @@ type Representation interface {
 
 // Stats describes one search run.
 type Stats struct {
-	Generated  int // vertices generated and evaluated
+	// Generated counts the charged candidates, the unit the virtual
+	// quantum is spent in: each one probed by the feasibility test, or
+	// ruled out by a bound that proves the probe would fail.
+	Generated  int
 	Expanded   int // vertices whose successors were generated
 	Backtracks int // expansions that did not extend the previous vertex
 	// BoundPruned counts generated vertices discarded by the incumbent

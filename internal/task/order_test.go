@@ -181,12 +181,29 @@ func (m *batchModel) remove(scheduled []*Task) int {
 	return n
 }
 
+// edgeTask gives t a Proc or a deadline from the edge values (room_test.go):
+// negative and MaxInt64 Proc, MinInt64 and Never deadlines, and pairs whose
+// latest start d - p wraps.
+func edgeTask(r *rand.Rand, t *Task) {
+	switch r.IntN(3) {
+	case 0:
+		t.Proc = edgeDurations[r.IntN(len(edgeDurations))]
+	case 1:
+		t.Deadline = edgeInstants[r.IntN(len(edgeInstants))]
+	default:
+		t.Proc = edgeDurations[r.IntN(len(edgeDurations))]
+		t.Deadline = edgeInstants[r.IntN(len(edgeInstants))]
+	}
+}
+
 // Property: phase after phase of arrivals, a priority sort, a purge and a
 // removal, the batch matches the naive model: the remaining tasks and their
 // order, the purged tasks and their order, the removal count and the
 // horizon. Schedules come in batch order (RT-SADS), in shuffled order
 // (D-COLS's sequence order), with tasks that are not in the batch, and
-// against a batch in LLF order, where the EDF re-merge cannot help.
+// against a batch in LLF order, where the EDF re-merge cannot help. A share
+// of the arrivals carries edge values (edgeTask), and some trials purge at
+// now = Never.
 func TestBatchRemovalsMatchReference(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	for trial := 0; trial < 200; trial++ {
@@ -200,6 +217,9 @@ func TestBatchRemovalsMatchReference(t *testing.T) {
 			next += ID(len(arrivals))
 			for _, a := range arrivals {
 				a.Deadline = a.Deadline.Add(time.Duration(now))
+				if r.IntN(20) == 0 {
+					edgeTask(r, a)
+				}
 			}
 			b.Add(arrivals...)
 			m.add(arrivals...)
@@ -211,6 +231,9 @@ func TestBatchRemovalsMatchReference(t *testing.T) {
 			refSort(m.tasks, llf)
 
 			now = now.Add(time.Duration(r.Int64N(int64(20 * time.Millisecond))))
+			if trial%7 == 6 && phase == 25 {
+				now = simtime.Never // the last phases purge at Never
+			}
 			got, want := b.PurgeMissed(now), m.purge(now)
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d phase %d: purged %v, want %v", trial, phase, got, want)

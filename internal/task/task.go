@@ -68,6 +68,25 @@ func (t *Task) LatestStart() simtime.Instant {
 	return t.Deadline.Add(-t.Proc)
 }
 
+// purgeTest returns t's latest start, meaningful only when t is not missed,
+// and whether t is missed at now, with one comparison: for a finite
+// deadline and a non-negative Proc whose d - p does not wrap, t is missed
+// exactly when now passes d - p. Otherwise Missed's verdict does not depend
+// on now: a negative Proc never fits, a d - p that wraps puts the deadline
+// before now + p for every now, and a Never deadline is never missed (its
+// latest start is Never).
+func (t *Task) purgeTest(now simtime.Instant) (simtime.Instant, bool) {
+	d, p := t.Deadline, t.Proc
+	ls := d - simtime.Instant(p)
+	if p < 0 || ls > d {
+		return ls, true
+	}
+	if d == simtime.Never {
+		return simtime.Never, false
+	}
+	return ls, now > ls
+}
+
 // Fits is the paper's §4.3 inequality, the one place it is written: work
 // that starts at start and occupies se (p_l plus c_lk plus whatever queues
 // ahead of it, RQs(j)) finishes at least margin before deadline,
@@ -79,6 +98,30 @@ func (t *Task) LatestStart() simtime.Instant {
 func Fits(start simtime.Instant, se, margin time.Duration, deadline simtime.Instant) bool {
 	end := se + margin
 	return se >= 0 && end >= se && !start.Add(end).After(deadline)
+}
+
+// Room is Fits solved for se: the largest se for which
+// Fits(start, se, margin, deadline) holds, or a negative value when none
+// does. It is exact — Fits(start, se, margin, deadline) == (0 <= se && se <=
+// Room(start, margin, deadline)) for every value, Never and wrap included —
+// so a search that tests many se against one deadline computes the room
+// once and compares.
+func Room(start simtime.Instant, margin time.Duration, deadline simtime.Instant) time.Duration {
+	if margin < 0 || deadline < start {
+		return -1 // se + margin < se, or no time left at all
+	}
+	// The room is the gap less the margin, the gap capped where se + margin
+	// would wrap; a Never deadline leaves the whole range.
+	gap := time.Duration(math.MaxInt64)
+	if deadline != simtime.Never {
+		gap = time.Duration(min(uint64(deadline)-uint64(start), math.MaxInt64)) // exact: start <= deadline
+	}
+	return gap - margin
+}
+
+// InRoom reports whether se fits a room from Room: 0 <= se <= room.
+func InRoom(se, room time.Duration) bool {
+	return se >= 0 && se <= room
 }
 
 // String renders a compact description for logs and test failures.
@@ -160,17 +203,18 @@ func (b *Batch) PurgeMissed(now simtime.Instant) []*Task {
 	if !now.After(b.horizon) {
 		return removed
 	}
-	// One pass recomputes the horizon over the survivors; slots before the
-	// first missed task are read, never written.
+	// One pass recomputes the horizon over the survivors, testing each task
+	// once; slots before the first missed task are only read.
 	horizon := simtime.Never
 	ts := b.tasks
 	keep := 0
 	for i, t := range ts {
-		if t.Missed(now) {
+		ls, missed := t.purgeTest(now)
+		if missed {
 			removed = append(removed, t)
 			continue
 		}
-		horizon = horizon.Min(t.LatestStart())
+		horizon = horizon.Min(ls)
 		if keep != i {
 			ts[keep] = t
 		}
