@@ -458,7 +458,7 @@ func TestWarmSearchPlannerRecyclesEveryVertex(t *testing.T) {
 			if got := sp.searcher.FreeVertices(); got != warm {
 				t.Errorf("the free list held %d vertices after one phase and %d after 1000 more", warm, got)
 			}
-			if allocs != 0 && !raceEnabled {
+			if allocs != 0 {
 				t.Errorf("a warm phase allocated %v objects", allocs)
 			}
 		})

@@ -8,11 +8,11 @@
 // Both representations speak the engine's delta-vertex API: successors
 // carry only their one changed (proc, endOffset) pair, read the path's
 // loads from the engine's PathState scratch, and derive CE incrementally
-// through a search.CostModel. Vertices come from the PathState they are
-// handed (the running Searcher's free list) and successor slices from the
-// engine's pool, and a depth-first search hands back every vertex but its
-// best path, which Result.Release returns: a phase's whole search allocates
-// nothing in steady state.
+// through a search.CostModel. Vertices and the successor slice come from
+// the PathState they are handed (the running Searcher's buffers), and a
+// depth-first search hands back every vertex but its best path, which
+// Result.Release returns: a phase's whole search allocates nothing in
+// steady state.
 package represent
 
 import (
@@ -90,7 +90,7 @@ func (a *Assignment) Expand(p *search.Problem, v *search.Vertex, st *search.Path
 	generated := 0
 	model := a.cost()
 	minLoad := slices.Min(st.Loads)
-	succs := search.GetSuccs()
+	succs := st.Succs()
 	for i := v.Cursor; i < len(p.Tasks); i++ {
 		t := p.Tasks[i]
 		room := p.Room(t)
@@ -119,7 +119,7 @@ func (a *Assignment) Expand(p *search.Problem, v *search.Vertex, st *search.Path
 			break
 		}
 	}
-	search.PutSuccs(succs)
+	st.PutSuccs(succs)
 	return nil, generated
 }
 

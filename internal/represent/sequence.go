@@ -79,7 +79,7 @@ func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathSt
 	model := s.cost()
 	load := st.Loads[proc]
 	generated := 0
-	succs := search.GetSuccs()
+	succs := st.Succs()
 	for i, t := range p.Tasks {
 		if st.Used.Has(i) {
 			continue
@@ -115,7 +115,7 @@ func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathSt
 		generated++
 	}
 	if len(succs) == 0 {
-		search.PutSuccs(succs)
+		st.PutSuccs(succs)
 		return nil, generated
 	}
 	return succs, generated

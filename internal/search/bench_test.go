@@ -4,8 +4,10 @@ package search_test
 // scripts/bench.sh runs it and writes BENCH_search.json, and the CI
 // bench-regression job fails the build when expand-only ns/op or allocs/op
 // regresses >20% against the committed baseline. See ARCHITECTURE.md §8.
-// Every whole-run sub-benchmark releases its result, as the planners do once
-// the schedule is out, so allocs/op counts what a phase loop allocates.
+// expand-only frees its successors through the PathState, and every
+// whole-run sub-benchmark runs on one kept Searcher and releases its result,
+// as the planners do once the schedule is out, so allocs/op counts what a
+// warm phase loop allocates.
 
 import (
 	"testing"
@@ -30,8 +32,9 @@ func diveProblem(b *testing.B) *search.Problem {
 }
 
 func BenchmarkSearchCore(b *testing.B) {
+	var s search.Searcher // kept across the whole-run sub-benchmarks, as a planner keeps one
 	b.Run("expand-only", func(b *testing.B) {
-		// One expansion of the root: P feasibility probes, a pooled
+		// One expansion of the root: P feasibility probes, the Searcher's
 		// successor slice, an insertion sort. The delta layout makes this
 		// allocation-free in steady state.
 		p := benchProblem(b, time.Microsecond)
@@ -41,14 +44,9 @@ func BenchmarkSearchCore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			succs, _ := rep.Expand(p, root, st)
-			if len(succs) == 0 {
+			if expandAndFree(p, rep, root, st) == 0 {
 				b.Fatal("no successors")
 			}
-			for _, s := range succs {
-				search.FreeVertex(s)
-			}
-			search.PutSuccs(succs)
 		}
 	})
 
@@ -61,7 +59,7 @@ func BenchmarkSearchCore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := search.Run(p, rep)
+			res, err := s.Run(p, rep)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -83,7 +81,7 @@ func BenchmarkSearchCore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := search.Run(p, rep)
+			res, err := s.Run(p, rep)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -103,7 +101,7 @@ func BenchmarkSearchCore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := search.Run(p, rep)
+			res, err := s.Run(p, rep)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -124,7 +122,7 @@ func BenchmarkSearchCore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := search.Run(p, rep)
+			res, err := s.Run(p, rep)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -161,7 +159,7 @@ func (c *fertileChain) Expand(p *search.Problem, v *search.Vertex, st *search.Pa
 	if v.Depth >= c.deadEnd {
 		return nil, c.branch
 	}
-	succs := search.GetSuccs()
+	succs := st.Succs()
 	for i := 0; i < c.branch; i++ {
 		sv := st.NewVertex()
 		sv.Parent = v

@@ -1,16 +1,10 @@
 package search
 
-// minHeap is a binary min-heap ordered by the less function supplied at
-// construction — the best-first candidate list's container. It is not safe
-// for concurrent use.
+// minHeap is a binary min-heap ordered by its less function — the
+// best-first candidate list's container. It is not safe for concurrent use.
 type minHeap[T any] struct {
 	items []T
 	less  func(a, b T) bool
-}
-
-// newHeap returns an empty heap ordered by less.
-func newHeap[T any](less func(a, b T) bool) *minHeap[T] {
-	return &minHeap[T]{less: less}
 }
 
 // Len returns the number of items in the heap.

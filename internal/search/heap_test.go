@@ -7,7 +7,7 @@ import (
 )
 
 func TestHeapOrdering(t *testing.T) {
-	h := newHeap(func(a, b int) bool { return a < b })
+	h := &minHeap[int]{less: func(a, b int) bool { return a < b }}
 	in := []int{5, 3, 8, 1, 9, 2, 7, 1, 0}
 	for _, v := range in {
 		h.Push(v)
@@ -31,7 +31,7 @@ func TestHeapOrdering(t *testing.T) {
 // Property: popping everything from a heap yields a sorted sequence.
 func TestHeapSortsProperty(t *testing.T) {
 	f := func(in []int16) bool {
-		h := newHeap(func(a, b int16) bool { return a < b })
+		h := &minHeap[int16]{less: func(a, b int16) bool { return a < b }}
 		for _, v := range in {
 			h.Push(v)
 		}
@@ -52,7 +52,7 @@ func TestHeapSortsProperty(t *testing.T) {
 
 func TestHeapMaxOrdering(t *testing.T) {
 	// A "max-heap" via inverted less must pop descending.
-	h := newHeap(func(a, b int) bool { return a > b })
+	h := &minHeap[int]{less: func(a, b int) bool { return a > b }}
 	for _, v := range []int{1, 5, 3} {
 		h.Push(v)
 	}
@@ -65,7 +65,7 @@ func TestHeapMaxOrdering(t *testing.T) {
 }
 
 func BenchmarkHeapPushPop(b *testing.B) {
-	h := newHeap(func(a, c int) bool { return a < c })
+	h := &minHeap[int]{less: func(a, c int) bool { return a < c }}
 	for i := 0; i < b.N; i++ {
 		h.Push(i ^ 0x5555)
 		if h.Len() > 1024 {

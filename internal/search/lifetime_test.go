@@ -28,8 +28,8 @@ func snap(v *search.Vertex) snapshot {
 	return snapshot{v.Parent, v.Assign, v.IsAssignment, v.Depth, v.Cursor, v.CE}
 }
 
-// birth is one creation of a vertex: a pooled vertex is born again each time
-// it is reused.
+// birth is one creation of a vertex: a recycled vertex is born again each
+// time it is reused.
 type birth struct {
 	seq  int
 	snap snapshot
@@ -176,7 +176,7 @@ func TestVertexLifetime(t *testing.T) {
 		}, &fertileChain{length: 64, branch: 3, deadEnd: 6},
 			func(s search.Stats, _ *recorder) bool { return s.DeadEnd && s.Backtracks > 0 }},
 	}
-	// Each case runs on a pooled Searcher, then on one Searcher reused by
+	// Each case runs on a fresh Searcher, then on one Searcher reused by
 	// every case, whose free list hands the next birth the vertex freed
 	// last — from this run or an earlier case's.
 	var shared search.Searcher
@@ -213,18 +213,16 @@ func TestVertexSize(t *testing.T) {
 	}
 }
 
-// TestDeepBacktrackAllocations: a warm depth-first run recycles every
-// vertex it backtracks out of, so an exhaustive ~87k-vertex search
-// allocates almost nothing.
+// TestDeepBacktrackAllocations: a warm depth-first run on a kept Searcher,
+// as a planner keeps one, recycles every vertex it backtracks out of, so an
+// exhaustive ~87k-vertex search allocates almost nothing.
 func TestDeepBacktrackAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop Puts")
-	}
 	p := fig5Problem(t, 10, 0, 1, time.Nanosecond)
 	p.Tasks = nil
 	rep := &fertileChain{length: 64, branch: 4, deadEnd: 8}
+	var s search.Searcher
 	run := func() {
-		res, err := search.Run(p, rep)
+		res, err := s.Run(p, rep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,5 +231,32 @@ func TestDeepBacktrackAllocations(t *testing.T) {
 	run()
 	if got := testing.AllocsPerRun(5, run); got > 64 {
 		t.Errorf("a warm deep-backtrack run allocated %.0f objects, want <= 64", got)
+	}
+}
+
+// expandAndFree expands v by hand and frees what it made through st, as the
+// engine would; it returns the number of successors.
+func expandAndFree(p *search.Problem, rep search.Representation, v *search.Vertex, st *search.PathState) int {
+	succs, _ := rep.Expand(p, v, st)
+	for _, s := range succs {
+		st.FreeVertex(s)
+	}
+	st.PutSuccs(succs)
+	return len(succs)
+}
+
+// TestHandDrivenExpandRecycles: a representation expanded by hand over a
+// NewPathState state recycles through it as a run does, so a warm expansion
+// of the §5.1 burst's root allocates nothing.
+func TestHandDrivenExpandRecycles(t *testing.T) {
+	p := fig5Problem(t, 10, 0, 1, time.Microsecond)
+	for _, rep := range []search.Representation{represent.NewAssignment(), represent.NewSequence(10)} {
+		root, st := rep.Root(p), search.NewPathState(p)
+		if expandAndFree(p, rep, root, st) == 0 {
+			t.Fatalf("%s: the root has no successors", rep.Name())
+		}
+		if got := testing.AllocsPerRun(1000, func() { expandAndFree(p, rep, root, st) }); got != 0 {
+			t.Errorf("%s: a warm hand-driven expansion allocated %v objects", rep.Name(), got)
+		}
 	}
 }

@@ -19,22 +19,21 @@
 // CE = max_k ce_k is maintained in O(1) per vertex as max(parent.CE, end)
 // instead of an O(P) rescan.
 //
-// Vertices are recycled by the Searcher that runs the search: a planner
-// keeps one next to its other per-phase scratch, and every vertex born in
-// one of its runs, the root included, comes from its LIFO free list through
-// the PathState the representation is handed. A depth-first search returns
-// to that list every vertex it leaves that does not lead to the best
+// Every buffer a search uses belongs to the Searcher that runs it: a planner
+// keeps one next to its other per-phase scratch. Every vertex born in one of
+// its runs, the root included, comes from its LIFO free list, and every
+// successor slice is its one scratch slice, both handed out through the
+// PathState the representation is handed. A depth-first search returns to
+// the free list every vertex it leaves that does not lead to the best
 // schedule, and Result.Release returns that path, so in steady state a whole
-// search — not just each expansion — allocates nothing. Run draws a pooled
-// Searcher, which Release hands back; successor slices still come from a
-// sync.Pool.
+// search — not just each expansion — allocates nothing. There is no second
+// recycling path: the package-level Run searches on a fresh Searcher.
 package search
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"rtsads/internal/simtime"
@@ -87,29 +86,18 @@ type Vertex struct {
 	CE time.Duration
 }
 
-// vertexPool recycles the vertices born outside a search run: a
-// representation expanded by hand over a NewPathState state.
-var vertexPool = sync.Pool{New: func() any { return new(Vertex) }}
+// FreeVertex zeroes v and recycles nothing. It is kept for bench/rungs.go
+// until ROADMAP item 1 moves that rung onto a kept Searcher; everything else
+// frees through PathState.FreeVertex.
+func FreeVertex(v *Vertex) { *v = Vertex{} }
 
-// NewVertex returns a zeroed vertex from the pool, for a representation
-// driven outside a run. Callers must set every field they need; pooled
-// vertices carry no state over. Inside a run, vertices come from
-// PathState.NewVertex.
-func NewVertex() *Vertex { return vertexPool.Get().(*Vertex) }
+// PutSuccs clears s and recycles nothing. It is kept for bench/rungs.go
+// until ROADMAP item 1 moves that rung onto a kept Searcher; everything else
+// hands slices back through PathState.PutSuccs.
+func PutSuccs(s []*Vertex) { clear(s) }
 
-// FreeVertex returns v to the pool. The caller must guarantee no live
-// reference remains.
-func FreeVertex(v *Vertex) {
-	*v = Vertex{}
-	vertexPool.Put(v)
-}
-
-// newVertex pops a zeroed vertex off s's free list; a nil Searcher draws
-// from the pool.
+// newVertex pops a zeroed vertex off s's free list.
 func (s *Searcher) newVertex() *Vertex {
-	if s == nil {
-		return NewVertex()
-	}
 	n := len(s.free)
 	if n == 0 {
 		return new(Vertex)
@@ -120,51 +108,13 @@ func (s *Searcher) newVertex() *Vertex {
 }
 
 // freeVertex zeroes v and pushes it onto s's free list, where the next birth
-// takes it; a nil Searcher returns it to the pool. No live reference may
-// remain — in-engine that holds for candidates that were never expanded,
-// for breadth-pruned successors, and for path vertices whose subtrees are
-// exhausted and hold no part of Result.Best.
+// takes it. No live reference may remain — in-engine that holds for
+// candidates that were never expanded, for breadth-pruned successors, and
+// for path vertices whose subtrees are exhausted and hold no part of
+// Result.Best.
 func (s *Searcher) freeVertex(v *Vertex) {
-	if s == nil {
-		FreeVertex(v)
-		return
-	}
 	*v = Vertex{}
 	s.free = append(s.free, v)
-}
-
-// succPool recycles the successor slices representations hand to the
-// engine; the engine returns each slice after copying it into the
-// candidate list. The slice headers travel in boxes that shuttle between
-// succPool and boxPool, so neither Get nor Put allocates in steady state
-// (boxing a slice header into an interface directly would).
-var (
-	succPool = sync.Pool{New: func() any { return new([]*Vertex) }}
-	boxPool  = sync.Pool{New: func() any { return new([]*Vertex) }}
-)
-
-// GetSuccs returns an empty successor slice (with retained capacity) from
-// the pool.
-func GetSuccs() []*Vertex {
-	b := succPool.Get().(*[]*Vertex)
-	s := *b
-	*b = nil
-	boxPool.Put(b)
-	return s[:0]
-}
-
-// PutSuccs returns a successor slice to the pool. nil is a no-op.
-func PutSuccs(s []*Vertex) {
-	if s == nil {
-		return
-	}
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = nil // release references for GC
-	}
-	b := boxPool.Get().(*[]*Vertex)
-	*b = s[:0]
-	succPool.Put(b)
 }
 
 // Problem is the input to one scheduling phase's search.
@@ -351,14 +301,14 @@ func RootLoads(p *Problem, dst []time.Duration) []time.Duration {
 
 // NewRoot builds the root vertex — the empty schedule — costed by model.
 // Inside a run it comes from the running Searcher's free list and is costed
-// from its path state, which the run has positioned at the root.
+// from its path state, which the run has positioned at the root; outside a
+// run it is a plain vertex.
 func NewRoot(p *Problem, model CostModel) *Vertex {
-	v := p.src.newVertex()
-	if p.src != nil {
-		v.CE = model.FromLoads(p.src.st.Loads)
-	} else {
-		v.CE = model.FromLoads(RootLoads(p, nil))
+	if p.src == nil {
+		return &Vertex{CE: model.FromLoads(RootLoads(p, nil))}
 	}
+	v := p.src.newVertex()
+	v.CE = model.FromLoads(p.src.st.Loads)
 	return v
 }
 
@@ -446,26 +396,38 @@ type PathState struct {
 	Used *Bitset
 
 	path []*Vertex // rebuild scratch
-	src  *Searcher // the vertex source; nil draws from the pool
+	src  *Searcher // the Searcher whose buffers the state hands out
 }
 
-// NewVertex returns a zeroed vertex for a successor: from the running
-// Searcher's free list, or from the pool for a state made by NewPathState.
-// Callers must set every field they need.
+// NewVertex returns a zeroed vertex for a successor from the Searcher's free
+// list. Callers must set every field they need.
 func (st *PathState) NewVertex() *Vertex { return st.src.newVertex() }
 
 // FreeVertex recycles a vertex the representation made and will not hand
 // the engine, such as a breadth-pruned successor.
 func (st *PathState) FreeVertex(v *Vertex) { st.src.freeVertex(v) }
 
-// NewPathState returns a state positioned at the root of p's task space.
-func NewPathState(p *Problem) *PathState {
-	st := &PathState{Loads: make([]time.Duration, p.Workers)}
-	if len(p.Tasks) > 0 {
-		st.Used = NewBitset(len(p.Tasks))
+// Succs returns the Searcher's empty successor slice. There is one: an
+// expansion appends its successors to it and returns it, and nothing else
+// may hold it across another Succs call.
+func (st *PathState) Succs() []*Vertex { return st.src.succs }
+
+// PutSuccs hands a successor slice back, so the next Succs call reuses its
+// capacity. The engine calls it once it has copied the successors out; a
+// representation calls it when it returns none. nil is a no-op.
+func (st *PathState) PutSuccs(s []*Vertex) {
+	if s != nil {
+		st.src.succs = s[:0]
 	}
-	st.Reset(p)
-	return st
+}
+
+// NewPathState returns the state of a fresh Searcher, positioned at the root
+// of p's task space: its vertices and successor slice recycle through the
+// state as a run's do.
+func NewPathState(p *Problem) *PathState {
+	s := new(Searcher)
+	s.position(p)
+	return &s.st
 }
 
 // Reset repositions the state at the root: loads max(0, Load_k(j-1) -
@@ -528,7 +490,7 @@ type Representation interface {
 	// returns the successors and the number of vertices
 	// generated-and-evaluated (including infeasible ones that were
 	// discarded), which the engine charges against the quantum. The
-	// returned slice should come from GetSuccs and its vertices from
+	// returned slice should come from st.Succs and its vertices from
 	// st.NewVertex; the engine recycles both.
 	Expand(p *Problem, v *Vertex, st *PathState) (succs []*Vertex, generated int)
 	// IsLeaf reports whether v is a complete schedule.
@@ -573,22 +535,18 @@ type Result struct {
 }
 
 // Release recycles the result and every vertex on its best path into the
-// Searcher that ran it, and returns a pooled Searcher to its pool. Call it
-// after the schedule has been extracted; the result and its vertices must
-// not be touched afterwards. Without Release the best path's vertices — the
-// one chain the engine can never recycle itself, because the caller still
-// reads it — are left to the GC, one path per phase.
+// Searcher that ran it. Call it after the schedule has been extracted; the
+// result and its vertices must not be touched afterwards. Without Release
+// the best path's vertices — the one chain the engine can never recycle
+// itself, because the caller still reads it — are left to the GC, one path
+// per phase.
 func (r *Result) Release() {
-	src := r.src
 	for v := r.Best; v != nil; {
 		parent := v.Parent
-		src.freeVertex(v)
+		r.src.freeVertex(v)
 		v = parent
 	}
 	*r = Result{}
-	if src != nil && src.pooled {
-		searcherPool.Put(src)
-	}
 }
 
 // Schedule returns Best's assignments in path (root-to-leaf) order, which
@@ -640,36 +598,30 @@ func PathLoads(p *Problem, v *Vertex) []time.Duration {
 // counts as a backtrack; an empty CL is a dead-end. The search stops at a
 // leaf, at a dead-end, or when the quantum expires.
 //
-// Run draws a Searcher from a pool; the result's Release hands it back.
+// Run searches on a fresh Searcher, so everything the search uses is
+// allocated anew; a caller that searches repeatedly keeps a Searcher.
 func Run(p *Problem, rep Representation) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return searcherPool.Get().(*Searcher).run(p, rep), nil
+	return new(Searcher).Run(p, rep)
 }
 
 // Searcher runs searches and keeps everything a run needs between runs —
-// path state, used-task bitset, budget, DFS candidate stack, the engine, the
-// result, and a LIFO free list of vertices — so a steady-state phase loop
-// allocates nothing per search. Every vertex born in its runs comes from the
-// free list and goes back to it. A Searcher serves one goroutine at a time:
-// a planner owns one next to its other per-phase scratch, since a pool's
-// per-P cache misses whenever a live host goroutine wakes on another P. The
-// zero value is ready to use.
+// path state, used-task bitset, budget, both candidate lists, the engine,
+// the result, the successor slice and a LIFO free list of vertices — so a
+// steady-state phase loop allocates nothing per search. Every vertex born in
+// its runs comes from the free list and goes back to it. A Searcher serves
+// one goroutine at a time: a planner owns one next to its other per-phase
+// scratch. The zero value is ready to use.
 type Searcher struct {
-	st   PathState
-	used Bitset
-	bud  budget
-	cl   stackCL
-	e    engine
-	res  Result
-	free []*Vertex
-	// pooled marks a Searcher Run drew from searcherPool: Release returns
-	// it there.
-	pooled bool
+	st    PathState
+	used  Bitset
+	bud   budget
+	cl    stackCL
+	bf    bestFirstCL
+	e     engine
+	res   Result
+	free  []*Vertex
+	succs []*Vertex
 }
-
-var searcherPool = sync.Pool{New: func() any { return &Searcher{pooled: true} }}
 
 // FreeVertices returns the number of vertices on s's free list: what a warm
 // Searcher holds for its next run. It stops growing once every run returns
@@ -700,11 +652,8 @@ func (s *Searcher) run(p *Problem, rep Representation) *Result {
 	return &s.res
 }
 
-// prepare positions the scratch at p's root and returns the embedded engine,
-// wired to the scratch state, the Searcher's result, and — for depth-first
-// strategies — the scratch candidate stack (best-first still builds its heap
-// per run).
-func (s *Searcher) prepare(p *Problem, rep Representation) *engine {
+// position sets the path state at p's root, wired to s's buffers.
+func (s *Searcher) position(p *Problem) {
 	s.st.Loads = RootLoads(p, s.st.Loads)
 	if len(p.Tasks) > 0 {
 		s.used.resize(len(p.Tasks))
@@ -713,10 +662,20 @@ func (s *Searcher) prepare(p *Problem, rep Representation) *engine {
 		s.st.Used = nil
 	}
 	s.st.src = s
+}
+
+// prepare positions the scratch at p's root and returns the embedded engine,
+// wired to the scratch state, the Searcher's result, and the candidate list
+// for p's strategy, emptied.
+func (s *Searcher) prepare(p *Problem, rep Representation) *engine {
+	s.position(p)
 	s.bud = budget{p: p}
 	s.res = Result{src: s}
 	s.e = engine{p: p, rep: rep, st: &s.st, budget: &s.bud, res: &s.res}
-	if p.Strategy != BestFirst {
+	if p.Strategy == BestFirst {
+		s.bf.reset()
+		s.e.cl = &s.bf
+	} else {
 		s.cl.items = s.cl.items[:0]
 		s.e.cl = &s.cl
 	}
@@ -729,9 +688,7 @@ type engine struct {
 	rep    Representation
 	st     *PathState // positioned at the start vertex by the caller
 	budget *budget
-	// cl, when non-nil, is the Searcher's candidate stack; run otherwise
-	// builds one for the problem's strategy.
-	cl candidateList
+	cl     candidateList
 
 	res *Result
 	// step counts the moves so far; bestStep is the step at which Best
@@ -746,16 +703,12 @@ func (e *engine) run(start *Vertex) {
 	// Root may hand back a vertex an earlier run walked: restamp it, or it
 	// would read as newer than Best and be freed.
 	start.step = 0
-	cl := e.cl
-	if cl == nil {
-		cl = newCandidateList(e.p.Strategy)
-	}
 	// Everything the walk leaves behind but Best's path is dead: the current
 	// path below its branch point from Best's path, and the candidates,
 	// which were never expanded.
-	e.freePath(e.walk(start, cl), nil)
+	e.freePath(e.walk(start, e.cl), nil)
 	for {
-		v, ok := cl.pop()
+		v, ok := e.cl.pop()
 		if !ok {
 			return
 		}
@@ -821,7 +774,7 @@ func (e *engine) walk(start *Vertex, cl candidateList) *Vertex {
 			return cv
 		}
 		cl.push(succs)
-		PutSuccs(succs) // push copied the pointers; recycle the slice
+		e.st.PutSuccs(succs) // push copied the pointers; reuse the slice
 
 		next, ok := cl.pop()
 		if !ok {
@@ -892,13 +845,6 @@ type candidateList interface {
 	len() int
 }
 
-func newCandidateList(s Strategy) candidateList {
-	if s == BestFirst {
-		return newBestFirstCL()
-	}
-	return &stackCL{}
-}
-
 // stackCL is the paper's DFS candidate list: successors are prepended
 // best-first, and the front is expanded next.
 type stackCL struct {
@@ -908,7 +854,7 @@ type stackCL struct {
 func (s *stackCL) push(succs []*Vertex) {
 	// Reverse in place so the best sibling lands at the slice tail (the
 	// front of the list), then grow the stack with a single append. The
-	// slice is pool-scratch owned by the engine, so reversing it is safe.
+	// slice is the Searcher's scratch, so reversing it is safe.
 	for i, j := 0, len(succs)-1; i < j; i, j = i+1, j-1 {
 		succs[i], succs[j] = succs[j], succs[i]
 	}
@@ -930,7 +876,7 @@ func (s *stackCL) len() int { return len(s.items) }
 // bestFirstCL orders the whole candidate list globally by cost, preferring
 // smaller CE, then greater depth, then insertion order (for determinism).
 type bestFirstCL struct {
-	heap *minHeap[rankedVertex]
+	heap minHeap[rankedVertex]
 	seq  int
 }
 
@@ -939,16 +885,21 @@ type rankedVertex struct {
 	seq int
 }
 
-func newBestFirstCL() *bestFirstCL {
-	return &bestFirstCL{heap: newHeap(func(a, b rankedVertex) bool {
-		if a.v.CE != b.v.CE {
-			return a.v.CE < b.v.CE
-		}
-		if a.v.Depth != b.v.Depth {
-			return a.v.Depth > b.v.Depth
-		}
-		return a.seq < b.seq
-	})}
+// reset empties the list for a new run, keeping the heap's capacity.
+func (b *bestFirstCL) reset() {
+	b.heap.items = b.heap.items[:0]
+	b.heap.less = lessRanked
+	b.seq = 0
+}
+
+func lessRanked(a, b rankedVertex) bool {
+	if a.v.CE != b.v.CE {
+		return a.v.CE < b.v.CE
+	}
+	if a.v.Depth != b.v.Depth {
+		return a.v.Depth > b.v.Depth
+	}
+	return a.seq < b.seq
 }
 
 func (b *bestFirstCL) push(succs []*Vertex) {
@@ -1007,20 +958,8 @@ type Bitset struct {
 	n     int
 }
 
-// NewBitset returns an empty bitset of capacity n.
-func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
-}
-
-// Clone returns an independent copy.
-func (b *Bitset) Clone() *Bitset {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitset{words: w, n: b.n}
-}
-
 // resize repositions the bitset at capacity n with every bit clear, growing
-// the backing storage only when needed — the pooled-scratch reuse path.
+// the backing storage only when needed — the Searcher's scratch reuse path.
 func (b *Bitset) resize(n int) {
 	w := (n + 63) / 64
 	if cap(b.words) < w {

@@ -267,7 +267,8 @@ func TestBetterPrefersDepthThenCost(t *testing.T) {
 }
 
 func TestBitset(t *testing.T) {
-	b := NewBitset(130)
+	var b Bitset
+	b.resize(130)
 	if b.Len() != 130 {
 		t.Fatalf("Len = %d", b.Len())
 	}
@@ -280,13 +281,8 @@ func TestBitset(t *testing.T) {
 			t.Errorf("Set(%d) not visible", i)
 		}
 	}
-	c := b.Clone()
-	c.Set(100)
-	if b.Has(100) {
-		t.Error("Clone shares storage with original")
-	}
-	if !c.Has(63) || !c.Has(129) {
-		t.Error("Clone lost bits")
+	if b.resize(70); b.Len() != 70 || b.Has(0) || b.Has(63) || b.Has(64) {
+		t.Error("resize kept a bit or the old capacity")
 	}
 }
 
@@ -302,7 +298,8 @@ func TestStrategyString(t *testing.T) {
 func TestBestFirstExpandsCheapestCandidate(t *testing.T) {
 	// chainRep emits siblings with CE = parent CE + i, so best-first and
 	// DFS coincide on a chain; verify via the CL directly instead.
-	cl := newCandidateList(BestFirst)
+	var cl bestFirstCL
+	cl.reset()
 	mk := func(ce time.Duration, depth int) *Vertex { return &Vertex{CE: ce, Depth: depth} }
 	cl.push([]*Vertex{mk(5, 1), mk(3, 1), mk(3, 2), mk(9, 1)})
 	want := []struct {
@@ -321,7 +318,7 @@ func TestBestFirstExpandsCheapestCandidate(t *testing.T) {
 }
 
 func TestStackCLIsLIFOBestFirstAmongSiblings(t *testing.T) {
-	cl := newCandidateList(DFS)
+	var cl stackCL
 	a := &Vertex{CE: 1}
 	b := &Vertex{CE: 2}
 	cl.push([]*Vertex{a, b}) // a is the better sibling
