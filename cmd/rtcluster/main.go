@@ -95,7 +95,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	heartbeat := fs.Duration("heartbeat", 0, "liveness heartbeat interval (0 = default)")
 	timeout := fs.Duration("timeout", 0, "liveness timeout before a peer is presumed dead (0 = default)")
 	rejoin := fs.Bool("rejoin", false, "federation: keep redialling a dead shard's address and re-admit the restarted -shard-listen process (requires -shards tcp://...)")
-	rejoinMax := fs.Int("rejoin-max", 0, "federation: max rejoins per shard before it is closed for good (0 = default)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /journal, expvar and pprof on this address while the run is live (e.g. :8077 or :0)")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of the live run (chrome://tracing, Perfetto)")
 	progress := fs.Duration("progress", 0, "report run progress to stderr at this wall-clock interval (0 = off)")
@@ -128,9 +127,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 	if *heartbeat > 0 && *timeout > 0 && *timeout <= *heartbeat {
 		return fmt.Errorf("-timeout %v must exceed -heartbeat %v, or a healthy peer is presumed dead between beats", *timeout, *heartbeat)
-	}
-	if *rejoinMax < 0 {
-		return fmt.Errorf("-rejoin-max %d must be non-negative", *rejoinMax)
 	}
 	plan, err := faultinject.Parse(*faults)
 	if err != nil {
@@ -292,7 +288,7 @@ func run(args []string, out io.Writer) (retErr error) {
 				Degrade:    degrade,
 				BatchCap:   *batchCap,
 				ShardAddrs: shardAddrs,
-				Recovery:   federation.Recovery{Rejoin: *rejoin, MaxRejoins: *rejoinMax},
+				Rejoin:     *rejoin,
 			}, *debugAddr, *journalOut, *taskTraceOut)
 		}
 

@@ -217,7 +217,6 @@ func TestRunLivenessFlagValidation(t *testing.T) {
 		{"negative heartbeat", []string{"-heartbeat", "-1s"}, "-heartbeat"},
 		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout"},
 		{"timeout not above heartbeat", []string{"-heartbeat", "100ms", "-timeout", "100ms"}, "must exceed -heartbeat"},
-		{"negative rejoin budget", []string{"-rejoin-max", "-2"}, "-rejoin-max"},
 		{"rejoin without tcp shards", []string{"-workers", "4", "-shards", "2", "-rejoin"}, "no process to restart"},
 	}
 	for _, c := range cases {

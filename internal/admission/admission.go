@@ -22,7 +22,6 @@ package admission
 
 import (
 	"fmt"
-	"time"
 
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
@@ -140,11 +139,6 @@ type Config struct {
 	QueueCap int
 	// RejectHopeless enables the enqueue-time feasibility test.
 	RejectHopeless bool
-	// MinComm is the optimistic communication cost assumed by the
-	// hopeless test — zero models a task with affinity to an idle worker,
-	// a positive value tightens the test for clusters where every
-	// placement pays at least that much.
-	MinComm time.Duration
 	// Predicate, when non-nil, adds a schedulability quick-test after the
 	// hopeless check: arrivals failing it are rejected with Infeasible.
 	// Interfaces do not serialize — a shard driven over the wire protocol
@@ -161,9 +155,6 @@ func (c Config) Enabled() bool {
 func (c Config) Validate() error {
 	if c.QueueCap < 0 {
 		return fmt.Errorf("admission: QueueCap %d must be non-negative", c.QueueCap)
-	}
-	if c.MinComm < 0 {
-		return fmt.Errorf("admission: MinComm %v must be non-negative", c.MinComm)
 	}
 	switch c.Policy {
 	case Reject, ShedOldest, ShedLeastSlack:
@@ -190,12 +181,12 @@ func New(cfg Config) (*Controller, error) {
 func (c *Controller) Config() Config { return c.cfg }
 
 // HopelessAt reports whether t cannot meet its deadline even on an idle
-// worker starting immediately at now: now + p_l + MinComm > d_l. It is the
-// zero-quantum specialisation of search.Problem.Hopeless — the most
-// optimistic bound any schedule could achieve, so rejection on it never
+// worker starting immediately at now, with affinity to it: now + p_l > d_l.
+// It is the zero-quantum specialisation of search.Problem.Hopeless — the
+// most optimistic bound any schedule could achieve, so rejection on it never
 // turns away a schedulable task.
 func (c *Controller) HopelessAt(t *task.Task, now simtime.Instant) bool {
-	return !task.Fits(now, t.Proc+c.cfg.MinComm, 0, t.Deadline)
+	return !task.Fits(now, t.Proc, 0, t.Deadline)
 }
 
 // Admit decides the fate of an arriving task given the current queue

@@ -41,9 +41,6 @@ func TestValidate(t *testing.T) {
 	if err := (Config{QueueCap: -1}).Validate(); err == nil {
 		t.Error("negative QueueCap accepted")
 	}
-	if err := (Config{MinComm: -time.Millisecond}).Validate(); err == nil {
-		t.Error("negative MinComm accepted")
-	}
 	if err := (Config{Policy: Policy(99)}).Validate(); err == nil {
 		t.Error("unknown policy accepted")
 	}
@@ -84,21 +81,6 @@ func TestHopelessRejection(t *testing.T) {
 	off := mustNew(t, Config{})
 	if d := off.Admit(hopeless, now, nil); !d.Admit {
 		t.Errorf("hopeless test fired while disabled: %+v", d)
-	}
-}
-
-// MinComm tightens the hopeless bound: a task feasible with free
-// communication becomes hopeless when every placement pays a transfer.
-func TestHopelessMinComm(t *testing.T) {
-	now := simtime.Instant(0)
-	t1 := tk(1, now, 10*time.Millisecond, 12*time.Millisecond)
-	free := mustNew(t, Config{RejectHopeless: true})
-	paid := mustNew(t, Config{RejectHopeless: true, MinComm: 5 * time.Millisecond})
-	if free.HopelessAt(t1, now) {
-		t.Error("task hopeless with zero MinComm")
-	}
-	if !paid.HopelessAt(t1, now) {
-		t.Error("task not hopeless with MinComm 5ms")
 	}
 }
 

@@ -102,7 +102,7 @@ func TestMarginMatchesShadow(t *testing.T) {
 		{"EDF-greedy", core.NewEDFGreedy},
 		{"myopic", func(c core.SearchConfig) (core.Planner, error) { return core.NewMyopic(c, 7, 1) }},
 		{"RT-SADS+GA", func(c core.SearchConfig) (core.Planner, error) {
-			return policy.NewAnytime(c, policy.GAConfig{Seed: 7})
+			return policy.NewAnytime(c)
 		}},
 		{"RT-SADS+degrade", func(c core.SearchConfig) (core.Planner, error) {
 			primary, err := core.NewRTSADS(c)

@@ -98,13 +98,6 @@ type SearchConfig struct {
 	// SumCost swaps the §4.4 load-balancing cost CE = max_k ce_k for the
 	// total-completion alternative Σ_k ce_k — a design-choice ablation.
 	SumCost bool
-	// IncumbentCE, when positive, is an initial incumbent cost bound fed
-	// to every phase's search (search.Problem.BoundCE): vertices whose CE
-	// matches or exceeds it are pruned. The caller asserts the bound comes
-	// from a COMPLETE schedule of that cost — policy.Anytime's GA sets it
-	// per phase with exactly that contract; a static value here is chiefly
-	// an ablation/testing knob. Zero disables it.
-	IncumbentCE time.Duration
 }
 
 // Priority is the batch ordering heuristic.
@@ -146,9 +139,6 @@ func (c SearchConfig) Validate() error {
 	}
 	if err := validatePolicy(c.Policy, c.PhaseCost); err != nil {
 		return err
-	}
-	if c.IncumbentCE < 0 {
-		return fmt.Errorf("core: IncumbentCE %v must be non-negative", c.IncumbentCE)
 	}
 	return nil
 }
@@ -279,7 +269,6 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		Strategy:      s.cfg.Strategy,
 		MaxBacktracks: s.cfg.MaxBacktracks,
 		MaxDepth:      s.cfg.MaxDepth,
-		BoundCE:       s.cfg.IncumbentCE,
 		Margin:        in.Margin,
 	}
 	// The feasibility test must still charge the full quantum: execution is

@@ -1,10 +1,12 @@
 package federation
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
@@ -481,7 +483,7 @@ func TestFederationLiveTCPShardRejoin(t *testing.T) {
 		SlackGuard: 25 * time.Microsecond,
 		ShardAddrs: farm.addrs,
 		JournalCap: 8192,
-		Recovery:   Recovery{Rejoin: true},
+		Rejoin:     true,
 	})
 	if err != nil {
 		t.Fatalf("new: %v", err)
@@ -529,8 +531,9 @@ func TestFederationLiveTCPShardRejoin(t *testing.T) {
 		res.Shards[1].Total, res.Shards[1].Hits, res.Shards[1].LostToFailure, res.Shards[1].Bounced)
 }
 
-// TestFederationLiveTCPShardFlap kills shard 1 repeatedly with a tight
-// flap threshold: the shard must rejoin each time, cross the threshold,
+// TestFederationLiveTCPShardFlap kills shard 1 as often as the flap
+// threshold counts deaths, inside one flap window and within the rejoin
+// budget: the shard must rejoin each time, cross the threshold,
 // land on probation (quarantined from placement — the quarantine counter
 // must tick), and the run must still finish with balanced books and no
 // migration storm (every migration remains a deliberate §4.3-gated move).
@@ -558,13 +561,7 @@ func TestFederationLiveTCPShardFlap(t *testing.T) {
 		Admission:  admission.Config{Policy: admission.Reject, QueueCap: 8},
 		SlackGuard: 25 * time.Microsecond,
 		ShardAddrs: farm.addrs,
-		Recovery: Recovery{
-			Rejoin:        true,
-			MaxRejoins:    8,
-			FlapThreshold: 2,
-			FlapWindow:    10 * time.Second,
-			Probation:     300 * time.Millisecond,
-		},
+		Rejoin:     true,
 	})
 	if err != nil {
 		t.Fatalf("new: %v", err)
@@ -640,8 +637,8 @@ func TestShardConfigSameOverWire(t *testing.T) {
 	// side. unreached are the fields no federation.Config sets. dialOnly bound
 	// dialling a TCP worker, which a shard's in-process backend never does.
 	identity := map[string]bool{"Workload": true, "Clock": true, "OnReject": true, "Obs": true, "Faults": true}
-	unreached := map[string]bool{"Policy": true, "Backend": true, "RecordCompletions": true}
-	dialOnly := map[string]bool{"HelloTimeout": true, "RedialBackoff": true}
+	unreached := map[string]bool{"Policy": true, "Backend": true}
+	dialOnly := map[string]bool{"HelloTimeout": true, "Redials": true, "RedialBackoff": true}
 
 	p := workload.DefaultParams(4)
 	p.NumTransactions = 8
@@ -712,8 +709,10 @@ func TestShardConfigSameOverWire(t *testing.T) {
 }
 
 // TestServeShardIgnoresRetiredHelloKeys: a router from before the
-// work-stealing search knobs were removed still sends them; the shard must
-// ignore the unknown keys and open the session.
+// work-stealing search knobs, the redials key and admission's minimum
+// communication cost were removed still sends them
+// (testdata/retired_hello_keys.json); the shard must ignore the unknown
+// keys and open the session.
 func TestServeShardIgnoresRetiredHelloKeys(t *testing.T) {
 	farm := newShardFarm(t, 1)
 	nc, err := net.Dial("tcp", farm.addrs[0])
@@ -738,7 +737,19 @@ func TestServeShardIgnoresRetiredHelloKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload = append([]byte(`{"parallel":4,"steal_depth":2,"frontier_cap":64,"dup_cap":-1,`), payload[1:]...)
+	data, err := os.ReadFile("testdata/retired_hello_keys.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retired struct{ Hello, Admission json.RawMessage }
+	if err := json.Unmarshal(data, &retired); err != nil {
+		t.Fatal(err)
+	}
+	// Each retired object's members open the hello's object of that name.
+	members := func(obj json.RawMessage) []byte { return append(bytes.Trim(obj, "{}"), ',') }
+	payload = append(append([]byte("{"), members(retired.Hello)...), payload[1:]...)
+	adm := []byte(`"admission":{`)
+	payload = bytes.Replace(payload, adm, append(adm, members(retired.Admission)...), 1)
 	if err := conn.WriteFrame(wire.TypeHello, payload); err != nil {
 		t.Fatalf("hello: %v", err)
 	}

@@ -23,6 +23,30 @@ import (
 // directly instead of leaving it to the session's recovery pass.
 var errShardDown = errors.New("shard is down")
 
+// The shard lifecycle state machine (Up → Suspect → Down → Rejoining) runs
+// at fixed settings; the rest derive from the session's liveness: the first
+// redial delay is Liveness.RedialBackoff, and a shard turns suspect after
+// suspectHeartbeats heartbeat periods without a frame.
+const (
+	// maxRejoins bounds how many times one shard may rejoin.
+	maxRejoins = 4
+	// rejoinRedials bounds dials per rejoin, and rejoinRedialCap caps the
+	// doubling of their backoff.
+	rejoinRedials   = 8
+	rejoinRedialCap = 2 * time.Second
+	// suspectHeartbeats quarantines a shard from placement when its frames
+	// go stale this many heartbeats without the session dying —
+	// reversible, unlike a death. Heartbeats off turn suspicion off.
+	suspectHeartbeats = 3
+	// The flap hysteresis: a shard dying flapThreshold times within
+	// flapWindow rejoins on probation — alive and settling its own work,
+	// but quarantined from placement for probation, so a flapping shard
+	// cannot thrash migrations.
+	flapWindow    = 10 * time.Second
+	flapThreshold = 3
+	probation     = 2 * time.Second
+)
+
 // remoteShard drives one out-of-process scheduler shard over the wire
 // protocol, across one or more sessions (kill → rejoin). The router writes
 // Submit/Verdict/Seal frames and the session its heartbeats; one read
@@ -51,7 +75,6 @@ type remoteShard struct {
 	f    *Federation
 	addr string
 	live livecluster.Liveness
-	rec  Recovery
 
 	// submitted counts tasks the router handed this shard (first
 	// placements and migrations, every session) — the dead-shard Total.
@@ -106,7 +129,6 @@ func (f *Federation) dialShard(i int, addr string) (*remoteShard, error) {
 		f:           f,
 		addr:        addr,
 		live:        live,
-		rec:         f.cfg.Recovery.withDefaults(live),
 		outstanding: make(map[task.ID]struct{}),
 		stopRejoin:  make(chan struct{}),
 		done:        make(chan struct{}),
@@ -135,7 +157,6 @@ func (s *remoteShard) hello(rejoin bool) wire.Hello {
 		StartUnixNano:   f.clock.Start().UnixNano(),
 		HeartbeatNano:   s.live.HeartbeatEvery.Nanoseconds(),
 		TimeoutNano:     s.live.Timeout.Nanoseconds(),
-		Redials:         s.live.Redials,
 		Admission:       f.cfg.Admission,
 		Backpressure:    f.cfg.Backpressure,
 		SlackGuardNano:  f.cfg.SlackGuard.Nanoseconds(),
@@ -205,7 +226,7 @@ func (s *remoteShard) connect(rejoin bool) error {
 		// Flap hysteresis: several deaths inside the window put the shard
 		// on probation — alive and settling its own work, but quarantined
 		// from placement until it proves stable.
-		cut := time.Now().Add(-s.rec.FlapWindow)
+		cut := time.Now().Add(-flapWindow)
 		keep := s.deaths[:0]
 		for _, d := range s.deaths {
 			if d.After(cut) {
@@ -213,8 +234,8 @@ func (s *remoteShard) connect(rejoin bool) error {
 			}
 		}
 		s.deaths = keep
-		if len(s.deaths) >= s.rec.FlapThreshold {
-			s.probationUntil = time.Now().Add(s.rec.Probation)
+		if len(s.deaths) >= flapThreshold {
+			s.probationUntil = time.Now().Add(probation)
 		}
 	}
 	s.mu.Unlock()
@@ -235,7 +256,7 @@ func (s *remoteShard) connect(rejoin bool) error {
 // backoff is this shard's redial schedule from base: capped, with the
 // per-shard jitter stream.
 func (s *remoteShard) backoff(base time.Duration) *livecluster.Backoff {
-	return livecluster.NewBackoff(livecluster.RedialJitterSeed+uint64(s.id), base, s.rec.RedialCap)
+	return livecluster.NewBackoff(livecluster.RedialJitterSeed+uint64(s.id), base, rejoinRedialCap)
 }
 
 // pause sleeps for d, or returns false early when Seal cancels the
@@ -304,7 +325,7 @@ func (s *remoteShard) recover(sess *wire.Session, err error) {
 	s.mu.Lock()
 	sealed := s.sealed
 	s.mu.Unlock()
-	if sealed || !s.rec.Rejoin || rejoins >= s.rec.MaxRejoins {
+	if sealed || !s.f.cfg.Rejoin || rejoins >= maxRejoins {
 		s.shutdown()
 		return
 	}
@@ -316,7 +337,7 @@ func (s *remoteShard) recover(sess *wire.Session, err error) {
 // the wait.
 func (s *remoteShard) rejoinLoop() {
 	rejoin := func() error { return s.connect(true) }
-	if s.backoff(s.rec.RedialBackoff).Retry(s.rec.RedialAttempts, s.pause, rejoin) != nil {
+	if s.backoff(s.live.RedialBackoff).Retry(rejoinRedials, s.pause, rejoin) != nil {
 		s.shutdown()
 	}
 }
@@ -562,17 +583,18 @@ func (s *remoteShard) Counters() metrics.Counts {
 }
 
 // Placeable reports whether the router may place new work here: a live,
-// unsealed session that is neither suspect (frames stale past
-// SuspectAfter) nor on post-flap probation. The quarantine counter ticks
-// on each live→quarantined edge.
+// unsealed session that is neither suspect (no frame for
+// suspectHeartbeats heartbeats) nor on post-flap probation. The
+// quarantine counter ticks on each live→quarantined edge.
 func (s *remoteShard) Placeable() bool {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	up := s.sess != nil && !s.sealed
-	suspect := up && s.rec.SuspectAfter > 0 && now.Sub(s.lastHeard) > s.rec.SuspectAfter
-	probation := up && now.Before(s.probationUntil)
-	placeable := up && !suspect && !probation
+	after := suspectHeartbeats * s.live.HeartbeatEvery
+	suspect := up && after > 0 && now.Sub(s.lastHeard) > after
+	onProbation := up && now.Before(s.probationUntil)
+	placeable := up && !suspect && !onProbation
 	if up && !placeable {
 		if !s.quarantined {
 			s.quarantined = true

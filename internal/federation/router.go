@@ -63,70 +63,13 @@ type Config struct {
 	// inject into in-process shards only; with ShardAddrs, kill the shard
 	// process itself (the chaos suite does exactly that).
 	ShardAddrs []string
-	// Recovery tunes the shard-death machinery: salvage always runs, and
-	// Recovery.Rejoin additionally redials a dead shard's address so a
-	// restarted process can re-handshake and serve placements again.
-	Recovery Recovery
-}
-
-// Recovery configures the shard lifecycle state machine (Up → Suspect →
-// Down → Rejoining) the router drives for out-of-process shards.
-type Recovery struct {
 	// Rejoin enables restart/rejoin: after a session loss the router keeps
 	// redialling the shard's address with capped jittered backoff and
-	// replays a Rejoin hello when the process comes back. Requires
-	// ShardAddrs (an in-process shard has no process to restart).
+	// replays a Rejoin hello when the process comes back, so a restarted
+	// process can re-handshake and serve placements again. Salvage runs
+	// either way. Requires ShardAddrs (an in-process shard has no process
+	// to restart).
 	Rejoin bool
-	// MaxRejoins bounds how many times one shard may rejoin (default 4).
-	MaxRejoins int
-	// RedialAttempts bounds dials per rejoin (default 8).
-	RedialAttempts int
-	// RedialBackoff is the first redial delay (default: the liveness
-	// RedialBackoff); RedialCap caps the doubling (default 2s).
-	RedialBackoff time.Duration
-	RedialCap     time.Duration
-	// SuspectAfter quarantines a shard from placement when its frames go
-	// stale this long without the session dying — reversible, unlike a
-	// death (default 3× the liveness heartbeat).
-	SuspectAfter time.Duration
-	// FlapWindow, FlapThreshold and Probation are the flap hysteresis: a
-	// shard dying FlapThreshold times within FlapWindow rejoins on
-	// probation — alive and settling its own work, but quarantined from
-	// placement for Probation so a flapping shard cannot thrash
-	// migrations (defaults 10s / 3 / 2s).
-	FlapWindow    time.Duration
-	FlapThreshold int
-	Probation     time.Duration
-}
-
-// withDefaults resolves the recovery knobs against the session's resolved
-// liveness settings.
-func (r Recovery) withDefaults(live livecluster.Liveness) Recovery {
-	if r.MaxRejoins <= 0 {
-		r.MaxRejoins = 4
-	}
-	if r.RedialAttempts <= 0 {
-		r.RedialAttempts = 8
-	}
-	if r.RedialBackoff <= 0 {
-		r.RedialBackoff = live.RedialBackoff
-	}
-	if r.RedialCap <= 0 {
-		r.RedialCap = 2 * time.Second
-	}
-	if r.SuspectAfter <= 0 {
-		r.SuspectAfter = 3 * live.HeartbeatEvery
-	}
-	if r.FlapWindow <= 0 {
-		r.FlapWindow = 10 * time.Second
-	}
-	if r.FlapThreshold <= 0 {
-		r.FlapThreshold = 3
-	}
-	if r.Probation <= 0 {
-		r.Probation = 2 * time.Second
-	}
-	return r
 }
 
 // shardHandle is one scheduler shard as the router sees it: in-process
@@ -264,8 +207,8 @@ func New(cfg Config) (*Federation, error) {
 		if cfg.Faults != nil && !cfg.Faults.Empty() {
 			return nil, fmt.Errorf("federation: fault plans inject into in-process shards; with ShardAddrs kill the shard process instead")
 		}
-	} else if cfg.Recovery.Rejoin {
-		return nil, fmt.Errorf("federation: Recovery.Rejoin needs ShardAddrs; an in-process shard has no process to restart")
+	} else if cfg.Rejoin {
+		return nil, fmt.Errorf("federation: Rejoin needs ShardAddrs; an in-process shard has no process to restart")
 	}
 	faults, err := SplitFaults(cfg.Faults, cfg.Topology)
 	if err != nil {

@@ -282,7 +282,6 @@ func helloShardConfig(hello wire.Hello) livecluster.Config {
 		Liveness: livecluster.Liveness{
 			HeartbeatEvery:   time.Duration(hello.HeartbeatNano),
 			Timeout:          time.Duration(hello.TimeoutNano),
-			Redials:          hello.Redials,
 			StragglerGrace:   time.Duration(hello.StragglerGraceNano),
 			StragglerStrikes: hello.StragglerStrikes,
 		},

@@ -46,8 +46,6 @@ type SimConfig struct {
 	// PhaseCost is a fixed virtual scheduling time charged per phase
 	// (default 0).
 	PhaseCost time.Duration
-	// MinAdvance is the minimum clock advance per phase (default 1µs).
-	MinAdvance time.Duration
 	// Admission configures each shard's gate; the zero value admits
 	// everything (rejection then only happens on migration-eligible
 	// hopeless/queue-full verdicts when enabled).
@@ -56,8 +54,6 @@ type SimConfig struct {
 	// host's books mirror into its observer exactly as a live cluster's do,
 	// so registry totals reconcile with the per-shard results.
 	Obs []*obs.Observer
-	// MaxPhases aborts pathological runs (default 10 million per shard).
-	MaxPhases int
 	// BatchCap bounds how many same-instant arrivals are placed per routing
 	// chunk: each chunk sees one consistent snapshot of the shard views
 	// (with the Submitted tie-break updated task by task inside it) and is
@@ -199,8 +195,8 @@ func (f *simFed) reset(cfg SimConfig) error {
 		sh.host.Reset(machine.Config{
 			Workers:    tp.WorkersPerShard,
 			Planner:    planner,
-			MinAdvance: cfg.MinAdvance,
-			MaxPhases:  cfg.MaxPhases,
+			MinAdvance: machine.DefaultMinAdvance,
+			MaxPhases:  machine.DefaultMaxPhases,
 			Obs:        sh.o,
 		})
 		sh.host.Res.Algorithm += "/sim"
@@ -238,12 +234,6 @@ func newSim(cfg SimConfig) (*simFed, error) {
 	}
 	if cfg.VertexCost <= 0 {
 		cfg.VertexCost = time.Microsecond
-	}
-	if cfg.MinAdvance <= 0 {
-		cfg.MinAdvance = time.Microsecond
-	}
-	if cfg.MaxPhases <= 0 {
-		cfg.MaxPhases = 10_000_000
 	}
 	if cfg.Obs != nil && len(cfg.Obs) != cfg.Topology.Shards {
 		return nil, fmt.Errorf("federation: %d observers for %d shards", len(cfg.Obs), cfg.Topology.Shards)

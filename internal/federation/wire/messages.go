@@ -24,11 +24,10 @@ type Hello struct {
 	StartUnixNano int64   `json:"start_unix_nano"` // shared clock epoch
 
 	// HeartbeatNano and TimeoutNano carry the router's liveness settings
-	// so both ends of the session agree; with Redials and the Straggler
-	// pair they are also the shard cluster's own. Zero selects defaults.
+	// so both ends of the session agree; with the Straggler pair they are
+	// also the shard cluster's own. Zero selects defaults.
 	HeartbeatNano      int64 `json:"heartbeat_nano,omitempty"`
 	TimeoutNano        int64 `json:"timeout_nano,omitempty"`
-	Redials            int   `json:"redials,omitempty"`
 	StragglerGraceNano int64 `json:"straggler_grace_nano,omitempty"`
 	StragglerStrikes   int   `json:"straggler_strikes,omitempty"`
 

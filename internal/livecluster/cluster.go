@@ -139,9 +139,6 @@ type Config struct {
 	Faults *faultinject.Plan
 	// Liveness tunes failure detection; zero values select defaults.
 	Liveness Liveness
-	// RecordCompletions retains a per-task completion record on the run
-	// result (costs memory on large workloads).
-	RecordCompletions bool
 	// Obs observes the run: the host's books move every counter mirrored
 	// from RunResult together with its field, so the registry totals
 	// reconcile with the final metrics (obs.Mirror). Optional; nil
@@ -487,10 +484,9 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		Workers: w.Params.Workers,
 		Planner: planner,
 		// A serving shard plans for as long as it runs.
-		MaxPhases:         math.MaxInt,
-		RecordCompletions: c.cfg.RecordCompletions,
-		Obs:               c.cfg.Obs,
-		Margin:            c.cfg.SlackGuard,
+		MaxPhases: math.MaxInt,
+		Obs:       c.cfg.Obs,
+		Margin:    c.cfg.SlackGuard,
 	})
 	r.host.Seams = r
 	r.host.Res.Algorithm += "/live"

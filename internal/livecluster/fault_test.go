@@ -69,43 +69,42 @@ func assertFaultAccounting(t *testing.T, res *metrics.RunResult) {
 	}
 }
 
-// assertHitsVerified re-checks every completion reported as a hit against
+// assertHitsVerified re-checks every execution journaled as a hit against
 // the authoritative deadline in the workload: a "hit" must have verifiably
-// finished at or before its task's deadline.
-func assertHitsVerified(t *testing.T, w *workload.Workload, res *metrics.RunResult) {
+// finished at or before its task's deadline. The journal is the run's one
+// per-task record, so it must have kept everything, and no task may reach
+// two terminal entries: at-least-once delivery must not leak into the
+// accounting.
+func assertHitsVerified(t *testing.T, w *workload.Workload, res *metrics.RunResult, o *obs.Observer) {
 	t.Helper()
-	if len(res.Completions) == 0 {
-		t.Fatal("no completion records; enable RecordCompletions")
+	entries, evicted := o.Journal().Export()
+	if len(entries) == 0 || evicted != 0 {
+		t.Fatalf("journal kept %d entries and evicted %d", len(entries), evicted)
+	}
+	for _, v := range obs.SpanViolations(entries) {
+		t.Error(v)
 	}
 	deadlines := make(map[task.ID]simtime.Instant, len(w.Tasks))
 	for _, tk := range w.Tasks {
 		deadlines[tk.ID] = tk.Deadline
 	}
-	seen := make(map[task.ID]bool, len(res.Completions))
 	hits := 0
-	for _, c := range res.Completions {
-		if seen[c.Task] {
-			t.Errorf("task %d recorded twice: at-least-once delivery leaked into accounting", c.Task)
-		}
-		seen[c.Task] = true
-		d, ok := deadlines[c.Task]
-		if !ok {
-			t.Errorf("completion for unknown task %d", c.Task)
+	for _, e := range entries {
+		if e.Type != "exec" {
 			continue
 		}
-		if c.Hit {
+		d, ok := deadlines[task.ID(e.Task)]
+		if !ok {
+			t.Errorf("execution of unknown task %d", e.Task)
+		} else if finish := e.Virtual.Add(e.Dur); e.Hit && finish.After(d) {
+			t.Errorf("task %d reported hit but finished %v after deadline %v", e.Task, finish, d)
+		}
+		if e.Hit {
 			hits++
-			if !c.Executed {
-				t.Errorf("task %d: hit but never executed", c.Task)
-			}
-			if c.Finish.After(d) {
-				t.Errorf("task %d reported hit but finished %v after deadline %v",
-					c.Task, c.Finish, d)
-			}
 		}
 	}
 	if hits != res.Hits {
-		t.Errorf("completion records show %d hits, counters say %d", hits, res.Hits)
+		t.Errorf("the journal shows %d hits, counters say %d", hits, res.Hits)
 	}
 }
 
@@ -118,11 +117,12 @@ func TestClusterFailoverChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := obs.New(0)
 	c, err := New(Config{
-		Workload:          w,
-		Scale:             50,
-		Faults:            mustPlan(t, "kill=0@500us"),
-		RecordCompletions: true,
+		Workload: w,
+		Scale:    50,
+		Faults:   mustPlan(t, "kill=0@500us"),
+		Obs:      o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestClusterFailoverChannel(t *testing.T) {
 		t.Error("survivors completed nothing")
 	}
 	assertFaultAccounting(t, res)
-	assertHitsVerified(t, w, res)
+	assertHitsVerified(t, w, res, o)
 }
 
 // TestClusterFailoverChannelAllDead kills every worker: the run must still
@@ -177,11 +177,12 @@ func TestClusterMultiFailureSamePhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := obs.New(0)
 	c, err := New(Config{
-		Workload:          w,
-		Scale:             50,
-		Faults:            mustPlan(t, "kill=0@500us;kill=1@500us"),
-		RecordCompletions: true,
+		Workload: w,
+		Scale:    50,
+		Faults:   mustPlan(t, "kill=0@500us;kill=1@500us"),
+		Obs:      o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +196,7 @@ func TestClusterMultiFailureSamePhase(t *testing.T) {
 		t.Error("the two survivors completed nothing")
 	}
 	assertFaultAccounting(t, res)
-	assertHitsVerified(t, w, res)
+	assertHitsVerified(t, w, res, o)
 }
 
 // TestClusterDropRecovery drops delivery messages; the straggler watchdog
@@ -206,6 +207,7 @@ func TestClusterDropRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := obs.New(0)
 	c, err := New(Config{
 		Workload: w,
 		Scale:    50,
@@ -214,7 +216,7 @@ func TestClusterDropRecovery(t *testing.T) {
 			StragglerGrace:   500 * time.Microsecond, // virtual; 25ms wall at scale 50
 			StragglerStrikes: 100,                    // watchdog reclaims but never condemns
 		},
-		RecordCompletions: true,
+		Obs: o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +233,7 @@ func TestClusterDropRecovery(t *testing.T) {
 		t.Error("run completed nothing")
 	}
 	assertFaultAccounting(t, res)
-	assertHitsVerified(t, w, res)
+	assertHitsVerified(t, w, res, o)
 }
 
 // TestClusterDelayInjection delays messages without dropping them; the run
@@ -285,12 +287,13 @@ func TestClusterFailoverTCP(t *testing.T) {
 		Timeout:        150 * time.Millisecond,
 		Redials:        -1, // a severed connection is immediately fatal
 	}
+	o := obs.New(0)
 	c, err := New(Config{
-		Workload:          w,
-		Scale:             50,
-		Faults:            mustPlan(t, "kill=1@500us"),
-		Liveness:          live,
-		RecordCompletions: true,
+		Workload: w,
+		Scale:    50,
+		Faults:   mustPlan(t, "kill=1@500us"),
+		Liveness: live,
+		Obs:      o,
 		Backend: func(clock *Clock, inj *faultinject.Injector) (Backend, error) {
 			return NewTCPBackend(clock, w, addrs, TCPOptions{Liveness: live, Inject: inj})
 		},
@@ -310,7 +313,7 @@ func TestClusterFailoverTCP(t *testing.T) {
 		t.Error("surviving TCP workers completed nothing")
 	}
 	assertFaultAccounting(t, res)
-	assertHitsVerified(t, w, res)
+	assertHitsVerified(t, w, res, o)
 
 	// Every worker process must exit: survivors via the bye handshake, the
 	// victim because its connection was severed. None may hang.
@@ -334,11 +337,10 @@ func TestDeadWorkerIsPadded(t *testing.T) {
 	}
 	o := obs.New(0)
 	c, err := New(Config{
-		Workload:          w,
-		Scale:             50,
-		Faults:            mustPlan(t, "kill=0@500us"),
-		RecordCompletions: true,
-		Obs:               o,
+		Workload: w,
+		Scale:    50,
+		Faults:   mustPlan(t, "kill=0@500us"),
+		Obs:      o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +371,7 @@ func TestDeadWorkerIsPadded(t *testing.T) {
 		t.Errorf("journal has %d reroutes and %d losses, books %d and %d", reroutes, lost, res.Rerouted, res.LostToFailure)
 	}
 	assertFaultAccounting(t, res)
-	assertHitsVerified(t, w, res)
+	assertHitsVerified(t, w, res, o)
 }
 
 // TestDegradeSurvivesWorkerLoss: the run degrades at once and never

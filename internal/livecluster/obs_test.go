@@ -40,11 +40,10 @@ func TestObsReconcilesChannelFailover(t *testing.T) {
 	}
 	o := obs.New(0)
 	c, err := New(Config{
-		Workload:          w,
-		Scale:             50,
-		Faults:            mustPlan(t, "kill=0@500us"),
-		RecordCompletions: true,
-		Obs:               o,
+		Workload: w,
+		Scale:    50,
+		Faults:   mustPlan(t, "kill=0@500us"),
+		Obs:      o,
 	})
 	if err != nil {
 		t.Fatal(err)

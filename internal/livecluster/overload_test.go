@@ -9,6 +9,7 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
 	"rtsads/internal/metrics"
+	"rtsads/internal/obs"
 	"rtsads/internal/rng"
 	"rtsads/internal/simtime"
 	"rtsads/internal/workload"
@@ -30,19 +31,22 @@ func TestClusterOverloadConfigValidation(t *testing.T) {
 	}
 }
 
-// TestClusterAdmissionHopeless makes every arrival hopeless (the admission
-// test assumes an hour of unavoidable communication) and checks the
-// end-to-end path: every task is shed at the front door with the hopeless
-// reason, nothing is admitted, and the books still balance.
+// TestClusterAdmissionHopeless makes every arrival hopeless (each deadline
+// falls half a processing time after arrival) and checks the end-to-end
+// path: every task is shed at the front door with the hopeless reason,
+// nothing is admitted, and the books still balance.
 func TestClusterAdmissionHopeless(t *testing.T) {
 	w, err := workload.Generate(liveParams(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tk := range w.Tasks {
+		tk.Deadline = tk.Arrival.Add(tk.Proc / 2)
+	}
 	c, err := New(Config{
 		Workload:  w,
 		Scale:     50,
-		Admission: admission.Config{RejectHopeless: true, MinComm: time.Hour},
+		Admission: admission.Config{RejectHopeless: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +107,12 @@ func TestClusterBackpressureChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := obs.New(0)
 	c, err := New(Config{
-		Workload:          w,
-		Scale:             50,
-		Backpressure:      1,
-		RecordCompletions: true,
+		Workload:     w,
+		Scale:        50,
+		Backpressure: 1,
+		Obs:          o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +126,7 @@ func TestClusterBackpressureChannel(t *testing.T) {
 		t.Error("nothing completed under backpressure")
 	}
 	assertFaultAccounting(t, res)
-	assertHitsVerified(t, w, res)
+	assertHitsVerified(t, w, res, o)
 }
 
 // TestChannelBackendOverloaded exercises the bounded channel backend

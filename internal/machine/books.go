@@ -13,19 +13,13 @@ import (
 
 // The books. Every fact a driver learns about a task is booked by exactly
 // one of the methods below: the RunResult field it moves, the Observer call
-// that mirrors it into the registry and the journal, and the completion
-// record (when enabled), in one place. Drivers write no count themselves.
+// that mirrors it into the registry and the journal, in one place. The
+// journal is the one per-task record. Drivers write no count themselves.
 
 // BounceFunc is offered each task the admission gate turns away, before the
 // host sheds it: true means a federation router took the task, and the
 // host books it Bounced instead. A nil BounceFunc declines everything.
 type BounceFunc func(t *task.Task, reason admission.Reason, now simtime.Instant) bool
-
-func (h *Host) record(c metrics.Completion) {
-	if h.cfg.RecordCompletions {
-		h.Res.Completions = append(h.Res.Completions, c)
-	}
-}
 
 // Arrive books t reaching this domain at at: the only place Total grows.
 func (h *Host) Arrive(t *task.Task, at simtime.Instant) {
@@ -80,7 +74,6 @@ func (h *Host) Shed(t *task.Task, reason admission.Reason, now simtime.Instant) 
 		r.ShedInfeasible++
 		k = metrics.CountShedInfeasible
 	}
-	h.record(metrics.Completion{Task: t.ID, Proc: -1})
 	h.cfg.Obs.Shed(t.ID, string(reason), k, now)
 }
 
@@ -88,7 +81,6 @@ func (h *Host) Shed(t *task.Task, reason admission.Reason, now simtime.Instant) 
 // this domain.
 func (h *Host) Bounce(t *task.Task, reason admission.Reason, now simtime.Instant) {
 	h.Res.Bounced++
-	h.record(metrics.Completion{Task: t.ID, Proc: -1})
 	h.cfg.Obs.Bounce(t.ID, string(reason), now)
 }
 
@@ -97,7 +89,6 @@ func (h *Host) Bounce(t *task.Task, reason admission.Reason, now simtime.Instant
 func (h *Host) Lose(t *task.Task, worker int, now simtime.Instant) {
 	h.Res.LostToFailure++
 	h.cfg.Obs.Lost(t.ID, worker, now)
-	h.record(metrics.Completion{Task: t.ID, Proc: worker})
 }
 
 // Purge books t dropped unexecuted because its deadline became
@@ -105,7 +96,6 @@ func (h *Host) Lose(t *task.Task, worker int, now simtime.Instant) {
 func (h *Host) Purge(t *task.Task, now simtime.Instant) {
 	h.Res.Purged++
 	h.cfg.Obs.Purge(t.ID, now)
-	h.record(metrics.Completion{Task: t.ID, Proc: -1})
 }
 
 // Exec books t executed on worker from start to finish: a hit when it ran
@@ -128,10 +118,6 @@ func (h *Host) Exec(t *task.Task, worker int, start, finish simtime.Instant, ok 
 		r.Makespan = finish
 	}
 	h.cfg.Obs.Exec(t.ID, worker, start, finish, hit, finish.Sub(t.Arrival), t.Deadline.Sub(finish))
-	h.record(metrics.Completion{
-		Task: t.ID, Proc: worker, Start: start, Finish: finish,
-		Hit: hit, Executed: true,
-	})
 }
 
 // Defer books n deliveries to worker refused by backpressure, to be

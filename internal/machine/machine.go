@@ -33,12 +33,9 @@ type Config struct {
 	Planner core.Planner
 	// MinAdvance is the minimum clock advance per phase, guarding against
 	// zero-progress loops when a phase consumes no measurable scheduling
-	// time. Defaults to 1µs.
+	// time. Defaults to DefaultMinAdvance.
 	MinAdvance time.Duration
-	// RecordCompletions retains a per-task completion record on the run
-	// result (costs memory on large workloads).
-	RecordCompletions bool
-	// MaxPhases aborts pathological runs. Defaults to 10 million.
+	// MaxPhases aborts pathological runs. Defaults to DefaultMaxPhases.
 	MaxPhases int
 	// Obs, when non-nil, records the run's timeline (arrivals, phases,
 	// deliveries, executions, purges, injected crashes) through the live
@@ -84,6 +81,13 @@ type Machine struct {
 	pending []*task.Task
 }
 
+// The virtual drivers' phase guards: what New resolves a zero MinAdvance
+// and MaxPhases to.
+const (
+	DefaultMinAdvance = time.Microsecond
+	DefaultMaxPhases  = 10_000_000
+)
+
 // New validates the configuration and returns a machine.
 func New(cfg Config) (*Machine, error) {
 	if cfg.Workers <= 0 {
@@ -93,10 +97,10 @@ func New(cfg Config) (*Machine, error) {
 		return nil, errors.New("machine: Planner is nil")
 	}
 	if cfg.MinAdvance <= 0 {
-		cfg.MinAdvance = time.Microsecond
+		cfg.MinAdvance = DefaultMinAdvance
 	}
 	if cfg.MaxPhases <= 0 {
-		cfg.MaxPhases = 10_000_000
+		cfg.MaxPhases = DefaultMaxPhases
 	}
 	return &Machine{cfg: cfg}, nil
 }

@@ -60,6 +60,34 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// runJournaled runs tasks under cfg with a journal attached and returns the
+// result and the run's exec entries in journal order: the journal is the
+// one per-task record. An entry's Virtual is the task's start, and
+// Virtual+Dur its finish.
+func runJournaled(t *testing.T, cfg Config, tasks []*task.Task) (*metrics.RunResult, []obs.Entry) {
+	t.Helper()
+	cfg.Obs = obs.New(0)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := cfg.Obs.Journal()
+	if n := j.Evicted(); n != 0 {
+		t.Fatalf("journal evicted %d entries", n)
+	}
+	var execs []obs.Entry
+	for _, e := range j.Snapshot() {
+		if e.Type == "exec" {
+			execs = append(execs, e)
+		}
+	}
+	return res, execs
+}
+
 func TestRunEmptyWorkload(t *testing.T) {
 	m, err := New(Config{Workers: 2, Planner: plannerFor(t, 2, core.NewRTSADS)})
 	if err != nil {
@@ -80,29 +108,22 @@ func TestRunSchedulesEverythingFeasible(t *testing.T) {
 		mkTask(2, 0, 2*ms, simtime.Instant(60*ms), 1),
 		mkTask(3, 0, ms, simtime.Instant(70*ms), 0, 1),
 	}
-	m, err := New(Config{Workers: 2, Planner: plannerFor(t, 2, core.NewRTSADS), RecordCompletions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, execs := runJournaled(t, Config{Workers: 2, Planner: plannerFor(t, 2, core.NewRTSADS)}, tasks)
 	if res.Hits != 3 || res.Purged != 0 || res.ScheduledMissed != 0 {
 		t.Fatalf("result: %s", res)
 	}
 	if res.Makespan == 0 {
 		t.Error("makespan not recorded")
 	}
-	if len(res.Completions) != 3 {
-		t.Errorf("recorded %d completions, want 3", len(res.Completions))
+	if len(execs) != 3 {
+		t.Errorf("journaled %d executions, want 3", len(execs))
 	}
-	for _, c := range res.Completions {
-		if !c.Executed || !c.Hit {
-			t.Errorf("completion %+v should be an executed hit", c)
+	for _, e := range execs {
+		if !e.Hit {
+			t.Errorf("execution %+v should be a hit", e)
 		}
-		if c.Finish.Before(c.Start) {
-			t.Errorf("completion %+v finishes before it starts", c)
+		if e.Dur < 0 {
+			t.Errorf("execution %+v finishes before it starts", e)
 		}
 	}
 }
@@ -137,27 +158,20 @@ func TestRunHandlesLateArrivals(t *testing.T) {
 		mkTask(2, simtime.Instant(20*ms), ms, simtime.Instant(70*ms), 0),
 		mkTask(3, simtime.Instant(40*ms), ms, simtime.Instant(90*ms), 0),
 	}
-	m, err := New(Config{Workers: 1, Planner: plannerFor(t, 1, core.NewRTSADS), RecordCompletions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, execs := runJournaled(t, Config{Workers: 1, Planner: plannerFor(t, 1, core.NewRTSADS)}, tasks)
 	if res.Hits != 3 {
 		t.Fatalf("hits = %d, want 3: %s", res.Hits, res)
 	}
 	// No task may start before it arrives (plus a scheduling phase).
-	for _, c := range res.Completions {
+	for _, e := range execs {
 		var arr simtime.Instant
 		for _, tk := range tasks {
-			if tk.ID == c.Task {
+			if int(tk.ID) == e.Task {
 				arr = tk.Arrival
 			}
 		}
-		if c.Start.Before(arr) {
-			t.Errorf("task %d started at %v before arriving at %v", c.Task, c.Start, arr)
+		if e.Virtual.Before(arr) {
+			t.Errorf("task %d started at %v before arriving at %v", e.Task, e.Virtual, arr)
 		}
 	}
 }
@@ -259,23 +273,14 @@ func TestWorkerBusyConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Config{Workers: 3, Planner: plannerFor(t, 3, core.NewRTSADS), RecordCompletions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(w.Tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, execs := runJournaled(t, Config{Workers: 3, Planner: plannerFor(t, 3, core.NewRTSADS)}, w.Tasks)
 	perProc := make([]time.Duration, 3)
-	for _, c := range res.Completions {
-		if c.Executed {
-			perProc[c.Proc] += c.Finish.Sub(c.Start)
-		}
+	for _, e := range execs {
+		perProc[e.Worker] += e.Dur
 	}
 	for k := range perProc {
 		if perProc[k] != res.WorkerBusy[k] {
-			t.Errorf("worker %d busy %v, completions sum %v", k, res.WorkerBusy[k], perProc[k])
+			t.Errorf("worker %d busy %v, executions sum %v", k, res.WorkerBusy[k], perProc[k])
 		}
 	}
 	if res.Utilization() <= 0 || res.Utilization() > 1 {
@@ -290,26 +295,16 @@ func TestNonPreemptiveFIFOPerWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Config{Workers: 2, Planner: plannerFor(t, 2, core.NewRTSADS), RecordCompletions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(w.Tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Completions are recorded in delivery order; per worker, execution
+	_, execs := runJournaled(t, Config{Workers: 2, Planner: plannerFor(t, 2, core.NewRTSADS)}, w.Tasks)
+	// Executions are journaled in delivery order; per worker, execution
 	// windows must not overlap.
 	lastFinish := map[int]simtime.Instant{}
-	for _, c := range res.Completions {
-		if !c.Executed {
-			continue
-		}
-		if c.Start.Before(lastFinish[c.Proc]) {
+	for _, e := range execs {
+		if e.Virtual.Before(lastFinish[e.Worker]) {
 			t.Fatalf("worker %d: task %d starts at %v before previous finish %v",
-				c.Proc, c.Task, c.Start, lastFinish[c.Proc])
+				e.Worker, e.Task, e.Virtual, lastFinish[e.Worker])
 		}
-		lastFinish[c.Proc] = c.Finish
+		lastFinish[e.Worker] = e.Virtual.Add(e.Dur)
 	}
 }
 
@@ -420,22 +415,14 @@ func TestReclaimingShortensBacklog(t *testing.T) {
 		first := mkTask(1, 0, 10*ms, simtime.Instant(200*ms), 0)
 		first.Actual = 5 * ms
 		second := mkTask(2, 0, ms, simtime.Instant(200*ms), 0)
-		m, err := New(Config{
-			Workers:           1,
-			Planner:           plannerFor(t, 1, core.NewRTSADS),
-			RecordCompletions: true,
-			NoReclaim:         noReclaim,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := m.Run([]*task.Task{first, second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range res.Completions {
-			if c.Task == 2 {
-				return c.Start
+		_, execs := runJournaled(t, Config{
+			Workers:   1,
+			Planner:   plannerFor(t, 1, core.NewRTSADS),
+			NoReclaim: noReclaim,
+		}, []*task.Task{first, second})
+		for _, e := range execs {
+			if e.Task == 2 {
+				return e.Virtual
 			}
 		}
 		t.Fatal("task 2 never executed")
@@ -457,19 +444,11 @@ func TestFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	failAt := simtime.Instant(2 * ms)
-	m, err := New(Config{
-		Workers:           4,
-		Planner:           plannerFor(t, 4, core.NewRTSADS),
-		RecordCompletions: true,
-		FailAt:            map[int]simtime.Instant{0: failAt},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(w.Tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, execs := runJournaled(t, Config{
+		Workers: 4,
+		Planner: plannerFor(t, 4, core.NewRTSADS),
+		FailAt:  map[int]simtime.Instant{0: failAt},
+	}, w.Tasks)
 	// Accounting covers the losses.
 	if err := res.Balance(); err != nil {
 		t.Error(err)
@@ -478,9 +457,9 @@ func TestFailureInjection(t *testing.T) {
 		t.Errorf("theorem violated: %d scheduled misses", res.ScheduledMissed)
 	}
 	// No task may complete on the crashed worker after its crash time.
-	for _, c := range res.Completions {
-		if c.Executed && c.Proc == 0 && c.Finish.After(failAt) {
-			t.Errorf("task %d completed on the dead worker at %v", c.Task, c.Finish)
+	for _, e := range execs {
+		if finish := e.Virtual.Add(e.Dur); e.Worker == 0 && finish.After(failAt) {
+			t.Errorf("task %d completed on the dead worker at %v", e.Task, finish)
 		}
 	}
 	// The run must still make progress on the survivors.
@@ -511,25 +490,17 @@ func TestFailureAtTimeZero(t *testing.T) {
 		mkTask(1, 0, ms, simtime.Instant(50*ms), 0, 1),
 		mkTask(2, 0, ms, simtime.Instant(60*ms), 0, 1),
 	}
-	m, err := New(Config{
-		Workers:           2,
-		Planner:           plannerFor(t, 2, core.NewRTSADS),
-		RecordCompletions: true,
-		FailAt:            map[int]simtime.Instant{0: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, execs := runJournaled(t, Config{
+		Workers: 2,
+		Planner: plannerFor(t, 2, core.NewRTSADS),
+		FailAt:  map[int]simtime.Instant{0: 0},
+	}, tasks)
 	if res.Hits != 2 || res.LostToFailure != 0 {
 		t.Fatalf("result: %s", res)
 	}
-	for _, c := range res.Completions {
-		if c.Proc == 0 {
-			t.Errorf("task %d placed on the worker that was dead from t=0", c.Task)
+	for _, e := range execs {
+		if e.Worker == 0 {
+			t.Errorf("task %d placed on the worker that was dead from t=0", e.Task)
 		}
 	}
 }

@@ -16,8 +16,8 @@ const resultFixed = 8 * (int(NumCounts) + numBuckets + 5)
 // AppendResult appends the binary form a shard ships its final books in, as
 // big-endian 64-bit words: the counts by position, the Response buckets, then
 // SchedulingTime, Makespan, the Response sum, min and max, and one word per
-// worker of WorkerBusy. Algorithm, Workers and Completions stay behind: the
-// receiver knows the first two, and a shard records no completions.
+// worker of WorkerBusy. Algorithm and Workers stay behind: the receiver
+// knows them.
 func AppendResult(dst []byte, r *RunResult) []byte {
 	be, h := binary.BigEndian, &r.Response
 	for _, n := range r.Counts() {
@@ -33,7 +33,7 @@ func AppendResult(dst []byte, r *RunResult) []byte {
 }
 
 // DecodeResult overwrites r with an AppendResult payload, keeping its
-// Algorithm, Workers and Completions; r is untouched on error. No count may be
+// Algorithm and Workers; r is untouched on error. No count may be
 // negative, and the buckets' sum must fit in 64 bits.
 func DecodeResult(payload []byte, r *RunResult) error {
 	if len(payload) < resultFixed || len(payload)%8 != 0 {
@@ -59,7 +59,7 @@ func DecodeResult(payload []byte, r *RunResult) error {
 		d[i] = time.Duration(word(int(NumCounts) + numBuckets + i))
 	}
 	h.sum, h.min, h.max = d[2], d[3], d[4]
-	*r = RunResult{Algorithm: r.Algorithm, Workers: r.Workers, Completions: r.Completions,
+	*r = RunResult{Algorithm: r.Algorithm, Workers: r.Workers,
 		SchedulingTime: d[0], Makespan: simtime.Instant(d[1]), Response: h, WorkerBusy: d[5:]}
 	r.AddCounts(c)
 	return nil

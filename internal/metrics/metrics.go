@@ -9,20 +9,7 @@ import (
 
 	"rtsads/internal/simtime"
 	"rtsads/internal/stats"
-	"rtsads/internal/task"
 )
-
-// Completion records the fate of one task.
-type Completion struct {
-	Task   task.ID
-	Proc   int // -1 when the task was never executed
-	Start  simtime.Instant
-	Finish simtime.Instant
-	Hit    bool // finished at or before its deadline
-	// Executed is false for tasks purged (or still unscheduled) when their
-	// deadline passed.
-	Executed bool
-}
 
 // RunResult is the outcome of one complete simulation run.
 type RunResult struct {
@@ -107,8 +94,6 @@ type RunResult struct {
 	// Response is the distribution of response times (finish - arrival)
 	// over executed tasks.
 	Response Histogram
-
-	Completions []Completion // per-task records (optional; nil when disabled)
 }
 
 // Count is the position of one of RunResult's integer counts in Counts,

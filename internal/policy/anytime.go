@@ -16,7 +16,7 @@ import (
 // paper's DFS cooperating inside one quantum, each covering the other's
 // weakness. The phase budget splits three ways:
 //
-//  1. Stage A — the GA spends budget/ShareDen evolving permutation-encoded
+//  1. Stage A — the GA spends budget/gaShareDen evolving permutation-encoded
 //     task orders, keeping the best COMPLETE-or-partial schedule as a
 //     monotone incumbent.
 //  2. The DFS runs on the remaining budget. When the incumbent is complete
@@ -42,7 +42,6 @@ import (
 // quantum, never overrun it.
 type anytimePlanner struct {
 	cfg core.SearchConfig
-	ga  GAConfig
 	rep search.Representation
 	src *rng.Source
 
@@ -67,19 +66,15 @@ type anytimePlanner struct {
 }
 
 // NewAnytime returns the RT-SADS+GA anytime planner.
-func NewAnytime(cfg core.SearchConfig, ga GAConfig) (core.Planner, error) {
+func NewAnytime(cfg core.SearchConfig) (core.Planner, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ga = ga.withDefaults()
-	if err := ga.Validate(); err != nil {
 		return nil, err
 	}
 	rep := represent.NewAssignment()
 	if cfg.SumCost {
 		rep.Cost = search.SumCost{}
 	}
-	return &anytimePlanner{cfg: cfg, ga: ga, rep: rep, src: rng.New(ga.Seed)}, nil
+	return &anytimePlanner{cfg: cfg, rep: rep, src: rng.New(gaSeed)}, nil
 }
 
 // Name implements core.Planner.
@@ -116,8 +111,8 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 	for k, l := range in.Loads {
 		a.gaLoads[k] = simtime.NonNeg(l - quantum)
 	}
-	allowance := budget / time.Duration(a.ga.ShareDen)
-	ga := newGAState(a.ga, a.src, a.cfg.Workers, a.cfg.SumCost,
+	allowance := budget / gaShareDen
+	ga := newGAState(a.src, a.cfg.Workers, a.cfg.SumCost,
 		a.cfg.Comm, a.cfg.VertexCost, a.cfg.Clock, phaseEnd, in.Margin, a.gaLoads, in.Batch, allowance)
 
 	var setup time.Duration
@@ -148,8 +143,8 @@ func (a *anytimePlanner) PlanPhase(in core.PhaseInput) (core.PhaseResult, error)
 		for k, l := range in.Loads {
 			a.drained[k] = simtime.NonNeg(l - spent)
 		}
-		bound := a.cfg.IncumbentCE
-		if ga.complete() && (bound == 0 || ga.best.ce < bound) {
+		var bound time.Duration
+		if ga.complete() {
 			bound = ga.best.ce
 		}
 		p := &a.prob

@@ -48,7 +48,7 @@ func TestAnytimeDeterminism(t *testing.T) {
 		cfg := anytimeSearchConfig(4)
 		cost := w.Cost
 		cfg.Comm = func(tk *task.Task, proc int) time.Duration { return cost.Cost(tk.Affinity, proc) }
-		planner, err := NewAnytime(cfg, GAConfig{})
+		planner, err := NewAnytime(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestAnytimeDeterminism(t *testing.T) {
 // for field, including Used and the full schedule.
 func TestAnytimePhaseDeterminism(t *testing.T) {
 	mkPlanner := func() core.Planner {
-		p, err := NewAnytime(anytimeSearchConfig(3), GAConfig{Seed: 7})
+		p, err := NewAnytime(anytimeSearchConfig(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestAnytimeGuarantee(t *testing.T) {
 	cfg := anytimeSearchConfig(8)
 	cost := w.Cost
 	cfg.Comm = func(tk *task.Task, proc int) time.Duration { return cost.Cost(tk.Affinity, proc) }
-	planner, err := NewAnytime(cfg, GAConfig{})
+	planner, err := NewAnytime(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestGASeededSearchNeverWorse(t *testing.T) {
 		for i, l := range loads {
 			rootLoads[i] = simtime.NonNeg(l - budget)
 		}
-		ga := newGAState(GAConfig{Seed: seed}.withDefaults(), rng.New(seed+1000), workers, false,
+		ga := newGAState(rng.New(seed+1000), workers, false,
 			comm, time.Microsecond, nil, simtime.Instant(budget), 0, rootLoads, batch, budget/2)
 		ga.evolve(budget / 2)
 		var bound time.Duration
@@ -261,7 +261,7 @@ func TestGAPrefixAffordability(t *testing.T) {
 	}
 	comm := func(*task.Task, int) time.Duration { return 0 }
 	// allowance 118µs at 8 workers × 1µs: afford = 118/(2×8) = 7.
-	ga := newGAState(GAConfig{}.withDefaults(), rng.New(1), 8, false, comm,
+	ga := newGAState(rng.New(1), 8, false, comm,
 		time.Microsecond, nil, simtime.Instant(time.Hour), 0, make([]time.Duration, 8), batch, 118*time.Microsecond)
 	if ga.k != 7 {
 		t.Fatalf("prefix not capped by affordability: k=%d, want 7", ga.k)
@@ -296,7 +296,7 @@ func TestGAMonotoneIncumbent(t *testing.T) {
 		}
 		return 50 * time.Microsecond
 	}
-	ga := newGAState(GAConfig{}.withDefaults(), rng.New(9), 4, false, comm,
+	ga := newGAState(rng.New(9), 4, false, comm,
 		time.Microsecond, nil, simtime.Instant(300*time.Microsecond), 0, make([]time.Duration, 4), batch, time.Hour)
 	prev := gaFit{}
 	for round := 0; round < 10; round++ {
@@ -317,7 +317,7 @@ func TestGAMonotoneIncumbent(t *testing.T) {
 // CE, the dead load made every vertex cost the same and the bound pruned the
 // search at its root, so RT-SADS+GA planned as the GA alone.
 func TestAnytimeSearchesPastDeadWorker(t *testing.T) {
-	p, err := NewAnytime(anytimeSearchConfig(4), GAConfig{Seed: 7})
+	p, err := NewAnytime(anytimeSearchConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}

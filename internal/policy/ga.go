@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"time"
 
 	"rtsads/internal/rng"
@@ -10,84 +9,34 @@ import (
 	"rtsads/internal/task"
 )
 
-// GAConfig tunes the anytime genetic optimizer (anytime.go). The zero
-// value selects every default, so Options{Search: cfg} is a complete
-// configuration.
-type GAConfig struct {
-	// Seed seeds the optimizer's deterministic random stream (0 → 1).
-	// One stream serves the planner for its whole run, so identical
-	// seeds and identical phase sequences reproduce bit-identical
-	// schedules.
-	Seed uint64
-	// Population is the number of permutations per generation (0 → 16).
-	Population int
-	// TournamentK is the selection-tournament size (0 → 3).
-	TournamentK int
-	// MutationPct is the per-offspring swap-mutation probability in
-	// percent (0 → 20; use a negative value to disable mutation).
-	MutationPct int
-	// Elite is the number of best individuals copied unchanged into the
-	// next generation (0 → 2).
-	Elite int
-	// Prefix caps the permutation length: the GA optimizes the order of
-	// the min(Prefix, len(batch)) most urgent tasks of the EDF-sorted
-	// batch (0 → 24). A decode costs Prefix × Workers feasibility
-	// evaluations, so the cap is what keeps a single decode affordable
-	// inside a quantum.
-	Prefix int
-	// ShareDen divides the phase budget: the pre-search GA stage may
-	// spend at most budget/ShareDen before the DFS runs (0 → 4; minimum
-	// 2, so the DFS always keeps at least half the budget).
-	ShareDen int
-}
-
-func (c GAConfig) withDefaults() GAConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Population == 0 {
-		c.Population = 16
-	}
-	if c.TournamentK == 0 {
-		c.TournamentK = 3
-	}
-	if c.MutationPct == 0 {
-		c.MutationPct = 20
-	}
-	if c.Elite == 0 {
-		c.Elite = 2
-	}
-	if c.Prefix == 0 {
-		c.Prefix = 24
-	}
-	if c.ShareDen == 0 {
-		c.ShareDen = 4
-	}
-	return c
-}
-
-// Validate reports whether the (defaulted) configuration is usable.
-func (c GAConfig) Validate() error {
-	if c.Population < 2 {
-		return fmt.Errorf("policy: GA population %d must be at least 2", c.Population)
-	}
-	if c.TournamentK < 1 || c.TournamentK > c.Population {
-		return fmt.Errorf("policy: GA tournament size %d must be in [1,%d]", c.TournamentK, c.Population)
-	}
-	if c.MutationPct > 100 {
-		return fmt.Errorf("policy: GA mutation %d%% must be at most 100", c.MutationPct)
-	}
-	if c.Elite < 0 || c.Elite >= c.Population {
-		return fmt.Errorf("policy: GA elite %d must be in [0,%d)", c.Elite, c.Population)
-	}
-	if c.Prefix < 1 {
-		return fmt.Errorf("policy: GA prefix %d must be positive", c.Prefix)
-	}
-	if c.ShareDen < 2 {
-		return fmt.Errorf("policy: GA share denominator %d must be at least 2", c.ShareDen)
-	}
-	return nil
-}
+// The anytime genetic optimizer (anytime.go) runs at one fixed setting,
+// as the GA it follows does.
+const (
+	// gaSeed seeds the optimizer's deterministic random stream. One
+	// stream serves the planner for its whole run, so identical phase
+	// sequences reproduce bit-identical schedules.
+	gaSeed = 1
+	// gaPopulation is the number of permutations per generation.
+	gaPopulation = 16
+	// gaTournamentK is the selection-tournament size.
+	gaTournamentK = 3
+	// gaMutationPct is the per-offspring swap-mutation probability in
+	// percent.
+	gaMutationPct = 20
+	// gaElite is the number of best individuals copied unchanged into the
+	// next generation.
+	gaElite = 2
+	// gaPrefix caps the permutation length: the GA optimizes the order of
+	// the min(gaPrefix, len(batch)) most urgent tasks of the EDF-sorted
+	// batch. A decode costs gaPrefix × Workers feasibility evaluations,
+	// so the cap is what keeps a single decode affordable inside a
+	// quantum.
+	gaPrefix = 24
+	// gaShareDen divides the phase budget: the pre-search GA stage may
+	// spend at most budget/gaShareDen before the DFS runs, so the DFS
+	// keeps at least three quarters of it.
+	gaShareDen = 4
+)
 
 // gaFit is one individual's fitness: lexicographic (more tasks scheduled,
 // then smaller cost CE), matching the search engine's better().
@@ -120,7 +69,6 @@ func (a gaFit) betterThan(b gaFit) bool {
 // anytime: it stops mid-generation the moment the next decode no longer
 // fits, keeping the best-so-far incumbent (monotone by construction).
 type gaState struct {
-	cfg        GAConfig
 	rng        *rng.Source
 	workers    int
 	sumCost    bool
@@ -132,7 +80,7 @@ type gaState struct {
 	margin    time.Duration
 	rootLoads []time.Duration
 	batch     []*task.Task
-	k         int // permutation length = min(Prefix, len(batch))
+	k         int // permutation length = min(gaPrefix, len(batch))
 
 	pop  [][]int
 	fits []gaFit
@@ -160,13 +108,13 @@ type gaState struct {
 // prefix at 1µs a vertex costs 192µs per decode, more than a whole default
 // quantum, so without this cap the optimizer could never run at all under
 // the experiments' calibration.
-func newGAState(cfg GAConfig, src *rng.Source, workers int, sumCost bool,
+func newGAState(src *rng.Source, workers int, sumCost bool,
 	comm func(t *task.Task, proc int) time.Duration, vertexCost time.Duration,
 	clock func() time.Duration, phaseEnd simtime.Instant, margin time.Duration,
 	rootLoads []time.Duration, batch []*task.Task, allowance time.Duration) *gaState {
 	k := len(batch)
-	if k > cfg.Prefix {
-		k = cfg.Prefix
+	if k > gaPrefix {
+		k = gaPrefix
 	}
 	if clock == nil && vertexCost > 0 {
 		const minDecodes = 2
@@ -178,7 +126,7 @@ func newGAState(cfg GAConfig, src *rng.Source, workers int, sumCost bool,
 		}
 	}
 	g := &gaState{
-		cfg: cfg, rng: src, workers: workers, sumCost: sumCost,
+		rng: src, workers: workers, sumCost: sumCost,
 		comm: comm, vertexCost: vertexCost, clock: clock,
 		phaseEnd: phaseEnd, margin: margin, rootLoads: rootLoads, batch: batch, k: k,
 		scratchLoads: make([]time.Duration, workers),
@@ -195,8 +143,8 @@ func newGAState(cfg GAConfig, src *rng.Source, workers int, sumCost bool,
 // the rest with random shuffles. Starting from known-good heuristics means
 // the very first affordable decode already yields a serviceable incumbent.
 func (g *gaState) initPopulation() {
-	g.pop = make([][]int, g.cfg.Population)
-	g.fits = make([]gaFit, g.cfg.Population)
+	g.pop = make([][]int, gaPopulation)
+	g.fits = make([]gaFit, gaPopulation)
 	identity := make([]int, g.k)
 	for i := range identity {
 		identity[i] = i
@@ -225,7 +173,7 @@ func (g *gaState) initPopulation() {
 // sortedByKey orders the index permutation by (key(batch[i]), i).
 func sortedByKey(perm []int, batch []*task.Task, key func(*task.Task) int64) []int {
 	out := append([]int(nil), perm...)
-	// Insertion sort: k is small (≤ Prefix) and the code stays obviously
+	// Insertion sort: k is small (≤ gaPrefix) and the code stays obviously
 	// deterministic.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
@@ -395,7 +343,7 @@ func (g *gaState) rank() []int {
 	return order
 }
 
-// breed replaces the population with the next generation: Elite copies of
+// breed replaces the population with the next generation: gaElite copies of
 // the best individuals (fitness carried over), the rest offspring of
 // tournament-selected parents recombined by order crossover (OX1) with
 // swap mutation. Unevaluated stragglers of a budget-truncated generation
@@ -405,7 +353,7 @@ func (g *gaState) breed() {
 	next := make([][]int, len(g.pop))
 	fits := make([]gaFit, len(g.pop))
 	n := 0
-	for ; n < g.cfg.Elite && n < len(ranked); n++ {
+	for ; n < gaElite && n < len(ranked); n++ {
 		idx := ranked[n]
 		next[n] = g.pop[idx]
 		fits[n] = g.fits[idx]
@@ -414,7 +362,7 @@ func (g *gaState) breed() {
 		p1 := g.selectParent(ranked)
 		p2 := g.selectParent(ranked)
 		child := g.crossover(p1, p2)
-		if g.cfg.MutationPct > 0 && g.rng.Intn(100) < g.cfg.MutationPct && g.k >= 2 {
+		if g.rng.Intn(100) < gaMutationPct && g.k >= 2 {
 			a, b := g.rng.Intn(g.k), g.rng.Intn(g.k)
 			child[a], child[b] = child[b], child[a]
 		}
@@ -425,10 +373,10 @@ func (g *gaState) breed() {
 }
 
 // selectParent runs one selection tournament over the evaluated
-// population: TournamentK uniform draws, fittest wins.
+// population: gaTournamentK uniform draws, fittest wins.
 func (g *gaState) selectParent(ranked []int) []int {
 	best := -1
-	for i := 0; i < g.cfg.TournamentK; i++ {
+	for i := 0; i < gaTournamentK; i++ {
 		c := ranked[g.rng.Intn(len(ranked))]
 		if best < 0 || g.fits[c].betterThan(g.fits[best]) {
 			best = c

@@ -22,16 +22,12 @@ import (
 )
 
 // Options carries everything a policy factory may need: the search
-// configuration every planner shares, plus the GA knobs the anytime policy
-// reads. Factories copy what they use; mutating Options after New returns
-// does not affect the planner.
+// configuration every planner shares. Factories copy what they use;
+// mutating Options after New returns does not affect the planner.
 type Options struct {
 	// Search parameterises the planner (workers, costs, quantum policy,
 	// parallelism). Required.
 	Search core.SearchConfig
-	// GA tunes the anytime optimizer; zero values select defaults. Only
-	// the RT-SADS+GA policy reads it.
-	GA GAConfig
 }
 
 // Factory builds one planner instance from options.
@@ -198,7 +194,7 @@ func builtins() []Spec {
 		{
 			Name:        "RT-SADS+GA",
 			Description: "anytime: GA incumbent seeds the DFS with its CE bound, polishes leftovers",
-			New:         func(o Options) (core.Planner, error) { return NewAnytime(o.Search, o.GA) },
+			New:         func(o Options) (core.Planner, error) { return NewAnytime(o.Search) },
 		},
 		{
 			Name:        string(Oracle),

@@ -23,8 +23,6 @@ import (
 // runs the same workload corpus with the same seeds, so the comparison is
 // paired and bit-for-bit reproducible.
 type TournamentConfig struct {
-	// Registry supplies the contenders (nil → Default()).
-	Registry *Registry
 	// Policies names the contenders (nil → every registered policy).
 	Policies []string
 	// Corpus is the workload set every policy runs (nil → DefaultCorpus()).
@@ -42,16 +40,11 @@ type TournamentConfig struct {
 	// Quantum allocates each phase's quantum (nil → the paper's adaptive
 	// criterion with default bounds).
 	Quantum core.QuantumPolicy
-	// GA tunes the anytime contender; zero values select defaults.
-	GA GAConfig
 }
 
 func (c TournamentConfig) withDefaults() TournamentConfig {
-	if c.Registry == nil {
-		c.Registry = Default()
-	}
 	if c.Policies == nil {
-		c.Policies = c.Registry.Names()
+		c.Policies = Default().Names()
 	}
 	if c.Corpus == nil {
 		c.Corpus = DefaultCorpus()
@@ -295,9 +288,8 @@ func runCell(cfg TournamentConfig, name string, params workload.Params) (CellRes
 				PhaseCost:  cfg.PhaseCost,
 				Policy:     cfg.Quantum,
 			},
-			GA: cfg.GA,
 		}
-		planner, err := cfg.Registry.New(name, opts)
+		planner, err := Default().New(name, opts)
 		if err != nil {
 			return out, err
 		}

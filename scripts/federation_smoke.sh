@@ -201,7 +201,7 @@ echo "federation_smoke: shard servers up on $RJ_SHARD0_ADDR and $RJ_SHARD1_ADDR"
 
 "$WORKDIR/rtcluster" -workers 4 \
     -shards "tcp://$RJ_SHARD0_ADDR,tcp://$RJ_SHARD1_ADDR" \
-    -rejoin -rejoin-max 8 \
+    -rejoin \
     -txns 200 -scale 400 -sf 4 -placement affinity \
     -admission reject -queue-cap 24 \
     -debug-addr "$RJ_DEBUG" >"$RJ_OUT" 2>&1 &
