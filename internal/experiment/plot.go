@@ -1,7 +1,7 @@
-// Package plot renders simple ASCII scatter/line charts for terminal
-// output — enough to see the shape of a figure (who wins, what scales,
-// where curves cross) without leaving the console.
-package plot
+package experiment
+
+// The ASCII line charts behind -plot: enough to see the shape of a figure
+// (who wins, what scales, where curves cross) without leaving the console.
 
 import (
 	"fmt"
@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// Series is one named curve.
-type Series struct {
+// series is one named curve.
+type series struct {
 	Name string
 	X, Y []float64
 }
@@ -19,10 +19,10 @@ type Series struct {
 // markers are assigned to series in order.
 var markers = []byte{'*', 'o', '+', 'x', '@', '%', '&', '$'}
 
-// Lines renders the series into a width×height character grid with axes
+// lines renders the series into a width×height character grid with axes
 // and a legend. X and Y ranges are derived from the data; Y starts at zero
 // when all values are non-negative (hit ratios read better anchored).
-func Lines(w io.Writer, title string, series []Series, width, height int) error {
+func lines(w io.Writer, title string, series []series, width, height int) error {
 	if width < 20 {
 		width = 60
 	}
@@ -34,7 +34,7 @@ func Lines(w io.Writer, title string, series []Series, width, height int) error 
 		fmt.Fprintf(&b, "%s\n", title)
 	}
 
-	minX, maxX, minY, maxY, points := bounds(series)
+	minX, maxX, minY, maxY, points := plotBounds(series)
 	if points == 0 {
 		fmt.Fprintln(&b, "(no data)")
 		_, err := io.WriteString(w, b.String())
@@ -98,8 +98,8 @@ func Lines(w io.Writer, title string, series []Series, width, height int) error 
 	return err
 }
 
-// bounds returns the data extents and the total point count.
-func bounds(series []Series) (minX, maxX, minY, maxY float64, points int) {
+// plotBounds returns the data extents and the total point count.
+func plotBounds(series []series) (minX, maxX, minY, maxY float64, points int) {
 	first := true
 	for _, s := range series {
 		for i := range s.X {

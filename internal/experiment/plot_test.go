@@ -1,4 +1,4 @@
-package plot
+package experiment
 
 import (
 	"strings"
@@ -7,7 +7,7 @@ import (
 
 func TestLinesBasic(t *testing.T) {
 	var b strings.Builder
-	err := Lines(&b, "demo", []Series{
+	err := lines(&b, "demo", []series{
 		{Name: "up", X: []float64{1, 2, 3}, Y: []float64{1, 2, 3}},
 		{Name: "down", X: []float64{1, 2, 3}, Y: []float64{3, 2, 1}},
 	}, 40, 10)
@@ -28,7 +28,7 @@ func TestLinesBasic(t *testing.T) {
 
 func TestLinesEmpty(t *testing.T) {
 	var b strings.Builder
-	if err := Lines(&b, "empty", nil, 40, 10); err != nil {
+	if err := lines(&b, "empty", nil, 40, 10); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "no data") {
@@ -39,7 +39,7 @@ func TestLinesEmpty(t *testing.T) {
 func TestLinesConstantSeries(t *testing.T) {
 	// Degenerate ranges (single point, constant Y) must not divide by zero.
 	var b strings.Builder
-	err := Lines(&b, "", []Series{{Name: "flat", X: []float64{5}, Y: []float64{2}}}, 30, 8)
+	err := lines(&b, "", []series{{Name: "flat", X: []float64{5}, Y: []float64{2}}}, 30, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +50,20 @@ func TestLinesConstantSeries(t *testing.T) {
 
 func TestLinesDefaultsDimensions(t *testing.T) {
 	var b strings.Builder
-	err := Lines(&b, "", []Series{{Name: "s", X: []float64{0, 1}, Y: []float64{0, 1}}}, 0, 0)
+	err := lines(&b, "", []series{{Name: "s", X: []float64{0, 1}, Y: []float64{0, 1}}}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) < 15 {
-		t.Errorf("default height not applied: %d lines", len(lines))
+	rows := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(rows) < 15 {
+		t.Errorf("default height not applied: %d rows", len(rows))
 	}
 }
 
 func TestLinesAnchorsZero(t *testing.T) {
 	// Non-negative data must anchor the y-axis at 0.
 	var b strings.Builder
-	err := Lines(&b, "", []Series{{Name: "s", X: []float64{0, 1}, Y: []float64{5, 10}}}, 30, 8)
+	err := lines(&b, "", []series{{Name: "s", X: []float64{0, 1}, Y: []float64{5, 10}}}, 30, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestLinesAnchorsZero(t *testing.T) {
 func TestLinesMismatchedXYLengths(t *testing.T) {
 	var b strings.Builder
 	// Y shorter than X: extra X values ignored, no panic.
-	err := Lines(&b, "", []Series{{Name: "s", X: []float64{1, 2, 3}, Y: []float64{1}}}, 30, 8)
+	err := lines(&b, "", []series{{Name: "s", X: []float64{1, 2, 3}, Y: []float64{1}}}, 30, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rtsads/internal/metrics"
-	"rtsads/internal/plot"
 	"rtsads/internal/stats"
 )
 
@@ -53,16 +52,16 @@ func (f *Figure) Render(w io.Writer) error {
 // RenderPlot draws the figure as an ASCII chart of mean hit ratios (in
 // percent) against the x-axis.
 func (f *Figure) RenderPlot(w io.Writer) error {
-	series := make([]plot.Series, 0, len(f.Algorithms))
+	curves := make([]series, 0, len(f.Algorithms))
 	for _, a := range f.Algorithms {
-		s := plot.Series{Name: string(a)}
+		s := series{Name: string(a)}
 		for _, pt := range f.Points {
 			s.X = append(s.X, pt.X)
 			s.Y = append(s.Y, 100*pt.Aggs[a].HitRatio.Mean())
 		}
-		series = append(series, s)
+		curves = append(curves, s)
 	}
-	return plot.Lines(w, fmt.Sprintf("%s — hit%% vs %s", f.Title, f.XLabel), series, 64, 16)
+	return lines(w, fmt.Sprintf("%s — hit%% vs %s", f.Title, f.XLabel), curves, 64, 16)
 }
 
 // RenderCSV writes the figure's raw series in CSV form: x, then per

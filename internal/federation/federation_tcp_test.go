@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"runtime"
@@ -127,6 +128,28 @@ func TestFederationLiveTCPTwoShards(t *testing.T) {
 	for i, s := range res.Shards {
 		if got, want := f.ShardCounters(i), s.Counts(); got != want {
 			t.Errorf("shard %d wire counts %v, result says %v", i, got, want)
+		}
+	}
+	// /slo reads the same books: the rollup's hits are the federation's,
+	// and a remote shard's summary is its last Progress frame's counts.
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/slo", nil))
+	var slo struct {
+		Federation obs.SLOSummary   `json:"federation"`
+		Shards     []obs.SLOSummary `json:"shards"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &slo); err != nil {
+		t.Fatalf("/slo: %v\n%s", err, rec.Body)
+	}
+	if got, want := slo.Federation.Hits, int64(res.Combined().Hits); got != want {
+		t.Errorf("/slo federation hits = %d, want %d", got, want)
+	}
+	if len(slo.Shards) != 2 {
+		t.Fatalf("/slo serves %d shard summaries, want 2", len(slo.Shards))
+	}
+	for i, got := range slo.Shards {
+		if want := (obs.SLOInput{Counts: f.ShardCounters(i)}).Summary(); got != want {
+			t.Errorf("/slo shard %d = %+v, want its counts %v summarized: %+v", i, got, f.ShardCounters(i), want)
 		}
 	}
 	// The shipped journals merge with the router's into a span-complete

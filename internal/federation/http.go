@@ -21,9 +21,12 @@ import (
 //	    books' counts and the worker gauges.
 //	/healthz — JSON worker liveness per shard (a remote shard's from its
 //	    load view), plus an overall status.
-//	/slo — per-shard SLO summaries plus the federation rollup (counters
-//	    summed, guarantee ratio recomputed, slack quantiles merged
-//	    conservatively).
+//	/slo — per-shard SLO summaries plus the federation rollup: the summary
+//	    of the shards' summed books and bucket-merged slack histograms, so
+//	    its quantiles are those of every shard's samples together (bucket
+//	    upper edges clamped to the largest sample). A remote shard's counts
+//	    are its last Progress frame's; the frame carries no histograms, so
+//	    it contributes no slack samples.
 //	/trace/task?id=N — one task's assembled lifecycle over the merged
 //	    router + shard journals, wherever in the federation it ran.
 //	/journal — the federation-merged journal as JSON Lines.
@@ -72,15 +75,21 @@ func (f *Federation) Handler() http.Handler {
 		json.NewEncoder(w).Encode(out)
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
+		var fed obs.SLOInput
 		shards := make([]obs.SLOSummary, len(f.obsShards))
 		for i, o := range f.obsShards {
-			shards[i] = o.SLOSummary()
+			in := o.SLOInput()
+			if rs, ok := f.handle(i).(*remoteShard); ok {
+				in = obs.SLOInput{Counts: rs.Counters()}
+			}
+			shards[i] = in.Summary()
+			fed.Add(in)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
 			Federation obs.SLOSummary   `json:"federation"`
 			Shards     []obs.SLOSummary `json:"shards"`
-		}{obs.Combine(shards), shards})
+		}{fed.Summary(), shards})
 	})
 	mux.HandleFunc("/trace/task", func(w http.ResponseWriter, r *http.Request) {
 		obs.ServeTaskTrace(w, r, f.MergedEntries)

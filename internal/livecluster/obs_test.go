@@ -129,7 +129,8 @@ func TestObsReconcilesCleanRun(t *testing.T) {
 	// Wake-up overshoot is observed at most once per executed job, and a
 	// real timer never wakes exactly on target every time.
 	executed := int64(res.Hits + res.ScheduledMissed)
-	if n := o.Registry().Histogram(obs.MetricWorkerOvershoot).Count(); n == 0 || n > executed {
+	overshoot := o.Registry().Histogram(obs.MetricWorkerOvershoot).Snapshot()
+	if n := int64(overshoot.Count()); n == 0 || n > executed {
 		t.Errorf("worker overshoot histogram holds %d samples for %d executed jobs", n, executed)
 	}
 }

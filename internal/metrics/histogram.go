@@ -3,20 +3,22 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"strings"
 	"time"
 )
 
-// numBuckets covers 1µs up to ~2.3 hours in powers of two, plus an
-// underflow bucket for sub-microsecond values.
+// numBuckets covers 1µs up to 2^32µs (about 72 minutes) in powers of two,
+// plus an overflow bucket for everything longer.
 const numBuckets = 34
 
-// Histogram is a fixed-size log-bucketed duration histogram, used for
-// response-time distributions. It counts durations in power-of-two buckets
-// of microseconds: bucket 0 holds (-inf, 1µs), bucket i holds
-// [2^(i-1)µs, 2^i µs). The zero value is an empty, ready-to-use histogram;
-// adding is allocation-free.
+// Histogram is the one duration histogram: RunResult.Response, the Result
+// frame, and every obs registry histogram behind /metrics and /slo. Its
+// power-of-two buckets of microseconds have inclusive upper edges, a
+// Prometheus le: bucket 0 holds (-inf, 1µs], bucket i holds
+// (2^(i-1)µs, 2^i µs] up to 2^32µs, and the last one everything above. The
+// zero value is empty and ready to use; adding is allocation-free.
 type Histogram struct {
 	counts [numBuckets]uint64
 	total  uint64
@@ -27,21 +29,21 @@ type Histogram struct {
 
 // bucketOf maps a duration to its bucket index.
 func bucketOf(d time.Duration) int {
-	us := d / time.Microsecond
-	if us < 1 {
+	if d <= time.Microsecond {
 		return 0
 	}
-	b := bits.Len64(uint64(us)) // 2^(b-1) <= us < 2^b
+	b := bits.Len64(uint64((d - 1) / time.Microsecond)) // 2^(b-1)µs < d <= 2^b µs
 	if b >= numBuckets {
 		return numBuckets - 1
 	}
 	return b
 }
 
-// bucketUpper returns the exclusive upper bound of bucket i.
+// bucketUpper returns the inclusive upper edge of bucket i; the overflow
+// bucket has none and reports the largest Duration.
 func bucketUpper(i int) time.Duration {
-	if i == 0 {
-		return time.Microsecond
+	if i >= numBuckets-1 {
+		return math.MaxInt64
 	}
 	return time.Duration(1<<uint(i)) * time.Microsecond
 }
@@ -62,6 +64,21 @@ func (h *Histogram) Add(d time.Duration) {
 
 // Count returns the number of recorded durations.
 func (h *Histogram) Count() uint64 { return h.total }
+
+// Sum returns the total of the recorded durations.
+func (h *Histogram) Sum() time.Duration { return h.sum }
+
+// Cumulative calls fn for each bucket below the overflow bucket, in order,
+// with its inclusive upper edge and the number of recorded durations at or
+// below that edge: the le buckets of a Prometheus histogram, whose +Inf
+// bucket is Count.
+func (h *Histogram) Cumulative(fn func(le time.Duration, n uint64)) {
+	var n uint64
+	for i, c := range h.counts[:numBuckets-1] {
+		n += c
+		fn(bucketUpper(i), n)
+	}
+}
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (h *Histogram) Mean() time.Duration {
@@ -88,7 +105,7 @@ func (h *Histogram) Max() time.Duration {
 }
 
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1): the
-// exclusive upper edge of the bucket containing it (clamped to Max). It
+// inclusive upper edge of the bucket containing it, clamped to Max. It
 // returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h.total == 0 {
@@ -105,11 +122,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, c := range h.counts {
 		seen += c
 		if seen > rank {
-			u := bucketUpper(i)
-			if u > h.max {
-				u = h.max
-			}
-			return u
+			return min(bucketUpper(i), h.max)
 		}
 	}
 	return h.max
@@ -157,7 +170,11 @@ func (h *Histogram) Render(w io.Writer) error {
 		if bar == 0 {
 			bar = 1
 		}
-		fmt.Fprintf(&b, "%12s | %-40s %d\n", "<"+bucketUpper(i).String(), strings.Repeat("#", bar), c)
+		label := "+Inf"
+		if i < numBuckets-1 {
+			label = "<=" + bucketUpper(i).String()
+		}
+		fmt.Fprintf(&b, "%12s | %-40s %d\n", label, strings.Repeat("#", bar), c)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

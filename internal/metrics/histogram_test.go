@@ -34,11 +34,16 @@ func TestHistogramBucketOf(t *testing.T) {
 	}{
 		{0, 0},
 		{500 * time.Nanosecond, 0},
-		{us, 1},         // [1µs, 2µs)
-		{2 * us, 2},     // [2µs, 4µs)
-		{3 * us, 2},     //
-		{4 * us, 3},     // [4µs, 8µs)
-		{1023 * us, 10}, // [512µs, 1024µs)
+		{us, 0},                          // (-inf, 1µs]
+		{us + 1, 1},                      // (1µs, 2µs]
+		{2 * us, 1},                      //
+		{3 * us, 2},                      // (2µs, 4µs]
+		{4 * us, 2},                      //
+		{1023 * us, 10},                  // (512µs, 1024µs]
+		{1024 * us, 10},                  //
+		{1024*us + 1, 11},                // (1024µs, 2048µs]
+		{(1 << 32) * us, numBuckets - 2}, // the last finite edge
+		{(1<<32)*us + 1, numBuckets - 1},
 		{-time.Second, 0},
 		{100 * time.Hour, numBuckets - 1},
 	}
@@ -62,6 +67,19 @@ func TestHistogramAddAndStats(t *testing.T) {
 	}
 	if h.Min() != us || h.Max() != 7*us {
 		t.Errorf("Min/Max = %v/%v", h.Min(), h.Max())
+	}
+	if h.Sum() != 16*us {
+		t.Errorf("Sum = %v, want 16µs", h.Sum())
+	}
+	edges := 0
+	h.Cumulative(func(le time.Duration, n uint64) {
+		edges++
+		if le == 4*us && n != 2 {
+			t.Errorf("%d durations at or below 4µs, want 2", n)
+		}
+	})
+	if edges != numBuckets-1 {
+		t.Errorf("Cumulative walked %d edges, want %d", edges, numBuckets-1)
 	}
 }
 

@@ -106,7 +106,7 @@ func (o *Observer) handler() http.Handler {
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(o.SLOSummary())
+		json.NewEncoder(w).Encode(o.SLOInput().Summary())
 	})
 	mux.HandleFunc("/trace/task", func(w http.ResponseWriter, r *http.Request) {
 		ServeTaskTrace(w, r, func() ([]Entry, int64) { return o.Journal().Export() })

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rtsads/internal/simtime"
+	"rtsads/internal/task"
 )
 
 // fedJournals builds a two-shard-plus-router journal set for one migrated
@@ -251,57 +252,69 @@ func TestBridgeFederationKindsAndDropAccounting(t *testing.T) {
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("q_test_seconds")
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
+	if s := h.Snapshot(); s.Quantile(0.5) != 0 {
+		t.Errorf("empty histogram quantile = %v, want 0", s.Quantile(0.5))
 	}
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Duration(i+1) * time.Millisecond)
 	}
-	p50 := h.Quantile(0.50)
-	if p50 < 30*time.Millisecond || p50 > 80*time.Millisecond {
-		t.Errorf("p50 = %v, want around 50ms", p50)
+	s := h.Snapshot()
+	// A quantile is its bucket's upper edge: the median, 50ms, lies in
+	// (32.768ms, 65.536ms].
+	p50 := s.Quantile(0.50)
+	if p50 != 65536*time.Microsecond {
+		t.Errorf("p50 = %v, want 65.536ms", p50)
 	}
-	p99 := h.Quantile(0.99)
-	if p99 < p50 {
+	if p99 := s.Quantile(0.99); p99 < p50 {
 		t.Errorf("p99 %v < p50 %v", p99, p50)
 	}
-	// Out-of-range samples clamp to the largest finite bucket.
-	h.Observe(time.Hour)
-	if got := h.Quantile(1); got <= 0 {
-		t.Errorf("q=1 with +Inf sample = %v, want a finite positive bound", got)
+	// A sample past the last finite edge clamps to the largest sample.
+	h.Observe(2 * time.Hour)
+	if s = h.Snapshot(); s.Quantile(1) != 2*time.Hour {
+		t.Errorf("q=1 with a +Inf sample = %v, want 2h", s.Quantile(1))
 	}
 }
 
+// The federation rollup is exact: summing two observers' inputs gives the
+// summary of one observer fed both observers' samples.
 func TestSLOCombine(t *testing.T) {
-	a := SLOSummary{
-		Hits: 9, Missed: 1, Admitted: 10, Arrivals: 12, Shed: 2,
-		SlackAdmission: HistogramSummary{Count: 10, MeanSeconds: 1, P50Seconds: 1, P90Seconds: 2, P99Seconds: 3},
+	a, b, both := New(0), New(0), New(0)
+	feed := func(o *Observer, id task.ID, slack time.Duration, hit bool) {
+		o.Arrival(id, 0, 0)
+		o.Admitted(id, slack, 0)
+		o.Exec(id, 0, 0, 1, hit, time.Millisecond, slack/2)
 	}
-	b := SLOSummary{
-		Hits: 5, Expired: 5, Admitted: 10, Arrivals: 10, DegradedNow: true,
-		SlackAdmission: HistogramSummary{Count: 30, MeanSeconds: 2, P50Seconds: 0.5, P90Seconds: 4, P99Seconds: 6},
+	for i := 0; i < 10; i++ {
+		slack := time.Duration(i+1) * 300 * time.Microsecond
+		feed(a, task.ID(i), slack, i != 0)
+		feed(both, task.ID(i), slack, i != 0)
 	}
-	out := Combine([]SLOSummary{a, b})
-	if out.Hits != 14 || out.Missed != 1 || out.Expired != 5 || out.Arrivals != 22 {
+	for i := 10; i < 40; i++ {
+		slack := time.Duration(i) * 7 * time.Millisecond
+		feed(b, task.ID(i), slack, i%2 == 0)
+		feed(both, task.ID(i), slack, i%2 == 0)
+	}
+	b.DegradeMode(true, 1, "test", 0)
+	both.DegradeMode(true, 1, "test", 0)
+
+	var fed SLOInput
+	fed.Add(a.SLOInput())
+	fed.Add(b.SLOInput())
+	out, want := fed.Summary(), both.SLOInput().Summary()
+	if out != want {
+		t.Errorf("rollup of two observers:\n%+v\nwant the summary of one observer fed both:\n%+v", out, want)
+	}
+	if out.Hits != 24 || out.Missed != 16 || out.Arrivals != 40 || out.Admitted != 40 {
 		t.Errorf("combined counters wrong: %+v", out)
 	}
-	// 14 hits over 20 terminals.
-	if out.GuaranteeRatioPPM != 700_000 {
-		t.Errorf("combined ratio = %d, want 700000", out.GuaranteeRatioPPM)
+	// 24 hits over 40 terminals.
+	if out.GuaranteeRatioPPM != 600_000 {
+		t.Errorf("combined ratio = %d, want 600000", out.GuaranteeRatioPPM)
 	}
 	if !out.DegradedNow {
-		t.Error("combined DegradedNow lost shard b's degraded state")
+		t.Error("combined DegradedNow lost b's degraded state")
 	}
-	sa := out.SlackAdmission
-	if sa.Count != 40 {
-		t.Errorf("combined slack count = %d, want 40", sa.Count)
-	}
-	// Means merge exactly: (10*1 + 30*2) / 40.
-	if sa.MeanSeconds != 1.75 {
-		t.Errorf("combined mean = %v, want 1.75", sa.MeanSeconds)
-	}
-	// Quantiles take the worst (smallest slack) shard.
-	if sa.P50Seconds != 0.5 || sa.P90Seconds != 2 || sa.P99Seconds != 3 {
-		t.Errorf("combined quantiles = %v/%v/%v, want 0.5/2/3", sa.P50Seconds, sa.P90Seconds, sa.P99Seconds)
+	if out.SlackAdmission.Count != 40 || out.SlackCompletion.Count != 40 {
+		t.Errorf("combined slack counts = %d/%d, want 40/40", out.SlackAdmission.Count, out.SlackCompletion.Count)
 	}
 }

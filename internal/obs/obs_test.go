@@ -37,7 +37,7 @@ func TestNilObserverSafe(t *testing.T) {
 	if o.Registry() != nil || o.Journal() != nil {
 		t.Error("nil observer exposes components")
 	}
-	if s := o.SLOSummary(); s != (SLOSummary{}) {
+	if s := o.SLOInput().Summary(); s != (SLOSummary{}) {
 		t.Errorf("nil observer SLO summary = %+v, want zero", s)
 	}
 	o.StartProgress(&strings.Builder{}, time.Second)() // no-op stop
@@ -195,7 +195,7 @@ func TestWorkerOvershootDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { o.WorkerOvershoot(300 * time.Microsecond) }); n != 0 {
 		t.Errorf("WorkerOvershoot allocates %v times per call", n)
 	}
-	if h := o.Registry().Histogram(MetricWorkerOvershoot); h.Count() != 101 || h.Sum() != 101*300*time.Microsecond {
+	if h := o.Registry().Histogram(MetricWorkerOvershoot).Snapshot(); h.Count() != 101 || h.Sum() != 101*300*time.Microsecond {
 		t.Errorf("overshoot histogram: count %d sum %v", h.Count(), h.Sum())
 	}
 }

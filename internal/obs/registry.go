@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rtsads/internal/metrics"
 )
 
 // Counter is a monotonically increasing metric. All methods are safe for
@@ -80,27 +82,12 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBuckets are the upper bounds of the duration histogram buckets:
-// exponential from 1µs, doubling, up to ~8.6s, plus +Inf. They cover
-// everything from a single search vertex to a whole run.
-var histBuckets = func() []time.Duration {
-	out := make([]time.Duration, 0, 24)
-	for b := time.Microsecond; b <= 8*time.Second; b *= 2 {
-		out = append(out, b)
-	}
-	return out
-}()
-
-// Histogram records a distribution of durations in fixed exponential
-// buckets. Observations are lock-free (atomic per-bucket counts).
+// Histogram is a registry duration histogram: one metrics.Histogram behind
+// a mutex, so every scrape reads its buckets, sum and count from one
+// consistent snapshot.
 type Histogram struct {
-	buckets []atomic.Int64 // one per histBuckets entry, plus +Inf
-	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-}
-
-func newHistogram() *Histogram {
-	return &Histogram{buckets: make([]atomic.Int64, len(histBuckets)+1)}
+	mu sync.Mutex
+	h  metrics.Histogram
 }
 
 // Observe records one duration.
@@ -108,67 +95,27 @@ func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	i := sort.Search(len(histBuckets), func(i int) bool { return d <= histBuckets[i] })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
+	h.mu.Lock()
+	h.h.Add(d)
+	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
+// Snapshot returns a copy of the distribution observed so far (empty for a
+// nil histogram).
+func (h *Histogram) Snapshot() metrics.Histogram {
 	if h == nil {
-		return 0
+		return metrics.Histogram{}
 	}
-	return h.count.Load()
-}
-
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of the observed
-// distribution by linear interpolation inside the covering bucket — the
-// standard Prometheus histogram_quantile estimate, computed server-side
-// for the /slo summary. Returns 0 with no observations; an estimate from
-// the +Inf bucket is clamped to the largest finite bucket bound.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range histBuckets {
-		n := h.buckets[i].Load()
-		if float64(cum)+float64(n) >= rank && n > 0 {
-			lower := time.Duration(0)
-			if i > 0 {
-				lower = histBuckets[i-1]
-			}
-			upper := histBuckets[i]
-			frac := (rank - float64(cum)) / float64(n)
-			return lower + time.Duration(frac*float64(upper-lower))
-		}
-		cum += n
-	}
-	return histBuckets[len(histBuckets)-1]
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h
 }
 
 // Registry is a named-metric store with Prometheus text exposition. Lookup
-// takes a lock; the returned metric handles are lock-free, so hot paths
-// resolve their metrics once and then only touch atomics. The zero value
-// is not usable; call NewRegistry. A nil Registry hands out nil metrics,
-// which are themselves no-ops.
+// takes a lock; hot paths resolve their metrics once, and then a counter or
+// gauge update is one atomic and a histogram observation one short lock.
+// The zero value is not usable; call NewRegistry. A nil Registry hands out
+// nil metrics, which are themselves no-ops.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -192,14 +139,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(&r.mu, r.counters, name)
 }
 
 // Gauge returns the gauge with the given name, creating it on first use.
@@ -207,14 +147,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(&r.mu, r.gauges, name)
 }
 
 // Histogram returns the histogram with the given name, creating it on
@@ -223,14 +156,20 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
+	return lookup(&r.mu, r.hists, name)
+}
+
+// lookup returns the metric named name in m, creating it on first use: the
+// zero value of every metric type is ready to use.
+func lookup[T any](mu *sync.Mutex, m map[string]*T, name string) *T {
+	mu.Lock()
+	defer mu.Unlock()
+	v, ok := m[name]
 	if !ok {
-		h = newHistogram()
-		r.hists[name] = h
+		v = new(T)
+		m[name] = v
 	}
-	return h
+	return v
 }
 
 // Snapshot returns the current value of every counter and gauge, keyed by
@@ -307,22 +246,18 @@ func (r *Registry) writeProm(w io.Writer, extra string, withTypes bool) error {
 		types[baseName(name)] = "gauge"
 	}
 	for name, h := range r.hists {
+		s := h.Snapshot()
 		var b strings.Builder
-		bucketLabel := func(le string) string {
-			if extra == "" {
-				return le
+		bucket := func(le string, n uint64) {
+			if extra != "" {
+				le = extra + "," + le
 			}
-			return extra + "," + le
+			fmt.Fprintf(&b, "%s_bucket{%s} %d\n", name, le, n)
 		}
-		cum := int64(0)
-		for i, upper := range histBuckets {
-			cum += h.buckets[i].Load()
-			fmt.Fprintf(&b, "%s_bucket{%s} %d\n", name, bucketLabel(fmt.Sprintf("le=\"%g\"", upper.Seconds())), cum)
-		}
-		cum += h.buckets[len(histBuckets)].Load()
-		fmt.Fprintf(&b, "%s_bucket{%s} %d\n", name, bucketLabel(`le="+Inf"`), cum)
-		fmt.Fprintf(&b, "%s %g\n", labeled(name+"_sum", extra), h.Sum().Seconds())
-		fmt.Fprintf(&b, "%s %d\n", labeled(name+"_count", extra), h.Count())
+		s.Cumulative(func(le time.Duration, n uint64) { bucket(fmt.Sprintf("le=\"%g\"", le.Seconds()), n) })
+		bucket(`le="+Inf"`, s.Count())
+		fmt.Fprintf(&b, "%s %g\n", labeled(name+"_sum", extra), s.Sum().Seconds())
+		fmt.Fprintf(&b, "%s %d\n", labeled(name+"_count", extra), s.Count())
 		all = append(all, metric{name, b.String()})
 		types[baseName(name)] = "histogram"
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -50,13 +51,14 @@ func TestHistogramBuckets(t *testing.T) {
 	h := r.Histogram("lat_seconds")
 	h.Observe(time.Microsecond)     // first bucket
 	h.Observe(3 * time.Microsecond) // 4µs bucket
-	h.Observe(time.Hour)            // +Inf
-	if h.Count() != 3 {
-		t.Errorf("count = %d, want 3", h.Count())
+	h.Observe(2 * time.Hour)        // +Inf
+	s := h.Snapshot()
+	if s.Count() != 3 {
+		t.Errorf("count = %d, want 3", s.Count())
 	}
-	want := time.Hour + 4*time.Microsecond
-	if h.Sum() != want {
-		t.Errorf("sum = %v, want %v", h.Sum(), want)
+	want := 2*time.Hour + 4*time.Microsecond
+	if s.Sum() != want {
+		t.Errorf("sum = %v, want %v", s.Sum(), want)
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -66,6 +68,9 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, wantLine := range []string{
 		"# TYPE lat_seconds histogram",
 		`lat_seconds_bucket{le="1e-06"} 1`,
+		`lat_seconds_bucket{le="2e-06"} 1`,
+		`lat_seconds_bucket{le="4e-06"} 2`,
+		`lat_seconds_bucket{le="4294.967296"} 2`,
 		`lat_seconds_bucket{le="+Inf"} 3`,
 		"lat_seconds_count 3",
 	} {
@@ -105,6 +110,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	stop := make(chan struct{})
+	scraped := make(chan error)
+	go func() { scraped <- scrapeUntil(r, stop) }()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -118,10 +126,65 @@ func TestRegistryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Error(err)
+	}
 	if got := r.Counter("c_total").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h_seconds").Count(); got != 8000 {
-		t.Errorf("histogram count = %d, want 8000", got)
+	if h := r.Histogram("h_seconds").Snapshot(); h.Count() != 8000 {
+		t.Errorf("histogram count = %d, want 8000", h.Count())
 	}
+}
+
+// scrapeUntil scrapes r until stop closes, and once more after, and fails
+// any scrape where a histogram's le="+Inf" bucket differs from its _count,
+// or a last scrape that shows no histogram.
+func scrapeUntil(r *Registry, stop <-chan struct{}) error {
+	var inf map[string]string
+	for done := false; !done; {
+		select {
+		case <-stop:
+			done = true
+		default:
+		}
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			return err
+		}
+		inf = make(map[string]string)
+		for _, line := range strings.Split(b.String(), "\n") {
+			if name, n, ok := strings.Cut(line, `_bucket{le="+Inf"} `); ok {
+				inf[name] = n
+			}
+		}
+		for name, n := range inf {
+			if count := name + "_count " + n; !strings.Contains(b.String(), count+"\n") {
+				return fmt.Errorf("scrape has %s_bucket{le=\"+Inf\"} %s but no %q:\n%s", name, n, count, b.String())
+			}
+		}
+	}
+	if len(inf) == 0 {
+		return fmt.Errorf("the last scrape shows no histogram")
+	}
+	return nil
+}
+
+// BenchmarkHistogramObserve prices one registry histogram observation,
+// alone and with every P observing the same histogram.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewRegistry().Histogram("bench_seconds")
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			h.Observe(time.Duration(i&1023) * time.Microsecond)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				h.Observe(time.Duration(i&1023) * time.Microsecond)
+			}
+		})
+	})
 }

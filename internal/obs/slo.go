@@ -8,10 +8,13 @@ import "rtsads/internal/metrics"
 // distributions at admission and completion, and the burn counters that
 // say how the margin is being spent (shed tasks, degraded-mode phases).
 // Served as JSON from /slo on the debug server; a federated run serves a
-// per-shard breakdown plus the federation rollup.
+// per-shard breakdown plus the federation rollup, summarized from the
+// shards' summed books and merged slack histograms.
 
 // HistogramSummary is one duration histogram's /slo digest: count, mean
-// and interpolated quantiles, in seconds for dashboard friendliness.
+// and quantiles, in seconds for dashboard friendliness. A quantile is the
+// upper edge of the bucket holding it, clamped to the largest sample
+// (metrics.Histogram.Quantile).
 type HistogramSummary struct {
 	Count       int64   `json:"count"`
 	MeanSeconds float64 `json:"mean_seconds"`
@@ -20,8 +23,8 @@ type HistogramSummary struct {
 	P99Seconds  float64 `json:"p99_seconds"`
 }
 
-func summarize(h *Histogram) HistogramSummary {
-	s := HistogramSummary{Count: h.Count()}
+func summarize(h *metrics.Histogram) HistogramSummary {
+	s := HistogramSummary{Count: int64(h.Count())}
 	if s.Count > 0 {
 		s.MeanSeconds = h.Sum().Seconds() / float64(s.Count)
 		s.P50Seconds = h.Quantile(0.50).Seconds()
@@ -60,82 +63,64 @@ type SLOSummary struct {
 	SlackCompletion HistogramSummary `json:"slack_completion"`
 }
 
-// SLOSummary digests the observer's registry into the /slo payload. Nil
-// observers return the zero summary.
-func (o *Observer) SLOSummary() SLOSummary {
+// SLOInput is what an SLOSummary is computed from: one scheduler domain's
+// books, its degraded state and its two slack distributions. The inputs of
+// several domains add exactly, so a federation's rollup is the summary of
+// every shard's samples together.
+type SLOInput struct {
+	Counts          metrics.Counts
+	DegradedNow     bool
+	SlackAdmission  metrics.Histogram
+	SlackCompletion metrics.Histogram
+}
+
+// SLOInput reads the observer's books and slack histograms (the zero input
+// for a nil observer).
+func (o *Observer) SLOInput() SLOInput {
 	if o == nil {
-		return SLOSummary{}
+		return SLOInput{}
 	}
-	return SLOSummary{
-		GuaranteeRatioPPM: o.guaranteeRatio.Value(),
-		Arrivals:          o.books[metrics.CountTotal].Value(),
-		Admitted:          o.books[metrics.CountAdmitted].Value(),
-		Hits:              o.books[metrics.CountHits].Value(),
-		Missed:            o.books[metrics.CountMissed].Value(),
-		Expired:           o.books[metrics.CountPurged].Value(),
-		Lost:              o.books[metrics.CountLost].Value(),
-		Shed:              o.books[metrics.CountShed].Value(),
-		Bounced:           o.books[metrics.CountBounced].Value(),
-		Overloads:         o.books[metrics.CountOverloads].Value(),
-		Degradations:      o.books[metrics.CountDegradations].Value(),
-		DegradedPhases:    o.books[metrics.CountDegradedPhases].Value(),
-		DegradedNow:       o.degradedMode.Value() == 1,
-		SlackAdmission:    summarize(o.slackAdmission),
-		SlackCompletion:   summarize(o.slackCompletion),
+	return SLOInput{
+		Counts:          o.Counts(),
+		DegradedNow:     o.degradedMode.Value() == 1,
+		SlackAdmission:  o.slackAdmission.Snapshot(),
+		SlackCompletion: o.slackCompletion.Snapshot(),
 	}
 }
 
-// Combine folds per-shard summaries into a federation rollup: counters
-// sum, the guarantee ratio is recomputed over the summed terminals, and
-// the slack digests merge approximately (counts and means combine exactly;
-// quantiles take the worst shard's value as the conservative bound, since
-// bucket data isn't carried in the digest).
-func Combine(shards []SLOSummary) SLOSummary {
-	var out SLOSummary
-	for _, s := range shards {
-		out.Arrivals += s.Arrivals
-		out.Admitted += s.Admitted
-		out.Hits += s.Hits
-		out.Missed += s.Missed
-		out.Expired += s.Expired
-		out.Lost += s.Lost
-		out.Shed += s.Shed
-		out.Bounced += s.Bounced
-		out.Overloads += s.Overloads
-		out.Degradations += s.Degradations
-		out.DegradedPhases += s.DegradedPhases
-		out.DegradedNow = out.DegradedNow || s.DegradedNow
-		out.SlackAdmission = combineHist(out.SlackAdmission, s.SlackAdmission)
-		out.SlackCompletion = combineHist(out.SlackCompletion, s.SlackCompletion)
+// Add folds another domain's input into in: counts sum, slack histograms
+// merge, and the result is degraded if either is.
+func (in *SLOInput) Add(other SLOInput) {
+	for k, n := range other.Counts {
+		in.Counts[k] += n
 	}
-	if done := out.Hits + out.Missed + out.Expired + out.Lost; done > 0 {
-		out.GuaranteeRatioPPM = out.Hits * 1_000_000 / done
-	}
-	return out
+	in.DegradedNow = in.DegradedNow || other.DegradedNow
+	in.SlackAdmission.Merge(&other.SlackAdmission)
+	in.SlackCompletion.Merge(&other.SlackCompletion)
 }
 
-func combineHist(a, b HistogramSummary) HistogramSummary {
-	if a.Count == 0 {
-		return b
+// Summary digests the input into the /slo payload, the guarantee ratio
+// computed over its terminals.
+func (in SLOInput) Summary() SLOSummary {
+	c := &in.Counts
+	s := SLOSummary{
+		Arrivals:        c[metrics.CountTotal],
+		Admitted:        c[metrics.CountAdmitted],
+		Hits:            c[metrics.CountHits],
+		Missed:          c[metrics.CountMissed],
+		Expired:         c[metrics.CountPurged],
+		Lost:            c[metrics.CountLost],
+		Shed:            c[metrics.CountShed],
+		Bounced:         c[metrics.CountBounced],
+		Overloads:       c[metrics.CountOverloads],
+		Degradations:    c[metrics.CountDegradations],
+		DegradedPhases:  c[metrics.CountDegradedPhases],
+		DegradedNow:     in.DegradedNow,
+		SlackAdmission:  summarize(&in.SlackAdmission),
+		SlackCompletion: summarize(&in.SlackCompletion),
 	}
-	if b.Count == 0 {
-		return a
+	if done := s.Hits + s.Missed + s.Expired + s.Lost; done > 0 {
+		s.GuaranteeRatioPPM = s.Hits * 1_000_000 / done
 	}
-	out := HistogramSummary{
-		Count:       a.Count + b.Count,
-		MeanSeconds: (a.MeanSeconds*float64(a.Count) + b.MeanSeconds*float64(b.Count)) / float64(a.Count+b.Count),
-	}
-	// Worst-shard quantile: with only digests to merge, the pessimistic
-	// pick cannot understate a tail. For slack, smaller is worse.
-	out.P50Seconds = minFloat(a.P50Seconds, b.P50Seconds)
-	out.P90Seconds = minFloat(a.P90Seconds, b.P90Seconds)
-	out.P99Seconds = minFloat(a.P99Seconds, b.P99Seconds)
-	return out
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+	return s
 }
