@@ -31,6 +31,9 @@ func TestRunInvalidFlags(t *testing.T) {
 	if err := run([]string{"-runs", "0", "-exp", "fig5"}, &out); err == nil {
 		t.Error("zero runs accepted")
 	}
+	if err := run([]string{"-tournament", "-runs", "-2"}, &out); err == nil {
+		t.Errorf("negative tournament runs accepted:\n%s", out.String())
+	}
 }
 
 func TestRunCSVOutput(t *testing.T) {

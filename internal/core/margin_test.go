@@ -7,7 +7,6 @@ import (
 
 	"rtsads/internal/affinity"
 	"rtsads/internal/core"
-	"rtsads/internal/policy"
 	"rtsads/internal/rng"
 	"rtsads/internal/search"
 	"rtsads/internal/simtime"
@@ -101,9 +100,6 @@ func TestMarginMatchesShadow(t *testing.T) {
 		{"D-COLS", core.NewDCOLS},
 		{"EDF-greedy", core.NewEDFGreedy},
 		{"myopic", func(c core.SearchConfig) (core.Planner, error) { return core.NewMyopic(c, 7, 1) }},
-		{"RT-SADS+GA", func(c core.SearchConfig) (core.Planner, error) {
-			return policy.NewAnytime(c)
-		}},
 		{"RT-SADS+degrade", func(c core.SearchConfig) (core.Planner, error) {
 			primary, err := core.NewRTSADS(c)
 			if err != nil {

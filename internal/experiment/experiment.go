@@ -115,8 +115,7 @@ func NewPlanner(algo Algorithm, w *workload.Workload, rc RunConfig) (core.Planne
 		rc.Tune(&scfg)
 	}
 	// Construction is delegated to the policy registry, so the experiments
-	// can run anything registered there — the paper's zoo and the list /
-	// anytime policies alike — under one name space.
+	// can run anything registered there under one name space.
 	return policy.Default().New(string(algo), policy.Options{Search: scfg})
 }
 

@@ -4,11 +4,11 @@
 // policies no longer means editing core. A new priority order is one
 // registered core.NewList factory.
 //
-// The registry holds the paper's zoo (RT-SADS, D-COLS and its least-loaded
-// variant, EDF-greedy, myopic, the oracle reference) plus RT-SADS+GA, the
-// anytime planner of anytime.go; Tournament races every registered policy
-// over a workload corpus. Utilization is the admission-time schedulability
-// quick-test, a property of the platform rather than of any one policy.
+// The registry holds the paper's zoo: RT-SADS, D-COLS and its least-loaded
+// variant, EDF-greedy, myopic and the oracle reference. Tournament races
+// every registered policy over a fixed workload corpus. Utilization is the
+// admission-time schedulability quick-test, a property of the platform
+// rather than of any one policy.
 package policy
 
 import (
@@ -190,11 +190,6 @@ func builtins() []Spec {
 			Name:        string(Myopic),
 			Description: "windowed heuristic H = d + w·est over the 7 most urgent tasks",
 			New:         func(o Options) (core.Planner, error) { return core.NewMyopic(o.Search, 7, 1) },
-		},
-		{
-			Name:        "RT-SADS+GA",
-			Description: "anytime: GA incumbent seeds the DFS with its CE bound, polishes leftovers",
-			New:         func(o Options) (core.Planner, error) { return NewAnytime(o.Search) },
 		},
 		{
 			Name:        string(Oracle),

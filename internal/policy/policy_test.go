@@ -43,8 +43,9 @@ func TestRegistryUnknownListsNames(t *testing.T) {
 func TestBuiltinsConstruct(t *testing.T) {
 	reg := Default()
 	names := reg.Names()
-	if len(names) < 7 {
-		t.Fatalf("registry has %d policies, the tournament needs at least 7", len(names))
+	want := []string{"RT-SADS", "D-COLS", "D-COLS-LL", "EDF-greedy", "myopic", "oracle"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("registry holds %v, want exactly %v", names, want)
 	}
 	for _, name := range names {
 		p, err := reg.New(name, testOptions(4))

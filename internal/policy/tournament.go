@@ -20,51 +20,34 @@ import (
 )
 
 // TournamentConfig parameterises a policy tournament: every selected policy
-// runs the same workload corpus with the same seeds, so the comparison is
-// paired and bit-for-bit reproducible.
+// runs DefaultCorpus with the same seeds, so the comparison is paired and
+// bit-for-bit reproducible.
 type TournamentConfig struct {
 	// Policies names the contenders (nil → every registered policy).
 	Policies []string
-	// Corpus is the workload set every policy runs (nil → DefaultCorpus()).
-	Corpus []workload.Params
-	// Runs is the number of seeds per corpus cell (0 → 3); cell i of run j
-	// uses seed BaseSeed+j.
+	// Runs is the number of seeds per corpus cell (0 → 3; negative is an
+	// error); cell i of run j uses seed BaseSeed+j.
 	Runs int
 	// BaseSeed seeds the first run (0 → 1).
 	BaseSeed uint64
-	// VertexCost and PhaseCost model the host's scheduling speed
-	// (0 → 1µs / 25µs, the experiments' calibration; a negative PhaseCost
-	// selects zero).
-	VertexCost time.Duration
-	PhaseCost  time.Duration
-	// Quantum allocates each phase's quantum (nil → the paper's adaptive
-	// criterion with default bounds).
-	Quantum core.QuantumPolicy
 }
+
+// The host's scheduling speed every tournament run is charged at: the
+// experiments' calibration.
+const (
+	tournamentVertexCost = time.Microsecond
+	tournamentPhaseCost  = 25 * time.Microsecond
+)
 
 func (c TournamentConfig) withDefaults() TournamentConfig {
 	if c.Policies == nil {
 		c.Policies = Default().Names()
-	}
-	if c.Corpus == nil {
-		c.Corpus = DefaultCorpus()
 	}
 	if c.Runs == 0 {
 		c.Runs = 3
 	}
 	if c.BaseSeed == 0 {
 		c.BaseSeed = 1
-	}
-	if c.VertexCost == 0 {
-		c.VertexCost = time.Microsecond
-	}
-	if c.PhaseCost == 0 {
-		c.PhaseCost = 25 * time.Microsecond
-	} else if c.PhaseCost < 0 {
-		c.PhaseCost = 0
-	}
-	if c.Quantum == nil {
-		c.Quantum = core.NewAdaptive()
 	}
 	return c
 }
@@ -193,7 +176,11 @@ func reconcile(res *metrics.RunResult) error {
 // report always covers every policy; the error (if any) is the first
 // failure and the matching entry carries it too.
 func Tournament(cfg TournamentConfig) (*Report, error) {
+	if cfg.Runs < 0 {
+		return nil, fmt.Errorf("policy: tournament Runs %d must not be negative", cfg.Runs)
+	}
 	cfg = cfg.withDefaults()
+	corpus := DefaultCorpus()
 	report := &Report{Runs: cfg.Runs, Seed: cfg.BaseSeed}
 	report.Entries = make([]Entry, len(cfg.Policies))
 	for i, name := range cfg.Policies {
@@ -201,9 +188,9 @@ func Tournament(cfg TournamentConfig) (*Report, error) {
 	}
 
 	type cell struct{ policy, wl int }
-	cells := make([]cell, 0, len(cfg.Policies)*len(cfg.Corpus))
+	cells := make([]cell, 0, len(cfg.Policies)*len(corpus))
 	for p := range cfg.Policies {
-		for w := range cfg.Corpus {
+		for w := range corpus {
 			cells = append(cells, cell{policy: p, wl: w})
 		}
 	}
@@ -228,7 +215,7 @@ func Tournament(cfg TournamentConfig) (*Report, error) {
 					return
 				}
 				c := cells[i]
-				results[i], errs[i] = runCell(cfg, cfg.Policies[c.policy], cfg.Corpus[c.wl])
+				results[i], errs[i] = runCell(cfg, cfg.Policies[c.policy], corpus[c.wl])
 			}
 		}()
 	}
@@ -284,9 +271,9 @@ func runCell(cfg TournamentConfig, name string, params workload.Params) (CellRes
 			Search: core.SearchConfig{
 				Workers:    params.Workers,
 				Comm:       func(t *task.Task, proc int) time.Duration { return cost.Cost(t.Affinity, proc) },
-				VertexCost: cfg.VertexCost,
-				PhaseCost:  cfg.PhaseCost,
-				Policy:     cfg.Quantum,
+				VertexCost: tournamentVertexCost,
+				PhaseCost:  tournamentPhaseCost,
+				Policy:     core.NewAdaptive(),
 			},
 		}
 		planner, err := Default().New(name, opts)
@@ -311,10 +298,7 @@ func runCell(cfg TournamentConfig, name string, params workload.Params) (CellRes
 		out.Vertices += res.VerticesGenerated
 		out.DeadEnds += res.DeadEnds
 	}
-	if cfg.Runs > 0 {
-		schedMS /= float64(cfg.Runs)
-	}
-	out.SchedulingMS = schedMS
+	out.SchedulingMS = schedMS / float64(cfg.Runs)
 	if out.Tasks > 0 {
 		out.HitRatio = float64(out.Tasks-out.ShedMiss) / float64(out.Tasks)
 	}

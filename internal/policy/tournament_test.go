@@ -5,21 +5,14 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"rtsads/internal/workload"
 )
 
-// TestTournamentSmoke races every registered policy over a small corpus:
-// every entry must finish without error — which includes per-run terminal
+// TestTournamentSmoke races every registered policy over the corpus: every
+// entry must finish without error — which includes per-run terminal
 // accounting and the §4.3 zero-scheduled-miss guarantee — and both output
 // formats must cover the whole registry.
 func TestTournamentSmoke(t *testing.T) {
-	small := workload.DefaultParams(4)
-	small.NumTransactions = 120
-	report, err := Tournament(TournamentConfig{
-		Corpus: []workload.Params{small},
-		Runs:   1,
-	})
+	report, err := Tournament(TournamentConfig{Runs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +24,14 @@ func TestTournamentSmoke(t *testing.T) {
 		if e.Err != "" {
 			t.Errorf("%s: %s", e.Policy, e.Err)
 		}
-		if len(e.Cells) != 1 {
-			t.Errorf("%s: %d cells, want 1", e.Policy, len(e.Cells))
+		if len(e.Cells) != len(DefaultCorpus()) {
+			t.Errorf("%s: %d cells, want %d", e.Policy, len(e.Cells), len(DefaultCorpus()))
 			continue
 		}
-		if e.Cells[0].Tasks == 0 {
-			t.Errorf("%s: cell ran no tasks", e.Policy)
+		for _, c := range e.Cells {
+			if c.Tasks == 0 {
+				t.Errorf("%s: cell sf=%g ran no tasks", e.Policy, c.SF)
+			}
 		}
 		if e.GuaranteeRatio <= 0 || e.GuaranteeRatio > 1 {
 			t.Errorf("%s: guarantee ratio %v out of range", e.Policy, e.GuaranteeRatio)
@@ -73,17 +68,11 @@ func TestTournamentSmoke(t *testing.T) {
 	}
 }
 
-// TestTournamentDeterminism: two tournaments from the same configuration
-// must agree entry for entry — the fan-out across CPUs must not leak into
-// the report.
+// TestTournamentDeterminism: two tournaments of the whole registry must
+// agree entry for entry — the fan-out across CPUs must not leak into the
+// report.
 func TestTournamentDeterminism(t *testing.T) {
-	small := workload.DefaultParams(4)
-	small.NumTransactions = 100
-	cfg := TournamentConfig{
-		Corpus:   []workload.Params{small},
-		Runs:     1,
-		Policies: []string{"RT-SADS", "RT-SADS+GA", "EDF-greedy"},
-	}
+	cfg := TournamentConfig{Runs: 1}
 	a, err := Tournament(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +93,7 @@ func TestTournamentDeterminism(t *testing.T) {
 // TestTournamentReportsUnknownPolicy: a bad contender fails its entry but
 // the report still covers everyone.
 func TestTournamentReportsUnknownPolicy(t *testing.T) {
-	small := workload.DefaultParams(2)
-	small.NumTransactions = 40
 	report, err := Tournament(TournamentConfig{
-		Corpus:   []workload.Params{small},
 		Runs:     1,
 		Policies: []string{"EDF-greedy", "bogus"},
 	})
@@ -122,5 +108,17 @@ func TestTournamentReportsUnknownPolicy(t *testing.T) {
 	}
 	if report.Entries[1].Err == "" {
 		t.Fatal("bad contender's entry carries no error")
+	}
+}
+
+// TestTournamentRejectsNegativeRuns: a negative run count is an error, not
+// an empty report of zero ratios that reads as success.
+func TestTournamentRejectsNegativeRuns(t *testing.T) {
+	report, err := Tournament(TournamentConfig{Runs: -2})
+	if err == nil {
+		t.Fatalf("Runs -2 accepted: %d entries", len(report.Entries))
+	}
+	if report != nil {
+		t.Fatal("Runs -2 returned a report beside the error")
 	}
 }

@@ -116,18 +116,9 @@ func TestVertexLifetime(t *testing.T) {
 	// backtracks, and at 30ns a vertex the quantum expires among them.
 	dive := func(t *testing.T) *search.Problem { return fig5Problem(t, 10, 170, 6, time.Nanosecond) }
 	expiring := func(t *testing.T) *search.Problem { return fig5Problem(t, 10, 170, 6, 30*time.Nanosecond) }
-	// An easy batch bounded by its own complete schedule's cost: every
-	// branch that reaches that cost is pruned, which forces backtracking.
-	bounded := func(t *testing.T) *search.Problem {
-		p := fig5Problem(t, 4, 60, 3, time.Nanosecond)
-		res, err := search.Run(p, represent.NewAssignment())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.BoundCE = res.Best.CE
-		res.Release()
-		return p
-	}
+	// A batch whose first complete schedule sits at depth 39, behind a
+	// hundred-odd backtracks taken before the search first reaches depth 38.
+	shallow := func(t *testing.T) *search.Problem { return fig5Problem(t, 3, 60, 2, time.Nanosecond) }
 	// A bare tree that branches three ways and goes barren at depth 6.
 	chain := func(t *testing.T) *search.Problem {
 		p := fig5Problem(t, 4, 0, 1, time.Nanosecond)
@@ -155,13 +146,11 @@ func TestVertexLifetime(t *testing.T) {
 		}, represent.NewAssignment(),
 			func(s search.Stats, _ *recorder) bool { return s.BacktrackLimited }},
 		{"max-depth", func(t *testing.T) *search.Problem {
-			p := bounded(t)
-			p.MaxDepth = 48
+			p := shallow(t)
+			p.MaxDepth = 38
 			return p
 		}, represent.NewAssignment(),
 			func(s search.Stats, _ *recorder) bool { return s.DepthLimited && s.Backtracks > 0 }},
-		{"bound-ce", bounded, represent.NewAssignment(),
-			func(s search.Stats, _ *recorder) bool { return s.BoundPruned > 0 && s.Backtracks > 0 }},
 		{"breadth", dive, &represent.Assignment{SkipInfeasible: true, Breadth: 2},
 			func(s search.Stats, _ *recorder) bool { return s.Backtracks > 0 }},
 		{"idle", func(t *testing.T) *search.Problem { return fig5Problem(t, 4, 30, 1, time.Nanosecond) },

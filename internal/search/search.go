@@ -159,16 +159,6 @@ type Problem struct {
 	// is reached — the "limit on the depth of search" pruning heuristic of
 	// §3. Zero means unlimited.
 	MaxDepth int
-	// BoundCE, when positive, is an incumbent cost bound from an anytime
-	// optimizer that already holds a COMPLETE schedule of cost BoundCE:
-	// every generated vertex with CE >= BoundCE is pruned, because CE is
-	// monotone non-decreasing along a path (loads only grow), so no
-	// descendant can beat the incumbent. The caller must fall back to its
-	// incumbent when the pruned search returns something shallower — the
-	// bound is only sound against a full-depth incumbent; with a partial
-	// incumbent a pruned branch could still have reached greater depth.
-	// Zero disables pruning.
-	BoundCE time.Duration
 	// Margin is the planning guard band every feasibility test keeps: a
 	// schedule is feasible only if each task finishes Margin before its
 	// deadline. Zero is the paper's test.
@@ -232,9 +222,6 @@ func (p *Problem) Validate() error {
 	}
 	if p.VertexCost <= 0 && p.Clock == nil {
 		return fmt.Errorf("search: need VertexCost > 0 or a Clock")
-	}
-	if p.BoundCE < 0 {
-		return fmt.Errorf("search: negative incumbent bound %v", p.BoundCE)
 	}
 	return nil
 }
@@ -329,8 +316,9 @@ type CostModel interface {
 // Unreachable is the load of a worker no schedule can use — a dead one: far
 // beyond any deadline, yet small enough that adding task durations cannot
 // overflow. The cost models leave such a worker (or one that never frees)
-// out of CE: counted in, it makes every vertex's CE the same constant, and an
-// incumbent bound (Problem.BoundCE) then prunes the whole search at the root.
+// out of CE, so CE stays the live workers' real load: counted in, it makes
+// every vertex's CE the same constant, and SumCost over 128 dead workers
+// would overflow.
 const Unreachable = time.Duration(1) << 56 // ~2.3 years
 
 // saturated reports a load of an unusable worker, discounted by a phase or
@@ -503,16 +491,11 @@ type Stats struct {
 	// quantum is spent in: each one probed by the feasibility test, or
 	// ruled out by a bound that proves the probe would fail.
 	Generated  int
-	Expanded   int // vertices whose successors were generated
-	Backtracks int // expansions that did not extend the previous vertex
-	// BoundPruned counts generated vertices discarded by the incumbent
-	// cost bound (Problem.BoundCE); always 0 when no bound is set. Pruned
-	// vertices are still charged as generated — the bound saves the
-	// subtree below them, not their own evaluation.
-	BoundPruned int
-	DeadEnd     bool // the candidate list emptied before a leaf was reached
-	Leaf        bool // a complete schedule was reached
-	Expired     bool // the quantum ran out
+	Expanded   int  // vertices whose successors were generated
+	Backtracks int  // expansions that did not extend the previous vertex
+	DeadEnd    bool // the candidate list emptied before a leaf was reached
+	Leaf       bool // a complete schedule was reached
+	Expired    bool // the quantum ran out
 	// DepthLimited reports that the MaxDepth pruning bound stopped the
 	// search; BacktrackLimited that the MaxBacktracks bound did.
 	DepthLimited     bool
@@ -750,23 +733,6 @@ func (e *engine) walk(start *Vertex, cl candidateList) *Vertex {
 		e.res.Stats.Expanded++
 		e.res.Stats.Generated += generated
 		e.budget.charge(generated)
-		if e.p.BoundCE > 0 && len(succs) > 0 {
-			// Incumbent bound: a successor whose CE already matches or
-			// exceeds the complete incumbent's cost can never improve on
-			// it (CE is monotone along a path), so its whole subtree is
-			// dead. Filtering preserves order, so the surviving DFS is a
-			// subsequence of the unpruned traversal.
-			kept := succs[:0]
-			for _, s := range succs {
-				if s.CE >= e.p.BoundCE {
-					e.res.Stats.BoundPruned++
-					e.st.FreeVertex(s)
-					continue
-				}
-				kept = append(kept, s)
-			}
-			succs = kept
-		}
 		barren := len(succs) == 0
 
 		if barren && cl.len() == 0 {

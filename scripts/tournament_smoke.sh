@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Policy-tournament smoke test: race every registered policy over the
-# standard corpus for one seed, then assert (1) the table covers exactly
-# the names `-policy list` advertises, (2) every entry's status is "ok" —
+# Policy-tournament smoke test: check `-policy list` names exactly the six
+# built-in policies, race them over the standard corpus for one seed, then
+# assert (1) the table covers every name `-policy list` advertises,
+# (2) every entry's status is "ok" —
 # which means every run reconciled its terminal accounting and nothing
 # scheduled ever missed — and (3) the JSONL report parses with one line
 # per policy and no err fields.
@@ -22,7 +23,9 @@ go build -o "$WORKDIR/rtsched" ./cmd/rtsched
 echo "tournament_smoke: listing the registry"
 "$WORKDIR/rtsched" -policy list | awk '{print $1}' >"$WORKDIR/names.txt"
 NAMES=$(wc -l <"$WORKDIR/names.txt")
-[ "$NAMES" -ge 7 ] || fail "registry lists $NAMES policies, the tournament needs at least 7"
+WANT="D-COLS D-COLS-LL EDF-greedy RT-SADS myopic oracle"
+GOT=$(LC_ALL=C sort "$WORKDIR/names.txt" | tr '\n' ' ' | sed 's/ $//')
+[ "$GOT" = "$WANT" ] || fail "registry lists [$GOT], want exactly [$WANT]"
 
 echo "tournament_smoke: racing $NAMES policies (1 seed per cell)"
 "$WORKDIR/rtsched" -tournament -runs 1 -tournament-out "$JSONL" | tee "$TABLE"
