@@ -13,6 +13,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rtsads/internal/rng"
@@ -72,6 +73,10 @@ func (c Config) Validate() error {
 	if c.DomainSize <= 0 {
 		return fmt.Errorf("db: DomainSize %d must be positive", c.DomainSize)
 	}
+	if c.DomainSize > math.MaxInt32/NumAttrs/c.SubDBs {
+		return fmt.Errorf("db: %d sub-databases × %d attributes × DomainSize %d values overflow a 32-bit Value",
+			c.SubDBs, NumAttrs, c.DomainSize)
+	}
 	if c.KeyAttr < 0 || c.KeyAttr >= NumAttrs {
 		return fmt.Errorf("db: KeyAttr %d out of range [0,%d)", c.KeyAttr, NumAttrs)
 	}
@@ -128,20 +133,25 @@ func (c Config) AttrOfValue(v Value) int {
 type SubDB struct {
 	ID     int
 	Tuples []Tuple
-	// indexes maps each indexed attribute to a value→positions index — the
-	// per-partition indexes the workers use instead of full scans.
-	indexes map[int]map[Value][]int32
+	// index holds each indexed attribute's value→positions index — the
+	// per-partition indexes the workers use instead of full scans. An
+	// unindexed attribute's entry is empty.
+	index [NumAttrs]posIndex
 }
 
+// posIndex is one attribute's index over a sub-database in CSR layout: the
+// tuples holding the k-th value of the attribute's domain are at
+// positions pos[off[k]:off[k+1]], in ascending order.
+type posIndex struct{ off, pos []int32 }
+
 // Database is the full partitioned relation plus the host-side global index
-// file used for cost estimation.
+// file used for cost estimation (§5.1: "the host processor maintains the
+// global index file of the database"). Domains are disjoint, so a value's
+// global tuple count is its run length in its owning sub-database's index
+// offsets; Frequency reads it there.
 type Database struct {
 	Config Config
 	Subs   []*SubDB
-	// freq is the global index file: for each indexed attribute, the number
-	// of tuples holding each value, across all sub-databases (§5.1: "the
-	// host processor maintains the global index file of the database").
-	freq map[int]map[Value]int
 }
 
 // Generate builds a database according to cfg, drawing every attribute value
@@ -151,35 +161,42 @@ func Generate(cfg Config, r *rng.Source) (*Database, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	indexed := cfg.IndexedAttrs()
-	d := &Database{
-		Config: cfg,
-		Subs:   make([]*SubDB, cfg.SubDBs),
-		freq:   make(map[int]map[Value]int, len(indexed)),
+	subs, tuples := make([]SubDB, cfg.SubDBs), make([]Tuple, cfg.SubDBs*cfg.TuplesPerSub)
+	d := &Database{Config: cfg, Subs: make([]*SubDB, cfg.SubDBs)}
+	for s := range subs {
+		ts := tuples[s*cfg.TuplesPerSub : (s+1)*cfg.TuplesPerSub : (s+1)*cfg.TuplesPerSub]
+		for i := range ts {
+			for a := range ts[i] {
+				ts[i][a] = cfg.domainBase(s, a) + Value(r.Intn(cfg.DomainSize))
+			}
+		}
+		subs[s].ID, subs[s].Tuples = s, ts
+		d.Subs[s] = &subs[s]
 	}
+	// Index every indexed attribute by a counting pass: offsets from the
+	// per-value counts, then positions in tuple order.
+	indexed, dom := cfg.IndexedAttrs(), cfg.DomainSize
+	off := make([]int32, len(indexed)*cfg.SubDBs*(dom+1))
+	pos := make([]int32, len(indexed)*len(tuples))
+	next := make([]int32, dom)
 	for _, a := range indexed {
-		d.freq[a] = make(map[Value]int, cfg.SubDBs*cfg.DomainSize)
-	}
-	for s := 0; s < cfg.SubDBs; s++ {
-		sub := &SubDB{
-			ID:      s,
-			Tuples:  make([]Tuple, cfg.TuplesPerSub),
-			indexes: make(map[int]map[Value][]int32, len(indexed)),
-		}
-		for _, a := range indexed {
-			sub.indexes[a] = make(map[Value][]int32, cfg.DomainSize)
-		}
-		for i := range sub.Tuples {
-			for a := 0; a < NumAttrs; a++ {
-				sub.Tuples[i][a] = cfg.domainBase(s, a) + Value(r.Intn(cfg.DomainSize))
+		for s := range subs {
+			ix, base := &subs[s].index[a], cfg.domainBase(s, a)
+			ix.off, off = off[:dom+1:dom+1], off[dom+1:]
+			ix.pos, pos = pos[:cfg.TuplesPerSub:cfg.TuplesPerSub], pos[cfg.TuplesPerSub:]
+			ts := subs[s].Tuples
+			for i := range ts {
+				ix.off[ts[i][a]-base+1]++
 			}
-			for _, a := range indexed {
-				v := sub.Tuples[i][a]
-				sub.indexes[a][v] = append(sub.indexes[a][v], int32(i))
-				d.freq[a][v]++
+			for k := range dom {
+				ix.off[k+1] += ix.off[k]
+			}
+			copy(next, ix.off)
+			for i := range ts {
+				k := ts[i][a] - base
+				ix.pos[next[k]], next[k] = int32(i), next[k]+1
 			}
 		}
-		d.Subs[s] = sub
 	}
 	return d, nil
 }
@@ -191,11 +208,23 @@ func (d *Database) TotalTuples() int {
 
 // KeyFrequency returns the global index file's tuple count for the given
 // key value.
-func (d *Database) KeyFrequency(v Value) int { return d.freq[d.Config.KeyAttr][v] }
+func (d *Database) KeyFrequency(v Value) int { return d.Frequency(d.Config.KeyAttr, v) }
 
 // Frequency returns the global index file's tuple count for the given
-// value of an indexed attribute (0 when the attribute is not indexed).
-func (d *Database) Frequency(attr int, v Value) int { return d.freq[attr][v] }
+// value of an indexed attribute (0 when the attribute is not indexed or v
+// lies outside its domains).
+func (d *Database) Frequency(attr int, v Value) int {
+	sub := d.Config.SubOfValue(v)
+	if sub < 0 || d.Config.AttrOfValue(v) != attr {
+		return 0
+	}
+	off := d.Subs[sub].index[attr].off
+	if off == nil {
+		return 0
+	}
+	k := int(v) % d.Config.DomainSize
+	return int(off[k+1] - off[k])
+}
 
 // Predicate is one condition of a transaction: an attribute=value point
 // match (the paper's form), or — with Range set — an inclusive
@@ -288,16 +317,16 @@ func (d *Database) GenTransactionOpts(id int32, r *rng.Source, opts TxnOptions) 
 // attribute domains are disjoint between sub-databases, the global index
 // frequency equals the count inside the owning partition.
 func (d *Database) indexedCount(pred Predicate) (int, bool) {
-	freq, ok := d.freq[int(pred.Attr)]
-	if !ok {
+	a := int(pred.Attr)
+	if a >= NumAttrs || d.Subs[0].index[a].off == nil {
 		return 0, false
 	}
 	if !pred.Range {
-		return freq[pred.Value], true
+		return d.Frequency(a, pred.Value), true
 	}
 	n := 0
 	for v := pred.Lo; v <= pred.Hi; v++ {
-		n += freq[v]
+		n += d.Frequency(a, v)
 	}
 	return n, true
 }
@@ -375,14 +404,16 @@ func (d *Database) Execute(s *SubDB, q *Transaction) (ExecResult, error) {
 		return res, nil
 	}
 	p := q.Preds[predIdx]
-	idx := s.indexes[int(p.Attr)]
-	var candidates []int32
+	lo, hi := p.Lo, p.Hi
 	if !p.Range {
-		candidates = idx[p.Value]
-	} else {
-		for v := p.Lo; v <= p.Hi; v++ {
-			candidates = append(candidates, idx[v]...)
-		}
+		lo, hi = p.Value, p.Value
+	}
+	// The values of [lo, hi] in this sub-database's domain hold one
+	// contiguous run of index positions.
+	ix, base := &s.index[p.Attr], int(d.Config.domainBase(s.ID, int(p.Attr)))
+	var candidates []int32
+	if k, kHi := max(int(lo)-base, 0), min(int(hi)-base, d.Config.DomainSize-1); k <= kHi {
+		candidates = ix.pos[ix.off[k]:ix.off[kHi+1]]
 	}
 	res := ExecResult{Iterations: len(candidates)}
 	if res.Iterations == 0 {

@@ -1,6 +1,9 @@
 package db
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -544,5 +547,110 @@ func TestGenTransactionAllocations(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("GenTransactionOpts made %v allocations per transaction, want 1", allocs)
+	}
+}
+
+// dbDigest hashes everything Generate draws and everything the indexes
+// answer, field by field (never a memory layout): every tuple, the global
+// index file's frequency for every value of every indexed attribute, and
+// the Execute result of txns on their own sub-databases.
+func dbDigest(d *Database, txns []Transaction) string {
+	h := fnv.New64a()
+	for _, sub := range d.Subs {
+		for i, tup := range sub.Tuples {
+			fmt.Fprintln(h, "tuple", sub.ID, i, tup)
+		}
+	}
+	cfg := d.Config
+	for _, a := range cfg.IndexedAttrs() {
+		for s := 0; s < cfg.SubDBs; s++ {
+			base := cfg.domainBase(s, a)
+			for v := base; v < base+Value(cfg.DomainSize); v++ {
+				fmt.Fprintln(h, "freq", a, v, d.Frequency(a, v))
+			}
+		}
+	}
+	for i := range txns {
+		q := &txns[i]
+		res, err := d.Execute(d.Subs[q.Sub], q)
+		fmt.Fprintln(h, "exec", q.ID, res.Matches, res.Iterations, err)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestDatabaseGolden pins the database's draws and its indexes: a moved
+// draw, a lost index position or a miscounted frequency changes the digest.
+// The second case adds secondary indexes and range predicates.
+func TestDatabaseGolden(t *testing.T) {
+	extended := DefaultConfig()
+	extended.ExtraIndexes = []int{3, 7}
+	for _, c := range []struct {
+		name      string
+		cfg       Config
+		rangeProb float64
+		want      string
+	}{
+		{"default", DefaultConfig(), 0, "1ac67675c9f2fb2c"},
+		{"extra-indexes-ranges", extended, 0.5, "90be135388adbe99"},
+	} {
+		r := rng.New(46)
+		d, err := Generate(c.cfg, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txns := make([]Transaction, 500)
+		for i := range txns {
+			txns[i] = d.GenTransactionOpts(int32(i), r, TxnOptions{RangeProb: c.rangeProb})
+		}
+		if got := dbDigest(d, txns); got != c.want {
+			t.Errorf("%s: database digest %s, want %s: a draw or an index entry moved", c.name, got, c.want)
+		}
+	}
+}
+
+// TestConfigValidateValueOverflow: a value space past int32 would wrap
+// values negative and lose their sub-database. Only Validate runs here —
+// generating such a database would allocate without bound.
+func TestConfigValidateValueOverflow(t *testing.T) {
+	for _, c := range []Config{
+		{SubDBs: 10, TuplesPerSub: 1, DomainSize: 1 << 28},
+		{SubDBs: 1, TuplesPerSub: 1, DomainSize: math.MaxInt32/NumAttrs + 1},
+		{SubDBs: math.MaxInt32, TuplesPerSub: 1, DomainSize: 1},
+		{SubDBs: 1 << 40, TuplesPerSub: 1, DomainSize: 1 << 40},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v: a value space of %d×%d×%d accepted", c, c.SubDBs, NumAttrs, c.DomainSize)
+		}
+	}
+	top := Config{SubDBs: 1, TuplesPerSub: 1, DomainSize: math.MaxInt32 / NumAttrs}
+	if err := top.Validate(); err != nil {
+		t.Errorf("largest value space rejected: %v", err)
+	}
+	if v := top.domainBase(0, NumAttrs-1) + Value(top.DomainSize-1); top.SubOfValue(v) != 0 || top.AttrOfValue(v) != NumAttrs-1 {
+		t.Errorf("largest value %d maps to sub %d attr %d", v, top.SubOfValue(v), top.AttrOfValue(v))
+	}
+}
+
+// TestGenerateAllocations guards the dense layout: a paper-sized database
+// is a handful of backing slices, not a map entry per value.
+func TestGenerateAllocations(t *testing.T) {
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Generate(cfg, rng.New(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 50 {
+		t.Errorf("Generate(DefaultConfig()) makes %v allocations, want at most 50", allocs)
+	}
+}
+
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg, rng.New(1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

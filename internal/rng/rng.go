@@ -10,7 +10,10 @@
 // than the workload generators need.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic 64-bit PRNG. It is not safe for concurrent use;
 // derive an independent stream per goroutine with Split.
@@ -66,26 +69,26 @@ func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with n <= 0")
 	}
-	// Lemire's multiply-shift rejection method, debiased.
+	// Lemire's multiply-shift rejection method, debiased: a draw whose low
+	// word is at least n is clear of the wrap zone.
 	un := uint64(n)
-	for {
-		v := s.Uint64()
-		hi, lo := mulHiLo(v, un)
-		if lo >= un || lo >= -un%un { // unbiased when lo is clear of the wrap zone
-			return int(hi)
-		}
+	hi, lo := bits.Mul64(s.Uint64(), un)
+	if lo < un {
+		return s.intnSlow(un, hi, lo)
 	}
+	return int(hi)
 }
 
-// mulHiLo returns the 128-bit product of a and b as (hi, lo).
-func mulHiLo(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + t>>32 + (t&mask32+aLo*bHi)>>32
-	return hi, lo
+// intnSlow finishes Intn for a draw whose low word fell below n: it is
+// accepted unless it lies in the wrap zone [0, 2^64 mod n), and redrawn
+// until it does not.
+//
+//go:noinline
+func (s *Source) intnSlow(un, hi, lo uint64) int {
+	for thresh := -un % un; lo < thresh; {
+		hi, lo = bits.Mul64(s.Uint64(), un)
+	}
+	return int(hi)
 }
 
 // IntRange returns a uniform integer in the inclusive range [lo, hi]. It

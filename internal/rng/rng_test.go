@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -281,4 +282,60 @@ func TestIntRangePanicsWhenInverted(t *testing.T) {
 		}
 	}()
 	New(1).IntRange(5, 3)
+}
+
+// refMulHiLo is the portable 128-bit multiply Intn used before it moved to
+// math/bits.Mul64: the reference the intrinsic must reproduce.
+func refMulHiLo(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	aLo, aHi := a&mask32, a>>32
+	bLo, bHi := b&mask32, b>>32
+	t := aHi*bLo + (aLo*bLo)>>32
+	lo = a * b
+	hi = aHi*bHi + t>>32 + (t&mask32+aLo*bHi)>>32
+	return hi, lo
+}
+
+// refIntn is Intn's reference arithmetic: Lemire's rejection loop over
+// refMulHiLo, testing the wrap zone on every draw. It also counts the
+// rejected draws.
+func refIntn(s *Source, n int, rejected *int) int {
+	un := uint64(n)
+	for {
+		hi, lo := refMulHiLo(s.Uint64(), un)
+		if lo >= un || lo >= -un%un {
+			return int(hi)
+		}
+		*rejected++
+	}
+}
+
+// TestIntnMatchesReference pins Intn's draws to the reference arithmetic,
+// rejections included: every workload is a function of these draws.
+// n = 1<<62+1 rejects about a quarter of its draws, so it drives the slow
+// path.
+func TestIntnMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 1000, 1<<62 + 1, math.MaxInt} {
+		got, ref := New(uint64(n)), New(uint64(n))
+		rejected := 0
+		for i := 0; i < 10000; i++ {
+			if g, w := got.Intn(n), refIntn(ref, n, &rejected); g != w {
+				t.Fatalf("Intn(%d) draw %d = %d, reference %d", n, i, g, w)
+			}
+		}
+		if got.Uint64() != ref.Uint64() {
+			t.Fatalf("Intn(%d): streams out of step after 10000 draws", n)
+		}
+		if n == 1<<62+1 && rejected < 1000 {
+			t.Errorf("Intn(%d) rejected %d of 10000 draws; the slow path went untested", n, rejected)
+		}
+	}
+	for _, v := range []uint64{0, 1, math.MaxUint64, 1 << 63, 0xdeadbeefcafef00d} {
+		for _, w := range []uint64{0, 1, 3, math.MaxUint64, 1<<62 + 1} {
+			hi, lo := bits.Mul64(v, w)
+			if rh, rl := refMulHiLo(v, w); hi != rh || lo != rl {
+				t.Errorf("Mul64(%#x, %#x) = (%#x, %#x), reference (%#x, %#x)", v, w, hi, lo, rh, rl)
+			}
+		}
+	}
 }

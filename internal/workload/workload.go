@@ -168,6 +168,7 @@ func Generate(p Params) (*Workload, error) {
 		return nil, err
 	}
 	w.Tasks = make([]*task.Task, len(w.Txns))
+	tasks := make([]task.Task, len(w.Txns))
 	arrival := simtime.Instant(0)
 	for i := range w.Txns {
 		q := &w.Txns[i]
@@ -186,7 +187,7 @@ func Generate(p Params) (*Workload, error) {
 				actual = 1
 			}
 		}
-		w.Tasks[i] = &task.Task{
+		tasks[i] = task.Task{
 			ID:       task.ID(i),
 			Arrival:  arrival,
 			Proc:     cost,
@@ -195,6 +196,7 @@ func Generate(p Params) (*Workload, error) {
 			Affinity: w.Placement[q.Sub],
 			Payload:  q.ID,
 		}
+		w.Tasks[i] = &tasks[i]
 	}
 	return w, nil
 }
