@@ -25,11 +25,10 @@
 //	rtcluster -workers 4 -txns 600 -sf 6 -faults "kill=1@40ms" \
 //	    -debug-addr :8077 -progress 1s -trace out.json
 //
-// Overload control: bound the ready queue, shed by policy, and fall back
-// to EDF-greedy planning when RT-SADS stops keeping up:
+// Overload control: reject hopeless tasks at the door, bound the ready
+// queue and shed by policy:
 //
-//	rtcluster -workers 2 -txns 600 -admission shed-least-slack \
-//	    -queue-cap 64 -degrade-after 3
+//	rtcluster -workers 2 -txns 600 -admission shed-least-slack -queue-cap 64
 //
 // Sharded federation: split the workers into independent scheduler domains
 // behind an affinity-aware router with deadline-safe cross-shard migration
@@ -56,7 +55,6 @@ import (
 	"time"
 
 	"rtsads/internal/admission"
-	"rtsads/internal/core"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/federation"
 	"rtsads/internal/livecluster"
@@ -102,7 +100,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	taskTraceOut := fs.String("task-trace", "", "write a task-per-track Chrome trace of task lifecycles to this file (single cluster or federation-merged)")
 	admissionPolicy := fs.String("admission", "off", "overload admission control: off, reject, shed-oldest or shed-least-slack (non-off also rejects hopeless tasks at enqueue)")
 	queueCap := fs.Int("queue-cap", 0, "bound the host's ready queue to this many tasks; beyond it the -admission policy sheds (0 = unbounded)")
-	degradeAfter := fs.Int("degrade-after", 0, "fall back to EDF-greedy planning after this many consecutive bad phases, recovering hysteretically (0 = off)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown grace: how long a SIGINT/SIGTERM keeps scheduling the admitted backlog before abandoning it")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -251,10 +248,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			// shard's gate sees only its share of the workers.
 			admCfg.Predicate = policy.NewUtilization(n / shardCount)
 		}
-		var degrade *core.DegradeConfig
-		if *degradeAfter > 0 {
-			degrade = &core.DegradeConfig{After: *degradeAfter}
-		}
 		live := livecluster.Liveness{HeartbeatEvery: *heartbeat, Timeout: *timeout}
 		pl, err := federation.ParsePlacement(*placement)
 		if err != nil {
@@ -285,7 +278,6 @@ func run(args []string, out io.Writer) (retErr error) {
 				Faults:     plan,
 				Liveness:   live,
 				Admission:  admCfg,
-				Degrade:    degrade,
 				BatchCap:   *batchCap,
 				ShardAddrs: shardAddrs,
 				Rejoin:     *rejoin,
@@ -307,7 +299,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			Obs:       observer,
 			Liveness:  live,
 			Admission: admCfg,
-			Degrade:   degrade,
 		}
 		if *role == "host" {
 			cfg.Backend = func(clock *livecluster.Clock, inj *faultinject.Injector) (livecluster.Backend, error) {
@@ -381,10 +372,9 @@ func run(args []string, out io.Writer) (retErr error) {
 			fmt.Fprintf(out, "faults: %d worker(s) failed, %d task(s) re-routed, %d lost to failure\n",
 				res.WorkerFailures, res.Rerouted, res.LostToFailure)
 		}
-		if res.Shed > 0 || res.Overloads > 0 || res.Degradations > 0 {
-			fmt.Fprintf(out, "overload: %d task(s) shed (%d hopeless, %d queue-full, %d shutdown, %d infeasible), %d deferred deliveries, %d degradation(s)/%d recoveries\n",
-				res.Shed, res.ShedHopeless, res.ShedQueueFull, res.ShedShutdown, res.ShedInfeasible,
-				res.Overloads, res.Degradations, res.Recoveries)
+		if res.Shed > 0 {
+			fmt.Fprintf(out, "overload: %d task(s) shed (%d hopeless, %d queue-full, %d shutdown, %d infeasible)\n",
+				res.Shed, res.ShedHopeless, res.ShedQueueFull, res.ShedShutdown, res.ShedInfeasible)
 		}
 		return nil
 

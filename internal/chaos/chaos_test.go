@@ -1,7 +1,7 @@
 // Package chaos is the overload/chaos harness: it drives the full live
 // cluster through seeded, randomized overload scenarios — arrival bursts
-// against bounded queues, worker kills and delivery delays, degraded-mode
-// planning, mid-run graceful stops — and checks the system-level
+// against bounded queues, worker kills and delivery delays, mid-run
+// graceful stops — and checks the system-level
 // invariants that must hold no matter what the dice said:
 //
 //   - Honest accounting: every generated task lands in exactly one
@@ -11,8 +11,8 @@
 //     scheduled task misses its deadline (ScheduledMissed == 0).
 //   - Observability reconciles: every RunResult field mirrored into the
 //     obs registry matches it exactly, the reason-labelled shed counters
-//     sum to the shed total, and degrade/recover transitions appear in the
-//     journal exactly as often as the counters say.
+//     sum to the shed total, and the journal books every count exactly as
+//     often as the result says.
 //   - Memory stays bounded: the ready queue's high-water mark never
 //     exceeds the configured admission cap.
 //
@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"rtsads/internal/admission"
-	"rtsads/internal/core"
 	"rtsads/internal/db"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/livecluster"
@@ -52,11 +51,9 @@ type Scenario struct {
 	SF      float64 // deadline laxity; kept loose so jitter cannot fake a miss
 	Scale   float64 // virtual-time slowdown
 
-	Admission    admission.Config
-	Backpressure int                 // per-worker queue cap in the channel backend
-	Degrade      *core.DegradeConfig // nil = degraded-mode planning off
-	SlackGuard   time.Duration       // deadline guard band for live planning
-	Faults       string              // faultinject spec ("" = no faults)
+	Admission  admission.Config
+	SlackGuard time.Duration // deadline guard band for live planning
+	Faults     string        // faultinject spec ("" = no faults)
 
 	// StopAfter, when positive, requests a graceful stop that long (wall
 	// clock) into the run, with StopGrace to drain.
@@ -65,9 +62,10 @@ type Scenario struct {
 }
 
 // NewScenario derives a scenario deterministically from its seed. Every
-// scenario carries at least one overload mechanism (a bounded ready queue
-// or worker backpressure), so the harness always exercises the shedding
-// and deferral paths rather than occasionally testing a calm run.
+// scenario bounds its ready queue, so the harness always exercises the
+// shedding paths rather than occasionally testing a calm run; the worker
+// queues need no bound of their own, since every delivered job fits its
+// deadline (§4.3).
 func NewScenario(seed uint64) Scenario {
 	src := rng.New(seed)
 	s := Scenario{
@@ -86,31 +84,10 @@ func NewScenario(seed uint64) Scenario {
 		// wall time) cannot turn an accepted schedule into a miss.
 		SlackGuard: 25 * time.Microsecond,
 	}
-	if src.Bool(0.7) {
-		s.Admission.QueueCap = src.IntRange(4, 12)
-		s.Admission.Policy = admission.Policy(src.Intn(3))
-	}
+	s.Admission.QueueCap = src.IntRange(4, 12)
+	s.Admission.Policy = admission.Policy(src.Intn(3))
 	if src.Bool(0.6) {
 		s.Admission.RejectHopeless = true
-	}
-	if src.Bool(0.7) {
-		s.Backpressure = src.IntRange(1, 3)
-	}
-	if !s.Admission.Enabled() && s.Backpressure == 0 {
-		s.Backpressure = 1
-	}
-	if src.Bool(0.5) {
-		s.Degrade = &core.DegradeConfig{
-			After:   src.IntRange(1, 3),
-			Recover: src.IntRange(1, 3),
-		}
-		if src.Bool(0.5) {
-			// A vanishingly small planning-time budget: every phase with
-			// positive slack reads as bad, so these scenarios actually enter
-			// degraded mode and exercise the fallback planner plus the
-			// degrade/recover journal invariants.
-			s.Degrade.SlackFraction = 1e-9
-		}
 	}
 	// Kills leave at least one survivor; delays are short in wall time (and
 	// tiny in virtual time) so they perturb ordering without manufacturing
@@ -162,14 +139,12 @@ func (s Scenario) Run() (*Report, error) {
 	}
 	o := obs.New(0) // default capacity holds every event these runs emit
 	c, err := livecluster.New(livecluster.Config{
-		Workload:     w,
-		Scale:        s.Scale,
-		Admission:    s.Admission,
-		Backpressure: s.Backpressure,
-		SlackGuard:   s.SlackGuard,
-		Degrade:      s.Degrade,
-		Faults:       plan,
-		Obs:          o,
+		Workload:   w,
+		Scale:      s.Scale,
+		Admission:  s.Admission,
+		SlackGuard: s.SlackGuard,
+		Faults:     plan,
+		Obs:        o,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: seed %d: %w", s.Seed, err)
@@ -216,12 +191,6 @@ func (s Scenario) check(res *metrics.RunResult, snap map[string]int64, journal [
 		}
 	}
 
-	// Degraded mode left in a consistent state, transitions journaled.
-	if diff := res.Degradations - res.Recoveries; diff != 0 && diff != 1 {
-		add("degradations %d vs recoveries %d: transitions unbalanced", res.Degradations, res.Recoveries)
-	} else if snap[obs.MetricDegradedMode] != int64(diff) {
-		add("degraded-mode gauge = %d, transition counters imply %d", snap[obs.MetricDegradedMode], diff)
-	}
 	if evicted == 0 {
 		// The journal entries that book a count add up to the result, so
 		// the tracing plane cannot drift from the run accounting.
@@ -281,8 +250,8 @@ func TestScenarioDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: scenario generation not deterministic:\n%+v\n%+v", seed, a, b)
 		}
-		if !a.Admission.Enabled() && a.Backpressure == 0 {
-			t.Errorf("seed %d: scenario carries no overload mechanism", seed)
+		if a.Admission.QueueCap == 0 {
+			t.Errorf("seed %d: scenario leaves the ready queue unbounded", seed)
 		}
 	}
 }
@@ -290,10 +259,10 @@ func TestScenarioDeterministic(t *testing.T) {
 // TestChaosSmoke is the CI gate: twenty seeded overload scenarios through
 // the full cluster, every harness invariant checked on each. It also
 // asserts that across the batch the overload machinery demonstrably fired —
-// a smoke run in which nothing was ever shed, deferred or degraded would
-// mean the harness stopped testing what it claims to.
+// a smoke run in which nothing was ever shed or re-routed would mean the
+// harness stopped testing what it claims to.
 func TestChaosSmoke(t *testing.T) {
-	var shed, overloads, degradations, rerouted int
+	var shed, rerouted int
 	for seed := uint64(1); seed <= 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -306,22 +275,16 @@ func TestChaosSmoke(t *testing.T) {
 					seed, rep.Result.Total, rep.Scenario.Tasks)
 			}
 			shed += rep.Result.Shed
-			overloads += rep.Result.Overloads
-			degradations += rep.Result.Degradations
 			rerouted += rep.Result.Rerouted
 		})
 	}
 	if shed == 0 {
 		t.Error("no scenario shed a single task; the admission paths went unexercised")
 	}
-	if overloads == 0 {
-		t.Error("no scenario deferred a single delivery; the backpressure path went unexercised")
-	}
 	if rerouted == 0 {
 		t.Error("no scenario re-routed a task; the failure paths went unexercised")
 	}
-	t.Logf("aggregate over 20 seeds: shed=%d overload-deferrals=%d degradations=%d rerouted=%d",
-		shed, overloads, degradations, rerouted)
+	t.Logf("aggregate over 20 seeds: shed=%d rerouted=%d", shed, rerouted)
 }
 
 // TestChaosSoak is the opt-in long-running sweep: hundreds of seeds, with a

@@ -43,9 +43,6 @@ type PhaseResult struct {
 	// Stats carries the search counters for the phase: the experiments
 	// reconcile on them and the callers forward them into obs.PhaseStats.
 	Stats search.Stats
-	// Degrade is a degraded-mode controller's account of the phase; the
-	// zero value when no controller wraps the planner.
-	Degrade DegradeStep
 }
 
 // Planner runs one scheduling phase. Implementations must be deterministic

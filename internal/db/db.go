@@ -23,6 +23,11 @@ import (
 // holds 1000 records and 10 attributes").
 const NumAttrs = 10
 
+// MaxTuples bounds a database's SubDBs × TuplesPerSub: a wire hello carries
+// the configuration, and a shard or worker builds the database it names. It
+// is over four hundred times the paper's 10 000 tuples.
+const MaxTuples = 1 << 22
+
 // Value is an attribute value. Domains are disjoint integer ranges, so a
 // value alone determines both its sub-database and its attribute.
 type Value int32
@@ -72,6 +77,10 @@ func (c Config) Validate() error {
 	}
 	if c.DomainSize <= 0 {
 		return fmt.Errorf("db: DomainSize %d must be positive", c.DomainSize)
+	}
+	if c.TuplesPerSub > MaxTuples/c.SubDBs {
+		return fmt.Errorf("db: %d sub-databases × %d tuples exceed the bound of %d tuples",
+			c.SubDBs, c.TuplesPerSub, MaxTuples)
 	}
 	if c.DomainSize > math.MaxInt32/NumAttrs/c.SubDBs {
 		return fmt.Errorf("db: %d sub-databases × %d attributes × DomainSize %d values overflow a 32-bit Value",

@@ -28,6 +28,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero subdbs", func(c *Config) { c.SubDBs = 0 }},
 		{"zero tuples", func(c *Config) { c.TuplesPerSub = 0 }},
 		{"zero domain", func(c *Config) { c.DomainSize = 0 }},
+		{"tuples past the bound", func(c *Config) { c.TuplesPerSub = MaxTuples/c.SubDBs + 1 }},
 		{"negative key", func(c *Config) { c.KeyAttr = -1 }},
 		{"key too large", func(c *Config) { c.KeyAttr = NumAttrs }},
 	}

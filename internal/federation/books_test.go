@@ -100,12 +100,11 @@ func TestBooksThreeDrivers(t *testing.T) {
 			}
 			o := obs.New(0)
 			c, err := livecluster.New(livecluster.Config{
-				Workload:     w,
-				Scale:        50,
-				Faults:       plan,
-				Admission:    admission.Config{Policy: admission.Reject, QueueCap: 8, RejectHopeless: true},
-				Backpressure: 2,
-				Obs:          o,
+				Workload:  w,
+				Scale:     50,
+				Faults:    plan,
+				Admission: admission.Config{Policy: admission.Reject, QueueCap: 8, RejectHopeless: true},
+				Obs:       o,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"rtsads/internal/admission"
-	"rtsads/internal/core"
+	"rtsads/internal/db"
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
@@ -631,21 +631,37 @@ func TestFederationLiveTCPShardFlap(t *testing.T) {
 }
 
 // TestShardRefusesHelloBeforeDrawing: a hello whose workload does not fit
-// the topology is refused with nothing drawn, however many transactions it
-// claims — the checks run before the transaction table is built.
+// the topology, or whose tables are past their bounds, is refused with
+// nothing drawn — the checks run before the transaction table is built.
 func TestShardRefusesHelloBeforeDrawing(t *testing.T) {
-	p := workload.DefaultParams(3) // the topology below needs 4
-	p.NumTransactions = 50_000_000
-	hello := wire.Hello{Params: p, Shards: 2, WorkersPerShard: 2, Algorithm: string(policy.DCOLS), Scale: 50}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := startShard(nil, hello, ServeShardOptions{})
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "workload has 3 workers but topology needs 4") {
-		t.Fatalf("mismatched hello: err = %v", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Errorf("refusing the hello allocated %d bytes; want < 1 MiB", grew)
+	for _, c := range []struct {
+		name    string
+		workers int // the topology below needs 4
+		mut     func(*workload.Params)
+		want    string
+	}{
+		{"topology", 3, func(p *workload.Params) { p.NumTransactions = 50_000_000 },
+			"workload has 3 workers but topology needs 4"},
+		{"tuples", 4, func(p *workload.Params) { p.DB.TuplesPerSub = 1e9 },
+			fmt.Sprintf("exceed the bound of %d tuples", db.MaxTuples)},
+		{"transactions", 4, func(p *workload.Params) { p.NumTransactions = 1 << 40 },
+			fmt.Sprintf("NumTransactions %d must be in [1,%d]", 1<<40, workload.MaxTransactions)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := workload.DefaultParams(c.workers)
+			c.mut(&p)
+			hello := wire.Hello{Params: p, Shards: 2, WorkersPerShard: 2, Algorithm: string(policy.DCOLS), Scale: 50}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := startShard(nil, hello, ServeShardOptions{})
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one containing %q", err, c.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("refusing the hello allocated %d bytes; want < 1 MiB", grew)
+			}
+		})
 	}
 }
 
@@ -669,73 +685,64 @@ func TestShardConfigSameOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	for name, degrade := range map[string]*core.DegradeConfig{
-		"tuned":    {After: 4, Recover: 7, SlackFraction: 0.25},
-		"defaults": {}, // controller on, default streak: not "no controller"
-	} {
-		t.Run("degrade-"+name, func(t *testing.T) {
-			f, err := New(Config{
-				Workload:  w,
-				Topology:  Topology{Shards: 2, WorkersPerShard: 2},
-				Algorithm: policy.DCOLS,
-				Scale:     200,
-				Liveness: livecluster.Liveness{
-					HeartbeatEvery: 20 * time.Millisecond, Timeout: 150 * time.Millisecond, HelloTimeout: time.Second,
-					Redials: 5, RedialBackoff: 30 * time.Millisecond,
-					StragglerGrace: 90 * time.Millisecond, StragglerStrikes: 4,
-				},
-				Admission:    admission.Config{Policy: admission.Reject, QueueCap: 8},
-				Backpressure: 16,
-				SlackGuard:   25 * time.Microsecond,
-				Degrade:      degrade,
-			})
-			if err != nil {
-				t.Fatalf("new: %v", err)
-			}
-			if f.clock, err = livecluster.NewClock(f.cfg.Scale); err != nil {
-				t.Fatal(err)
-			}
-			rs := &remoteShard{id: 1, f: f, live: f.cfg.Liveness.WithDefaults()}
-			payload, err := json.Marshal(rs.hello(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var hello wire.Hello
-			if err := json.Unmarshal(payload, &hello); err != nil {
-				t.Fatal(err)
-			}
-			local, remote := f.shardConfig(1, f.clock), helloShardConfig(hello)
-
-			sameFields := func(what string, local, remote reflect.Value, skip map[string]bool) {
-				for i := 0; i < local.NumField(); i++ {
-					field, l, r := local.Type().Field(i).Name, local.Field(i), remote.Field(i)
-					switch {
-					case skip[field]:
-					case l.IsZero():
-						t.Errorf("%s.%s: shardConfig leaves it unset and it is not listed as exempt", what, field)
-					case !reflect.DeepEqual(l.Interface(), r.Interface()):
-						t.Errorf("%s.%s: in process %+v, over the wire %+v", what, field, l, r)
-					}
-				}
-			}
-			skip := map[string]bool{"Liveness": true} // walked field by field below
-			for field := range identity {
-				skip[field] = true
-			}
-			for field := range unreached { // exempt only while shardConfig really leaves it unset
-				skip[field] = reflect.ValueOf(local).FieldByName(field).IsZero()
-			}
-			sameFields("Config", reflect.ValueOf(local), reflect.ValueOf(remote), skip)
-			sameFields("Liveness", reflect.ValueOf(local.Liveness), reflect.ValueOf(remote.Liveness), dialOnly)
-		})
+	f, err := New(Config{
+		Workload:  w,
+		Topology:  Topology{Shards: 2, WorkersPerShard: 2},
+		Algorithm: policy.DCOLS,
+		Scale:     200,
+		Liveness: livecluster.Liveness{
+			HeartbeatEvery: 20 * time.Millisecond, Timeout: 150 * time.Millisecond, HelloTimeout: time.Second,
+			Redials: 5, RedialBackoff: 30 * time.Millisecond,
+			StragglerGrace: 90 * time.Millisecond, StragglerStrikes: 4,
+		},
+		Admission:  admission.Config{Policy: admission.Reject, QueueCap: 8},
+		SlackGuard: 25 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatalf("new: %v", err)
 	}
+	if f.clock, err = livecluster.NewClock(f.cfg.Scale); err != nil {
+		t.Fatal(err)
+	}
+	rs := &remoteShard{id: 1, f: f, live: f.cfg.Liveness.WithDefaults()}
+	payload, err := json.Marshal(rs.hello(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello wire.Hello
+	if err := json.Unmarshal(payload, &hello); err != nil {
+		t.Fatal(err)
+	}
+	local, remote := f.shardConfig(1, f.clock), helloShardConfig(hello)
+
+	sameFields := func(what string, local, remote reflect.Value, skip map[string]bool) {
+		for i := 0; i < local.NumField(); i++ {
+			field, l, r := local.Type().Field(i).Name, local.Field(i), remote.Field(i)
+			switch {
+			case skip[field]:
+			case l.IsZero():
+				t.Errorf("%s.%s: shardConfig leaves it unset and it is not listed as exempt", what, field)
+			case !reflect.DeepEqual(l.Interface(), r.Interface()):
+				t.Errorf("%s.%s: in process %+v, over the wire %+v", what, field, l, r)
+			}
+		}
+	}
+	skip := map[string]bool{"Liveness": true} // walked field by field below
+	for field := range identity {
+		skip[field] = true
+	}
+	for field := range unreached { // exempt only while shardConfig really leaves it unset
+		skip[field] = reflect.ValueOf(local).FieldByName(field).IsZero()
+	}
+	sameFields("Config", reflect.ValueOf(local), reflect.ValueOf(remote), skip)
+	sameFields("Liveness", reflect.ValueOf(local.Liveness), reflect.ValueOf(remote.Liveness), dialOnly)
 }
 
 // TestServeShardIgnoresRetiredHelloKeys: a router from before the
-// work-stealing search knobs, the redials key and admission's minimum
-// communication cost were removed still sends them
-// (testdata/retired_hello_keys.json); the shard must ignore the unknown
-// keys and open the session.
+// work-stealing search knobs, the redials key, admission's minimum
+// communication cost, worker backpressure and degraded-mode planning were
+// removed still sends them (testdata/retired_hello_keys.json); the shard
+// must ignore the unknown keys and open the session.
 func TestServeShardIgnoresRetiredHelloKeys(t *testing.T) {
 	farm := newShardFarm(t, 1)
 	nc, err := net.Dial("tcp", farm.addrs[0])

@@ -158,10 +158,8 @@ func (s *remoteShard) hello(rejoin bool) wire.Hello {
 		HeartbeatNano:   s.live.HeartbeatEvery.Nanoseconds(),
 		TimeoutNano:     s.live.Timeout.Nanoseconds(),
 		Admission:       f.cfg.Admission,
-		Backpressure:    f.cfg.Backpressure,
 		SlackGuardNano:  f.cfg.SlackGuard.Nanoseconds(),
 		JournalCap:      f.cfg.JournalCap,
-		Degrade:         f.cfg.Degrade,
 		Rejoin:          rejoin,
 		Epoch:           epoch,
 		ResumeSeq:       resumeSeq,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rtsads/internal/admission"
-	"rtsads/internal/core"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
@@ -31,17 +30,15 @@ type Config struct {
 	// tasks; without it every shard rejection is shed locally.
 	Migrate bool
 
-	// Algorithm, Scale, Liveness, Admission, Backpressure, SlackGuard and
-	// Degrade configure every shard identically; see livecluster.Config.
-	// Faults is a global plan split by worker range across the shards.
-	Algorithm    policy.Algorithm
-	Scale        float64
-	Faults       *faultinject.Plan
-	Liveness     livecluster.Liveness
-	Admission    admission.Config
-	Backpressure int
-	SlackGuard   time.Duration
-	Degrade      *core.DegradeConfig
+	// Algorithm, Scale, Liveness, Admission and SlackGuard configure every
+	// shard identically; see livecluster.Config. Faults is a global plan
+	// split by worker range across the shards.
+	Algorithm  policy.Algorithm
+	Scale      float64
+	Faults     *faultinject.Plan
+	Liveness   livecluster.Liveness
+	Admission  admission.Config
+	SlackGuard time.Duration
 
 	// JournalCap bounds each shard's journal (<= 0 selects
 	// obs.DefaultJournalCap). A remote shard's end-of-session journal
@@ -367,13 +364,11 @@ func (f *Federation) shardConfig(i int, clock *livecluster.Clock) livecluster.Co
 		OnReject: func(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
 			return f.onReject(i, t.ID, reason, now)
 		},
-		Obs:          f.obsShards[i],
-		Faults:       f.faults[i],
-		Liveness:     f.cfg.Liveness,
-		Admission:    f.cfg.Admission,
-		Backpressure: f.cfg.Backpressure,
-		SlackGuard:   f.cfg.SlackGuard,
-		Degrade:      f.cfg.Degrade,
+		Obs:        f.obsShards[i],
+		Faults:     f.faults[i],
+		Liveness:   f.cfg.Liveness,
+		Admission:  f.cfg.Admission,
+		SlackGuard: f.cfg.SlackGuard,
 	}
 }
 

@@ -285,10 +285,8 @@ func helloShardConfig(hello wire.Hello) livecluster.Config {
 			StragglerGrace:   time.Duration(hello.StragglerGraceNano),
 			StragglerStrikes: hello.StragglerStrikes,
 		},
-		Admission:    hello.Admission,
-		Backpressure: hello.Backpressure,
-		SlackGuard:   time.Duration(hello.SlackGuardNano),
-		Degrade:      hello.Degrade,
+		Admission:  hello.Admission,
+		SlackGuard: time.Duration(hello.SlackGuardNano),
 	}
 }
 

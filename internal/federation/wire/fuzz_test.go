@@ -14,7 +14,6 @@ import (
 
 	"rtsads/internal/admission"
 	"rtsads/internal/affinity"
-	"rtsads/internal/core"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
@@ -357,8 +356,8 @@ func FuzzHelloJSON(f *testing.F) {
 		Params: workload.DefaultParams(4), Shards: 2, WorkersPerShard: 2, Shard: 1,
 		Algorithm: "rt-sads", Scale: 50, StartUnixNano: 1 << 60,
 		HeartbeatNano: 2e7, TimeoutNano: 15e7, StragglerGraceNano: 9e7, StragglerStrikes: 4,
-		Admission: admission.Config{Policy: admission.Reject, QueueCap: 8}, Backpressure: 16,
-		SlackGuardNano: 25000, JournalCap: 4096, Degrade: &core.DegradeConfig{},
+		Admission:      admission.Config{Policy: admission.Reject, QueueCap: 8},
+		SlackGuardNano: 25000, JournalCap: 4096,
 		Rejoin: true, Epoch: 3, ResumeSeq: 19,
 	})
 }

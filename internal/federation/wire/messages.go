@@ -2,7 +2,6 @@ package wire
 
 import (
 	"rtsads/internal/admission"
-	"rtsads/internal/core"
 	"rtsads/internal/workload"
 )
 
@@ -32,12 +31,8 @@ type Hello struct {
 	StragglerStrikes   int   `json:"straggler_strikes,omitempty"`
 
 	Admission      admission.Config `json:"admission,omitempty"`
-	Backpressure   int              `json:"backpressure,omitempty"`
 	SlackGuardNano int64            `json:"slack_guard_nano,omitempty"`
 	JournalCap     int              `json:"journal_cap,omitempty"`
-	// Degrade is the degraded-mode controller's configuration; nil means no
-	// controller, a zero value a controller on its defaults.
-	Degrade *core.DegradeConfig `json:"degrade,omitempty"`
 
 	// Rejoin marks this hello as a re-handshake after a session loss: the
 	// router has already salvaged the dead session's outstanding tasks and

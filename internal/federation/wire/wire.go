@@ -9,7 +9,7 @@
 //
 // Task batches, shard progress reports, job deliveries and completions — the
 // hot path — and the end-of-session result and journal use binary codecs (48
-// bytes per task, 229 plus 4 per settled ID per Progress frame, about 25 per
+// bytes per task, 197 plus 4 per settled ID per Progress frame, about 25 per
 // journal entry; no reflection; the Result payload is metrics.AppendResult,
 // and the Jobs and Done records sit beside their types in livecluster); only
 // the hellos, one frame each per session, are JSON inside their frame.
@@ -51,10 +51,12 @@ import (
 // the JSON Checkpoint and the Load frame with one binary Progress frame; 6
 // makes the Journal frame binary; 7 makes its records varint; 8 makes the
 // Result frame binary and carries the books' whole vector (metrics.Counts) in
-// Progress and Result alike.
+// Progress and Result alike; 9 drops the vector's four overload positions
+// (backpressure deferrals and the degraded-mode counts) and the hello's
+// backpressure and degrade keys.
 const (
 	Magic   = "RTFW"
-	Version = 8
+	Version = 9
 )
 
 // Frame types. Submit/Verdict/Seal flow router→shard;

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"rtsads/internal/simtime"
 	"rtsads/internal/workload"
 )
 
@@ -162,10 +161,9 @@ func TestWaitToleratesStaleTick(t *testing.T) {
 	}
 	for name, mk := range alarmKinds() {
 		r := &runState{
-			c:       &Cluster{stop: make(chan struct{})},
-			clock:   clock,
-			retryAt: simtime.Never,
-			alarm:   newTickingAlarm(mk()),
+			c:     &Cluster{stop: make(chan struct{})},
+			clock: clock,
+			alarm: newTickingAlarm(mk()),
 		}
 		until := clock.Now().Add(40 * time.Millisecond)
 		go func() {

@@ -2,7 +2,6 @@ package livecluster
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -149,19 +148,6 @@ type Config struct {
 	// a typed reason) and a bounded ready queue with policy-driven
 	// shedding. The zero value admits everything.
 	Admission admission.Config
-	// Degrade, when non-nil, wraps the planner in a degraded-mode
-	// controller (core.Degrading) that falls back to EDF-greedy after the
-	// configured streak of bad phases and recovers hysteretically. Both
-	// planners gate assignments on the same deadline-safe test, so the
-	// guarantee survives the switch.
-	Degrade *core.DegradeConfig
-	// Backpressure bounds each worker's delivered-but-unfinished job queue
-	// in the built-in channel backend; beyond it Deliver returns
-	// *Overloaded and the host defers the remainder until capacity frees
-	// (0 = unbounded). Custom Backends configure their own cap (see
-	// TCPOptions.QueueCap) — the host handles *Overloaded from any
-	// backend either way.
-	Backpressure int
 	// SlackGuard is a deadline guard band for live planning, in virtual
 	// time: the host's planning margin (machine.Config.Margin), so every
 	// accepted schedule carries at least that much slack to absorb
@@ -347,14 +333,6 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Admission.Validate(); err != nil {
 		return nil, fmt.Errorf("livecluster: %w", err)
 	}
-	if cfg.Degrade != nil {
-		if err := cfg.Degrade.Validate(); err != nil {
-			return nil, fmt.Errorf("livecluster: %w", err)
-		}
-	}
-	if cfg.Backpressure < 0 {
-		return nil, fmt.Errorf("livecluster: Backpressure %d must be non-negative", cfg.Backpressure)
-	}
 	if cfg.SlackGuard < 0 {
 		return nil, fmt.Errorf("livecluster: SlackGuard %v must be non-negative", cfg.SlackGuard)
 	}
@@ -408,14 +386,10 @@ type runState struct {
 
 	// Per-phase scratch of Deliver, reused so a phase of one or two tasks
 	// does not pay for fresh slices: the job lists indexed by worker
-	// (Backend.Deliver is done with a list when it returns) and the
-	// delivered tasks. retryAt is the earliest overload retry a Deliver
-	// asked for since the last wait.
-	jobs      [][]Job
-	delivered []*task.Task
-	retryAt   simtime.Instant
-	overdue   []bool // checkStragglers: workers with an overdue job
-	alarm     *alarm // wait's timer, closed when Run returns
+	// (Backend.Deliver is done with a list when it returns).
+	jobs    [][]Job
+	overdue []bool // checkStragglers: workers with an overdue job
+	alarm   *alarm // wait's timer, closed when Run returns
 
 	// adm gates every batch admission (nil admits everything).
 	adm *admission.Controller
@@ -475,7 +449,6 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		strikes:  make([]int, w.Params.Workers),
 		jobs:     make([][]Job, w.Params.Workers),
 		overdue:  make([]bool, w.Params.Workers),
-		retryAt:  simtime.Never,
 	}
 	for k := range r.alive {
 		r.alive[k] = true
@@ -606,14 +579,15 @@ func (r *runState) PhaseEnd(simtime.Instant, time.Duration) simtime.Instant {
 
 // Deliver is the live driver's half of the kernel's second seam: each
 // assignment becomes a flight due at serve(freeAt, at, p + c) — the
-// timeline the worker executes by — and a Job for Backend.Deliver.
-func (r *runState) Deliver(phase int, at simtime.Instant, schedule []search.Assignment) ([]*task.Task, error) {
+// timeline the worker executes by — and a Job for Backend.Deliver. No
+// worker queue needs a cap: every job fits its deadline (§4.3), so a
+// worker's queued work never reaches past the latest deadline it holds.
+func (r *runState) Deliver(phase int, at simtime.Instant, schedule []search.Assignment) error {
 	perWorker := r.jobs
 	for k := range perWorker {
 		perWorker[k] = perWorker[k][:0]
 	}
 	freeAt := r.host.FreeAt
-	delivered := r.delivered[:0]
 	for _, a := range schedule {
 		t, k := a.Task, a.Proc
 		due := serve(freeAt[k], at, t.Proc+a.Comm)
@@ -630,57 +604,17 @@ func (r *runState) Deliver(phase int, at simtime.Instant, schedule []search.Assi
 			Deadline: t.Deadline,
 		})
 		r.o.Deliver(phase, t.ID, k, a.Comm, at)
-		delivered = append(delivered, t)
 	}
 	r.o.Inflight(len(r.inflight))
-	var deferred map[task.ID]bool
 	for k, jobs := range perWorker {
 		if len(jobs) == 0 {
 			continue
 		}
-		err := r.backend.Deliver(k, jobs)
-		if err == nil {
-			continue
+		if err := r.backend.Deliver(k, jobs); err != nil {
+			return fmt.Errorf("deliver to worker %d: %w", k, err)
 		}
-		var ov *Overloaded
-		if !errors.As(err, &ov) {
-			return nil, fmt.Errorf("deliver to worker %d: %w", k, err)
-		}
-		// Backpressure: the worker's bounded queue filled mid-delivery. The
-		// rejected suffix stays in the batch (it was never enqueued) and is
-		// re-planned after roughly RetryAfter, instead of buffering
-		// unboundedly on the transport.
-		rejected := jobs[ov.Accepted:]
-		if deferred == nil {
-			deferred = make(map[task.ID]bool, len(rejected))
-		}
-		now := r.clock.Now()
-		for _, j := range rejected {
-			delete(r.inflight, task.ID(j.Task))
-			deferred[task.ID(j.Task)] = true
-		}
-		// Roll the worker's backlog model back to what was actually
-		// enqueued — but never below the backend's own estimate of when a
-		// slot frees. Flooring at "now" would advertise a full worker as
-		// instantly available, and the host would re-plan and re-defer in a
-		// tight loop, starving the workers of CPU (a completion wakes the
-		// host early, so an over-estimate costs nothing).
-		free := now.Add(ov.RetryAfter)
-		for _, fl := range r.inflight {
-			if fl.worker == k && fl.due.After(free) {
-				free = fl.due
-			}
-		}
-		freeAt[k] = free
-		r.o.Inflight(len(r.inflight))
-		r.host.Defer(k, len(rejected), ov.RetryAfter, now)
-		r.retryAt = r.retryAt.Min(now.Add(ov.RetryAfter))
 	}
-	if deferred != nil {
-		delivered = slices.DeleteFunc(delivered, func(t *task.Task) bool { return deferred[t.ID] })
-	}
-	r.delivered = delivered
-	return delivered, nil
+	return nil
 }
 
 // complete books one completion; the books judge it against the task's
@@ -889,11 +823,11 @@ func (r *runState) checkStragglers(now simtime.Instant) {
 }
 
 // wait sleeps until until — the host's own next instant — or the earliest
-// live event before it: an arrival, a straggler deadline, an overload
-// retry; or until a completion, a failure, a submission or a Stop request
-// comes in. Completions and failures are booked before returning. While
-// draining for shutdown the sleep is clamped to the drain deadline so the
-// grace is honoured.
+// live event before it: an arrival or a straggler deadline; or until a
+// completion, a failure, a submission or a Stop request comes in.
+// Completions and failures are booked before returning. While draining for
+// shutdown the sleep is clamped to the drain deadline so the grace is
+// honoured.
 func (r *runState) wait(until simtime.Instant) {
 	if r.next < len(r.pending) {
 		until = until.Min(r.pending[r.next].Arrival)
@@ -901,7 +835,6 @@ func (r *runState) wait(until simtime.Instant) {
 	for _, fl := range r.inflight {
 		until = until.Min(fl.due.Add(r.live.StragglerGrace + 1))
 	}
-	until, r.retryAt = until.Min(r.retryAt), simtime.Never
 	if until == simtime.Never {
 		// Nothing scheduled to happen: poll at a coarse safety tick so an
 		// unforeseen state change cannot strand the host.
@@ -984,15 +917,14 @@ func (c *Cluster) makeBackend(clock *Clock, inj *faultinject.Injector) (Backend,
 	if c.cfg.Backend != nil {
 		return c.cfg.Backend(clock, inj)
 	}
-	return NewBoundedChannelBackend(clock, c.cfg.Workload, c.cfg.Backpressure, inj, c.cfg.Obs), nil
+	return NewBoundedChannelBackend(clock, c.cfg.Workload, 0, inj, c.cfg.Obs), nil
 }
 
 // makePlanner builds the run's one planner, over every worker: search slot
 // k is working processor k. A worker that dies stays in the machine with
 // the load of a crashed one (machine.Host.Fail), so the same feasibility
 // test (t_c + RQs(j) + se_lk <= d_l) re-routes its tasks across the
-// survivors with their true communication costs. With Config.Degrade set,
-// the planner is a degraded-mode controller whose fallback is EDF-greedy.
+// survivors with their true communication costs.
 func (c *Cluster) makePlanner(pc *phaseClock) (core.Planner, error) {
 	cost := c.cfg.Workload.Cost
 	opts := policy.Options{Search: core.SearchConfig{
@@ -1007,13 +939,6 @@ func (c *Cluster) makePlanner(pc *phaseClock) (core.Planner, error) {
 		Clock: pc.Elapsed,
 	}}
 	p, err := policy.Default().New(string(c.cfg.Algorithm), opts)
-	if err == nil && c.cfg.Degrade != nil {
-		// The configured policy falls back to EDF-greedy under hysteresis.
-		var fallback core.Planner
-		if fallback, err = core.NewEDFGreedy(opts.Search); err == nil {
-			p, err = core.NewDegrading(p, fallback, *c.cfg.Degrade)
-		}
-	}
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: %w", err)
 	}
@@ -1032,25 +957,21 @@ type ChannelBackend struct {
 	failures chan Failure
 	stop     chan struct{}
 	wg       sync.WaitGroup
-	// tracker bounds each worker's outstanding queue (nil: unbounded); the
-	// completion stream drains it.
-	tracker *loadTracker
 }
 
-// NewBoundedChannelBackend spawns the workers for the workload. When
-// queueCap > 0, each worker accepts at most that many outstanding jobs and
-// Deliver returns *Overloaded beyond it; 0 leaves the queues unbounded. inj
-// and o may be nil.
-func NewBoundedChannelBackend(clock *Clock, w *workload.Workload, queueCap int, inj *faultinject.Injector, o *obs.Observer) *ChannelBackend {
+// NewBoundedChannelBackend spawns the workers for the workload. inj and o
+// may be nil. The int parameter is unused: it was a per-worker queue cap,
+// and it stays only so the callers that still pass 0 keep compiling, since
+// §4.3 already bounds every worker queue.
+func NewBoundedChannelBackend(clock *Clock, w *workload.Workload, _ int, inj *faultinject.Injector, o *obs.Observer) *ChannelBackend {
 	b := &ChannelBackend{
 		clock:    clock,
 		inj:      inj,
 		jobs:     make([]*readyQueue, w.Params.Workers),
 		failures: make(chan Failure, w.Params.Workers),
 		stop:     make(chan struct{}),
-		tracker:  newLoadTracker(w.Params.Workers, queueCap, 0),
+		done:     newCompletions(w.Params.Workers),
 	}
-	b.done = newCompletions(w.Params.Workers, b.tracker.complete)
 	for i := range b.jobs {
 		b.jobs[i] = newReadyQueue()
 		var quit chan struct{}
@@ -1099,15 +1020,12 @@ func (b *ChannelBackend) killer(i int, at simtime.Instant, quit chan struct{}) {
 	select {
 	case <-timer.C:
 		close(quit)
-		b.tracker.reset(i) // a dead worker's queue no longer holds capacity
 		b.failures <- Failure{Worker: i, At: b.clock.Now(), Fatal: true, Err: "faultinject: worker killed"}
 	case <-b.stop:
 	}
 }
 
-// Deliver implements Backend. With backpressure enabled it returns
-// *Overloaded once the worker's outstanding queue is full; the jobs before
-// the cap were enqueued.
+// Deliver implements Backend.
 func (b *ChannelBackend) Deliver(proc int, jobs []Job) error {
 	if proc < 0 || proc >= len(b.jobs) {
 		return fmt.Errorf("livecluster: worker %d out of range", proc)
@@ -1115,10 +1033,7 @@ func (b *ChannelBackend) Deliver(proc int, jobs []Job) error {
 	if until, ok := b.inj.StallUntil(proc); ok {
 		b.clock.SleepUntil(until)
 	}
-	for n, j := range jobs {
-		if b.tracker != nil && b.tracker.room(proc, b.clock.Now()) <= 0 {
-			return &Overloaded{Worker: proc, Accepted: n, RetryAfter: b.tracker.retryAfter(proc)}
-		}
+	for _, j := range jobs {
 		f := b.inj.OnSend(proc)
 		if f.Drop {
 			continue // dropped in transit: never occupies the queue
@@ -1126,7 +1041,6 @@ func (b *ChannelBackend) Deliver(proc int, jobs []Job) error {
 		if f.Delay > 0 {
 			time.Sleep(f.Delay)
 		}
-		b.tracker.add(proc, j)
 		j.Ready = b.clock.Now() // after any injected delay: when it really queued
 		b.jobs[proc].push(j)
 	}

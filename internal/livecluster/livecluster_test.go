@@ -560,11 +560,10 @@ func TestExpiredEmptyPhaseReplans(t *testing.T) {
 // TestCompletionsNeverBlockReporters: with nobody reading, every reporter
 // still hands over all its completions — a worker never waits on a host
 // busy planning. The reader then gets each one once, in each reporter's
-// order, each settled on the way in, and close returns after the last.
+// order, and close returns after the last.
 func TestCompletionsNeverBlockReporters(t *testing.T) {
 	const reporters, each = 4, 500
-	var settled atomic.Int64
-	c := newCompletions(reporters, func(int32) { settled.Add(1) })
+	c := newCompletions(reporters)
 	var wg sync.WaitGroup
 	for r := 0; r < reporters; r++ {
 		wg.Add(1)
@@ -593,8 +592,5 @@ func TestCompletionsNeverBlockReporters(t *testing.T) {
 		if n != each {
 			t.Errorf("reporter %d: read %d of %d completions", r, n, each)
 		}
-	}
-	if got := settled.Load(); got != reporters*each {
-		t.Errorf("settled %d completions, want %d", got, reporters*each)
 	}
 }

@@ -1,17 +1,12 @@
 package livecluster
 
 import (
-	"errors"
-	"net"
 	"testing"
 	"time"
 
 	"rtsads/internal/admission"
-	"rtsads/internal/core"
 	"rtsads/internal/metrics"
-	"rtsads/internal/obs"
 	"rtsads/internal/rng"
-	"rtsads/internal/simtime"
 	"rtsads/internal/workload"
 )
 
@@ -22,12 +17,6 @@ func TestClusterOverloadConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Workload: w, Admission: admission.Config{QueueCap: -1}}); err == nil {
 		t.Error("negative queue cap accepted")
-	}
-	if _, err := New(Config{Workload: w, Degrade: &core.DegradeConfig{SlackFraction: 2}}); err == nil {
-		t.Error("out-of-range slack fraction accepted")
-	}
-	if _, err := New(Config{Workload: w, Backpressure: -1}); err == nil {
-		t.Error("negative backpressure cap accepted")
 	}
 }
 
@@ -66,7 +55,7 @@ func TestClusterAdmissionHopeless(t *testing.T) {
 }
 
 // TestClusterAdmissionQueueCap drives a one-worker cluster with a tiny
-// ready-queue cap and a one-job worker queue: the bounded queue must evict
+// ready-queue cap: the bounded queue must evict
 // under the shed-oldest policy, everything admitted or shed must reconcile,
 // and the run must terminate rather than buffer the burst.
 func TestClusterAdmissionQueueCap(t *testing.T) {
@@ -75,10 +64,9 @@ func TestClusterAdmissionQueueCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := New(Config{
-		Workload:     w,
-		Scale:        50,
-		Admission:    admission.Config{Policy: admission.ShedOldest, QueueCap: 2},
-		Backpressure: 1,
+		Workload:  w,
+		Scale:     50,
+		Admission: admission.Config{Policy: admission.ShedOldest, QueueCap: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,174 +82,6 @@ func TestClusterAdmissionQueueCap(t *testing.T) {
 	if res.Admitted+res.ShedHopeless+res.ShedShutdown != res.Total {
 		t.Errorf("admission gate leaked: admitted %d + rejected-at-gate %d != total %d",
 			res.Admitted, res.ShedHopeless+res.ShedShutdown, res.Total)
-	}
-	assertFaultAccounting(t, res)
-}
-
-// TestClusterBackpressureChannel bounds each worker's queue at one job: the
-// backend must push back with retryable Overloaded responses instead of
-// buffering, the host must defer and re-plan the rejected work, and every
-// task must still land in exactly one terminal bucket.
-func TestClusterBackpressureChannel(t *testing.T) {
-	w, err := workload.Generate(faultParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obs.New(0)
-	c, err := New(Config{
-		Workload:     w,
-		Scale:        50,
-		Backpressure: 1,
-		Obs:          o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runWithDeadline(t, c)
-
-	if res.Overloads == 0 {
-		t.Error("one-deep worker queues never pushed back on a 60-task burst")
-	}
-	if res.Hits == 0 {
-		t.Error("nothing completed under backpressure")
-	}
-	assertFaultAccounting(t, res)
-	assertHitsVerified(t, w, res, o)
-}
-
-// TestChannelBackendOverloaded exercises the bounded channel backend
-// directly: a full worker queue must yield *Overloaded with the accepted
-// prefix and a positive retry hint, and completions must free capacity.
-func TestChannelBackendOverloaded(t *testing.T) {
-	w, err := workload.Generate(liveParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock, err := NewClock(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBoundedChannelBackend(clock, w, 1, nil, nil)
-	tk := w.Tasks[0]
-	job := func(id int32) Job {
-		return Job{Task: id, Txn: tk.Payload, Proc: 20 * time.Millisecond, Deadline: simtime.Never}
-	}
-	err = b.Deliver(0, []Job{job(1), job(2), job(3)})
-	var ov *Overloaded
-	if !errors.As(err, &ov) {
-		t.Fatalf("deliver past the cap returned %v, want *Overloaded", err)
-	}
-	if ov.Worker != 0 || ov.Accepted != 1 {
-		t.Errorf("overloaded = %+v, want worker 0 with 1 accepted", ov)
-	}
-	if ov.RetryAfter <= 0 {
-		t.Error("retry-after hint not positive while a job occupies the queue")
-	}
-
-	// Draining the completion frees the slot for a fresh delivery.
-	select {
-	case d := <-b.Done():
-		if d.Task != 1 {
-			t.Errorf("completion for task %d, want 1", d.Task)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("accepted job never completed")
-	}
-	if err := b.Deliver(0, []Job{job(4)}); err != nil {
-		t.Errorf("deliver after drain: %v", err)
-	}
-	<-b.Done()
-	if err := b.Close(); err != nil {
-		t.Errorf("close: %v", err)
-	}
-}
-
-// TestTCPBackendOverloaded is the same contract over the TCP transport: a
-// worker queue bounded by TCPOptions.QueueCap must partially accept and
-// return *Overloaded, and completions flowing back must free capacity.
-func TestTCPBackendOverloaded(t *testing.T) {
-	w, err := workload.Generate(liveParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- ServeWorker(lis) }()
-
-	clock, err := NewClock(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewTCPBackend(clock, w, []string{lis.Addr().String()}, TCPOptions{QueueCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk := w.Tasks[0]
-	job := func(id int32) Job {
-		return Job{Task: id, Txn: tk.Payload, Proc: 20 * time.Millisecond, Deadline: simtime.Never}
-	}
-	err = b.Deliver(0, []Job{job(1), job(2)})
-	var ov *Overloaded
-	if !errors.As(err, &ov) {
-		t.Fatalf("deliver past the cap returned %v, want *Overloaded", err)
-	}
-	if ov.Accepted != 1 || ov.RetryAfter <= 0 {
-		t.Errorf("overloaded = %+v, want 1 accepted with positive retry-after", ov)
-	}
-	select {
-	case d := <-b.Done():
-		if d.Task != 1 {
-			t.Errorf("completion for task %d, want 1", d.Task)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("accepted job never completed over TCP")
-	}
-	if err := b.Deliver(0, []Job{job(3)}); err != nil {
-		t.Errorf("deliver after drain: %v", err)
-	}
-	<-b.Done()
-	if err := b.Close(); err != nil {
-		t.Errorf("close: %v", err)
-	}
-	<-serveErr
-}
-
-// TestClusterDegradedMode forces every phase to read as bad — a
-// one-microsecond quantum plus a planning-latency criterion so strict that
-// any measurable planning time exceeds it: the degrade controller must
-// switch to the greedy fallback, the switch must be visible in the run
-// result, and the accounting must survive the planner swap.
-func TestClusterDegradedMode(t *testing.T) {
-	w, err := workload.Generate(faultParams(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{
-		Workload: w,
-		Scale:    50,
-		Policy:   core.Fixed{D: time.Microsecond},
-		Degrade:  &core.DegradeConfig{After: 1, Recover: 1 << 20, SlackFraction: 1e-9},
-		// One-deep worker queues defer most of the burst, so phases keep
-		// coming after the switch and the fallback demonstrably plans some.
-		Backpressure: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runWithDeadline(t, c)
-
-	if res.Degradations == 0 {
-		t.Error("continuously expiring phases never triggered degraded mode")
-	}
-	if d := res.Degradations - res.Recoveries; d != 0 && d != 1 {
-		t.Errorf("degradations %d vs recoveries %d: mode transitions unbalanced", res.Degradations, res.Recoveries)
-	}
-	if res.DegradedPhases == 0 {
-		t.Error("no phase recorded as planned while degraded")
 	}
 	assertFaultAccounting(t, res)
 }

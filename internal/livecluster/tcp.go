@@ -275,10 +275,6 @@ type TCPOptions struct {
 	// Obs records transport-level liveness events: heartbeats in both
 	// directions and redial outcomes. Optional.
 	Obs *obs.Observer
-	// QueueCap bounds each worker's outstanding (delivered-but-unfinished)
-	// jobs; beyond it Deliver returns *Overloaded so the host backs off
-	// instead of buffering unboundedly. Zero disables backpressure.
-	QueueCap int
 }
 
 // TCPBackend connects the host to one remote worker process per working
@@ -300,7 +296,6 @@ type TCPBackend struct {
 	stop     chan struct{}
 	closing  atomic.Bool
 	wg       sync.WaitGroup
-	tracker  *loadTracker
 
 	// sleep pauses for the given duration or until the backend stops,
 	// reporting whether it completed. Tests override it with a fake clock
@@ -329,7 +324,6 @@ func NewTCPBackend(clock *Clock, w *workload.Workload, addrs []string, opts TCPO
 		},
 		failures: make(chan Failure, 4*len(addrs)+4),
 		stop:     make(chan struct{}),
-		tracker:  newLoadTracker(len(addrs), opts.QueueCap, live.StragglerGrace),
 	}
 	b.sleep = func(d time.Duration) bool {
 		timer := time.NewTimer(d)
@@ -349,7 +343,7 @@ func NewTCPBackend(clock *Clock, w *workload.Workload, addrs []string, opts TCPO
 		}
 		b.conns = append(b.conns, wc)
 	}
-	b.done = newCompletions(len(addrs), b.tracker.complete)
+	b.done = newCompletions(len(addrs))
 	for i := range b.conns {
 		b.wg.Add(1)
 		go b.supervise(i)
@@ -398,8 +392,6 @@ func (b *TCPBackend) supervise(i int) {
 			return // clean bye, or shutdown in progress
 		}
 		if b.redial(i) {
-			// The fresh session starts with an empty worker queue.
-			b.tracker.reset(i)
 			b.o.Redial(i, true, b.clock.Now())
 			b.failures <- Failure{Worker: i, At: b.clock.Now(), Fatal: false,
 				Err: fmt.Sprintf("livecluster: worker %d reconnected after: %v", i, err)}
@@ -413,7 +405,6 @@ func (b *TCPBackend) supervise(i int) {
 		if s := wc.sess.Swap(nil); s != nil {
 			s.Close()
 		}
-		b.tracker.reset(i)
 		b.failures <- Failure{Worker: i, At: b.clock.Now(), Fatal: true,
 			Err: fmt.Sprintf("livecluster: worker %d lost: %v", i, err)}
 		return
@@ -546,9 +537,7 @@ func (b *TCPBackend) killer(i int, at simtime.Instant) {
 
 // Deliver implements Backend. Transport errors are not returned: they sever
 // the connection, and the supervisor reports the failure so the cluster
-// reclaims the worker's jobs. With backpressure enabled, jobs beyond the
-// worker's queue cap are refused with *Overloaded (the accepted prefix was
-// sent).
+// reclaims the worker's jobs.
 func (b *TCPBackend) Deliver(proc int, jobs []Job) error {
 	if proc < 0 || proc >= len(b.conns) {
 		return fmt.Errorf("livecluster: worker %d out of range", proc)
@@ -563,31 +552,8 @@ func (b *TCPBackend) Deliver(proc int, jobs []Job) error {
 	if f.Delay > 0 {
 		time.Sleep(f.Delay)
 	}
-	var over *Overloaded
-	if b.tracker != nil {
-		room := b.tracker.room(proc, b.clock.Now())
-		if room < 0 {
-			room = 0
-		}
-		overflowed := room < len(jobs)
-		if overflowed {
-			jobs = jobs[:room]
-		}
-		for _, j := range jobs {
-			b.tracker.add(proc, j)
-		}
-		if overflowed {
-			// The retry hint is computed after registering the accepted
-			// prefix so it reflects the queue the host would actually retry
-			// against.
-			over = &Overloaded{Worker: proc, Accepted: room, RetryAfter: b.tracker.retryAfter(proc)}
-		}
-	}
 	if s := b.conns[proc].sess.Load(); s != nil && len(jobs) > 0 {
 		s.SendWith(wire.TypeJobs, func(dst []byte) []byte { return appendJobs(dst, jobs) })
-	}
-	if over != nil {
-		return over
 	}
 	return nil
 }

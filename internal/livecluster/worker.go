@@ -165,17 +165,17 @@ type completions struct {
 	wg      sync.WaitGroup
 }
 
-// newCompletions starts a stream for n reporting goroutines; settle runs on
-// each completion as it enters. A slot per reporter on either side lets
-// completions that land together pass without waiting on the relay.
-func newCompletions(n int, settle func(task int32)) *completions {
+// newCompletions starts a stream for n reporting goroutines. A slot per
+// reporter on either side lets completions that land together pass without
+// waiting on the relay.
+func newCompletions(n int) *completions {
 	c := &completions{in: make(chan Done, n), out: make(chan Done, n)}
 	c.wg.Add(1)
-	go c.relay(settle)
+	go c.relay()
 	return c
 }
 
-func (c *completions) relay(settle func(int32)) {
+func (c *completions) relay() {
 	defer c.wg.Done()
 	var queue []Done
 	next := 0
@@ -191,7 +191,6 @@ func (c *completions) relay(settle func(int32)) {
 				in = nil
 				continue
 			}
-			settle(d.Task)
 			queue = append(queue, d)
 		case out <- head:
 			if next++; next == len(queue) {

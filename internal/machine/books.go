@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"time"
-
 	"rtsads/internal/admission"
 	"rtsads/internal/core"
 	"rtsads/internal/metrics"
@@ -120,13 +118,6 @@ func (h *Host) Exec(t *task.Task, worker int, start, finish simtime.Instant, ok 
 	h.cfg.Obs.Exec(t.ID, worker, start, finish, hit, finish.Sub(t.Arrival), t.Deadline.Sub(finish))
 }
 
-// Defer books n deliveries to worker refused by backpressure, to be
-// retried after retryAfter; the tasks stay in the batch.
-func (h *Host) Defer(worker, n int, retryAfter time.Duration, now simtime.Instant) {
-	h.Res.Overloads += n
-	h.cfg.Obs.Overloaded(worker, n, retryAfter, now)
-}
-
 // markFailed books worker k's crash at at, once however many events
 // report it: WorkerFailures counts dead workers, not lost tasks.
 func (h *Host) markFailed(k int, at simtime.Instant, reason string) {
@@ -141,10 +132,9 @@ func (h *Host) markFailed(k int, at simtime.Instant, reason string) {
 	h.cfg.Obs.WorkerDown(k, true, reason, at)
 }
 
-// bookPhase books one planned phase, ended at end: its search counters and
-// its degraded-mode step.
+// bookPhase books one planned phase, ended at end: its search counters.
 func (h *Host) bookPhase(phase int, out *core.PhaseResult, end simtime.Instant) {
-	r, dg := h.Res, out.Degrade
+	r := h.Res
 	r.Phases++
 	r.SchedulingTime += out.Used
 	r.VerticesGenerated += out.Stats.Generated
@@ -155,17 +145,6 @@ func (h *Host) bookPhase(phase int, out *core.PhaseResult, end simtime.Instant) 
 	if out.Stats.Expired {
 		r.QuantaExpired++
 	}
-	if dg.Fallback {
-		r.DegradedPhases++
-	}
-	switch {
-	case dg.Degraded && !dg.Fallback:
-		r.Degradations++
-		h.cfg.Obs.DegradeMode(true, phase, "quantum-expired streak", end)
-	case dg.Fallback && !dg.Degraded:
-		r.Recoveries++
-		h.cfg.Obs.DegradeMode(false, phase, "clean-phase streak", end)
-	}
 	h.cfg.Obs.PhaseEnd(phase, end, obs.PhaseStats{
 		Quantum:    out.Quantum,
 		Used:       out.Used,
@@ -173,7 +152,6 @@ func (h *Host) bookPhase(phase int, out *core.PhaseResult, end simtime.Instant) 
 		Backtracks: out.Stats.Backtracks,
 		DeadEnd:    out.Stats.DeadEnd,
 		Expired:    out.Stats.Expired,
-		Degraded:   dg.Fallback,
 		Expanded:   out.Stats.Expanded,
 	})
 }
@@ -209,7 +187,5 @@ var journaledTypes = map[string]string{
 	"reroute":   obs.MetricRerouted,
 	"shed":      obs.MetricShed,
 	"bounce":    obs.MetricBounced,
-	"degrade":   obs.MetricDegradations,
-	"recover":   obs.MetricRecoveries,
 	"phase-end": obs.MetricPhases,
 }

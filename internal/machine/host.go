@@ -51,10 +51,8 @@ type Seams interface {
 	// PhaseEnd returns the instant the phase begun at now ended, having
 	// spent used of scheduling time; the phase is booked at that instant.
 	PhaseEnd(now simtime.Instant, used time.Duration) simtime.Instant
-	// Deliver hands S_j to the workers at the delivery instant and returns
-	// the tasks that left the batch; the rest stay in it and are planned
-	// again.
-	Deliver(phase int, at simtime.Instant, schedule []search.Assignment) ([]*task.Task, error)
+	// Deliver hands S_j to the workers at the delivery instant.
+	Deliver(phase int, at simtime.Instant, schedule []search.Assignment) error
 }
 
 // Reset readies the host for a new run under cfg with fresh books, keeping
@@ -118,8 +116,8 @@ const injectedCrash = "machine: injected crash"
 
 // Step runs one scheduling iteration at now — purge, plan one phase, book
 // it, deliver the schedule — and returns the next instant the host has work
-// of its own: the delivery instant after a phase that delivered all it
-// scheduled or that ran out of quantum before proving anything, the earliest
+// of its own: the delivery instant after a phase that scheduled a task or
+// that ran out of quantum before proving anything, the earliest
 // worker completion or purge point after any other, Never when the batch is
 // empty. The host runs phases back to back
 // (§4), never two at once: called before the previous phase's delivery
@@ -173,15 +171,19 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	}
 
 	// Deliver S_j to the worker ready queues.
-	var delivered []*task.Task
 	if h.Seams == nil {
-		delivered = h.execute(phase, deliver, out.Schedule)
-	} else if delivered, err = h.Seams.Deliver(phase, deliver, out.Schedule); err != nil {
+		h.execute(phase, deliver, out.Schedule)
+	} else if err = h.Seams.Deliver(phase, deliver, out.Schedule); err != nil {
 		return 0, err
 	}
-	h.Batch.RemoveScheduled(delivered)
+	scheduled := h.scheduled[:0]
+	for _, a := range out.Schedule {
+		scheduled = append(scheduled, a.Task)
+	}
+	h.Batch.RemoveScheduled(scheduled)
+	h.scheduled = scheduled[:0]
 
-	if n := len(out.Schedule); n > 0 && len(delivered) == n {
+	if len(out.Schedule) > 0 {
 		return deliver, nil
 	}
 	if len(out.Schedule) == 0 && out.Stats.Expired && !out.Stats.DeadEnd {
@@ -190,10 +192,10 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 		// expansion): plan again at once.
 		return deliver, nil
 	}
-	// Every task still in the batch is currently infeasible (or a full worker
-	// queue refused it). That can only change at the next worker completion,
-	// the next arrival (the driver's to add), or a task's purge point — skip
-	// the host's idle spinning to the earliest such event.
+	// Every task in the batch is currently infeasible. That can only change
+	// at the next worker completion, the next arrival (the driver's to add),
+	// or a task's purge point — skip the host's idle spinning to the
+	// earliest such event.
 	event := simtime.Never
 	for _, f := range h.FreeAt {
 		if f.After(deliver) {
@@ -207,16 +209,13 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 }
 
 // execute runs S_j analytically from its delivery instant: tasks run back to
-// back, non-preemptively, in delivery order. It returns the delivered tasks
-// (every one: the virtual workers refuse nothing).
-func (h *Host) execute(phase int, deliver simtime.Instant, schedule []search.Assignment) []*task.Task {
+// back, non-preemptively, in delivery order.
+func (h *Host) execute(phase int, deliver simtime.Instant, schedule []search.Assignment) {
 	cfg := &h.cfg
-	scheduled := h.scheduled[:0]
 	for _, a := range schedule {
 		start := deliver.Max(h.FreeAt[a.Proc])
 		actual := a.Task.ActualProc() + a.Comm
 		finish := start.Add(actual)
-		scheduled = append(scheduled, a.Task)
 		if failAt, dead := cfg.FailAt[a.Proc]; dead && finish.After(failAt) {
 			// The worker crashes before this task completes: the task
 			// is lost, and the worker never frees again.
@@ -234,6 +233,4 @@ func (h *Host) execute(phase int, deliver simtime.Instant, schedule []search.Ass
 		cfg.Obs.Deliver(phase, a.Task.ID, a.Proc, a.Comm, deliver)
 		h.Exec(a.Task, a.Proc, start, finish, true)
 	}
-	h.scheduled = scheduled[:0]
-	return scheduled
 }

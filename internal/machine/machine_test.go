@@ -177,7 +177,7 @@ func TestRunHandlesLateArrivals(t *testing.T) {
 }
 
 func TestRunAccountingInvariant(t *testing.T) {
-	// Overloaded single worker: some tasks hit, the rest must be purged,
+	// An overloaded single worker: some tasks hit, the rest must be purged,
 	// and every task must be accounted for exactly once.
 	var tasks []*task.Task
 	for i := 0; i < 50; i++ {

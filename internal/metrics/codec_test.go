@@ -61,7 +61,7 @@ func TestCountsCoverEveryIntField(t *testing.T) {
 func resultCases() []*RunResult {
 	full := &RunResult{
 		Total: 48, Hits: 40, Purged: 3, Shed: 2, ShedQueueFull: 2, Bounced: 3, Admitted: 46, Phases: 17,
-		VerticesGenerated: 900, Overloads: 5, SchedulingTime: 3 * time.Millisecond, Makespan: 123456789,
+		VerticesGenerated: 900, Rerouted: 5, SchedulingTime: 3 * time.Millisecond, Makespan: 123456789,
 		WorkerBusy: []time.Duration{0, 7 * time.Millisecond, time.Second},
 	}
 	for _, d := range []time.Duration{-time.Microsecond, 0, 300 * time.Nanosecond, 5 * time.Microsecond, time.Millisecond, 4 * time.Hour} {

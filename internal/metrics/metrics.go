@@ -68,18 +68,6 @@ type RunResult struct {
 	// Total, so federation-wide the Settled buckets still sum to the
 	// number of distinct tasks. Zero outside federated runs.
 	Bounced int
-	// Overloads counts job deliveries deferred by backend backpressure
-	// (the worker's queue cap was reached and the host was told to retry).
-	// Deferred tasks return to the batch, so this is not a terminal bucket.
-	Overloads int
-
-	// Degradations counts transitions into degraded-mode planning (the
-	// search planner replaced by the greedy fallback); Recoveries counts
-	// transitions back. DegradedPhases counts phases planned while
-	// degraded.
-	Degradations   int
-	Recoveries     int
-	DegradedPhases int
 
 	Phases            int
 	SchedulingTime    time.Duration // Σ Used over phases: the paper's scheduling cost
@@ -116,16 +104,12 @@ const (
 	CountAdmitted
 	CountRerouted
 	CountBounced
-	CountOverloads
 	CountWorkerFailures
 	CountPhases
 	CountVertices
 	CountBacktracks
 	CountDeadEnds
 	CountQuantaExpired
-	CountDegradations
-	CountRecoveries
-	CountDegradedPhases
 	NumCounts
 
 	NumVerdicts = CountTotal
@@ -164,16 +148,12 @@ func (r *RunResult) counts() [NumCounts]*int {
 		CountAdmitted:       &r.Admitted,
 		CountRerouted:       &r.Rerouted,
 		CountBounced:        &r.Bounced,
-		CountOverloads:      &r.Overloads,
 		CountWorkerFailures: &r.WorkerFailures,
 		CountPhases:         &r.Phases,
 		CountVertices:       &r.VerticesGenerated,
 		CountBacktracks:     &r.Backtracks,
 		CountDeadEnds:       &r.DeadEnds,
 		CountQuantaExpired:  &r.QuantaExpired,
-		CountDegradations:   &r.Degradations,
-		CountRecoveries:     &r.Recoveries,
-		CountDegradedPhases: &r.DegradedPhases,
 	}
 }
 
@@ -272,13 +252,6 @@ func (r *RunResult) String() string {
 	}
 	if r.Bounced > 0 {
 		s += fmt.Sprintf(" bounced=%d", r.Bounced)
-	}
-	if r.Overloads > 0 {
-		s += fmt.Sprintf(" overloads=%d", r.Overloads)
-	}
-	if r.Degradations > 0 {
-		s += fmt.Sprintf(" degradations=%d recoveries=%d degradedPhases=%d",
-			r.Degradations, r.Recoveries, r.DegradedPhases)
 	}
 	return s
 }

@@ -63,9 +63,9 @@ func verdict(hit bool) string {
 // worker's track, and arrivals, purges, heartbeats, failures, reroutes and
 // the admission and routing decisions instants on the track they concern.
 // A timeline that is not the whole run says so instead of presenting itself
-// as complete: entries whose type has no track (run-start, overload,
-// degrade, straggler, redial, ...) and the evicted entries the journal
-// reported with this export are counted into process metadata.
+// as complete: entries whose type has no track (run-start, straggler,
+// redial, ...) and the evicted entries the journal reported with this
+// export are counted into process metadata.
 func WriteChromeTrace(w io.Writer, entries []Entry, evicted int64) error {
 	events := make([]chromeEvent, 0, len(entries)+3)
 	events = append(events, threadName(tracePID, hostTID, "host (scheduler)"))

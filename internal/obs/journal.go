@@ -155,8 +155,8 @@ var entryTypes = func() map[string]string {
 	for _, t := range []string{
 		"run-start", "run-end", "arrival", "admit", "phase-start", "phase-end",
 		"deliver", "exec", "purge", "lost", "reroute", "route", "migrate",
-		"route-reject", "rejoin", "shed", "bounce", "overload", "degrade",
-		"recover", "worker-down", "straggler", "heartbeat", "redial",
+		"route-reject", "rejoin", "shed", "bounce", "worker-down",
+		"straggler", "heartbeat", "redial",
 	} {
 		m[t] = t
 	}

@@ -48,17 +48,11 @@ const (
 
 	// Overload-resilience metrics: admitted/shed mirror the RunResult
 	// fields exactly (shed is also broken down by reason via
-	// MetricShedPattern, and the labels sum to the total); overloads counts
-	// backpressure deferrals; the degraded-mode gauge is 1 while the
-	// fallback planner is active.
+	// MetricShedPattern, and the labels sum to the total).
 	MetricAdmitted     = "rtsads_task_admitted_total"
 	MetricShed         = "rtsads_task_shed_total"
 	MetricBounced      = "rtsads_task_bounced_total"
 	MetricShedPattern  = "rtsads_task_shed_total{reason=%q}"
-	MetricOverloads    = "rtsads_backpressure_deferrals_total"
-	MetricDegradations = "rtsads_degradations_total"
-	MetricRecoveries   = "rtsads_degrade_recoveries_total"
-	MetricDegradedMode = "rtsads_degraded_mode"
 	MetricBatchSizeMax = "rtsads_batch_size_max"
 
 	MetricWorkerFailures  = "rtsads_worker_failures_total"
@@ -89,14 +83,12 @@ const (
 	// SLO-plane metrics: deadline-slack distributions at the two ends of a
 	// task's life (admission: d_l − t_c when the gate accepts; completion:
 	// deadline − finish, clamped at zero for misses since the histogram is
-	// non-negative), the live guarantee ratio in parts-per-million (hits
-	// over locally-terminal admitted tasks — the paper's guarantee read as
-	// a running SLI), and the degraded-phase burn counter (phases planned
-	// by the fallback planner while degraded mode was active).
+	// non-negative), and the live guarantee ratio in parts-per-million
+	// (hits over locally-terminal admitted tasks — the paper's guarantee
+	// read as a running SLI).
 	MetricSlackAdmission  = "rtsads_slack_admission_seconds"
 	MetricSlackCompletion = "rtsads_slack_completion_seconds"
 	MetricGuaranteeRatio  = "rtsads_slo_guarantee_ratio_ppm"
-	MetricDegradedPhases  = "rtsads_degraded_phases_total"
 
 	// Vertices expanded (search.Stats.Expanded) summed across phases.
 	MetricSearchExpanded = "rtsads_search_expanded_total"
@@ -127,16 +119,12 @@ var CountMetric = [metrics.NumCounts]string{
 	metrics.CountAdmitted:       MetricAdmitted,
 	metrics.CountRerouted:       MetricRerouted,
 	metrics.CountBounced:        MetricBounced,
-	metrics.CountOverloads:      MetricOverloads,
 	metrics.CountWorkerFailures: MetricWorkerFailures,
 	metrics.CountPhases:         MetricPhases,
 	metrics.CountVertices:       MetricVertices,
 	metrics.CountBacktracks:     MetricBacktracks,
 	metrics.CountDeadEnds:       MetricDeadEnds,
 	metrics.CountQuantaExpired:  MetricQuantaExpired,
-	metrics.CountDegradations:   MetricDegradations,
-	metrics.CountRecoveries:     MetricRecoveries,
-	metrics.CountDegradedPhases: MetricDegradedPhases,
 }
 
 // Mirror maps each registry counter the books' Observer calls move to the
@@ -159,12 +147,6 @@ type PhaseStats struct {
 	Backtracks int
 	DeadEnd    bool
 	Expired    bool
-	// Degraded marks a phase planned by the fallback planner while the
-	// degraded-mode controller was active; it mirrors the increments of
-	// RunResult.DegradedPhases exactly (the degraded-mode gauge flips
-	// before this phase's PhaseEnd, so the gauge alone can't attribute the
-	// transition phase correctly).
-	Degraded bool
 
 	// Expanded is search.Stats.Expanded: vertices whose successors were
 	// generated.
@@ -193,7 +175,7 @@ type Observer struct {
 	deliveries, disruptions, stragglers, searchExpanded    *Counter
 	heartbeatsSent, heartbeatsRecv, redials, redialsFailed *Counter
 	workersAlive, workersTotal, inflight, batchSize        *Gauge
-	degradedMode, batchSizeMax, guaranteeRatio             *Gauge
+	batchSizeMax, guaranteeRatio                           *Gauge
 	phaseDur, quantumSize, responseTime                    *Histogram
 	slackAdmission, slackCompletion, workerOvershoot       *Histogram
 
@@ -236,7 +218,6 @@ func New(journalCap int) *Observer {
 		workersTotal:    reg.Gauge(MetricWorkersTotal),
 		inflight:        reg.Gauge(MetricInflight),
 		batchSize:       reg.Gauge(MetricBatchSize),
-		degradedMode:    reg.Gauge(MetricDegradedMode),
 		batchSizeMax:    reg.Gauge(MetricBatchSizeMax),
 		guaranteeRatio:  reg.Gauge(MetricGuaranteeRatio),
 		phaseDur:        reg.Histogram(MetricPhaseDuration),
@@ -388,9 +369,6 @@ func (o *Observer) PhaseEnd(phase int, at simtime.Instant, s PhaseStats) {
 	o.phaseDur.Observe(s.Used)
 	o.quantumSize.Observe(s.Quantum)
 	o.searchExpanded.Add(int64(s.Expanded))
-	if s.Degraded {
-		o.books[metrics.CountDegradedPhases].Inc()
-	}
 	o.note(at, Entry{Type: "phase-end", Phase: phase, Worker: -1, Dur: s.Used})
 }
 
@@ -564,35 +542,6 @@ func (o *Observer) Bounce(id task.ID, reason string, at simtime.Instant) {
 	}
 	o.books[metrics.CountBounced].Inc()
 	o.note(at, Entry{Type: "bounce", Task: int(id), Worker: -1, Detail: reason})
-}
-
-// Overloaded records a backend deferring deferred jobs for a worker under
-// backpressure, with the suggested virtual retry-after.
-func (o *Observer) Overloaded(worker, deferred int, retryAfter time.Duration, at simtime.Instant) {
-	if o == nil {
-		return
-	}
-	o.books[metrics.CountOverloads].Add(int64(deferred))
-	o.note(at, Entry{Type: "overload", Worker: worker, Dur: retryAfter,
-		Detail: fmt.Sprintf("%d deferred", deferred)})
-}
-
-// DegradeMode records the planner controller entering (degraded=true) or
-// leaving degraded-mode planning, mirroring RunResult.Degradations and
-// Recoveries.
-func (o *Observer) DegradeMode(degraded bool, phase int, reason string, at simtime.Instant) {
-	if o == nil {
-		return
-	}
-	if degraded {
-		o.books[metrics.CountDegradations].Inc()
-		o.degradedMode.Set(1)
-		o.note(at, Entry{Type: "degrade", Phase: phase, Worker: -1, Detail: reason})
-	} else {
-		o.books[metrics.CountRecoveries].Inc()
-		o.degradedMode.Set(0)
-		o.note(at, Entry{Type: "recover", Phase: phase, Worker: -1, Detail: reason})
-	}
 }
 
 // WorkerDown records a worker failure. Fatal failures remove the worker

@@ -49,7 +49,7 @@ func TestObserverCountsAndJournal(t *testing.T) {
 	o.Arrival(1, 10, 30)
 	o.PhaseStart(0, 1, 10)
 	o.PhaseEnd(0, 15, PhaseStats{Quantum: 5, Used: 4, Generated: 7, Backtracks: 2, DeadEnd: true, Expired: true,
-		Degraded: true, Expanded: 6})
+		Expanded: 6})
 	o.Deliver(0, 1, 1, 2, 15)
 	o.Exec(1, 1, 15, 20, true, 10, 10)
 	o.Exec(2, 0, 15, 30, false, 25, -5)
@@ -86,7 +86,6 @@ func TestObserverCountsAndJournal(t *testing.T) {
 		MetricWorkersAlive:   1,
 		MetricWorkersTotal:   2,
 		MetricSearchExpanded: 6,
-		MetricDegradedPhases: 1,
 		// 1 hit over 4 terminals (hit, miss, purge, lost) = 250000 ppm.
 		MetricGuaranteeRatio: 250_000,
 	}
@@ -131,7 +130,7 @@ func TestBridgeJournalToChromeTrace(t *testing.T) {
 	o.Lost(3, 1, 9)
 	o.Route(4, 1, "policy=x", 2)  // federation kind
 	o.Migrate(4, 0, "verdict", 3) // federation kind
-	o.Overloaded(0, 2, 5, 9)      // no trace track
+	o.StragglerReclaim(0, 9)      // no trace track
 
 	entries, evicted := o.Journal().Export()
 	view := chromeView(t, entries, evicted)
@@ -143,12 +142,12 @@ func TestBridgeJournalToChromeTrace(t *testing.T) {
 			t.Errorf("chrome view has %d %q events, want %d", got, name, n)
 		}
 	}
-	// run-start (from SetWorkers) and overload have no track: they must be
+	// run-start (from SetWorkers) and straggler have no track: they must be
 	// counted in the trace's metadata, not silently dropped.
 	labels := named(view, "process_labels")
 	if len(labels) != 1 || !strings.HasPrefix(labels[0]["args"].(map[string]any)["labels"].(string),
 		"2 journal entries without a trace track omitted") {
-		t.Errorf("chrome view does not report 2 untracked entries (run-start, overload): %v", labels)
+		t.Errorf("chrome view does not report 2 untracked entries (run-start, straggler): %v", labels)
 	}
 }
 

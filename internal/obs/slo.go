@@ -6,7 +6,7 @@ import "rtsads/internal/metrics"
 // view: the guarantee ratio (deadline hits over post-admission terminals,
 // the running form of §5's guarantee-ratio metric), deadline-slack
 // distributions at admission and completion, and the burn counters that
-// say how the margin is being spent (shed tasks, degraded-mode phases).
+// say how the margin is being spent (shed and bounced tasks).
 // Served as JSON from /slo on the debug server; a federated run serves a
 // per-shard breakdown plus the federation rollup, summarized from the
 // shards' summed books and merged slack histograms.
@@ -52,24 +52,19 @@ type SLOSummary struct {
 	Lost     int64 `json:"lost"`
 
 	// Burn counters: margin spent keeping the guarantee.
-	Shed           int64 `json:"shed"`
-	Bounced        int64 `json:"bounced"`
-	Overloads      int64 `json:"overloads"`
-	Degradations   int64 `json:"degradations"`
-	DegradedPhases int64 `json:"degraded_phases"`
-	DegradedNow    bool  `json:"degraded_now"`
+	Shed    int64 `json:"shed"`
+	Bounced int64 `json:"bounced"`
 
 	SlackAdmission  HistogramSummary `json:"slack_admission"`
 	SlackCompletion HistogramSummary `json:"slack_completion"`
 }
 
 // SLOInput is what an SLOSummary is computed from: one scheduler domain's
-// books, its degraded state and its two slack distributions. The inputs of
-// several domains add exactly, so a federation's rollup is the summary of
-// every shard's samples together.
+// books and its two slack distributions. The inputs of several domains add
+// exactly, so a federation's rollup is the summary of every shard's samples
+// together.
 type SLOInput struct {
 	Counts          metrics.Counts
-	DegradedNow     bool
 	SlackAdmission  metrics.Histogram
 	SlackCompletion metrics.Histogram
 }
@@ -82,19 +77,17 @@ func (o *Observer) SLOInput() SLOInput {
 	}
 	return SLOInput{
 		Counts:          o.Counts(),
-		DegradedNow:     o.degradedMode.Value() == 1,
 		SlackAdmission:  o.slackAdmission.Snapshot(),
 		SlackCompletion: o.slackCompletion.Snapshot(),
 	}
 }
 
 // Add folds another domain's input into in: counts sum, slack histograms
-// merge, and the result is degraded if either is.
+// merge.
 func (in *SLOInput) Add(other SLOInput) {
 	for k, n := range other.Counts {
 		in.Counts[k] += n
 	}
-	in.DegradedNow = in.DegradedNow || other.DegradedNow
 	in.SlackAdmission.Merge(&other.SlackAdmission)
 	in.SlackCompletion.Merge(&other.SlackCompletion)
 }
@@ -112,10 +105,6 @@ func (in SLOInput) Summary() SLOSummary {
 		Lost:            c[metrics.CountLost],
 		Shed:            c[metrics.CountShed],
 		Bounced:         c[metrics.CountBounced],
-		Overloads:       c[metrics.CountOverloads],
-		Degradations:    c[metrics.CountDegradations],
-		DegradedPhases:  c[metrics.CountDegradedPhases],
-		DegradedNow:     in.DegradedNow,
 		SlackAdmission:  summarize(&in.SlackAdmission),
 		SlackCompletion: summarize(&in.SlackCompletion),
 	}

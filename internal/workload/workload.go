@@ -111,8 +111,8 @@ func (p Params) Validate() error {
 	if p.SF <= 0 {
 		return fmt.Errorf("workload: SF %v must be positive", p.SF)
 	}
-	if p.NumTransactions <= 0 {
-		return fmt.Errorf("workload: NumTransactions %d must be positive", p.NumTransactions)
+	if p.NumTransactions <= 0 || p.NumTransactions > MaxTransactions {
+		return fmt.Errorf("workload: NumTransactions %d must be in [1,%d]", p.NumTransactions, MaxTransactions)
 	}
 	if p.PerIter <= 0 {
 		return fmt.Errorf("workload: PerIter %v must be positive", p.PerIter)
@@ -137,6 +137,12 @@ func (p Params) Validate() error {
 	}
 	return p.DB.Validate()
 }
+
+// MaxTransactions bounds NumTransactions: a wire hello carries the
+// parameters, and a shard or worker builds the transaction table they name.
+// It leaves room for two hundred times the largest run the benchmark makes
+// in its default 20 seconds.
+const MaxTransactions = 1 << 22
 
 // Workload is one generated problem instance: the database, the replica
 // placement, the transactions and their task representations.

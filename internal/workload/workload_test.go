@@ -34,6 +34,7 @@ func TestValidate(t *testing.T) {
 		{"replication above one", func(p *Params) { p.Replication = 1.5 }},
 		{"zero SF", func(p *Params) { p.SF = 0 }},
 		{"zero transactions", func(p *Params) { p.NumTransactions = 0 }},
+		{"transactions past the bound", func(p *Params) { p.NumTransactions = MaxTransactions + 1 }},
 		{"zero per-iter", func(p *Params) { p.PerIter = 0 }},
 		{"negative remote", func(p *Params) { p.RemoteCost = -1 }},
 		{"unknown arrival", func(p *Params) { p.Arrival = 0 }},
