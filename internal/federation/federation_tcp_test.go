@@ -27,6 +27,11 @@ import (
 	"rtsads/internal/workload"
 )
 
+// journalChunk is a journal size, in entries, that the tests below treat as
+// more than one Journal frame: a shard ships one frame per ring block of
+// about 256 records, so a journal of journalChunk entries spans several.
+const journalChunk = 2048
+
 // shardFarm runs loopback shard servers — the test-local stand-in for N
 // `rtcluster -shard-listen` processes. Kill severs a shard's live session
 // at the TCP layer, which is indistinguishable from the process dying as

@@ -28,12 +28,6 @@ type ServeShardOptions struct {
 	Obs *obs.Observer
 }
 
-// journalChunk bounds the entries in one Journal frame (≈50 KB encoded), so
-// no single write or read of the end-of-session journal can outlast the
-// liveness timeout, and every chunk that lands feeds the router's read
-// deadline.
-const journalChunk = 2048
-
 // shardServer is one shard session: the cluster, its observer, and the wire
 // session back to the router. Writers (progress reports, heartbeats, reject
 // callbacks, final results) serialize inside the session; one goroutine
@@ -162,7 +156,7 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 	if err != nil {
 		return err
 	}
-	if err := s.o.Journal().Visit(s.shipJournal); err != nil {
+	if err := s.o.Journal().Visit(s.journalCap, s.shipJournal); err != nil {
 		return err
 	}
 	// Bye, a half-close, then the read loop discards router frames until the
@@ -182,24 +176,21 @@ func (s *shardServer) serve(runErrc <-chan runOutcome) error {
 	return nil
 }
 
-// shipJournal sends the journal ring's two runs as Journal frames of at most
-// journalChunk entries, at least one, each encoded straight into the
-// session's reused buffer. It runs under the journal's lock, so the chunks
-// are one consistent cut however much is still recording. A serving
-// process's own observer may keep more than the router accepts: then the
-// newest journalCap entries ship and the rest count as evicted.
-func (s *shardServer) shipJournal(older, newer []obs.Entry, evicted int64) error {
-	if drop := len(older) + len(newer) - s.journalCap; drop > 0 {
-		d := min(drop, len(older))
-		older, newer, evicted = older[d:], newer[drop-d:], evicted+int64(drop)
+// shipJournal sends the journal's blocks as they are stored, one Journal
+// frame each (≈8 KB, so no single write or read of the end-of-session journal
+// can outlast the liveness timeout, and every frame that lands feeds the
+// router's read deadline), and one empty frame when there are none. It runs
+// under the journal's lock, so the frames are one consistent cut however much
+// is still recording. A serving process's own observer may keep more than
+// the router accepts: Visit's limit then ships the newest journalCap entries
+// and counts the rest as evicted.
+func (s *shardServer) shipJournal(blocks []obs.Block, total int, evicted int64) error {
+	if len(blocks) == 0 {
+		blocks = []obs.Block{{}}
 	}
-	total := len(older) + len(newer)
-	for first := true; first || len(older)+len(newer) > 0; first = false {
-		a := older[:min(len(older), journalChunk)]
-		b := newer[:min(len(newer), journalChunk-len(a))]
-		older, newer = older[len(a):], newer[len(b):]
+	for _, b := range blocks {
 		err := s.sess.SendWith(wire.TypeJournal, func(dst []byte) []byte {
-			return wire.AppendJournal(dst, total, evicted, a, b)
+			return wire.AppendJournalBlock(dst, total, evicted, b)
 		})
 		if err != nil {
 			return err

@@ -15,6 +15,15 @@ import (
 	"rtsads/internal/obs"
 )
 
+// The record bounds, as obs defines them, and the Deadline-set bit of a
+// record's flags byte.
+const (
+	maxTypeLen   = obs.MaxTypeLen
+	maxDetailLen = obs.MaxDetailLen
+	maxRecord    = obs.MaxRecord
+	flagDeadline = 4
+)
+
 // recordedTypes returns every entry Type written as a literal where entries
 // are recorded: the observer's events and the federation router's.
 func recordedTypes(tb testing.TB) []string {
@@ -217,10 +226,10 @@ func TestJournalCodecAllocatesNothing(t *testing.T) {
 	journal := make([]obs.Entry, 0, len(in))
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = AppendJournal(buf[:0], len(in), 3, in)
-		if err := checkRecords(buf[journalHeader:], int64(len(in))); err != nil {
+		if err := obs.CheckRecords(buf[journalHeader:], int64(len(in))); err != nil {
 			t.Fatal(err)
 		}
-		journal = appendEntries(journal[:0], buf[journalHeader:])
+		journal = obs.AppendEntries(journal[:0], buf[journalHeader:])
 	})
 	if allocs != 0 {
 		t.Fatalf("journal encode+check+decode allocates %v times per chunk, want 0", allocs)

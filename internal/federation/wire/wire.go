@@ -26,14 +26,11 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"slices"
 	"time"
-	"unicode/utf8"
 
 	"rtsads/internal/affinity"
 	"rtsads/internal/metrics"
@@ -370,241 +367,42 @@ func DecodeProgress(payload []byte, p *Progress) error {
 // A Journal frame carries one chunk of a shard's end-of-session journal: a
 // journalHeader-byte header (Total as uint32 — the entries retained in the
 // whole journal, Evicted as int64, N as uint32 — the records in this chunk)
-// then N varint records of about 25 bytes. A record is a flags byte (Hit, and
-// whether Wall and Deadline are set, so a zero Wall or Deadline round-trips
-// as zero and costs nothing); Seq, Wall (Unix nanoseconds, when set) and
-// Virtual as zigzag varint deltas from the chunk's previous record (from zero
-// in its first; Wall from the last record that had one); Phase, Task, Worker,
-// Shard, Dur and Slack as zigzag varints; Deadline (when set) as a zigzag
-// varint offset from Virtual; then Type and Detail, each a uvarint length and
-// its bytes. Every value has one spelling — a varint is its shortest, a set
-// Deadline is not zero — so whatever decodes re-encodes to the same bytes.
-const (
-	journalHeader = 16
+// then N obs records of about 25 bytes, the first against a fresh delta base
+// (obs.RecordWriter documents the record; obs.MaxRecord bounds it).
+const journalHeader = 16
 
-	flagHit      = 1
-	flagWall     = 2
-	flagDeadline = 4
-
-	// maxTypeLen and maxDetailLen bound a record's Type and Detail: the
-	// decoder refuses longer ones, so a shard can make the router keep at most
-	// JournalCap records of maxRecord bytes, and AppendJournal cuts longer
-	// ones at a rune boundary so an honest shard never trips the check.
-	maxTypeLen   = 32
-	maxDetailLen = 1024
-	// maxRecord is the longest legal record: the flags byte, ten varints, and
-	// Type and Detail with their length prefixes.
-	maxRecord = 1 + 10*binary.MaxVarintLen64 + 1 + maxTypeLen + 2 + maxDetailLen
-)
+// appendJournalHeader appends a chunk's header to dst.
+func appendJournalHeader(dst []byte, total int, evicted int64, n int) []byte {
+	be := binary.BigEndian
+	return be.AppendUint32(be.AppendUint64(be.AppendUint32(dst, uint32(total)), uint64(evicted)), uint32(n))
+}
 
 // AppendJournal appends one Journal chunk to dst: the header, then a record
 // per entry of runs in order (the chunk's N is their total length). total
 // and evicted describe the whole journal and repeat in every chunk. It
-// allocates nothing when dst has room.
+// allocates nothing when dst has room. A shard ships its ring's blocks as
+// stored (AppendJournalBlock); this encoder is what tests and fuzz targets
+// hold those bytes to.
 func AppendJournal(dst []byte, total int, evicted int64, runs ...[]obs.Entry) []byte {
-	n, be := 0, binary.BigEndian
+	n := 0
 	for _, r := range runs {
 		n += len(r)
 	}
-	dst = be.AppendUint32(be.AppendUint64(be.AppendUint32(dst, uint32(total)), uint64(evicted)), uint32(n))
-	var w recordWriter
+	dst = appendJournalHeader(dst, total, evicted, n)
+	var w obs.RecordWriter
 	for _, r := range runs {
 		for i := range r {
-			dst = w.append(dst, &r[i])
+			dst = w.Append(dst, &r[i])
 		}
 	}
 	return dst
 }
 
-// recordWriter carries a chunk's delta bases from one record to the next:
-// the previous record's Seq and Virtual and the last Wall any record had.
-type recordWriter struct{ seq, wall, virtual int64 }
-
-// append appends e's record to dst.
-func (w *recordWriter) append(dst []byte, e *obs.Entry) []byte {
-	var flags byte
-	if e.Hit {
-		flags |= flagHit
-	}
-	if !e.Wall.IsZero() {
-		flags |= flagWall
-	}
-	if e.Deadline != 0 {
-		flags |= flagDeadline
-	}
-	dst = binary.AppendVarint(append(dst, flags), e.Seq-w.seq)
-	w.seq = e.Seq
-	if flags&flagWall != 0 {
-		wall := e.Wall.UnixNano()
-		dst = binary.AppendVarint(dst, wall-w.wall)
-		w.wall = wall
-	}
-	virtual := int64(e.Virtual)
-	dst = binary.AppendVarint(dst, virtual-w.virtual)
-	w.virtual = virtual
-	for _, v := range [...]int64{int64(e.Phase), int64(e.Task), int64(e.Worker), int64(e.Shard), int64(e.Dur), int64(e.Slack)} {
-		dst = binary.AppendVarint(dst, v)
-	}
-	if flags&flagDeadline != 0 {
-		dst = binary.AppendVarint(dst, int64(e.Deadline)-virtual)
-	}
-	dst = appendString(dst, clip(e.Type, maxTypeLen))
-	return appendString(dst, clip(e.Detail, maxDetailLen))
-}
-
-// appendString appends s as a uvarint length and its bytes.
-func appendString(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
-}
-
-// clip cuts s to at most n bytes, at a rune boundary.
-func clip(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	for n > 0 && !utf8.RuneStart(s[n]) {
-		n--
-	}
-	return s[:n]
-}
-
-// record is one journal record as it decodes, before any of it becomes an
-// obs.Entry: Type and Detail are views of the chunk's bytes.
-type record struct {
-	flags                        byte
-	seq, wall, virtual, deadline int64
-	phase, task, worker, shard   int64
-	dur, slack                   int64
-	typ, detail                  []byte
-}
-
-// recordReader walks a chunk's records, resolving each delta against the
-// record before it. The first malformed field sets err and ends the walk.
-type recordReader struct {
-	b                  []byte
-	seq, wall, virtual int64
-	err                error
-}
-
-// next reads the next record into rec.
-func (r *recordReader) next(rec *record) {
-	if len(r.b) == 0 {
-		r.err = errors.New("truncated")
-		return
-	}
-	flags := r.b[0]
-	if flags&^(flagHit|flagWall|flagDeadline) != 0 {
-		r.err = fmt.Errorf("flags byte is %#x", flags)
-		return
-	}
-	r.b = r.b[1:]
-	r.seq += r.varint()
-	if flags&flagWall != 0 {
-		r.wall += r.varint()
-	}
-	r.virtual += r.varint()
-	*rec = record{flags: flags, seq: r.seq, wall: r.wall, virtual: r.virtual}
-	for _, v := range [...]*int64{&rec.phase, &rec.task, &rec.worker, &rec.shard, &rec.dur, &rec.slack} {
-		*v = r.varint()
-	}
-	if flags&flagDeadline != 0 {
-		if rec.deadline = r.virtual + r.varint(); rec.deadline == 0 && r.err == nil {
-			r.err = errors.New("deadline set but zero")
-		}
-	}
-	rec.typ = r.bytes(maxTypeLen, "type")
-	rec.detail = r.bytes(maxDetailLen, "detail")
-}
-
-// uvarint reads one uvarint, which must be the shortest encoding of its
-// value: every record has exactly one spelling.
-func (r *recordReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	u, n := binary.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = errors.New("truncated")
-	case n < 0:
-		r.err = errors.New("varint overflows 64 bits")
-	case n != (bits.Len64(u|1)+6)/7:
-		r.err = fmt.Errorf("%d-byte varint for %d", n, u)
-	default:
-		r.b = r.b[n:]
-	}
-	return u
-}
-
-// varint reads one zigzag varint (binary.AppendVarint's encoding).
-func (r *recordReader) varint() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// bytes reads a uvarint length of at most limit, then that many bytes.
-func (r *recordReader) bytes(limit int, what string) []byte {
-	n := r.uvarint()
-	switch {
-	case r.err != nil:
-		return nil
-	case n > uint64(limit):
-		r.err = fmt.Errorf("%s of %d bytes, limit %d", what, n, limit)
-		return nil
-	case n > uint64(len(r.b)):
-		r.err = fmt.Errorf("truncated (%d of %d %s bytes)", len(r.b), n, what)
-		return nil
-	}
-	b := r.b[:n:n]
-	r.b = r.b[n:]
-	return b
-}
-
-// entry builds the obs.Entry rec spells. Type is interned (obs.InternType);
-// Detail allocates only when non-empty.
-func (rec *record) entry() obs.Entry {
-	e := obs.Entry{
-		Seq: rec.seq, Virtual: simtime.Instant(rec.virtual), Type: obs.InternType(rec.typ),
-		Phase: int(rec.phase), Task: int(rec.task), Worker: int(rec.worker), Shard: int(rec.shard),
-		Dur: time.Duration(rec.dur), Slack: time.Duration(rec.slack), Deadline: simtime.Instant(rec.deadline),
-		Hit: rec.flags&flagHit != 0,
-	}
-	if rec.flags&flagWall != 0 {
-		e.Wall = time.Unix(0, rec.wall)
-	}
-	if len(rec.detail) > 0 {
-		e.Detail = string(rec.detail)
-	}
-	return e
-}
-
-// checkRecords walks n records at the front of recs and reports the first
-// malformed one, or bytes left after the last. It builds no entry.
-func checkRecords(recs []byte, n int64) error {
-	r := recordReader{b: recs}
-	var rec record
-	for i := range n {
-		if r.next(&rec); r.err != nil {
-			return fmt.Errorf("wire: journal record %d: %w", i, r.err)
-		}
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("wire: journal chunk has %d bytes after its %d records", len(r.b), n)
-	}
-	return nil
-}
-
-// appendEntries decodes every record of a chunk checkRecords accepted.
-func appendEntries(dst []obs.Entry, recs []byte) []obs.Entry {
-	r := recordReader{b: recs}
-	var rec record
-	for len(r.b) > 0 {
-		if r.next(&rec); r.err != nil {
-			panic("wire: a checked journal chunk failed to decode: " + r.err.Error())
-		}
-		dst = append(dst, rec.entry())
-	}
-	return dst
+// AppendJournalBlock appends one Journal chunk carrying a journal ring's
+// block as it is stored: the same bytes AppendJournal writes for the
+// block's entries, copied instead of encoded.
+func AppendJournalBlock(dst []byte, total int, evicted int64, b obs.Block) []byte {
+	return append(appendJournalHeader(dst, total, evicted, b.N), b.Recs...)
 }
 
 // Journal is a shipped journal as the router keeps it: the records of every
@@ -640,8 +438,8 @@ func (j *Journal) Add(payload []byte, maxTotal int) error {
 		return fmt.Errorf("wire: journal chunk carries %d entries, %d still owed", n, total-int64(j.n))
 	}
 	recs := payload[journalHeader:]
-	if err := checkRecords(recs, n); err != nil {
-		return err
+	if err := obs.CheckRecords(recs, n); err != nil {
+		return fmt.Errorf("wire: journal %w", err)
 	}
 	j.started, j.total, j.evicted, j.n = true, int(total), ev, j.n+int(n)
 	if n > 0 {
@@ -657,7 +455,7 @@ func (j *Journal) Add(payload []byte, maxTotal int) error {
 func (j *Journal) Entries() []obs.Entry {
 	out := make([]obs.Entry, 0, j.n)
 	for _, c := range j.chunks {
-		out = appendEntries(out, c)
+		out = obs.AppendEntries(out, c)
 	}
 	return out
 }

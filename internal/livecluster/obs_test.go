@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rtsads/internal/faultinject"
-	"rtsads/internal/federation/wire"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/simtime"
@@ -78,7 +77,8 @@ func TestObsReconcilesChannelFailover(t *testing.T) {
 	// The Chrome view renders the same run from that journal: one span per
 	// host phase, executions, the worker-down instant, reroutes.
 	var b strings.Builder
-	if err := o.Journal().WriteChromeTrace(&b); err != nil {
+	entries, evicted := o.Journal().Export()
+	if err := obs.WriteChromeTrace(&b, entries, evicted); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(b.String(), `{"name":"phase `); got != res.Phases {
@@ -115,15 +115,17 @@ func TestObsReconcilesCleanRun(t *testing.T) {
 	if snap[obs.MetricWorkersAlive] != 2 {
 		t.Errorf("workers alive = %d, want 2", snap[obs.MetricWorkersAlive])
 	}
-	// A shard ships this journal to its router as varint records (RTFW 7):
-	// at most 32 bytes an entry on average past the 16-byte chunk header.
-	o.Journal().Visit(func(older, newer []obs.Entry, evicted int64) error {
-		n := len(older) + len(newer)
-		size := len(wire.AppendJournal(nil, n, evicted, older, newer)) - 16
-		if n == 0 || size > 32*n {
-			t.Errorf("%d journal entries encode to %d bytes, over 32 per entry", n, size)
+	// A shard ships this journal's blocks to its router as they are stored,
+	// varint records (RTFW 7+): at most 32 bytes an entry on average.
+	o.Journal().Visit(0, func(blocks []obs.Block, n int, _ int64) error {
+		size := 0
+		for _, b := range blocks {
+			size += len(b.Recs)
 		}
-		t.Logf("%d journal entries encode to %d bytes (%.1f per entry)", n, size, float64(size)/float64(n))
+		if n == 0 || size > 32*n {
+			t.Errorf("%d journal entries are stored in %d bytes, over 32 per entry", n, size)
+		}
+		t.Logf("%d journal entries are stored in %d bytes (%.1f per entry)", n, size, float64(size)/float64(n))
 		return nil
 	})
 	// Wake-up overshoot is observed at most once per executed job, and a

@@ -381,7 +381,8 @@ func TestCrashShowsOnTheWorkersTrack(t *testing.T) {
 		t.Fatal("the crash lost no task: the scenario does not exercise the lost instant")
 	}
 	var b strings.Builder
-	if err := o.Journal().WriteChromeTrace(&b); err != nil {
+	entries, evicted := o.Journal().Export()
+	if err := obs.WriteChromeTrace(&b, entries, evicted); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

@@ -144,10 +144,3 @@ func WriteChromeTrace(w io.Writer, entries []Entry, evicted int64) error {
 	}
 	return json.NewEncoder(w).Encode(events)
 }
-
-// WriteChromeTrace renders this journal's retained entries as the
-// worker-track Chrome trace.
-func (j *Journal) WriteChromeTrace(w io.Writer) error {
-	entries, evicted := j.Export()
-	return WriteChromeTrace(w, entries, evicted)
-}

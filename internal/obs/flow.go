@@ -103,9 +103,3 @@ func WriteTaskFlowTrace(w io.Writer, entries []Entry) error {
 func flowInstant(e *Entry, name, cat string, args map[string]string) chromeEvent {
 	return instant(e, flowPID, e.Task, name, cat, args)
 }
-
-// WriteTaskFlowTrace renders this journal's lifecycle as a task-per-track
-// Chrome trace.
-func (j *Journal) WriteTaskFlowTrace(w io.Writer) error {
-	return WriteTaskFlowTrace(w, j.Snapshot())
-}

@@ -42,30 +42,58 @@ type Entry struct {
 const RouterShard = -1
 
 // DefaultJournalCap bounds the journal when no capacity is given: enough
-// for every event of a sizeable run, small enough to never matter.
+// for every event of a sizeable run. At recordReserve bytes per entry and one
+// spare block, its ring is one 2.1 MB slab.
 const DefaultJournalCap = 65536
 
-// Journal is a bounded, concurrency-safe ring of Entries recording a live
-// run's lifecycle. When full it evicts the oldest entries (the interesting
-// tail of a run is the recent past) and counts the evictions, so exports
-// report the truncation instead of hiding it. A nil Journal discards
-// records.
-type Journal struct {
-	mu      sync.Mutex
-	entries []Entry
-	start   int // ring read position
-	n       int // live entries
-	seq     int64
-	evicted int64
+// A block is blockBytes of the slab: 256 records at the ring's reserve of
+// recordReserve bytes per entry of capacity (a shard's records average about
+// 26 B, a router's route record with its policy Detail about 45).
+const (
+	recordReserve = 32
+	blockBytes    = 256 * recordReserve
+)
+
+// Block is a run of consecutive journal records as the ring stores them, the
+// first against a fresh delta base: Recs is exactly the body of one RTFW
+// Journal frame, and N is how many records it holds.
+type Block struct {
+	Recs []byte
+	N    int
 }
 
-// NewJournal returns a journal keeping at most cap entries (cap <= 0
-// selects DefaultJournalCap).
+// Journal is a bounded, concurrency-safe ring of Entries recording a live
+// run's lifecycle, stored as records (RecordWriter) in the blocks of one slab
+// allocated up front, so recording allocates nothing. When every block is in
+// use it evicts the oldest whole; a spare block lets it show the newest cap
+// entries while records average at most recordReserve bytes, and fewer when
+// long Details overrun that. Exports count what is not shown as evicted, so
+// truncation is reported rather than hidden. A nil Journal discards records.
+type Journal struct {
+	mu      sync.Mutex
+	blocks  []Block // a ring of fixed windows into the slab
+	head    int     // the oldest block in use
+	used    int     // blocks in use, at least one
+	w       RecordWriter
+	scratch []byte // one record's room: the slab's tail
+	cap     int
+	n       int // records stored, a few hidden past cap
+	seq     int64
+}
+
+// NewJournal returns a journal showing at most cap entries (cap <= 0 selects
+// DefaultJournalCap).
 func NewJournal(cap int) *Journal {
 	if cap <= 0 {
 		cap = DefaultJournalCap
 	}
-	return &Journal{entries: make([]Entry, 0, cap)}
+	nb := (cap*recordReserve+blockBytes-1)/blockBytes + 1
+	slab := make([]byte, nb*blockBytes+MaxRecord)
+	j := &Journal{blocks: make([]Block, nb), used: 1, cap: cap, scratch: slab[nb*blockBytes:]}
+	for i := range j.blocks {
+		j.blocks[i].Recs = slab[i*blockBytes : i*blockBytes : (i+1)*blockBytes]
+	}
+	return j
 }
 
 // Record appends an entry, stamping its sequence number. Safe for
@@ -77,15 +105,52 @@ func (j *Journal) Record(e Entry) {
 	j.mu.Lock()
 	j.seq++
 	e.Seq = j.seq
-	if j.n < cap(j.entries) {
-		j.entries = append(j.entries, e)
-		j.n++
-	} else {
-		j.entries[j.start] = e
-		j.start = (j.start + 1) % j.n
-		j.evicted++
+	b := &j.blocks[(j.head+j.used-1)%len(j.blocks)]
+	// Near the block's end the record is encoded once aside to see it fit.
+	if free := cap(b.Recs) - len(b.Recs); free < MaxRecord {
+		if w := j.w; len(w.Append(j.scratch[:0], &e)) > free {
+			b = j.open()
+		}
 	}
+	b.Recs = j.w.Append(b.Recs, &e)
+	b.N++
+	j.n++
 	j.mu.Unlock()
+}
+
+// open starts the next block against a fresh delta base, evicting the
+// oldest block when every one is in use.
+func (j *Journal) open() *Block {
+	if j.used == len(j.blocks) {
+		j.n -= j.blocks[j.head].N
+		j.head = (j.head + 1) % len(j.blocks)
+		j.used--
+	}
+	j.used++
+	b := &j.blocks[(j.head+j.used-1)%len(j.blocks)]
+	b.Recs, b.N, j.w = b.Recs[:0], 0, RecordWriter{}
+	return b
+}
+
+// cut returns, under j.mu, the blocks holding the newest n records — all
+// retained, or at most limit when limit > 0 — oldest first, and how many
+// records at the front of the first block precede the cut.
+func (j *Journal) cut(limit int) (blocks []Block, skip, n int) {
+	n = min(j.n, j.cap)
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	skip = j.n - n
+	blocks = make([]Block, 0, j.used)
+	for i := range j.used {
+		b := j.blocks[(j.head+i)%len(j.blocks)]
+		if len(blocks) == 0 && skip >= b.N {
+			skip -= b.N
+			continue
+		}
+		blocks = append(blocks, b)
+	}
+	return blocks, skip, n
 }
 
 // Len returns the number of retained entries.
@@ -95,18 +160,17 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return min(j.n, j.cap)
 }
 
-// Evicted returns how many entries were overwritten because the journal
-// was full.
+// Evicted returns how many recorded entries the journal no longer retains.
 func (j *Journal) Evicted() int64 {
 	if j == nil {
 		return 0
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.evicted
+	return j.seq - int64(min(j.n, j.cap))
 }
 
 // Snapshot returns the retained entries in record order (oldest first).
@@ -115,8 +179,8 @@ func (j *Journal) Snapshot() []Entry {
 	return entries
 }
 
-// Export returns the retained entries (oldest first) together with the
-// eviction count, read under one lock so the pair is consistent: evicted
+// Export decodes the retained entries (oldest first) and returns them with
+// the eviction count, read under one lock so the pair is consistent: evicted
 // is exactly the sequence numbers missing before the first retained entry
 // (entries[i].Seq == evicted + i + 1). Reading them separately can pair a
 // snapshot with an eviction count from a later burst of writes, reporting
@@ -125,51 +189,40 @@ func (j *Journal) Export() (entries []Entry, evicted int64) {
 	if j == nil {
 		return nil, 0
 	}
-	j.Visit(func(older, newer []Entry, ev int64) error {
-		entries = append(append(make([]Entry, 0, len(older)+len(newer)), older...), newer...)
-		evicted = ev
-		return nil
-	})
-	return entries, evicted
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	blocks, skip, n := j.cut(0)
+	entries = make([]Entry, 0, skip+n)
+	for _, b := range blocks {
+		entries = AppendEntries(entries, b.Recs)
+	}
+	return entries[skip:], j.seq - int64(n)
 }
 
-// Visit calls fn with the retained entries in record order — the ring's two
-// contiguous runs, older then newer, either possibly empty — and the
-// eviction count, all under the journal's lock: the same consistent cut
-// Export copies (the i-th entry across both runs has Seq evicted+i+1),
-// without the copy. Records wait until fn returns, so fn must not record
-// into j, and must not keep the slices. A nil Journal visits nothing.
-func (j *Journal) Visit(fn func(older, newer []Entry, evicted int64) error) error {
+// Visit calls fn with the newest retained entries — all, or at most limit
+// when limit > 0 — as blocks of records in order, their number n, and the
+// count of entries recorded before them, all under the journal's lock: the
+// same consistent cut Export decodes, without decoding it. When the cut
+// falls inside a block, that one block is re-encoded from its first kept
+// record. Records wait until fn returns, so fn must not record into j, and
+// must not keep the blocks. A nil Journal visits nothing.
+func (j *Journal) Visit(limit int, fn func(blocks []Block, n int, evicted int64) error) error {
 	if j == nil {
-		return fn(nil, nil, 0)
+		return fn(nil, 0, 0)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return fn(j.entries[j.start:j.n], j.entries[:j.start], j.evicted)
-}
-
-// entryTypes holds one copy of every Type the repo records — this package's
-// events and the federation router's rejoin — for InternType.
-var entryTypes = func() map[string]string {
-	m := make(map[string]string)
-	for _, t := range []string{
-		"run-start", "run-end", "arrival", "admit", "phase-start", "phase-end",
-		"deliver", "exec", "purge", "lost", "reroute", "route", "migrate",
-		"route-reject", "rejoin", "shed", "bounce", "worker-down",
-		"straggler", "heartbeat", "redial",
-	} {
-		m[t] = t
+	blocks, skip, n := j.cut(limit)
+	if skip > 0 {
+		kept := AppendEntries(make([]Entry, 0, blocks[0].N), blocks[0].Recs)[skip:]
+		cut := Block{Recs: make([]byte, 0, len(blocks[0].Recs)+MaxRecord), N: len(kept)}
+		var w RecordWriter
+		for i := range kept {
+			cut.Recs = w.Append(cut.Recs, &kept[i])
+		}
+		blocks[0] = cut
 	}
-	return m
-}()
-
-// InternType returns the entry Type spelled by b: the shared copy of a type
-// the repo records, without allocating, or a fresh string for any other.
-func InternType(b []byte) string {
-	if t, ok := entryTypes[string(b)]; ok {
-		return t
-	}
-	return string(b)
+	return fn(blocks, n, j.seq-int64(n))
 }
 
 // WriteJSONL writes the retained entries as JSON Lines, one entry per

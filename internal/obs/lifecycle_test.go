@@ -233,7 +233,7 @@ func TestBridgeFederationKindsAndDropAccounting(t *testing.T) {
 	}
 
 	// A journal mixing tracked and untracked types reports the exact
-	// count through the Journal method too.
+	// count through its export too.
 	j := NewJournal(0)
 	for _, e := range merged {
 		j.Record(e)
@@ -241,7 +241,8 @@ func TestBridgeFederationKindsAndDropAccounting(t *testing.T) {
 	j.Record(Entry{Type: "run-start", Worker: -1})
 	j.Record(Entry{Type: "overload", Worker: 0})
 	var b strings.Builder
-	if err := j.WriteChromeTrace(&b); err != nil {
+	entries, evicted := j.Export()
+	if err := WriteChromeTrace(&b, entries, evicted); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "2 journal entries without a trace track omitted") {
