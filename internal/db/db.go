@@ -292,16 +292,26 @@ func (d *Database) GenTransaction(id int32, r *rng.Source) Transaction {
 	return d.GenTransactionOpts(id, r, TxnOptions{})
 }
 
-// GenTransactionOpts draws one transaction with the given extensions. Its
-// one allocation is the predicate slice: the attribute subset is the head of
-// a permutation drawn into a stack array.
+// GenTransactionOpts draws one transaction with the given extensions into a
+// predicate slice of its own, its one allocation.
 func (d *Database) GenTransactionOpts(id int32, r *rng.Source, opts TxnOptions) Transaction {
+	var scratch [NumAttrs]Predicate
+	q := d.DrawTransaction(id, r, opts, &scratch)
+	return Transaction{ID: q.ID, Sub: q.Sub, Preds: append([]Predicate(nil), q.Preds...)}
+}
+
+// DrawTransaction draws one transaction with the given extensions, making
+// the same draws as GenTransactionOpts, into predicates the caller owns: the
+// returned Preds is the head of preds, valid until preds is drawn into
+// again. It allocates nothing — the attribute subset is the head of a
+// permutation drawn into a stack array — so a worker can keep a
+// transaction as the stream position it starts at and draw it per job.
+func (d *Database) DrawTransaction(id int32, r *rng.Source, opts TxnOptions, preds *[NumAttrs]Predicate) Transaction {
 	cfg := d.Config
 	sub := r.Intn(cfg.SubDBs)
 	n := r.IntRange(1, NumAttrs)
 	var perm [NumAttrs]int
 	r.PermInto(perm[:])
-	preds := make([]Predicate, n)
 	for i, a := range perm[:n] {
 		base := cfg.domainBase(sub, a)
 		if r.Bool(opts.RangeProb) {
@@ -318,7 +328,7 @@ func (d *Database) GenTransactionOpts(id int32, r *rng.Source, opts TxnOptions) 
 			Value: base + Value(r.Intn(cfg.DomainSize)),
 		}
 	}
-	return Transaction{ID: id, Sub: sub, Preds: preds}
+	return Transaction{ID: id, Sub: sub, Preds: preds[:n]}
 }
 
 // indexedCount returns the number of tuples an index probe for pred would

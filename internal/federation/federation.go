@@ -308,24 +308,19 @@ func LocalizeInto(dst *task.Task, t *task.Task, tp Topology, shard int) {
 
 // ShardWorkload projects the global workload onto one shard: the worker
 // count shrinks to the shard's slice and the replica placement is remapped
-// to local worker IDs. The database, transactions and cost model are
-// shared; the task list is not carried, since a shard's tasks are the ones
-// the router submits.
+// to local worker IDs. The database, the transactions' stream positions and
+// the cost model are shared; the task list is not carried, since a shard's
+// tasks are the ones the router submits.
 func ShardWorkload(w *workload.Workload, tp Topology, shard int) *workload.Workload {
-	p := w.Params
-	p.Workers = tp.WorkersPerShard
-	placement := make([]affinity.Set, len(w.Placement))
+	sw := *w
+	sw.Params.Workers = tp.WorkersPerShard
+	sw.Placement = make([]affinity.Set, len(w.Placement))
 	base := shard * tp.WorkersPerShard
 	for sub, set := range w.Placement {
-		placement[sub] = set.Rebase(base, tp.WorkersPerShard)
+		sw.Placement[sub] = set.Rebase(base, tp.WorkersPerShard)
 	}
-	return &workload.Workload{
-		Params:    p,
-		DB:        w.DB,
-		Placement: placement,
-		Cost:      w.Cost,
-		Txns:      w.Txns,
-	}
+	sw.Tasks = nil
+	return &sw
 }
 
 // SplitFaults partitions a global fault plan by shard, remapping each

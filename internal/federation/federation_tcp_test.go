@@ -636,26 +636,29 @@ func TestFederationLiveTCPShardFlap(t *testing.T) {
 }
 
 // TestShardRefusesHelloBeforeDrawing: a hello whose workload does not fit
-// the topology, or whose tables are past their bounds, is refused with
-// nothing drawn — the checks run before the transaction table is built.
+// the topology, or whose tables or journal are past their bounds, is refused
+// with nothing drawn or allocated — the checks run before the transaction
+// table is built and the journal ring allocated.
 func TestShardRefusesHelloBeforeDrawing(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		workers int // the topology below needs 4
-		mut     func(*workload.Params)
+		mut     func(*wire.Hello)
 		want    string
 	}{
-		{"topology", 3, func(p *workload.Params) { p.NumTransactions = 50_000_000 },
+		{"topology", 3, func(h *wire.Hello) { h.Params.NumTransactions = 50_000_000 },
 			"workload has 3 workers but topology needs 4"},
-		{"tuples", 4, func(p *workload.Params) { p.DB.TuplesPerSub = 1e9 },
+		{"tuples", 4, func(h *wire.Hello) { h.Params.DB.TuplesPerSub = 1e9 },
 			fmt.Sprintf("exceed the bound of %d tuples", db.MaxTuples)},
-		{"transactions", 4, func(p *workload.Params) { p.NumTransactions = 1 << 40 },
+		{"transactions", 4, func(h *wire.Hello) { h.Params.NumTransactions = 1 << 40 },
 			fmt.Sprintf("NumTransactions %d must be in [1,%d]", 1<<40, workload.MaxTransactions)},
+		{"journal", 4, func(h *wire.Hello) { h.JournalCap = 1 << 40 },
+			fmt.Sprintf("JournalCap %d exceeds the bound of %d entries", 1<<40, obs.MaxJournalCap)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			p := workload.DefaultParams(c.workers)
-			c.mut(&p)
-			hello := wire.Hello{Params: p, Shards: 2, WorkersPerShard: 2, Algorithm: string(policy.DCOLS), Scale: 50}
+			hello := wire.Hello{Params: workload.DefaultParams(c.workers), Shards: 2, WorkersPerShard: 2,
+				Algorithm: string(policy.DCOLS), Scale: 50}
+			c.mut(&hello)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, _, err := startShard(nil, hello, ServeShardOptions{})
@@ -667,6 +670,84 @@ func TestShardRefusesHelloBeforeDrawing(t *testing.T) {
 				t.Errorf("refusing the hello allocated %d bytes; want < 1 MiB", grew)
 			}
 		})
+	}
+}
+
+// TestServeShardRefusesJournalCap: a hello asking for a journal past
+// obs.MaxJournalCap is answered with an Error frame (nothing is allocated
+// for it: TestShardRefusesHelloBeforeDrawing), and the serving process takes
+// the next hello as usual. The router refuses such a configuration too.
+func TestServeShardRefusesJournalCap(t *testing.T) {
+	const huge = 1 << 40
+	want := fmt.Sprintf("JournalCap %d exceeds the bound of %d entries", huge, obs.MaxJournalCap)
+	p := workload.DefaultParams(2)
+	p.NumTransactions = 24
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := wire.Hello{Params: p, Shards: 1, WorkersPerShard: 2, Algorithm: string(policy.DCOLS), Scale: 200,
+		StartUnixNano: time.Now().UnixNano(), JournalCap: huge}
+
+	// A serving loop like rtcluster -shard-listen -serve: one session at a
+	// time, on to the next whatever the last one returned.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 2)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			served <- ServeShard(c, ServeShardOptions{HelloTimeout: 5 * time.Second})
+		}
+	}()
+	sess, err := wire.Dial(ln.Addr().String(), 5*time.Second, hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := sess.Recv()
+	sess.Close()
+	if err != nil || typ != wire.TypeError || !strings.Contains(string(body), want) {
+		t.Fatalf("hello with JournalCap %d answered with frame %d %q (%v); want an Error frame containing %q",
+			huge, typ, body, err, want)
+	}
+	if err := <-served; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ServeShard returned %v after the refusal", err)
+	}
+
+	cfg := Config{
+		Workload:   w,
+		Topology:   Topology{Shards: 1, WorkersPerShard: 2},
+		Algorithm:  policy.DCOLS,
+		Scale:      200,
+		ShardAddrs: []string{ln.Addr().String()},
+		JournalCap: huge,
+	}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("router accepted JournalCap %d: err = %v", huge, err)
+	}
+	cfg.JournalCap = 4096
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatalf("run after the refused hello: %v", err)
+	}
+	if err := res.Reconcile(); err != nil {
+		t.Fatalf("reconcile: %v", err)
+	}
+	if res.Routed != len(w.Tasks) {
+		t.Errorf("routed %d of %d tasks", res.Routed, len(w.Tasks))
+	}
+	if err := <-served; err != nil {
+		t.Errorf("the session after the refusal ended with: %v", err)
 	}
 }
 

@@ -41,8 +41,8 @@ type Config struct {
 	SlackGuard time.Duration
 
 	// JournalCap bounds each shard's journal (<= 0 selects
-	// obs.DefaultJournalCap). A remote shard's end-of-session journal
-	// claiming more entries ends its session.
+	// obs.DefaultJournalCap; at most obs.MaxJournalCap). A remote shard's
+	// end-of-session journal claiming more entries ends its session.
 	JournalCap int
 	// SettleTimeout bounds the wall-clock wait for every task to reach a
 	// terminal bucket after the last submission (default 2 minutes); on
@@ -193,6 +193,9 @@ func New(cfg Config) (*Federation, error) {
 	}
 	if cfg.JournalCap <= 0 {
 		cfg.JournalCap = obs.DefaultJournalCap
+	}
+	if cfg.JournalCap > obs.MaxJournalCap {
+		return nil, fmt.Errorf("federation: JournalCap %d exceeds the bound of %d entries", cfg.JournalCap, obs.MaxJournalCap)
 	}
 	if cfg.BatchCap < 0 {
 		return nil, fmt.Errorf("federation: BatchCap %d must be non-negative", cfg.BatchCap)

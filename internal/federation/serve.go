@@ -206,9 +206,10 @@ func refuse(sess *wire.Session, err error) error {
 }
 
 // startShard builds the cluster a hello describes and starts its run. Every
-// check on the hello comes before the transaction table is drawn —
-// GenerateTable validates the parameters first — so a refused hello costs
-// nothing however many transactions it claims.
+// check on the hello comes before the transaction table is drawn or the
+// journal allocated — GenerateTable validates the parameters first — so a
+// refused hello costs nothing however many transactions or journal entries
+// it claims.
 func startShard(sess *wire.Session, hello wire.Hello, opt ServeShardOptions) (*shardServer, <-chan runOutcome, error) {
 	tp := Topology{Shards: hello.Shards, WorkersPerShard: hello.WorkersPerShard}
 	if err := tp.Validate(); err != nil {
@@ -219,6 +220,9 @@ func startShard(sess *wire.Session, hello wire.Hello, opt ServeShardOptions) (*s
 	}
 	if got, want := hello.Params.Workers, tp.TotalWorkers(); got != want {
 		return nil, nil, fmt.Errorf("federation: workload has %d workers but topology needs %d", got, want)
+	}
+	if hello.JournalCap > obs.MaxJournalCap {
+		return nil, nil, fmt.Errorf("federation: JournalCap %d exceeds the bound of %d entries", hello.JournalCap, obs.MaxJournalCap)
 	}
 	w, err := workload.GenerateTable(hello.Params)
 	if err != nil {

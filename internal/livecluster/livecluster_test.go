@@ -2,6 +2,7 @@ package livecluster
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -104,7 +105,10 @@ func TestWorkerExecutesJobs(t *testing.T) {
 	}()
 	tk := w.Tasks[0]
 	jobs.push(Job{Task: int32(tk.ID), Txn: tk.Payload, Proc: tk.Proc, Deadline: simtime.Never})
-	jobs.push(Job{Task: 999, Txn: -1, Proc: time.Millisecond, Deadline: simtime.Never}) // invalid txn
+	hostile := hostileTxns(w)
+	for _, txn := range hostile {
+		jobs.push(Job{Task: 999, Txn: txn, Proc: time.Millisecond, Deadline: simtime.Never})
+	}
 	jobs.close()
 
 	first := <-done
@@ -117,12 +121,59 @@ func TestWorkerExecutesJobs(t *testing.T) {
 	if first.Finish.Sub(first.Start) < tk.Proc {
 		t.Errorf("job occupied %v, want at least %v", first.Finish.Sub(first.Start), tk.Proc)
 	}
-	second := <-done
-	if second.Err == "" {
-		t.Error("invalid transaction did not report an error")
+	for _, txn := range hostile {
+		d := <-done
+		if want := fmt.Sprintf("unknown transaction %d", txn); d.Task != 999 || d.Err != want || d.Matches != 0 {
+			t.Errorf("job with Txn %d completed as %+v, want Err %q", txn, d, want)
+		}
 	}
 	if _, open := <-done; open {
 		t.Error("done channel not closed after Run returned")
+	}
+}
+
+// hostileTxns are Job.Txn values no table holds: a Jobs frame is remote
+// input, so the worker must answer each with an error, never index with it.
+func hostileTxns(w *workload.Workload) []int32 {
+	return []int32{-1, math.MinInt32, int32(w.NumTxns()), math.MaxInt32}
+}
+
+// TestWorkerExecuteAllocatesNothing: a worker draws each job's transaction
+// into its own predicates, so executing a job allocates nothing, against a
+// local replica or a remote sub-database alike — and finds what the table's
+// transaction finds.
+func TestWorkerExecuteAllocatesNothing(t *testing.T) {
+	w, err := workload.Generate(liveParams(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock, err := NewClock(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk := NewWorker(0, clock, w)
+	tested := map[bool]bool{}
+	for _, tk := range w.Tasks {
+		q := w.Txn(tk)
+		local := wk.HasReplica(q.Sub)
+		if tested[local] {
+			continue
+		}
+		tested[local] = true
+		want, err := w.DB.Execute(w.DB.Subs[q.Sub], q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := Job{Task: int32(tk.ID), Txn: tk.Payload}
+		if d := wk.execute(j); d.Err != "" || d.Matches != want.Matches {
+			t.Fatalf("local=%v: task %d executed as %+v, want %d matches", local, tk.ID, d, want.Matches)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { wk.execute(j) }); allocs != 0 {
+			t.Errorf("local=%v: executing a job makes %v allocations, want 0", local, allocs)
+		}
+	}
+	if !tested[true] || !tested[false] {
+		t.Fatalf("workload gives worker 0 no local and remote transaction to test (%v)", tested)
 	}
 }
 

@@ -158,6 +158,55 @@ func dialHello(t *testing.T, addr string, heartbeat, timeout time.Duration) *wir
 	return sess
 }
 
+// TestServeWorkerRefusesUnknownTxn: a Jobs frame naming transactions outside
+// the table draws one Done per job carrying "unknown transaction", and the
+// session goes on to serve a valid job and end cleanly.
+func TestServeWorkerRefusesUnknownTxn(t *testing.T) {
+	w, err := workload.GenerateTable(liveParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, errc := serveOne(t, context.Background(), ServeOptions{HelloTimeout: time.Second})
+	sess := dialHello(t, addr, time.Second, 5*time.Second)
+	defer sess.Close()
+	var jobs []Job
+	want := map[int32]string{}
+	for i, txn := range hostileTxns(w) {
+		jobs = append(jobs, Job{Task: int32(i), Txn: txn, Deadline: simtime.Never})
+		want[int32(i)] = fmt.Sprintf("unknown transaction %d", txn)
+	}
+	valid := int32(len(jobs))
+	jobs = append(jobs, Job{Task: valid, Txn: 0, Proc: time.Microsecond, Deadline: simtime.Never})
+	want[valid] = ""
+	if err := sess.Send(wire.TypeJobs, appendJobs(nil, jobs)); err != nil {
+		t.Fatal(err)
+	}
+	for len(want) > 0 {
+		typ, body, err := sess.Recv()
+		if err != nil {
+			t.Fatalf("waiting for %d completions: %v", len(want), err)
+		}
+		if typ != wire.TypeDone {
+			continue
+		}
+		d, err := decodeDone(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := want[d.Task]
+		if !ok || d.Err != e {
+			t.Fatalf("completion %+v, want Err %q", d, e)
+		}
+		delete(want, d.Task)
+	}
+	if err := sess.Send(wire.TypeBye, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitErr(t, errc, 5*time.Second); err != nil {
+		t.Errorf("worker ended the session with: %v", err)
+	}
+}
+
 func TestServeWorkerMidRunConnClose(t *testing.T) {
 	addr, errc := serveOne(t, context.Background(), ServeOptions{HelloTimeout: time.Second})
 	conn := dialHello(t, addr, 20*time.Millisecond, 150*time.Millisecond)

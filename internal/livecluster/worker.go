@@ -295,6 +295,7 @@ type Worker struct {
 	w     *workload.Workload
 	local map[int]*db.SubDB // sub-database ID -> local replica
 	o     *obs.Observer
+	preds [db.NumAttrs]db.Predicate // the executing job's transaction, drawn per job
 }
 
 // Observe attaches an observer recording the worker's executed jobs (nil
@@ -379,23 +380,24 @@ func (wk *Worker) RunUntil(jobs *readyQueue, done chan<- Done, quit <-chan struc
 	}
 }
 
-// execute runs the transaction against a replica: locally when one is
-// held, otherwise against the remote sub-database (the communication cost
-// in j.Comm models the transfer).
+// execute draws the job's transaction into the worker's predicates and runs
+// it against a replica: locally when one is held, otherwise against the
+// remote sub-database (the communication cost in j.Comm models the
+// transfer).
 func (wk *Worker) execute(j Job) Done {
 	out := Done{Task: j.Task, Worker: wk.ID}
-	if int(j.Txn) < 0 || int(j.Txn) >= len(wk.w.Txns) {
+	if j.Txn < 0 || int(j.Txn) >= wk.w.NumTxns() {
 		out.Err = fmt.Sprintf("unknown transaction %d", j.Txn)
 		return out
 	}
-	q := &wk.w.Txns[j.Txn]
+	q := wk.w.DrawTxn(j.Txn, &wk.preds)
 	sub, ok := wk.local[q.Sub]
 	if !ok {
 		// Remote access: the data still lives in some processor's memory;
 		// j.Comm accounts for the transfer.
 		sub = wk.w.DB.Subs[q.Sub]
 	}
-	res, err := wk.w.DB.Execute(sub, q)
+	res, err := wk.w.DB.Execute(sub, &q)
 	if err != nil {
 		out.Err = err.Error()
 		return out

@@ -46,6 +46,12 @@ const RouterShard = -1
 // spare block, its ring is one 2.1 MB slab.
 const DefaultJournalCap = 65536
 
+// MaxJournalCap bounds a journal capacity that arrives as input — a wire
+// hello carries the router's JournalCap, and the serving process allocates
+// the ring for it up front. Its ring is a 134 MB slab, sixty-four times the
+// default's.
+const MaxJournalCap = 1 << 22
+
 // A block is blockBytes of the slab: 256 records at the ring's reserve of
 // recordReserve bytes per entry of capacity (a shard's records average about
 // 26 B, a router's route record with its policy Detail about 45).

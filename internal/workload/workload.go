@@ -146,13 +146,19 @@ const MaxTransactions = 1 << 22
 
 // Workload is one generated problem instance: the database, the replica
 // placement, the transactions and their task representations.
+//
+// A transaction is kept as the point in the transaction stream where its
+// draw starts — a 16-byte copy of the stream, not its predicates — and is
+// drawn again wherever it is needed (DrawTxn, Txn): the draw sequence is
+// fixed by the seed, so every redraw is the transaction Generate drew.
 type Workload struct {
 	Params    Params
 	DB        *db.Database
 	Placement []affinity.Set // per sub-database: the workers holding it
 	Cost      affinity.CostModel
-	Txns      []db.Transaction
 	Tasks     []*task.Task // sorted by arrival time; nil from GenerateTable
+
+	txnAt []rng.Source // transaction i's draw starts at txnAt[i]
 }
 
 // GenerateTable builds the part of p's workload a working processor needs —
@@ -161,24 +167,34 @@ type Workload struct {
 // executes the transactions the host hands it and never owns the run's task
 // list. Every field it sets is identical to Generate's.
 func GenerateTable(p Params) (*Workload, error) {
-	w, _, err := generateTable(p)
-	return w, err
+	w, s, err := newWorkload(p)
+	if err != nil {
+		return nil, err
+	}
+	// Each transaction is drawn once, to find where the next one starts;
+	// its predicates land in scratch and are dropped.
+	var preds [db.NumAttrs]db.Predicate
+	for i := range w.txnAt {
+		w.drawNext(int32(i), s.txn, &preds)
+	}
+	return w, nil
 }
 
 // Generate builds a workload from p: GenerateTable's table plus one task per
 // transaction. The same parameters (including Seed) always produce the
 // identical workload.
 func Generate(p Params) (*Workload, error) {
-	w, s, err := generateTable(p)
+	w, s, err := newWorkload(p)
 	if err != nil {
 		return nil, err
 	}
-	w.Tasks = make([]*task.Task, len(w.Txns))
-	tasks := make([]task.Task, len(w.Txns))
+	w.Tasks = make([]*task.Task, len(w.txnAt))
+	tasks := make([]task.Task, len(w.txnAt))
 	arrival := simtime.Instant(0)
-	for i := range w.Txns {
-		q := &w.Txns[i]
-		cost := w.DB.EstimateCost(q, p.PerIter)
+	var preds [db.NumAttrs]db.Predicate
+	for i := range tasks {
+		q := w.drawNext(int32(i), s.txn, &preds)
+		cost := w.DB.EstimateCost(&q, p.PerIter)
 		// §5.1: Deadline(q) = SF × 10 × Estimated_Cost(q), relative to
 		// arrival.
 		rel := time.Duration(p.SF * 10 * float64(cost))
@@ -207,17 +223,19 @@ func Generate(p Params) (*Workload, error) {
 	return w, nil
 }
 
-// taskStreams are the two draws only the task list needs.
-type taskStreams struct{ arrive, noise *rng.Source }
+// streams are the draws left after the database and the placement: the
+// transactions, and the two only the task list needs.
+type streams struct{ txn, arrive, noise *rng.Source }
 
-// generateTable draws the table and derives the task list's streams.
-// Independent streams per concern keep sub-experiments comparable: e.g.
-// changing the replication rate does not reshuffle transaction content. A
-// Split advances only the root, so each stream is the same whichever of the
-// others has drawn first — the task loop may run after the whole table.
-func generateTable(p Params) (*Workload, taskStreams, error) {
+// newWorkload draws the database and the placement, sizes the transaction
+// table and derives the streams still to draw. Independent streams per
+// concern keep sub-experiments comparable: e.g. changing the replication
+// rate does not reshuffle transaction content. A Split advances only the
+// root, so each stream is the same whichever of the others has drawn first
+// — the task loop may interleave its draws with the transactions'.
+func newWorkload(p Params) (*Workload, streams, error) {
 	if err := p.Validate(); err != nil {
-		return nil, taskStreams{}, err
+		return nil, streams{}, err
 	}
 	root := rng.New(p.Seed)
 	dbRNG := root.Split()
@@ -228,29 +246,49 @@ func generateTable(p Params) (*Workload, taskStreams, error) {
 
 	database, err := db.Generate(p.DB, dbRNG)
 	if err != nil {
-		return nil, taskStreams{}, fmt.Errorf("workload: generate database: %w", err)
+		return nil, streams{}, fmt.Errorf("workload: generate database: %w", err)
 	}
 	placement, err := affinity.ReplicateWith(p.DB.SubDBs, p.Workers, p.Replication, p.Placement, placeRNG)
 	if err != nil {
-		return nil, taskStreams{}, fmt.Errorf("workload: place replicas: %w", err)
+		return nil, streams{}, fmt.Errorf("workload: place replicas: %w", err)
 	}
 	w := &Workload{
 		Params:    p,
 		DB:        database,
 		Placement: placement,
 		Cost:      affinity.CostModel{Remote: p.RemoteCost},
-		Txns:      make([]db.Transaction, p.NumTransactions),
+		txnAt:     make([]rng.Source, p.NumTransactions),
 	}
-	opts := db.TxnOptions{RangeProb: p.RangeProb}
-	for i := range w.Txns {
-		w.Txns[i] = database.GenTransactionOpts(int32(i), txnRNG, opts)
-	}
-	return w, taskStreams{arrive: arriveRNG, noise: noiseRNG}, nil
+	return w, streams{txn: txnRNG, arrive: arriveRNG, noise: noiseRNG}, nil
 }
 
-// Txn returns the transaction behind a generated task.
+// drawNext notes that transaction i starts where txn stands and draws it
+// from there into preds.
+func (w *Workload) drawNext(i int32, txn *rng.Source, preds *[db.NumAttrs]db.Predicate) db.Transaction {
+	w.txnAt[i] = *txn
+	return w.DB.DrawTransaction(i, txn, w.Params.txnOptions(), preds)
+}
+
+func (p Params) txnOptions() db.TxnOptions { return db.TxnOptions{RangeProb: p.RangeProb} }
+
+// NumTxns returns the number of transactions in the table.
+func (w *Workload) NumTxns() int { return len(w.txnAt) }
+
+// DrawTxn draws transaction i (in [0, NumTxns())) into preds, which the
+// returned Preds aliases until preds is drawn into again. It allocates
+// nothing and does not change w, so goroutines drawing into predicates of
+// their own may share w.
+func (w *Workload) DrawTxn(i int32, preds *[db.NumAttrs]db.Predicate) db.Transaction {
+	r := w.txnAt[i]
+	return w.DB.DrawTransaction(i, &r, w.Params.txnOptions(), preds)
+}
+
+// Txn returns the transaction behind a generated task, drawn afresh into
+// predicates of its own.
 func (w *Workload) Txn(t *task.Task) *db.Transaction {
-	return &w.Txns[t.Payload]
+	r := w.txnAt[t.Payload]
+	q := w.DB.GenTransactionOpts(t.Payload, &r, w.Params.txnOptions())
+	return &q
 }
 
 // TotalWork returns the sum of all task processing times — a lower bound on

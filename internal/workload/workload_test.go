@@ -3,13 +3,17 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"rtsads/internal/affinity"
 	"rtsads/internal/db"
+	"rtsads/internal/rng"
 	"rtsads/internal/simtime"
 )
 
@@ -57,8 +61,8 @@ func TestGenerateBursty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Tasks) != 100 || len(w.Txns) != 100 {
-		t.Fatalf("generated %d tasks, %d txns", len(w.Tasks), len(w.Txns))
+	if len(w.Tasks) != 100 || w.NumTxns() != 100 {
+		t.Fatalf("generated %d tasks, %d txns", len(w.Tasks), w.NumTxns())
 	}
 	for i, tk := range w.Tasks {
 		if tk.Arrival != 0 {
@@ -143,8 +147,9 @@ func TestReplicationIndependentOfTxnContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range wa.Txns {
-		if wa.Txns[i].Sub != wb.Txns[i].Sub || len(wa.Txns[i].Preds) != len(wb.Txns[i].Preds) {
+	var predsA, predsB [db.NumAttrs]db.Predicate
+	for i := range int32(wa.NumTxns()) {
+		if qa, qb := wa.DrawTxn(i, &predsA), wb.DrawTxn(i, &predsB); qa.Sub != qb.Sub || !slices.Equal(qa.Preds, qb.Preds) {
 			t.Fatalf("txn %d differs when only replication changed", i)
 		}
 	}
@@ -277,8 +282,9 @@ func TestRangeProbGeneratesRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranges := 0
-	for i := range w.Txns {
-		for _, pred := range w.Txns[i].Preds {
+	var preds [db.NumAttrs]db.Predicate
+	for i := range int32(w.NumTxns()) {
+		for _, pred := range w.DrawTxn(i, &preds).Preds {
 			if pred.Range {
 				ranges++
 			}
@@ -382,8 +388,9 @@ func digest(w *Workload) string {
 	for sub, set := range w.Placement {
 		fmt.Fprintln(h, "place", sub, uint64(set))
 	}
-	for i := range w.Txns {
-		q := &w.Txns[i]
+	var preds [db.NumAttrs]db.Predicate
+	for i := range int32(w.NumTxns()) {
+		q := w.DrawTxn(i, &preds)
 		fmt.Fprintln(h, "txn", q.ID, q.Sub, len(q.Preds))
 		for _, p := range q.Preds {
 			fmt.Fprintln(h, "pred", int(p.Attr), p.Value, p.Range, p.Lo, p.Hi)
@@ -425,7 +432,8 @@ func TestGenerateGolden(t *testing.T) {
 }
 
 // TestGenerateTableMatchesGenerate: the table a shard or worker builds is
-// Generate's, field for field, without the task list.
+// Generate's, field for field, without the task list, and every transaction
+// it draws — Sub, predicates, ID — is the one behind Generate's task.
 func TestGenerateTableMatchesGenerate(t *testing.T) {
 	for _, rangeProb := range []float64{0, 0.5} {
 		for _, arrival := range []ArrivalKind{Bursty, Poisson} {
@@ -447,6 +455,13 @@ func TestGenerateTableMatchesGenerate(t *testing.T) {
 				if table.Tasks != nil {
 					t.Errorf("%s: GenerateTable built %d tasks", name, len(table.Tasks))
 				}
+				var preds [db.NumAttrs]db.Predicate
+				for _, tk := range full.Tasks {
+					want := full.Txn(tk)
+					if got := table.DrawTxn(tk.Payload, &preds); !sameTxn(got, *want) {
+						t.Fatalf("%s: task %d's transaction redrawn as %+v, Generate's is %+v", name, tk.ID, got, *want)
+					}
+				}
 				full.Tasks = nil
 				if !reflect.DeepEqual(table, full) {
 					t.Errorf("%s: GenerateTable differs from Generate's table", name)
@@ -454,4 +469,101 @@ func TestGenerateTableMatchesGenerate(t *testing.T) {
 			}
 		}
 	}
+}
+
+func sameTxn(a, b db.Transaction) bool {
+	return a.ID == b.ID && a.Sub == b.Sub && slices.Equal(a.Preds, b.Preds)
+}
+
+// TestTxnRedrawIsExact: a transaction drawn from its stream position is the
+// one a sequential pass of GenTransactionOpts over the transaction stream
+// draws, in any order and however often it is drawn, and every task's cost
+// is the estimate of its redrawn transaction.
+func TestTxnRedrawIsExact(t *testing.T) {
+	for _, rangeProb := range []float64{0, 0.5} {
+		for _, noise := range []float64{0, 0.3} {
+			p := smallParams()
+			p.NumTransactions = 500
+			p.Seed = 7
+			p.RangeProb = rangeProb
+			p.CostNoise = noise
+			name := fmt.Sprintf("range=%v/noise=%v", rangeProb, noise)
+			w, err := Generate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The reference: the transaction stream is the root's third
+			// split, after the database's and the placement's.
+			root := rng.New(p.Seed)
+			root.Split()
+			root.Split()
+			stream := root.Split()
+			ref := make([]db.Transaction, p.NumTransactions)
+			for i := range ref {
+				ref[i] = w.DB.GenTransactionOpts(int32(i), stream, db.TxnOptions{RangeProb: rangeProb})
+			}
+			var preds [db.NumAttrs]db.Predicate
+			order := rng.New(11).Perm(2 * p.NumTransactions)
+			for _, k := range order {
+				i := int32(k % p.NumTransactions)
+				if got := w.DrawTxn(i, &preds); !sameTxn(got, ref[i]) {
+					t.Fatalf("%s: transaction %d redrawn as %+v, the stream drew %+v", name, i, got, ref[i])
+				}
+			}
+			for _, tk := range w.Tasks {
+				q := w.DrawTxn(tk.Payload, &preds)
+				if want := w.DB.EstimateCost(&q, p.PerIter); tk.Proc != want {
+					t.Fatalf("%s: task %d proc %v, its redrawn transaction costs %v", name, tk.ID, tk.Proc, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateTableAllocations: a table holds the database and 16 bytes per
+// transaction — each transaction's stream position, never its predicates.
+func TestGenerateTableAllocations(t *testing.T) {
+	p := DefaultParams(4)
+	p.NumTransactions = 16_666
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := GenerateTable(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("GenerateTable makes %v allocations, want at most 20", allocs)
+	}
+	database := allocBytes(func() {
+		if _, err := db.Generate(p.DB, rng.New(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	table := allocBytes(func() {
+		if _, err := GenerateTable(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The stream positions are one slab, and the runtime hands out an
+	// object past 32 KiB in whole 8 KiB pages: at this size the rounding is
+	// 3 680 B, nearly all of the 4 KiB the rest of the table may take.
+	const page = 8 << 10
+	slab := (16*uint64(p.NumTransactions) + page - 1) / page * page
+	if bound := database + slab + 4<<10; table > bound {
+		t.Errorf("GenerateTable allocates %d B, want at most %d: the database's %d B, 16 B per transaction in whole pages (%d B) and 4 KiB",
+			table, bound, database, slab)
+	}
+}
+
+// allocBytes returns the bytes one call of f allocates, the least over
+// three calls so a stray allocation elsewhere does not count.
+func allocBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
