@@ -80,45 +80,17 @@ type routeCore struct {
 
 	// Hot-path scratch: the view snapshot, the cost estimates and shard
 	// affinity masks the pick loop hoists, one staging buffer per destination
-	// shard, the arena behind every localized copy, and a single-task buffer
-	// for re-placements.
+	// shard, the localized copies they point into (one per task placed), and
+	// the copy and single-task buffer of a re-placement. A shard copies each
+	// task it is handed, so these live only until the driver's next call.
 	views  []ShardView
 	ce     []time.Duration
 	masks  []affinity.Set
 	stage  [][]*task.Task
+	local  []task.Task
+	one    task.Task
 	single []*task.Task
-	arena  taskArena
 }
-
-// taskArena hands out task slots from chunked backing arrays: the storage
-// behind the localized copies the shards hold until their tasks settle, so
-// slots live for the whole run. reset rewinds the arena so a pooled
-// simulation reuses the same chunks run after run. Task is pointer-free, so
-// the chunks never cost the garbage collector a scan.
-type taskArena struct {
-	chunks [][]task.Task
-	ci     int // chunk being carved
-	used   int // slots used in chunks[ci]
-}
-
-const arenaChunk = 256
-
-func (a *taskArena) alloc() *task.Task {
-	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]task.Task, arenaChunk))
-	}
-	c := a.chunks[a.ci]
-	t := &c[a.used]
-	if a.used++; a.used == len(c) {
-		a.ci++
-		a.used = 0
-	}
-	return t
-}
-
-// reset rewinds the arena to its first slot, keeping every chunk. Slots are
-// handed out dirty; LocalizeInto overwrites every field.
-func (a *taskArena) reset() { a.ci, a.used = 0, 0 }
 
 // growSlice returns s resized to n zeroed elements, reallocating only when
 // the capacity does not suffice.
@@ -169,7 +141,6 @@ func (c *routeCore) reset(d routeDriver, tp Topology, p Placement, migrate bool,
 			c.origOver[t.ID] = t
 		}
 	}
-	c.arena.reset()
 	c.res = Result{Topology: tp, Placement: p}
 }
 
@@ -180,13 +151,6 @@ func (c *routeCore) original(id task.ID) *task.Task {
 		return c.orig[i]
 	}
 	return c.origOver[id]
-}
-
-// localize copies a (global) task into shard s's local frame.
-func (c *routeCore) localize(g *task.Task, s int) *task.Task {
-	lt := c.arena.alloc()
-	LocalizeInto(lt, g, c.tp, s)
-	return lt
 }
 
 // snapshot rebuilds the task-independent part of every shard's view; the
@@ -212,10 +176,11 @@ func (c *routeCore) snapshot(now simtime.Instant) []ShardView {
 
 // place routes one batch of due arrivals against a single snapshot of the
 // shard views, staging the localized tasks per destination shard in submit
-// order; the driver then submits and empties each stage. The Submitted
-// tie-break advances task by task inside the snapshot, so the decisions are
-// bit-identical to per-task routing. When no shard is eligible a task still
-// goes to shard 0, which bounces or loses it, keeping the books honest.
+// order; the driver then submits and empties each stage before the next
+// call reuses the copies. The Submitted tie-break advances task by task
+// inside the snapshot, so the decisions are bit-identical to per-task
+// routing. When no shard is eligible a task still goes to shard 0, which
+// bounces or loses it, keeping the books honest.
 func (c *routeCore) place(ts []*task.Task, now simtime.Instant) {
 	views := c.snapshot(now)
 	// The pick loop below is Placement.Pick with its per-task invariants
@@ -228,7 +193,8 @@ func (c *routeCore) place(ts []*task.Task, now simtime.Instant) {
 		ce[i] = views[i].CE()
 	}
 	affFirst := c.placement == AffinityFirst
-	for _, t := range ts {
+	c.local = growSlice(c.local, len(ts))
+	for k, t := range ts {
 		s := -1
 		if c.placement == Hashed {
 			s = c.placement.Pick(t, views, nil)
@@ -266,7 +232,8 @@ func (c *routeCore) place(ts []*task.Task, now simtime.Instant) {
 		c.submitted[s]++
 		views[s].Submitted++
 		c.d.notePlaced(t, s, now)
-		c.stage[s] = append(c.stage[s], c.localize(t, s))
+		LocalizeInto(&c.local[k], t, c.tp, s)
+		c.stage[s] = append(c.stage[s], &c.local[k])
 	}
 }
 
@@ -298,7 +265,8 @@ func (c *routeCore) bounce(from int, id task.ID, reason string, now simtime.Inst
 			return i != from && !tried[i] && views[i].Feasible(g, now)
 		})
 		if s >= 0 {
-			c.single = append(c.single[:0], c.localize(g, s))
+			LocalizeInto(&c.one, g, c.tp, s)
+			c.single = append(c.single[:0], &c.one)
 			if c.d.handoff(s, c.single, now) != nil {
 				s = -1
 			}

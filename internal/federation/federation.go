@@ -296,11 +296,11 @@ func (p Placement) prefers(a, b ShardView) bool {
 }
 
 // LocalizeInto copies a task into a shard's local frame, in caller-provided
-// storage (the routing core's arena): the affinity set is remapped from
-// global worker IDs to the shard's local worker IDs (empty when the shard
-// holds no replica, so every local placement pays the remote cost C). ID,
-// deadline and costs are untouched, so accounting and migration still speak
-// about the same task.
+// storage (the routing core's staged copies): the affinity set is remapped
+// from global worker IDs to the shard's local worker IDs (empty when the
+// shard holds no replica, so every local placement pays the remote cost C).
+// ID, deadline and costs are untouched, so accounting and migration still
+// speak about the same task.
 func LocalizeInto(dst *task.Task, t *task.Task, tp Topology, shard int) {
 	*dst = *t
 	dst.Affinity = t.Affinity.Rebase(shard*tp.WorkersPerShard, tp.WorkersPerShard)

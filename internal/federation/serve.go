@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,10 +41,6 @@ type shardServer struct {
 	// journalCap is the router's JournalCap: the most journal entries it
 	// accepts.
 	journalCap int
-
-	// arena backs the tasks decoded from Submit frames; the cluster holds
-	// them until they settle, so slots live for the session. Read loop only.
-	arena taskArena
 
 	vmu      sync.Mutex
 	verdicts map[int32]chan bool
@@ -368,11 +365,12 @@ func (s *shardServer) onReject(t *task.Task, reason admission.Reason, now simtim
 
 // readLoop consumes the router's frames until the connection breaks. The
 // idle bound is the liveness timeout; the router's heartbeats keep it from
-// firing between submissions. Submit frames decode into one reused slice:
-// SubmitBatch copies the pointers out before the next frame.
+// firing between submissions. Submit frames decode into one reused batch:
+// SubmitBatch copies the tasks out before the next frame.
 func (s *shardServer) readLoop(errc chan<- error) {
-	alloc := s.arena.alloc
+	var tasks []task.Task
 	var batch []*task.Task
+	alloc := func() *task.Task { tasks = append(tasks, task.Task{}); return &tasks[len(tasks)-1] }
 	for {
 		typ, body, err := s.sess.Recv()
 		if err != nil {
@@ -381,6 +379,7 @@ func (s *shardServer) readLoop(errc chan<- error) {
 		}
 		switch typ {
 		case wire.TypeSubmit:
+			tasks = slices.Grow(tasks[:0], len(body)/wire.TaskRecordSize) // alloc never reallocates
 			var err error
 			batch, err = wire.AppendDecodeSubmit(batch[:0], body, alloc)
 			if err != nil {

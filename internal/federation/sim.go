@@ -106,7 +106,7 @@ type ShardEvent struct {
 type simShard struct {
 	id    int
 	host  machine.Host
-	inbox []*task.Task
+	inbox []task.Task
 	adm   *admission.Controller
 	// bounce offers a task the gate turns away to the routing core.
 	bounce machine.BounceFunc
@@ -132,8 +132,8 @@ type simFed struct {
 }
 
 // simPool recycles the simulation's scratch graph — shard structs, batches,
-// inboxes, the routing core's arena and view snapshot — across Simulate
-// calls, so parameter sweeps and the throughput benchmark run nearly
+// inboxes, task slots, the routing core's stages and view snapshot — across
+// Simulate calls, so parameter sweeps and the throughput benchmark run nearly
 // allocation-free once warm. Per-shard results and planners are always
 // built fresh: results escape to the caller, and planners carry per-run
 // quantum-policy state that must not leak between runs.
@@ -351,11 +351,13 @@ func (f *simFed) handoff(s int, batch []*task.Task, now simtime.Instant) error {
 		batch = f.cfg.Transport(s, batch)
 	}
 	sh := f.shards[s]
+	for _, t := range batch {
+		sh.inbox = append(sh.inbox, *t)
+	}
 	if sh.dead {
-		sh.strandInbox(f, batch, now)
+		sh.strandInbox(f, now)
 		return nil
 	}
-	sh.inbox = append(sh.inbox, batch...)
 	// The host absorbs its inbox when it next runs: now when idle, else
 	// when the phase in progress delivers — it runs one phase at a time.
 	sh.wakeAt = sh.wakeAt.Min(now.Max(sh.host.BusyUntil()))
@@ -419,8 +421,7 @@ func (f *simFed) applyEvents(now simtime.Instant) {
 // verdicts — the analytic model settles work at scheduling time.
 func (sh *simShard) kill(f *simFed, now simtime.Instant) {
 	sh.dead = true
-	sh.strandInbox(f, sh.inbox, now)
-	sh.inbox = sh.inbox[:0]
+	sh.strandInbox(f, now)
 	for _, t := range sh.host.Batch.Tasks() {
 		sh.strand(f, t, now)
 	}
@@ -428,12 +429,14 @@ func (sh *simShard) kill(f *simFed, now simtime.Instant) {
 	sh.wakeAt = simtime.Never
 }
 
-// strandInbox books tasks handed to the dead shard, then strands each.
-func (sh *simShard) strandInbox(f *simFed, ts []*task.Task, now simtime.Instant) {
-	for _, t := range ts {
+// strandInbox books the tasks handed to the dead shard, then strands each.
+func (sh *simShard) strandInbox(f *simFed, now simtime.Instant) {
+	for i := range sh.inbox {
+		t := sh.host.Take(&sh.inbox[i])
 		sh.host.Arrive(t, now)
 		sh.strand(f, t, now)
 	}
+	sh.inbox = sh.inbox[:0]
 }
 
 // strand settles one task the dead shard still held: the router salvages it
@@ -452,7 +455,8 @@ func (sh *simShard) strand(f *simFed, t *task.Task, now simtime.Instant) {
 func (sh *simShard) step(now simtime.Instant) error {
 	// Rejections inside the admit loop refill sibling inboxes, never this
 	// shard's own: migration excludes the rejecting shard.
-	for _, t := range sh.inbox {
+	for i := range sh.inbox {
+		t := sh.host.Take(&sh.inbox[i])
 		sh.host.Arrive(t, now)
 		sh.host.Admit(t, now, sh.adm, sh.bounce)
 	}

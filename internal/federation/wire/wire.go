@@ -226,7 +226,8 @@ func AppendSubmit(dst []byte, ts []*task.Task) []byte {
 }
 
 // DecodeSubmit decodes a Submit payload into a fresh slice. alloc provides
-// task storage (a fresh allocation or an arena slot per task).
+// task storage (a fresh allocation per task, or a slot of a batch the
+// reader reuses frame after frame).
 func DecodeSubmit(payload []byte, alloc func() *task.Task) ([]*task.Task, error) {
 	return AppendDecodeSubmit(nil, payload, alloc)
 }

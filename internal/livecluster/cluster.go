@@ -209,9 +209,10 @@ type Cluster struct {
 	// External feed (shard mode): feedMu guards feed and sealed; feedTick
 	// wakes the host loop on new submissions (buffered 1, coalescing).
 	feedMu   sync.Mutex
-	feed     []*task.Task
+	feed     []task.Task
 	sealed   bool
 	feedTick chan struct{}
+	slots    [2]int // the host's TaskSlots when Run returned
 
 	// sumMu guards summary, the load snapshot handed out by LoadSummary;
 	// loadTick is raised (buffered 1, coalescing) each time the host loop
@@ -227,8 +228,8 @@ type Cluster struct {
 // order, and the loop is woken once per batch rather than once per task. It
 // fails once Seal has been called (including the implicit seal when Run
 // returns), so a caller can tell a rejected handoff from a silently dropped
-// one. The caller keeps ownership of the slice; only the task pointers are
-// retained.
+// one. The tasks are copied: the caller keeps ownership of the slice and of
+// every task in it, and may reuse both once SubmitBatch returns.
 func (c *Cluster) SubmitBatch(ts []*task.Task) error {
 	if !c.cfg.External {
 		return fmt.Errorf("livecluster: SubmitBatch requires Config.External")
@@ -238,7 +239,9 @@ func (c *Cluster) SubmitBatch(ts []*task.Task) error {
 		c.feedMu.Unlock()
 		return fmt.Errorf("livecluster: SubmitBatch after Seal")
 	}
-	c.feed = append(c.feed, ts...)
+	for _, t := range ts {
+		c.feed = append(c.feed, *t)
+	}
 	c.feedMu.Unlock()
 	select {
 	case c.feedTick <- struct{}{}:
@@ -279,6 +282,9 @@ func (c *Cluster) LoadSummary() Summary {
 // view. At most one goroutine should receive; with none, the host loop pays
 // one failed non-blocking send per change.
 func (c *Cluster) LoadChanged() <-chan struct{} { return c.loadTick }
+
+// TaskSlots is machine.Host.TaskSlots of the host of a Run that returned.
+func (c *Cluster) TaskSlots() (carved, live int) { return c.slots[0], c.slots[1] }
 
 // Stop asks a running cluster to shut down gracefully: the host stops
 // admitting work (pending and future arrivals are shed with the
@@ -383,6 +389,7 @@ type runState struct {
 	strikes []int
 	pending []*task.Task
 	next    int
+	taken   []task.Task // the feed buffer absorb last drained
 
 	// Per-phase scratch of Deliver, reused so a phase of one or two tasks
 	// does not pay for fresh slices: the job lists indexed by worker
@@ -505,6 +512,7 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 	}
 	r.o.Inflight(len(r.inflight))
 	r.o.RunEnd(clock.Now(), r.host.Res.String())
+	c.slots[0], c.slots[1] = r.host.TaskSlots()
 
 	if hostErr != nil {
 		return nil, hostErr
@@ -701,8 +709,9 @@ func (r *runState) absorb(now simtime.Instant) {
 		r.arrive(t, t.Arrival, now)
 	}
 	if r.c.cfg.External {
-		for _, t := range r.takeFeed() {
-			r.arrive(t, now, now)
+		feed := r.takeFeed()
+		for i := range feed {
+			r.arrive(r.host.Take(&feed[i]), now, now)
 		}
 	}
 }
@@ -868,14 +877,15 @@ func (r *runState) wait(until simtime.Instant) {
 	}
 }
 
-// takeFeed drains the external feed. Host goroutine (and post-loop
-// cleanup) only.
-func (r *runState) takeFeed() []*task.Task {
+// takeFeed drains the external feed, handing it back the buffer the previous
+// call drained. Host goroutine (and post-loop cleanup) only.
+func (r *runState) takeFeed() []task.Task {
 	c := r.c
 	c.feedMu.Lock()
 	ts := c.feed
-	c.feed = nil
+	c.feed = r.taken[:0]
 	c.feedMu.Unlock()
+	r.taken = ts
 	return ts
 }
 

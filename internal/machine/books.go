@@ -12,7 +12,8 @@ import (
 // The books. Every fact a driver learns about a task is booked by exactly
 // one of the methods below: the RunResult field it moves, the Observer call
 // that mirrors it into the registry and the journal, in one place. The
-// journal is the one per-task record. Drivers write no count themselves.
+// journal is the one per-task record. Drivers write no count themselves. The
+// terminal methods free the slot of a task the host took (Host.Take).
 
 // BounceFunc is offered each task the admission gate turns away, before the
 // host sheds it: true means a federation router took the task, and the
@@ -73,6 +74,7 @@ func (h *Host) Shed(t *task.Task, reason admission.Reason, now simtime.Instant) 
 		k = metrics.CountShedInfeasible
 	}
 	h.cfg.Obs.Shed(t.ID, string(reason), k, now)
+	h.slots.release(t)
 }
 
 // Bounce books t handed to a federation router, which took it: terminal for
@@ -80,6 +82,7 @@ func (h *Host) Shed(t *task.Task, reason admission.Reason, now simtime.Instant) 
 func (h *Host) Bounce(t *task.Task, reason admission.Reason, now simtime.Instant) {
 	h.Res.Bounced++
 	h.cfg.Obs.Bounce(t.ID, string(reason), now)
+	h.slots.release(t)
 }
 
 // Lose books t written off to a failure: its worker died (-1: no worker
@@ -87,6 +90,7 @@ func (h *Host) Bounce(t *task.Task, reason admission.Reason, now simtime.Instant
 func (h *Host) Lose(t *task.Task, worker int, now simtime.Instant) {
 	h.Res.LostToFailure++
 	h.cfg.Obs.Lost(t.ID, worker, now)
+	h.slots.release(t)
 }
 
 // Purge books t dropped unexecuted because its deadline became
@@ -94,6 +98,7 @@ func (h *Host) Lose(t *task.Task, worker int, now simtime.Instant) {
 func (h *Host) Purge(t *task.Task, now simtime.Instant) {
 	h.Res.Purged++
 	h.cfg.Obs.Purge(t.ID, now)
+	h.slots.release(t)
 }
 
 // Exec books t executed on worker from start to finish: a hit when it ran
@@ -116,6 +121,7 @@ func (h *Host) Exec(t *task.Task, worker int, start, finish simtime.Instant, ok 
 		r.Makespan = finish
 	}
 	h.cfg.Obs.Exec(t.ID, worker, start, finish, hit, finish.Sub(t.Arrival), t.Deadline.Sub(finish))
+	h.slots.release(t)
 }
 
 // markFailed books worker k's crash at at, once however many events

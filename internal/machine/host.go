@@ -41,6 +41,7 @@ type Host struct {
 	// loads and scheduled are per-step scratch, kept across steps and runs.
 	loads     []time.Duration
 	scheduled []*task.Task
+	slots     slots // the tasks the driver hands over by value (Take)
 }
 
 // Seams are the two places a driver's world differs from the virtual one,
@@ -170,18 +171,18 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 		h.FreeAt[0] = h.FreeAt[0].Max(now).Add(out.Used)
 	}
 
-	// Deliver S_j to the worker ready queues.
-	if h.Seams == nil {
-		h.execute(phase, deliver, out.Schedule)
-	} else if err = h.Seams.Deliver(phase, deliver, out.Schedule); err != nil {
-		return 0, err
-	}
+	// Take S_j out of the batch, then deliver it (a book may free a slot).
 	scheduled := h.scheduled[:0]
 	for _, a := range out.Schedule {
 		scheduled = append(scheduled, a.Task)
 	}
 	h.Batch.RemoveScheduled(scheduled)
 	h.scheduled = scheduled[:0]
+	if h.Seams == nil {
+		h.execute(phase, deliver, out.Schedule)
+	} else if err = h.Seams.Deliver(phase, deliver, out.Schedule); err != nil {
+		return 0, err
+	}
 
 	if len(out.Schedule) > 0 {
 		return deliver, nil
