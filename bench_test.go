@@ -177,7 +177,8 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 }
 
 // BenchmarkPlanPhase measures a single RT-SADS scheduling phase over a
-// full 1000-task batch — the host's inner loop.
+// full 1000-task batch — the host's inner loop — with the EDF order the
+// host gives the batch before the phase.
 func BenchmarkPlanPhase(b *testing.B) {
 	p := workload.DefaultParams(10)
 	w, err := workload.Generate(p)
@@ -193,6 +194,7 @@ func BenchmarkPlanPhase(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch := append([]*task.Task(nil), w.Tasks...)
+		task.SortEDF(batch)
 		if _, err := planner.PlanPhase(core.PhaseInput{Now: 0, Batch: batch, Loads: loads}); err != nil {
 			b.Fatal(err)
 		}
@@ -349,7 +351,7 @@ func BenchmarkHostArchitecture(b *testing.B) {
 // BenchmarkHeuristics regenerates the heuristic-choice study (experiment
 // E15): priority order × cost function for RT-SADS.
 func BenchmarkHeuristics(b *testing.B) {
-	for _, prio := range []core.Priority{core.EDF, core.LLF} {
+	for _, prio := range []task.Priority{task.EDF, task.LLF} {
 		for _, sum := range []bool{false, true} {
 			prio, sum := prio, sum
 			cost := "max"

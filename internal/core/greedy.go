@@ -9,50 +9,29 @@ import (
 	"rtsads/internal/task"
 )
 
-// OrderFunc orders a batch in place before list placement — the
-// prioritizer extension point the policy registry's list planners plug in
-// (EDF, least-slack, shortest-completion, deadline-monotonic, ...). It must
-// be deterministic; now is the phase start for dynamic orders.
-type OrderFunc func(now simtime.Instant, batch []*task.Task)
-
 // greedyPlanner is the classic list-scheduling baseline: take the batch in
-// priority order and put each task on the feasible worker with the earliest
+// EDF order and put each task on the feasible worker with the earliest
 // completion, with no backtracking. It shares the quantum accounting and
 // the §4.3 feasibility test with the search planners, so its schedules
-// carry the same deadline guarantee whatever the order.
+// carry the same deadline guarantee.
 type greedyPlanner struct {
 	cfg   SearchConfig
-	name  string
-	order OrderFunc
 	meter HostMeter // the host's measured speed; runs only under a Clock
-}
-
-// NewList returns a list-scheduling planner under an arbitrary priority
-// order: the generalisation behind NewEDFGreedy, and what a new priority
-// order registers with the policy registry.
-func NewList(cfg SearchConfig, name string, order OrderFunc) (Planner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if name == "" {
-		return nil, fmt.Errorf("core: list planner needs a name")
-	}
-	if order == nil {
-		return nil, fmt.Errorf("core: list planner %q needs an order function", name)
-	}
-	return &greedyPlanner{cfg: cfg, name: name, order: order}, nil
 }
 
 // NewEDFGreedy returns the greedy earliest-deadline-first baseline.
 func NewEDFGreedy(cfg SearchConfig) (Planner, error) {
-	order := new(task.Sorter) // the planner's own sort scratch
-	return NewList(cfg, "EDF-greedy", func(_ simtime.Instant, batch []*task.Task) {
-		order.EDF(batch)
-	})
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &greedyPlanner{cfg: cfg}, nil
 }
 
 // Name implements Planner.
-func (g *greedyPlanner) Name() string { return g.name }
+func (g *greedyPlanner) Name() string { return "EDF-greedy" }
+
+// Priority implements Planner.
+func (g *greedyPlanner) Priority() task.Priority { return task.EDF }
 
 // PlanPhase implements Planner.
 func (g *greedyPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
@@ -60,7 +39,6 @@ func (g *greedyPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		return PhaseResult{}, fmt.Errorf("core: phase has %d loads for %d workers", len(in.Loads), g.cfg.Workers)
 	}
 	quantum := g.cfg.quantum(in, &g.meter)
-	g.order(in.Now, in.Batch)
 
 	st := newGreedyState(g.cfg, in, quantum, &g.meter)
 	for _, t := range in.Batch {
@@ -84,8 +62,7 @@ type myopicPlanner struct {
 	window    int
 	estWeight float64
 	meter     HostMeter // the host's measured speed; runs only under a Clock
-	// order and pending are per-phase scratch; PlanPhase is not reentrant.
-	order   task.Sorter
+	// pending is per-phase scratch; PlanPhase is not reentrant.
 	pending []*task.Task
 }
 
@@ -107,13 +84,15 @@ func NewMyopic(cfg SearchConfig, window int, estWeight float64) (Planner, error)
 // Name implements Planner.
 func (m *myopicPlanner) Name() string { return "myopic" }
 
+// Priority implements Planner.
+func (m *myopicPlanner) Priority() task.Priority { return task.EDF }
+
 // PlanPhase implements Planner.
 func (m *myopicPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	if len(in.Loads) != m.cfg.Workers {
 		return PhaseResult{}, fmt.Errorf("core: phase has %d loads for %d workers", len(in.Loads), m.cfg.Workers)
 	}
 	quantum := m.cfg.quantum(in, &m.meter)
-	m.order.EDF(in.Batch)
 
 	st := newGreedyState(m.cfg, in, quantum, &m.meter)
 	m.pending = append(m.pending[:0], in.Batch...)

@@ -50,6 +50,9 @@ type PhaseResult struct {
 type Planner interface {
 	// PlanPhase schedules as much of the batch as the quantum allows.
 	PlanPhase(in PhaseInput) (PhaseResult, error)
+	// Priority is the order PlanPhase reads its batch in: the host orders
+	// the batch by it (task.Batch.Order) before every phase.
+	Priority() task.Priority
 	// Name identifies the algorithm in results.
 	Name() string
 }
@@ -91,33 +94,10 @@ type SearchConfig struct {
 	MaxDepth      int
 	// Priority selects the batch's scheduling-priority order (default:
 	// EDF, the paper's deadline heuristic).
-	Priority Priority
+	Priority task.Priority
 	// SumCost swaps the §4.4 load-balancing cost CE = max_k ce_k for the
 	// total-completion alternative Σ_k ce_k — a design-choice ablation.
 	SumCost bool
-}
-
-// Priority is the batch ordering heuristic.
-type Priority int
-
-const (
-	// EDF orders the batch by earliest deadline — the paper's heuristic.
-	EDF Priority = iota
-	// LLF orders the batch by least laxity (deadline minus processing
-	// time).
-	LLF
-)
-
-// String returns the priority order's name.
-func (p Priority) String() string {
-	switch p {
-	case EDF:
-		return "edf"
-	case LLF:
-		return "llf"
-	default:
-		return fmt.Sprintf("Priority(%d)", int(p))
-	}
 }
 
 // Validate reports whether the configuration is usable.
@@ -176,12 +156,11 @@ type searchPlanner struct {
 	cfg  SearchConfig
 	rep  search.Representation
 	name string
-	// order, searcher, drained, prob and sched are per-instance scratch
-	// reused across phases; a planner serves exactly one host loop, so
-	// PlanPhase is deliberately not reentrant. A search does not retain the
-	// Problem past return, and a phase's Schedule is read before the next
-	// phase plans.
-	order    task.Sorter
+	// searcher, drained, prob and sched are per-instance scratch reused
+	// across phases; a planner serves exactly one host loop, so PlanPhase
+	// is deliberately not reentrant. A search does not retain the Problem
+	// past return, and a phase's Schedule is read before the next phase
+	// plans.
 	searcher search.Searcher
 	drained  []time.Duration
 	prob     search.Problem
@@ -224,9 +203,13 @@ func NewSearchPlanner(cfg SearchConfig, rep search.Representation, name string) 
 // Name implements Planner.
 func (s *searchPlanner) Name() string { return s.name }
 
-// PlanPhase implements Planner: sort the batch by scheduling priority
-// (EDF), allocate Qs(j), and search the representation's task space for a
-// feasible partial schedule until a leaf, a dead-end, or quantum expiry.
+// Priority implements Planner: the configured order (EDF by default).
+func (s *searchPlanner) Priority() task.Priority { return s.cfg.Priority }
+
+// PlanPhase implements Planner: allocate Qs(j), and search the
+// representation's task space — the batch in scheduling-priority order —
+// for a feasible partial schedule until a leaf, a dead-end, or quantum
+// expiry.
 func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	if len(in.Loads) != s.cfg.Workers {
 		return PhaseResult{}, fmt.Errorf("core: phase has %d loads for %d workers", len(in.Loads), s.cfg.Workers)
@@ -237,11 +220,6 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	budget := quantum - s.cfg.PhaseCost
 	if budget <= 0 {
 		return PhaseResult{Quantum: quantum, Used: quantum}, nil
-	}
-	if s.cfg.Priority == LLF {
-		s.order.LLF(in.Batch)
-	} else {
-		s.order.EDF(in.Batch)
 	}
 	// Workers also drain during the phase-cost prefix; pre-discount it so
 	// the search's max(0, load - budget) equals max(0, Load_k(j-1) - Qs(j))

@@ -20,8 +20,9 @@ import (
 type PhaseInput struct {
 	// Now is t_s, the phase start time.
 	Now simtime.Instant
-	// Batch is Batch(j) with already-missed tasks purged. Planners may
-	// reorder the slice but must not mutate the tasks.
+	// Batch is Batch(j) with already-missed tasks purged, in the planner's
+	// Priority order (the host orders it). It is read-only: planners must
+	// not reorder the slice or mutate the tasks.
 	Batch []*task.Task
 	// Loads is Load_k(j-1): each worker's outstanding execution time at
 	// Now, including the remains of the task it is currently running.

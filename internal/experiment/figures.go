@@ -9,6 +9,7 @@ import (
 	"rtsads/internal/metrics"
 	"rtsads/internal/search"
 	"rtsads/internal/simtime"
+	"rtsads/internal/task"
 	"rtsads/internal/workload"
 )
 
@@ -232,7 +233,7 @@ type HeuristicRow struct {
 func Heuristics(rc RunConfig) ([]HeuristicRow, error) {
 	var rows []HeuristicRow
 	for _, sf := range []float64{1, 3} {
-		for _, prio := range []core.Priority{core.EDF, core.LLF} {
+		for _, prio := range []task.Priority{task.EDF, task.LLF} {
 			for _, sum := range []bool{false, true} {
 				prio, sum := prio, sum
 				cfg := rc

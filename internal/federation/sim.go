@@ -117,6 +117,18 @@ type simShard struct {
 	// dead marks a shard killed by a ShardEvent: zero alive workers in the
 	// views, and any task submitted to it is salvaged instead of queued.
 	dead bool
+	// planner is kept across pooled runs while what it is built from
+	// (plannerKey) matches, so its search scratch stays warm. Its quantum
+	// policy and host meter keep no state on virtual time.
+	planner    core.Planner
+	plannerKey plannerKey
+}
+
+// plannerKey is what a shard's planner is built from, bar the workload.
+type plannerKey struct {
+	algo          policy.Algorithm
+	workers       int
+	vertex, phase time.Duration
 }
 
 // simFed is the simulation-side driver of the routing core.
@@ -132,11 +144,10 @@ type simFed struct {
 }
 
 // simPool recycles the simulation's scratch graph — shard structs, batches,
-// inboxes, task slots, the routing core's stages and view snapshot — across
-// Simulate calls, so parameter sweeps and the throughput benchmark run nearly
-// allocation-free once warm. Per-shard results and planners are always
-// built fresh: results escape to the caller, and planners carry per-run
-// quantum-policy state that must not leak between runs.
+// inboxes, task slots, the routing core's stages and view snapshot, and the
+// shards' planners — across Simulate calls, so parameter sweeps and the
+// throughput benchmark run nearly allocation-free once warm. Per-shard
+// results are always built fresh: they escape to the caller.
 var simPool = sync.Pool{New: func() any { return new(simFed) }}
 
 // reset configures the pooled state for one run. Every field is either
@@ -159,24 +170,31 @@ func (f *simFed) reset(cfg SimConfig) error {
 	// Every shard shares one communication-cost closure: task affinities are
 	// already shard-local by the time a planner sees them, and the cost
 	// constant is topology-independent (ShardWorkload keeps Cost verbatim).
+	// It reads the workload of the run in progress, so a kept planner's
+	// closure prices the current run.
 	comm := func(t *task.Task, slot int) time.Duration {
-		return cfg.Workload.Cost.Cost(t.Affinity, slot)
+		return f.cfg.Workload.Cost.Cost(t.Affinity, slot)
 	}
+	key := plannerKey{cfg.Algorithm, tp.WorkersPerShard, cfg.VertexCost, cfg.PhaseCost}
 	for i := range f.shards {
 		sh := f.shards[i]
 		if sh == nil {
 			sh = new(simShard)
 			f.shards[i] = sh
 		}
-		planner, err := policy.Default().New(string(cfg.Algorithm), policy.Options{Search: core.SearchConfig{
-			Workers:    tp.WorkersPerShard,
-			Comm:       comm,
-			VertexCost: cfg.VertexCost,
-			PhaseCost:  cfg.PhaseCost,
-			Policy:     core.NewAdaptive(),
-		}})
-		if err != nil {
-			return fmt.Errorf("federation: %w", err)
+		var err error
+		if sh.planner == nil || sh.plannerKey != key {
+			sh.planner, err = policy.Default().New(string(cfg.Algorithm), policy.Options{Search: core.SearchConfig{
+				Workers:    tp.WorkersPerShard,
+				Comm:       comm,
+				VertexCost: cfg.VertexCost,
+				PhaseCost:  cfg.PhaseCost,
+				Policy:     core.NewAdaptive(),
+			}})
+			if err != nil {
+				return fmt.Errorf("federation: %w", err)
+			}
+			sh.plannerKey = key
 		}
 		sh.adm = nil
 		if cfg.Admission.Enabled() {
@@ -194,7 +212,7 @@ func (f *simFed) reset(cfg SimConfig) error {
 		}
 		sh.host.Reset(machine.Config{
 			Workers:    tp.WorkersPerShard,
-			Planner:    planner,
+			Planner:    sh.planner,
 			MinAdvance: machine.DefaultMinAdvance,
 			MaxPhases:  machine.DefaultMaxPhases,
 			Obs:        sh.o,

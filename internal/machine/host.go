@@ -153,6 +153,7 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	}
 	phase := res.Phases
 	cfg.Obs.PhaseStart(phase, h.Batch.Len(), now)
+	h.Batch.Order(cfg.Planner.Priority())
 	out, err := cfg.Planner.PlanPhase(core.PhaseInput{Now: now, Batch: h.Batch.Tasks(), Loads: h.loads, Margin: cfg.Margin})
 	if err != nil {
 		return 0, fmt.Errorf("phase %d: %w", phase, err)
@@ -203,9 +204,7 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 			event = event.Min(f)
 		}
 	}
-	for _, t := range h.Batch.Tasks() {
-		event = event.Min(t.LatestStart().Add(1))
-	}
+	event = event.Min(h.Batch.LatestStart().Add(1))
 	return deliver.Max(event), nil
 }
 

@@ -1,8 +1,8 @@
 // Package policy is the pluggable policy engine: a registry of named
 // scheduling policies over the phase-planner contract, in the spirit of
 // k8s-cluster-simulator's ProposedScheduler, so comparing or extending
-// policies no longer means editing core. A new priority order is one
-// registered core.NewList factory.
+// policies no longer means editing core. A planner names the order it reads
+// its batch in (core.Planner.Priority) and the host orders the batch for it.
 //
 // The registry holds the paper's zoo: RT-SADS, D-COLS and its least-loaded
 // variant, EDF-greedy, myopic and the oracle reference. Tournament races

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"rtsads/internal/search"
+	"rtsads/internal/task"
 )
 
 // Sequence is the sequence-oriented representation (§3, Figure 1): at each
@@ -70,7 +71,8 @@ func (s *Sequence) IsLeaf(p *search.Problem, v *search.Vertex) bool {
 // Expand implements search.Representation. The level's processor is
 // Cursor mod Workers; unscheduled tasks (those not in the path's used set)
 // are examined in the batch's priority order (EDF) and each feasibility
-// test is charged as one generated vertex.
+// test is charged as one generated vertex. A task whose p_l on top of the
+// load overflows its room fits for no c_lk >= 0: it is ruled out unprobed.
 func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathState) ([]*search.Vertex, int) {
 	proc := v.Cursor % p.Workers
 	if s.LeastLoaded {
@@ -85,9 +87,13 @@ func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathSt
 			continue
 		}
 		generated++
+		room := p.Room(t)
+		if !task.InRoom(t.Proc, room) || load > room-t.Proc { // room-t.Proc >= 0: it cannot wrap
+			continue
+		}
 		comm := p.Comm(t, proc)
-		end, ok := p.Feasible(t, load, comm)
-		if !ok {
+		end := load + t.Proc + comm
+		if !task.InRoom(end, room) {
 			continue
 		}
 		sv := st.NewVertex()

@@ -176,9 +176,21 @@ func flatten(s []search.Assignment) []schedKey {
 // every vertex carries its own loads and used-task set, so Expand never
 // reads the engine's PathState — a wrong Used bitset or load after a
 // backtrack rebuild shows up as a diverging traversal.
+//
+// Its zero-valued options are NewSequence's; the room-cut cases set them to
+// mirror a Sequence with a Breadth cap (breadth, zero meaning Workers),
+// LeastLoaded, AllowIdle or the SumCost model. It probes every unscheduled
+// task; ruledOut counts the failed probes that a zero c_lk would also have
+// failed — the probes the delta representation's room cut skips.
 type fullCopySequence struct {
 	loads map[*search.Vertex][]time.Duration
 	used  map[*search.Vertex][]bool
+
+	breadth     int
+	leastLoaded bool
+	allowIdle   bool
+	sum         bool
+	ruledOut    int
 }
 
 func newFullCopySequence() *fullCopySequence {
@@ -188,11 +200,19 @@ func newFullCopySequence() *fullCopySequence {
 	}
 }
 
+// model is the reference's cost model.
+func (f *fullCopySequence) model() search.CostModel {
+	if f.sum {
+		return search.SumCost{}
+	}
+	return search.MaxCost{}
+}
+
 func (f *fullCopySequence) Name() string { return "sequence-full-copy" }
 
 func (f *fullCopySequence) Root(p *search.Problem) *search.Vertex {
 	loads := search.RootLoads(p, nil)
-	v := search.NewRoot(p, search.MaxCost{})
+	v := search.NewRoot(p, f.model())
 	f.loads[v] = loads
 	f.used[v] = make([]bool, len(p.Tasks))
 	return v
@@ -205,6 +225,18 @@ func (f *fullCopySequence) IsLeaf(p *search.Problem, v *search.Vertex) bool {
 func (f *fullCopySequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathState) ([]*search.Vertex, int) {
 	loads, used := f.loads[v], f.used[v]
 	proc := v.Cursor % p.Workers
+	if f.leastLoaded {
+		proc = 0
+		for k, l := range loads {
+			if l < loads[proc] {
+				proc = k
+			}
+		}
+	}
+	breadth := f.breadth
+	if breadth == 0 {
+		breadth = p.Workers
+	}
 	generated := 0
 	var succs []*search.Vertex
 	for i, t := range p.Tasks {
@@ -215,6 +247,9 @@ func (f *fullCopySequence) Expand(p *search.Problem, v *search.Vertex, st *searc
 		comm := p.Comm(t, proc)
 		end, ok := p.Feasible(t, loads[proc], comm)
 		if !ok {
+			if _, fits := p.Feasible(t, loads[proc], 0); !fits {
+				f.ruledOut++
+			}
 			continue
 		}
 		nl := append([]time.Duration(nil), loads...)
@@ -228,12 +263,26 @@ func (f *fullCopySequence) Expand(p *search.Problem, v *search.Vertex, st *searc
 			IsAssignment: true,
 			Depth:        v.Depth + 1,
 			Cursor:       v.Cursor + 1,
-			CE:           search.MaxCost{}.FromLoads(nl),
+			CE:           f.model().FromLoads(nl),
 		}
 		f.loads[sv], f.used[sv] = nl, nu
 		succs = append(succs, sv)
-		if len(succs) >= p.Workers {
+		if len(succs) >= breadth {
 			break
+		}
+	}
+	if f.allowIdle {
+		// At most Workers idle levels in a row, as Sequence's canIdle.
+		skips := 0
+		for cur := v; cur != nil && !cur.IsAssignment && cur.Parent != nil; cur = cur.Parent {
+			skips++
+		}
+		if skips < p.Workers {
+			sv := st.NewVertex()
+			*sv = search.Vertex{Parent: v, Depth: v.Depth, Cursor: v.Cursor + 1, CE: v.CE}
+			f.loads[sv], f.used[sv] = loads, used
+			succs = append(succs, sv)
+			generated++
 		}
 	}
 	return succs, generated
@@ -389,5 +438,100 @@ func TestLeastLoadBoundMatchesFullCopyReference(t *testing.T) {
 	}
 	if ruledOut < cases {
 		t.Fatalf("the least-load bound fired %d times over %d cases; the fixtures do not exercise it", ruledOut, cases)
+	}
+}
+
+// TestSequenceRoomCutMatchesFullCopyReference pins the sequence
+// representation's room cut — a task whose p_l on top of the level's load
+// already overflows its room is ruled out unprobed, yet charged — against
+// the full-copy reference, which probes every task. Busy, dead
+// (search.Unreachable) and exactly-full workers and a margin make the cut
+// fire; each case runs round-robin, LeastLoaded, AllowIdle, a Breadth cap
+// of 2 and SumCost, and must match the reference's schedule, loads and
+// every Stats field, and the cut must fire in every case. The exact base
+// fills worker 0 so that a task fits it with no room to spare: a cut one
+// comparison too eager drops that task.
+func TestSequenceRoomCutMatchesFullCopyReference(t *testing.T) {
+	const ms = time.Millisecond
+	const workers = 10
+	type option struct {
+		name string
+		rep  *represent.Sequence
+		ref  fullCopySequence
+	}
+	options := []option{
+		{"round-robin", represent.NewSequence(workers), fullCopySequence{}},
+		{"least-loaded", &represent.Sequence{Breadth: workers, LeastLoaded: true}, fullCopySequence{leastLoaded: true}},
+		{"idle", &represent.Sequence{Breadth: workers, AllowIdle: true}, fullCopySequence{allowIdle: true}},
+		{"breadth", &represent.Sequence{Breadth: 2}, fullCopySequence{breadth: 2}},
+		{"sum", &represent.Sequence{Breadth: workers, Cost: search.SumCost{}}, fullCopySequence{sum: true}},
+	}
+	bases := []struct {
+		name string
+		load func(p *search.Problem, k int) time.Duration
+	}{
+		{"busy", func(_ *search.Problem, k int) time.Duration { return time.Duration(k+1) * 3 * ms }},
+		{"dead", func(_ *search.Problem, k int) time.Duration {
+			if k%3 == 0 {
+				return search.Unreachable
+			}
+			return time.Duration(k) * 2 * ms
+		}},
+		{"exact", func(p *search.Problem, k int) time.Duration {
+			if k != 0 {
+				return time.Duration(k) * ms
+			}
+			for _, tk := range p.Tasks {
+				if p.Comm(tk, 0) == 0 && p.Room(tk) >= tk.Proc {
+					return p.Quantum + p.Room(tk) - tk.Proc // its root load leaves tk exactly its room
+				}
+			}
+			t.Fatal("no task fits worker 0 with no communication cost")
+			return 0
+		}},
+	}
+	for _, base := range bases {
+		for _, margin := range []time.Duration{0, time.Microsecond, 25 * time.Microsecond} {
+			for _, o := range options {
+				for seed := uint64(1); seed <= 3; seed++ {
+					for _, vc := range []time.Duration{time.Microsecond, 20 * time.Nanosecond} {
+						problem := func() *search.Problem {
+							p := fig5Problem(t, workers, 120, seed, vc)
+							p.Margin = margin
+							for k := range p.BaseLoad {
+								p.BaseLoad[k] = base.load(p, k)
+							}
+							return p
+						}
+						p1, p2 := problem(), problem()
+						ref := o.ref
+						ref.loads = make(map[*search.Vertex][]time.Duration)
+						ref.used = make(map[*search.Vertex][]bool)
+						delta, err := search.Run(p1, o.rep)
+						if err != nil {
+							t.Fatal(err)
+						}
+						full, err := search.Run(p2, &ref)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("%s/margin=%v/%s/seed=%d/vc=%v", base.name, margin, o.name, seed, vc)
+						if !reflect.DeepEqual(flatten(delta.Schedule()), flatten(full.Schedule())) {
+							t.Fatalf("%s: schedules differ:\n%v\nvs\n%v", name,
+								flatten(delta.Schedule()), flatten(full.Schedule()))
+						}
+						if delta.Stats != full.Stats {
+							t.Fatalf("%s: stats differ: %+v vs %+v", name, delta.Stats, full.Stats)
+						}
+						if got, want := delta.Loads(p1), search.PathLoads(p2, full.Best); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: best loads differ: %v vs %v", name, got, want)
+						}
+						if ref.ruledOut == 0 {
+							t.Fatalf("%s: the room cut never fired; the fixture does not exercise it", name)
+						}
+					}
+				}
+			}
+		}
 	}
 }

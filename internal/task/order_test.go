@@ -2,6 +2,7 @@ package task
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -134,31 +135,23 @@ func TestSorterMatchesReference(t *testing.T) {
 }
 
 // batchModel is the naive reference for Batch's removals: filters over a
-// plain slice, and the horizon as Batch documents it.
+// plain slice. Its purge tests every task, so a Batch that skips a scan it
+// need not make, or reads only part of its prefix, must still agree.
 type batchModel struct {
-	tasks   []*Task
-	horizon simtime.Instant
+	tasks []*Task
 }
 
 func (m *batchModel) add(ts ...*Task) {
-	for _, t := range ts {
-		m.horizon = m.horizon.Min(t.LatestStart())
-	}
 	m.tasks = append(m.tasks, ts...)
 }
 
 func (m *batchModel) purge(now simtime.Instant) (removed []*Task) {
-	if !now.After(m.horizon) {
-		return nil
-	}
 	var keep []*Task
-	m.horizon = simtime.Never
 	for _, t := range m.tasks {
 		if t.Missed(now) {
 			removed = append(removed, t)
 		} else {
 			keep = append(keep, t)
-			m.horizon = m.horizon.Min(t.LatestStart())
 		}
 	}
 	m.tasks = keep
@@ -181,6 +174,30 @@ func (m *batchModel) remove(scheduled []*Task) int {
 	return n
 }
 
+// checkKeys fails unless every key beside a task is what the task gives
+// under the batch's order, the prefix the batch calls sorted is in that
+// order, and the horizon is a lower bound on every latest start.
+func checkKeys(t *testing.T, b *Batch, at string) {
+	t.Helper()
+	if len(b.keys) != len(b.tasks) || b.sorted > len(b.tasks) {
+		t.Fatalf("%s: %d keys and a sorted prefix of %d beside %d tasks", at, len(b.keys), b.sorted, len(b.tasks))
+	}
+	llf := b.order == LLF
+	for i, tk := range b.tasks {
+		if want := (key{prio: priority(tk, llf), late: tk.LatestStart()}); b.keys[i] != want {
+			t.Fatalf("%s: task %v at %d has keys %+v, want %+v", at, tk, i, b.keys[i], want)
+		}
+		if tk.LatestStart() < b.horizon {
+			t.Fatalf("%s: horizon %d above task %v's latest start", at, b.horizon, tk)
+		}
+	}
+	if !slices.IsSortedFunc(b.tasks[:b.sorted], func(x, y *Task) int {
+		return cmp.Or(cmp.Compare(priority(x, llf), priority(y, llf)), cmp.Compare(x.ID, y.ID))
+	}) {
+		t.Fatalf("%s: the sorted prefix of %d is out of order", at, b.sorted)
+	}
+}
+
 // edgeTask gives t a Proc or a deadline from the edge values (room_test.go):
 // negative and MaxInt64 Proc, MinInt64 and Never deadlines, and pairs whose
 // latest start d - p wraps.
@@ -196,23 +213,29 @@ func edgeTask(r *rand.Rand, t *Task) {
 	}
 }
 
-// Property: phase after phase of arrivals, a priority sort, a purge and a
-// removal, the batch matches the naive model: the remaining tasks and their
-// order, the purged tasks and their order, the removal count and the
-// horizon. Schedules come in batch order (RT-SADS), in shuffled order
-// (D-COLS's sequence order), with tasks that are not in the batch, and
-// against a batch in LLF order, where the EDF re-merge cannot help. A share
-// of the arrivals carries edge values (edgeTask), and some trials purge at
+// Property: phase after phase of arrivals, an order, a purge and a removal,
+// the batch matches the naive model: the remaining tasks and their order,
+// the purged tasks and their order, and the removal count; and after every
+// step each key matches its task (checkKeys). Schedules come in batch order
+// (RT-SADS), in shuffled order (D-COLS's sequence order) and with tasks
+// that are not in the batch, under EDF and LLF, and some trials switch the
+// order midway. Some phases skip the order, so out-of-order arrivals pile up
+// behind the sorted prefix and the purge sees them there. A share of the
+// arrivals carries edge values (edgeTask), and some trials purge at
 // now = Never.
 func TestBatchRemovalsMatchReference(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	for trial := 0; trial < 200; trial++ {
-		llf := trial%5 == 4
+		prio := EDF
+		if trial%5 == 4 {
+			prio = LLF
+		}
 		b := NewBatch()
-		m := &batchModel{horizon: simtime.Never}
+		m := &batchModel{}
 		var next ID
 		now := simtime.Instant(0)
 		for phase := 0; phase < 30; phase++ {
+			at := fmt.Sprintf("trial %d phase %d", trial, phase)
 			arrivals := genTasks(r, r.IntN(40), next, "ascending", int64(200*time.Millisecond), 0.02)
 			next += ID(len(arrivals))
 			for _, a := range arrivals {
@@ -223,12 +246,18 @@ func TestBatchRemovalsMatchReference(t *testing.T) {
 			}
 			b.Add(arrivals...)
 			m.add(arrivals...)
-			if llf {
-				b.SortLLF()
-			} else {
-				b.SortEDF()
+			checkKeys(t, b, at+" add")
+			if trial%9 == 8 && phase == 15 {
+				prio = 1 - prio
 			}
-			refSort(m.tasks, llf)
+			if phase%4 != 3 {
+				b.Order(prio)
+				refSort(m.tasks, prio == LLF)
+				checkKeys(t, b, at+" order")
+				if b.sorted != b.Len() {
+					t.Fatalf("%s: ordered batch has a sorted prefix of %d of %d", at, b.sorted, b.Len())
+				}
+			}
 
 			now = now.Add(time.Duration(r.Int64N(int64(20 * time.Millisecond))))
 			if trial%7 == 6 && phase == 25 {
@@ -236,8 +265,9 @@ func TestBatchRemovalsMatchReference(t *testing.T) {
 			}
 			got, want := b.PurgeMissed(now), m.purge(now)
 			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d phase %d: purged %v, want %v", trial, phase, got, want)
+				t.Fatalf("%s: purged %v, want %v", at, got, want)
 			}
+			checkKeys(t, b, at+" purge")
 
 			var scheduled []*Task
 			for _, tk := range b.Tasks() {
@@ -254,13 +284,18 @@ func TestBatchRemovalsMatchReference(t *testing.T) {
 				scheduled = slices.Insert(scheduled, at, foreign)
 			}
 			if gotN, wantN := b.RemoveScheduled(scheduled), m.remove(scheduled); gotN != wantN {
-				t.Fatalf("trial %d phase %d: removed %d, want %d", trial, phase, gotN, wantN)
+				t.Fatalf("%s: removed %d, want %d", at, gotN, wantN)
 			}
 			if !slices.Equal(b.Tasks(), m.tasks) {
-				t.Fatalf("trial %d phase %d: batch %v, want %v", trial, phase, b.Tasks(), m.tasks)
+				t.Fatalf("%s: batch %v, want %v", at, b.Tasks(), m.tasks)
 			}
-			if b.horizon != m.horizon {
-				t.Fatalf("trial %d phase %d: horizon %v, want %v", trial, phase, b.horizon, m.horizon)
+			checkKeys(t, b, at+" remove")
+			wantLS := simtime.Never
+			for _, tk := range m.tasks {
+				wantLS = wantLS.Min(tk.LatestStart())
+			}
+			if got := b.LatestStart(); got != wantLS {
+				t.Fatalf("%s: LatestStart %d, want %d", at, got, wantLS)
 			}
 		}
 	}
@@ -287,21 +322,29 @@ func TestWarmBatchBookkeepingAllocs(t *testing.T) {
 		}
 	}
 
-	// The purge takes the earliest deadlines; the schedule, in sequence
-	// order, comes from further back, so the removal re-merges in EDF order.
-	base := genTasks(r, 690, 0, "ascending", int64(time.Second), 0)
-	refSort(base, false)
-	scheduled := []*Task{base[400], base[130], base[250], base[170], base[600], base[190]}
+	// A fresh burst is ordered whole and purged through its window; the
+	// schedule, in sequence order, comes from further back, so the removal
+	// re-merges in EDF order; 250 arrivals then merge into the prefix and a
+	// later purge reads its window again.
+	base := genTasks(r, 940, 0, "ascending", int64(time.Second), 0)
+	burst, arrivals := base[:690], base[690:]
+	sorted := slices.Clone(burst)
+	refSort(sorted, false)
+	scheduled := []*Task{sorted[400], sorted[130], sorted[250], sorted[170], sorted[600], sorted[190]}
 	now := simtime.Instant(10 * time.Millisecond)
 	b := NewBatch()
 	var purged, removed int
 	if allocs := testing.AllocsPerRun(20, func() {
 		b.Reset()
-		b.Add(base...)
+		b.Add(burst...)
+		b.Order(EDF)
 		purged = len(b.PurgeMissed(now))
 		removed = b.RemoveScheduled(scheduled)
+		b.Add(arrivals...)
+		b.Order(EDF)
+		purged += len(b.PurgeMissed(2 * now))
 	}); allocs != 0 {
-		t.Errorf("a warm batch allocated %v times per purge and removal", allocs)
+		t.Errorf("a warm batch allocated %v times per order, purge and removal", allocs)
 	}
 	if purged == 0 || removed != len(scheduled) {
 		t.Fatalf("purged %d and removed %d of %d scheduled; the test needs both", purged, removed, len(scheduled))

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"time"
 
 	"rtsads/internal/affinity"
@@ -129,35 +130,80 @@ func (t *Task) String() string {
 	return fmt.Sprintf("T%d{p=%v d=%s aff=%s}", t.ID, t.Proc, t.Deadline, t.Affinity)
 }
 
+// Priority is a scheduling-priority order: tasks ascend by its key, ties
+// broken by ID. The zero value is EDF.
+type Priority int
+
+const (
+	// EDF orders by earliest deadline — the paper's heuristic.
+	EDF Priority = iota
+	// LLF orders by least laxity, the latest start d - p: the dynamic
+	// laxity d - now - p orders identically.
+	LLF
+)
+
+// String returns the priority order's name.
+func (p Priority) String() string {
+	switch p {
+	case EDF:
+		return "edf"
+	case LLF:
+		return "llf"
+	default:
+		return fmt.Sprintf("Priority(%d)", int(p))
+	}
+}
+
 // Batch is the mutable working set of tasks the scheduler considers during
 // one scheduling phase: Batch(j+1) is formed from Batch(j) by removing the
 // tasks scheduled in phase j and the tasks whose deadlines were missed, and
 // adding the tasks that arrived during phase j.
 //
-// Every removal keeps the remaining tasks in order, and a planner sorts the
-// batch's own backing array in place, so the next phase sees a sorted prefix
-// followed by the arrivals appended since: a Sorter pays for the arrivals
-// only, and a removal rewrites nothing before the first slot it removes.
+// The batch owns its priority order. Beside each task it keeps the task's
+// keys, and it knows how long its sorted prefix is: removals keep the order,
+// so Order sorts only the arrivals since the last Order, from their keys.
+// The purge reads the keys, not the tasks, and in the sorted prefix only the
+// window that can hold a missed task.
 type Batch struct {
 	tasks []*Task
+	keys  []key // keys[i] belongs to tasks[i]
+	// tbase and kbase are the arrays tasks and keys view (see close).
+	tbase []*Task
+	kbase []key
+	order Priority
+	// sorted is the length of the prefix in order's (key, ID) order.
+	sorted int
+	// maxProc bounds every Proc added since Reset: under EDF, a task whose
+	// deadline is past now + maxProc has d - p > now.
+	maxProc time.Duration
+	// edge marks a task added since the last purge that is missed at every
+	// now (a negative Proc or a d - p that wraps, see purgeTest): it can sit
+	// anywhere in the order, so the next purge reads every task.
+	edge bool
 	// removed, drop, rest and sorter are scratch space reused across
-	// removals, so the steady-state phase loop (purge, plan, remove
+	// phases, so the steady-state phase loop (purge, order, plan, remove
 	// scheduled) allocates nothing once warm.
 	removed []*Task
 	drop    map[ID]struct{}
 	rest    []*Task
 	sorter  Sorter
-	// horizon is a conservative lower bound on the earliest instant any
-	// batched task can become missed: min_i(d_i - p_i) over tasks added
-	// since the last purge scan. While now <= horizon, PurgeMissed is a
-	// comparison instead of an O(n) scan. Removals may leave it lower than
-	// the true minimum, which only costs an occasional redundant scan.
+	// horizon is a lower bound on the earliest instant any batched task can
+	// become missed, min_i(d_i - p_i): while now <= horizon and no edge task
+	// waits, PurgeMissed is a comparison instead of a scan.
 	horizon simtime.Instant
+}
+
+// key is one task's two keys, kept beside it in a Batch: prio orders it
+// (its deadline under EDF, its latest start under LLF), and the purge
+// removes it once now passes late, its latest start d - p.
+type key struct {
+	prio int64
+	late simtime.Instant
 }
 
 // NewBatch returns a batch seeded with the given tasks.
 func NewBatch(tasks ...*Task) *Batch {
-	b := &Batch{tasks: make([]*Task, 0, len(tasks)), horizon: simtime.Never}
+	b := &Batch{horizon: simtime.Never}
 	b.Add(tasks...)
 	return b
 }
@@ -166,29 +212,99 @@ func NewBatch(tasks ...*Task) *Batch {
 // batch's next fill allocates nothing. Cleared slots are nilled so the old
 // run's tasks are not pinned by the backing arrays.
 func (b *Batch) Reset() {
-	clear(b.tasks[:cap(b.tasks)])
-	b.tasks = b.tasks[:0]
+	clear(b.tbase)
+	b.tasks, b.keys = b.tbase[:0], b.kbase[:0]
 	clear(b.removed[:cap(b.removed)])
 	b.removed = b.removed[:0]
+	b.sorted, b.maxProc, b.edge = 0, 0, false
 	b.horizon = simtime.Never
 }
 
 // Len returns the number of tasks in the batch.
 func (b *Batch) Len() int { return len(b.tasks) }
 
-// Tasks returns the batch's backing slice. Callers must treat it as
-// read-only, apart from reordering it in place (a planner's priority sort);
-// it is invalidated by the next mutating call.
+// Tasks returns the batch's backing slice, in priority order after Order.
+// Callers must treat it as read-only; it is invalidated by the next
+// mutating call.
 func (b *Batch) Tasks() []*Task { return b.tasks }
 
-// Add appends arriving tasks to the batch.
+// LatestStart returns the least latest start d - p in the batch, read from
+// the keys (Never when empty): one past it, the first task can be missed.
+func (b *Batch) LatestStart() simtime.Instant {
+	ls := simtime.Never
+	for _, k := range b.keys {
+		ls = ls.Min(k.late)
+	}
+	return ls
+}
+
+// Add appends arriving tasks to the batch, after its sorted prefix.
 func (b *Batch) Add(tasks ...*Task) {
+	if n := len(b.tasks) + len(tasks); n > cap(b.tasks) {
+		// Out of room: move the batch to the front of its arrays, grown 4×.
+		if n > len(b.tbase) {
+			n = max(n, 4*len(b.tbase))
+			b.tbase, b.kbase = make([]*Task, n), make([]key, n)
+		}
+		m := copy(b.tbase, b.tasks)
+		copy(b.kbase, b.keys)
+		clear(b.tbase[m:])
+		b.tasks, b.keys = b.tbase[:m], b.kbase[:m]
+	}
+	llf := b.order == LLF
 	for _, t := range tasks {
-		if ls := t.LatestStart(); ls.Before(b.horizon) {
-			b.horizon = ls
+		ls, always := t.purgeTest(math.MinInt64) // missed even at the first instant: at every now
+		if always {
+			ls, b.edge = t.LatestStart(), true
+		}
+		b.horizon = b.horizon.Min(ls)
+		b.maxProc = max(b.maxProc, t.Proc)
+		b.keys = append(b.keys, key{prio: priority(t, llf), late: ls})
+		b.tasks = append(b.tasks, t)
+	}
+}
+
+// Order puts the batch in p's order, (key, ID) ascending. Only the tail
+// added since the last Order is sorted, from its keys, and merged into the
+// prefix from the back; a prefix shorter than its tail (a fresh burst) is
+// sorted along with it. A new order re-keys the batch and sorts it whole.
+func (b *Batch) Order(p Priority) {
+	if p != b.order {
+		b.order, b.sorted = p, 0
+		for i, t := range b.tasks {
+			b.keys[i].prio = priority(t, p == LLF)
 		}
 	}
-	b.tasks = append(b.tasks, tasks...)
+	ts, ks, n := b.tasks, b.keys, b.sorted
+	b.sorted = len(ts)
+	if n == len(ts) {
+		return
+	}
+	s := &b.sorter
+	if n < len(ts)-n {
+		s.sortKeyed(ts, ks)
+		return
+	}
+	tail, tailKeys := append(s.tail[:0], ts[n:]...), append(s.tailKeys[:0], ks[n:]...)
+	s.sortKeyed(tail, tailKeys)
+	// Merge from the back: each tail task, largest first, lands after every
+	// prefix task that orders above it, so only the prefix entries that
+	// move are written, and a prefix ID is read only on a key tie.
+	i, k := n-1, len(ts)-1
+	for j := len(tail) - 1; j >= 0; j-- {
+		t, tk := tail[j], tailKeys[j]
+		for ; i >= 0; i-- {
+			if uk := ks[i].prio; uk < tk.prio || uk == tk.prio && ts[i].ID < t.ID {
+				break
+			}
+			ts[k], ks[k] = ts[i], ks[i]
+			k--
+		}
+		ts[k], ks[k] = t, tk
+		k--
+	}
+	clear(tail) // the scratch does not pin tasks past the merge
+	s.tail, s.tailKeys = tail[:0], tailKeys[:0]
 }
 
 // PurgeMissed removes and returns every task that has already missed its
@@ -196,35 +312,62 @@ func (b *Batch) Add(tasks ...*Task) {
 // scratch space owned by the batch: it is only valid until the next
 // PurgeMissed or RemoveScheduled call.
 func (b *Batch) PurgeMissed(now simtime.Instant) []*Task {
-	// A task is missed only once now passes its latest start d_i - p_i, so
-	// no scan can remove anything before the batch-wide minimum. A
-	// zero-valued Batch has horizon 0 and simply always scans.
-	removed := b.removed[:0]
-	if !now.After(b.horizon) {
-		return removed
+	b.removed = b.removed[:0]
+	if !b.edge && !now.After(b.horizon) {
+		return b.removed // no task is missed before now passes its d - p
 	}
-	// One pass recomputes the horizon over the survivors, testing each task
-	// once; slots before the first missed task are only read.
-	horizon := simtime.Never
-	ts := b.tasks
-	keep := 0
-	for i, t := range ts {
-		ls, missed := t.purgeTest(now)
-		if missed {
-			removed = append(removed, t)
-			continue
-		}
-		horizon = horizon.Min(ls)
-		if keep != i {
-			ts[keep] = t
-		}
-		keep++
+	// The window: in the sorted prefix only a task keyed at most now + lead
+	// can be missed, as under EDF a deadline past now + maxProc leaves
+	// d - p > now and under LLF the key is d - p. The rest stays unread; its
+	// first key bounds its latest starts. An edge task widens the window.
+	lead := b.maxProc
+	if b.order == LLF {
+		lead = 0
 	}
-	clear(ts[keep:]) // removed tasks are not pinned by the backing array
-	b.tasks = ts[:keep]
-	b.removed = removed
-	b.horizon = horizon
-	return removed
+	lim := int64(now.Add(lead))
+	end, horizon := b.sorted, simtime.Never
+	if !b.edge {
+		end = sort.Search(b.sorted, func(i int) bool { return b.keys[i].prio > lim })
+		if end < b.sorted {
+			horizon = simtime.Instant(b.keys[end].prio) - simtime.Instant(lead)
+		}
+	}
+	last := -1
+	for _, r := range [2][2]int{{0, end}, {b.sorted, len(b.tasks)}} {
+		for i := r[0]; i < r[1]; i++ {
+			ls, missed := b.keys[i].late, now > b.keys[i].late
+			if b.edge {
+				ls, missed = b.tasks[i].purgeTest(now)
+			}
+			if !missed {
+				horizon = horizon.Min(ls)
+				continue
+			}
+			b.removed = append(b.removed, b.tasks[i])
+			b.tasks[i], last = nil, i
+		}
+	}
+	b.horizon, b.edge = horizon, false
+	b.close(last)
+	return b.removed
+}
+
+// close closes the holes (nil tasks) a removal left up to last. Removals
+// cluster at the front of the order, so the tasks before last shift right
+// and the batch starts that much later in its arrays.
+func (b *Batch) close(last int) {
+	ts, ks := b.tasks, b.keys
+	keep := last + 1
+	for i := last; i >= 0; i-- {
+		if ts[i] != nil {
+			keep--
+			ts[keep], ks[keep] = ts[i], ks[i]
+		} else if i < b.sorted {
+			b.sorted--
+		}
+	}
+	clear(ts[:keep])
+	b.tasks, b.keys = ts[keep:], ks[keep:]
 }
 
 // RemoveScheduled removes the given tasks from the batch. Tasks scheduled in
@@ -241,11 +384,10 @@ func (b *Batch) RemoveScheduled(scheduled []*Task) int {
 		return n
 	}
 	// D-COLS's schedule is in sequence order, not batch order: put the rest
-	// in EDF order, the batch's order under the default priority, and merge
-	// again. Anything still unmatched (another priority order, or a foreign
-	// caller) is matched by ID.
+	// in the batch's order and merge again. Anything still unmatched (a
+	// foreign caller's tasks) is matched by ID.
 	rest := append(b.rest[:0], scheduled[n:]...)
-	b.sorter.EDF(rest)
+	b.sorter.sort(rest, b.order == LLF)
 	m := b.removeInOrder(rest)
 	n += m
 	if m < len(rest) {
@@ -257,33 +399,21 @@ func (b *Batch) RemoveScheduled(scheduled []*Task) int {
 }
 
 // removeInOrder removes the longest prefix of scheduled that appears in the
-// batch in the same order, matching by pointer, and returns its length. It
-// writes nothing before the first removed slot and moves each run of kept
-// tasks with one copy; after the last match the rest moves in one copy.
+// batch in the same order, matching by pointer, and returns its length.
 func (b *Batch) removeInOrder(scheduled []*Task) int {
 	ts := b.tasks
-	keep, next, j := 0, 0, 0 // ts[:keep] is final; ts[next:] is unexamined
+	last, at, j := -1, 0, 0
 	for ; j < len(scheduled); j++ {
-		at := next
 		for at < len(ts) && ts[at] != scheduled[j] {
 			at++
 		}
 		if at == len(ts) {
 			break
 		}
-		if j == 0 {
-			keep = at
-		} else {
-			keep += copy(ts[keep:], ts[next:at])
-		}
-		next = at + 1
+		ts[at], last = nil, at
+		at++
 	}
-	if j == 0 {
-		return 0
-	}
-	keep += copy(ts[keep:], ts[next:])
-	clear(ts[keep:])
-	b.tasks = ts[:keep]
+	b.close(last)
 	return j
 }
 
@@ -319,39 +449,14 @@ func (b *Batch) removeByID(scheduled []*Task) int {
 // removeIf removes every task matching pred, preserving the order of the
 // remainder, and returns the number removed.
 func (b *Batch) removeIf(pred func(*Task) bool) int {
-	keep := b.tasks[:0]
-	for _, t := range b.tasks {
-		if !pred(t) {
-			keep = append(keep, t)
+	last, n := -1, 0
+	for i, t := range b.tasks {
+		if pred(t) {
+			b.tasks[i], last, n = nil, i, n+1
 		}
 	}
-	n := len(b.tasks) - len(keep)
-	clear(b.tasks[len(keep):]) // removed tasks are not pinned by the backing array
-	b.tasks = keep
+	b.close(last)
 	return n
-}
-
-// SortEDF orders the batch by ascending deadline (earliest deadline first),
-// breaking ties by task ID for determinism.
-func (b *Batch) SortEDF() {
-	b.sorter.EDF(b.tasks)
-}
-
-// SortLLF orders the batch by ascending static laxity (deadline minus
-// processing time) — least-laxity-first, the classic alternative to EDF for
-// the scheduling-priority heuristic. With a common reference time the
-// dynamic laxity d - now - p orders identically, so the static key
-// suffices.
-func (b *Batch) SortLLF() {
-	b.sorter.LLF(b.tasks)
-}
-
-// SortLLF orders tasks by ascending laxity (Deadline - Proc), breaking ties
-// by ID. It allocates its scratch per call; a caller that sorts every phase
-// keeps a Sorter instead.
-func SortLLF(tasks []*Task) {
-	var s Sorter
-	s.LLF(tasks)
 }
 
 // SortEDF orders tasks by ascending deadline, breaking ties by ID. It
@@ -366,22 +471,22 @@ func SortEDF(tasks []*Task) {
 // keeps the scratch that needs, so a warm Sorter sorts without allocating.
 // Because (key, ID) is a total order over unique IDs, every sort yields the
 // one permutation any correct sort would. A Sorter serves one goroutine at a
-// time: each planner owns one next to its other per-phase scratch, since a
-// pool's per-P cache misses whenever a live host goroutine wakes on another
-// P. The zero value is ready to use.
+// time; each Batch owns one. The zero value is ready to use.
 type Sorter struct {
-	packed []uint64  // keys, then (key - min)<<32 | index
-	radix  []uint64  // the radix sort's second buffer
-	keys   []sortKey // the comparator path
-	tail   []*Task   // the arrivals, sorted apart before the merge
+	keys     []key     // the keys of a bare task slice (EDF, LLF)
+	packed   []uint64  // (key - min)<<32 | index words, then the permutation
+	radix    []uint64  // the radix sort's second buffer
+	cmp      []sortKey // the comparator path
+	tail     []*Task   // a batch's arrivals, sorted apart before the merge
+	tailKeys []key     // and their keys
 }
 
-// sortKey carries one task's sort key so the comparator touches only the
-// key array, not the tasks behind the pointers.
+// sortKey carries one task's sort key and position, so the comparator
+// touches only the key array, not the tasks behind the pointers.
 type sortKey struct {
 	key int64
 	id  ID
-	t   *Task
+	at  int
 }
 
 // EDF orders tasks by ascending deadline, breaking ties by ID.
@@ -400,127 +505,77 @@ func priority(t *Task, llf bool) int64 {
 	return int64(t.Deadline)
 }
 
-// sort orders tasks by (priority, ID). A planner sorts its batch in place
-// and removals keep the order, so a phase's batch is a sorted prefix
-// followed by the arrivals appended since the last sort: only that tail is
-// sorted, then merged into the prefix from the back. A prefix shorter than
-// its tail (a fresh burst) is sorted along with it, which costs about the
-// same and needs no copy of the tail.
+// sort keys tasks under the priority and sorts them.
 func (s *Sorter) sort(tasks []*Task, llf bool) {
-	p := sortedPrefix(tasks, llf)
-	if p == len(tasks) {
-		return
+	ks := slices.Grow(s.keys[:0], len(tasks)) // one exact allocation, not doublings
+	for _, t := range tasks {
+		ks = append(ks, key{prio: priority(t, llf)})
 	}
-	if p < len(tasks)-p {
-		s.sortRun(tasks, llf)
-		return
-	}
-	tail := append(s.tail[:0], tasks[p:]...)
-	s.sortRun(tail, llf)
-	// Merge from the back: each tail task, largest first, lands after every
-	// prefix task that orders above it, so only the prefix entries that
-	// move are written.
-	i, k := p-1, len(tasks)-1
-	for j := len(tail) - 1; j >= 0; j-- {
-		t := tail[j]
-		key, id := priority(t, llf), t.ID
-		for ; i >= 0; i-- {
-			u := tasks[i]
-			if uk := priority(u, llf); uk < key || uk == key && u.ID < id {
-				break
-			}
-			tasks[k] = u
-			k--
-		}
-		tasks[k] = t
-		k--
-	}
-	clear(tail) // the scratch does not pin tasks past the sort
-	s.tail = tail[:0]
+	s.sortKeyed(tasks, ks)
+	s.keys = ks[:0]
 }
 
-// sortedPrefix returns the length of the longest prefix of tasks already in
-// (priority, ID) order.
-func sortedPrefix(tasks []*Task, llf bool) int {
-	if len(tasks) == 0 {
-		return 0
-	}
-	pk, pid := priority(tasks[0], llf), tasks[0].ID
-	for i := 1; i < len(tasks); i++ {
-		t := tasks[i]
-		k := priority(t, llf)
-		if k < pk || k == pk && t.ID < pid {
-			return i
-		}
-		pk, pid = k, t.ID
-	}
-	return len(tasks)
-}
-
-// sortRun sorts ts in place by (priority, ID). Arrivals are appended in
-// arrival order and generated IDs follow it, so a run's IDs usually ascend:
-// then an index orders ties as the ID would, and when the keys also span
-// less than 2^32 the sort runs over packed (key - min)<<32 | index words
-// with no comparator — a radix sort over the key half once the run is long
-// enough to pay for its counting passes. Otherwise it compares (key, ID)
-// pairs.
-func (s *Sorter) sortRun(ts []*Task, llf bool) {
-	packed := slices.Grow(s.packed[:0], len(ts)) // one exact allocation, not doublings
+// sortKeyed sorts ts, and ks beside it, by (prio, ID). Arrivals are
+// appended in arrival order and generated IDs follow it, so a run's IDs
+// usually ascend: then an index orders ties as the ID would, and when the
+// keys also span less than 2^32 the sort runs over packed
+// (key - min)<<32 | index words with no comparator — a radix sort over the
+// key half once the run is long enough to pay for its counting passes.
+// Otherwise it compares (key, ID) pairs. Either way the result is a
+// permutation, applied to the tasks and the keys together.
+func (s *Sorter) sortKeyed(ts []*Task, ks []key) {
+	words := slices.Grow(s.packed[:0], len(ts))[:len(ts)]
+	s.packed = words[:0]
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	ascending := uint64(len(ts)) <= math.MaxUint32 // the index fits its half
-	for i, t := range ts {
-		k := priority(t, llf)
-		packed = append(packed, uint64(k))
-		lo, hi = min(lo, k), max(hi, k)
-		if i > 0 && t.ID <= ts[i-1].ID {
+	for i, k := range ks {
+		lo, hi = min(lo, k.prio), max(hi, k.prio)
+		if i > 0 && ts[i].ID <= ts[i-1].ID {
 			ascending = false
 		}
 	}
-	s.packed = packed
 	if !ascending || uint64(hi)-uint64(lo) >= 1<<32 {
-		keys := slices.Grow(s.keys[:0], len(ts))
-		for i, t := range ts {
-			keys = append(keys, sortKey{key: int64(packed[i]), id: t.ID, t: t})
+		c := slices.Grow(s.cmp[:0], len(ts))
+		for i, k := range ks {
+			c = append(c, sortKey{key: k.prio, id: ts[i].ID, at: i})
 		}
-		slices.SortFunc(keys, func(a, b sortKey) int {
+		slices.SortFunc(c, func(a, b sortKey) int {
 			if a.key != b.key {
 				return cmp.Compare(a.key, b.key)
 			}
 			return cmp.Compare(a.id, b.id)
 		})
-		for i := range keys {
-			ts[i] = keys[i].t
+		for i := range c {
+			words[i] = uint64(c[i].at)
 		}
-		clear(keys)
-		s.keys = keys[:0]
-		return
-	}
-	for i, k := range packed {
-		packed[i] = (k-uint64(lo))<<32 | uint64(i)
-	}
-	words := packed
-	if len(packed) < radixMin {
-		slices.Sort(packed)
+		s.cmp = c[:0]
 	} else {
-		s.radix = slices.Grow(s.radix[:0], len(packed))[:len(packed)]
-		words = radixSort(packed, s.radix, uint64(hi)-uint64(lo))
+		for i, k := range ks {
+			words[i] = (uint64(k.prio)-uint64(lo))<<32 | uint64(i)
+		}
+		if len(words) < radixMin {
+			slices.Sort(words)
+		} else {
+			s.radix = slices.Grow(s.radix[:0], len(words))[:len(words)]
+			words = radixSort(words, s.radix, uint64(hi)-uint64(lo))
+		}
 	}
 	// Apply the permutation in place, one cycle at a time: slot k takes the
-	// task from the slot its word names, and a word that names its own slot
-	// marks the slot done.
+	// entry from the slot its word names, and a word that names its own
+	// slot marks the slot done.
 	for j := range ts {
 		if int(uint32(words[j])) == j {
 			continue
 		}
-		first, k := ts[j], j
+		first, firstKey, k := ts[j], ks[j], j
 		for {
 			from := int(uint32(words[k]))
 			words[k] = uint64(k)
 			if from == j {
-				ts[k] = first
+				ts[k], ks[k] = first, firstKey
 				break
 			}
-			ts[k] = ts[from]
+			ts[k], ks[k] = ts[from], ks[from]
 			k = from
 		}
 	}

@@ -92,7 +92,7 @@ func TestSortEDF(t *testing.T) {
 		mk(4, 0, simtime.Instant(10)), // deadline tie with 1: ID breaks it
 		mk(2, 0, simtime.Instant(20)),
 	)
-	b.SortEDF()
+	b.Order(EDF)
 	var got []ID
 	for _, tk := range b.Tasks() {
 		got = append(got, tk.ID)
@@ -156,7 +156,8 @@ func TestSortLLF(t *testing.T) {
 	b := mk(2, 1*time.Millisecond, simtime.Instant(3*time.Millisecond))  // laxity 2ms
 	c := mk(3, 8*time.Millisecond, simtime.Instant(10*time.Millisecond)) // laxity 2ms (tie with b)
 	tasks := []*Task{a, b, c}
-	SortLLF(tasks)
+	var s Sorter
+	s.LLF(tasks)
 	want := []ID{2, 3, 1}
 	for i, w := range want {
 		if tasks[i].ID != w {
@@ -164,8 +165,8 @@ func TestSortLLF(t *testing.T) {
 		}
 	}
 	batch := NewBatch(a, b, c)
-	batch.SortLLF()
+	batch.Order(LLF)
 	if batch.Tasks()[0].ID != 2 {
-		t.Error("Batch.SortLLF did not apply")
+		t.Error("Batch.Order(LLF) did not apply")
 	}
 }
