@@ -235,7 +235,7 @@ func (st *greedyState) result(quantum time.Duration) PhaseResult {
 		st.consumed = st.cfg.PhaseCost + now
 		st.meter.Observe(st.setup, now-st.setup, st.stats.Generated)
 	}
-	st.stats.Consumed = minDur(st.consumed, quantum)
+	st.stats.Consumed = simtime.MinDur(st.consumed, quantum)
 	return PhaseResult{
 		Quantum:  quantum,
 		Used:     st.stats.Consumed,

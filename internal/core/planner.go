@@ -236,6 +236,7 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		Now:           in.Now,
 		Quantum:       budget,
 		Tasks:         in.Batch,
+		Late:          in.Late,
 		Workers:       s.cfg.Workers,
 		BaseLoad:      drained,
 		Comm:          s.cfg.Comm,
@@ -263,7 +264,7 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 		s.meter.Observe(setup, res.Stats.Consumed-setup, res.Stats.Generated)
 	}
 	stats := res.Stats
-	stats.Consumed = minDur(s.cfg.PhaseCost+res.Stats.Consumed, quantum)
+	stats.Consumed = simtime.MinDur(s.cfg.PhaseCost+res.Stats.Consumed, quantum)
 	s.sched = res.AppendSchedule(s.sched[:0])
 	out := PhaseResult{
 		Quantum:  quantum,
@@ -274,11 +275,4 @@ func (s *searchPlanner) PlanPhase(in PhaseInput) (PhaseResult, error) {
 	// The schedule has been copied out: recycle the result and its best path.
 	res.Release()
 	return out, nil
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -24,6 +24,10 @@ type PhaseInput struct {
 	// Priority order (the host orders it). It is read-only: planners must
 	// not reorder the slice or mutate the tasks.
 	Batch []*task.Task
+	// Late, when set, is the purged batch's task.Batch.LatestStarts,
+	// aligned with Batch: the slack scan and the search's cuts read these
+	// keys in place of the tasks. Nil reads the tasks.
+	Late []simtime.Instant
 	// Loads is Load_k(j-1): each worker's outstanding execution time at
 	// Now, including the remains of the task it is currently running.
 	Loads []time.Duration
@@ -241,17 +245,26 @@ func minSlack(in PhaseInput, floor time.Duration) time.Duration {
 	if len(in.Batch) == 0 {
 		return 0
 	}
-	stop := floor + in.Margin
-	min := in.Batch[0].Slack(in.Now)
-	for _, t := range in.Batch[1:] {
-		if min <= stop {
-			break
+	stop, now := floor+in.Margin, in.Now
+	m := in.Batch[0].Slack(now)
+	if late := in.Late; late != nil {
+		late = late[:len(in.Batch)]
+		for i := 1; i < len(late) && m > stop; i++ {
+			// (d - p) - now wraps as the task's (d - now) - p does; a Never
+			// key (no deadline) reads the task, whose Slack subtracts p from
+			// the saturated gap.
+			s := time.Duration(late[i] - now)
+			if late[i] == simtime.Never {
+				s = in.Batch[i].Slack(now)
+			}
+			m = min(m, s)
 		}
-		if s := t.Slack(in.Now); s < min {
-			min = s
+	} else {
+		for i := 1; i < len(in.Batch) && m > stop; i++ {
+			m = min(m, in.Batch[i].Slack(now))
 		}
 	}
-	return simtime.NonNeg(min - in.Margin)
+	return simtime.NonNeg(m - in.Margin)
 }
 
 // minLoad is the paper's Min_Load: the smallest outstanding load among the

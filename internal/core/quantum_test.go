@@ -125,3 +125,40 @@ func TestQuantumMatchesFullScan(t *testing.T) {
 		t.Fatalf("%d trials reached the floor and %d did not; the fixture needs both", stopped, scanned)
 	}
 }
+
+// Property: read from the keys a batch holds (task.Batch.LatestStarts), the
+// Min_Slack scan gives what it gives reading every task's Slack, at every
+// floor and under every policy — over random batches with Never deadlines,
+// negative slacks and margins, in EDF and LLF order.
+func TestMinSlackFromKeysMatchesTasks(t *testing.T) {
+	r := rand.New(rand.NewPCG(41, 2))
+	policies := []QuantumPolicy{NewAdaptive(), SlackOnly{Bounds: DefaultBounds()}}
+	for trial := 0; trial < 2000; trial++ {
+		draw := func(max time.Duration) time.Duration { return time.Duration(r.Int64N(int64(max/us))) * us }
+		now := simtime.Instant(draw(10 * ms))
+		var tasks []*task.Task
+		for i, n := 0, r.IntN(40); i < n; i++ {
+			proc := draw(500 * us)
+			d := now.Add(proc + draw(1500*us) - 300*us)
+			if r.IntN(8) == 0 {
+				d = simtime.Never
+			}
+			tasks = append(tasks, &task.Task{ID: task.ID(i), Proc: proc, Deadline: d})
+		}
+		b := task.NewBatch(tasks...)
+		b.Order(task.Priority(trial % 2))
+		in := PhaseInput{Now: now, Batch: b.Tasks(), Loads: []time.Duration{draw(700 * us)}, Margin: []time.Duration{0, us, 25 * us}[r.IntN(3)]}
+		keyed := in
+		keyed.Late = b.LatestStarts()
+		for _, floor := range []time.Duration{0, draw(600 * us), DefaultBounds().Min} {
+			if got, want := minSlack(keyed, floor), minSlack(in, floor); got != want {
+				t.Fatalf("trial %d floor %v: minSlack from keys %v, from tasks %v", trial, floor, got, want)
+			}
+		}
+		for _, pol := range policies {
+			if got, want := pol.Quantum(keyed), refQuantum(pol, in); got != want {
+				t.Fatalf("trial %d %s: quantum from keys %v, full scan %v", trial, pol.Name(), got, want)
+			}
+		}
+	}
+}

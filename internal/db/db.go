@@ -172,16 +172,22 @@ func Generate(cfg Config, r *rng.Source) (*Database, error) {
 	}
 	subs, tuples := make([]SubDB, cfg.SubDBs), make([]Tuple, cfg.SubDBs*cfg.TuplesPerSub)
 	d := &Database{Config: cfg, Subs: make([]*SubDB, cfg.SubDBs)}
+	src := *r // draws through a local copy, written back below
 	for s := range subs {
+		var base Tuple
+		for a := range base {
+			base[a] = cfg.domainBase(s, a)
+		}
 		ts := tuples[s*cfg.TuplesPerSub : (s+1)*cfg.TuplesPerSub : (s+1)*cfg.TuplesPerSub]
 		for i := range ts {
 			for a := range ts[i] {
-				ts[i][a] = cfg.domainBase(s, a) + Value(r.Intn(cfg.DomainSize))
+				ts[i][a] = base[a] + Value(src.Intn(cfg.DomainSize))
 			}
 		}
 		subs[s].ID, subs[s].Tuples = s, ts
 		d.Subs[s] = &subs[s]
 	}
+	*r = src
 	// Index every indexed attribute by a counting pass: offsets from the
 	// per-value counts, then positions in tuple order.
 	indexed, dom := cfg.IndexedAttrs(), cfg.DomainSize

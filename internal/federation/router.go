@@ -9,6 +9,7 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/faultinject"
 	"rtsads/internal/livecluster"
+	"rtsads/internal/machine"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
 	"rtsads/internal/policy"
@@ -365,6 +366,7 @@ func (f *Federation) shardConfig(i int, clock *livecluster.Clock) livecluster.Co
 		Clock:     clock,
 		External:  true,
 		OnReject: func(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
+			machine.CheckTask(t)
 			return f.onReject(i, t.ID, reason, now)
 		},
 		Obs:        f.obsShards[i],

@@ -208,6 +208,7 @@ func (f *simFed) reset(cfg SimConfig) error {
 		}
 		sh.id = i
 		sh.bounce = func(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
+			machine.CheckTask(t)
 			return f.rt.bounce(sh.id, t.ID, string(reason), now)
 		}
 		sh.host.Reset(machine.Config{
@@ -461,6 +462,7 @@ func (sh *simShard) strandInbox(f *simFed, now simtime.Instant) {
 // onto a feasible sibling (this shard books a bounce) or it is lost with the
 // shard.
 func (sh *simShard) strand(f *simFed, t *task.Task, now simtime.Instant) {
+	machine.CheckTask(t)
 	if f.rt.salvage(sh.id, t.ID, "shard-death", now) {
 		sh.host.Bounce(t, "shard-death", now)
 	} else {

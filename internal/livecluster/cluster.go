@@ -598,6 +598,7 @@ func (r *runState) Deliver(phase int, at simtime.Instant, schedule []search.Assi
 	freeAt := r.host.FreeAt
 	for _, a := range schedule {
 		t, k := a.Task, a.Proc
+		machine.CheckTask(t)
 		due := serve(freeAt[k], at, t.Proc+a.Comm)
 		freeAt[k] = due
 		r.inflight[t.ID] = flight{t: t, worker: k, due: due}
@@ -635,6 +636,7 @@ func (r *runState) complete(d Done) {
 		return
 	}
 	delete(r.inflight, task.ID(d.Task))
+	machine.CheckTask(fl.t)
 	r.o.Inflight(len(r.inflight))
 	if d.Expired {
 		// The worker shed the job at its queue head: the deadline was

@@ -22,6 +22,7 @@ type BounceFunc func(t *task.Task, reason admission.Reason, now simtime.Instant)
 
 // Arrive books t reaching this domain at at: the only place Total grows.
 func (h *Host) Arrive(t *task.Task, at simtime.Instant) {
+	CheckTask(t)
 	h.Res.Total++
 	h.cfg.Obs.Arrival(t.ID, at, t.Deadline)
 }
@@ -45,6 +46,7 @@ func (h *Host) Reroute(t *task.Task, worker int, now simtime.Instant, gate *admi
 }
 
 func (h *Host) enter(t *task.Task, now simtime.Instant, gate *admission.Controller, bounce BounceFunc) bool {
+	CheckTask(t)
 	return gate.Enter(t, now, h.Batch, func(x *task.Task, reason admission.Reason) {
 		if bounce != nil && bounce(x, reason, now) {
 			h.Bounce(x, reason, now)

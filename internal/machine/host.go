@@ -154,7 +154,7 @@ func (h *Host) Step(now simtime.Instant) (simtime.Instant, error) {
 	phase := res.Phases
 	cfg.Obs.PhaseStart(phase, h.Batch.Len(), now)
 	h.Batch.Order(cfg.Planner.Priority())
-	out, err := cfg.Planner.PlanPhase(core.PhaseInput{Now: now, Batch: h.Batch.Tasks(), Loads: h.loads, Margin: cfg.Margin})
+	out, err := cfg.Planner.PlanPhase(core.PhaseInput{Now: now, Batch: h.Batch.Tasks(), Late: h.Batch.LatestStarts(), Loads: h.loads, Margin: cfg.Margin})
 	if err != nil {
 		return 0, fmt.Errorf("phase %d: %w", phase, err)
 	}

@@ -113,24 +113,26 @@ func New(cfg Config) (*Machine, error) {
 // Run reuses the machine's scratch, so it is not safe for concurrent use on
 // one Machine; its planner is not either.
 func (m *Machine) Run(tasks []*task.Task) (*metrics.RunResult, error) {
-	byArrival := func(a, b *task.Task) int { return cmp.Compare(a.Arrival, b.Arrival) }
 	pending := tasks
-	if !slices.IsSortedFunc(tasks, byArrival) {
-		m.pending = append(m.pending[:0], tasks...)
-		slices.SortStableFunc(m.pending, byArrival)
-		pending = m.pending
+	for i := 1; i < len(tasks); i++ {
+		if tasks[i].Arrival < tasks[i-1].Arrival {
+			m.pending = append(m.pending[:0], tasks...)
+			slices.SortStableFunc(m.pending, func(a, b *task.Task) int { return cmp.Compare(a.Arrival, b.Arrival) })
+			pending = m.pending
+			break
+		}
 	}
 
 	h := &m.h
 	h.Reset(m.cfg)
 	now := simtime.Instant(0)
 	for next := 0; ; {
-		// Absorb every arrival at or before the current time.
+		// Absorb every arrival at or before the current time, in one Add.
+		due := next
 		for ; next < len(pending) && !pending[next].Arrival.After(now); next++ {
-			t := pending[next]
-			h.Arrive(t, t.Arrival)
-			h.Batch.Add(t)
+			h.Arrive(pending[next], pending[next].Arrival)
 		}
+		h.Batch.Add(pending[due:next]...)
 		wake, err := h.Step(now)
 		if err != nil {
 			return nil, fmt.Errorf("machine: %w", err)

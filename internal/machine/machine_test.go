@@ -3,6 +3,8 @@ package machine
 import (
 	"cmp"
 	"encoding/json"
+	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -591,5 +593,81 @@ func TestWarmRunReusesScratch(t *testing.T) {
 	slices.SortStableFunc(ordered, func(a, b *task.Task) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	if a, b := run(unordered), run(ordered); !same(a, b) {
 		t.Errorf("an unordered list ran differently from its ordered copy:\n%s\n%s", a, b)
+	}
+}
+
+// TestRangedAbsorbBooksAsPerTask: Run hands each due range of arrivals to
+// Batch.Add in one call. A driver that adds them one at a time, after the
+// same stable arrival sort, books exactly the same run and journal, under
+// RT-SADS and D-COLS, for an arrival-ordered list and for reversed and
+// shuffled copies, whose batches see IDs out of order.
+func TestRangedAbsorbBooksAsPerTask(t *testing.T) {
+	params := workload.DefaultParams(10)
+	params.NumTransactions = 400
+	w, err := workload.Generate(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byArrival := func(a, b *task.Task) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	journal := func(o *obs.Observer) []obs.Entry {
+		es := o.Journal().Snapshot()
+		for i := range es {
+			es[i].Wall = time.Time{}
+		}
+		return es
+	}
+	// perTask is Run's loop with one Add per arrival.
+	perTask := func(cfg Config, tasks []*task.Task) *metrics.RunResult {
+		pending := slices.Clone(tasks)
+		slices.SortStableFunc(pending, byArrival)
+		var h Host
+		h.Reset(cfg)
+		now := simtime.Instant(0)
+		for next := 0; ; {
+			for ; next < len(pending) && !pending[next].Arrival.After(now); next++ {
+				h.Arrive(pending[next], pending[next].Arrival)
+				h.Batch.Add(pending[next])
+			}
+			wake, err := h.Step(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next < len(pending) {
+				wake = wake.Min(pending[next].Arrival.Max(h.BusyUntil()))
+			}
+			if wake == simtime.Never {
+				return h.Res
+			}
+			now = wake
+		}
+	}
+	shuffled := slices.Clone(w.Tasks)
+	rand.New(rand.NewPCG(7, 8)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	lists := map[string][]*task.Task{"ordered": w.Tasks, "reversed": slices.Clone(w.Tasks), "shuffled": shuffled}
+	slices.Reverse(lists["reversed"])
+	for _, mk := range []func(core.SearchConfig) (core.Planner, error){core.NewRTSADS, core.NewDCOLS} {
+		for name, tasks := range lists {
+			m, err := New(Config{Workers: 10, Planner: plannerFor(t, 10, mk), Obs: obs.New(1 << 16)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Run(tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJ := journal(m.cfg.Obs)
+			cfg := m.cfg
+			cfg.Planner, cfg.Obs = plannerFor(t, 10, mk), obs.New(1<<16)
+			want := perTask(cfg, tasks)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: ranged absorb booked\n%s\nper-task absorb\n%s", m.cfg.Planner.Name(), name, got, want)
+			}
+			if wantJ := journal(cfg.Obs); !reflect.DeepEqual(gotJ, wantJ) {
+				t.Errorf("%s %s: the journals differ (%d vs %d entries)", m.cfg.Planner.Name(), name, len(gotJ), len(wantJ))
+			}
+			if got.Hits == 0 || got.Purged == 0 {
+				t.Fatalf("%s %s: %d hits and %d purges; the test needs both", m.cfg.Planner.Name(), name, got.Hits, got.Purged)
+			}
+		}
 	}
 }

@@ -31,11 +31,13 @@ func (h *Host) Take(t *task.Task) *task.Task {
 		s.carved++
 	}
 	*slot = *t
+	taken(slot)
 	return slot
 }
 
 func (s *slots) release(t *task.Task) {
 	if s.chunks != nil {
+		released(t)
 		*t = task.Task{}
 		s.free = append(s.free, t)
 	}

@@ -86,34 +86,41 @@ func (a *Assignment) IsLeaf(p *search.Problem, v *search.Vertex) bool {
 // every other load is at least as large: it is ruled out without a probe
 // but still charges Workers, the candidates the probes would have
 // generated, so the quantum, Stats and every schedule are the probes'.
+// Both tests read the task's latest start against a search.Problem.Cut;
+// only a task that passes them is read itself.
 func (a *Assignment) Expand(p *search.Problem, v *search.Vertex, st *search.PathState) ([]*search.Vertex, int) {
 	generated := 0
 	model := a.cost()
 	minLoad := slices.Min(st.Loads)
+	late, hopeless, fits := st.Late, p.Cut(0), p.Cut(minLoad)
 	succs := st.Succs()
 	for i := v.Cursor; i < len(p.Tasks); i++ {
-		t := p.Tasks[i]
-		room := p.Room(t)
-		if !task.InRoom(t.Proc, room) { // Hopeless
+		switch {
+		case late[i] < hopeless:
 			generated++
-			if !a.SkipInfeasible {
-				break
+		case late[i] < fits:
+			generated += p.Workers
+		default:
+			t := p.Tasks[i]
+			room := p.Room(t)
+			if !task.InRoom(t.Proc, room) { // Hopeless: a Never key passes both cuts
+				generated++
+				break // out of the switch, on to SkipInfeasible
 			}
-			continue
-		}
-		generated += p.Workers
-		if minLoad <= room-t.Proc { // room-t.Proc >= 0: it cannot wrap
-			succs = appendTaskSuccessors(p, v, st, t, i, room, model, succs)
-		}
-		if len(succs) > 0 {
-			sortSuccessors(succs)
-			if a.Breadth > 0 && len(succs) > a.Breadth {
-				for _, pruned := range succs[a.Breadth:] {
-					st.FreeVertex(pruned)
+			generated += p.Workers
+			if minLoad <= room-t.Proc { // room-t.Proc >= 0: it cannot wrap
+				succs = appendTaskSuccessors(p, v, st, t, i, room, model, succs)
+			}
+			if len(succs) > 0 {
+				sortSuccessors(succs)
+				if a.Breadth > 0 && len(succs) > a.Breadth {
+					for _, pruned := range succs[a.Breadth:] {
+						st.FreeVertex(pruned)
+					}
+					succs = succs[:a.Breadth]
 				}
-				succs = succs[:a.Breadth]
+				return succs, generated
 			}
-			return succs, generated
 		}
 		if !a.SkipInfeasible {
 			break

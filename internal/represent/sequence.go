@@ -72,7 +72,9 @@ func (s *Sequence) IsLeaf(p *search.Problem, v *search.Vertex) bool {
 // Cursor mod Workers; unscheduled tasks (those not in the path's used set)
 // are examined in the batch's priority order (EDF) and each feasibility
 // test is charged as one generated vertex. A task whose p_l on top of the
-// load overflows its room fits for no c_lk >= 0: it is ruled out unprobed.
+// load overflows its room fits for no c_lk >= 0: it is ruled out unprobed,
+// by its latest start against a search.Problem.Cut, without being read —
+// nor its used bit, as the charge counts the unused tasks up to the stop.
 func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathState) ([]*search.Vertex, int) {
 	proc := v.Cursor % p.Workers
 	if s.LeastLoaded {
@@ -80,13 +82,13 @@ func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathSt
 	}
 	model := s.cost()
 	load := st.Loads[proc]
-	generated := 0
-	succs := st.Succs()
-	for i, t := range p.Tasks {
-		if st.Used.Has(i) {
+	late, cut := st.Late, p.Cut(load)
+	succs, stop := st.Succs(), len(late)
+	for i, l := range late {
+		if l < cut || st.Used.Has(i) {
 			continue
 		}
-		generated++
+		t := p.Tasks[i]
 		room := p.Room(t)
 		if !task.InRoom(t.Proc, room) || load > room-t.Proc { // room-t.Proc >= 0: it cannot wrap
 			continue
@@ -105,8 +107,13 @@ func (s *Sequence) Expand(p *search.Problem, v *search.Vertex, st *search.PathSt
 		sv.CE = model.Extend(v.CE, load, end)
 		succs = append(succs, sv)
 		if s.Breadth > 0 && len(succs) >= s.Breadth {
+			stop = i + 1
 			break
 		}
+	}
+	generated := stop
+	if stop > 0 {
+		generated -= st.Used.Count(stop)
 	}
 	if s.AllowIdle && s.canIdle(p, v) {
 		// Leave the processor idle this round, ranked after every real

@@ -33,6 +33,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -163,6 +164,9 @@ type Problem struct {
 	// schedule is feasible only if each task finishes Margin before its
 	// deadline. Zero is the paper's test.
 	Margin time.Duration
+	// Late, when set, holds each task's task.LateKey, aligned with Tasks: a
+	// purged batch's task.Batch.LatestStarts. Nil derives them (PathState).
+	Late []simtime.Instant
 
 	// phaseEnd caches Now.Add(Quantum), the term every feasibility test
 	// adds; Run computes it once before the engine starts.
@@ -223,6 +227,9 @@ func (p *Problem) Validate() error {
 	if p.VertexCost <= 0 && p.Clock == nil {
 		return fmt.Errorf("search: need VertexCost > 0 or a Clock")
 	}
+	if p.Late != nil && len(p.Late) != len(p.Tasks) {
+		return fmt.Errorf("search: Late has %d entries for %d tasks", len(p.Late), len(p.Tasks))
+	}
 	return nil
 }
 
@@ -242,6 +249,23 @@ func (p *Problem) PhaseEnd() simtime.Instant {
 // it with task.InRoom.
 func (p *Problem) Room(t *task.Task) time.Duration {
 	return task.Room(p.PhaseEnd(), p.Margin, t.Deadline)
+}
+
+// Cut returns PhaseEnd + Margin + load, saturated at Never: a finite
+// latest start (PathState.Late, d - p exactly) is at least Cut(load) exactly
+// when 0 <= p_l and load + p_l <= Room, and at least Cut(0) exactly when
+// the task is not Hopeless. A Never entry passes every cut, as does every
+// entry when no exact cut exists (a negative phase end or load): the task
+// is then tested itself.
+func (p *Problem) Cut(load time.Duration) simtime.Instant {
+	end := p.PhaseEnd()
+	switch {
+	case end < 0 || load < 0:
+		return math.MinInt64
+	case p.Margin < 0:
+		return simtime.Never // task.Room: nothing fits
+	}
+	return end.Add(p.Margin).Add(load)
 }
 
 // Feasible applies the paper's feasibility test (§4.3, Figure 4) to
@@ -382,6 +406,8 @@ type PathState struct {
 	// Used marks which batch task indices appear on the current path. It
 	// is nil when the problem has no tasks.
 	Used *Bitset
+	// Late is each batch task's latest start, Problem.Late or derived.
+	Late []simtime.Instant
 
 	path []*Vertex // rebuild scratch
 	src  *Searcher // the Searcher whose buffers the state hands out
@@ -604,6 +630,7 @@ type Searcher struct {
 	res   Result
 	free  []*Vertex
 	succs []*Vertex
+	late  []simtime.Instant
 }
 
 // FreeVertices returns the number of vertices on s's free list: what a warm
@@ -629,14 +656,22 @@ func (s *Searcher) run(p *Problem, rep Representation) *Result {
 	e.run(rep.Root(p))
 	s.res.Stats.Consumed = s.bud.consumed()
 	p.src = nil
-	s.st.Used = nil
+	s.st.Used, s.st.Late = nil, nil
 	s.bud = budget{}
 	s.e = engine{}
 	return &s.res
 }
 
-// position sets the path state at p's root, wired to s's buffers.
+// position sets the path state at p's root, wired to s's buffers, with
+// p's latest starts: Late, or derived into s's buffer.
 func (s *Searcher) position(p *Problem) {
+	if s.st.Late = p.Late; p.Late == nil {
+		s.late = s.late[:0]
+		for _, t := range p.Tasks {
+			s.late = append(s.late, t.LateKey())
+		}
+		s.st.Late = s.late
+	}
 	s.st.Loads = RootLoads(p, s.st.Loads)
 	if len(p.Tasks) > 0 {
 		s.used.resize(len(p.Tasks))
@@ -949,6 +984,17 @@ func (b *Bitset) Set(i int) { b.words[i/64] |= 1 << uint(i%64) }
 
 // Has reports whether index i is marked.
 func (b *Bitset) Has(i int) bool { return b.words[i/64]&(1<<uint(i%64)) != 0 }
+
+// Count returns the number of marked indices below n.
+func (b *Bitset) Count(n int) (c int) {
+	for i, w := range b.words[:(n+63)/64] {
+		if i == n/64 {
+			w &= 1<<(n%64) - 1
+		}
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
 
 // Len returns the bitset's capacity.
 func (b *Bitset) Len() int { return b.n }

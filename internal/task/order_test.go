@@ -179,13 +179,13 @@ func (m *batchModel) remove(scheduled []*Task) int {
 // order, and the horizon is a lower bound on every latest start.
 func checkKeys(t *testing.T, b *Batch, at string) {
 	t.Helper()
-	if len(b.keys) != len(b.tasks) || b.sorted > len(b.tasks) {
-		t.Fatalf("%s: %d keys and a sorted prefix of %d beside %d tasks", at, len(b.keys), b.sorted, len(b.tasks))
+	if len(b.prio) != len(b.tasks) || len(b.late) != len(b.tasks) || b.sorted > len(b.tasks) {
+		t.Fatalf("%s: %d+%d keys and a sorted prefix of %d beside %d tasks", at, len(b.prio), len(b.late), b.sorted, len(b.tasks))
 	}
 	llf := b.order == LLF
 	for i, tk := range b.tasks {
-		if want := (key{prio: priority(tk, llf), late: tk.LatestStart()}); b.keys[i] != want {
-			t.Fatalf("%s: task %v at %d has keys %+v, want %+v", at, tk, i, b.keys[i], want)
+		if b.prio[i] != priority(tk, llf) || b.late[i] != tk.LatestStart() {
+			t.Fatalf("%s: task %v at %d has keys %d, %d, want %d, %d", at, tk, i, b.prio[i], b.late[i], priority(tk, llf), tk.LatestStart())
 		}
 		if tk.LatestStart() < b.horizon {
 			t.Fatalf("%s: horizon %d above task %v's latest start", at, b.horizon, tk)
@@ -371,5 +371,51 @@ func BenchmarkSortEDF(b *testing.B) {
 				s.EDF(tasks)
 			}
 		})
+	}
+}
+
+// Property: arrivals handed to Add in ranges of any length, their IDs
+// ascending, descending or shuffled across and within ranges, with ties on
+// every key, order as the reference sort orders them; a batch whose tail
+// was emptied by a removal starts its ID run afresh; and LatestStarts stays
+// aligned with Tasks. Add's record of ascending IDs decides the sort path,
+// so a wrong record shows as a tie broken by position instead of ID.
+func TestBatchRangedAddsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(9, 10))
+	for trial := 0; trial < 300; trial++ {
+		prio := Priority(trial % 2)
+		b, m := NewBatch(), &batchModel{}
+		var next ID
+		for phase := 0; phase < 8; phase++ {
+			ids := []string{"ascending", "descending", "shuffled"}[r.IntN(3)]
+			arrivals := genTasks(r, r.IntN(300), next, ids, 8, 0.05)
+			next += ID(len(arrivals))
+			for len(arrivals) > 0 {
+				n := 1 + r.IntN(len(arrivals))
+				b.Add(arrivals[:n]...)
+				m.add(arrivals[:n]...)
+				arrivals = arrivals[n:]
+			}
+			if r.IntN(3) == 0 {
+				var drop []*Task
+				for _, tk := range b.Tasks() {
+					if r.IntN(2) == 0 {
+						drop = append(drop, tk)
+					}
+				}
+				b.RemoveScheduled(drop)
+				m.remove(drop)
+			}
+			b.Order(prio)
+			refSort(m.tasks, prio == LLF)
+			if !slices.Equal(b.Tasks(), m.tasks) {
+				t.Fatalf("trial %d phase %d (%s IDs): batch order differs from the reference", trial, phase, ids)
+			}
+			for i, tk := range b.Tasks() {
+				if b.LatestStarts()[i] != tk.LatestStart() {
+					t.Fatalf("trial %d phase %d: latest start %d beside %v", trial, phase, b.LatestStarts()[i], tk)
+				}
+			}
+		}
 	}
 }

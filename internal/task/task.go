@@ -69,6 +69,15 @@ func (t *Task) LatestStart() simtime.Instant {
 	return t.Deadline.Add(-t.Proc)
 }
 
+// LateKey returns t's latest start as a purged Batch keeps it: d - p
+// exactly, or Never with no deadline or when missed at every instant.
+func (t *Task) LateKey() simtime.Instant {
+	if ls, always := t.purgeTest(math.MinInt64); !always {
+		return ls
+	}
+	return simtime.Never
+}
+
 // purgeTest returns t's latest start, meaningful only when t is not missed,
 // and whether t is missed at now, with one comparison: for a finite
 // deadline and a non-negative Proc whose d - p does not wrap, t is missed
@@ -166,13 +175,21 @@ func (p Priority) String() string {
 // window that can hold a missed task.
 type Batch struct {
 	tasks []*Task
-	keys  []key // keys[i] belongs to tasks[i]
-	// tbase and kbase are the arrays tasks and keys view (see close).
+	// prio[i] orders tasks[i] (its deadline under EDF, its latest start
+	// under LLF); the purge removes it once now passes late[i], its d - p.
+	prio []int64
+	late []simtime.Instant
+	// tbase, pbase and lbase are the arrays the three view (see close).
 	tbase []*Task
-	kbase []key
+	pbase []int64
+	lbase []simtime.Instant
 	order Priority
 	// sorted is the length of the prefix in order's (key, ID) order.
 	sorted int
+	// up reports that the IDs after the sorted prefix ascend, lastID being
+	// the last one added: Add reads each ID, so Order's packed sort need not.
+	up     bool
+	lastID ID
 	// maxProc bounds every Proc added since Reset: under EDF, a task whose
 	// deadline is past now + maxProc has d - p > now.
 	maxProc time.Duration
@@ -180,25 +197,16 @@ type Batch struct {
 	// now (a negative Proc or a d - p that wraps, see purgeTest): it can sit
 	// anywhere in the order, so the next purge reads every task.
 	edge bool
-	// removed, drop, rest and sorter are scratch space reused across
-	// phases, so the steady-state phase loop (purge, order, plan, remove
-	// scheduled) allocates nothing once warm.
+	// removed, rest and sorter are scratch space reused across phases, so
+	// the steady-state phase loop (purge, order, plan, remove scheduled)
+	// allocates nothing once warm.
 	removed []*Task
-	drop    map[ID]struct{}
 	rest    []*Task
 	sorter  Sorter
 	// horizon is a lower bound on the earliest instant any batched task can
 	// become missed, min_i(d_i - p_i): while now <= horizon and no edge task
 	// waits, PurgeMissed is a comparison instead of a scan.
 	horizon simtime.Instant
-}
-
-// key is one task's two keys, kept beside it in a Batch: prio orders it
-// (its deadline under EDF, its latest start under LLF), and the purge
-// removes it once now passes late, its latest start d - p.
-type key struct {
-	prio int64
-	late simtime.Instant
 }
 
 // NewBatch returns a batch seeded with the given tasks.
@@ -213,7 +221,7 @@ func NewBatch(tasks ...*Task) *Batch {
 // run's tasks are not pinned by the backing arrays.
 func (b *Batch) Reset() {
 	clear(b.tbase)
-	b.tasks, b.keys = b.tbase[:0], b.kbase[:0]
+	b.tasks, b.prio, b.late = b.tbase[:0], b.pbase[:0], b.lbase[:0]
 	clear(b.removed[:cap(b.removed)])
 	b.removed = b.removed[:0]
 	b.sorted, b.maxProc, b.edge = 0, 0, false
@@ -232,36 +240,50 @@ func (b *Batch) Tasks() []*Task { return b.tasks }
 // the keys (Never when empty): one past it, the first task can be missed.
 func (b *Batch) LatestStart() simtime.Instant {
 	ls := simtime.Never
-	for _, k := range b.keys {
-		ls = ls.Min(k.late)
+	for _, l := range b.late {
+		ls = ls.Min(l)
 	}
 	return ls
 }
 
-// Add appends arriving tasks to the batch, after its sorted prefix.
+// LatestStarts returns each task's latest start, aligned with Tasks and on
+// its terms; after PurgeMissed each is the task's LateKey.
+func (b *Batch) LatestStarts() []simtime.Instant { return b.late }
+
+// Add appends arriving tasks to the batch, after its sorted prefix: a
+// driver hands it each range of arrivals in one call.
 func (b *Batch) Add(tasks ...*Task) {
 	if n := len(b.tasks) + len(tasks); n > cap(b.tasks) {
 		// Out of room: move the batch to the front of its arrays, grown 4×.
 		if n > len(b.tbase) {
 			n = max(n, 4*len(b.tbase))
-			b.tbase, b.kbase = make([]*Task, n), make([]key, n)
+			b.tbase, b.pbase, b.lbase = make([]*Task, n), make([]int64, n), make([]simtime.Instant, n)
 		}
 		m := copy(b.tbase, b.tasks)
-		copy(b.kbase, b.keys)
+		copy(b.pbase, b.prio)
+		copy(b.lbase, b.late)
 		clear(b.tbase[m:])
-		b.tasks, b.keys = b.tbase[:m], b.kbase[:m]
+		b.tasks, b.prio, b.late = b.tbase[:m], b.pbase[:m], b.lbase[:m]
 	}
-	llf := b.order == LLF
-	for _, t := range tasks {
-		ls, always := t.purgeTest(math.MinInt64) // missed even at the first instant: at every now
+	m, n := len(b.tasks), len(b.tasks)+len(tasks)
+	b.tasks, b.prio, b.late = b.tasks[:n], b.prio[:n], b.late[:n]
+	copy(b.tasks[m:], tasks)
+	ps, ls := b.prio[m:][:len(tasks)], b.late[m:][:len(tasks)]
+	llf, horizon, maxProc := b.order == LLF, b.horizon, b.maxProc
+	up, last := b.up, b.lastID
+	if m == b.sorted { // the first of a new tail
+		up, last = true, math.MinInt32
+	}
+	for i, t := range tasks {
+		late, always := t.purgeTest(math.MinInt64) // missed even at the first instant: at every now
 		if always {
-			ls, b.edge = t.LatestStart(), true
+			late, b.edge = t.LatestStart(), true
 		}
-		b.horizon = b.horizon.Min(ls)
-		b.maxProc = max(b.maxProc, t.Proc)
-		b.keys = append(b.keys, key{prio: priority(t, llf), late: ls})
-		b.tasks = append(b.tasks, t)
+		horizon, maxProc = horizon.Min(late), max(maxProc, t.Proc)
+		up, last = up && t.ID > last, t.ID
+		ps[i], ls[i] = priority(t, llf), late
 	}
+	b.horizon, b.maxProc, b.up, b.lastID = horizon, maxProc, up, last
 }
 
 // Order puts the batch in p's order, (key, ID) ascending. Only the tail
@@ -269,42 +291,43 @@ func (b *Batch) Add(tasks ...*Task) {
 // prefix from the back; a prefix shorter than its tail (a fresh burst) is
 // sorted along with it. A new order re-keys the batch and sorts it whole.
 func (b *Batch) Order(p Priority) {
+	up := b.up
 	if p != b.order {
-		b.order, b.sorted = p, 0
+		b.order, b.sorted, up = p, 0, false
 		for i, t := range b.tasks {
-			b.keys[i].prio = priority(t, p == LLF)
+			b.prio[i] = priority(t, p == LLF)
 		}
 	}
-	ts, ks, n := b.tasks, b.keys, b.sorted
+	ts, ps, ls, n := b.tasks, b.prio, b.late, b.sorted
 	b.sorted = len(ts)
 	if n == len(ts) {
 		return
 	}
 	s := &b.sorter
 	if n < len(ts)-n {
-		s.sortKeyed(ts, ks)
+		s.sortKeyed(ts, ps, ls, up && n == 0)
 		return
 	}
-	tail, tailKeys := append(s.tail[:0], ts[n:]...), append(s.tailKeys[:0], ks[n:]...)
-	s.sortKeyed(tail, tailKeys)
+	tail, tp, tl := append(s.tail[:0], ts[n:]...), append(s.tailPrio[:0], ps[n:]...), append(s.tailLate[:0], ls[n:]...)
+	s.sortKeyed(tail, tp, tl, up)
 	// Merge from the back: each tail task, largest first, lands after every
 	// prefix task that orders above it, so only the prefix entries that
 	// move are written, and a prefix ID is read only on a key tie.
 	i, k := n-1, len(ts)-1
 	for j := len(tail) - 1; j >= 0; j-- {
-		t, tk := tail[j], tailKeys[j]
+		t, tk := tail[j], tp[j]
 		for ; i >= 0; i-- {
-			if uk := ks[i].prio; uk < tk.prio || uk == tk.prio && ts[i].ID < t.ID {
+			if uk := ps[i]; uk < tk || uk == tk && ts[i].ID < t.ID {
 				break
 			}
-			ts[k], ks[k] = ts[i], ks[i]
+			ts[k], ps[k], ls[k] = ts[i], ps[i], ls[i]
 			k--
 		}
-		ts[k], ks[k] = t, tk
+		ts[k], ps[k], ls[k] = t, tk, tl[j]
 		k--
 	}
 	clear(tail) // the scratch does not pin tasks past the merge
-	s.tail, s.tailKeys = tail[:0], tailKeys[:0]
+	s.tail, s.tailPrio, s.tailLate = tail[:0], tp[:0], tl[:0]
 }
 
 // PurgeMissed removes and returns every task that has already missed its
@@ -327,15 +350,15 @@ func (b *Batch) PurgeMissed(now simtime.Instant) []*Task {
 	lim := int64(now.Add(lead))
 	end, horizon := b.sorted, simtime.Never
 	if !b.edge {
-		end = sort.Search(b.sorted, func(i int) bool { return b.keys[i].prio > lim })
+		end = sort.Search(b.sorted, func(i int) bool { return b.prio[i] > lim })
 		if end < b.sorted {
-			horizon = simtime.Instant(b.keys[end].prio) - simtime.Instant(lead)
+			horizon = simtime.Instant(b.prio[end]) - simtime.Instant(lead)
 		}
 	}
 	last := -1
 	for _, r := range [2][2]int{{0, end}, {b.sorted, len(b.tasks)}} {
 		for i := r[0]; i < r[1]; i++ {
-			ls, missed := b.keys[i].late, now > b.keys[i].late
+			ls, missed := b.late[i], now > b.late[i]
 			if b.edge {
 				ls, missed = b.tasks[i].purgeTest(now)
 			}
@@ -356,18 +379,18 @@ func (b *Batch) PurgeMissed(now simtime.Instant) []*Task {
 // cluster at the front of the order, so the tasks before last shift right
 // and the batch starts that much later in its arrays.
 func (b *Batch) close(last int) {
-	ts, ks := b.tasks, b.keys
+	ts, ps, ls := b.tasks, b.prio, b.late
 	keep := last + 1
 	for i := last; i >= 0; i-- {
 		if ts[i] != nil {
 			keep--
-			ts[keep], ks[keep] = ts[i], ks[i]
+			ts[keep], ps[keep], ls[keep] = ts[i], ps[i], ls[i]
 		} else if i < b.sorted {
 			b.sorted--
 		}
 	}
 	clear(ts[:keep])
-	b.tasks, b.keys = ts[keep:], ks[keep:]
+	b.tasks, b.prio, b.late = ts[keep:], ps[keep:], ls[keep:]
 }
 
 // RemoveScheduled removes the given tasks from the batch. Tasks scheduled in
@@ -418,41 +441,16 @@ func (b *Batch) removeInOrder(scheduled []*Task) int {
 }
 
 // removeByID removes the given tasks from the batch by ID match, in any
-// order — the last fallback behind RemoveScheduled.
+// order, keeping the remainder's order: the last fallback behind
+// RemoveScheduled, for tasks the batch holds no pointer to.
 func (b *Batch) removeByID(scheduled []*Task) int {
-	// Small sets are cheaper to match by linear scan than through a map;
-	// large ones reuse the batch's drop set (cleared, not reallocated).
-	if len(scheduled) <= 8 {
-		return b.removeIf(func(t *Task) bool {
-			for _, s := range scheduled {
-				if s.ID == t.ID {
-					return true
-				}
-			}
-			return false
-		})
-	}
-	if b.drop == nil {
-		b.drop = make(map[ID]struct{}, len(scheduled))
-	} else {
-		clear(b.drop)
-	}
-	for _, t := range scheduled {
-		b.drop[t.ID] = struct{}{}
-	}
-	return b.removeIf(func(t *Task) bool {
-		_, ok := b.drop[t.ID]
-		return ok
-	})
-}
-
-// removeIf removes every task matching pred, preserving the order of the
-// remainder, and returns the number removed.
-func (b *Batch) removeIf(pred func(*Task) bool) int {
 	last, n := -1, 0
 	for i, t := range b.tasks {
-		if pred(t) {
-			b.tasks[i], last, n = nil, i, n+1
+		for _, s := range scheduled {
+			if s.ID == t.ID {
+				b.tasks[i], last, n = nil, i, n+1
+				break
+			}
 		}
 	}
 	b.close(last)
@@ -473,12 +471,14 @@ func SortEDF(tasks []*Task) {
 // one permutation any correct sort would. A Sorter serves one goroutine at a
 // time; each Batch owns one. The zero value is ready to use.
 type Sorter struct {
-	keys     []key     // the keys of a bare task slice (EDF, LLF)
-	packed   []uint64  // (key - min)<<32 | index words, then the permutation
-	radix    []uint64  // the radix sort's second buffer
-	cmp      []sortKey // the comparator path
-	tail     []*Task   // a batch's arrivals, sorted apart before the merge
-	tailKeys []key     // and their keys
+	prio     []int64           // the keys of a bare task slice (EDF, LLF)
+	late     []simtime.Instant // and a stand-in for its latest starts
+	packed   []uint64          // (key - min)<<32 | index words, then the permutation
+	radix    []uint64          // the radix sort's second buffer
+	cmp      []sortKey         // the comparator path
+	tail     []*Task           // a batch's arrivals, sorted apart before the merge
+	tailPrio []int64           // and their keys
+	tailLate []simtime.Instant
 }
 
 // sortKey carries one task's sort key and position, so the comparator
@@ -507,37 +507,38 @@ func priority(t *Task, llf bool) int64 {
 
 // sort keys tasks under the priority and sorts them.
 func (s *Sorter) sort(tasks []*Task, llf bool) {
-	ks := slices.Grow(s.keys[:0], len(tasks)) // one exact allocation, not doublings
+	ps := slices.Grow(s.prio[:0], len(tasks)) // one exact allocation, not doublings
 	for _, t := range tasks {
-		ks = append(ks, key{prio: priority(t, llf)})
+		ps = append(ps, priority(t, llf))
 	}
-	s.sortKeyed(tasks, ks)
-	s.keys = ks[:0]
+	ls := slices.Grow(s.late[:0], len(tasks))[:len(tasks)] // permuted, never read
+	s.sortKeyed(tasks, ps, ls, false)
+	s.prio, s.late = ps[:0], ls[:0]
 }
 
-// sortKeyed sorts ts, and ks beside it, by (prio, ID). Arrivals are
+// sortKeyed sorts ts, and ps and ls beside it, by (prio, ID). Arrivals are
 // appended in arrival order and generated IDs follow it, so a run's IDs
-// usually ascend: then an index orders ties as the ID would, and when the
-// keys also span less than 2^32 the sort runs over packed
-// (key - min)<<32 | index words with no comparator — a radix sort over the
-// key half once the run is long enough to pay for its counting passes.
-// Otherwise it compares (key, ID) pairs. Either way the result is a
-// permutation, applied to the tasks and the keys together.
-func (s *Sorter) sortKeyed(ts []*Task, ks []key) {
+// usually ascend (up says the caller knows they do): then an index orders
+// ties as the ID would, and when the keys also span less than 2^32 the sort
+// runs over packed (key - min)<<32 | index words with no comparator — a
+// radix sort over the key half once the run is long enough to pay for its
+// counting passes. Otherwise it compares (key, ID) pairs. Either way the
+// result is a permutation, applied to the three slices together.
+func (s *Sorter) sortKeyed(ts []*Task, ps []int64, ls []simtime.Instant, up bool) {
 	words := slices.Grow(s.packed[:0], len(ts))[:len(ts)]
 	s.packed = words[:0]
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, k := range ps {
+		lo, hi = min(lo, k), max(hi, k)
+	}
 	ascending := uint64(len(ts)) <= math.MaxUint32 // the index fits its half
-	for i, k := range ks {
-		lo, hi = min(lo, k.prio), max(hi, k.prio)
-		if i > 0 && ts[i].ID <= ts[i-1].ID {
-			ascending = false
-		}
+	for i := 1; i < len(ts) && ascending && !up; i++ {
+		ascending = ts[i].ID > ts[i-1].ID
 	}
 	if !ascending || uint64(hi)-uint64(lo) >= 1<<32 {
 		c := slices.Grow(s.cmp[:0], len(ts))
-		for i, k := range ks {
-			c = append(c, sortKey{key: k.prio, id: ts[i].ID, at: i})
+		for i, k := range ps {
+			c = append(c, sortKey{key: k, id: ts[i].ID, at: i})
 		}
 		slices.SortFunc(c, func(a, b sortKey) int {
 			if a.key != b.key {
@@ -550,8 +551,8 @@ func (s *Sorter) sortKeyed(ts []*Task, ks []key) {
 		}
 		s.cmp = c[:0]
 	} else {
-		for i, k := range ks {
-			words[i] = (uint64(k.prio)-uint64(lo))<<32 | uint64(i)
+		for i, k := range ps {
+			words[i] = (uint64(k)-uint64(lo))<<32 | uint64(i)
 		}
 		if len(words) < radixMin {
 			slices.Sort(words)
@@ -567,15 +568,15 @@ func (s *Sorter) sortKeyed(ts []*Task, ks []key) {
 		if int(uint32(words[j])) == j {
 			continue
 		}
-		first, firstKey, k := ts[j], ks[j], j
+		first, firstPrio, firstLate, k := ts[j], ps[j], ls[j], j
 		for {
 			from := int(uint32(words[k]))
 			words[k] = uint64(k)
 			if from == j {
-				ts[k], ks[k] = first, firstKey
+				ts[k], ps[k], ls[k] = first, firstPrio, firstLate
 				break
 			}
-			ts[k], ks[k] = ts[from], ks[from]
+			ts[k], ps[k], ls[k] = ts[from], ps[from], ls[from]
 			k = from
 		}
 	}
